@@ -157,8 +157,8 @@ pub struct ThroughputArm {
     pub instrs_per_sec: f64,
     /// Pool worker threads the arm's fleet spawned.
     pub pool_workers: usize,
-    /// Per-executor contention statistics (steals, queue-empty waits,
-    /// decode-shard hit ratios) harvested from the arm's fleet.
+    /// Per-executor contention statistics (runs, chunk waits, decode-shard
+    /// hit ratios) harvested from the arm's fleet.
     pub contention: gist_coop::FleetStats,
 }
 

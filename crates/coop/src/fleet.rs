@@ -1,20 +1,20 @@
 //! The simulated endpoint fleet.
 //!
-//! Batched collection runs on a *persistent* worker pool with a
-//! work-stealing run queue (see DESIGN.md "Fleet architecture"): workers
-//! are created once per [`SimulatedFleet`], each batch publishes a
-//! pre-materialized descriptor array split into per-executor deques,
-//! executors pop their own range and steal from others when empty, and
-//! results land in pre-sized per-slot output cells — no results lock, no
-//! scratch-pool lock, no post-hoc sort. Expensive state is thread-local
-//! for the worker's lifetime (VM scratch, PT buffer pool, decode-cache
-//! shard, deferred metric accumulators); cross-worker sharing happens only
+//! Batched collection runs on a *persistent* worker pool with static
+//! chunking (see DESIGN.md "Fleet architecture"): workers are created once
+//! per [`SimulatedFleet`], each batch's pre-materialized descriptor array is
+//! split into one contiguous chunk per executor, chunks travel to the
+//! workers over channels, and the dispatching thread runs chunk 0 itself
+//! before collecting the workers' results in executor order — so output is
+//! in run-id order by construction, with no result slots, lock or sort.
+//! Expensive state is thread-local for the worker's lifetime (VM scratch,
+//! PT buffer pool, decode-cache shard); cross-worker sharing happens only
 //! at batch boundaries via epoch-published decode-cache snapshots.
 
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::ops::Range;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Arc;
 use std::time::Instant;
 
 use gist_core::{ClientRunData, Fleet};
@@ -40,7 +40,7 @@ pub struct FleetConfig {
     /// participates as executor 0, so total parallelism is `workers + 1`.
     /// `None` derives from [`std::thread::available_parallelism`] (cores −
     /// 1); `Some(n)` forces exactly `n` threads — tests use this to
-    /// exercise real cross-thread stealing even on small machines. Either
+    /// exercise real cross-thread chunks even on small machines. Either
     /// way the count is capped at `batch − 1` (more executors than runs
     /// per batch would only idle).
     pub workers: Option<usize>,
@@ -123,37 +123,29 @@ pub struct WorkerStats {
     pub runs: u64,
     /// Batches this executor participated in.
     pub batches: u64,
-    /// Descriptors stolen from other executors' deques.
+    /// Always 0: executors run only their own static chunk and never
+    /// steal. Kept so existing readers of the field still compile.
     pub steals: u64,
     /// Decode-shard probes answered from the snapshot or fresh map.
     pub shard_hits: u64,
     /// Decode-shard probes that fell through to a cold decode.
     pub shard_misses: u64,
-    /// Per-batch steal counts.
-    steal_hist: LocalHist,
-    /// Per-batch idle microseconds waiting for work to arrive.
+    /// Per-batch microseconds spent blocked waiting for the next chunk.
     wait_hist: LocalHist,
 }
 
 impl WorkerStats {
-    /// Distribution of steals per batch.
-    pub fn steal_hist(&self) -> HistogramSnapshot {
-        self.steal_hist.snapshot()
-    }
-
-    /// Distribution of queue-empty wait times per batch, in microseconds.
+    /// Distribution of per-batch chunk wait times, in microseconds.
     pub fn wait_hist(&self) -> HistogramSnapshot {
         self.wait_hist.snapshot()
     }
 
-    fn absorb_batch(&mut self, local: &BatchLocal, waited_us: u64) {
-        self.runs += local.runs;
+    fn absorb_chunk(&mut self, done: &ChunkDone) {
+        self.runs += done.runs.len() as u64;
         self.batches += 1;
-        self.steals += local.steals;
-        self.shard_hits += local.shard_hits;
-        self.shard_misses += local.shard_misses;
-        self.steal_hist.record(local.steals);
-        self.wait_hist.record(waited_us);
+        self.shard_hits += done.shard_hits;
+        self.shard_misses += done.shard_misses;
+        self.wait_hist.record(done.waited_us);
     }
 
     fn to_value(&self) -> Json {
@@ -166,11 +158,9 @@ impl WorkerStats {
         Json::Obj(vec![
             ("runs".into(), Json::U64(self.runs)),
             ("batches".into(), Json::U64(self.batches)),
-            ("steals".into(), Json::U64(self.steals)),
             ("shard_hits".into(), Json::U64(self.shard_hits)),
             ("shard_misses".into(), Json::U64(self.shard_misses)),
             ("shard_hit_ratio".into(), Json::F64(hit_ratio)),
-            ("steal_hist".into(), self.steal_hist.snapshot().to_value()),
             ("wait_us_hist".into(), self.wait_hist.snapshot().to_value()),
         ])
     }
@@ -191,10 +181,6 @@ impl FleetStats {
     pub fn to_value(&self) -> Json {
         Json::Obj(vec![
             (
-                "steals".into(),
-                Json::U64(self.workers.iter().map(|w| w.steals).sum()),
-            ),
-            (
                 "shard_hits".into(),
                 Json::U64(self.workers.iter().map(|w| w.shard_hits).sum()),
             ),
@@ -208,16 +194,6 @@ impl FleetStats {
             ),
         ])
     }
-}
-
-/// Per-batch, per-executor tallies, merged into [`WorkerStats`] at batch
-/// end (plain fields on the executor's stack — nothing shared).
-#[derive(Default)]
-struct BatchLocal {
-    runs: u64,
-    steals: u64,
-    shard_hits: u64,
-    shard_misses: u64,
 }
 
 /// State an executor keeps across batches: recycled VM scratch, a private
@@ -240,127 +216,8 @@ impl ExecutorCtx {
     }
 }
 
-/// One run descriptor index deque: a contiguous range of the batch's
-/// descriptor array, packed `head << 32 | tail`. The owner pops at `head`,
-/// thieves pop at `tail − 1`; both CAS the same word, and since `head`
-/// only grows and `tail` only shrinks there is no ABA.
-struct Deque(AtomicU64);
-
-impl Deque {
-    fn new(head: u32, tail: u32) -> Self {
-        Deque(AtomicU64::new((u64::from(head) << 32) | u64::from(tail)))
-    }
-
-    fn unpack(v: u64) -> (u32, u32) {
-        ((v >> 32) as u32, v as u32)
-    }
-
-    /// Owner pop from the front; `None` when empty.
-    fn pop_front(&self) -> Option<usize> {
-        let mut v = self.0.load(Ordering::Relaxed);
-        loop {
-            let (h, t) = Self::unpack(v);
-            if h >= t {
-                return None;
-            }
-            let next = (u64::from(h + 1) << 32) | u64::from(t);
-            match self
-                .0
-                .compare_exchange_weak(v, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return Some(h as usize),
-                Err(cur) => v = cur,
-            }
-        }
-    }
-
-    /// Thief pop from the back; `None` when empty.
-    fn steal_back(&self) -> Option<usize> {
-        let mut v = self.0.load(Ordering::Relaxed);
-        loop {
-            let (h, t) = Self::unpack(v);
-            if h >= t {
-                return None;
-            }
-            let next = (u64::from(h) << 32) | u64::from(t - 1);
-            match self
-                .0
-                .compare_exchange_weak(v, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return Some((t - 1) as usize),
-                Err(cur) => v = cur,
-            }
-        }
-    }
-}
-
-/// Pre-sized per-run output cells. Each slot is written by exactly one
-/// executor (the one whose deque pop claimed that index) and read by the
-/// dispatching thread only after every executor has finished the batch,
-/// so batch output order is deterministic by construction — no results
-/// lock, no sort.
-struct Slots(Vec<UnsafeCell<Option<ClientRunData>>>);
-
-// SAFETY: slot `i` is accessed mutably only by the single executor that
-// claimed index `i` via the deque CAS; the dispatching thread reads slots
-// only after `BatchJob::remaining` reaches zero, whose Release decrements
-// / Acquire load order every slot write before every slot read.
-unsafe impl Sync for Slots {}
-
-impl Slots {
-    fn new(n: usize) -> Self {
-        Slots((0..n).map(|_| UnsafeCell::new(None)).collect())
-    }
-
-    /// SAFETY: caller must have claimed index `i` from a deque.
-    unsafe fn put(&self, i: usize, run: ClientRunData) {
-        *self.0[i].get() = Some(run);
-    }
-
-    /// SAFETY: caller must be the dispatching thread, after batch completion.
-    unsafe fn take(&self, i: usize) -> Option<ClientRunData> {
-        (*self.0[i].get()).take()
-    }
-}
-
-/// One published batch: the descriptor array, per-executor deques over it,
-/// and the output slots.
-struct BatchJob {
-    /// `(run id, workload seed)`, in run-id order.
-    descriptors: Vec<(u64, u64)>,
-    patch: InstrumentationPatch,
-    /// Span parent for worker spans (typically `server.collect`).
-    parent: gist_obs::SpanHandle,
-    /// One deque per executor; executor `k` owns `deques[k]`.
-    deques: Vec<Deque>,
-    slots: Slots,
-    /// Worker threads still executing this batch (the dispatching thread
-    /// is not counted — it runs inline and then waits for zero).
-    remaining: AtomicUsize,
-}
-
-impl BatchJob {
-    /// Claims the next descriptor index for executor `me`: own deque
-    /// first, then steal round-robin. `None` means the batch is drained —
-    /// descriptors are fully materialized at publish, so an all-empty scan
-    /// is conclusive.
-    fn claim(&self, me: usize, local: &mut BatchLocal) -> Option<usize> {
-        if let Some(i) = self.deques[me].pop_front() {
-            return Some(i);
-        }
-        let n = self.deques.len();
-        for off in 1..n {
-            if let Some(i) = self.deques[(me + off) % n].steal_back() {
-                local.steals += 1;
-                return Some(i);
-            }
-        }
-        None
-    }
-}
-
-/// State shared between the dispatching thread and the pool workers.
-struct PoolShared {
+/// Read-only state every pool executor runs against.
+struct PoolEnv {
     /// Owned clone of the fleet's program: worker threads are `'static`,
     /// so they cannot borrow the caller's `&Program`. `CompiledProgram`
     /// is interned by fingerprint, so the clone shares the compilation.
@@ -369,149 +226,116 @@ struct PoolShared {
     decode_cache: Arc<DecodeCache>,
     make_config: fn(u64) -> VmConfig,
     num_cores: u32,
-    state: Mutex<PoolState>,
-    /// Signaled when a new batch epoch is published (or shutdown).
-    work_ready: Condvar,
-    /// Signaled by the last worker finishing a batch.
-    work_done: Condvar,
-    /// Cumulative stats for worker executors 1..=N, locked once per
-    /// worker per batch (off the per-run path).
-    worker_stats: Mutex<Vec<WorkerStats>>,
 }
 
-struct PoolState {
-    /// Bumped per published batch; workers latch it to detect new work.
-    epoch: u64,
-    job: Option<Arc<BatchJob>>,
-    shutdown: bool,
-    /// A worker executor panicked; surfaced on the dispatching thread.
-    panicked: bool,
+/// One batch, shared by every executor's chunk.
+struct Batch {
+    /// `(run id, workload seed)`, in run-id order.
+    descriptors: Vec<(u64, u64)>,
+    patch: InstrumentationPatch,
+    /// Span parent for worker spans (typically `server.collect`).
+    parent: gist_obs::SpanHandle,
 }
 
-impl PoolShared {
-    fn lock_state(&self) -> std::sync::MutexGuard<'_, PoolState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
+/// The contiguous slice of a batch one executor runs.
+struct Chunk {
+    batch: Arc<Batch>,
+    range: Range<usize>,
+}
+
+/// One executor's output for one batch: its runs in run-id order plus
+/// the tallies merged into its [`WorkerStats`].
+struct ChunkDone {
+    runs: Vec<ClientRunData>,
+    shard_hits: u64,
+    shard_misses: u64,
+    /// Time the worker spent blocked on its job channel before this chunk
+    /// (0 for the dispatching thread).
+    waited_us: u64,
+}
+
+/// One pool thread and the dispatcher's ends of its two channels.
+struct PoolWorker {
+    jobs: Sender<Chunk>,
+    results: Receiver<ChunkDone>,
+    stats: WorkerStats,
+    handle: std::thread::JoinHandle<()>,
 }
 
 /// The persistent worker pool of one fleet.
 struct FleetPool {
-    shared: Arc<PoolShared>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+    env: Arc<PoolEnv>,
+    workers: Vec<PoolWorker>,
 }
 
 impl Drop for FleetPool {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.lock_state();
-            st.shutdown = true;
-            self.shared.work_ready.notify_all();
-        }
-        for h in self.handles.drain(..) {
+        // Closing a job channel ends that worker's receive loop.
+        let handles: Vec<_> = self.workers.drain(..).map(|w| w.handle).collect();
+        for h in handles {
             let _ = h.join();
         }
     }
 }
 
-/// Body of one pool worker thread.
-fn worker_loop(shared: Arc<PoolShared>, exec_idx: usize) {
-    let mut ctx = ExecutorCtx::new(&shared.decode_cache);
-    let mut seen_epoch = 0u64;
-    loop {
-        let wait_start = Instant::now();
-        let job = {
-            let mut st = shared.lock_state();
-            loop {
-                if st.shutdown {
-                    return;
-                }
-                if st.epoch != seen_epoch {
-                    if let Some(job) = &st.job {
-                        seen_epoch = st.epoch;
-                        break Arc::clone(job);
-                    }
-                }
-                st = shared
-                    .work_ready
-                    .wait(st)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        };
+/// Body of one pool worker thread: runs chunks until its job channel
+/// closes. A panic unwinds the thread and drops `results`, which the
+/// dispatcher observes as a failed `recv`.
+fn worker_loop(env: Arc<PoolEnv>, jobs: Receiver<Chunk>, results: Sender<ChunkDone>) {
+    let mut ctx = ExecutorCtx::new(&env.decode_cache);
+    let mut wait_start = Instant::now();
+    for chunk in jobs {
         let waited_us = wait_start.elapsed().as_micros() as u64;
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_executor(&shared, &job, exec_idx, &mut ctx)
-        }));
-        match outcome {
-            Ok(local) => {
-                let mut stats = shared
-                    .worker_stats
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner());
-                stats[exec_idx - 1].absorb_batch(&local, waited_us);
-            }
-            Err(_) => {
-                // The executor context may be mid-run garbage; rebuild it.
-                ctx = ExecutorCtx::new(&shared.decode_cache);
-                shared.lock_state().panicked = true;
-            }
+        let mut done = run_chunk(&env, &chunk, &mut ctx);
+        done.waited_us = waited_us;
+        if results.send(done).is_err() {
+            return;
         }
-        // Decrement only after every side effect (slots, absorbed shard,
-        // flushed metrics and journal) has landed: the dispatching
-        // thread's Acquire load of `remaining` then orders them all
-        // before result collection.
-        if job.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _st = shared.lock_state();
-            shared.work_done.notify_all();
-        }
+        wait_start = Instant::now();
     }
 }
 
-/// Executes one batch's worth of claims as executor `exec_idx`. Shared by
-/// pool workers and the dispatching thread (executor 0). On return, all
-/// of this executor's side effects are globally visible: fresh decode
-/// segments absorbed and re-published, deferred metrics flushed, journal
-/// events in the global sink.
-fn run_executor(
-    shared: &PoolShared,
-    job: &BatchJob,
-    exec_idx: usize,
-    ctx: &mut ExecutorCtx,
-) -> BatchLocal {
-    let mut local = BatchLocal::default();
-    {
-        // One defer guard and one worker span per batch, not per run:
-        // metric recording buffers locally and the span registry is
+/// Executes one chunk. Shared by pool workers and the dispatching thread
+/// (executor 0). On return, all of this executor's side effects are
+/// globally visible: fresh decode segments absorbed and re-published,
+/// journal events in the global sink.
+fn run_chunk(env: &PoolEnv, chunk: &Chunk, ctx: &mut ExecutorCtx) -> ChunkDone {
+    let batch = &chunk.batch;
+    let runs = {
+        // One worker span per batch, not per run: the span registry is
         // touched once.
-        let _defer = gist_obs::defer_metrics();
-        let _span = gist_obs::span_under(&job.parent, "fleet.worker");
-        ctx.shard.refresh(&shared.decode_cache);
-        while let Some(i) = job.claim(exec_idx, &mut local) {
-            let (id, seed) = job.descriptors[i];
-            let run = execute_one(
-                &shared.program,
-                &shared.compiled,
-                shared.make_config,
-                shared.num_cores,
-                ctx,
-                &job.patch,
-                id,
-                seed,
-            );
-            // SAFETY: `claim` hands out each index exactly once.
-            unsafe { job.slots.put(i, run) };
-            local.runs += 1;
-        }
-    }
-    shared.decode_cache.absorb(&mut ctx.shard);
-    local.shard_hits = ctx.shard.hits();
-    local.shard_misses = ctx.shard.misses();
+        let _span = gist_obs::span_under(&batch.parent, "fleet.worker");
+        ctx.shard.refresh(&env.decode_cache);
+        batch.descriptors[chunk.range.clone()]
+            .iter()
+            .map(|&(id, seed)| {
+                execute_one(
+                    &env.program,
+                    &env.compiled,
+                    env.make_config,
+                    env.num_cores,
+                    ctx,
+                    &batch.patch,
+                    id,
+                    seed,
+                )
+            })
+            .collect()
+    };
+    env.decode_cache.absorb(&mut ctx.shard);
+    let done = ChunkDone {
+        runs,
+        shard_hits: ctx.shard.hits(),
+        shard_misses: ctx.shard.misses(),
+        waited_us: 0,
+    };
     ctx.shard.reset_stats();
     // Batch boundary: persistent workers outlive many batches, so their
     // thread-exit flush comes far too late — push buffered events into
     // the journal ring here so the dispatching thread's drain (and any
     // `drain_since` cursor tailing the diagnosis) sees this batch.
     gist_obs::journal::flush_local();
-    local
+    done
 }
 
 /// Executes one run. All expensive state comes from the executor context:
@@ -635,14 +459,7 @@ impl<'p> SimulatedFleet<'p> {
     pub fn contention_stats(&self) -> FleetStats {
         let mut workers = vec![self.main_stats.clone()];
         if let Some(pool) = &self.pool {
-            workers.extend(
-                pool.shared
-                    .worker_stats
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .iter()
-                    .cloned(),
-            );
+            workers.extend(pool.workers.iter().map(|w| w.stats.clone()));
         }
         FleetStats { workers }
     }
@@ -650,7 +467,7 @@ impl<'p> SimulatedFleet<'p> {
     /// Worker threads backing this fleet's pool (0 before the first
     /// batched refill or on a sequential fleet).
     pub fn pool_workers(&self) -> usize {
-        self.pool.as_ref().map_or(0, |p| p.handles.len())
+        self.pool.as_ref().map_or(0, |p| p.workers.len())
     }
 
     /// Spawns the persistent pool on first use.
@@ -663,85 +480,70 @@ impl<'p> SimulatedFleet<'p> {
             .workers
             .unwrap_or_else(machine_workers)
             .min(self.config.batch.saturating_sub(1));
-        let shared = Arc::new(PoolShared {
+        let env = Arc::new(PoolEnv {
             program: Arc::new(self.program.clone()),
             compiled: Arc::clone(&self.compiled),
             decode_cache: Arc::clone(&self.decode_cache),
             make_config: self.make_config,
             num_cores: self.config.num_cores,
-            state: Mutex::new(PoolState {
-                epoch: 0,
-                job: None,
-                shutdown: false,
-                panicked: false,
-            }),
-            work_ready: Condvar::new(),
-            work_done: Condvar::new(),
-            worker_stats: Mutex::new(vec![WorkerStats::default(); threads]),
         });
-        let handles = (1..=threads)
+        let workers = (1..=threads)
             .map(|exec_idx| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
+                let (jobs, job_rx) = channel();
+                let (result_tx, results) = channel();
+                let env = Arc::clone(&env);
+                let handle = std::thread::Builder::new()
                     .name(format!("fleet-worker-{exec_idx}"))
-                    .spawn(move || worker_loop(shared, exec_idx))
-                    .expect("spawn fleet worker")
+                    .spawn(move || worker_loop(env, job_rx, result_tx))
+                    .expect("spawn fleet worker");
+                PoolWorker {
+                    jobs,
+                    results,
+                    stats: WorkerStats::default(),
+                    handle,
+                }
             })
             .collect();
-        self.pool = Some(FleetPool { shared, handles });
+        self.pool = Some(FleetPool { env, workers });
     }
 
     /// Executes `descriptors` on the pool (dispatching thread included)
     /// and appends the results to the buffer in run-id order.
     fn run_batch(&mut self, patch: &InstrumentationPatch, descriptors: Vec<(u64, u64)>) {
         self.ensure_pool();
-        let pool = self.pool.as_ref().expect("pool just ensured");
-        let shared = Arc::clone(&pool.shared);
-        let batch = descriptors.len();
-        let executors = pool.handles.len() + 1;
-        // Split the descriptor range into one contiguous deque per
-        // executor, as even as possible (executor 0 = this thread).
-        let deques = (0..executors)
-            .map(|k| {
-                Deque::new(
-                    (k * batch / executors) as u32,
-                    ((k + 1) * batch / executors) as u32,
-                )
-            })
-            .collect();
-        let job = Arc::new(BatchJob {
+        let pool = self.pool.as_mut().expect("pool just ensured");
+        let runs = descriptors.len();
+        let executors = pool.workers.len() + 1;
+        // One contiguous chunk per executor, as even as possible
+        // (executor 0 = this thread).
+        let chunk_of = |k: usize| k * runs / executors..(k + 1) * runs / executors;
+        let batch = Arc::new(Batch {
             descriptors,
             patch: patch.clone(),
             parent: gist_obs::current_span_handle(),
-            deques,
-            slots: Slots::new(batch),
-            remaining: AtomicUsize::new(pool.handles.len()),
         });
-        {
-            let mut st = shared.lock_state();
-            st.epoch += 1;
-            st.job = Some(Arc::clone(&job));
-            shared.work_ready.notify_all();
-        }
-        let local = run_executor(&shared, &job, 0, &mut self.main_ctx);
-        self.main_stats.absorb_batch(&local, 0);
-        {
-            let mut st = shared.lock_state();
-            while job.remaining.load(Ordering::Acquire) != 0 {
-                st = shared.work_done.wait(st).unwrap_or_else(|e| e.into_inner());
-            }
-            st.job = None;
-            if st.panicked {
-                st.panicked = false;
+        for (k, w) in pool.workers.iter().enumerate() {
+            let chunk = Chunk {
+                batch: Arc::clone(&batch),
+                range: chunk_of(k + 1),
+            };
+            if w.jobs.send(chunk).is_err() {
                 panic!("fleet worker panicked");
             }
         }
-        for i in 0..batch {
-            // SAFETY: batch complete (remaining == 0 acquired above);
-            // every claimed slot was filled and no executor touches the
-            // job anymore.
-            let run = unsafe { job.slots.take(i) }.expect("every batch slot filled");
-            self.buffer.push_back(run);
+        let own = Chunk {
+            batch,
+            range: chunk_of(0),
+        };
+        let done = run_chunk(&pool.env, &own, &mut self.main_ctx);
+        self.main_stats.absorb_chunk(&done);
+        self.buffer.extend(done.runs);
+        for w in &mut pool.workers {
+            let Ok(done) = w.results.recv() else {
+                panic!("fleet worker panicked");
+            };
+            w.stats.absorb_chunk(&done);
+            self.buffer.extend(done.runs);
         }
     }
 
@@ -829,9 +631,11 @@ impl Fleet for SimulatedFleet<'_> {
 mod tests {
     use super::*;
     use gist_bugbase::bug_by_name;
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
 
     /// Forces real pool worker threads regardless of machine size, so the
-    /// stealing/slot machinery is exercised even on one-core CI runners.
+    /// chunk/channel machinery is exercised even on one-core CI runners.
     fn forced(endpoints: u32, batch: usize, workers: usize) -> FleetConfig {
         FleetConfig {
             endpoints,
@@ -903,10 +707,9 @@ mod tests {
         }
     }
 
-    /// Satellite regression test: results come out of the pooled path in
-    /// run-id order by construction (pre-sized slots, no sort), across
-    /// several batches and a worker count that guarantees stealing
-    /// pressure on the shared deques.
+    /// Results come out of the pooled path in run-id order by construction
+    /// (chunks collected in executor order, no sort), across several
+    /// batches, and each executor runs exactly its static chunk.
     #[test]
     fn pooled_batches_preserve_run_id_order() {
         let bug = bug_by_name("pbzip2-1").unwrap();
@@ -918,13 +721,50 @@ mod tests {
         assert_eq!(
             ids,
             (0..32).collect::<Vec<u64>>(),
-            "slot collection must be in run-id order"
+            "chunk collection must be in run-id order"
         );
         assert_eq!(fleet.pool_workers(), 4, "forced workers spawn real threads");
         let stats = fleet.contention_stats();
         assert_eq!(stats.workers.len(), 5, "executor 0 + 4 pool workers");
-        let total: u64 = stats.workers.iter().map(|w| w.runs).sum();
-        assert_eq!(total, 32, "every run attributed to exactly one executor");
+        // Batch 8 over 5 executors splits into chunks of 1,2,1,2,2; four
+        // batches ran.
+        let runs: Vec<u64> = stats.workers.iter().map(|w| w.runs).collect();
+        assert_eq!(runs, [4, 8, 4, 8, 8], "static chunk attribution");
+        assert!(stats.workers.iter().all(|w| w.batches == 4));
+    }
+
+    /// Fails the run that lands in worker 2's chunk of the first batch
+    /// (run 5 of a batch-8, 4-executor fleet over 8 endpoints), never a
+    /// run executor 0 owns.
+    fn panics_on_run_5(seed: u64) -> VmConfig {
+        assert_ne!(seed, 5 * 1_000_003, "injected worker failure");
+        gist_bugbase::synth::synth_config(seed)
+    }
+
+    /// A panic inside a pool worker surfaces on the dispatching thread as
+    /// `fleet worker panicked`, and neither side hangs.
+    #[test]
+    fn worker_panic_propagates_to_dispatcher() {
+        // `alive` drops last, after the fleet has joined its workers, so
+        // the disconnect means the dispatcher thread fully finished.
+        let (alive, finished) = channel::<()>();
+        let dispatcher = std::thread::spawn(move || {
+            let _alive = alive;
+            let bug = bug_by_name("pbzip2-1").unwrap();
+            let mut fleet = SimulatedFleet::new(&bug.program, panics_on_run_5, forced(8, 8, 3));
+            Fleet::next_run(&mut fleet, &InstrumentationPatch::default());
+        });
+        assert_eq!(
+            finished.recv_timeout(Duration::from_secs(60)),
+            Err(RecvTimeoutError::Disconnected),
+            "dispatcher hung"
+        );
+        let payload = dispatcher.join().expect_err("worker panic must propagate");
+        let msg = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+        assert_eq!(msg, Some("fleet worker panicked"));
     }
 
     /// The server's remaining-runs hint caps prefetch: with 3 runs left,

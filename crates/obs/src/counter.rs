@@ -9,11 +9,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// commutative, so totals are independent of thread interleaving — the
 /// property the determinism contract relies on. With the `metrics-off`
 /// feature the mutating methods compile to empty bodies.
-///
-/// Recording takes `&'static self` (registry counters are leaked, so every
-/// resolved reference qualifies): a thread under [`crate::defer_metrics`]
-/// buffers additions locally and applies them at flush, which needs the
-/// reference to outlive the buffer.
 #[derive(Debug, Default)]
 pub struct Counter {
     cell: AtomicU64,
@@ -29,26 +24,13 @@ impl Counter {
 
     /// Adds one.
     #[inline]
-    pub fn inc(&'static self) {
+    pub fn inc(&self) {
         self.add(1);
     }
 
     /// Adds `n`.
     #[inline]
-    pub fn add(&'static self, n: u64) {
-        #[cfg(not(feature = "metrics-off"))]
-        if !crate::defer::try_defer_add(self, n) {
-            self.cell.fetch_add(n, Ordering::Relaxed);
-        }
-        #[cfg(feature = "metrics-off")]
-        let _ = n;
-    }
-
-    /// Applies an addition directly to the shared cell, bypassing any
-    /// active deferral (the flush path).
-    #[cfg_attr(feature = "metrics-off", allow(dead_code))]
-    #[inline]
-    pub(crate) fn add_now(&self, n: u64) {
+    pub fn add(&self, n: u64) {
         #[cfg(not(feature = "metrics-off"))]
         self.cell.fetch_add(n, Ordering::Relaxed);
         #[cfg(feature = "metrics-off")]

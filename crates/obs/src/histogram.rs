@@ -54,24 +54,9 @@ impl Histogram {
         }
     }
 
-    /// Records one sample. Takes `&'static self` so a thread under
-    /// [`crate::defer_metrics`] can buffer the sample and replay it at
-    /// flush (see [`Counter::add`](crate::Counter::add)).
+    /// Records one sample.
     #[inline]
-    pub fn record(&'static self, v: u64) {
-        #[cfg(not(feature = "metrics-off"))]
-        if !crate::defer::try_defer_sample(self, v) {
-            self.record_now(v);
-        }
-        #[cfg(feature = "metrics-off")]
-        let _ = v;
-    }
-
-    /// Records a sample directly into the shared cells, bypassing any
-    /// active deferral (the flush path).
-    #[cfg_attr(feature = "metrics-off", allow(dead_code))]
-    #[inline]
-    pub(crate) fn record_now(&self, v: u64) {
+    pub fn record(&self, v: u64) {
         #[cfg(not(feature = "metrics-off"))]
         {
             self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);

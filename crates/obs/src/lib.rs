@@ -37,13 +37,6 @@
 //! work (e.g. fleet batch occupancy) must be recorded as a histogram, never
 //! a counter, so counter snapshots stay comparable across batch sizes.
 //!
-//! Worker threads that record heavily can install a thread-local
-//! accumulator with [`defer_metrics`]; recording then buffers locally and
-//! drains into the shared atomics at [`flush_deferred`] or guard drop.
-//! Because addition is commutative and every buffered add is applied before
-//! the guard releases, quiescent snapshots are unaffected — deferral moves
-//! contention off the hot path without changing totals.
-//!
 //! # `metrics-off`
 //!
 //! With the `metrics-off` cargo feature every recording operation compiles
@@ -52,7 +45,6 @@
 //! enabled-build overhead is bounded (<5% fleet throughput).
 
 mod counter;
-mod defer;
 pub mod event;
 mod handle;
 mod histogram;
@@ -64,7 +56,6 @@ mod timer;
 pub mod wire;
 
 pub use counter::Counter;
-pub use defer::{defer_metrics, flush_deferred, DeferGuard};
 pub use event::{EventKind, EventRecord, JournalEvent};
 pub use handle::{CounterHandle, HistogramHandle};
 pub use histogram::{bucket_floor, bucket_of, Histogram, NUM_BUCKETS};

@@ -6,8 +6,8 @@
 //! produce byte-identical counter snapshots — any divergence means some
 //! counter leaked execution shape. The workload covers every bugbase bug
 //! under its shipped patch *and* a pinned-seed synthetic sample, so the
-//! pooled path (work stealing, decode-cache shards, deferred metric
-//! flushes) is exercised against both program families.
+//! pooled path (static chunks over channels, decode-cache shards, batch-end
+//! journal flushes) is exercised against both program families.
 //!
 //! One `#[test]` in its own integration binary: the comparison reads the
 //! process-global metrics registry, which other tests in the same process
@@ -26,7 +26,7 @@ use gist_vm::VmConfig;
 const RUNS: usize = 16;
 const BATCH: usize = 8;
 /// Forced pool worker threads for the batched arm: real cross-thread
-/// stealing even on one-core machines.
+/// chunks even on one-core machines.
 const WORKERS: usize = 3;
 /// Pinned generation seeds for the synthetic sample (seeds whose bugs
 /// manifest are kept; generation is fully deterministic, so both arms see
