@@ -18,9 +18,9 @@
 //! repro sketch <bug-name>   # render a failure sketch (e.g. pbzip2-1)
 //!   ... sketch <bug> --explain   # + provenance chains from the journal
 //! repro bugs                # list bug names
-//! repro bench               # full-bugbase perf run -> BENCH_gist.json
+//! repro bench               # full-bugbase deterministic report
+//!                           #   -> BENCH_gist.json
 //!                           #   + flight recorder -> JOURNAL_gist.bin
-//!                           #   + JSONL export    -> JOURNAL_gist.jsonl
 //! repro bench --synthetic N --seed S
 //!                           # N seeded synthetic bugs through the full
 //!                           # AsT loop -> BENCH_gist.json + accuracy
@@ -30,7 +30,8 @@
 //!
 //! `table1`, `fig9`, `all`, and `bench` exit non-zero when any bug's sketch
 //! accuracy falls below the floors recorded in
-//! `gist_bench::expectations::EXPECTATIONS`.
+//! `gist_bench::expectations::EXPECTATIONS`; `bench` also exits non-zero
+//! when the journal ring overwrote events.
 
 use gist_bench::bench_report;
 use gist_bench::expectations;
@@ -134,40 +135,32 @@ fn fig9() {
 fn bench(out: Option<&str>) {
     let path = out.unwrap_or("BENCH_gist.json");
     let (report, evals) = bench_report::run(None);
-    let json = report.to_json();
-    if let Err(e) = std::fs::write(path, &json) {
+    if let Err(e) = std::fs::write(path, report.to_json()) {
         eprintln!("cannot write {path}: {e}");
         std::process::exit(1);
     }
     // The flight-recorder journal rides along next to the report, named
-    // after it: the canonical binary journal (`BENCH_gist.json` ->
-    // `JOURNAL_gist.bin`) plus its JSONL export (`JOURNAL_gist.jsonl`);
-    // explore either with `gist-trace summary|grep|explain|query|export`.
-    let (binary_path, jsonl_path) = if path == "BENCH_gist.json" {
-        (
-            "JOURNAL_gist.bin".to_owned(),
-            "JOURNAL_gist.jsonl".to_owned(),
-        )
+    // after it (`BENCH_gist.json` -> `JOURNAL_gist.bin`); explore it with
+    // `gist-trace summary|grep|explain|query|export`.
+    let binary_path = if path == "BENCH_gist.json" {
+        "JOURNAL_gist.bin".to_owned()
     } else {
-        (
-            format!("{path}.journal.bin"),
-            format!("{path}.journal.jsonl"),
-        )
+        format!("{path}.journal.bin")
     };
     if let Err(e) = std::fs::write(&binary_path, &report.journal_binary) {
         eprintln!("cannot write {binary_path}: {e}");
         std::process::exit(1);
     }
-    if let Err(e) = std::fs::write(&jsonl_path, &report.journal) {
-        eprintln!("cannot write {jsonl_path}: {e}");
+    println!(
+        "wrote {path} ({} bugs) + {binary_path} ({} bytes)",
+        evals.len(),
+        report.journal_binary.len()
+    );
+    let overwritten = report.journal_stats.events_overwritten;
+    if overwritten != 0 {
+        eprintln!("flight-recorder ring overwrote {overwritten} events: the journal has a gap");
         std::process::exit(1);
     }
-    println!(
-        "wrote {path} ({} bugs) + {binary_path} ({} bytes) + {jsonl_path} ({} bytes)",
-        evals.len(),
-        report.journal_binary.len(),
-        report.journal.len()
-    );
     gate_accuracy(&evals);
 }
 

@@ -71,6 +71,30 @@ impl Default for EvalConfig {
     }
 }
 
+impl EvalConfig {
+    /// The server configuration these knobs select, with the rendered
+    /// sketch's `title` and `bug_class`.
+    pub fn gist_config(&self, title: String, bug_class: String) -> GistConfig {
+        GistConfig {
+            sigma0: self.sigma0,
+            growth: self.growth,
+            beta: 0.5,
+            failing_runs_per_iteration: self.failing_per_iteration,
+            max_runs_per_iteration: self.max_runs_per_iteration,
+            max_iterations: self.max_iterations,
+            enable_control_flow: self.enable_control_flow,
+            enable_data_flow: self.enable_data_flow,
+            enable_race_ranking: self.enable_race_ranking,
+            enable_alias_slicing: self.enable_alias_slicing,
+            enable_svfg_slicing: self.enable_svfg_slicing,
+            enable_mhp: self.enable_mhp,
+            enable_dead_store_pruning: self.enable_dead_store_pruning,
+            title,
+            bug_class,
+        }
+    }
+}
+
 /// The outcome of evaluating Gist on one bug (one Table 1 row plus the
 /// Fig. 9 accuracy bars).
 #[derive(Clone, Debug)]
@@ -118,23 +142,10 @@ pub fn diagnose_bug(bug: &BugSpec, cfg: &EvalConfig) -> BugEvaluation {
         .unwrap_or_else(|| panic!("{}: bug never manifests", bug.name));
     let server = GistServer::new(
         &bug.program,
-        GistConfig {
-            sigma0: cfg.sigma0,
-            growth: cfg.growth,
-            beta: 0.5,
-            failing_runs_per_iteration: cfg.failing_per_iteration,
-            max_runs_per_iteration: cfg.max_runs_per_iteration,
-            max_iterations: cfg.max_iterations,
-            enable_control_flow: cfg.enable_control_flow,
-            enable_data_flow: cfg.enable_data_flow,
-            enable_race_ranking: cfg.enable_race_ranking,
-            enable_alias_slicing: cfg.enable_alias_slicing,
-            enable_svfg_slicing: cfg.enable_svfg_slicing,
-            enable_mhp: cfg.enable_mhp,
-            enable_dead_store_pruning: cfg.enable_dead_store_pruning,
-            title: format!("Failure Sketch for {}", bug.display),
-            bug_class: bug.class.label().to_owned(),
-        },
+        cfg.gist_config(
+            format!("Failure Sketch for {}", bug.display),
+            bug.class.label().to_owned(),
+        ),
     );
     let mut fleet = SimulatedFleet::for_bug(bug, cfg.fleet.clone());
     let ideal_set = bug.ideal_stmts();

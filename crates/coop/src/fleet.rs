@@ -19,7 +19,6 @@ use std::time::Instant;
 
 use gist_core::{ClientRunData, Fleet};
 use gist_ir::Program;
-use gist_obs::json::Json;
 use gist_obs::HistogramSnapshot;
 use gist_pt::{BufferPool, DecodeCache, DecodeCacheShard};
 use gist_tracking::{InstrumentationPatch, TrackerRuntime};
@@ -115,8 +114,7 @@ impl LocalHist {
 }
 
 /// Cumulative per-executor contention statistics (executor 0 is the
-/// dispatching thread). Harvested via [`SimulatedFleet::contention_stats`]
-/// and emitted into the BENCH report's throughput section.
+/// dispatching thread). Harvested via [`SimulatedFleet::contention_stats`].
 #[derive(Clone, Debug, Default)]
 pub struct WorkerStats {
     /// Runs this executor completed.
@@ -147,23 +145,6 @@ impl WorkerStats {
         self.shard_misses += done.shard_misses;
         self.wait_hist.record(done.waited_us);
     }
-
-    fn to_value(&self) -> Json {
-        let probes = self.shard_hits + self.shard_misses;
-        let hit_ratio = if probes == 0 {
-            0.0
-        } else {
-            self.shard_hits as f64 / probes as f64
-        };
-        Json::Obj(vec![
-            ("runs".into(), Json::U64(self.runs)),
-            ("batches".into(), Json::U64(self.batches)),
-            ("shard_hits".into(), Json::U64(self.shard_hits)),
-            ("shard_misses".into(), Json::U64(self.shard_misses)),
-            ("shard_hit_ratio".into(), Json::F64(hit_ratio)),
-            ("wait_us_hist".into(), self.wait_hist.snapshot().to_value()),
-        ])
-    }
 }
 
 /// Contention statistics for every executor of a fleet, in executor order
@@ -172,28 +153,6 @@ impl WorkerStats {
 pub struct FleetStats {
     /// One entry per executor.
     pub workers: Vec<WorkerStats>,
-}
-
-impl FleetStats {
-    /// Renders for the BENCH report's throughput section. Contention data
-    /// is scheduling-dependent by nature, so it belongs next to the timing
-    /// numbers, never in the deterministic metrics section.
-    pub fn to_value(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "shard_hits".into(),
-                Json::U64(self.workers.iter().map(|w| w.shard_hits).sum()),
-            ),
-            (
-                "shard_misses".into(),
-                Json::U64(self.workers.iter().map(|w| w.shard_misses).sum()),
-            ),
-            (
-                "workers".into(),
-                Json::Arr(self.workers.iter().map(WorkerStats::to_value).collect()),
-            ),
-        ])
-    }
 }
 
 /// State an executor keeps across batches: recycled VM scratch, a private

@@ -10,7 +10,7 @@
 //! what `repro bench --synthetic` aggregates into a recovery rate.
 
 use gist_bugbase::synth::{synth_config, SynthBug};
-use gist_core::{diagnose_until, CoverageTarget, GistConfig, GistServer};
+use gist_core::{diagnose_until, CoverageTarget, GistServer};
 use gist_sketch::accuracy::{measure, Accuracy};
 use gist_sketch::FailureSketch;
 
@@ -79,23 +79,10 @@ pub fn diagnose_synth(bug: &SynthBug, cfg: &EvalConfig) -> SynthEvaluation {
 
     let server = GistServer::new(
         &bug.program,
-        GistConfig {
-            sigma0: cfg.sigma0,
-            growth: cfg.growth,
-            beta: 0.5,
-            failing_runs_per_iteration: cfg.failing_per_iteration,
-            max_runs_per_iteration: cfg.max_runs_per_iteration,
-            max_iterations: cfg.max_iterations,
-            enable_control_flow: cfg.enable_control_flow,
-            enable_data_flow: cfg.enable_data_flow,
-            enable_race_ranking: cfg.enable_race_ranking,
-            enable_alias_slicing: cfg.enable_alias_slicing,
-            enable_svfg_slicing: cfg.enable_svfg_slicing,
-            enable_mhp: cfg.enable_mhp,
-            enable_dead_store_pruning: cfg.enable_dead_store_pruning,
-            title: format!("Failure Sketch for {}", bug.name),
-            bug_class: eval.family.clone(),
-        },
+        cfg.gist_config(
+            format!("Failure Sketch for {}", bug.name),
+            eval.family.clone(),
+        ),
     );
     let mut fleet = SimulatedFleet::new(&bug.program, synth_config, cfg.fleet.clone());
     let target = if cfg.stop_at_root_cause {

@@ -7,8 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Increments use [`Ordering::Relaxed`]: each addition is atomic and never
 /// lost, but no ordering is implied relative to other metrics. Addition is
 /// commutative, so totals are independent of thread interleaving — the
-/// property the determinism contract relies on. With the `metrics-off`
-/// feature the mutating methods compile to empty bodies.
+/// property the determinism contract relies on.
 #[derive(Debug, Default)]
 pub struct Counter {
     cell: AtomicU64,
@@ -31,10 +30,7 @@ impl Counter {
     /// Adds `n`.
     #[inline]
     pub fn add(&self, n: u64) {
-        #[cfg(not(feature = "metrics-off"))]
         self.cell.fetch_add(n, Ordering::Relaxed);
-        #[cfg(feature = "metrics-off")]
-        let _ = n;
     }
 
     /// Current value.
@@ -42,7 +38,6 @@ impl Counter {
         self.cell.load(Ordering::Relaxed)
     }
 
-    #[cfg_attr(feature = "metrics-off", allow(dead_code))]
     pub(crate) fn reset(&self) {
         self.cell.store(0, Ordering::Relaxed);
     }

@@ -57,15 +57,10 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        #[cfg(not(feature = "metrics-off"))]
-        {
-            self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-            self.count.fetch_add(1, Ordering::Relaxed);
-            self.sum.fetch_add(v, Ordering::Relaxed);
-            self.max.fetch_max(v, Ordering::Relaxed);
-        }
-        #[cfg(feature = "metrics-off")]
-        let _ = v;
+        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
     /// Number of recorded samples.
@@ -95,7 +90,6 @@ impl Histogram {
         }
     }
 
-    #[cfg_attr(feature = "metrics-off", allow(dead_code))]
     pub(crate) fn reset(&self) {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);

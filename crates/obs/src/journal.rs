@@ -30,8 +30,7 @@
 //! batch = 1, the deterministic bench configuration) the journal — binary
 //! frames and JSONL export alike — is **byte-identical** across runs.
 //! Under parallel execution (batch > 1) events still record safely, but
-//! interleaving makes seq assignment racy, which is why the bench drains
-//! the journal *before* its throughput section.
+//! interleaving makes seq assignment racy.
 //!
 //! # Streaming drains
 //!
@@ -43,21 +42,10 @@
 //! drops, except frames overwritten before the consumer reached them,
 //! which are counted in [`DrainChunk::overwritten`]. This is what
 //! `gist-trace follow` and the journal_stream test tail.
-//!
-//! # `metrics-off`
-//!
-//! Every recording entry point compiles to a no-op returning the 0
-//! sentinel; the [`crate::event!`] macro takes the payload as a closure,
-//! so payload construction itself is compiled away. The pure
-//! encode/decode/export functions remain available in both modes.
 
-#[cfg(not(feature = "metrics-off"))]
 use std::cell::RefCell;
-#[cfg(not(feature = "metrics-off"))]
 use std::collections::VecDeque;
-#[cfg(not(feature = "metrics-off"))]
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(not(feature = "metrics-off"))]
 use std::sync::{Mutex, OnceLock};
 
 pub use crate::event::{EventKind, EventRecord, JournalEvent};
@@ -72,43 +60,32 @@ pub use crate::wire::JournalStats;
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 20;
 
 /// Thread-local buffer length that triggers a flush to the global ring.
-#[cfg(not(feature = "metrics-off"))]
 const FLUSH_EVERY: usize = 256;
 
-#[cfg(not(feature = "metrics-off"))]
 static NEXT_SEQ: AtomicU64 = AtomicU64::new(1);
-#[cfg(not(feature = "metrics-off"))]
 static NEXT_TRACE: AtomicU64 = AtomicU64::new(1);
-#[cfg(not(feature = "metrics-off"))]
 static CURRENT_TRACE: AtomicU64 = AtomicU64::new(0);
 /// Reset epoch: bumped by [`reset`] so stale thread-local buffers (and
 /// their cached thread indices) are discarded lazily, and so cursors from
 /// before a reset read as "start over" instead of aliasing new positions.
-#[cfg(not(feature = "metrics-off"))]
 static GENERATION: AtomicU64 = AtomicU64::new(0);
-#[cfg(not(feature = "metrics-off"))]
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
 /// Cumulative nanoseconds spent encoding events to wire frames (the
-/// journal's per-flush cost); read by [`encode_nanos`] for the bench
-/// report's `encode_ms` split.
-#[cfg(not(feature = "metrics-off"))]
+/// journal's per-flush cost); read by [`encode_ms`].
 static ENCODE_NANOS: AtomicU64 = AtomicU64::new(0);
 
 /// Inline capacity of a ring frame. Typical frames run 10–30 bytes
 /// (varints), so nearly every frame stores inline and the ring makes no
 /// per-event heap allocation; long labels/paths spill to a box.
-#[cfg(not(feature = "metrics-off"))]
 const FRAME_INLINE: usize = 30;
 
 /// Frame byte storage: inline for the common small frame, boxed beyond
 /// [`FRAME_INLINE`].
-#[cfg(not(feature = "metrics-off"))]
 enum FrameBytes {
     Inline { len: u8, buf: [u8; FRAME_INLINE] },
     Spilled(Box<[u8]>),
 }
 
-#[cfg(not(feature = "metrics-off"))]
 impl FrameBytes {
     fn copy_from(bytes: &[u8]) -> FrameBytes {
         if bytes.len() <= FRAME_INLINE {
@@ -133,14 +110,12 @@ impl FrameBytes {
 
 /// One encoded event held by the ring: the frame bytes plus the seq
 /// (kept unencoded for sorting/accounting without a decode).
-#[cfg(not(feature = "metrics-off"))]
 struct Frame {
     seq: u64,
     bytes: FrameBytes,
 }
 
 /// The bounded global ring of encoded frames, in arrival (push) order.
-#[cfg(not(feature = "metrics-off"))]
 struct Ring {
     frames: VecDeque<Frame>,
     /// Arrival index of `frames[0]`.
@@ -152,7 +127,6 @@ struct Ring {
     capacity: usize,
 }
 
-#[cfg(not(feature = "metrics-off"))]
 impl Ring {
     fn push(&mut self, frame: Frame) {
         if self.frames.len() >= self.capacity.max(1) {
@@ -172,7 +146,6 @@ impl Ring {
     }
 }
 
-#[cfg(not(feature = "metrics-off"))]
 fn ring() -> &'static Mutex<Ring> {
     static RING: OnceLock<Mutex<Ring>> = OnceLock::new();
     RING.get_or_init(|| {
@@ -186,19 +159,16 @@ fn ring() -> &'static Mutex<Ring> {
     })
 }
 
-#[cfg(not(feature = "metrics-off"))]
 fn lock_ring() -> std::sync::MutexGuard<'static, Ring> {
     ring().lock().unwrap_or_else(|e| e.into_inner())
 }
 
-#[cfg(not(feature = "metrics-off"))]
 struct LocalBuf {
     generation: u64,
     tid: u32,
     events: Vec<EventRecord>,
 }
 
-#[cfg(not(feature = "metrics-off"))]
 impl LocalBuf {
     fn flush(&mut self) {
         if self.events.is_empty() {
@@ -235,14 +205,12 @@ impl LocalBuf {
     }
 }
 
-#[cfg(not(feature = "metrics-off"))]
 impl Drop for LocalBuf {
     fn drop(&mut self) {
         self.flush();
     }
 }
 
-#[cfg(not(feature = "metrics-off"))]
 thread_local! {
     static LOCAL: RefCell<LocalBuf> = const {
         RefCell::new(LocalBuf {
@@ -280,96 +248,56 @@ pub struct DrainChunk {
 }
 
 /// Records one event, returning its sequence number (0 = not recorded:
-/// `metrics-off` or during thread teardown).
-///
-/// Prefer the [`crate::event!`] macro, which defers payload construction
-/// so `metrics-off` builds compile it away entirely.
+/// during thread teardown). The [`crate::event!`] macro is shorthand for
+/// this call.
 pub fn record(kind: EventKind) -> u64 {
-    #[cfg(not(feature = "metrics-off"))]
-    {
-        let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
-        let trace = CURRENT_TRACE.load(Ordering::Relaxed);
-        LOCAL
-            .try_with(|l| {
-                let mut l = l.borrow_mut();
-                let generation = GENERATION.load(Ordering::Relaxed);
-                if l.generation != generation {
-                    l.events.clear();
-                    l.generation = generation;
-                    l.tid = NEXT_TID.fetch_add(1, Ordering::Relaxed) as u32;
-                }
-                let tid = l.tid;
-                l.events.push(EventRecord {
-                    seq,
-                    trace,
-                    tid,
-                    kind,
-                });
-                if l.events.len() >= FLUSH_EVERY {
-                    l.flush();
-                }
-                seq
-            })
-            .unwrap_or(0)
-    }
-    #[cfg(feature = "metrics-off")]
-    {
-        let _ = kind;
-        0
-    }
-}
-
-/// Records the event produced by `f`, returning its sequence number.
-/// Under `metrics-off` `f` is never called.
-#[inline]
-pub fn record_with(f: impl FnOnce() -> EventKind) -> u64 {
-    #[cfg(not(feature = "metrics-off"))]
-    {
-        record(f())
-    }
-    #[cfg(feature = "metrics-off")]
-    {
-        let _ = f;
-        0
-    }
+    let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
+    let trace = CURRENT_TRACE.load(Ordering::Relaxed);
+    LOCAL
+        .try_with(|l| {
+            let mut l = l.borrow_mut();
+            let generation = GENERATION.load(Ordering::Relaxed);
+            if l.generation != generation {
+                l.events.clear();
+                l.generation = generation;
+                l.tid = NEXT_TID.fetch_add(1, Ordering::Relaxed) as u32;
+            }
+            let tid = l.tid;
+            l.events.push(EventRecord {
+                seq,
+                trace,
+                tid,
+                kind,
+            });
+            if l.events.len() >= FLUSH_EVERY {
+                l.flush();
+            }
+            seq
+        })
+        .unwrap_or(0)
 }
 
 /// Starts a diagnosis trace: allocates the next trace id, makes it
 /// current (all events until [`end_trace`] carry it — including events
 /// from fleet worker threads), and records a `trace.start` event carrying
-/// `label`. Returns the trace id (0 under `metrics-off`).
+/// `label`. Returns the trace id.
 pub fn begin_trace(label: &str) -> u64 {
-    #[cfg(not(feature = "metrics-off"))]
-    {
-        let id = NEXT_TRACE.fetch_add(1, Ordering::Relaxed);
-        CURRENT_TRACE.store(id, Ordering::Relaxed);
-        record(EventKind::TraceStarted {
-            label: label.to_owned(),
-        });
-        id
-    }
-    #[cfg(feature = "metrics-off")]
-    {
-        let _ = label;
-        0
-    }
+    let id = NEXT_TRACE.fetch_add(1, Ordering::Relaxed);
+    CURRENT_TRACE.store(id, Ordering::Relaxed);
+    record(EventKind::TraceStarted {
+        label: label.to_owned(),
+    });
+    id
 }
 
 /// Ends the current diagnosis trace: records `trace.finish` and clears
 /// the current trace id.
 pub fn end_trace(iterations: u64, recurrences: u64) {
-    #[cfg(not(feature = "metrics-off"))]
-    {
-        record(EventKind::TraceFinished {
-            iterations,
-            recurrences,
-        });
-        CURRENT_TRACE.store(0, Ordering::Relaxed);
-    }
-    #[cfg(feature = "metrics-off")]
-    {
-        let _ = (iterations, recurrences);
-    }
+    record(EventKind::TraceFinished {
+        iterations,
+        recurrences,
+    });
+    CURRENT_TRACE.store(0, Ordering::Relaxed);
 }
 
 /// Flushes the calling thread's buffered events into the global ring
@@ -379,10 +307,7 @@ pub fn end_trace(iterations: u64, recurrences: u64) {
 /// iteration boundary, so streaming consumers ([`drain_since`]) see
 /// events at those checkpoints rather than [`FLUSH_EVERY`] granularity.
 pub fn flush_local() {
-    #[cfg(not(feature = "metrics-off"))]
-    {
-        let _ = LOCAL.try_with(|l| l.borrow_mut().flush());
-    }
+    let _ = LOCAL.try_with(|l| l.borrow_mut().flush());
 }
 
 /// Flushes the calling thread's buffer and takes every buffered event,
@@ -394,8 +319,7 @@ pub fn drain() -> Vec<EventRecord> {
 
 /// [`drain`] plus the epoch's overwrite accounting: how many events the
 /// bounded ring discarded, and the oldest seq that survived. The stats
-/// feed the binary journal's meta frame (see [`to_binary`]) and the bench
-/// report's `journal` section.
+/// feed the binary journal's meta frame (see [`to_binary`]).
 pub fn drain_with_stats() -> (Vec<EventRecord>, JournalStats) {
     let (binary, stats) = drain_binary();
     let (events, _) = crate::wire::parse_binary(&binary).expect("ring frames decode");
@@ -409,36 +333,27 @@ pub fn drain_with_stats() -> (Vec<EventRecord>, JournalStats) {
 /// cheapest way to persist the journal (what `repro -- bench` writes).
 /// The journal is empty afterwards, like [`drain`].
 pub fn drain_binary() -> (Vec<u8>, JournalStats) {
-    #[cfg(not(feature = "metrics-off"))]
-    {
-        let _ = LOCAL.try_with(|l| l.borrow_mut().flush());
-        let (frames, overwritten) = {
-            let mut ring = lock_ring();
-            ring.start_pos = ring.end_pos;
-            (std::mem::take(&mut ring.frames), ring.overwritten)
-        };
-        let mut frames: Vec<Frame> = frames.into();
-        frames.sort_unstable_by_key(|f| f.seq);
-        let stats = JournalStats {
-            events_overwritten: overwritten,
-            oldest_seq: frames.first().map_or(0, |f| f.seq),
-        };
-        let total: usize = frames.iter().map(|f| f.bytes.as_slice().len()).sum();
-        let mut out = Vec::with_capacity(total + 24);
-        out.extend_from_slice(&crate::wire::MAGIC);
-        crate::wire::put_varint(crate::wire::VERSION, &mut out);
-        for f in &frames {
-            out.extend_from_slice(f.bytes.as_slice());
-        }
-        crate::wire::encode_meta(&stats, &mut out);
-        (out, stats)
+    let _ = LOCAL.try_with(|l| l.borrow_mut().flush());
+    let (frames, overwritten) = {
+        let mut ring = lock_ring();
+        ring.start_pos = ring.end_pos;
+        (std::mem::take(&mut ring.frames), ring.overwritten)
+    };
+    let mut frames: Vec<Frame> = frames.into();
+    frames.sort_unstable_by_key(|f| f.seq);
+    let stats = JournalStats {
+        events_overwritten: overwritten,
+        oldest_seq: frames.first().map_or(0, |f| f.seq),
+    };
+    let total: usize = frames.iter().map(|f| f.bytes.as_slice().len()).sum();
+    let mut out = Vec::with_capacity(total + 24);
+    out.extend_from_slice(&crate::wire::MAGIC);
+    crate::wire::put_varint(crate::wire::VERSION, &mut out);
+    for f in &frames {
+        out.extend_from_slice(f.bytes.as_slice());
     }
-    #[cfg(feature = "metrics-off")]
-    {
-        // A valid, empty binary journal (header + meta frame only).
-        let stats = JournalStats::default();
-        (crate::wire::to_binary(&[], &stats), stats)
-    }
+    crate::wire::encode_meta(&stats, &mut out);
+    (out, stats)
 }
 
 /// Incremental drain: every frame that arrived since `cursor`, without
@@ -448,89 +363,59 @@ pub fn drain_binary() -> (Vec<u8>, JournalStats) {
 /// flush (fleet batch boundaries, server iteration boundaries, or thread
 /// exit).
 pub fn drain_since(cursor: Cursor) -> DrainChunk {
-    #[cfg(not(feature = "metrics-off"))]
-    {
-        let _ = LOCAL.try_with(|l| l.borrow_mut().flush());
-        let ring = lock_ring();
-        let generation = GENERATION.load(Ordering::Relaxed);
-        // A cursor from another epoch restarts from the beginning.
-        let pos = if cursor.generation == generation {
-            cursor.pos.min(ring.end_pos)
-        } else {
-            0
-        };
-        let start = pos.max(ring.start_pos);
-        let mut events: Vec<EventRecord> = ring
-            .frames
-            .iter()
-            .skip((start - ring.start_pos) as usize)
-            .map(|f| crate::wire::decode_event(f.bytes.as_slice()).expect("ring frame decodes"))
-            .collect();
-        events.sort_by_key(|e| e.seq);
-        DrainChunk {
-            events,
-            overwritten: start - pos,
-            cursor: Cursor {
-                generation,
-                pos: ring.end_pos,
-            },
-        }
-    }
-    #[cfg(feature = "metrics-off")]
-    {
-        let _ = cursor;
-        DrainChunk::default()
+    let _ = LOCAL.try_with(|l| l.borrow_mut().flush());
+    let ring = lock_ring();
+    let generation = GENERATION.load(Ordering::Relaxed);
+    // A cursor from another epoch restarts from the beginning.
+    let pos = if cursor.generation == generation {
+        cursor.pos.min(ring.end_pos)
+    } else {
+        0
+    };
+    let start = pos.max(ring.start_pos);
+    let mut events: Vec<EventRecord> = ring
+        .frames
+        .iter()
+        .skip((start - ring.start_pos) as usize)
+        .map(|f| crate::wire::decode_event(f.bytes.as_slice()).expect("ring frame decodes"))
+        .collect();
+    events.sort_by_key(|e| e.seq);
+    DrainChunk {
+        events,
+        overwritten: start - pos,
+        cursor: Cursor {
+            generation,
+            pos: ring.end_pos,
+        },
     }
 }
 
 /// Current overwrite accounting without draining: events overwritten this
 /// epoch and the oldest seq still held by the ring.
 pub fn stats() -> JournalStats {
-    #[cfg(not(feature = "metrics-off"))]
-    {
-        let ring = lock_ring();
-        JournalStats {
-            events_overwritten: ring.overwritten,
-            oldest_seq: ring.oldest_seq(),
-        }
-    }
-    #[cfg(feature = "metrics-off")]
-    {
-        JournalStats::default()
+    let ring = lock_ring();
+    JournalStats {
+        events_overwritten: ring.overwritten,
+        oldest_seq: ring.oldest_seq(),
     }
 }
 
 /// Cumulative milliseconds spent encoding events into wire frames this
-/// epoch — the journal's amortized recording cost, reported as
-/// `encode_ms` in the bench's `timing.journal` section.
+/// epoch — the journal's amortized per-flush encoding cost.
 pub fn encode_ms() -> f64 {
-    #[cfg(not(feature = "metrics-off"))]
-    {
-        ENCODE_NANOS.load(Ordering::Relaxed) as f64 / 1e6
-    }
-    #[cfg(feature = "metrics-off")]
-    {
-        0.0
-    }
+    ENCODE_NANOS.load(Ordering::Relaxed) as f64 / 1e6
 }
 
 /// Overrides the ring capacity (in frames), trimming immediately if the
 /// ring already holds more. The capacity persists across [`reset`] calls;
 /// tests that shrink it must restore [`DEFAULT_RING_CAPACITY`].
 pub fn set_ring_capacity(capacity: usize) {
-    #[cfg(not(feature = "metrics-off"))]
-    {
-        let mut ring = lock_ring();
-        ring.capacity = capacity.max(1);
-        while ring.frames.len() > ring.capacity {
-            ring.frames.pop_front();
-            ring.start_pos += 1;
-            ring.overwritten += 1;
-        }
-    }
-    #[cfg(feature = "metrics-off")]
-    {
-        let _ = capacity;
+    let mut ring = lock_ring();
+    ring.capacity = capacity.max(1);
+    while ring.frames.len() > ring.capacity {
+        ring.frames.pop_front();
+        ring.start_pos += 1;
+        ring.overwritten += 1;
     }
 }
 
@@ -539,23 +424,20 @@ pub fn set_ring_capacity(capacity: usize) {
 /// buffers and pre-reset cursors are discarded. Called from
 /// [`crate::reset`].
 pub fn reset() {
-    #[cfg(not(feature = "metrics-off"))]
+    GENERATION.fetch_add(1, Ordering::Relaxed);
+    NEXT_TID.store(0, Ordering::Relaxed);
+    NEXT_SEQ.store(1, Ordering::Relaxed);
+    NEXT_TRACE.store(1, Ordering::Relaxed);
+    CURRENT_TRACE.store(0, Ordering::Relaxed);
+    ENCODE_NANOS.store(0, Ordering::Relaxed);
     {
-        GENERATION.fetch_add(1, Ordering::Relaxed);
-        NEXT_TID.store(0, Ordering::Relaxed);
-        NEXT_SEQ.store(1, Ordering::Relaxed);
-        NEXT_TRACE.store(1, Ordering::Relaxed);
-        CURRENT_TRACE.store(0, Ordering::Relaxed);
-        ENCODE_NANOS.store(0, Ordering::Relaxed);
-        {
-            let mut ring = lock_ring();
-            ring.frames.clear();
-            ring.start_pos = 0;
-            ring.end_pos = 0;
-            ring.overwritten = 0;
-        }
-        let _ = LOCAL.try_with(|l| l.borrow_mut().events.clear());
+        let mut ring = lock_ring();
+        ring.frames.clear();
+        ring.start_pos = 0;
+        ring.end_pos = 0;
+        ring.overwritten = 0;
     }
+    let _ = LOCAL.try_with(|l| l.borrow_mut().events.clear());
 }
 
 /// Assembles the canonical binary journal from drained records: wire
@@ -704,21 +586,14 @@ pub fn chrome_trace(events: &[JournalEvent]) -> Json {
 /// constructor expression, returning its journal sequence number (0 when
 /// not recorded).
 ///
-/// The payload is passed as a closure to [`journal::record_with`], so a
-/// `gist-obs` built with `metrics-off` compiles both the recording *and*
-/// the payload construction away (instrumented crates forward their own
-/// `metrics-off` feature to `gist-obs/metrics-off`).
-///
 /// ```
 /// let seq = gist_obs::event!(RunStarted { run: 1, seed: 42 });
 /// # let _ = seq;
 /// ```
-///
-/// [`journal::record_with`]: crate::journal::record_with
 #[macro_export]
 macro_rules! event {
     ($($kind:tt)+) => {
-        $crate::journal::record_with(|| $crate::journal::EventKind::$($kind)+)
+        $crate::journal::record($crate::journal::EventKind::$($kind)+)
     };
 }
 
@@ -735,11 +610,6 @@ mod tests {
     #[test]
     fn record_and_drain_round_trip() {
         let seq = record(EventKind::RunStarted { run: 7, seed: 9 });
-        if cfg!(feature = "metrics-off") {
-            assert_eq!(seq, 0);
-            assert!(drain().is_empty());
-            return;
-        }
         assert!(seq > 0);
         let events = drain();
         let mine: Vec<_> = events.iter().filter(|e| e.seq == seq).collect();
@@ -755,11 +625,6 @@ mod tests {
 
     #[test]
     fn drain_since_does_not_duplicate_own_events() {
-        if cfg!(feature = "metrics-off") {
-            let chunk = drain_since(Cursor::default());
-            assert!(chunk.events.is_empty());
-            return;
-        }
         let seq = record(EventKind::WatchArmed {
             addr: 0x10,
             slot: 1,
@@ -914,11 +779,7 @@ mod tests {
             group: 0,
             bytes: 64,
         });
-        if cfg!(feature = "metrics-off") {
-            assert_eq!(seq, 0);
-        } else {
-            assert!(seq > 0);
-        }
+        assert!(seq > 0);
         let _ = drain();
     }
 }

@@ -32,17 +32,16 @@
 //! [`MetricsSnapshot`] content — and the byte output of
 //! [`MetricsSnapshot::deterministic_json`] — is identical run-to-run and
 //! independent of thread interleaving. Timers measure wall-clock and are
-//! explicitly excluded; they appear only in [`MetricsSnapshot::to_json`].
+//! explicitly excluded; they appear only in [`MetricsSnapshot::timers`].
 //! Anything whose value depends on execution *shape* rather than logical
 //! work (e.g. fleet batch occupancy) must be recorded as a histogram, never
 //! a counter, so counter snapshots stay comparable across batch sizes.
 //!
-//! # `metrics-off`
+//! # Cost
 //!
-//! With the `metrics-off` cargo feature every recording operation compiles
-//! to an empty body, [`span`] never reads the clock, and [`snapshot`]
-//! returns an empty snapshot. This is the baseline against which the
-//! enabled-build overhead is bounded (<5% fleet throughput).
+//! Recording is always on and not free. On the repository benchmark's
+//! `fleet` workload, compiling every recording operation out cut each
+//! tracked run's time by about 28% (~32k -> ~44k runs/s on 2 vCPUs).
 
 mod counter;
 pub mod event;
@@ -92,12 +91,8 @@ mod tests {
         let b = counter_by_name("obs_test.handle_identity");
         a.inc();
         b.add(2);
-        if cfg!(feature = "metrics-off") {
-            assert_eq!(a.get(), 0);
-        } else {
-            assert_eq!(a.get(), 3);
-            assert!(std::ptr::eq(a, b));
-        }
+        assert_eq!(a.get(), 3);
+        assert!(std::ptr::eq(a, b));
     }
 
     #[test]
@@ -107,10 +102,6 @@ mod tests {
             h.record(v);
         }
         let snap = h.snapshot();
-        if cfg!(feature = "metrics-off") {
-            assert_eq!(snap.count, 0);
-            return;
-        }
         assert_eq!(snap.count, 5);
         assert_eq!(snap.sum, 1033);
         assert_eq!(snap.max, 1024);
@@ -146,10 +137,6 @@ mod tests {
             let _inner = span("obs_test.inner");
         }
         let snap = snapshot();
-        if cfg!(feature = "metrics-off") {
-            assert!(snap.timers.is_empty());
-            return;
-        }
         assert!(snap.timers.contains_key("obs_test.outer"));
         assert!(snap.timers.contains_key("obs_test.outer/obs_test.inner"));
     }
@@ -167,10 +154,6 @@ mod tests {
             });
         }
         let snap = snapshot();
-        if cfg!(feature = "metrics-off") {
-            assert!(snap.timers.is_empty());
-            return;
-        }
         assert!(snap
             .timers
             .contains_key("obs_test.dispatch/obs_test.worker"));
@@ -186,10 +169,6 @@ mod tests {
         counter_by_name("obs_test.z_last").add(4);
         counter_by_name("obs_test.a_first").add(9);
         let snap = snapshot();
-        if cfg!(feature = "metrics-off") {
-            assert_eq!(snap.deterministic_json(), snap.deterministic_json());
-            return;
-        }
         let names: Vec<&String> = snap.counters.keys().collect();
         let mut sorted = names.clone();
         sorted.sort();

@@ -49,26 +49,6 @@ pub struct TimerSnapshot {
     pub max_ns: u64,
 }
 
-impl TimerSnapshot {
-    /// Mean span duration in milliseconds.
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64 / 1e6
-        }
-    }
-
-    fn to_value(&self) -> Json {
-        Json::Obj(vec![
-            ("count".into(), Json::U64(self.count)),
-            ("total_ms".into(), Json::F64(self.total_ns as f64 / 1e6)),
-            ("mean_ms".into(), Json::F64(self.mean_ms())),
-            ("max_ms".into(), Json::F64(self.max_ns as f64 / 1e6)),
-        ])
-    }
-}
-
 /// A point-in-time copy of every registered metric, keyed by name in sorted
 /// ([`BTreeMap`]) order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -108,28 +88,9 @@ impl MetricsSnapshot {
         ])
     }
 
-    /// Timers only, as a [`Json`] value with sorted keys.
-    pub fn timers_value(&self) -> Json {
-        Json::Obj(
-            self.timers
-                .iter()
-                .map(|(k, t)| (k.clone(), t.to_value()))
-                .collect(),
-        )
-    }
-
     /// Compact JSON for the deterministic portion. Byte-identical across
     /// runs with the same seeds.
     pub fn deterministic_json(&self) -> String {
         self.deterministic_value().render()
-    }
-
-    /// Compact JSON for everything, timers included.
-    pub fn to_json(&self) -> String {
-        Json::Obj(vec![
-            ("deterministic".into(), self.deterministic_value()),
-            ("timers".into(), self.timers_value()),
-        ])
-        .render()
     }
 }

@@ -1,10 +1,7 @@
 //! Wall-clock span timers with RAII guards and hierarchical naming.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-#[cfg(not(feature = "metrics-off"))]
 use std::cell::RefCell;
-#[cfg(not(feature = "metrics-off"))]
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::snapshot::TimerSnapshot;
@@ -12,7 +9,7 @@ use crate::snapshot::TimerSnapshot;
 /// Accumulated wall-clock time for one span path.
 ///
 /// Timers measure real time and are therefore *excluded* from the
-/// determinism contract: they appear in [`crate::MetricsSnapshot::to_json`]
+/// determinism contract: they appear in [`crate::MetricsSnapshot::timers`]
 /// but never in [`crate::MetricsSnapshot::deterministic_json`].
 #[derive(Debug, Default)]
 pub struct Timer {
@@ -47,7 +44,6 @@ impl Timer {
         }
     }
 
-    #[cfg_attr(feature = "metrics-off", allow(dead_code))]
     pub(crate) fn reset(&self) {
         self.count.store(0, Ordering::Relaxed);
         self.total_ns.store(0, Ordering::Relaxed);
@@ -55,7 +51,6 @@ impl Timer {
     }
 }
 
-#[cfg(not(feature = "metrics-off"))]
 thread_local! {
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
 }
@@ -65,9 +60,7 @@ thread_local! {
 #[must_use = "a span records its duration when the guard is dropped"]
 #[derive(Debug)]
 pub struct SpanGuard {
-    #[cfg(not(feature = "metrics-off"))]
     start: Instant,
-    #[cfg(not(feature = "metrics-off"))]
     path: String,
 }
 
@@ -79,21 +72,10 @@ pub struct SpanGuard {
 /// `"diagnose"` and `"diagnose/collect"`. Guards must be dropped in LIFO
 /// order (the natural scoping order) for paths to stay well-formed. Work
 /// handed to another thread starts from an empty stack there.
-///
-/// With `metrics-off` this never reads the clock and records nothing.
 pub fn span(name: &'static str) -> SpanGuard {
-    #[cfg(not(feature = "metrics-off"))]
-    {
-        push_segment(name.to_owned())
-    }
-    #[cfg(feature = "metrics-off")]
-    {
-        let _ = name;
-        SpanGuard {}
-    }
+    push_segment(name.to_owned())
 }
 
-#[cfg(not(feature = "metrics-off"))]
 fn push_segment(segment: String) -> SpanGuard {
     let path = SPAN_STACK.with(|s| {
         let mut s = s.borrow_mut();
@@ -114,30 +96,22 @@ fn push_segment(segment: String) -> SpanGuard {
 ///
 /// Spans nest per *thread*: work handed to a worker thread starts from an
 /// empty span stack there, so its spans would surface at the top level of
-/// the timing report even though, logically, they run inside the span that
+/// the timer snapshot even though, logically, they run inside the span that
 /// dispatched them. Capture a handle with [`current_span_handle`] on the
 /// dispatching thread, send it (it is `Send + Sync`), and open worker
 /// spans with [`span_under`] to parent them explicitly.
 #[derive(Clone, Debug, Default)]
 pub struct SpanHandle {
-    #[cfg(not(feature = "metrics-off"))]
     path: String,
 }
 
 /// Captures the calling thread's current span path as a [`SpanHandle`].
 ///
-/// With no spans open (or under `metrics-off`) the handle is empty and
-/// [`span_under`] degrades to a plain top-level [`span`].
+/// With no spans open the handle is empty and [`span_under`] degrades to a
+/// plain top-level [`span`].
 pub fn current_span_handle() -> SpanHandle {
-    #[cfg(not(feature = "metrics-off"))]
-    {
-        SpanHandle {
-            path: SPAN_STACK.with(|s| s.borrow().join("/")),
-        }
-    }
-    #[cfg(feature = "metrics-off")]
-    {
-        SpanHandle {}
+    SpanHandle {
+        path: SPAN_STACK.with(|s| s.borrow().join("/")),
     }
 }
 
@@ -149,37 +123,24 @@ pub fn current_span_handle() -> SpanHandle {
 /// `parent` describes exactly those spans), the parent is redundant and
 /// the span nests under the local stack instead — so the same call site
 /// produces the same path whether the work ran inline or on a worker.
-///
-/// With `metrics-off` this never reads the clock and records nothing.
 pub fn span_under(parent: &SpanHandle, name: &'static str) -> SpanGuard {
-    #[cfg(not(feature = "metrics-off"))]
-    {
-        let local_open = SPAN_STACK.with(|s| !s.borrow().is_empty());
-        if local_open || parent.path.is_empty() {
-            push_segment(name.to_owned())
-        } else {
-            push_segment(format!("{}/{}", parent.path, name))
-        }
-    }
-    #[cfg(feature = "metrics-off")]
-    {
-        let _ = (parent, name);
-        SpanGuard {}
+    let local_open = SPAN_STACK.with(|s| !s.borrow().is_empty());
+    if local_open || parent.path.is_empty() {
+        push_segment(name.to_owned())
+    } else {
+        push_segment(format!("{}/{}", parent.path, name))
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        #[cfg(not(feature = "metrics-off"))]
-        {
-            let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            crate::registry::timer_by_path(&self.path).record_ns(ns);
-            crate::journal::record(crate::event::EventKind::SpanEnd {
-                path: std::mem::take(&mut self.path),
-            });
-            SPAN_STACK.with(|s| {
-                s.borrow_mut().pop();
-            });
-        }
+        let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        crate::registry::timer_by_path(&self.path).record_ns(ns);
+        crate::journal::record(crate::event::EventKind::SpanEnd {
+            path: std::mem::take(&mut self.path),
+        });
+        SPAN_STACK.with(|s| {
+            s.borrow_mut().pop();
+        });
     }
 }

@@ -34,8 +34,8 @@ pub struct SketchStep {
     /// Provenance chain: flight-recorder journal sequence numbers of the
     /// evidence that put this step in the sketch, most specific first
     /// (watchpoint hit → PT decode → promotion decision → slice
-    /// criterion). Empty when journaling is off (`metrics-off`). Resolved
-    /// by `gist-trace explain` and the `--explain` render mode.
+    /// criterion). Resolved by `gist-trace explain` and the `--explain`
+    /// render mode.
     pub provenance: Vec<u64>,
 }
 

@@ -111,10 +111,6 @@ fn counters_with(work: &[Work], batch: usize, workers: Option<usize>) -> String 
 
 #[test]
 fn counter_snapshots_agree_across_batch_sizes() {
-    if cfg!(feature = "metrics-off") {
-        // Nothing to compare: every counter is compiled out.
-        return;
-    }
     // Plan patches up front so their (counter-producing) failure searches
     // happen outside the measured window, identically for both arms.
     let work = workload();

@@ -90,14 +90,6 @@ fn diagnose_journaled(bug: &BugSpec) -> (BugEvaluation, Vec<u8>, String, Journal
 fn journal_is_deterministic_and_every_sketch_step_explains() {
     let pbzip2 = bug_by_name("pbzip2-1").expect("pbzip2-1 in bugbase");
 
-    if cfg!(feature = "metrics-off") {
-        // The whole recorder compiles to no-ops; the only contract left is
-        // that nothing is journaled.
-        let (_, _, jsonl, _) = diagnose_journaled(&pbzip2);
-        assert!(jsonl.is_empty(), "metrics-off journals nothing");
-        return;
-    }
-
     // 1. Byte-identical journals across same-seed runs: binary and JSONL.
     let (_, first_binary, first_jsonl, journal) = diagnose_journaled(&pbzip2);
     let (_, second_binary, second_jsonl, _) = diagnose_journaled(&pbzip2);

@@ -182,15 +182,6 @@ fn live_tail_of_a_diagnosis_matches_batch_drain() {
 
 #[test]
 fn streaming_drains_never_duplicate_or_drop() {
-    if cfg!(feature = "metrics-off") {
-        // The recorder compiles to no-ops: streaming must deliver nothing.
-        journal::reset();
-        journal::record(EventKind::RunStarted { run: 1, seed: 1 });
-        journal::flush_local();
-        let chunk = journal::drain_since(journal::Cursor::default());
-        assert!(chunk.events.is_empty(), "metrics-off journals nothing");
-        return;
-    }
     concurrent_tail_is_exactly_once();
     overwrites_are_accounted_and_warned();
     live_tail_of_a_diagnosis_matches_batch_drain();

@@ -102,11 +102,6 @@ fn observed_parallel(run: &[Hit]) -> Vec<(InstrId, InstrId)> {
 
 #[test]
 fn observed_parallel_pairs_are_mhp_positive() {
-    if cfg!(feature = "metrics-off") {
-        // The flight recorder compiles to no-ops; there is no journal to
-        // mine for observed interleavings.
-        return;
-    }
     let mut checked = 0usize;
     for bug in all_bugs() {
         gist_obs::reset();
