@@ -7,9 +7,9 @@
 //! workers over channels, and the dispatching thread runs chunk 0 itself
 //! before collecting the workers' results in executor order — so output is
 //! in run-id order by construction, with no result slots, lock or sort.
-//! Expensive state is thread-local for the worker's lifetime (VM scratch,
-//! PT buffer pool, decode-cache shard); cross-worker sharing happens only
-//! at batch boundaries via epoch-published decode-cache snapshots.
+//! The only state an executor keeps across runs is its VM scratch; every
+//! run allocates its own trace buffers and decodes its trace cold, so
+//! executors share nothing mutable.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -20,7 +20,6 @@ use std::time::Instant;
 use gist_core::{ClientRunData, Fleet};
 use gist_ir::Program;
 use gist_obs::HistogramSnapshot;
-use gist_pt::{BufferPool, DecodeCache, DecodeCacheShard};
 use gist_tracking::{InstrumentationPatch, TrackerRuntime};
 use gist_vm::{CompiledProgram, RunOutcome, Vm, VmConfig, VmScratch};
 
@@ -124,9 +123,10 @@ pub struct WorkerStats {
     /// Always 0: executors run only their own static chunk and never
     /// steal. Kept so existing readers of the field still compile.
     pub steals: u64,
-    /// Decode-shard probes answered from the snapshot or fresh map.
+    /// Always 0: there is no decode cache, every run decodes cold. Kept
+    /// so existing readers of the field still compile.
     pub shard_hits: u64,
-    /// Decode-shard probes that fell through to a cold decode.
+    /// Always 0, like [`WorkerStats::shard_hits`].
     pub shard_misses: u64,
     /// Per-batch microseconds spent blocked waiting for the next chunk.
     wait_hist: LocalHist,
@@ -141,8 +141,6 @@ impl WorkerStats {
     fn absorb_chunk(&mut self, done: &ChunkDone) {
         self.runs += done.runs.len() as u64;
         self.batches += 1;
-        self.shard_hits += done.shard_hits;
-        self.shard_misses += done.shard_misses;
         self.wait_hist.record(done.waited_us);
     }
 }
@@ -155,26 +153,6 @@ pub struct FleetStats {
     pub workers: Vec<WorkerStats>,
 }
 
-/// State an executor keeps across batches: recycled VM scratch, a private
-/// PT buffer pool, and a decode-cache shard warmed from the shared
-/// epoch-published snapshot. All of it is single-owner — the hot loop
-/// acquires no locks.
-struct ExecutorCtx {
-    scratch: VmScratch,
-    shard: DecodeCacheShard,
-    buffer_pool: Arc<BufferPool>,
-}
-
-impl ExecutorCtx {
-    fn new(cache: &DecodeCache) -> Self {
-        ExecutorCtx {
-            scratch: VmScratch::default(),
-            shard: cache.shard(),
-            buffer_pool: Arc::new(BufferPool::new()),
-        }
-    }
-}
-
 /// Read-only state every pool executor runs against.
 struct PoolEnv {
     /// Owned clone of the fleet's program: worker threads are `'static`,
@@ -182,7 +160,6 @@ struct PoolEnv {
     /// is interned by fingerprint, so the clone shares the compilation.
     program: Arc<Program>,
     compiled: Arc<CompiledProgram>,
-    decode_cache: Arc<DecodeCache>,
     make_config: fn(u64) -> VmConfig,
     num_cores: u32,
 }
@@ -206,8 +183,6 @@ struct Chunk {
 /// the tallies merged into its [`WorkerStats`].
 struct ChunkDone {
     runs: Vec<ClientRunData>,
-    shard_hits: u64,
-    shard_misses: u64,
     /// Time the worker spent blocked on its job channel before this chunk
     /// (0 for the dispatching thread).
     waited_us: u64,
@@ -241,11 +216,11 @@ impl Drop for FleetPool {
 /// closes. A panic unwinds the thread and drops `results`, which the
 /// dispatcher observes as a failed `recv`.
 fn worker_loop(env: Arc<PoolEnv>, jobs: Receiver<Chunk>, results: Sender<ChunkDone>) {
-    let mut ctx = ExecutorCtx::new(&env.decode_cache);
+    let mut scratch = VmScratch::default();
     let mut wait_start = Instant::now();
     for chunk in jobs {
         let waited_us = wait_start.elapsed().as_micros() as u64;
-        let mut done = run_chunk(&env, &chunk, &mut ctx);
+        let mut done = run_chunk(&env, &chunk, &mut scratch);
         done.waited_us = waited_us;
         if results.send(done).is_err() {
             return;
@@ -255,16 +230,14 @@ fn worker_loop(env: Arc<PoolEnv>, jobs: Receiver<Chunk>, results: Sender<ChunkDo
 }
 
 /// Executes one chunk. Shared by pool workers and the dispatching thread
-/// (executor 0). On return, all of this executor's side effects are
-/// globally visible: fresh decode segments absorbed and re-published,
-/// journal events in the global sink.
-fn run_chunk(env: &PoolEnv, chunk: &Chunk, ctx: &mut ExecutorCtx) -> ChunkDone {
+/// (executor 0). On return, all of this executor's journal events are in
+/// the global sink.
+fn run_chunk(env: &PoolEnv, chunk: &Chunk, scratch: &mut VmScratch) -> ChunkDone {
     let batch = &chunk.batch;
     let runs = {
         // One worker span per batch, not per run: the span registry is
         // touched once.
         let _span = gist_obs::span_under(&batch.parent, "fleet.worker");
-        ctx.shard.refresh(&env.decode_cache);
         batch.descriptors[chunk.range.clone()]
             .iter()
             .map(|&(id, seed)| {
@@ -273,7 +246,7 @@ fn run_chunk(env: &PoolEnv, chunk: &Chunk, ctx: &mut ExecutorCtx) -> ChunkDone {
                     &env.compiled,
                     env.make_config,
                     env.num_cores,
-                    ctx,
+                    scratch,
                     &batch.patch,
                     id,
                     seed,
@@ -281,31 +254,22 @@ fn run_chunk(env: &PoolEnv, chunk: &Chunk, ctx: &mut ExecutorCtx) -> ChunkDone {
             })
             .collect()
     };
-    env.decode_cache.absorb(&mut ctx.shard);
-    let done = ChunkDone {
-        runs,
-        shard_hits: ctx.shard.hits(),
-        shard_misses: ctx.shard.misses(),
-        waited_us: 0,
-    };
-    ctx.shard.reset_stats();
     // Batch boundary: persistent workers outlive many batches, so their
     // thread-exit flush comes far too late — push buffered events into
     // the journal ring here so the dispatching thread's drain (and any
     // `drain_since` cursor tailing the diagnosis) sees this batch.
     gist_obs::journal::flush_local();
-    done
+    ChunkDone { runs, waited_us: 0 }
 }
 
-/// Executes one run. All expensive state comes from the executor context:
-/// recycled scratch, private buffer pool, lock-free decode shard.
+/// Executes one run on the executor's recycled VM scratch.
 #[allow(clippy::too_many_arguments)]
 fn execute_one(
     program: &Program,
     compiled: &Arc<CompiledProgram>,
     make_config: fn(u64) -> VmConfig,
     num_cores: u32,
-    ctx: &mut ExecutorCtx,
+    scratch: &mut VmScratch,
     patch: &InstrumentationPatch,
     run_id: u64,
     seed: u64,
@@ -313,11 +277,8 @@ fn execute_one(
     gist_obs::event!(RunStarted { run: run_id, seed });
     let mut cfg = make_config(seed);
     cfg.num_cores = num_cores;
-    let mut tracker = TrackerRuntime::new(program, patch.clone(), num_cores)
-        .with_decode_shard(&mut ctx.shard)
-        .with_buffer_pool(Arc::clone(&ctx.buffer_pool));
-    let scratch = std::mem::take(&mut ctx.scratch);
-    let mut vm = Vm::with_scratch(program, Arc::clone(compiled), cfg, scratch);
+    let mut tracker = TrackerRuntime::new(program, patch.clone(), num_cores);
+    let mut vm = Vm::with_scratch(program, Arc::clone(compiled), cfg, std::mem::take(scratch));
     let result = vm.run(&mut [&mut tracker]);
     let data = ClientRunData {
         run_id,
@@ -334,7 +295,7 @@ fn execute_one(
         retired: result.steps,
         hits: data.trace.hits.len() as u64,
     });
-    ctx.scratch = vm.into_scratch();
+    *scratch = vm.into_scratch();
     data
 }
 
@@ -345,11 +306,9 @@ pub struct SimulatedFleet<'p> {
     make_config: fn(u64) -> VmConfig,
     config: FleetConfig,
     compiled: Arc<CompiledProgram>,
-    /// Memoized PT decode segments; shards publish into it at batch end.
-    decode_cache: Arc<DecodeCache>,
-    /// Executor-0 state (the dispatching thread), used by both the
+    /// Executor-0 VM scratch (the dispatching thread), used by both the
     /// sequential path and pooled batches.
-    main_ctx: ExecutorCtx,
+    main_scratch: VmScratch,
     main_stats: WorkerStats,
     /// Lazily created on the first batched refill.
     pool: Option<FleetPool>,
@@ -377,16 +336,12 @@ impl<'p> SimulatedFleet<'p> {
         make_config: fn(u64) -> VmConfig,
         config: FleetConfig,
     ) -> Self {
-        let compiled = CompiledProgram::shared(program);
-        let decode_cache = Arc::new(DecodeCache::new());
-        let main_ctx = ExecutorCtx::new(&decode_cache);
         SimulatedFleet {
             program,
             make_config,
             config,
-            compiled,
-            decode_cache,
-            main_ctx,
+            compiled: CompiledProgram::shared(program),
+            main_scratch: VmScratch::default(),
             main_stats: WorkerStats::default(),
             pool: None,
             next_run: 0,
@@ -442,7 +397,6 @@ impl<'p> SimulatedFleet<'p> {
         let env = Arc::new(PoolEnv {
             program: Arc::new(self.program.clone()),
             compiled: Arc::clone(&self.compiled),
-            decode_cache: Arc::clone(&self.decode_cache),
             make_config: self.make_config,
             num_cores: self.config.num_cores,
         });
@@ -494,7 +448,7 @@ impl<'p> SimulatedFleet<'p> {
             batch,
             range: chunk_of(0),
         };
-        let done = run_chunk(&pool.env, &own, &mut self.main_ctx);
+        let done = run_chunk(&pool.env, &own, &mut self.main_scratch);
         self.main_stats.absorb_chunk(&done);
         self.buffer.extend(done.runs);
         for w in &mut pool.workers {
@@ -541,16 +495,13 @@ impl<'p> SimulatedFleet<'p> {
                 &self.compiled,
                 self.make_config,
                 self.config.num_cores,
-                &mut self.main_ctx,
+                &mut self.main_scratch,
                 patch,
                 id,
                 seed,
             );
             self.buffer.push_back(run);
             self.main_stats.runs += 1;
-            self.main_stats.shard_hits += self.main_ctx.shard.hits();
-            self.main_stats.shard_misses += self.main_ctx.shard.misses();
-            self.main_ctx.shard.reset_stats();
         } else {
             self.run_batch(patch, descriptors);
         }

@@ -137,15 +137,15 @@ impl<'t> Parser<'t> {
             Some((d, i)) => (d.trim(), Some(i.trim())),
             None => (rest.trim(), None),
         };
-        let (name, size) = if let Some(open) = decl.find('[') {
-            let close = decl
-                .find(']')
-                .ok_or_else(|| self.err(lineno, "missing ']' in global array"))?;
-            let size: u32 = decl[open + 1..close]
+        let (name, size) = if let Some((name, rest)) = decl.split_once('[') {
+            let size_s = rest
+                .strip_suffix(']')
+                .ok_or_else(|| self.err(lineno, "global array must end with ']'"))?;
+            let size: u32 = size_s
                 .trim()
                 .parse()
                 .map_err(|_| self.err(lineno, "bad array size"))?;
-            (decl[..open].trim(), size)
+            (name.trim(), size)
         } else {
             (decl, 1u32)
         };
@@ -170,6 +170,15 @@ impl<'t> Parser<'t> {
                 .parse::<Value>()
                 .map_err(|_| self.err(lineno, format!("bad initializer '{s}'")))?],
         };
+        if init.len() > size as usize {
+            return Err(self.err(
+                lineno,
+                format!(
+                    "initializer has {} values but '{name}' holds {size}",
+                    init.len()
+                ),
+            ));
+        }
         if self.global_ids.contains_key(name) {
             return Err(self.err(lineno, format!("duplicate global '{name}'")));
         }
@@ -207,22 +216,29 @@ impl<'t> Parser<'t> {
         self.pos += 1;
         // `fn name(p1, p2) {`
         let rest = header.strip_prefix("fn ").expect("checked by caller");
-        let open_paren = rest
-            .find('(')
+        let (name, rest) = rest
+            .split_once('(')
             .ok_or_else(|| self.err(lineno, "missing '(' in fn header"))?;
-        let close_paren = rest
-            .find(')')
+        let name = name.trim();
+        let (params_s, rest) = rest
+            .split_once(')')
             .ok_or_else(|| self.err(lineno, "missing ')' in fn header"))?;
-        let name = rest[..open_paren].trim();
-        if !rest[close_paren + 1..].trim_end().ends_with('{') {
+        if !rest.trim_end().ends_with('{') {
             return Err(self.err(lineno, "fn header must end with '{'"));
         }
-        let params: Vec<String> = rest[open_paren + 1..close_paren]
+        let params: Vec<String> = params_s
             .split(',')
             .map(str::trim)
             .filter(|p| !p.is_empty())
             .map(str::to_owned)
             .collect();
+        if let Some(dup) = params
+            .iter()
+            .enumerate()
+            .find_map(|(i, p)| params[..i].contains(p).then_some(p))
+        {
+            return Err(self.err(lineno, format!("duplicate parameter '{dup}'")));
+        }
         let fid = self.intern_func(name);
         {
             let f = &mut self.program.functions[fid.index()];
@@ -385,14 +401,14 @@ impl<'t> Parser<'t> {
         };
         // Call syntax: `call name(args)` / `icall ptr(args)` / `spawn name(arg)`.
         if kw == "call" || kw == "icall" || kw == "spawn" {
-            let open = rest
-                .find('(')
+            let (target, args_s) = rest
+                .split_once('(')
                 .ok_or_else(|| self.err(ln, format!("{kw} needs '(args)'")))?;
-            let close = rest
-                .rfind(')')
+            let target = target.trim();
+            let (args_s, _) = args_s
+                .rsplit_once(')')
                 .ok_or_else(|| self.err(ln, format!("{kw} needs ')'")))?;
-            let target = rest[..open].trim();
-            let args: Vec<Operand> = rest[open + 1..close]
+            let args: Vec<Operand> = args_s
                 .split(',')
                 .map(str::trim)
                 .filter(|a| !a.is_empty())
@@ -880,5 +896,41 @@ entry:
         let text = "fn helper() {\nentry:\n  ret\n}\nfn main() {\nentry:\n  ret\n}\n";
         let p = parse_program("t", text).unwrap();
         assert_eq!(p.function(p.entry).name, "main");
+    }
+
+    #[test]
+    fn error_on_reversed_global_brackets() {
+        let e = parse_program("t", "global x]y[\n").unwrap_err();
+        assert!(e.msg.contains("must end with ']'"), "{e}");
+        assert_eq!(e.line, 1);
+    }
+
+    #[test]
+    fn error_on_reversed_fn_header_parens() {
+        let e = parse_program("t", "fn )f( {\n}\n").unwrap_err();
+        assert!(e.msg.contains("missing ')'"), "{e}");
+        assert_eq!(e.line, 1);
+    }
+
+    #[test]
+    fn error_on_reversed_call_parens() {
+        let text = "fn main() {\nentry:\n  r = call )f(\n  ret\n}\n";
+        let e = parse_program("t", text).unwrap_err();
+        assert!(e.msg.contains("call needs ')'"), "{e}");
+        assert_eq!(e.line, 3);
+    }
+
+    #[test]
+    fn error_on_oversized_global_initializer() {
+        let text = "global g[2] = [1, 2, 3]\nglobal h = 0\nfn main() {\nentry:\n  ret\n}\n";
+        let e = parse_program("t", text).unwrap_err();
+        assert!(e.msg.contains("3 values but 'g' holds 2"), "{e}");
+        assert_eq!(e.line, 1);
+    }
+
+    #[test]
+    fn error_on_duplicate_parameter() {
+        let e = parse_program("t", "fn main(a, a) {\nentry:\n  ret\n}\n").unwrap_err();
+        assert!(e.msg.contains("duplicate parameter 'a'"), "{e}");
     }
 }

@@ -262,15 +262,13 @@ impl Program {
     /// A structural fingerprint of the finalized program, stable for the
     /// process lifetime and across clones.
     ///
-    /// Used to key the shared compile cache (`gist-vm`) and to invalidate
-    /// the cross-run PT decode cache (`gist-pt`) when a different program's
-    /// packets arrive. Covers every instruction, terminator, global, and
-    /// the entry point via their debug rendering, so any structural edit
-    /// (after re-`finalize`) changes the value with overwhelming
-    /// probability.
+    /// Keys the shared compile cache (`gist-vm`), its only user. Covers
+    /// every instruction, terminator, global, and the entry point via
+    /// their debug rendering, so any structural edit (after re-`finalize`)
+    /// changes the value with overwhelming probability.
     ///
     /// Computed once by [`Program::finalize`] and returned from a stored
-    /// field here, so it is cheap enough to consult on per-run hot paths.
+    /// field here, so a compile-cache lookup per VM costs no rehash.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }

@@ -126,9 +126,7 @@ pub enum EventKind {
         /// closes the static alias-analysis gap.
         discovered: bool,
     },
-    /// One per-core PT buffer segment was decoded. Identical whether the
-    /// decode came from the cross-run cache or a cold decode (the cache is
-    /// determinism-invisible).
+    /// One per-core PT buffer segment was decoded.
     PtSegmentDecoded {
         /// Core (trace buffer) id.
         core: u32,
@@ -358,7 +356,8 @@ impl EventKind {
 #[derive(Clone, Debug, PartialEq)]
 pub struct EventRecord {
     /// Globally monotonic sequence number (1-based; 0 is the "not
-    /// journaled" sentinel returned when recording is off or capped).
+    /// journaled" sentinel returned for an event fired while its thread's
+    /// journal buffer is being torn down).
     pub seq: u64,
     /// The diagnosis trace id active when the event fired (0 = none).
     pub trace: u64,

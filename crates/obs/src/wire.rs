@@ -316,12 +316,16 @@ impl Body<'_> {
     }
 
     fn str(&mut self) -> Result<String, String> {
-        let len = self.u64()? as usize;
+        let len = self.u64()?;
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| self.pos.checked_add(len))
+            .ok_or_else(|| "string field length overflows".to_owned())?;
         let bytes = self
             .buf
-            .get(self.pos..self.pos + len)
+            .get(self.pos..end)
             .ok_or_else(|| "string field truncated".to_owned())?;
-        self.pos += len;
+        self.pos = end;
         String::from_utf8(bytes.to_vec()).map_err(|_| "string field is not UTF-8".to_owned())
     }
 }
@@ -572,8 +576,11 @@ impl StreamDecoder {
         let Some(len) = get_varint(buf, &mut p)? else {
             return Ok(None);
         };
-        let len = len as usize;
-        let Some(body) = buf.get(p..p + len) else {
+        let end = usize::try_from(len)
+            .ok()
+            .and_then(|len| p.checked_add(len))
+            .ok_or_else(|| format!("frame length {len} overflows at byte {}", *pos))?;
+        let Some(body) = buf.get(p..end) else {
             return Ok(None);
         };
         let mut b = Body { buf: body, pos: 0 };
@@ -585,7 +592,7 @@ impl StreamDecoder {
             .get(b.pos)
             .ok_or_else(|| "frame body truncated".to_owned())?;
         b.pos += 1;
-        *pos = p + len;
+        *pos = end;
         if tag == META_TAG {
             let stats = JournalStats {
                 events_overwritten: b.u64()?,

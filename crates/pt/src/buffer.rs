@@ -31,17 +31,8 @@ impl TraceBuffer {
 
     /// Creates a buffer with an explicit capacity in bytes.
     pub fn with_capacity(capacity: usize) -> Self {
-        Self::with_recycled(capacity, Vec::new())
-    }
-
-    /// Creates a buffer that adopts `storage` as its backing allocation
-    /// (cleared, capacity kept). Pairs with [`TraceBuffer::take`] so fleet
-    /// workers can recycle trace allocations across runs instead of
-    /// growing a fresh buffer every time.
-    pub fn with_recycled(capacity: usize, mut storage: Vec<u8>) -> Self {
-        storage.clear();
         TraceBuffer {
-            bytes: BytesMut::from(storage),
+            bytes: BytesMut::new(),
             capacity,
             overflowed: false,
             dropped_packets: 0,
@@ -105,8 +96,7 @@ impl TraceBuffer {
 
     /// Drains the buffer, returning its bytes and resetting state. This is
     /// the "kernel driver hands the trace to Gist" step. Zero-copy: the
-    /// returned `Vec` is the buffer's backing allocation (feed it back via
-    /// [`TraceBuffer::with_recycled`] or a [`crate::pool::BufferPool`]).
+    /// returned `Vec` is the buffer's backing allocation.
     pub fn take(&mut self) -> Vec<u8> {
         let out = self.bytes.split().into_vec();
         self.overflowed = false;

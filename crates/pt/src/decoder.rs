@@ -12,8 +12,6 @@
 //! statements that get executed during production runs").
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Mutex};
 
 use gist_ir::{Callee, InstrId, Op, Program, Terminator};
 
@@ -86,7 +84,7 @@ enum Need {
 }
 
 /// Per-thread walker state.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Debug, Default)]
 struct Walker {
     /// Next statement to execute (None = window closed).
     pos: Option<InstrId>,
@@ -97,18 +95,20 @@ struct Walker {
     last_emitted: Option<InstrId>,
 }
 
-/// Applies a run of packets to the decoder state, emitting statements into
-/// `core_seq` and branches into `out`. This is the core-decode inner loop,
-/// shared between the cold path and per-segment cache misses.
-fn apply_packets(
+/// Decodes one core's byte stream, emitting statements into `core_seq`
+/// and branches into `out`.
+fn decode_core(
     program: &Program,
-    packets: &[Packet],
+    bytes: &[u8],
     out: &mut DecodedTrace,
     core_seq: &mut Vec<(u32, InstrId)>,
-    walkers: &mut HashMap<u32, Walker>,
-    current: &mut Option<u32>,
 ) -> Result<(), DecodeError> {
-    for p in packets {
+    let packets = Packet::decode_all(bytes).map_err(DecodeError::BadBytes)?;
+    gist_obs::counter!("pt.packets_decoded").add(packets.len() as u64);
+    // Walkers are per (core, tid); threads never migrate cores.
+    let mut walkers: HashMap<u32, Walker> = HashMap::new();
+    let mut current: Option<u32> = None;
+    for p in &packets {
         match p {
             Packet::Psb => {}
             Packet::Ovf => {
@@ -118,9 +118,9 @@ fn apply_packets(
                     w.pos = None;
                 }
             }
-            Packet::Pip { tid } => *current = Some(*tid),
+            Packet::Pip { tid } => current = Some(*tid),
             Packet::Pge { ip } => {
-                let tid = (*current).ok_or_else(|| DecodeError::Desync {
+                let tid = current.ok_or_else(|| DecodeError::Desync {
                     what: "PGE before any PIP".into(),
                 })?;
                 let w = walkers.entry(tid).or_default();
@@ -128,11 +128,11 @@ fn apply_packets(
                 w.stack.clear();
             }
             Packet::Tnt { bits } => {
-                let tid = (*current).ok_or_else(|| DecodeError::Desync {
+                let tid = current.ok_or_else(|| DecodeError::Desync {
                     what: "TNT before any PIP".into(),
                 })?;
                 for &taken in bits {
-                    let condbr = walk_to_need(program, walkers, tid, core_seq, Need::Tnt)?;
+                    let condbr = walk_to_need(program, &mut walkers, tid, core_seq, Need::Tnt)?;
                     out.branches.push((tid, condbr, taken));
                     let w = walkers.get_mut(&tid).expect("walker exists");
                     let target = match program.terminator(condbr) {
@@ -154,10 +154,10 @@ fn apply_packets(
                 }
             }
             Packet::Tip { ip } => {
-                let tid = (*current).ok_or_else(|| DecodeError::Desync {
+                let tid = current.ok_or_else(|| DecodeError::Desync {
                     what: "TIP before any PIP".into(),
                 })?;
-                let at = walk_to_need(program, walkers, tid, core_seq, Need::Tip)?;
+                let at = walk_to_need(program, &mut walkers, tid, core_seq, Need::Tip)?;
                 let w = walkers.get_mut(&tid).expect("walker exists");
                 // An indirect call pushes its return site before jumping.
                 if let Some(instr) = program.instr(at) {
@@ -176,10 +176,10 @@ fn apply_packets(
                 w.pos = Some(*ip);
             }
             Packet::Pgd { ip } | Packet::Fup { ip } => {
-                let tid = (*current).ok_or_else(|| DecodeError::Desync {
+                let tid = current.ok_or_else(|| DecodeError::Desync {
                     what: "PGD/FUP before any PIP".into(),
                 })?;
-                walk_until_ip(program, walkers, tid, core_seq, *ip)?;
+                walk_until_ip(program, &mut walkers, tid, core_seq, *ip)?;
                 let w = walkers.get_mut(&tid).expect("walker exists");
                 w.pos = None;
             }
@@ -188,332 +188,8 @@ fn apply_packets(
     Ok(())
 }
 
-/// Decodes one core's byte stream, cache-cold.
-fn decode_core(
-    program: &Program,
-    bytes: &[u8],
-    out: &mut DecodedTrace,
-    core_seq: &mut Vec<(u32, InstrId)>,
-) -> Result<(), DecodeError> {
-    let packets = Packet::decode_all(bytes).map_err(DecodeError::BadBytes)?;
-    gist_obs::counter!("pt.packets_decoded").add(packets.len() as u64);
-    // Walkers are per (core, tid); threads never migrate cores.
-    let mut walkers: HashMap<u32, Walker> = HashMap::new();
-    let mut current: Option<u32> = None;
-    apply_packets(program, &packets, out, core_seq, &mut walkers, &mut current)
-}
-
-/// Decoder state at a segment boundary: which thread the core's stream is
-/// attributed to, plus every walker, sorted by tid for stable comparison.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct StateSnapshot {
-    current: Option<u32>,
-    walkers: Vec<(u32, Walker)>,
-}
-
-fn snapshot(walkers: &HashMap<u32, Walker>, current: Option<u32>) -> StateSnapshot {
-    let mut ws: Vec<(u32, Walker)> = walkers.iter().map(|(&t, w)| (t, w.clone())).collect();
-    ws.sort_unstable_by_key(|&(t, _)| t);
-    StateSnapshot {
-        current,
-        walkers: ws,
-    }
-}
-
-/// One memoized decode of a PSB-delimited packet segment.
-#[derive(Debug)]
-struct CacheEntry {
-    /// Full key, verified on every hit (the map key is only a hash).
-    fingerprint: u64,
-    entry_state: StateSnapshot,
-    bytes: Vec<u8>,
-    /// Replay data: exactly what [`apply_packets`] emitted for the segment.
-    seq: Vec<(u32, InstrId)>,
-    branches: Vec<(u32, InstrId, bool)>,
-    overflowed: bool,
-    exit_state: StateSnapshot,
-}
-
-/// A cross-run PT decode cache, keyed by PSB-delimited packet segments.
-///
-/// Real PT streams resynchronize at periodic PSB packets; fleets of runs
-/// over the same program re-emit many identical segments (same windows,
-/// same control flow). The cache memoizes *(program fingerprint, decoder
-/// state at segment entry, segment bytes)* → *(emitted statements,
-/// branches, overflow flag, decoder state at segment exit)*, so a repeat
-/// segment replays without walking the CFG.
-///
-/// Guarantees:
-///
-/// * **Identical output.** A hit replays exactly what the cold decode of
-///   the same segment from the same entry state would emit; the full key
-///   is compared on every probe, so hash collisions fall back to a cold
-///   decode.
-/// * **Determinism-invisible.** The cache records no observability
-///   metrics: decode counters (`pt.packets_decoded`, `pt.stmts_decoded`,
-///   ...) count the same logical work whether or not a segment hits, so
-///   warm-cache runs stay byte-identical to cold ones.
-/// * Only successful decodes are cached; a [`DecodeError`] caches nothing.
-///
-/// Thread-safe sharing model: the cache holds an *epoch-published*
-/// read-only snapshot (`Arc<HashMap<…>>`) behind a mutex that is touched
-/// only at publish/refresh points, never per segment. Decoding goes through
-/// a [`DecodeCacheShard`] — a single-owner view holding the snapshot `Arc`
-/// plus a private map of fresh entries — so the hot loop probes plain
-/// `HashMap`s with zero lock acquisitions. Fleet workers refresh their
-/// shard at batch start and [`DecodeCache::absorb`] it at batch end, which
-/// copy-on-write-merges the fresh entries and publishes a new snapshot for
-/// the next epoch.
-#[derive(Debug, Default)]
-pub struct DecodeCache {
-    published: Mutex<Arc<HashMap<u64, Arc<CacheEntry>>>>,
-}
-
-impl DecodeCache {
-    /// Retention bound: beyond this many segments, new entries are not
-    /// inserted (steady-state fleets reuse a small working set).
-    const MAX_ENTRIES: usize = 4096;
-
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of memoized segments in the published snapshot.
-    pub fn len(&self) -> usize {
-        self.published
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
-    }
-
-    /// True if nothing has been published yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Creates a shard warmed from the current published snapshot.
-    pub fn shard(&self) -> DecodeCacheShard {
-        DecodeCacheShard {
-            snapshot: Arc::clone(&self.published.lock().unwrap_or_else(|e| e.into_inner())),
-            fresh: HashMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Merges the shard's fresh entries into the cache and publishes a new
-    /// snapshot, then re-points the shard at it (so the shard can keep
-    /// decoding in the next epoch without a separate refresh). Statistics
-    /// are left on the shard for the caller to harvest.
-    ///
-    /// Insertion respects [`DecodeCache::MAX_ENTRIES`]; concurrent absorbs
-    /// of the same segment from two shards keep whichever lands second —
-    /// both map to identical replay data, so the choice is unobservable.
-    pub fn absorb(&self, shard: &mut DecodeCacheShard) {
-        let mut published = self.published.lock().unwrap_or_else(|e| e.into_inner());
-        if shard.fresh.is_empty() {
-            shard.snapshot = Arc::clone(&published);
-            return;
-        }
-        let mut merged: HashMap<u64, Arc<CacheEntry>> = (**published).clone();
-        for (hash, entry) in shard.fresh.drain() {
-            if merged.len() >= Self::MAX_ENTRIES && !merged.contains_key(&hash) {
-                continue;
-            }
-            merged.insert(hash, entry);
-        }
-        *published = Arc::new(merged);
-        shard.snapshot = Arc::clone(&published);
-    }
-}
-
-/// A single-owner decode view over a [`DecodeCache`]: an immutable epoch
-/// snapshot plus privately accumulated fresh entries. Probing and insertion
-/// never take a lock; fresh entries become visible to other shards only
-/// after [`DecodeCache::absorb`].
-///
-/// Hit/miss tallies are *scheduling-dependent* (which worker decodes which
-/// run, and what its shard has absorbed, varies with thread interleaving),
-/// so they are plain fields harvested by the fleet's contention stats — by
-/// design they never touch the global metric registry, keeping the
-/// deterministic snapshot batch-shape-invariant.
-#[derive(Debug)]
-pub struct DecodeCacheShard {
-    snapshot: Arc<HashMap<u64, Arc<CacheEntry>>>,
-    fresh: HashMap<u64, Arc<CacheEntry>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl DecodeCacheShard {
-    /// Segment probes answered from the snapshot or fresh map.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Segment probes that fell through to a cold decode.
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Resets the hit/miss tallies (typically after harvesting them into a
-    /// batch report).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
-
-    /// Re-points the shard at `cache`'s current published snapshot without
-    /// contributing the shard's fresh entries (use [`DecodeCache::absorb`]
-    /// to contribute *and* refresh).
-    pub fn refresh(&mut self, cache: &DecodeCache) {
-        self.snapshot = Arc::clone(&cache.published.lock().unwrap_or_else(|e| e.into_inner()));
-    }
-
-    fn lookup(&self, hash: u64) -> Option<&Arc<CacheEntry>> {
-        self.snapshot.get(&hash).or_else(|| self.fresh.get(&hash))
-    }
-
-    fn insert(&mut self, hash: u64, entry: CacheEntry) {
-        if self.snapshot.len() + self.fresh.len() < DecodeCache::MAX_ENTRIES {
-            self.fresh.insert(hash, Arc::new(entry));
-        }
-    }
-}
-
-fn segment_hash(fingerprint: u64, entry_state: &StateSnapshot, seg_bytes: &[u8]) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    fingerprint.hash(&mut h);
-    entry_state.hash(&mut h);
-    seg_bytes.hash(&mut h);
-    h.finish()
-}
-
-/// Decodes one core's byte stream through a segment-cache shard.
-fn decode_core_cached(
-    program: &Program,
-    bytes: &[u8],
-    out: &mut DecodedTrace,
-    core_seq: &mut Vec<(u32, InstrId)>,
-    shard: &mut DecodeCacheShard,
-) -> Result<(), DecodeError> {
-    let packets = Packet::decode_all(bytes).map_err(DecodeError::BadBytes)?;
-    gist_obs::counter!("pt.packets_decoded").add(packets.len() as u64);
-    let fingerprint = program.fingerprint();
-    let mut walkers: HashMap<u32, Walker> = HashMap::new();
-    let mut current: Option<u32> = None;
-    // Byte offset of each packet, so segments key on their raw bytes.
-    let mut offsets = Vec::with_capacity(packets.len() + 1);
-    let mut off = 0usize;
-    for p in &packets {
-        offsets.push(off);
-        off += p.encoded_len();
-    }
-    offsets.push(off);
-    // Each PSB resync point starts a new segment.
-    let mut bounds: Vec<usize> = vec![0];
-    for (i, p) in packets.iter().enumerate() {
-        if i > 0 && matches!(p, Packet::Psb) {
-            bounds.push(i);
-        }
-    }
-    bounds.push(packets.len());
-    for w in bounds.windows(2) {
-        let (p0, p1) = (w[0], w[1]);
-        if p0 == p1 {
-            continue;
-        }
-        let seg_bytes = &bytes[offsets[p0]..offsets[p1]];
-        let entry_state = snapshot(&walkers, current);
-        let hash = segment_hash(fingerprint, &entry_state, seg_bytes);
-        let hit = match shard.lookup(hash) {
-            Some(e)
-                if e.fingerprint == fingerprint
-                    && e.entry_state == entry_state
-                    && e.bytes == seg_bytes =>
-            {
-                core_seq.extend_from_slice(&e.seq);
-                out.branches.extend_from_slice(&e.branches);
-                out.overflowed |= e.overflowed;
-                walkers = e.exit_state.walkers.iter().cloned().collect();
-                current = e.exit_state.current;
-                true
-            }
-            _ => false,
-        };
-        if hit {
-            shard.hits += 1;
-            continue;
-        }
-        shard.misses += 1;
-        let seq0 = core_seq.len();
-        let br0 = out.branches.len();
-        apply_packets(
-            program,
-            &packets[p0..p1],
-            out,
-            core_seq,
-            &mut walkers,
-            &mut current,
-        )?;
-        let entry = CacheEntry {
-            fingerprint,
-            entry_state,
-            bytes: seg_bytes.to_vec(),
-            seq: core_seq[seq0..].to_vec(),
-            branches: out.branches[br0..].to_vec(),
-            // OVF is the only packet that sets the flag, so the segment's
-            // contribution is exactly "did it contain an OVF".
-            overflowed: packets[p0..p1].iter().any(|p| matches!(p, Packet::Ovf)),
-            exit_state: snapshot(&walkers, current),
-        };
-        shard.insert(hash, entry);
-    }
-    Ok(())
-}
-
 /// Decodes all cores' streams of one run.
 pub fn decode(program: &Program, core_bytes: &[Vec<u8>]) -> Result<DecodedTrace, DecodeError> {
-    decode_inner(program, core_bytes, None)
-}
-
-/// Like [`decode`], but memoizes PSB-delimited segments in `cache`. The
-/// result is guaranteed identical to [`decode`] on the same input — see
-/// [`DecodeCache`] for the contract.
-///
-/// Convenience wrapper over the shard API: snapshots the cache, decodes
-/// lock-free, then absorbs fresh segments back — two lock acquisitions per
-/// run instead of the shard-less one-per-segment. Long-lived callers (fleet
-/// workers) should hold a [`DecodeCacheShard`] across runs and use
-/// [`decode_with_shard`] instead.
-pub fn decode_with_cache(
-    program: &Program,
-    core_bytes: &[Vec<u8>],
-    cache: &DecodeCache,
-) -> Result<DecodedTrace, DecodeError> {
-    let mut shard = cache.shard();
-    let out = decode_inner(program, core_bytes, Some(&mut shard));
-    cache.absorb(&mut shard);
-    out
-}
-
-/// Like [`decode`], but memoizes PSB-delimited segments in the caller's
-/// [`DecodeCacheShard`] with zero lock acquisitions. Output is guaranteed
-/// identical to [`decode`] on the same input.
-pub fn decode_with_shard(
-    program: &Program,
-    core_bytes: &[Vec<u8>],
-    shard: &mut DecodeCacheShard,
-) -> Result<DecodedTrace, DecodeError> {
-    decode_inner(program, core_bytes, Some(shard))
-}
-
-fn decode_inner(
-    program: &Program,
-    core_bytes: &[Vec<u8>],
-    mut shard: Option<&mut DecodeCacheShard>,
-) -> Result<DecodedTrace, DecodeError> {
     let _span = gist_obs::span("pt.decode");
     gist_obs::counter!("pt.decodes").inc();
     gist_obs::counter!("pt.bytes_decoded")
@@ -521,13 +197,9 @@ fn decode_inner(
     let mut out = DecodedTrace::default();
     for (core, bytes) in core_bytes.iter().enumerate() {
         let mut seq = Vec::new();
-        match shard.as_deref_mut() {
-            Some(s) => decode_core_cached(program, bytes, &mut out, &mut seq, s)?,
-            None => decode_core(program, bytes, &mut out, &mut seq)?,
-        }
-        // One journal event per core buffer, recorded after the decode so
-        // the payload is identical whether the segment cache hit or missed
-        // (the cache must stay observation-invisible).
+        decode_core(program, bytes, &mut out, &mut seq)?;
+        // One journal event per core buffer, recorded once the core's
+        // stream has decoded.
         gist_obs::event!(PtSegmentDecoded {
             core: core as u32,
             segment: core as u64,

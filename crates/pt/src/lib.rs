@@ -28,15 +28,10 @@ pub mod buffer;
 pub mod decoder;
 pub mod driver;
 pub mod packet;
-pub mod pool;
 pub mod tracer;
 
 pub use buffer::TraceBuffer;
-pub use decoder::{
-    decode, decode_with_cache, decode_with_shard, DecodeCache, DecodeCacheShard, DecodeError,
-    DecodedTrace,
-};
+pub use decoder::{decode, DecodeError, DecodedTrace};
 pub use driver::PtDriver;
 pub use packet::Packet;
-pub use pool::BufferPool;
 pub use tracer::{PtConfig, PtTracer};

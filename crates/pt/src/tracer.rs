@@ -167,17 +167,6 @@ impl<'p> PtTracer<'p> {
         self.buffers.iter_mut().map(TraceBuffer::take).collect()
     }
 
-    /// Replaces each still-empty core buffer's backing storage with a
-    /// recycled allocation from `pool`. Call before the run starts so the
-    /// encode path appends into warm memory instead of growing fresh Vecs.
-    pub fn recycle_buffers(&mut self, pool: &crate::pool::BufferPool) {
-        for b in &mut self.buffers {
-            if b.is_empty() {
-                *b = TraceBuffer::with_recycled(b.capacity(), pool.get());
-            }
-        }
-    }
-
     /// Total encoded trace bytes across cores.
     pub fn total_bytes(&self) -> usize {
         self.buffers.iter().map(TraceBuffer::len).sum()

@@ -100,14 +100,14 @@ pub fn render(sketch: &FailureSketch) -> String {
 ///
 /// `resolve` maps a journal seq-no to a one-line description (from a
 /// loaded journal); unresolvable seq-nos render as `#<seq> <unresolved>`,
-/// and steps with no provenance (journaling off) say so explicitly.
+/// and steps with no provenance say so explicitly.
 pub fn render_explain(sketch: &FailureSketch, resolve: &dyn Fn(u64) -> Option<String>) -> String {
     let mut out = render(sketch);
     out.push_str("\nProvenance (journal seq-nos; most specific evidence first):\n");
     for s in &sketch.steps {
         out.push_str(&format!("  step {:>3}  {}\n", s.step, s.text.trim_end()));
         if s.provenance.is_empty() {
-            out.push_str("        (no provenance recorded — journaling off?)\n");
+            out.push_str("        (no provenance recorded)\n");
             continue;
         }
         for &seq in &s.provenance {

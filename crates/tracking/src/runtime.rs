@@ -2,11 +2,10 @@
 //! during a production run.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 
 use gist_ir::{InstrId, Program};
 use gist_pt::decoder::DecodedTrace;
-use gist_pt::{BufferPool, DecodeCache, DecodeCacheShard, PtConfig, PtDriver, PtTracer};
+use gist_pt::{PtConfig, PtDriver, PtTracer};
 use gist_vm::{Event, Observer};
 use gist_watch::{WatchCondition, WatchError, WatchHit, WatchUnit};
 
@@ -22,10 +21,11 @@ pub struct RunTrace {
     /// Watchpoint hits in global (total) order.
     pub hits: Vec<WatchHit>,
     /// Journal seq of the `watch.hit` event for each entry of `hits`
-    /// (parallel vector; 0 when journaling is off). Lets the server build
-    /// sketch-step provenance chains without re-deriving attribution.
+    /// (parallel vector; 0 for an event that was not recorded). Lets the
+    /// server build sketch-step provenance chains without re-deriving
+    /// attribution.
     pub hit_events: Vec<u64>,
-    /// Journal seq of this run's `pt.decoded` event (0 when off).
+    /// Journal seq of this run's `pt.decoded` event (0 when not recorded).
     pub decode_event: u64,
     /// Tracked statements that actually executed (slice ∩ executed —
     /// refinement's "remove statements that don't get executed", §3).
@@ -106,13 +106,6 @@ pub struct TrackerRuntime<'p> {
     /// let a `pt_off_after` on the `ret` itself clobber it.
     pending_resume: Vec<bool>,
     missed_arms: u64,
-    /// Cross-run decode memoization (fleet-shared); `None` = cold decode.
-    decode_cache: Option<Arc<DecodeCache>>,
-    /// Worker-owned decode shard; takes precedence over `decode_cache` and
-    /// decodes with zero lock acquisitions.
-    decode_shard: Option<&'p mut DecodeCacheShard>,
-    /// Trace-storage recycling (fleet-shared); `None` = fresh allocations.
-    buffer_pool: Option<Arc<BufferPool>>,
 }
 
 impl<'p> TrackerRuntime<'p> {
@@ -143,34 +136,7 @@ impl<'p> TrackerRuntime<'p> {
             armed_for: HashMap::new(),
             pending_resume: vec![false; num_cores.max(1) as usize],
             missed_arms: 0,
-            decode_cache: None,
-            decode_shard: None,
-            buffer_pool: None,
         }
-    }
-
-    /// Shares a cross-run [`DecodeCache`]: [`TrackerRuntime::finish`] then
-    /// decodes through it. Output is guaranteed identical to a cold decode.
-    pub fn with_decode_cache(mut self, cache: Arc<DecodeCache>) -> Self {
-        self.decode_cache = Some(cache);
-        self
-    }
-
-    /// Lends a worker-owned [`DecodeCacheShard`] for this run: decode then
-    /// probes and fills the shard with zero lock acquisitions. Takes
-    /// precedence over [`TrackerRuntime::with_decode_cache`]. Output is
-    /// guaranteed identical to a cold decode.
-    pub fn with_decode_shard(mut self, shard: &'p mut DecodeCacheShard) -> Self {
-        self.decode_shard = Some(shard);
-        self
-    }
-
-    /// Shares a [`BufferPool`]: trace buffers adopt recycled storage now,
-    /// and [`TrackerRuntime::finish`] returns the allocations after decode.
-    pub fn with_buffer_pool(mut self, pool: Arc<BufferPool>) -> Self {
-        self.tracer.recycle_buffers(&pool);
-        self.buffer_pool = Some(pool);
-        self
     }
 
     /// Access to the driver (tests and ablations).
@@ -184,23 +150,13 @@ impl<'p> TrackerRuntime<'p> {
         let pt_bytes = self.tracer.total_bytes();
         let traced_retired = self.tracer.traced_retired();
         let traces = self.tracer.take_traces();
-        let decoded = match (&mut self.decode_shard, &self.decode_cache) {
-            (Some(shard), _) => gist_pt::decoder::decode_with_shard(self.program, &traces, shard),
-            (None, Some(cache)) => {
-                gist_pt::decoder::decode_with_cache(self.program, &traces, cache)
-            }
-            (None, None) => gist_pt::decoder::decode(self.program, &traces),
-        }
-        .unwrap_or_else(|e| {
+        let decoded = gist_pt::decode(self.program, &traces).unwrap_or_else(|e| {
             // An undecodable trace yields an empty one; refinement then
             // simply learns nothing from this run. Surface in tests via
             // debug assertions.
             debug_assert!(false, "PT decode failed: {e}");
             DecodedTrace::default()
         });
-        if let Some(pool) = &self.buffer_pool {
-            pool.put_all(traces);
-        }
         let decode_event = gist_obs::event!(TraceDecoded {
             stmts: decoded.per_core.iter().map(Vec::len).sum::<usize>() as u64,
             branches: decoded.branches.len() as u64,

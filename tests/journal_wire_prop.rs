@@ -10,12 +10,14 @@
 //! 3. A [`StreamDecoder`] fed the same bytes in arbitrary chunk sizes
 //!    (down to one byte at a time) yields exactly the `parse_binary`
 //!    result — incremental tailing never splits or drops a frame.
+//! 4. Hostile bytes (arbitrary, or a real journal with one byte changed)
+//!    never panic `parse_binary` or a chunked `StreamDecoder::feed`.
 //!
 //! These tests use only pure encode/decode functions (no process-global
 //! journal state), so many `#[test]`s can share this binary safely.
 
 use gist_obs::journal::{parse_binary, parse_jsonl, to_binary, to_events, to_jsonl, JournalStats};
-use gist_obs::wire::{is_binary, StreamDecoder};
+use gist_obs::wire::{is_binary, put_varint, StreamDecoder, MAGIC, VERSION};
 use gist_obs::{EventKind, EventRecord};
 use proptest::prelude::*;
 
@@ -197,6 +199,32 @@ fn arb_stats() -> impl Strategy<Value = JournalStats> {
     })
 }
 
+/// Feeds `bytes` to a fresh [`StreamDecoder`] the way `gist-trace
+/// follow` tails a growing file: `chunk` more bytes arrive per turn, the
+/// decoder is offered everything arrived but unconsumed, and it reports
+/// via `pos` how much it took (a partial frame consumes nothing and is
+/// re-offered once more bytes arrive). Returns the events, the final
+/// accounting and the bytes consumed.
+fn feed_in_chunks(
+    bytes: &[u8],
+    chunk: usize,
+) -> Result<(Vec<EventRecord>, JournalStats, usize), String> {
+    let mut dec = StreamDecoder::new();
+    let mut events = Vec::new();
+    let (mut fed, mut avail) = (0usize, 0usize);
+    while fed < bytes.len() {
+        avail = (avail + chunk).min(bytes.len());
+        let mut pos = 0usize;
+        events.extend(dec.feed(&bytes[fed..avail], &mut pos)?);
+        assert!(pos <= avail - fed, "decoder consumed bytes not offered");
+        fed += pos;
+        if avail == bytes.len() && pos == 0 {
+            break;
+        }
+    }
+    Ok((events, dec.stats, fed))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -241,28 +269,11 @@ proptest! {
         chunk in 1usize..19,
     ) {
         let binary = to_binary(&events, &stats);
-        let mut dec = StreamDecoder::new();
-        let mut streamed = Vec::new();
-        // Simulate arrival: `avail` grows by `chunk` bytes per turn; the
-        // decoder is offered everything arrived-but-unconsumed and reports
-        // via `pos` how much it took (a partial frame consumes nothing and
-        // is re-offered once more bytes arrive).
-        let mut fed = 0usize;
-        let mut avail = 0usize;
-        while fed < binary.len() {
-            avail = (avail + chunk).min(binary.len());
-            let mut pos = 0usize;
-            let got = dec.feed(&binary[fed..avail], &mut pos).expect("stream decodes");
-            streamed.extend(got);
-            prop_assert!(pos <= avail - fed);
-            fed += pos;
-            if avail == binary.len() && pos == 0 {
-                break;
-            }
-        }
+        let (streamed, streamed_stats, fed) =
+            feed_in_chunks(&binary, chunk).expect("stream decodes");
         prop_assert_eq!(fed, binary.len(), "decoder consumed the whole journal");
         prop_assert_eq!(&streamed, &events);
-        prop_assert_eq!(dec.stats, stats);
+        prop_assert_eq!(streamed_stats, stats);
     }
 }
 
@@ -323,4 +334,67 @@ fn empty_journal_round_trips() {
     let (decoded, decoded_stats) = parse_binary(&binary).expect("empty journal parses");
     assert!(decoded.is_empty());
     assert_eq!(decoded_stats, stats);
+}
+
+/// A journal header followed by `frame` (length prefix included).
+fn journal_with_frame(frame: &[u8]) -> Vec<u8> {
+    let mut bytes = MAGIC.to_vec();
+    put_varint(VERSION, &mut bytes);
+    bytes.extend_from_slice(frame);
+    bytes
+}
+
+/// A frame-length prefix near `u64::MAX` is an error, not an overflowing
+/// add, and a streaming reader is told so instead of waiting for bytes
+/// that can never arrive.
+#[test]
+fn oversized_frame_length_is_an_error() {
+    let mut frame = Vec::new();
+    put_varint(u64::MAX - 1, &mut frame);
+    frame.extend_from_slice(&[0, 0, 0, 0]);
+    let bytes = journal_with_frame(&frame);
+    let err = parse_binary(&bytes).unwrap_err();
+    assert!(err.contains("overflows"), "{err}");
+    let err = feed_in_chunks(&bytes, 3).unwrap_err();
+    assert!(err.contains("overflows"), "{err}");
+}
+
+/// A string field whose length prefix is near `u64::MAX` is an error.
+#[test]
+fn oversized_string_length_is_an_error() {
+    let mut body = vec![1, 0, 0, 0]; // seq 1, trace 0, tid 0, tag 0 (TraceStarted)
+    put_varint(u64::MAX - 1, &mut body);
+    let mut frame = Vec::new();
+    put_varint(body.len() as u64, &mut frame);
+    frame.extend_from_slice(&body);
+    let bytes = journal_with_frame(&frame);
+    let err = parse_binary(&bytes).unwrap_err();
+    assert!(err.contains("string field length overflows"), "{err}");
+    let err = feed_in_chunks(&bytes, 1).unwrap_err();
+    assert!(err.contains("string field length overflows"), "{err}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Hostile journal bytes never panic the readers: arbitrary bytes
+    /// (with and without a valid header) and every-which-way single-byte
+    /// mutations of a real journal all yield `Ok` or `Err`.
+    #[test]
+    fn hostile_journal_bytes_never_panic(
+        events in proptest::collection::vec(arb_record(), 0..12),
+        stats in arb_stats(),
+        noise in proptest::collection::vec(0u8..=255, 0..64),
+        flip in (0usize..1 << 20, 0u8..=255),
+        chunk in 1usize..19,
+    ) {
+        let mut mutated = to_binary(&events, &stats);
+        let (at, byte) = flip;
+        let at = at % mutated.len();
+        mutated[at] = byte;
+        for bytes in [noise.clone(), journal_with_frame(&noise), mutated] {
+            let _ = parse_binary(&bytes);
+            let _ = feed_in_chunks(&bytes, chunk);
+        }
+    }
 }

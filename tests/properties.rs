@@ -344,6 +344,97 @@ fn text_format_roundtrips_all_bugbase_programs() {
     }
 }
 
+/// One edit of a program's text. Positions are raw draws, reduced modulo
+/// the text's current byte or line count when the edit is applied.
+#[derive(Clone, Debug)]
+enum TextEdit {
+    DeleteByte(usize),
+    DuplicateByte(usize),
+    SwapBytes(usize, usize),
+    /// Inserts arbitrary ASCII (control characters included).
+    Splice(usize, Vec<u8>),
+    DeleteLine(usize),
+    DuplicateLine(usize, usize),
+    SwapLines(usize, usize),
+}
+
+fn arb_text_edit() -> impl Strategy<Value = TextEdit> {
+    let at = || 0usize..1 << 20;
+    prop_oneof![
+        at().prop_map(TextEdit::DeleteByte),
+        at().prop_map(TextEdit::DuplicateByte),
+        (at(), at()).prop_map(|(i, j)| TextEdit::SwapBytes(i, j)),
+        (at(), proptest::collection::vec(0u8..128, 1..8))
+            .prop_map(|(i, ascii)| TextEdit::Splice(i, ascii)),
+        at().prop_map(TextEdit::DeleteLine),
+        (at(), at()).prop_map(|(i, j)| TextEdit::DuplicateLine(i, j)),
+        (at(), at()).prop_map(|(i, j)| TextEdit::SwapLines(i, j)),
+    ]
+}
+
+fn apply_text_edits(text: &str, edits: &[TextEdit]) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for edit in edits {
+        let n = bytes.len().max(1);
+        let mut lines: Vec<Vec<u8>> = bytes.split(|&c| c == b'\n').map(<[u8]>::to_vec).collect();
+        let l = lines.len();
+        match edit {
+            TextEdit::DeleteByte(i) if !bytes.is_empty() => {
+                bytes.remove(i % n);
+            }
+            TextEdit::DuplicateByte(i) if !bytes.is_empty() => {
+                bytes.insert(i % n, bytes[i % n]);
+            }
+            TextEdit::SwapBytes(i, j) if !bytes.is_empty() => bytes.swap(i % n, j % n),
+            TextEdit::Splice(i, ascii) => {
+                let at = i % (bytes.len() + 1);
+                bytes.splice(at..at, ascii.iter().copied());
+            }
+            TextEdit::DeleteLine(i) => {
+                lines.remove(i % l);
+                bytes = lines.join(&b'\n');
+            }
+            TextEdit::DuplicateLine(i, j) => {
+                let line = lines[i % l].clone();
+                lines.insert(j % (l + 1), line);
+                bytes = lines.join(&b'\n');
+            }
+            TextEdit::SwapLines(i, j) => {
+                lines.swap(i % l, j % l);
+                bytes = lines.join(&b'\n');
+            }
+            _ => {}
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Hostile IR text never panics the parser: every bugbase program's
+    /// printed text, after a handful of byte and line edits, parses to a
+    /// program or to a `ParseError`.
+    #[test]
+    fn parser_survives_mutated_bugbase_text(
+        edits in proptest::collection::vec(arb_text_edit(), 1..6),
+    ) {
+        use gist_ir::parser::parse_program;
+        use gist_ir::printer::print_program;
+        static TEXTS: std::sync::OnceLock<Vec<String>> = std::sync::OnceLock::new();
+        let texts = TEXTS.get_or_init(|| {
+            gist_bugbase::all_bugs()
+                .iter()
+                .map(|bug| print_program(&bug.program))
+                .collect()
+        });
+        for text in texts {
+            let mutated = apply_text_edits(text, &edits);
+            let _ = parse_program("mutated", &mutated);
+        }
+    }
+}
+
 /// Dataflow consistency (the monotone framework's two flagship problems
 /// agree): at every register *use site* in every bugbase program, the used
 /// register is live-in there, and it either has a reaching definition at

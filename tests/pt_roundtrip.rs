@@ -2,10 +2,15 @@
 //!
 //! For randomly generated MiniC programs (loops, branches, calls, threads,
 //! shared memory), fully tracing a run and decoding the packet streams
-//! must reproduce each thread's retired-statement sequence exactly.
+//! must reproduce each thread's retired-statement sequence exactly. For
+//! arbitrary packet streams and raw bytes, the decoder must fail cleanly
+//! rather than panic, and decode the same bytes the same way every time.
+
+use std::sync::OnceLock;
 
 use bytes::BytesMut;
 use gist_ir::builder::ProgramBuilder;
+use gist_ir::parser::parse_program;
 use gist_ir::{Callee, CmpKind, InstrId, Program};
 use gist_pt::packet::TNT_CAPACITY;
 use gist_pt::{decoder, Packet, PtConfig, PtDriver, PtTracer};
@@ -165,12 +170,13 @@ fn pt_roundtrips_known_seeds() {
 }
 
 /// Strategy producing any single packet, including the markers (PSB, OVF)
-/// a real stream interleaves with payload packets.
-fn arb_packet() -> impl Strategy<Value = Packet> {
-    let ip = || (0u32..100_000).prop_map(InstrId);
+/// a real stream interleaves with payload packets, with `ip`s below
+/// `ips` and tids below `tids`.
+fn arb_packet(ips: u32, tids: u32) -> impl Strategy<Value = Packet> {
+    let ip = move || (0..ips).prop_map(InstrId);
     prop_oneof![
         Just(Packet::Psb),
-        (0u32..64).prop_map(|tid| Packet::Pip { tid }),
+        (0..tids).prop_map(|tid| Packet::Pip { tid }),
         ip().prop_map(|ip| Packet::Pge { ip }),
         ip().prop_map(|ip| Packet::Pgd { ip }),
         proptest::collection::vec((0u32..2).prop_map(|b| b == 1), 1..TNT_CAPACITY + 1)
@@ -188,7 +194,7 @@ proptest! {
     /// PSB resync points and OVF markers anywhere in the stream —
     /// encodes to exactly the modeled sizes and decodes back verbatim.
     #[test]
-    fn packet_streams_roundtrip(packets in proptest::collection::vec(arb_packet(), 0..200)) {
+    fn packet_streams_roundtrip(packets in proptest::collection::vec(arb_packet(100_000, 64), 0..200)) {
         let mut buf = BytesMut::new();
         let mut modeled = 0usize;
         for p in &packets {
@@ -280,5 +286,82 @@ fn overflowed_trace_decodes_to_prefixes() {
                 "seed {seed}: decoder reports overflow but no stream carries OVF"
             );
         }
+    }
+}
+
+/// A small program with loops, calls, and indirect transfers, so generated
+/// `ip` payloads land on real statements of every flavor.
+fn hostile_target() -> &'static Program {
+    static P: OnceLock<Program> = OnceLock::new();
+    P.get_or_init(|| {
+        parse_program(
+            "prop",
+            r#"
+fn inc(x) {
+entry:
+  y = add x, 1
+  ret y
+}
+fn main() {
+entry:
+  n = const 3
+  f = funcaddr inc
+  br head
+head:
+  c = cmp gt n, 0
+  condbr c, body, exit
+body:
+  n = sub n, 1
+  m = icall f(n)
+  br head
+exit:
+  print n
+  ret
+}
+"#,
+        )
+        .expect("valid program")
+    })
+}
+
+/// One core's stream: encoded packets (OVF and mid-stream PSB anywhere),
+/// optionally truncated mid-packet the way a wrapped ring buffer cuts its
+/// tail, or raw arbitrary bytes.
+fn arb_core_bytes(stmt_count: usize) -> impl Strategy<Value = Vec<u8>> {
+    let packets = (
+        // `ip`s on the target's statements plus a few out of range, so
+        // both clean walks and desync errors are reached.
+        proptest::collection::vec(arb_packet(stmt_count as u32 + 3, 3), 0..24),
+        0usize..4096,
+        (0u32..2).prop_map(|b| b == 1),
+    )
+        .prop_map(|(packets, cut, truncate)| {
+            let mut buf = BytesMut::new();
+            for p in &packets {
+                p.encode(&mut buf);
+            }
+            let mut bytes = buf.into_vec();
+            if truncate && !bytes.is_empty() {
+                bytes.truncate(cut % bytes.len());
+            }
+            bytes
+        });
+    prop_oneof![packets, proptest::collection::vec(0u8..=255, 0..64)]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Hostile trace bytes never panic the decoder: every input yields
+    /// `Ok` or `Err`, and decoding the same bytes twice gives the same
+    /// result.
+    #[test]
+    fn decode_of_hostile_bytes_is_total_and_deterministic(
+        cores in proptest::collection::vec(arb_core_bytes(hostile_target().stmt_count()), 1..4),
+    ) {
+        let p = hostile_target();
+        let first = decoder::decode(p, &cores);
+        let second = decoder::decode(p, &cores);
+        prop_assert_eq!(first, second, "cores {:?}", cores);
     }
 }
