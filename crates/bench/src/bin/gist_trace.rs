@@ -13,9 +13,9 @@
 //! gist-trace export --chrome|--jsonl [journal] [-o out]
 //! ```
 //!
-//! `journal` defaults to `JOURNAL_gist.bin` (the canonical binary journal
-//! `repro -- bench` writes next to `BENCH_gist.json`), falling back to
-//! `JOURNAL_gist.jsonl`; both formats are auto-detected by content.
+//! `journal` is a binary journal and defaults to `JOURNAL_gist.bin` (the
+//! one `repro -- bench` writes next to `BENCH_gist.json`). JSONL is an
+//! export format only: `gist-trace` does not read it back.
 //! `explain`, `query decode`, and `--in` accept either a trace label or a
 //! bug short name — names like `pbzip2-1` work because the bench titles
 //! traces `Failure Sketch for <display>`.
@@ -32,7 +32,7 @@
 //! Exit status: 0 ok, 1 lookup failure (unknown trace/step/kind produced
 //! nothing, or a follow missed events), 2 usage or parse error.
 
-use gist_bench::trace_tool::{chrome_json, jsonl_text, Journal, LiveTail};
+use gist_bench::trace_tool::{chrome_json, Journal, LiveTail};
 
 fn usage() -> ! {
     eprintln!(
@@ -41,14 +41,8 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The canonical binary journal when present, else the JSONL export.
-fn default_journal() -> &'static str {
-    if std::path::Path::new("JOURNAL_gist.bin").exists() {
-        "JOURNAL_gist.bin"
-    } else {
-        "JOURNAL_gist.jsonl"
-    }
-}
+/// The binary journal `repro -- bench` writes.
+const DEFAULT_JOURNAL: &str = "JOURNAL_gist.bin";
 
 fn load(path: &str) -> Journal {
     let bytes = match std::fs::read(path) {
@@ -121,10 +115,10 @@ fn query(args: &[String]) {
     if positional.len() < want || positional.len() > want + 1 {
         usage()
     }
-    let path = match positional.get(journal_at) {
-        Some(p) => *p,
-        None => default_journal(),
-    };
+    let path = positional
+        .get(journal_at)
+        .copied()
+        .unwrap_or(DEFAULT_JOURNAL);
     let journal = load(path);
     let trace = scope.map(|s| {
         let label = explain_label(&journal, &s);
@@ -213,18 +207,12 @@ fn main() {
     let cmd = args.first().map(String::as_str).unwrap_or_else(|| usage());
     match cmd {
         "summary" => {
-            let path = match args.get(1) {
-                Some(p) => p.as_str(),
-                None => default_journal(),
-            };
+            let path = args.get(1).map_or(DEFAULT_JOURNAL, String::as_str);
             print!("{}", load(path).summary_text());
         }
         "grep" => {
             let Some(kind) = args.get(1) else { usage() };
-            let path = match args.get(2) {
-                Some(p) => p.as_str(),
-                None => default_journal(),
-            };
+            let path = args.get(2).map_or(DEFAULT_JOURNAL, String::as_str);
             let out = load(path).grep_text(kind);
             if out.is_empty() {
                 eprintln!("no `{kind}` events in {path}");
@@ -239,10 +227,7 @@ fn main() {
             let Ok(step) = step.parse::<u64>() else {
                 usage()
             };
-            let path = match args.get(3) {
-                Some(p) => p.as_str(),
-                None => default_journal(),
-            };
+            let path = args.get(3).map_or(DEFAULT_JOURNAL, String::as_str);
             let journal = load(path);
             let label = explain_label(&journal, bug);
             print_or_fail(journal.explain_step(&label, step));
@@ -270,14 +255,11 @@ fn main() {
                 i += 1;
             }
             let Some(format) = format else { usage() };
-            let journal = load(match journal_path {
-                Some(p) => p,
-                None => default_journal(),
-            });
+            let journal = load(journal_path.unwrap_or(DEFAULT_JOURNAL));
             let text = if format == "--chrome" {
                 chrome_json(&journal)
             } else {
-                jsonl_text(&journal)
+                gist_obs::journal::to_jsonl(&journal.events)
             };
             match out_path {
                 Some(p) => {

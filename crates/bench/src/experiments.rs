@@ -9,6 +9,8 @@ use gist_slicing::StaticSlicer;
 use gist_tracking::{Planner, TrackerRuntime};
 use gist_vm::Vm;
 
+use crate::trace_tool::{kind_line, Journal};
+
 /// Table 1: full diagnosis of every bug with the paper's defaults
 /// (σ₀ = 2, multiplicative growth, β = 0.5).
 pub fn table1() -> Vec<BugEvaluation> {
@@ -292,18 +294,9 @@ pub fn sketch_for_explained(name: &str) -> Option<String> {
     let bug = bug_by_name(name)?;
     gist_obs::reset();
     let eval = diagnose_bug(&bug, &EvalConfig::default());
-    let journal = crate::trace_tool::Journal::from_events(gist_obs::journal::to_events(
-        &gist_obs::journal::drain(),
-    ));
-    let resolve = |seq: u64| {
-        journal.event_by_seq(seq).map(|e| {
-            // `event_line` leads with `#seq t<tid>`, but `render_explain`
-            // already prints the seq for each chain entry — drop the
-            // duplicate prefix and keep `kind k=v ...`.
-            let line = crate::trace_tool::Journal::event_line(e);
-            line.splitn(3, ' ').nth(2).unwrap_or(&line).to_owned()
-        })
-    };
+    let journal = Journal::from_events(gist_obs::journal::drain().0);
+    // `render_explain` prints each chain entry's seq itself.
+    let resolve = |seq: u64| journal.event_by_seq(seq).map(|e| kind_line(&e.kind));
     Some(gist_sketch::render::render_explain(&eval.sketch, &resolve))
 }
 

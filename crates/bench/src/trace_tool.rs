@@ -1,52 +1,50 @@
 //! Journal exploration shared by the `gist-trace` binary and the
-//! `--explain` render mode: load a binary or JSONL journal, summarize it
-//! (warning on overwrite gaps), grep by event kind, resolve sketch-step
-//! provenance chains, answer provenance queries (`gist-trace query`), and
-//! tail a live in-process diagnosis (`gist-trace follow`).
+//! `--explain` render mode: load a binary journal, summarize it (warning
+//! on overwrite gaps), grep by event kind, resolve sketch-step provenance
+//! chains, answer provenance queries (`gist-trace query`), and tail a
+//! live in-process diagnosis (`gist-trace follow`). Every query matches
+//! on the typed [`EventKind`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use gist_obs::json::Json;
-use gist_obs::{JournalEvent, JournalStats};
+use gist_obs::{EventKind, EventRecord, JournalStats};
 
 /// A loaded flight-recorder journal.
 #[derive(Clone, Debug, Default)]
 pub struct Journal {
-    /// Events in seq order (the JSONL line order).
-    pub events: Vec<JournalEvent>,
+    /// Events in seq order.
+    pub events: Vec<EventRecord>,
     /// Overwrite accounting from the binary journal's meta frame (zero
-    /// for JSONL-loaded and in-process journals with no overwrites).
+    /// for in-process journals with no overwrites).
     pub stats: JournalStats,
 }
 
-impl Journal {
-    /// Loads a journal from raw file bytes, sniffing the format: the
-    /// binary magic selects the wire decoder, anything else parses as
-    /// JSONL.
-    pub fn load_bytes(bytes: &[u8]) -> Result<Journal, String> {
-        if gist_obs::wire::is_binary(bytes) {
-            let (records, stats) = gist_obs::journal::parse_binary(bytes)?;
-            return Ok(Journal {
-                events: gist_obs::journal::to_events(&records),
-                stats,
-            });
+/// `kind k=v k=v`: an event's kind string and its payload members in
+/// their canonical order.
+pub fn kind_line(kind: &EventKind) -> String {
+    let mut out = kind.kind_str().to_owned();
+    if let Json::Obj(members) = kind.data_value() {
+        for (k, v) in members {
+            out.push(' ');
+            out.push_str(&k);
+            out.push('=');
+            out.push_str(&v.render());
         }
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| "journal is neither binary (bad magic) nor UTF-8 JSONL".to_owned())?;
-        Journal::parse(text)
     }
+    out
+}
 
-    /// Parses a JSONL journal (the content of `JOURNAL_gist.jsonl`).
-    pub fn parse(text: &str) -> Result<Journal, String> {
-        Ok(Journal {
-            events: gist_obs::journal::parse_jsonl(text)?,
-            stats: JournalStats::default(),
-        })
+impl Journal {
+    /// Loads a binary journal from raw file bytes.
+    pub fn load_bytes(bytes: &[u8]) -> Result<Journal, String> {
+        let (events, stats) = gist_obs::journal::parse_binary(bytes)?;
+        Ok(Journal { events, stats })
     }
 
     /// Wraps already-drained events (the in-process path used by
     /// `repro -- sketch <bug> --explain`).
-    pub fn from_events(events: Vec<JournalEvent>) -> Journal {
+    pub fn from_events(events: Vec<EventRecord>) -> Journal {
         Journal {
             events,
             stats: JournalStats::default(),
@@ -54,45 +52,38 @@ impl Journal {
     }
 
     /// The event with the given seq-no, if journaled.
-    pub fn event_by_seq(&self, seq: u64) -> Option<&JournalEvent> {
-        // Events are sorted by seq (drain sorts; JSONL preserves).
+    pub fn event_by_seq(&self, seq: u64) -> Option<&EventRecord> {
+        // Events are sorted by seq (drain sorts; the binary journal
+        // preserves the order).
         self.events
             .binary_search_by_key(&seq, |e| e.seq)
             .ok()
             .map(|i| &self.events[i])
     }
 
-    /// One-line human rendering of an event: `#seq kind k=v k=v` with the
-    /// payload members in their canonical order.
-    pub fn event_line(e: &JournalEvent) -> String {
-        let mut out = format!("#{} t{} {}", e.seq, e.tid, e.kind);
-        if let Json::Obj(members) = &e.data {
-            for (k, v) in members {
-                out.push(' ');
-                out.push_str(k);
-                out.push('=');
-                out.push_str(&v.render());
-            }
-        }
-        out
+    /// One-line human rendering of an event: `#seq tN kind k=v k=v`.
+    pub fn event_line(e: &EventRecord) -> String {
+        format!("#{} t{} {}", e.seq, e.tid, kind_line(&e.kind))
     }
 
     /// Per-kind event counts, sorted by kind name.
-    pub fn kind_counts(&self) -> BTreeMap<&str, u64> {
-        let mut counts: BTreeMap<&str, u64> = BTreeMap::new();
+    pub fn kind_counts(&self) -> BTreeMap<&'static str, u64> {
+        let mut counts: BTreeMap<&'static str, u64> = BTreeMap::new();
         for e in &self.events {
-            *counts.entry(e.kind.as_str()).or_default() += 1;
+            *counts.entry(e.kind.kind_str()).or_default() += 1;
         }
         counts
     }
 
     /// Diagnosis traces in the journal: `(trace_id, label)` from each
     /// `trace.start` event, in seq order.
-    pub fn traces(&self) -> Vec<(u64, String)> {
+    pub fn traces(&self) -> Vec<(u64, &str)> {
         self.events
             .iter()
-            .filter(|e| e.kind == "trace.start")
-            .map(|e| (e.trace, e.field_str("label").unwrap_or("").to_owned()))
+            .filter_map(|e| match &e.kind {
+                EventKind::TraceStarted { label } => Some((e.trace, label.as_str())),
+                _ => None,
+            })
             .collect()
     }
 
@@ -102,72 +93,81 @@ impl Journal {
         let traces = self.traces();
         traces
             .iter()
-            .find(|(_, l)| l == needle)
+            .find(|(_, l)| *l == needle)
             .or_else(|| traces.iter().find(|(_, l)| l.contains(needle)))
             .map(|&(id, _)| id)
     }
 
     /// The *final* sketch of a trace: the sketch is rebuilt (and its steps
     /// re-journaled) every AsT iteration, so per step number keep only the
-    /// last `sketch.step` event. Returned in step order.
-    pub fn final_steps(&self, trace: u64) -> Vec<&JournalEvent> {
-        let mut by_step: BTreeMap<u64, &JournalEvent> = BTreeMap::new();
+    /// last `sketch.step` event. Returned in step order, each with its
+    /// statement and provenance chain.
+    pub fn final_steps(&self, trace: u64) -> Vec<Step<'_>> {
+        let mut by_step: BTreeMap<u64, Step> = BTreeMap::new();
         let mut last_first_step = 0u64;
         for e in &self.events {
-            if e.trace != trace || e.kind != "sketch.step" {
+            let EventKind::SketchStepEmitted {
+                step,
+                iid,
+                provenance,
+            } = &e.kind
+            else {
+                continue;
+            };
+            if e.trace != trace {
                 continue;
             }
-            let step = e.field_u64("step").unwrap_or(0);
             // A new rebuild starts when the step counter resets; later
             // rebuilds may have *fewer* steps (pruning), so clear stale
             // higher-numbered steps from the previous build.
-            if step <= last_first_step {
+            if *step <= last_first_step {
                 by_step.clear();
             }
             if by_step.is_empty() {
-                last_first_step = step;
+                last_first_step = *step;
             }
-            by_step.insert(step, e);
+            by_step.insert(
+                *step,
+                Step {
+                    event: e,
+                    step: *step,
+                    iid: *iid,
+                    provenance,
+                },
+            );
         }
         by_step.into_values().collect()
+    }
+
+    /// The final `sketch.step` numbered `step` in the trace labeled
+    /// `label`; an error when either is missing or the chain is empty.
+    fn step(&self, label: &str, step: u64) -> Result<Step<'_>, String> {
+        let trace = self
+            .trace_by_label(label)
+            .ok_or_else(|| format!("no trace labeled like `{label}` in journal"))?;
+        let steps = self.final_steps(trace);
+        let count = steps.len();
+        let found = steps
+            .into_iter()
+            .find(|s| s.step == step)
+            .ok_or_else(|| format!("trace {trace} has no sketch step {step} (has {count})"))?;
+        if found.provenance.is_empty() {
+            return Err(format!("sketch step {step} has an empty provenance chain"));
+        }
+        Ok(found)
     }
 
     /// Resolves one sketch step's provenance chain: the `explain` lines
     /// for step `step` of the trace labeled `label`.
     pub fn explain_step(&self, label: &str, step: u64) -> Result<Vec<String>, String> {
-        let trace = self
-            .trace_by_label(label)
-            .ok_or_else(|| format!("no trace labeled like `{label}` in journal"))?;
-        let steps = self.final_steps(trace);
-        let ev = steps
-            .iter()
-            .find(|e| e.field_u64("step") == Some(step))
-            .ok_or_else(|| {
-                format!(
-                    "trace {trace} has no sketch step {step} (has {})",
-                    steps.len()
-                )
-            })?;
-        let mut out = vec![Self::event_line(ev)];
-        let chain = match ev.field("provenance") {
-            Some(Json::Arr(items)) => items
+        let found = self.step(label, step)?;
+        let mut out = vec![Self::event_line(found.event)];
+        out.extend(
+            found
+                .provenance
                 .iter()
-                .filter_map(|v| match v {
-                    Json::U64(n) => Some(*n),
-                    _ => None,
-                })
-                .collect(),
-            _ => Vec::new(),
-        };
-        if chain.is_empty() {
-            return Err(format!("sketch step {step} has an empty provenance chain"));
-        }
-        for seq in chain {
-            match self.event_by_seq(seq) {
-                Some(e) => out.push(format!("  <- {}", Self::event_line(e))),
-                None => out.push(format!("  <- #{seq} <unresolved>")),
-            }
-        }
+                .map(|&seq| self.resolve_line(seq, 2)),
+        );
         Ok(out)
     }
 
@@ -213,20 +213,19 @@ impl Journal {
         }
         out.push_str("\ntraces:\n");
         for (id, label) in self.traces() {
-            let finish = self
+            let outcome = self
                 .events
                 .iter()
-                .find(|e| e.trace == id && e.kind == "trace.finish");
-            let outcome = finish.map_or_else(
-                || "(unfinished)".to_owned(),
-                |e| {
-                    format!(
-                        "iterations={} recurrences={}",
-                        e.field_u64("iterations").unwrap_or(0),
-                        e.field_u64("recurrences").unwrap_or(0),
-                    )
-                },
-            );
+                .find_map(|e| match e.kind {
+                    EventKind::TraceFinished {
+                        iterations,
+                        recurrences,
+                    } if e.trace == id => {
+                        Some(format!("iterations={iterations} recurrences={recurrences}"))
+                    }
+                    _ => None,
+                })
+                .unwrap_or_else(|| "(unfinished)".to_owned());
             let steps = self.final_steps(id).len();
             out.push_str(&format!(
                 "  trace {id}: {label:?} {outcome} sketch_steps={steps}\n"
@@ -241,7 +240,8 @@ impl Journal {
         let prefix = format!("{kind}.");
         let mut out = String::new();
         for e in &self.events {
-            if e.kind == kind || e.kind.starts_with(&prefix) {
+            let k = e.kind.kind_str();
+            if k == kind || k.starts_with(&prefix) {
                 out.push_str(&Self::event_line(e));
                 out.push('\n');
             }
@@ -261,23 +261,19 @@ impl Journal {
         }
         for (id, label) in self.traces() {
             out.push_str(&format!("trace {id} {label:?}:\n"));
-            for ev in self.final_steps(id) {
-                let step = ev.field_u64("step").unwrap_or(0);
-                let iid = ev.field_u64("iid").unwrap_or(0);
-                let chain: Vec<&str> = match ev.field("provenance") {
-                    Some(Json::Arr(items)) => items
-                        .iter()
-                        .filter_map(|v| match v {
-                            Json::U64(n) => {
-                                Some(self.event_by_seq(*n).map_or("<missing>", |e| &e.kind))
-                            }
-                            _ => None,
-                        })
-                        .collect(),
-                    _ => Vec::new(),
-                };
+            for s in self.final_steps(id) {
+                let chain: Vec<&str> = s
+                    .provenance
+                    .iter()
+                    .map(|&seq| {
+                        self.event_by_seq(seq)
+                            .map_or("<missing>", |e| e.kind.kind_str())
+                    })
+                    .collect();
                 out.push_str(&format!(
-                    "  step {step} iid={iid} via [{}]\n",
+                    "  step {} iid={} via [{}]\n",
+                    s.step,
+                    s.iid,
                     chain.join(", ")
                 ));
             }
@@ -295,41 +291,39 @@ impl Journal {
         }
     }
 
-    /// `gist-trace query promotions`: every `ast.promoted` event (in the
-    /// given trace, or journal-wide), each followed by the evidence event
-    /// that caused it — the watch hit for `watch-discovery` promotions,
-    /// the slice computation for `race-seed` ones. This answers "which
-    /// watch hit promoted this statement?" for the whole diagnosis.
-    pub fn query_promotions(&self, trace: Option<u64>) -> Vec<String> {
+    /// `ast.promoted` events (in the given trace, or journal-wide) whose
+    /// statement passes `keep`, each followed by the evidence event that
+    /// caused it.
+    fn promotions(&self, trace: Option<u64>, keep: impl Fn(u32) -> bool) -> Vec<String> {
         let mut out = Vec::new();
         for e in &self.events {
-            if e.kind != "ast.promoted" || trace.is_some_and(|t| e.trace != t) {
+            let EventKind::StmtPromoted { iid, via, .. } = e.kind else {
+                continue;
+            };
+            if !keep(iid) || trace.is_some_and(|t| e.trace != t) {
                 continue;
             }
             out.push(Self::event_line(e));
-            if let Some(via) = e.field_u64("via").filter(|&v| v != 0) {
+            if via != 0 {
                 out.push(self.resolve_line(via, 2));
             }
         }
         out
     }
 
+    /// `gist-trace query promotions`: every `ast.promoted` event (in the
+    /// given trace, or journal-wide), each followed by the evidence event
+    /// that caused it — the watch hit for `watch-discovery` promotions,
+    /// the slice computation for `race-seed` ones. This answers "which
+    /// watch hit promoted this statement?" for the whole diagnosis.
+    pub fn query_promotions(&self, trace: Option<u64>) -> Vec<String> {
+        self.promotions(trace, |_| true)
+    }
+
     /// `gist-trace query promoted <iid>`: which event promoted statement
     /// `iid` into tracking? Errors when the statement was never promoted.
     pub fn query_promoted(&self, iid: u64, trace: Option<u64>) -> Result<Vec<String>, String> {
-        let mut out = Vec::new();
-        for e in &self.events {
-            if e.kind != "ast.promoted"
-                || e.field_u64("iid") != Some(iid)
-                || trace.is_some_and(|t| e.trace != t)
-            {
-                continue;
-            }
-            out.push(Self::event_line(e));
-            if let Some(via) = e.field_u64("via").filter(|&v| v != 0) {
-                out.push(self.resolve_line(via, 2));
-            }
-        }
+        let out = self.promotions(trace, |i| u64::from(i) == iid);
         if out.is_empty() {
             return Err(format!("no ast.promoted event for iid={iid} in journal"));
         }
@@ -342,8 +336,7 @@ impl Journal {
         self.events
             .iter()
             .filter(|e| {
-                e.kind == "watch.hit"
-                    && e.field_u64("iid") == Some(iid)
+                matches!(e.kind, EventKind::WatchHit { iid: i, .. } if u64::from(i) == iid)
                     && trace.is_none_or(|t| e.trace == t)
             })
             .map(Self::event_line)
@@ -355,37 +348,31 @@ impl Journal {
     /// `pt.decoded` event, plus the per-core `pt.segment` decodes that
     /// immediately precede it on the same thread.
     pub fn query_decode(&self, label: &str, step: u64) -> Result<Vec<String>, String> {
-        let lines = self.explain_step(label, step)?;
-        let mut out = vec![lines[0].clone()];
-        let decode = lines
+        let found = self.step(label, step)?;
+        let i = found
+            .provenance
             .iter()
-            .find(|l| l.contains(" pt.decoded "))
+            .find_map(|&seq| {
+                let i = self.events.binary_search_by_key(&seq, |e| e.seq).ok()?;
+                matches!(self.events[i].kind, EventKind::TraceDecoded { .. }).then_some(i)
+            })
             .ok_or_else(|| {
                 format!("sketch step {step} has no pt.decoded event in its provenance chain")
             })?;
-        out.push(decode.clone());
-        // "  <- #seq tN pt.decoded ..." — recover the seq to locate the
-        // decode's preceding per-core segment events.
-        let seq: u64 = decode
-            .trim_start()
-            .trim_start_matches("<- #")
-            .split_whitespace()
-            .next()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| "malformed decode line".to_owned())?;
-        if let Ok(i) = self.events.binary_search_by_key(&seq, |e| e.seq) {
-            let tid = self.events[i].tid;
-            let mut segments = Vec::new();
-            for e in self.events[..i].iter().rev() {
-                if e.kind == "pt.segment" && e.tid == tid {
-                    segments.push(format!("    <- {}", Self::event_line(e)));
-                } else {
-                    break;
-                }
-            }
-            segments.reverse();
-            out.extend(segments);
-        }
+        let decode = &self.events[i];
+        let mut out = vec![
+            Self::event_line(found.event),
+            format!("  <- {}", Self::event_line(decode)),
+        ];
+        let segments = self.events[..i]
+            .iter()
+            .rev()
+            .take_while(|e| {
+                matches!(e.kind, EventKind::PtSegmentDecoded { .. }) && e.tid == decode.tid
+            })
+            .map(|e| format!("    <- {}", Self::event_line(e)))
+            .collect::<Vec<_>>();
+        out.extend(segments.into_iter().rev());
         Ok(out)
     }
 
@@ -406,23 +393,17 @@ impl Journal {
     /// Seq-nos an event references: `via` for promotions, the
     /// `provenance` array for sketch steps. (`hit_seq` is a *VM* sequence
     /// number, not a journal seq, and is deliberately not followed.)
-    fn references(e: &JournalEvent) -> Vec<u64> {
-        let mut refs = Vec::new();
-        if let Some(via) = e.field_u64("via").filter(|&v| v != 0) {
-            refs.push(via);
+    fn references(e: &EventRecord) -> Vec<u64> {
+        match &e.kind {
+            EventKind::StmtPromoted { via, .. } if *via != 0 => vec![*via],
+            EventKind::SketchStepEmitted { provenance, .. } => provenance.clone(),
+            _ => Vec::new(),
         }
-        if let Some(Json::Arr(items)) = e.field("provenance") {
-            refs.extend(items.iter().filter_map(|v| match v {
-                Json::U64(n) => Some(*n),
-                _ => None,
-            }));
-        }
-        refs
     }
 
     fn chain_children(
         &self,
-        e: &JournalEvent,
+        e: &EventRecord,
         depth: usize,
         visited: &mut BTreeSet<u64>,
         out: &mut Vec<String>,
@@ -444,31 +425,24 @@ impl Journal {
     }
 }
 
+/// One final sketch step of a journaled diagnosis: its `sketch.step`
+/// event plus the event's typed payload.
+#[derive(Clone, Copy, Debug)]
+pub struct Step<'a> {
+    /// The `sketch.step` event.
+    pub event: &'a EventRecord,
+    /// 1-based step number.
+    pub step: u64,
+    /// The step's statement.
+    pub iid: u32,
+    /// Event seq-nos justifying the step, most specific first.
+    pub provenance: &'a [u64],
+}
+
 /// Renders journal events as Chrome trace JSON (`gist-trace export
 /// --chrome` and the CI artifact).
 pub fn chrome_json(journal: &Journal) -> String {
     gist_obs::journal::chrome_trace(&journal.events).pretty()
-}
-
-/// Renders a loaded journal back to JSONL (`gist-trace export --jsonl`:
-/// binary journal in, line-per-event export out). Byte-identical to
-/// [`gist_obs::journal::to_jsonl`] over the same events.
-pub fn jsonl_text(journal: &Journal) -> String {
-    let mut out = String::new();
-    for e in &journal.events {
-        out.push_str(
-            &Json::Obj(vec![
-                ("seq".into(), Json::U64(e.seq)),
-                ("trace".into(), Json::U64(e.trace)),
-                ("tid".into(), Json::U64(u64::from(e.tid))),
-                ("kind".into(), Json::Str(e.kind.clone())),
-                ("data".into(), e.data.clone()),
-            ])
-            .render(),
-        );
-        out.push('\n');
-    }
-    out
 }
 
 /// Incremental tail over the in-process journal ring: each [`poll`]
@@ -484,7 +458,7 @@ pub fn jsonl_text(journal: &Journal) -> String {
 pub struct LiveTail {
     cursor: gist_obs::Cursor,
     /// Everything delivered so far, kept sorted by seq.
-    pub events: Vec<JournalEvent>,
+    pub events: Vec<EventRecord>,
     /// Frames the ring overwrote before a poll reached them.
     pub overwritten: u64,
     /// Polls that delivered at least one event.
@@ -499,11 +473,11 @@ impl LiveTail {
 
     /// Drains events recorded since the previous poll, returning the new
     /// batch (seq-sorted) and folding it into [`LiveTail::events`].
-    pub fn poll(&mut self) -> Vec<JournalEvent> {
+    pub fn poll(&mut self) -> Vec<EventRecord> {
         let chunk = gist_obs::journal::drain_since(self.cursor);
         self.cursor = chunk.cursor;
         self.overwritten += chunk.overwritten;
-        let new = gist_obs::journal::to_events(&chunk.events);
+        let new = chunk.events;
         if !new.is_empty() {
             self.nonempty_polls += 1;
             self.events.extend(new.iter().cloned());
@@ -525,76 +499,76 @@ impl LiveTail {
 mod tests {
     use super::*;
 
-    fn sample() -> Journal {
-        let mk = |seq, trace, kind: &str, data: Json| JournalEvent {
+    fn rec(seq: u64, kind: EventKind) -> EventRecord {
+        EventRecord {
             seq,
-            trace,
+            trace: 1,
             tid: 0,
-            kind: kind.into(),
-            data,
-        };
+            kind,
+        }
+    }
+
+    fn step(seq: u64, step: u64, iid: u32, provenance: Vec<u64>) -> EventRecord {
+        rec(
+            seq,
+            EventKind::SketchStepEmitted {
+                step,
+                iid,
+                provenance,
+            },
+        )
+    }
+
+    fn slice(seq: u64, criterion: u32) -> EventRecord {
+        rec(
+            seq,
+            EventKind::SliceComputed {
+                criterion,
+                len: 4,
+                alias: true,
+            },
+        )
+    }
+
+    fn hit(seq: u64, iid: u32) -> EventRecord {
+        rec(
+            seq,
+            EventKind::WatchHit {
+                iid,
+                addr: 64,
+                value: 0,
+                hit_seq: seq,
+                hit_tid: 1,
+                discovered: true,
+            },
+        )
+    }
+
+    fn label(seq: u64, label: &str) -> EventRecord {
+        rec(
+            seq,
+            EventKind::TraceStarted {
+                label: label.into(),
+            },
+        )
+    }
+
+    fn sample() -> Journal {
         Journal::from_events(vec![
-            mk(
-                1,
-                1,
-                "trace.start",
-                Json::Obj(vec![("label".into(), Json::Str("Sketch for x".into()))]),
-            ),
-            mk(
-                2,
-                1,
-                "slice.computed",
-                Json::Obj(vec![("criterion".into(), Json::U64(7))]),
-            ),
-            mk(
-                3,
-                1,
-                "watch.hit",
-                Json::Obj(vec![("iid".into(), Json::U64(5))]),
-            ),
+            label(1, "Sketch for x"),
+            slice(2, 7),
+            hit(3, 5),
             // First sketch build: two steps.
-            mk(
-                4,
-                1,
-                "sketch.step",
-                Json::Obj(vec![
-                    ("step".into(), Json::U64(1)),
-                    ("iid".into(), Json::U64(5)),
-                    (
-                        "provenance".into(),
-                        Json::Arr(vec![Json::U64(3), Json::U64(2)]),
-                    ),
-                ]),
-            ),
-            mk(
-                5,
-                1,
-                "sketch.step",
-                Json::Obj(vec![
-                    ("step".into(), Json::U64(2)),
-                    ("iid".into(), Json::U64(7)),
-                    ("provenance".into(), Json::Arr(vec![Json::U64(2)])),
-                ]),
-            ),
+            step(4, 1, 5, vec![3, 2]),
+            step(5, 2, 7, vec![2]),
             // Rebuild: pruned to one step; the final sketch.
-            mk(
-                6,
-                1,
-                "sketch.step",
-                Json::Obj(vec![
-                    ("step".into(), Json::U64(1)),
-                    ("iid".into(), Json::U64(7)),
-                    ("provenance".into(), Json::Arr(vec![Json::U64(2)])),
-                ]),
-            ),
-            mk(
+            step(6, 1, 7, vec![2]),
+            rec(
                 7,
-                1,
-                "trace.finish",
-                Json::Obj(vec![
-                    ("iterations".into(), Json::U64(2)),
-                    ("recurrences".into(), Json::U64(3)),
-                ]),
+                EventKind::TraceFinished {
+                    iterations: 2,
+                    recurrences: 3,
+                },
             ),
         ])
     }
@@ -604,7 +578,7 @@ mod tests {
         let j = sample();
         let steps = j.final_steps(1);
         assert_eq!(steps.len(), 1, "pruned rebuild wins");
-        assert_eq!(steps[0].seq, 6);
+        assert_eq!(steps[0].event.seq, 6);
     }
 
     #[test]
@@ -645,61 +619,41 @@ mod tests {
     /// A journal with the full provenance shape: hit -> segments ->
     /// decode -> promotion -> sketch step.
     fn provenance_sample() -> Journal {
-        let mk = |seq, kind: &str, data: Vec<(&str, Json)>| JournalEvent {
-            seq,
-            trace: 1,
-            tid: 0,
-            kind: kind.into(),
-            data: Json::Obj(
-                data.into_iter()
-                    .map(|(k, v)| (k.to_owned(), v))
-                    .collect::<Vec<_>>(),
-            ),
+        let segment = |seq, core, stmts| {
+            rec(
+                seq,
+                EventKind::PtSegmentDecoded {
+                    core,
+                    segment: u64::from(core),
+                    bytes: 8,
+                    stmts,
+                },
+            )
         };
         Journal::from_events(vec![
-            mk(
-                1,
-                "trace.start",
-                vec![("label", Json::Str("Sketch for y".into()))],
+            label(1, "Sketch for y"),
+            slice(2, 9),
+            hit(3, 30),
+            segment(4, 0, 5),
+            segment(5, 1, 6),
+            rec(
+                6,
+                EventKind::TraceDecoded {
+                    stmts: 11,
+                    branches: 2,
+                    bytes: 16,
+                },
             ),
-            mk(2, "slice.computed", vec![("criterion", Json::U64(9))]),
-            mk(
-                3,
-                "watch.hit",
-                vec![("iid", Json::U64(30)), ("addr", Json::U64(64))],
-            ),
-            mk(
-                4,
-                "pt.segment",
-                vec![("core", Json::U64(0)), ("stmts", Json::U64(5))],
-            ),
-            mk(
-                5,
-                "pt.segment",
-                vec![("core", Json::U64(1)), ("stmts", Json::U64(6))],
-            ),
-            mk(6, "pt.decoded", vec![("stmts", Json::U64(11))]),
-            mk(
+            rec(
                 7,
-                "ast.promoted",
-                vec![
-                    ("iid", Json::U64(30)),
-                    ("reason", Json::Str("watch-discovery".into())),
-                    ("via", Json::U64(3)),
-                ],
+                EventKind::StmtPromoted {
+                    iid: 30,
+                    reason: "watch-discovery",
+                    via: 3,
+                    sigma: 2,
+                },
             ),
-            mk(
-                8,
-                "sketch.step",
-                vec![
-                    ("step", Json::U64(1)),
-                    ("iid", Json::U64(30)),
-                    (
-                        "provenance",
-                        Json::Arr(vec![Json::U64(3), Json::U64(6), Json::U64(7), Json::U64(2)]),
-                    ),
-                ],
-            ),
+            step(8, 1, 30, vec![3, 6, 7, 2]),
         ])
     }
 
@@ -771,26 +725,19 @@ mod tests {
     }
 
     #[test]
-    fn load_bytes_sniffs_binary_and_jsonl() {
-        use gist_obs::{EventKind, EventRecord};
-        let records = vec![EventRecord {
-            seq: 1,
-            trace: 1,
-            tid: 0,
-            kind: EventKind::RunStarted { run: 1, seed: 7 },
-        }];
+    fn load_bytes_reads_binary_and_rejects_jsonl() {
+        let records = vec![rec(1, EventKind::RunStarted { run: 1, seed: 7 })];
         let stats = JournalStats {
             events_overwritten: 2,
             oldest_seq: 1,
         };
         let bin = gist_obs::journal::to_binary(&records, &stats);
         let j = Journal::load_bytes(&bin).expect("binary loads");
-        assert_eq!(j.events.len(), 1);
+        assert_eq!(j.events, records);
         assert_eq!(j.stats, stats);
         let jsonl = gist_obs::journal::to_jsonl(&records);
-        let j2 = Journal::load_bytes(jsonl.as_bytes()).expect("jsonl loads");
-        assert_eq!(j2.events, j.events);
-        assert_eq!(j2.stats, JournalStats::default());
+        let err = Journal::load_bytes(jsonl.as_bytes()).expect_err("JSONL is not a journal");
+        assert!(err.contains("bad magic"), "{err}");
         assert!(Journal::load_bytes(&[0xff, 0xfe, 0x00]).is_err());
     }
 }

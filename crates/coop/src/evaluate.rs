@@ -3,7 +3,7 @@
 use gist_bugbase::BugSpec;
 use gist_core::ast::Growth;
 use gist_core::server::CostSummary;
-use gist_core::{GistConfig, GistServer};
+use gist_core::{diagnose_until, CoverageTarget, GistConfig, GistServer};
 use gist_sketch::accuracy::{measure, Accuracy};
 use gist_sketch::FailureSketch;
 
@@ -148,15 +148,21 @@ pub fn diagnose_bug(bug: &BugSpec, cfg: &EvalConfig) -> BugEvaluation {
         ),
     );
     let mut fleet = SimulatedFleet::for_bug(bug, cfg.fleet.clone());
+    // Stop once every ideal-sketch and root-cause line is on the sketch.
+    let target = if cfg.stop_at_root_cause {
+        CoverageTarget::from_groups(
+            bug.ideal_lines
+                .iter()
+                .chain(&bug.root_cause_lines)
+                .map(|&(file, line)| bug.stmts_at(file, line))
+                .collect(),
+        )
+    } else {
+        // An unachievable target: run AsT to saturation (ablations).
+        CoverageTarget::from_groups(vec![Vec::new()])
+    };
     let ideal_set = bug.ideal_stmts();
-    let stop_at_root = cfg.stop_at_root_cause;
-    let result = server.diagnose(&report, &mut fleet, Some(&ideal_set), &mut |sketch| {
-        if !stop_at_root {
-            return false;
-        }
-        let stmts: std::collections::BTreeSet<_> = sketch.stmts().into_iter().collect();
-        bug.ideal_covered(&stmts) && bug.root_cause_covered(&stmts)
-    });
+    let result = diagnose_until(&server, &report, &mut fleet, Some(&ideal_set), &target);
 
     let ideal = bug.ideal_sketch();
     let acc: Accuracy = measure(&result.sketch, &ideal);

@@ -27,7 +27,6 @@ pub mod client;
 pub mod engine;
 pub mod eval;
 pub mod refine;
-pub mod report;
 pub mod server;
 
 pub use ast::AstController;
@@ -35,5 +34,4 @@ pub use client::{ClientRunData, Fleet};
 pub use engine::SketchBuilder;
 pub use eval::{diagnose_until, CoverageTarget};
 pub use refine::Refinement;
-pub use report::{FailureCluster, FailureIndex};
 pub use server::{DiagnosisResult, GistConfig, GistServer};

@@ -379,59 +379,4 @@ impl EventRecord {
             ("data".into(), self.kind.data_value()),
         ])
     }
-
-    /// The record in the parsed (schema-level) representation.
-    pub fn to_event(&self) -> JournalEvent {
-        JournalEvent {
-            seq: self.seq,
-            trace: self.trace,
-            tid: self.tid,
-            kind: self.kind.kind_str().to_owned(),
-            data: self.kind.data_value(),
-        }
-    }
-}
-
-/// The schema-level view of one journal line: what `gist-trace` works
-/// with after parsing a JSONL journal (typed in-process records convert
-/// via [`EventRecord::to_event`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct JournalEvent {
-    /// Monotonic sequence number.
-    pub seq: u64,
-    /// Diagnosis trace id (0 = none).
-    pub trace: u64,
-    /// Journal-assigned thread index.
-    pub tid: u32,
-    /// Kind string (`watch.hit`, `sketch.step`, …).
-    pub kind: String,
-    /// Kind-specific payload object.
-    pub data: Json,
-}
-
-impl JournalEvent {
-    /// Fetches a field from the payload object.
-    pub fn field<'a>(&'a self, name: &str) -> Option<&'a Json> {
-        match &self.data {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Fetches an unsigned integer field from the payload.
-    pub fn field_u64(&self, name: &str) -> Option<u64> {
-        match self.field(name) {
-            Some(Json::U64(n)) => Some(*n),
-            Some(Json::I64(n)) => u64::try_from(*n).ok(),
-            _ => None,
-        }
-    }
-
-    /// Fetches a string field from the payload.
-    pub fn field_str(&self, name: &str) -> Option<&str> {
-        match self.field(name) {
-            Some(Json::Str(s)) => Some(s),
-            _ => None,
-        }
-    }
 }

@@ -11,14 +11,14 @@
 //!                  ▼ encode to wire frames (varint, ~10–30 B/event)
 //!              bounded global ring of frames (brief mutex push)
 //!                  │                          │
-//!            drain() / drain_with_stats()   drain_since(cursor)
-//!            take-and-clear, seq-sorted     incremental tail, no clear
+//!        drain() / drain_binary()         drain_since(cursor)
+//!        take-and-clear, seq-sorted       incremental tail, no clear
 //! ```
 //!
 //! The ring is **bounded** ([`DEFAULT_RING_CAPACITY`] frames): when full,
 //! the oldest frames are overwritten and counted — a runaway loop costs
 //! bounded memory and an explicit `events_overwritten` tally (surfaced by
-//! [`drain_with_stats`], the binary journal's meta frame, and the
+//! [`drain`], the binary journal's meta frame, and the
 //! `gist-trace summary` gap warning) instead of either unbounded growth
 //! or the old silent `MAX_EVENTS` drop-to-0-sentinel behavior.
 //!
@@ -48,9 +48,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-pub use crate::event::{EventKind, EventRecord, JournalEvent};
+pub use crate::event::{EventKind, EventRecord};
 use crate::json::Json;
-pub use crate::wire::JournalStats;
+pub use crate::wire::{parse_binary, to_binary, JournalStats};
 
 /// Default ring capacity in frames. At typical frame sizes (10–30 bytes)
 /// a full ring costs ~20–30 MB; the full-bugbase bench records ~25k
@@ -136,13 +136,6 @@ impl Ring {
         }
         self.frames.push_back(frame);
         self.end_pos += 1;
-    }
-
-    /// The oldest seq still present (0 when empty). An O(n) scan: frames
-    /// arrive roughly seq-ordered but cross-thread flushes interleave, so
-    /// the front frame is not necessarily the minimum.
-    fn oldest_seq(&self) -> u64 {
-        self.frames.iter().map(|f| f.seq).min().unwrap_or(0)
     }
 }
 
@@ -311,27 +304,21 @@ pub fn flush_local() {
 }
 
 /// Flushes the calling thread's buffer and takes every buffered event,
-/// sorted by sequence number. The journal is empty afterwards (recording
-/// continues; seq numbers keep growing until [`reset`]).
-pub fn drain() -> Vec<EventRecord> {
-    drain_with_stats().0
-}
-
-/// [`drain`] plus the epoch's overwrite accounting: how many events the
-/// bounded ring discarded, and the oldest seq that survived. The stats
-/// feed the binary journal's meta frame (see [`to_binary`]).
-pub fn drain_with_stats() -> (Vec<EventRecord>, JournalStats) {
-    let (binary, stats) = drain_binary();
-    let (events, _) = crate::wire::parse_binary(&binary).expect("ring frames decode");
-    (events, stats)
+/// sorted by sequence number, plus the epoch's overwrite accounting: how
+/// many events the bounded ring discarded, and the oldest seq that
+/// survived (the binary journal's meta frame, see [`to_binary`]). The
+/// journal is empty afterwards (recording continues; seq numbers keep
+/// growing until [`reset`]).
+pub fn drain() -> (Vec<EventRecord>, JournalStats) {
+    parse_binary(&drain_binary().0).expect("ring frames decode")
 }
 
 /// Takes the whole journal as a complete **binary journal** — header, all
 /// frames sorted by seq, trailing meta frame — without decoding anything:
 /// the ring already holds wire-encoded frames, so this is a sort plus one
-/// concatenation. Byte-identical to `to_binary(&drain(), &stats)` and the
-/// cheapest way to persist the journal (what `repro -- bench` writes).
-/// The journal is empty afterwards, like [`drain`].
+/// concatenation. Byte-identical to [`to_binary`] over [`drain`]'s output,
+/// and the cheapest way to persist the journal (what `repro -- bench`
+/// writes). The journal is empty afterwards, like [`drain`].
 pub fn drain_binary() -> (Vec<u8>, JournalStats) {
     let _ = LOCAL.try_with(|l| l.borrow_mut().flush());
     let (frames, overwritten) = {
@@ -390,16 +377,6 @@ pub fn drain_since(cursor: Cursor) -> DrainChunk {
     }
 }
 
-/// Current overwrite accounting without draining: events overwritten this
-/// epoch and the oldest seq still held by the ring.
-pub fn stats() -> JournalStats {
-    let ring = lock_ring();
-    JournalStats {
-        events_overwritten: ring.overwritten,
-        oldest_seq: ring.oldest_seq(),
-    }
-}
-
 /// Cumulative milliseconds spent encoding events into wire frames this
 /// epoch — the journal's amortized per-flush encoding cost.
 pub fn encode_ms() -> f64 {
@@ -440,20 +417,6 @@ pub fn reset() {
     let _ = LOCAL.try_with(|l| l.borrow_mut().events.clear());
 }
 
-/// Assembles the canonical binary journal from drained records: wire
-/// header, one frame per event (callers pass the seq-sorted [`drain`]
-/// output), and a trailing meta frame carrying the overwrite accounting.
-/// Deterministic: equal inputs produce byte-identical journals.
-pub fn to_binary(events: &[EventRecord], stats: &JournalStats) -> Vec<u8> {
-    crate::wire::to_binary(events, stats)
-}
-
-/// Parses a binary journal produced by [`to_binary`] back into records
-/// plus its meta-frame accounting.
-pub fn parse_binary(bytes: &[u8]) -> Result<(Vec<EventRecord>, JournalStats), String> {
-    crate::wire::parse_binary(bytes)
-}
-
 /// Renders drained records as the deterministic JSONL **export**: one
 /// compact JSON object per line, sorted by seq, no wall-clock fields.
 /// JSONL is an export format; [`to_binary`] is the canonical journal.
@@ -466,49 +429,8 @@ pub fn to_jsonl(events: &[EventRecord]) -> String {
     out
 }
 
-/// Converts drained records to the schema-level representation used by
-/// journal consumers ([`chrome_trace`], `gist-trace`).
-pub fn to_events(events: &[EventRecord]) -> Vec<JournalEvent> {
-    events.iter().map(EventRecord::to_event).collect()
-}
-
-/// Parses a JSONL journal back into events. Lines that are not objects
-/// with the journal schema are rejected with a line-numbered error.
-pub fn parse_jsonl(text: &str) -> Result<Vec<JournalEvent>, String> {
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = Json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let get = |name: &str| match &v {
-            Json::Obj(members) => members
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v.clone()),
-            _ => None,
-        };
-        let num = |name: &str| match get(name) {
-            Some(Json::U64(n)) => Ok(n),
-            _ => Err(format!("line {}: missing numeric `{name}`", i + 1)),
-        };
-        let kind = match get("kind") {
-            Some(Json::Str(s)) => s,
-            _ => return Err(format!("line {}: missing `kind`", i + 1)),
-        };
-        events.push(JournalEvent {
-            seq: num("seq")?,
-            trace: num("trace")?,
-            tid: num("tid")? as u32,
-            kind,
-            data: get("data").unwrap_or(Json::Null),
-        });
-    }
-    Ok(events)
-}
-
 /// Builds a Chrome `trace_event` export (the `chrome://tracing` /
-/// Perfetto JSON format) from journal events.
+/// Perfetto JSON format) from journal records.
 ///
 /// `span.begin` / `span.end` become `B` / `E` duration events; everything
 /// else becomes a thread-scoped instant (`i`) event carrying its payload
@@ -521,12 +443,12 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<JournalEvent>, String> {
 /// a reset): an `E` without a matching open `B` on its thread is dropped,
 /// an `E` that closes an outer span first closes the inner ones, and
 /// spans still open at the end are closed with synthetic `E` events.
-pub fn chrome_trace(events: &[JournalEvent]) -> Json {
+pub fn chrome_trace(events: &[EventRecord]) -> Json {
     let mut out: Vec<Json> = Vec::new();
     // Per-tid stack of open span names.
     let mut open: std::collections::BTreeMap<u32, Vec<String>> = std::collections::BTreeMap::new();
     let mut max_ts = 0u64;
-    let base = |e: &JournalEvent, ph: &str, name: &str, ts: u64| -> Vec<(String, Json)> {
+    let base = |e: &EventRecord, ph: &str, name: &str, ts: u64| -> Vec<(String, Json)> {
         vec![
             ("name".into(), Json::Str(name.to_owned())),
             ("ph".into(), Json::Str(ph.to_owned())),
@@ -537,14 +459,12 @@ pub fn chrome_trace(events: &[JournalEvent]) -> Json {
     };
     for e in events {
         max_ts = max_ts.max(e.seq);
-        match e.kind.as_str() {
-            "span.begin" => {
-                let path = e.field_str("path").unwrap_or("span").to_owned();
-                out.push(Json::Obj(base(e, "B", &path, e.seq)));
-                open.entry(e.tid).or_default().push(path);
+        match &e.kind {
+            EventKind::SpanBegin { path } => {
+                out.push(Json::Obj(base(e, "B", path, e.seq)));
+                open.entry(e.tid).or_default().push(path.clone());
             }
-            "span.end" => {
-                let path = e.field_str("path").unwrap_or("span");
+            EventKind::SpanEnd { path } => {
                 let stack = open.entry(e.tid).or_default();
                 let Some(pos) = stack.iter().rposition(|p| p == path) else {
                     continue; // no matching B on this thread: drop
@@ -555,10 +475,10 @@ pub fn chrome_trace(events: &[JournalEvent]) -> Json {
                     out.push(Json::Obj(base(e, "E", &inner, e.seq)));
                 }
             }
-            _ => {
-                let mut members = base(e, "i", &e.kind, e.seq);
+            kind => {
+                let mut members = base(e, "i", kind.kind_str(), e.seq);
                 members.push(("s".into(), Json::Str("t".into())));
-                members.push(("args".into(), e.data.clone()));
+                members.push(("args".into(), kind.data_value()));
                 out.push(Json::Obj(members));
             }
         }
@@ -611,7 +531,7 @@ mod tests {
     fn record_and_drain_round_trip() {
         let seq = record(EventKind::RunStarted { run: 7, seed: 9 });
         assert!(seq > 0);
-        let events = drain();
+        let (events, _) = drain();
         let mine: Vec<_> = events.iter().filter(|e| e.seq == seq).collect();
         assert_eq!(mine.len(), 1);
         assert_eq!(
@@ -680,60 +600,23 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_through_parse() {
-        let records = vec![
-            EventRecord {
-                seq: 1,
-                trace: 1,
-                tid: 0,
-                kind: EventKind::TraceStarted {
-                    label: "Failure Sketch for t \"quoted\"".into(),
-                },
-            },
-            EventRecord {
-                seq: 2,
-                trace: 1,
-                tid: 0,
-                kind: EventKind::WatchHit {
-                    iid: 5,
-                    addr: 0x1000,
-                    value: -3,
-                    hit_seq: 44,
-                    hit_tid: 1,
-                    discovered: true,
-                },
-            },
-        ];
-        let jsonl = to_jsonl(&records);
-        let parsed = parse_jsonl(&jsonl).expect("parses");
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].kind, "trace.start");
-        assert_eq!(
-            parsed[0].field_str("label"),
-            Some("Failure Sketch for t \"quoted\"")
-        );
-        assert_eq!(parsed[1].field_u64("hit_seq"), Some(44));
-        assert_eq!(parsed[1].field("value"), Some(&Json::I64(-3)));
-        assert_eq!(parsed, to_events(&records));
-    }
-
-    #[test]
     fn chrome_trace_balances_unmatched_spans() {
-        let ev = |seq, tid, kind: &str, path: &str| JournalEvent {
+        let begin = |path: &str| EventKind::SpanBegin { path: path.into() };
+        let end = |path: &str| EventKind::SpanEnd { path: path.into() };
+        let ev = |seq, tid, kind| EventRecord {
             seq,
             trace: 0,
             tid,
-            kind: kind.into(),
-            data: Json::Obj(vec![("path".into(), Json::Str(path.into()))]),
+            kind,
         };
         // tid 0: orphan end, then an open begin never closed;
         // tid 1: end closes the outer span while inner is open.
         let events = vec![
-            ev(1, 0, "span.end", "orphan"),
-            ev(2, 0, "span.begin", "open"),
-            ev(3, 1, "span.begin", "outer"),
-            ev(4, 1, "span.begin", "outer/inner"),
-            ev(5, 1, "span.end", "outer"),
+            ev(1, 0, end("orphan")),
+            ev(2, 0, begin("open")),
+            ev(3, 1, begin("outer")),
+            ev(4, 1, begin("outer/inner")),
+            ev(5, 1, end("outer")),
         ];
         let chrome = chrome_trace(&events);
         let Json::Obj(members) = &chrome else {

@@ -55,7 +55,7 @@ mod timer;
 pub mod wire;
 
 pub use counter::Counter;
-pub use event::{EventKind, EventRecord, JournalEvent};
+pub use event::{EventKind, EventRecord};
 pub use handle::{CounterHandle, HistogramHandle};
 pub use histogram::{bucket_floor, bucket_of, Histogram, NUM_BUCKETS};
 pub use journal::{begin_trace, end_trace, Cursor, DrainChunk, JournalStats};

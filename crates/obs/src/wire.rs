@@ -57,7 +57,7 @@ pub const VERSION: u64 = 1;
 pub const META_TAG: u8 = 255;
 
 /// Journal-level overwrite accounting, carried by the meta frame and
-/// surfaced by [`crate::journal::drain_with_stats`].
+/// surfaced by [`crate::journal::drain`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct JournalStats {
     /// Events overwritten (lost to the bounded ring) this epoch. Non-zero
@@ -83,15 +83,14 @@ pub fn put_varint(mut v: u64, out: &mut Vec<u8>) {
     }
 }
 
-/// Reads a LEB128 varint at `*pos`, advancing it. `None` when the buffer
-/// ends mid-varint (the streaming decoder's "wait for more bytes" case);
-/// an error when the encoding overflows 64 bits.
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<Option<u64>, String> {
+/// Reads a LEB128 varint at `*pos`, advancing it. An error when the
+/// buffer ends mid-varint or the encoding overflows 64 bits.
+fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
     let mut v: u64 = 0;
     let mut shift = 0u32;
     loop {
         let Some(&byte) = buf.get(*pos) else {
-            return Ok(None);
+            return Err(format!("varint truncated at byte {}", *pos));
         };
         *pos += 1;
         if shift == 63 && byte > 0x01 {
@@ -99,7 +98,7 @@ fn get_varint(buf: &[u8], pos: &mut usize) -> Result<Option<u64>, String> {
         }
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
-            return Ok(Some(v));
+            return Ok(v);
         }
         shift += 7;
         if shift > 63 {
@@ -282,8 +281,7 @@ fn encode_kind(kind: &EventKind, out: &mut Vec<u8>) {
     }
 }
 
-/// A cursor over one complete frame body, erroring (rather than waiting)
-/// on truncation: the length prefix guaranteed the body is complete.
+/// A cursor over one frame body; every read errors on truncation.
 struct Body<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -291,7 +289,7 @@ struct Body<'a> {
 
 impl Body<'_> {
     fn u64(&mut self) -> Result<u64, String> {
-        get_varint(self.buf, &mut self.pos)?.ok_or_else(|| "frame body truncated".to_owned())
+        get_varint(self.buf, &mut self.pos)
     }
 
     fn u32(&mut self) -> Result<u32, String> {
@@ -345,8 +343,10 @@ fn intern_reason(s: String) -> &'static str {
     Box::leak(s.into_boxed_str())
 }
 
-fn decode_kind(tag: u8, b: &mut Body) -> Result<EventKind, String> {
-    Ok(match tag {
+/// Decodes the fields of tag `tag`; `None` for a tag this reader does not
+/// know (skipped per the versioning rules).
+fn decode_kind(tag: u8, b: &mut Body) -> Result<Option<EventKind>, String> {
+    Ok(Some(match tag {
         0 => EventKind::TraceStarted { label: b.str()? },
         1 => EventKind::TraceFinished {
             iterations: b.u64()?,
@@ -434,8 +434,8 @@ fn decode_kind(tag: u8, b: &mut Body) -> Result<EventKind, String> {
         }
         15 => EventKind::SpanBegin { path: b.str()? },
         16 => EventKind::SpanEnd { path: b.str()? },
-        other => return Err(format!("unknown event tag {other}")),
-    })
+        _ => return Ok(None),
+    }))
 }
 
 /// Encodes one record as a complete length-prefixed frame.
@@ -468,21 +468,71 @@ pub(crate) fn encode_meta(stats: &JournalStats, out: &mut Vec<u8>) {
     out.extend_from_slice(&body);
 }
 
+/// One decoded frame.
+enum Frame {
+    Event(EventRecord),
+    /// The meta frame's overwrite accounting.
+    Meta(JournalStats),
+    /// A frame with an unknown tag, skipped per the versioning rules.
+    Unknown,
+}
+
+/// Reads the complete frame at `*pos`, advancing past it. A frame that
+/// runs past the end of `buf` is an error, as is a length prefix that
+/// overflows.
+fn read_frame(buf: &[u8], pos: &mut usize) -> Result<Frame, String> {
+    let start = *pos;
+    let len = get_varint(buf, pos)?;
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| pos.checked_add(len))
+        .ok_or_else(|| format!("frame length {len} overflows at byte {start}"))?;
+    let body = buf.get(*pos..end).ok_or_else(|| {
+        format!(
+            "journal truncated: the frame at byte {start} needs {len} bytes, {} remain",
+            buf.len() - *pos
+        )
+    })?;
+    *pos = end;
+    let mut b = Body { buf: body, pos: 0 };
+    let seq = b.u64()?;
+    let trace = b.u64()?;
+    let tid = u32::try_from(b.u64()?).map_err(|_| "tid out of range".to_owned())?;
+    let tag = *b
+        .buf
+        .get(b.pos)
+        .ok_or_else(|| "frame body truncated".to_owned())?;
+    b.pos += 1;
+    if tag == META_TAG {
+        return Ok(Frame::Meta(JournalStats {
+            events_overwritten: b.u64()?,
+            oldest_seq: b.u64()?,
+        }));
+    }
+    Ok(match decode_kind(tag, &mut b)? {
+        Some(kind) => Frame::Event(EventRecord {
+            seq,
+            trace,
+            tid,
+            kind,
+        }),
+        None => Frame::Unknown,
+    })
+}
+
 /// Decodes exactly one complete frame (as produced by [`encode_event`]).
 /// Used by the ring, whose frames are complete by construction.
 pub fn decode_event(frame: &[u8]) -> Result<EventRecord, String> {
-    let mut pos = 0usize;
-    let mut dec = StreamDecoder::past_header();
-    match dec.next_frame(frame, &mut pos)? {
-        Some(Decoded::Event(rec)) => Ok(rec),
-        Some(_) => Err("expected an event frame".to_owned()),
-        None => Err("incomplete frame".to_owned()),
+    match read_frame(frame, &mut 0)? {
+        Frame::Event(rec) => Ok(rec),
+        _ => Err("expected an event frame".to_owned()),
     }
 }
 
-/// Assembles a complete binary journal: header, the given records as
-/// frames (in the order given — callers pass seq-sorted slices), and the
-/// trailing meta frame.
+/// Assembles the canonical binary journal: header, one frame per record
+/// (in the order given — callers pass the seq-sorted drain output), and a
+/// trailing meta frame carrying the overwrite accounting. Deterministic:
+/// equal inputs produce byte-identical journals.
 pub fn to_binary(events: &[EventRecord], stats: &JournalStats) -> Vec<u8> {
     // Typical frames run 10–30 bytes; 24 is a close fit that avoids
     // re-allocation churn without overshooting.
@@ -496,155 +546,31 @@ pub fn to_binary(events: &[EventRecord], stats: &JournalStats) -> Vec<u8> {
     out
 }
 
-/// Whether `bytes` start with the binary-journal magic.
-pub fn is_binary(bytes: &[u8]) -> bool {
-    bytes.len() >= MAGIC.len() && bytes[..MAGIC.len()] == MAGIC
-}
-
-/// One decoded frame.
-enum Decoded {
-    Event(EventRecord),
-    /// A meta frame; its accounting lands in [`StreamDecoder::stats`].
-    Meta,
-    /// A frame with an unknown tag, skipped per the versioning rules.
-    Unknown,
-}
-
-/// Incremental frame decoder: feed it a growing buffer (a file being
-/// appended to) and it consumes only *complete* frames, leaving `pos` at
-/// the first incomplete one. This is what `gist-trace follow` uses to
-/// tail a live binary journal.
-pub struct StreamDecoder {
-    header_seen: bool,
-    /// Accounting from the latest meta frame seen.
-    pub stats: JournalStats,
-}
-
-impl Default for StreamDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl StreamDecoder {
-    /// A decoder expecting the file header first.
-    pub fn new() -> Self {
-        StreamDecoder {
-            header_seen: false,
-            stats: JournalStats::default(),
-        }
-    }
-
-    /// A decoder for headerless frame sequences (single-frame decode).
-    fn past_header() -> Self {
-        StreamDecoder {
-            header_seen: true,
-            stats: JournalStats::default(),
-        }
-    }
-
-    /// Consumes the header if not yet seen. `Ok(false)` = need more bytes.
-    fn consume_header(&mut self, buf: &[u8], pos: &mut usize) -> Result<bool, String> {
-        if self.header_seen {
-            return Ok(true);
-        }
-        if buf.len() < *pos + MAGIC.len() {
-            return Ok(false);
-        }
-        if buf[*pos..*pos + MAGIC.len()] != MAGIC {
-            return Err("not a binary journal (bad magic)".to_owned());
-        }
-        let mut p = *pos + MAGIC.len();
-        let Some(version) = get_varint(buf, &mut p)? else {
-            return Ok(false);
-        };
-        if version > VERSION {
-            return Err(format!(
-                "journal version {version} is newer than supported {VERSION}"
-            ));
-        }
-        *pos = p;
-        self.header_seen = true;
-        Ok(true)
-    }
-
-    /// Decodes the next complete frame at `*pos`. `Ok(None)` = the buffer
-    /// ends mid-frame; `*pos` is left unchanged so the caller can retry
-    /// with more bytes.
-    fn next_frame(&mut self, buf: &[u8], pos: &mut usize) -> Result<Option<Decoded>, String> {
-        let mut p = *pos;
-        let Some(len) = get_varint(buf, &mut p)? else {
-            return Ok(None);
-        };
-        let end = usize::try_from(len)
-            .ok()
-            .and_then(|len| p.checked_add(len))
-            .ok_or_else(|| format!("frame length {len} overflows at byte {}", *pos))?;
-        let Some(body) = buf.get(p..end) else {
-            return Ok(None);
-        };
-        let mut b = Body { buf: body, pos: 0 };
-        let seq = b.u64()?;
-        let trace = b.u64()?;
-        let tid = u32::try_from(b.u64()?).map_err(|_| "tid out of range".to_owned())?;
-        let tag = *b
-            .buf
-            .get(b.pos)
-            .ok_or_else(|| "frame body truncated".to_owned())?;
-        b.pos += 1;
-        *pos = end;
-        if tag == META_TAG {
-            let stats = JournalStats {
-                events_overwritten: b.u64()?,
-                oldest_seq: b.u64()?,
-            };
-            self.stats = stats;
-            return Ok(Some(Decoded::Meta));
-        }
-        match decode_kind(tag, &mut b) {
-            Ok(kind) => Ok(Some(Decoded::Event(EventRecord {
-                seq,
-                trace,
-                tid,
-                kind,
-            }))),
-            // Unknown tag: skip the frame (forward compatibility).
-            Err(e) if e.starts_with("unknown event tag") => Ok(Some(Decoded::Unknown)),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Decodes every complete frame from `*pos` onward, advancing `*pos`
-    /// past them. Returns the decoded events (meta/unknown frames update
-    /// [`StreamDecoder::stats`] / are skipped).
-    pub fn feed(&mut self, buf: &[u8], pos: &mut usize) -> Result<Vec<EventRecord>, String> {
-        let mut events = Vec::new();
-        if !self.consume_header(buf, pos)? {
-            return Ok(events);
-        }
-        while let Some(frame) = self.next_frame(buf, pos)? {
-            if let Decoded::Event(rec) = frame {
-                events.push(rec);
-            }
-        }
-        Ok(events)
-    }
-}
-
 /// Parses a complete binary journal into records plus the accounting from
 /// its meta frame. Frames with unknown tags are skipped (see the module
-/// docs' versioning rules); a journal that ends mid-frame is rejected.
+/// docs' versioning rules); bad magic, a newer version and a journal that
+/// ends mid-frame are errors.
 pub fn parse_binary(bytes: &[u8]) -> Result<(Vec<EventRecord>, JournalStats), String> {
-    let mut dec = StreamDecoder::new();
-    let mut pos = 0usize;
-    let events = dec.feed(bytes, &mut pos)?;
-    if pos != bytes.len() {
+    if !bytes.starts_with(&MAGIC) {
+        return Err("not a binary journal (bad magic)".to_owned());
+    }
+    let mut pos = MAGIC.len();
+    let version = get_varint(bytes, &mut pos)?;
+    if version > VERSION {
         return Err(format!(
-            "journal truncated: {} trailing bytes form no complete frame",
-            bytes.len() - pos
+            "journal version {version} is newer than supported {VERSION}"
         ));
     }
-    Ok((events, dec.stats))
+    let mut events = Vec::new();
+    let mut stats = JournalStats::default();
+    while pos < bytes.len() {
+        match read_frame(bytes, &mut pos)? {
+            Frame::Event(rec) => events.push(rec),
+            Frame::Meta(meta) => stats = meta,
+            Frame::Unknown => {}
+        }
+    }
+    Ok((events, stats))
 }
 
 #[cfg(test)]
@@ -657,15 +583,15 @@ mod tests {
             let mut buf = Vec::new();
             put_varint(v, &mut buf);
             let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos), Ok(Some(v)));
+            assert_eq!(get_varint(&buf, &mut pos), Ok(v));
             assert_eq!(pos, buf.len());
         }
-        // Truncated varint: wait, don't error.
+        // Truncated varint: error.
         let mut buf = Vec::new();
         put_varint(u64::MAX, &mut buf);
         buf.pop();
         let mut pos = 0;
-        assert_eq!(get_varint(&buf, &mut pos), Ok(None));
+        assert!(get_varint(&buf, &mut pos).is_err());
         // Overflowing 10-byte varint: error.
         let bad = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
         let mut pos = 0;
@@ -735,31 +661,9 @@ mod tests {
             oldest_seq: 43,
         };
         let bin = to_binary(&records, &stats);
-        assert!(is_binary(&bin));
         let (decoded, got) = parse_binary(&bin).expect("parses");
         assert_eq!(decoded, records);
         assert_eq!(got, stats);
-    }
-
-    #[test]
-    fn stream_decoder_waits_for_complete_frames() {
-        let rec = EventRecord {
-            seq: 300,
-            trace: 1,
-            tid: 0,
-            kind: EventKind::RunStarted { run: 5, seed: 9 },
-        };
-        let bin = to_binary(std::slice::from_ref(&rec), &JournalStats::default());
-        let mut dec = StreamDecoder::new();
-        let mut pos = 0usize;
-        // Feed byte by byte: events appear only once their frame completes,
-        // and every prefix is either "wait" or yields the full record.
-        let mut seen = Vec::new();
-        for end in 0..=bin.len() {
-            seen.extend(dec.feed(&bin[..end], &mut pos).expect("no error"));
-        }
-        assert_eq!(seen, vec![rec]);
-        assert_eq!(pos, bin.len());
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //!    non-empty provenance chain whose seq-nos all resolve inside the
 //!    diagnosis's own journal, and `gist-trace explain` (the same
 //!    `explain_step` path) renders each of them.
+//! 5. `repro -- sketch pbzip2-1 --explain` resolves every step's chain
+//!    inline: each line reads `#<seq> <kind> k=v…` with a provenance
+//!    kind, and each chain ends at the slice criterion.
 //!
 //! To accept intentional journal-shape changes:
 //!
@@ -30,6 +33,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use gist_bench::experiments::sketch_for_explained;
 use gist_bench::trace_tool::Journal;
 use gist_bugbase::{all_bugs, bug_by_name, BugSpec};
 use gist_coop::{diagnose_bug, BugEvaluation, EvalConfig};
@@ -58,6 +62,56 @@ fn line_diff(expected: &str, actual: &str) -> String {
     out
 }
 
+/// The kinds a sketch step's provenance chain can name (hit -> decode ->
+/// promotion -> slice criterion).
+const CHAIN_KINDS: [&str; 4] = ["watch.hit", "pt.decoded", "ast.promoted", "slice.computed"];
+
+/// Checks the `--explain` render of `name`'s sketch: every step has a
+/// non-empty provenance block, every chain line is `#<seq> <kind> k=v…`
+/// with a kind from [`CHAIN_KINDS`], and every chain ends at
+/// `slice.computed`.
+fn explained_sketch_resolves_every_chain(name: &str) {
+    let text = sketch_for_explained(name).expect("bug exists");
+    assert!(
+        !text.contains("<unresolved>") && !text.contains("(no provenance recorded)"),
+        "{name}: every chain resolves:\n{text}"
+    );
+    let (_, provenance) = text
+        .split_once("\nProvenance (")
+        .unwrap_or_else(|| panic!("{name}: no provenance section:\n{text}"));
+    let mut chains: Vec<Vec<&str>> = Vec::new();
+    for line in provenance.lines().skip(1) {
+        if line.starts_with("  step ") {
+            chains.push(Vec::new());
+        } else {
+            let chain = chains.last_mut().expect("chain lines follow a step line");
+            chain.push(line.trim_start());
+        }
+    }
+    assert!(!chains.is_empty(), "{name}: sketch has steps");
+    for (i, chain) in chains.iter().enumerate() {
+        let step = i + 1;
+        assert!(!chain.is_empty(), "{name} step {step}: no provenance block");
+        for line in chain {
+            let mut words = line.split_whitespace();
+            let seq = words.next().and_then(|w| w.strip_prefix('#'));
+            let kind = words.next().unwrap_or_default();
+            assert!(
+                seq.is_some_and(|s| s.parse::<u64>().is_ok())
+                    && CHAIN_KINDS.contains(&kind)
+                    && words.all(|w| w.contains('=')),
+                "{name} step {step}: chain line is not `#<seq> <kind> k=v…`: {line:?}"
+            );
+        }
+        let last = chain.last().and_then(|l| l.split_whitespace().nth(1));
+        assert_eq!(
+            last,
+            Some("slice.computed"),
+            "{name} step {step}: chain must end at the slice criterion"
+        );
+    }
+}
+
 /// Diagnoses `bug` against a freshly reset journal and returns the
 /// evaluation together with the drained journal: binary bytes, JSONL
 /// export, and the parsed view — the parsed view is reconstructed **from
@@ -66,7 +120,7 @@ fn line_diff(expected: &str, actual: &str) -> String {
 fn diagnose_journaled(bug: &BugSpec) -> (BugEvaluation, Vec<u8>, String, Journal) {
     gist_obs::reset();
     let eval = diagnose_bug(bug, &EvalConfig::default());
-    let (events, stats) = gist_obs::journal::drain_with_stats();
+    let (events, stats) = gist_obs::journal::drain();
     assert_eq!(stats.events_overwritten, 0, "{}: ring overflowed", bug.name);
     let binary = gist_obs::journal::to_binary(&events, &stats);
     let jsonl = gist_obs::journal::to_jsonl(&events);
@@ -177,4 +231,7 @@ fn journal_is_deterministic_and_every_sketch_step_explains() {
             );
         }
     }
+
+    // 4. The inline `--explain` render resolves every chain.
+    explained_sketch_resolves_every_chain("pbzip2-1");
 }

@@ -93,7 +93,7 @@ fn overwrites_are_accounted_and_warned() {
         journal::record(EventKind::RunStarted { run: i, seed: 0 });
     }
     journal::flush_local();
-    let (events, stats) = journal::drain_with_stats();
+    let (events, stats) = journal::drain();
     // Restore the shared ring before asserting (capacity survives reset).
     journal::set_ring_capacity(DEFAULT_RING_CAPACITY);
     journal::reset();
@@ -172,10 +172,10 @@ fn live_tail_of_a_diagnosis_matches_batch_drain() {
     // diagnosis batch-drained in one go renders the same JSONL.
     journal::reset();
     gist_coop::diagnose_bug(&bug, &cfg);
-    let clean = journal::to_events(&journal::drain());
+    let (clean, _) = journal::drain();
     assert_eq!(
-        gist_bench::trace_tool::jsonl_text(&streamed),
-        gist_bench::trace_tool::jsonl_text(&Journal::from_events(clean)),
+        journal::to_jsonl(&streamed.events),
+        journal::to_jsonl(&clean),
         "streamed journal must equal a clean batch drain byte-for-byte"
     );
 }
