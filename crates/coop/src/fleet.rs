@@ -10,12 +10,21 @@
 //! The only state an executor keeps across runs is its VM scratch; every
 //! run allocates its own trace buffers and decodes its trace cold, so
 //! executors share nothing mutable.
+//!
+//! Both blocking receives of a batch — a worker's wait for its next chunk
+//! and the dispatcher's wait for a worker's result — go through
+//! `recv_polling`: poll the channel for a few of the executor's own
+//! chunk times, and only then park. Waking a parked thread costs about as
+//! much as one tracked run, and every batch would pay it on both sides, so
+//! a fleet driven batch after batch never parks, while an idle fleet's
+//! workers still do. The bound is derived from the chunk time rather than
+//! configured: it scales with the work on any host.
 
 use std::collections::VecDeque;
 use std::ops::Range;
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gist_core::{ClientRunData, Fleet};
 use gist_ir::Program;
@@ -128,7 +137,8 @@ pub struct WorkerStats {
     pub shard_hits: u64,
     /// Always 0, like [`WorkerStats::shard_hits`].
     pub shard_misses: u64,
-    /// Per-batch microseconds spent blocked waiting for the next chunk.
+    /// Per-batch microseconds spent waiting for the next chunk, polling
+    /// first and then parked (see `recv_polling`).
     wait_hist: LocalHist,
 }
 
@@ -183,7 +193,7 @@ struct Chunk {
 /// the tallies merged into its [`WorkerStats`].
 struct ChunkDone {
     runs: Vec<ClientRunData>,
-    /// Time the worker spent blocked on its job channel before this chunk
+    /// Time the worker spent waiting on its job channel before this chunk
     /// (0 for the dispatching thread).
     waited_us: u64,
 }
@@ -212,20 +222,46 @@ impl Drop for FleetPool {
     }
 }
 
+/// How many of an executor's own last chunk times it polls a channel
+/// before parking. The next chunk (or a peer's result, which is a chunk of
+/// the same size) normally arrives well within one chunk time; a few
+/// leave room for an uneven split and a slow run.
+const POLL_CHUNKS: u32 = 4;
+
+/// Receives the next message on `rx`: polls with `try_recv` for up to
+/// `poll`, then parks in a blocking `recv`. `None` once every sender is
+/// gone, in either phase.
+fn recv_polling<T>(rx: &Receiver<T>, poll: Duration) -> Option<T> {
+    let start = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(msg) => return Some(msg),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) if start.elapsed() >= poll => return rx.recv().ok(),
+            Err(TryRecvError::Empty) => std::hint::spin_loop(),
+        }
+    }
+}
+
 /// Body of one pool worker thread: runs chunks until its job channel
 /// closes. A panic unwinds the thread and drops `results`, which the
-/// dispatcher observes as a failed `recv`.
+/// dispatcher observes as a failed receive.
 fn worker_loop(env: Arc<PoolEnv>, jobs: Receiver<Chunk>, results: Sender<ChunkDone>) {
     let mut scratch = VmScratch::default();
-    let mut wait_start = Instant::now();
-    for chunk in jobs {
-        let waited_us = wait_start.elapsed().as_micros() as u64;
+    // No chunk has run yet, so there is no chunk time to poll for.
+    let mut poll = Duration::ZERO;
+    loop {
+        let wait_start = Instant::now();
+        let Some(chunk) = recv_polling(&jobs, poll) else {
+            return;
+        };
+        let started = Instant::now();
         let mut done = run_chunk(&env, &chunk, &mut scratch);
-        done.waited_us = waited_us;
+        poll = started.elapsed() * POLL_CHUNKS;
+        done.waited_us = started.duration_since(wait_start).as_micros() as u64;
         if results.send(done).is_err() {
             return;
         }
-        wait_start = Instant::now();
     }
 }
 
@@ -426,8 +462,11 @@ impl<'p> SimulatedFleet<'p> {
         self.ensure_pool();
         let pool = self.pool.as_mut().expect("pool just ensured");
         let runs = descriptors.len();
-        let executors = pool.workers.len() + 1;
-        // One contiguous chunk per executor, as even as possible
+        // A batch the server's hint capped below the executor count leaves
+        // the last workers out rather than sending anyone an empty chunk.
+        let executors = (pool.workers.len() + 1).min(runs);
+        let workers = &mut pool.workers[..executors - 1];
+        // One contiguous, non-empty chunk per executor, as even as possible
         // (executor 0 = this thread).
         let chunk_of = |k: usize| k * runs / executors..(k + 1) * runs / executors;
         let batch = Arc::new(Batch {
@@ -435,7 +474,7 @@ impl<'p> SimulatedFleet<'p> {
             patch: patch.clone(),
             parent: gist_obs::current_span_handle(),
         });
-        for (k, w) in pool.workers.iter().enumerate() {
+        for (k, w) in workers.iter().enumerate() {
             let chunk = Chunk {
                 batch: Arc::clone(&batch),
                 range: chunk_of(k + 1),
@@ -448,11 +487,14 @@ impl<'p> SimulatedFleet<'p> {
             batch,
             range: chunk_of(0),
         };
+        let started = Instant::now();
         let done = run_chunk(&pool.env, &own, &mut self.main_scratch);
+        // Every worker's chunk is about as large as this one.
+        let poll = started.elapsed() * POLL_CHUNKS;
         self.main_stats.absorb_chunk(&done);
         self.buffer.extend(done.runs);
-        for w in &mut pool.workers {
-            let Ok(done) = w.results.recv() else {
+        for w in workers {
+            let Some(done) = recv_polling(&w.results, poll) else {
                 panic!("fleet worker panicked");
             };
             w.stats.absorb_chunk(&done);
@@ -675,6 +717,73 @@ mod tests {
             .copied()
             .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
         assert_eq!(msg, Some("fleet worker panicked"));
+    }
+
+    /// A batch the hint caps below the executor count runs on that many
+    /// executors only: the dispatching thread runs a chunk of its own, and
+    /// the surplus worker is sent no empty chunk and counts no batch.
+    #[test]
+    fn capped_batch_leaves_surplus_workers_out() {
+        let bug = bug_by_name("pbzip2-1").unwrap();
+        let patch = InstrumentationPatch::default();
+        let mut fleet = SimulatedFleet::for_bug(&bug, forced(8, 8, 2));
+        Fleet::hint_runs_remaining(&mut fleet, 2);
+        let ids: Vec<u64> = (0..2)
+            .map(|_| Fleet::next_run(&mut fleet, &patch).run_id)
+            .collect();
+        assert_eq!(ids, [0, 1]);
+        assert_eq!(fleet.pool_workers(), 2, "both forced workers spawned");
+        let stats = fleet.contention_stats();
+        let runs: Vec<u64> = stats.workers.iter().map(|w| w.runs).collect();
+        assert_eq!(runs, [1, 1, 0], "one run per executor, executor 0 first");
+        let batches: Vec<u64> = stats.workers.iter().map(|w| w.batches).collect();
+        assert_eq!(batches, [1, 1, 0], "no batch counted on worker 2");
+    }
+
+    /// Calls `recv_polling(&rx, poll)` on a thread of its own and returns
+    /// once that thread is about to call it, with the channel its result
+    /// arrives on.
+    fn recv_on_thread(
+        rx: Receiver<u32>,
+        poll: Duration,
+    ) -> (Receiver<Option<u32>>, std::thread::JoinHandle<()>) {
+        let (started_tx, started) = channel();
+        let (out_tx, out) = channel();
+        let handle = std::thread::spawn(move || {
+            started_tx.send(()).expect("caller waits");
+            let _ = out_tx.send(recv_polling(&rx, poll));
+        });
+        started.recv().expect("receiving thread starts");
+        (out, handle)
+    }
+
+    /// Longer than any test runs: a helper given this bound is still
+    /// polling when it returns.
+    const POLL_FOREVER: Duration = Duration::from_secs(3600);
+    /// How long a test waits for the helper before calling it hung.
+    const HUNG: Duration = Duration::from_secs(60);
+
+    #[test]
+    fn recv_polling_returns_a_message_sent_while_polling_or_parked() {
+        // A zero bound parks after the first empty poll.
+        for poll in [POLL_FOREVER, Duration::ZERO] {
+            let (tx, rx) = channel();
+            let (out, handle) = recv_on_thread(rx, poll);
+            tx.send(7).expect("receiver alive");
+            assert_eq!(out.recv_timeout(HUNG), Ok(Some(7)), "poll bound {poll:?}");
+            handle.join().expect("receiving thread");
+        }
+    }
+
+    #[test]
+    fn recv_polling_ends_on_disconnect_while_polling_or_parked() {
+        for poll in [POLL_FOREVER, Duration::ZERO] {
+            let (tx, rx) = channel::<u32>();
+            let (out, handle) = recv_on_thread(rx, poll);
+            drop(tx);
+            assert_eq!(out.recv_timeout(HUNG), Ok(None), "poll bound {poll:?}");
+            handle.join().expect("receiving thread");
+        }
     }
 
     /// The server's remaining-runs hint caps prefetch: with 3 runs left,

@@ -40,8 +40,12 @@
 //! # Cost
 //!
 //! Recording is always on and not free. On the repository benchmark's
-//! `fleet` workload, compiling every recording operation out cut each
-//! tracked run's time by about 28% (~32k -> ~44k runs/s on 2 vCPUs).
+//! `fleet` workload (2 vCPUs, pooled batches of 2), stubbing out every
+//! journal, span, counter and histogram call cut the dispatcher's traced
+//! time per run from 18.9 to 15.9 µs (median of 6 runs each). The
+//! calibrated throughput gain it showed (+29%) is mostly the benchmark's
+//! calibration kernel reading slower in the stubbed build: raw runs/s
+//! rose only 7.5%, inside the run-to-run spread.
 
 mod counter;
 pub mod event;
