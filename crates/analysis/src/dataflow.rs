@@ -35,6 +35,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use gist_ir::icfg::Ticfg;
 use gist_ir::{BinKind, FuncId, InstrId, Op, Operand, Program, Terminator, Value, VarId};
 
+use crate::diag::Diagnostic;
+use crate::pass::{AnalysisCtx, Pass};
 use crate::points_to::{Loc, LocSet, PointsTo};
 
 /// Which way facts flow through the TICFG.
@@ -383,8 +385,9 @@ impl DataflowAnalysis for MemLiveness<'_> {
 /// Stores whose written cell can never be observed again: no later load,
 /// free, lock, or intrinsic on any TICFG path may touch any cell the
 /// store may write. Watchpoints on these are wasted debug registers.
-pub fn dead_stores(program: &Program, ticfg: &Ticfg, pts: &PointsTo) -> BTreeSet<InstrId> {
-    let live = solve(program, ticfg, &MemLiveness::new(pts));
+pub fn dead_stores(cx: &AnalysisCtx<'_>) -> BTreeSet<InstrId> {
+    let (program, pts) = (cx.program, cx.points_to());
+    let live = solve(program, cx.ticfg(), &MemLiveness::new(pts));
     let mut dead = BTreeSet::new();
     for f in &program.functions {
         for b in &f.blocks {
@@ -591,22 +594,20 @@ pub struct DeadStoreLintPass {
     pub limit: Option<usize>,
 }
 
-impl crate::pass::Pass for DeadStoreLintPass {
+impl Pass for DeadStoreLintPass {
     fn name(&self) -> &'static str {
         "dead-store-lint"
     }
 
-    fn run(&self, cx: &mut crate::pass::AnalysisCtx<'_>) -> Vec<crate::diag::Diagnostic> {
+    fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic> {
         let program = cx.program;
-        let ticfg = cx.ticfg();
-        let pts = PointsTo::compute(program, ticfg);
-        let dead = dead_stores(program, ticfg, &pts);
         let limit = self.limit.unwrap_or(5);
-        dead.iter()
+        dead_stores(cx)
+            .iter()
             .take(limit)
             .map(|&id| {
                 let loc = program.stmt_loc(id).unwrap_or(gist_ir::SrcLoc::UNKNOWN);
-                crate::diag::Diagnostic::warning(
+                Diagnostic::warning(
                     "GA012",
                     "stored value is never read, freed, or synchronized on any path".to_owned(),
                 )
@@ -782,9 +783,7 @@ mod tests {
         f.ret(None);
         f.finish();
         let p = pb.finish().unwrap();
-        let ticfg = Icfg::build_ticfg(&p);
-        let pts = PointsTo::compute(&p, &ticfg);
-        let dead = dead_stores(&p, &ticfg, &pts);
+        let dead = dead_stores(&AnalysisCtx::new(&p));
         let ids: Vec<InstrId> = p.all_stmt_ids().collect();
         assert!(dead.contains(&ids[0]), "scratch store is dead: {dead:?}");
         assert!(!dead.contains(&ids[1]), "out store is observed");
@@ -804,9 +803,7 @@ mod tests {
         f.ret(None);
         f.finish();
         let p = pb.finish().unwrap();
-        let ticfg = Icfg::build_ticfg(&p);
-        let pts = PointsTo::compute(&p, &ticfg);
-        let dead = dead_stores(&p, &ticfg, &pts);
+        let dead = dead_stores(&AnalysisCtx::new(&p));
         assert!(dead.is_empty(), "every store is read back: {dead:?}");
     }
 
@@ -822,9 +819,7 @@ mod tests {
         f.ret(None);
         f.finish();
         let p = pb.finish().unwrap();
-        let ticfg = Icfg::build_ticfg(&p);
-        let pts = PointsTo::compute(&p, &ticfg);
-        let dead = dead_stores(&p, &ticfg, &pts);
+        let dead = dead_stores(&AnalysisCtx::new(&p));
         assert!(dead.is_empty(), "free observes the cell: {dead:?}");
     }
 

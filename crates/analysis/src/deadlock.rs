@@ -2,7 +2,7 @@
 //!
 //! The VM can *observe* a deadlock when one happens; this pass predicts
 //! them before any run. It reuses the race detector's flow-sensitive
-//! lockset analysis ([`crate::race::locksets_with`]): every `lock p`
+//! lockset analysis, through the [`AnalysisCtx`]: every `lock p`
 //! statement acquires the abstract mutex cells `p` may denote while the
 //! statement's lockset names the mutexes certainly already held, so each
 //! `(held, acquired)` pair is an edge in a lock-order graph over abstract
@@ -18,13 +18,11 @@
 
 use std::collections::BTreeSet;
 
-use gist_ir::icfg::{Icfg, Ticfg};
 use gist_ir::{InstrId, Op, Program, SrcLoc};
 
 use crate::diag::Diagnostic;
 use crate::pass::{AnalysisCtx, Pass};
 use crate::points_to::Loc;
-use crate::race::locksets_with;
 
 /// One acquisition-order edge: `held` was certainly locked when `acquired`
 /// was taken at statement `at`.
@@ -79,15 +77,9 @@ impl DeadlockAnalysis {
     }
 }
 
-/// Runs the detector, building a fresh TICFG.
-pub fn analyze(program: &Program) -> DeadlockAnalysis {
-    let ticfg = Icfg::build_ticfg(program);
-    analyze_with(program, &ticfg)
-}
-
-/// Runs the detector against a prebuilt TICFG.
-pub fn analyze_with(program: &Program, ticfg: &Ticfg) -> DeadlockAnalysis {
-    let (stmt_ls, pts) = locksets_with(program, ticfg);
+/// Runs the detector over `cx`'s locksets and points-to.
+pub fn analyze(cx: &AnalysisCtx<'_>) -> DeadlockAnalysis {
+    let (program, stmt_ls, pts) = (cx.program, cx.locksets(), cx.points_to());
     let mut edges: Vec<LockOrderEdge> = Vec::new();
     for f in &program.functions {
         for b in &f.blocks {
@@ -184,11 +176,10 @@ impl Pass for DeadlockLintPass {
         "deadlock-lint"
     }
 
-    fn run(&self, cx: &mut AnalysisCtx<'_>) -> Vec<Diagnostic> {
+    fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic> {
         let program = cx.program;
-        let analysis = analyze_with(program, cx.ticfg());
         let limit = self.limit.unwrap_or(5);
-        analysis
+        analyze(cx)
             .cycles
             .iter()
             .take(limit)
@@ -250,7 +241,7 @@ mod tests {
     #[test]
     fn abba_order_inversion_is_a_cycle() {
         let p = two_lock_program(false);
-        let d = analyze(&p);
+        let d = analyze(&AnalysisCtx::new(&p));
         assert!(
             !d.is_clean(),
             "inverted acquisition order must cycle: {:?}",
@@ -267,7 +258,7 @@ mod tests {
     #[test]
     fn consistent_order_is_clean() {
         let p = two_lock_program(true);
-        let d = analyze(&p);
+        let d = analyze(&AnalysisCtx::new(&p));
         assert!(
             d.is_clean(),
             "consistent order must not cycle: {:?}",
@@ -286,7 +277,7 @@ mod tests {
         f.ret(None);
         f.finish();
         let p = pb.finish().unwrap();
-        let d = analyze(&p);
+        let d = analyze(&AnalysisCtx::new(&p));
         assert!(d.edges.is_empty());
         assert!(d.is_clean());
     }
@@ -316,7 +307,7 @@ mod tests {
         f.ret(None);
         f.finish();
         let p = finish_with_main(pb);
-        let d = analyze(&p);
+        let d = analyze(&AnalysisCtx::new(&p));
         assert!(!d.is_clean(), "three-way cycle: {:?}", d.edges);
         assert!(
             d.cycles.iter().any(|cy| cy.locks.len() == 3),

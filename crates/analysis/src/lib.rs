@@ -5,11 +5,11 @@
 //! from the failure, then picks instrumentation points. This crate adds the
 //! two static analyses that sit naturally in front of that pipeline:
 //!
-//! * an **IR verifier and lint** ([`verify`]) that rejects malformed
-//!   programs (bad branch targets, undominated register uses, call arity
-//!   mismatches, textual blocks without terminators) and warns about
-//!   suspicious-but-legal shapes (dead blocks, write-only globals), with
-//!   `error[GA0xx]`-style diagnostics carrying source locations, and
+//! * an **IR verifier and lint** ([`verify`](mod@verify)) that rejects
+//!   malformed programs (bad branch targets, undominated register uses,
+//!   call arity mismatches, textual blocks without terminators) and warns
+//!   about suspicious-but-legal shapes (dead blocks, write-only globals),
+//!   with `error[GA0xx]`-style diagnostics carrying source locations, and
 //! * a **static data race detector** ([`race`]) in the lockset tradition of
 //!   Eraser/RELAY: a thread-escape analysis over the TICFG finds memory
 //!   that is reachable from more than one thread, a flow-sensitive lockset
@@ -58,9 +58,13 @@
 //! ordering behind the failure, diffable against the dynamic sketches
 //! the runtime pipeline reconstructs.
 //!
-//! Analyses are packaged as [`pass::Pass`]es run by a [`pass::PassManager`]
-//! over a shared [`pass::AnalysisCtx`], so new passes can reuse the lazily
-//! built TICFG.
+//! One [`pass::AnalysisCtx`] owns a program's whole-program facts: the
+//! TICFG, points-to, locksets, shared origins, race candidates, MHP,
+//! constants and the SVFG, each built on first use and at most once.
+//! Every detector and lint above reads its facts from a context instead
+//! of rebuilding them, and so do the slicer, the Gist server and its
+//! sketch engine. Analyses are packaged as [`pass::Pass`]es that a
+//! [`pass::PassManager`] runs over one shared context.
 
 pub mod dataflow;
 pub mod deadlock;
@@ -93,9 +97,6 @@ pub use mhp::{LockRegion, LockSummary, Mhp, OrderFact};
 pub use pass::{default_passes, AnalysisCtx, Pass, PassManager};
 pub use points_to::{Loc, LocSet, MemOrigin, PointsTo};
 pub use predict::{predicted_sketches, render_prediction, PredictedSketch, PredictedStep};
-pub use race::{
-    analyze, analyze_with, shared_origins_with, AccessKind, RaceAnalysis, RaceCandidate,
-    RaceEndpoint,
-};
+pub use race::{analyze, AccessKind, RaceAnalysis, RaceCandidate, RaceEndpoint};
 pub use svfg::{Feasibility, Svfg, SvfgEdge, SvfgEdgeKind};
 pub use verify::{verify, verify_source, SourceVerification};

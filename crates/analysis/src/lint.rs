@@ -52,13 +52,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use gist_ir::icfg::Ticfg;
 use gist_ir::{FuncId, InstrId, Op, Operand, Program, SrcLoc};
 
-use crate::dataflow::{ConstProp, ConstVal};
+use crate::dataflow::ConstVal;
 use crate::diag::Diagnostic;
-use crate::mhp::{Mhp, OrderFact};
+use crate::mhp::OrderFact;
 use crate::pass::{AnalysisCtx, Pass, PassManager};
 use crate::points_to::{Loc, MemOrigin, PointsTo};
-use crate::race::{analyze_with, locksets_with, AccessKind};
-use crate::svfg::{Svfg, SvfgEdgeKind};
+use crate::race::AccessKind;
+use crate::svfg::SvfgEdgeKind;
 
 /// The atomicity-violation interleaving patterns, in rank order (most
 /// failure-prone first, per the AVIO-style classification): the letters
@@ -177,9 +177,8 @@ pub struct LifetimePair {
 /// the same-thread forward-reach arm plus the cross-thread race arm,
 /// the latter screened by MHP (a free ordered after the last use — past
 /// the `join`, say — is not a lifetime bug).
-pub fn lifetime_pairs(program: &Program, ticfg: &Ticfg) -> Vec<LifetimePair> {
-    let pts = PointsTo::compute(program, ticfg);
-    let mhp = Mhp::compute(program, ticfg);
+pub fn lifetime_pairs(cx: &AnalysisCtx<'_>) -> Vec<LifetimePair> {
+    let (program, pts, mhp) = (cx.program, cx.points_to(), cx.mhp());
     let mut found: Vec<LifetimePair> = Vec::new();
     let mut seen: BTreeSet<(InstrId, InstrId)> = BTreeSet::new();
 
@@ -197,14 +196,14 @@ pub fn lifetime_pairs(program: &Program, ticfg: &Ticfg) -> Vec<LifetimePair> {
                     let MemOrigin::Heap(alloc_site) = l.origin else {
                         continue; // frees of non-heap memory are GA0xx verifier turf
                     };
-                    for reached in forward_reach(ticfg, free_id, alloc_site) {
+                    for reached in forward_reach(cx.ticfg(), free_id, alloc_site) {
                         if reached == free_id {
                             continue;
                         }
                         let Some(rfunc) = program.stmt_func(reached) else {
                             continue;
                         };
-                        let locs = access_locs(program, &pts, rfunc, reached);
+                        let locs = access_locs(program, pts, rfunc, reached);
                         if !locs.iter().any(|rl| rl.origin == l.origin) {
                             continue;
                         }
@@ -228,8 +227,7 @@ pub fn lifetime_pairs(program: &Program, ticfg: &Ticfg) -> Vec<LifetimePair> {
     // forward walk cannot see it; the race detector's context and
     // lockset reasoning establishes that the two can conflict, and the
     // MHP relation screens pairs the thread structure orders anyway.
-    let races = analyze_with(program, ticfg);
-    for c in &races.candidates {
+    for c in &cx.races().candidates {
         let (free_ep, other_ep) = match (c.first.kind, c.second.kind) {
             (AccessKind::Free, _) => (&c.first, &c.second),
             (_, AccessKind::Free) => (&c.second, &c.first),
@@ -268,17 +266,6 @@ pub fn lifetime_pairs(program: &Program, ticfg: &Ticfg) -> Vec<LifetimePair> {
 pub struct UafLintPass {
     /// Cap on reported findings (default 8).
     pub limit: Option<usize>,
-}
-
-impl UafLintPass {
-    fn run_inner(&self, program: &Program, ticfg: &Ticfg) -> Vec<Diagnostic> {
-        let limit = self.limit.unwrap_or(8);
-        lifetime_pairs(program, ticfg)
-            .into_iter()
-            .take(limit)
-            .map(|p| dedup_notes(lifetime_finding(program, &p)))
-            .collect()
-    }
 }
 
 /// Builds the GA020/GA021 diagnostic for a free→use pair.
@@ -353,10 +340,13 @@ impl Pass for UafLintPass {
         "uaf-lint"
     }
 
-    fn run(&self, cx: &mut AnalysisCtx<'_>) -> Vec<Diagnostic> {
-        let program = cx.program;
-        let ticfg = cx.ticfg();
-        self.run_inner(program, ticfg)
+    fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic> {
+        let limit = self.limit.unwrap_or(8);
+        lifetime_pairs(cx)
+            .into_iter()
+            .take(limit)
+            .map(|p| dedup_notes(lifetime_finding(cx.program, &p)))
+            .collect()
     }
 }
 
@@ -378,12 +368,9 @@ pub struct AvCandidate {
 /// Computes the best atomicity-violation candidate per inconsistently
 /// locked origin. Remote accesses the MHP relation orders entirely
 /// before or after the local window cannot interleave and are skipped.
-pub fn atomicity_candidates(program: &Program, ticfg: &Ticfg) -> Vec<AvCandidate> {
-    let (stmt_ls, pts) = locksets_with(program, ticfg);
-    let races = analyze_with(program, ticfg);
-    let svfg = Svfg::build_with(program, ticfg, &pts);
-    let feas = &svfg.feasibility;
-    let mhp = Mhp::compute(program, ticfg);
+pub fn atomicity_candidates(cx: &AnalysisCtx<'_>) -> Vec<AvCandidate> {
+    let (program, stmt_ls, pts) = (cx.program, cx.locksets(), cx.points_to());
+    let (feas, mhp) = (&cx.svfg().feasibility, cx.mhp());
 
     // Per-origin locking consistency: some access protected, some not.
     let mut locked: BTreeSet<MemOrigin> = BTreeSet::new();
@@ -398,7 +385,7 @@ pub fn atomicity_candidates(program: &Program, ticfg: &Ticfg) -> Vec<AvCandidate
                     Op::Free { .. } => AccessKind::Free,
                     _ => continue,
                 };
-                let origins: BTreeSet<MemOrigin> = access_locs(program, &pts, f.id, instr.id)
+                let origins: BTreeSet<MemOrigin> = access_locs(program, pts, f.id, instr.id)
                     .into_iter()
                     .map(|l| l.origin)
                     .collect();
@@ -426,7 +413,7 @@ pub fn atomicity_candidates(program: &Program, ticfg: &Ticfg) -> Vec<AvCandidate
     // sides can interleave. Complete it with a second local access on
     // the same origin reachable from (or reaching) the local side.
     let mut best: HashMap<MemOrigin, (AvPattern, InstrId, InstrId, InstrId)> = HashMap::new();
-    for c in &races.candidates {
+    for c in &cx.races().candidates {
         if !inconsistent.contains(&c.origin) {
             continue;
         }
@@ -494,10 +481,15 @@ pub struct AtomicityLintPass {
     pub limit: Option<usize>,
 }
 
-impl AtomicityLintPass {
-    fn run_inner(&self, program: &Program, ticfg: &Ticfg) -> Vec<Diagnostic> {
+impl Pass for AtomicityLintPass {
+    fn name(&self) -> &'static str {
+        "atomicity-lint"
+    }
+
+    fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic> {
+        let program = cx.program;
         let limit = self.limit.unwrap_or(8);
-        atomicity_candidates(program, ticfg)
+        atomicity_candidates(cx)
             .into_iter()
             .take(limit)
             .map(|c| {
@@ -543,18 +535,6 @@ pub(crate) fn kind_at(program: &Program, s: InstrId) -> &'static str {
     }
 }
 
-impl Pass for AtomicityLintPass {
-    fn name(&self) -> &'static str {
-        "atomicity-lint"
-    }
-
-    fn run(&self, cx: &mut AnalysisCtx<'_>) -> Vec<Diagnostic> {
-        let program = cx.program;
-        let ticfg = cx.ticfg();
-        self.run_inner(program, ticfg)
-    }
-}
-
 /// One null-store→load→dereference chain backing a `GA023` finding.
 #[derive(Clone, Copy, Debug)]
 pub struct NullFlow {
@@ -574,11 +554,8 @@ pub struct NullFlow {
 /// source location then statement id). Cross-thread stores that the
 /// thread structure orders after the dereference cannot reach it and
 /// are dropped.
-pub fn null_flows(program: &Program, ticfg: &Ticfg) -> Vec<NullFlow> {
-    let pts = PointsTo::compute(program, ticfg);
-    let svfg = Svfg::build_with(program, ticfg, &pts);
-    let consts = ConstProp::compute(program, ticfg);
-    let mhp = Mhp::compute(program, ticfg);
+pub fn null_flows(cx: &AnalysisCtx<'_>) -> Vec<NullFlow> {
+    let (program, svfg, consts, mhp) = (cx.program, cx.svfg(), cx.consts(), cx.mhp());
     // (store, deref) -> best (loc, load, interleaved)
     let mut best: BTreeMap<(InstrId, InstrId), (SrcLoc, InstrId, bool)> = BTreeMap::new();
 
@@ -671,10 +648,15 @@ pub struct NullFlowLintPass {
     pub limit: Option<usize>,
 }
 
-impl NullFlowLintPass {
-    fn run_inner(&self, program: &Program, ticfg: &Ticfg) -> Vec<Diagnostic> {
+impl Pass for NullFlowLintPass {
+    fn name(&self) -> &'static str {
+        "null-flow-lint"
+    }
+
+    fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic> {
+        let program = cx.program;
         let limit = self.limit.unwrap_or(8);
-        null_flows(program, ticfg)
+        null_flows(cx)
             .into_iter()
             .take(limit)
             .map(|n| {
@@ -696,18 +678,6 @@ impl NullFlowLintPass {
                 dedup_notes(d)
             })
             .collect()
-    }
-}
-
-impl Pass for NullFlowLintPass {
-    fn name(&self) -> &'static str {
-        "null-flow-lint"
-    }
-
-    fn run(&self, cx: &mut AnalysisCtx<'_>) -> Vec<Diagnostic> {
-        let program = cx.program;
-        let ticfg = cx.ticfg();
-        self.run_inner(program, ticfg)
     }
 }
 
@@ -739,14 +709,12 @@ pub struct OrderViolation {
 /// store is ordered before, and unordered free/use pairs that the race
 /// arm misses because a common lock hides them. Pairs the lifetime
 /// detector already reports are skipped.
-pub fn order_violations(program: &Program, ticfg: &Ticfg) -> Vec<OrderViolation> {
-    let mhp = Mhp::compute(program, ticfg);
+pub fn order_violations(cx: &AnalysisCtx<'_>) -> Vec<OrderViolation> {
+    let (program, mhp) = (cx.program, cx.mhp());
     if !mhp.has_threads() {
         return Vec::new();
     }
-    let pts = PointsTo::compute(program, ticfg);
-    let shared = crate::race::shared_origins_with(program, ticfg);
-    let svfg = Svfg::build_with(program, ticfg, &pts);
+    let (pts, shared, svfg) = (cx.points_to(), cx.shared_origins(), cx.svfg());
 
     // All live data accesses on shared origins.
     let mut reads: Vec<(InstrId, MemOrigin)> = Vec::new();
@@ -759,7 +727,7 @@ pub fn order_violations(program: &Program, ticfg: &Ticfg) -> Vec<OrderViolation>
                 if !svfg.feasibility.stmt_live(program, instr.id) {
                     continue;
                 }
-                let origins: Vec<MemOrigin> = access_locs(program, &pts, f.id, instr.id)
+                let origins: Vec<MemOrigin> = access_locs(program, pts, f.id, instr.id)
                     .into_iter()
                     .map(|l| l.origin)
                     .filter(|o| shared.contains(o))
@@ -785,7 +753,7 @@ pub fn order_violations(program: &Program, ticfg: &Ticfg) -> Vec<OrderViolation>
         }
     }
 
-    let reported: BTreeSet<(InstrId, InstrId)> = lifetime_pairs(program, ticfg)
+    let reported: BTreeSet<(InstrId, InstrId)> = lifetime_pairs(cx)
         .into_iter()
         .flat_map(|p| [(p.free, p.used), (p.used, p.free)])
         .collect();
@@ -874,10 +842,15 @@ pub struct OrderLintPass {
     pub limit: Option<usize>,
 }
 
-impl OrderLintPass {
-    fn run_inner(&self, program: &Program, ticfg: &Ticfg) -> Vec<Diagnostic> {
+impl Pass for OrderLintPass {
+    fn name(&self) -> &'static str {
+        "order-lint"
+    }
+
+    fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic> {
+        let program = cx.program;
         let limit = self.limit.unwrap_or(8);
-        order_violations(program, ticfg)
+        order_violations(cx)
             .into_iter()
             .take(limit)
             .map(|v| {
@@ -921,18 +894,6 @@ impl OrderLintPass {
                 dedup_notes(d)
             })
             .collect()
-    }
-}
-
-impl Pass for OrderLintPass {
-    fn name(&self) -> &'static str {
-        "order-lint"
-    }
-
-    fn run(&self, cx: &mut AnalysisCtx<'_>) -> Vec<Diagnostic> {
-        let program = cx.program;
-        let ticfg = cx.ticfg();
-        self.run_inner(program, ticfg)
     }
 }
 

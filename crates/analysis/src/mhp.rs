@@ -50,8 +50,9 @@ use gist_ir::icfg::Ticfg;
 use gist_ir::program::StmtPos;
 use gist_ir::{BlockId, FuncId, InstrId, Op, Operand, Program};
 
+use crate::pass::AnalysisCtx;
 use crate::points_to::{Loc, MemOrigin, PointsTo};
-use crate::race::{locksets_with, Lockset};
+use crate::race::Lockset;
 
 /// The per-pair verdict lattice (strongest fact first).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -121,7 +122,16 @@ pub struct Mhp {
 impl Mhp {
     /// Computes the relation over a program and its TICFG.
     pub fn compute(program: &Program, ticfg: &Ticfg) -> Mhp {
-        Builder { program, ticfg }.build()
+        Mhp::build(&AnalysisCtx::with_ticfg(program, ticfg))
+    }
+
+    /// Computes the relation from `cx`'s TICFG and locksets.
+    pub(crate) fn build(cx: &AnalysisCtx<'_>) -> Mhp {
+        Builder {
+            program: cx.program,
+            ticfg: cx.ticfg(),
+        }
+        .build(cx.locksets().clone())
     }
 
     /// True when the program has any `spawn` statement.
@@ -132,20 +142,6 @@ impl Mhp {
     /// The static spawn statements, in program order.
     pub fn spawn_sites(&self) -> &[InstrId] {
         &self.spawn_sites
-    }
-
-    /// Thread contexts a statement may run under: `(main, spawn sites)`.
-    pub fn stmt_threads(&self, s: InstrId) -> (bool, Vec<InstrId>) {
-        let Some(ctxs) = self.stmt_ctxs.get(&s) else {
-            return (false, Vec::new());
-        };
-        let main = ctxs.contains(&0);
-        let spawns = ctxs
-            .iter()
-            .filter(|&&c| c > 0)
-            .map(|&c| self.spawn_sites[c - 1])
-            .collect();
-        (main, spawns)
     }
 
     /// The strongest static fact about the pair.
@@ -431,7 +427,7 @@ struct Builder<'a> {
 }
 
 impl Builder<'_> {
-    fn build(self) -> Mhp {
+    fn build(self, locksets: BTreeMap<InstrId, Lockset>) -> Mhp {
         let program = self.program;
         let ticfg = self.ticfg;
 
@@ -552,7 +548,7 @@ impl Builder<'_> {
             pre_spawn: vec![BTreeSet::new(); spawn_sites.len()],
             post_join: vec![BTreeSet::new(); spawn_sites.len()],
             ctx_order: BTreeSet::new(),
-            locksets: locksets_with(program, ticfg).0,
+            locksets,
             positions,
             dom_pairs,
             has_threads,

@@ -1,21 +1,41 @@
-//! A small pass framework for static analyses.
+//! A small pass framework for static analyses, and the context that owns a
+//! program's whole-program facts.
 //!
-//! Passes share an [`AnalysisCtx`] so expensive program-wide structures
-//! (today: the TICFG) are built once and reused. The [`PassManager`] runs a
-//! list of passes and collects their diagnostics into one sorted report,
+//! An [`AnalysisCtx`] builds each fact — the TICFG, points-to, locksets,
+//! shared origins, race candidates, MHP, constants and the SVFG — on first
+//! use and at most once, so every pass, lint and client reading from one
+//! context shares a single copy. The [`PassManager`] runs a list of passes
+//! over one context and collects their diagnostics into one sorted report,
 //! mirroring how the paper's prototype chains LLVM analysis passes on the
 //! Gist server before computing instrumentation plans.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
+
 use gist_ir::icfg::{Icfg, Ticfg};
-use gist_ir::Program;
+use gist_ir::{InstrId, Program};
 
+use crate::dataflow::ConstProp;
 use crate::diag::{sort_diagnostics, Diagnostic};
+use crate::mhp::Mhp;
+use crate::points_to::{MemOrigin, PointsTo};
+use crate::race::{self, Lockset, RaceAnalysis};
+use crate::svfg::Svfg;
 
-/// Shared state for one analysis run over a single program.
+/// The whole-program facts of one program, each built on first use.
 pub struct AnalysisCtx<'p> {
     /// The program under analysis.
     pub program: &'p Program,
-    ticfg: Option<Ticfg>,
+    /// A TICFG the caller already built, used instead of building one.
+    given_ticfg: Option<&'p Ticfg>,
+    ticfg: OnceLock<Ticfg>,
+    points_to: OnceLock<PointsTo>,
+    locksets: OnceLock<BTreeMap<InstrId, Lockset>>,
+    shared_origins: OnceLock<BTreeSet<MemOrigin>>,
+    races: OnceLock<RaceAnalysis>,
+    mhp: OnceLock<Mhp>,
+    consts: OnceLock<ConstProp>,
+    svfg: OnceLock<Svfg>,
 }
 
 impl<'p> AnalysisCtx<'p> {
@@ -23,16 +43,78 @@ impl<'p> AnalysisCtx<'p> {
     pub fn new(program: &'p Program) -> Self {
         AnalysisCtx {
             program,
-            ticfg: None,
+            given_ticfg: None,
+            ticfg: OnceLock::new(),
+            points_to: OnceLock::new(),
+            locksets: OnceLock::new(),
+            shared_origins: OnceLock::new(),
+            races: OnceLock::new(),
+            mhp: OnceLock::new(),
+            consts: OnceLock::new(),
+            svfg: OnceLock::new(),
         }
     }
 
-    /// The thread-interprocedural CFG, built on first use and cached.
-    pub fn ticfg(&mut self) -> &Ticfg {
-        if self.ticfg.is_none() {
-            self.ticfg = Some(Icfg::build_ticfg(self.program));
+    /// A context that reads `ticfg` instead of building its own.
+    pub(crate) fn with_ticfg(program: &'p Program, ticfg: &'p Ticfg) -> Self {
+        AnalysisCtx {
+            given_ticfg: Some(ticfg),
+            ..AnalysisCtx::new(program)
         }
-        self.ticfg.as_ref().expect("just built")
+    }
+
+    /// The thread-interprocedural CFG.
+    pub fn ticfg(&self) -> &Ticfg {
+        match self.given_ticfg {
+            Some(ticfg) => ticfg,
+            None => self.ticfg.get_or_init(|| Icfg::build_ticfg(self.program)),
+        }
+    }
+
+    /// The Andersen-style points-to result.
+    pub fn points_to(&self) -> &PointsTo {
+        self.points_to
+            .get_or_init(|| PointsTo::compute(self.program, self.ticfg()))
+    }
+
+    /// The locks certainly held before each statement. Pre-spawn
+    /// suppression does not touch locksets, so one map serves the race
+    /// detector, MHP, the deadlock detector and the atomicity lint.
+    pub(crate) fn locksets(&self) -> &BTreeMap<InstrId, Lockset> {
+        self.locksets.get_or_init(|| race::locksets(self))
+    }
+
+    /// Memory origins accessible from more than one thread context (or
+    /// from a multiply-spawned one): the cells where cross-thread aliasing
+    /// matters. Single-threaded programs have none.
+    ///
+    /// This is not the race detector's internal shared set: pre-spawn
+    /// suppression is deliberately *not* applied, because initialization
+    /// writes to a cell that later escapes still belong in a slice.
+    pub fn shared_origins(&self) -> &BTreeSet<MemOrigin> {
+        self.shared_origins
+            .get_or_init(|| race::shared_origins(self))
+    }
+
+    /// The ranked race candidates.
+    pub fn races(&self) -> &RaceAnalysis {
+        self.races.get_or_init(|| race::candidates(self))
+    }
+
+    /// The may-happen-in-parallel relation.
+    pub fn mhp(&self) -> &Mhp {
+        self.mhp.get_or_init(|| Mhp::build(self))
+    }
+
+    /// Sparse constant propagation.
+    pub fn consts(&self) -> &ConstProp {
+        self.consts
+            .get_or_init(|| ConstProp::compute(self.program, self.ticfg()))
+    }
+
+    /// The sparse value-flow graph.
+    pub fn svfg(&self) -> &Svfg {
+        self.svfg.get_or_init(|| Svfg::build(self))
     }
 }
 
@@ -41,7 +123,7 @@ pub trait Pass {
     /// Short name used in reports and debugging.
     fn name(&self) -> &'static str;
     /// Runs the pass, returning its findings.
-    fn run(&self, cx: &mut AnalysisCtx<'_>) -> Vec<Diagnostic>;
+    fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic>;
 }
 
 /// Runs a sequence of passes over one shared context.
@@ -69,10 +151,10 @@ impl PassManager {
 
     /// Runs all passes over `program` and returns the sorted diagnostics.
     pub fn run(&self, program: &Program) -> Vec<Diagnostic> {
-        let mut cx = AnalysisCtx::new(program);
+        let cx = AnalysisCtx::new(program);
         let mut diags = Vec::new();
         for pass in &self.passes {
-            diags.extend(pass.run(&mut cx));
+            diags.extend(pass.run(&cx));
         }
         sort_diagnostics(&mut diags);
         diags
@@ -116,9 +198,12 @@ mod tests {
     #[test]
     fn ticfg_is_built_lazily_and_cached() {
         let p = tiny_program();
-        let mut cx = AnalysisCtx::new(&p);
-        let edges = cx.ticfg().edge_count();
-        // Second call must reuse the cached graph (same object, same count).
-        assert_eq!(cx.ticfg().edge_count(), edges);
+        let cx = AnalysisCtx::new(&p);
+        assert!(cx.ticfg.get().is_none() && cx.points_to.get().is_none());
+        let ticfg: *const Ticfg = cx.ticfg();
+        // Later calls, direct or through a dependent fact, reuse the graph.
+        cx.points_to();
+        assert!(std::ptr::eq(ticfg, cx.ticfg()));
+        assert!(cx.svfg.get().is_none(), "nothing asked for the SVFG");
     }
 }

@@ -9,7 +9,8 @@
 //!
 //! * allocation instructions generate `{(site, offset 0)}`,
 //! * `gep` shifts offsets (constant offsets stay precise, variable ones
-//!   widen to `None`),
+//!   widen to `None`; a set holding too many precise offsets of one origin
+//!   widens it too, so shifts on a loop's back edge converge),
 //! * stores write the value's points-to set into the pointed-to cells,
 //!   loads read it back, and
 //! * calls, spawns, and returns copy sets between argument and parameter
@@ -101,9 +102,10 @@ impl Loc {
 /// A set of abstract locations.
 pub type LocSet = BTreeSet<Loc>;
 
-/// Offsets beyond this magnitude widen to `None`: a termination guard for
-/// offset chains grown through recursive calls.
-const OFFSET_LIMIT: i64 = 1 << 16;
+/// The most precise offsets one set holds per origin. One more widens the
+/// origin to an unknown offset, so a pointer advanced in a loop or through
+/// recursive calls converges instead of growing a new offset each round.
+const MAX_OFFSETS: usize = 16;
 
 /// The result of the points-to fixpoint.
 #[derive(Debug, Default)]
@@ -274,17 +276,6 @@ impl PointsTo {
         }
     }
 
-    /// True if two address operands (in possibly different functions) may
-    /// denote the same memory cell: the slicer's alias oracle.
-    pub fn may_alias(&self, fa: FuncId, a: Operand, fb: FuncId, b: Operand) -> bool {
-        let sa = self.operand_origins(fa, a);
-        if sa.is_empty() {
-            return false;
-        }
-        let sb = self.operand_origins(fb, b);
-        sa.iter().any(|la| sb.iter().any(|lb| la.overlaps(lb)))
-    }
-
     /// What a load through `loc` may yield: the contents of the matching
     /// concrete cell plus any unknown-offset writes to the same origin (and
     /// everything, when the load offset itself is unknown).
@@ -298,26 +289,37 @@ impl PointsTo {
 }
 
 /// Shifts a location by a constant cell delta. Widened locations stay
-/// widened (an unknown offset plus a constant is still unknown), and
-/// offsets past [`OFFSET_LIMIT`] widen so recursive shift chains converge.
+/// widened: an unknown offset plus a constant is still unknown.
 fn shift_loc(loc: Loc, delta: i64) -> Loc {
-    match loc.offset {
-        Some(o) => {
-            let n = o.saturating_add(delta);
-            if n.abs() > OFFSET_LIMIT {
-                Loc::anywhere(loc.origin)
-            } else {
-                Loc::at(loc.origin, n)
-            }
-        }
-        None => Loc::anywhere(loc.origin),
+    Loc {
+        offset: loc.offset.map(|o| o.saturating_add(delta)),
+        ..loc
     }
 }
 
+/// Adds `src` to `dst`; returns true if `dst` grew. The widening is
+/// monotone: an origin at an unknown offset absorbs its precise offsets,
+/// and an origin past [`MAX_OFFSETS`] precise offsets widens to unknown.
 fn union_into(dst: &mut LocSet, src: LocSet) -> bool {
-    let before = dst.len();
-    dst.extend(src);
-    dst.len() != before
+    let mut changed = false;
+    for loc in src {
+        let anywhere = Loc::anywhere(loc.origin);
+        if dst.contains(&loc) || dst.contains(&anywhere) {
+            continue;
+        }
+        changed = true;
+        let precise = dst
+            .range(anywhere..)
+            .take_while(|l| l.origin == loc.origin)
+            .count();
+        if loc.offset.is_none() || precise == MAX_OFFSETS {
+            dst.retain(|l| l.origin != loc.origin);
+            dst.insert(anywhere);
+        } else {
+            dst.insert(loc);
+        }
+    }
+    changed
 }
 
 #[cfg(test)]
@@ -494,6 +496,48 @@ mod tests {
                 "{name} must be widened, got {set:?}"
             );
         }
+    }
+
+    #[test]
+    fn pointer_advanced_in_a_loop_widens_and_converges() {
+        // Each round of `p = add p, 1` on the back edge shifts every
+        // offset of `p` by one: unbounded, the fixpoint would gain a new
+        // precise offset per round.
+        let prog = gist_ir::parser::parse_program(
+            "m",
+            r#"
+fn main() {
+entry:
+  p = alloc 2 @ m.c:1
+  br loop @ m.c:2
+loop:
+  p = add p, 1 @ m.c:3
+  c = cmp eq p, 0 @ m.c:4
+  condbr c, out, loop @ m.c:4
+out:
+  ret @ m.c:5
+}
+"#,
+        )
+        .unwrap();
+        let ticfg = Icfg::build_ticfg(&prog);
+        let pt = PointsTo::compute(&prog, &ticfg);
+        let main = prog.entry;
+        let alloc_id = prog.functions[main.index()].blocks[0].instrs[0].id;
+        let p = VarId(
+            prog.functions[main.index()]
+                .var_names
+                .iter()
+                .position(|n| n == "p")
+                .unwrap() as u32,
+        );
+        assert_eq!(
+            pt.vars.get(&(main, p)).unwrap(),
+            &[Loc::anywhere(MemOrigin::Heap(alloc_id))]
+                .into_iter()
+                .collect::<LocSet>(),
+            "p holds the allocation at an unknown offset"
+        );
     }
 
     #[test]

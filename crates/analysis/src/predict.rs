@@ -17,7 +17,6 @@
 //! no spawn — the sequential bugbase entries — produce **no**
 //! predictions, because every candidate pair lands on one thread.
 
-use gist_ir::icfg::{Icfg, Ticfg};
 use gist_ir::{InstrId, Program};
 
 use crate::lint::{
@@ -25,7 +24,8 @@ use crate::lint::{
     OrderViolationKind,
 };
 use crate::mhp::Mhp;
-use crate::race::{analyze_with, AccessKind};
+use crate::pass::AnalysisCtx;
+use crate::race::AccessKind;
 
 /// One step of a predicted sketch: a statement pinned to a thread slot.
 #[derive(Clone, Debug)]
@@ -129,12 +129,12 @@ impl SketchBuilder<'_> {
 /// Predicts failure sketches for every cross-thread lint finding, plus
 /// the top-ranked race candidates not already covered by one.
 pub fn predicted_sketches(program: &Program) -> Vec<PredictedSketch> {
-    let ticfg: Ticfg = Icfg::build_ticfg(program);
-    let mhp = Mhp::compute(program, &ticfg);
+    let cx = AnalysisCtx::new(program);
+    let mhp = cx.mhp();
     if !mhp.has_threads() {
         return Vec::new();
     }
-    let b = SketchBuilder { program, mhp: &mhp };
+    let b = SketchBuilder { program, mhp };
     let mut out: Vec<PredictedSketch> = Vec::new();
     // Unordered statement pairs already carried by some sketch; the
     // race fallback skips these.
@@ -152,7 +152,7 @@ pub fn predicted_sketches(program: &Program) -> Vec<PredictedSketch> {
 
     // GA024 order violations: the racing statement overtakes the one
     // that should come first.
-    for v in order_violations(program, &ticfg) {
+    for v in order_violations(&cx) {
         let cell = v.origin.display(program);
         let (title, stmts): (String, [(InstrId, usize, &'static str); 2]) = match v.kind {
             OrderViolationKind::UseBeforeInit => (
@@ -178,7 +178,7 @@ pub fn predicted_sketches(program: &Program) -> Vec<PredictedSketch> {
     }
 
     // GA020/GA021 cross-thread lifetime pairs: free first, use second.
-    for p in lifetime_pairs(program, &ticfg) {
+    for p in lifetime_pairs(&cx) {
         if !p.cross_thread {
             continue;
         }
@@ -205,7 +205,7 @@ pub fn predicted_sketches(program: &Program) -> Vec<PredictedSketch> {
     }
 
     // GA022 atomicity candidates: the remote interleaves the local pair.
-    for c in atomicity_candidates(program, &ticfg) {
+    for c in atomicity_candidates(&cx) {
         let cell = c.origin.display(program);
         let title = format!("atomicity violation ({}) on {cell}", c.pattern.label());
         let stmts = [
@@ -222,7 +222,7 @@ pub fn predicted_sketches(program: &Program) -> Vec<PredictedSketch> {
 
     // GA023 interleaved null flows: the cross-thread null store lands
     // before the load whose result is dereferenced.
-    for n in null_flows(program, &ticfg) {
+    for n in null_flows(&cx) {
         if !n.interleaved {
             continue;
         }
@@ -243,9 +243,8 @@ pub fn predicted_sketches(program: &Program) -> Vec<PredictedSketch> {
     // canonical rendering, but a race prediction is *unordered*: the pair
     // has no happens-before edge, so either interleaving can be the
     // failing one — the dynamic sketch fixes the direction at runtime.
-    let races = analyze_with(program, &ticfg);
     let mut emitted = 0usize;
-    for c in &races.candidates {
+    for c in &cx.races().candidates {
         if emitted >= 2 {
             break;
         }

@@ -29,7 +29,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use gist_ir::icfg::{Icfg, Ticfg};
+use gist_ir::icfg::Ticfg;
 use gist_ir::{BlockId, FuncId, InstrId, Op, Program, SrcLoc, Terminator};
 
 use crate::diag::Diagnostic;
@@ -185,43 +185,36 @@ fn render_endpoint(program: &Program, e: &RaceEndpoint) -> String {
     format!("{where_} {} {locks}", e.kind.label())
 }
 
-/// Runs the race detector, building a fresh TICFG.
+/// Runs the race detector over a fresh [`AnalysisCtx`].
 pub fn analyze(program: &Program) -> RaceAnalysis {
-    let ticfg = Icfg::build_ticfg(program);
-    analyze_with(program, &ticfg)
+    candidates(&AnalysisCtx::new(program))
 }
 
-/// Runs the race detector against a prebuilt TICFG.
-pub fn analyze_with(program: &Program, ticfg: &Ticfg) -> RaceAnalysis {
-    Detector::new(program, ticfg).run()
+/// The ranked race candidates over `cx`'s facts.
+pub(crate) fn candidates(cx: &AnalysisCtx<'_>) -> RaceAnalysis {
+    let mut d = Detector::new(cx);
+    d.find_pre_spawn_region();
+    let mut accesses = d.collect_accesses();
+    let locksets = cx.locksets();
+    for a in &mut accesses {
+        a.lockset = locksets.get(&a.stmt).cloned().unwrap_or_default();
+    }
+    let shared = d.shared_origins(&accesses);
+    d.pair_up(&accesses, &shared)
 }
 
-/// Runs only the flow-sensitive lockset stage and returns the lockset
-/// held before each statement, plus the points-to result used to name
-/// mutex cells. This is the input the lock-order deadlock detector
-/// ([`crate::deadlock`]) builds its acquisition graph from.
-pub fn locksets_with(program: &Program, ticfg: &Ticfg) -> (BTreeMap<InstrId, Lockset>, PointsTo) {
-    let mut d = Detector::new(program, ticfg);
-    d.find_contexts();
-    d.compute_locksets();
-    (d.stmt_ls, d.pts)
+/// The flow-sensitive lockset stage alone: the locks certainly held
+/// before each statement. The lock-order deadlock detector
+/// ([`crate::deadlock`]) builds its acquisition graph from it.
+pub(crate) fn locksets(cx: &AnalysisCtx<'_>) -> BTreeMap<InstrId, Lockset> {
+    Detector::new(cx).locksets()
 }
 
-/// Memory origins accessible from more than one thread context (or from a
-/// multiply-spawned one) — the cells where cross-thread aliasing matters.
-///
-/// The alias-aware slicer restricts its may-alias write pulling to these
-/// origins: same-thread heap flows are already captured by def-use chains
-/// and runtime watchpoints, so pulling every aliasing write in a
-/// sequential program would only inflate the slice (the §3.1 blow-up).
-/// Single-threaded programs have no shared origins. Pre-spawn suppression
-/// is deliberately *not* applied here: initialization writes to a cell
-/// that later escapes still belong in the slice.
-pub fn shared_origins_with(program: &Program, ticfg: &Ticfg) -> BTreeSet<MemOrigin> {
-    let mut d = Detector::new(program, ticfg);
-    d.find_contexts();
-    let accesses = d.collect_accesses();
-    d.shared_origins(&accesses)
+/// Origins accessed from two different-able thread contexts, without
+/// pre-spawn suppression (see [`AnalysisCtx::shared_origins`]).
+pub(crate) fn shared_origins(cx: &AnalysisCtx<'_>) -> BTreeSet<MemOrigin> {
+    let d = Detector::new(cx);
+    d.shared_origins(&d.collect_accesses())
 }
 
 /// One shared-memory access, annotated with everything the pairing step
@@ -231,13 +224,14 @@ struct AccessRec {
     kind: AccessKind,
     locs: BTreeSet<Loc>,
     ctxs: BTreeSet<ThreadCtx>,
+    /// Locks certainly held at the access (filled in before pairing).
     lockset: Lockset,
 }
 
 struct Detector<'a> {
     program: &'a Program,
     ticfg: &'a Ticfg,
-    pts: PointsTo,
+    pts: &'a PointsTo,
     /// All spawn sites with their containing function.
     spawn_sites: Vec<(InstrId, FuncId)>,
     /// Spawn sites that may execute more than once (loops).
@@ -248,33 +242,24 @@ struct Detector<'a> {
     pre_spawn_funcs: BTreeSet<FuncId>,
     /// Whether pre-spawn suppression applies (all spawns are in `main`).
     suppression: bool,
-    /// Lockset before each statement.
-    stmt_ls: BTreeMap<InstrId, Lockset>,
 }
 
 impl<'a> Detector<'a> {
-    fn new(program: &'a Program, ticfg: &'a Ticfg) -> Self {
-        let pts = PointsTo::compute(program, ticfg);
-        Detector {
-            program,
-            ticfg,
-            pts,
+    /// A detector over `cx`'s TICFG and points-to, with its thread
+    /// contexts found.
+    fn new(cx: &'a AnalysisCtx<'_>) -> Self {
+        let mut d = Detector {
+            program: cx.program,
+            ticfg: cx.ticfg(),
+            pts: cx.points_to(),
             spawn_sites: Vec::new(),
             multi_spawns: BTreeSet::new(),
             func_ctxs: BTreeMap::new(),
             pre_spawn_funcs: BTreeSet::new(),
             suppression: false,
-            stmt_ls: BTreeMap::new(),
-        }
-    }
-
-    fn run(mut self) -> RaceAnalysis {
-        self.find_contexts();
-        self.find_pre_spawn_region();
-        self.compute_locksets();
-        let accesses = self.collect_accesses();
-        let shared = self.shared_origins(&accesses);
-        self.pair_up(&accesses, &shared)
+        };
+        d.find_contexts();
+        d
     }
 
     /// Functions reachable from `roots` over plain call edges (spawn edges
@@ -449,10 +434,11 @@ impl<'a> Detector<'a> {
         }
     }
 
-    /// Flow-sensitive, interprocedural lockset analysis. Fills
-    /// `self.stmt_ls` with the locks certainly held before each statement.
-    fn compute_locksets(&mut self) {
+    /// Flow-sensitive, interprocedural lockset analysis: the locks
+    /// certainly held before each statement.
+    fn locksets(&self) -> BTreeMap<InstrId, Lockset> {
         let program = self.program;
+        let mut stmt_ls: BTreeMap<InstrId, Lockset> = BTreeMap::new();
         // None = not yet observed (top of the "intersection of call sites"
         // lattice). The entry and all spawn routines start lock-free.
         let mut entry_ls: BTreeMap<FuncId, Option<Lockset>> = BTreeMap::new();
@@ -498,7 +484,7 @@ impl<'a> Detector<'a> {
                     };
                     let b = &f.blocks[bi];
                     for instr in &b.instrs {
-                        self.stmt_ls.insert(instr.id, ls.clone());
+                        stmt_ls.insert(instr.id, ls.clone());
                         match &instr.op {
                             Op::MutexLock { addr } => {
                                 ls.extend(self.pts.operand_origins(f.id, *addr));
@@ -522,7 +508,7 @@ impl<'a> Detector<'a> {
                             _ => {}
                         }
                     }
-                    self.stmt_ls.insert(b.term.id(), ls.clone());
+                    stmt_ls.insert(b.term.id(), ls.clone());
                     if matches!(b.term, Terminator::Ret { .. }) {
                         ret_ls.push(ls.difference(&entry_set).copied().collect());
                     }
@@ -565,8 +551,11 @@ impl<'a> Detector<'a> {
                 break;
             }
         }
+        stmt_ls
     }
 
+    /// Every memory access on a known cell, with the contexts that may
+    /// run it and an empty lockset.
     fn collect_accesses(&self) -> Vec<AccessRec> {
         let mut out = Vec::new();
         for f in &self.program.functions {
@@ -605,7 +594,7 @@ impl<'a> Detector<'a> {
                         kind,
                         locs,
                         ctxs: my_ctxs,
-                        lockset: self.stmt_ls.get(&instr.id).cloned().unwrap_or_default(),
+                        lockset: Lockset::new(),
                     });
                 }
             }
@@ -809,11 +798,10 @@ impl Pass for RaceLintPass {
         "race-lint"
     }
 
-    fn run(&self, cx: &mut AnalysisCtx<'_>) -> Vec<Diagnostic> {
+    fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic> {
         let program = cx.program;
-        let analysis = analyze_with(program, cx.ticfg());
         let limit = self.limit.unwrap_or(5);
-        analysis
+        cx.races()
             .candidates
             .iter()
             .take(limit)

@@ -43,8 +43,8 @@ use gist_ir::{
 };
 
 use crate::dataflow::{reaching_definitions, ConstProp, ConstVal, Solution};
+use crate::pass::AnalysisCtx;
 use crate::points_to::{Loc, LocSet, MemOrigin, PointsTo};
-use crate::race::shared_origins_with;
 
 /// How a value reaches a use site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -80,31 +80,23 @@ pub struct Svfg {
     /// that want to ask their own path questions, e.g. the null-flow
     /// lint's guard check).
     pub feasibility: Feasibility,
-    /// Origins reachable from more than one thread context.
-    pub shared_origins: BTreeSet<MemOrigin>,
 }
 
 impl Svfg {
-    /// Builds the graph: points-to, reaching defs, constant propagation,
-    /// and the feasibility pruner, then one pass over all statements.
-    pub fn build(program: &Program, ticfg: &Ticfg) -> Svfg {
-        let pts = PointsTo::compute(program, ticfg);
-        Svfg::build_with(program, ticfg, &pts)
-    }
-
-    /// Builds the graph reusing an existing points-to result.
-    pub fn build_with(program: &Program, ticfg: &Ticfg, pts: &PointsTo) -> Svfg {
+    /// Builds the graph from `cx`'s points-to, constants and shared
+    /// origins: reaching defs and the feasibility pruner, then one pass
+    /// over all statements.
+    pub(crate) fn build(cx: &AnalysisCtx<'_>) -> Svfg {
+        let (program, ticfg, pts) = (cx.program, cx.ticfg(), cx.points_to());
         let rd = reaching_definitions(program, ticfg, pts);
-        let consts = ConstProp::compute(program, ticfg);
-        let feasibility = Feasibility::compute(program, ticfg, &consts);
-        let shared_origins = shared_origins_with(program, ticfg);
+        let feasibility = Feasibility::compute(program, cx.consts());
         let mut b = Builder {
             program,
             ticfg,
             pts,
             rd: &rd,
             feas: &feasibility,
-            shared: &shared_origins,
+            shared: cx.shared_origins(),
             reg_defs: HashMap::new(),
             global_writes: HashMap::new(),
             write_locs: BTreeMap::new(),
@@ -115,7 +107,6 @@ impl Svfg {
         Svfg {
             edges_in: b.edges,
             feasibility,
-            shared_origins,
         }
     }
 
@@ -427,7 +418,7 @@ impl Feasibility {
     /// branch conditions, then iterates the must-fact dataflow and the
     /// contradiction check to a fixpoint (bounded at four rounds; each
     /// round only removes edges, so the bound is a safety net).
-    pub fn compute(program: &Program, ticfg: &Ticfg, consts: &ConstProp) -> Feasibility {
+    pub fn compute(program: &Program, consts: &ConstProp) -> Feasibility {
         let mut feas = Feasibility {
             infeasible: BTreeSet::new(),
             live_blocks: Vec::new(),
@@ -517,7 +508,6 @@ impl Feasibility {
             feas.live_blocks.push(live);
             feas.reach.push(reach);
         }
-        let _ = ticfg;
         feas
     }
 
@@ -577,16 +567,6 @@ impl Feasibility {
             }
         }
         facts
-    }
-
-    /// True if the (branch, successor block) edge may be taken.
-    pub fn edge_feasible(&self, branch: InstrId, target: BlockId) -> bool {
-        !self.infeasible.contains(&(branch, target))
-    }
-
-    /// Number of pruned CFG edges (ablation reporting).
-    pub fn pruned_edge_count(&self) -> usize {
-        self.infeasible.len()
     }
 
     /// True if the statement's block is reachable from its function entry
@@ -802,13 +782,11 @@ fn contradicts(facts: &BlockFacts, ef: &EdgeFact) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gist_ir::icfg::Icfg;
     use gist_ir::parser::parse_program;
 
     fn build(text: &str) -> (Program, Svfg) {
         let p = parse_program("t", text).unwrap();
-        let ticfg = Icfg::build_ticfg(&p);
-        let g = Svfg::build(&p, &ticfg);
+        let g = Svfg::build(&AnalysisCtx::new(&p));
         (p, g)
     }
 
@@ -1078,8 +1056,7 @@ skip:
 "#,
         )
         .unwrap();
-        let ticfg = Icfg::build_ticfg(&p);
-        let g = Svfg::build(&p, &ticfg);
+        let g = Svfg::build(&AnalysisCtx::new(&p));
         let main = &p.functions[0];
         let load = main.blocks[0].instrs[0].id;
         // Block ids follow first-reference order: entry, skip, use.
@@ -1103,8 +1080,7 @@ entry:
 "#,
         )
         .unwrap();
-        let ticfg2 = Icfg::build_ticfg(&p2);
-        let g2 = Svfg::build(&p2, &ticfg2);
+        let g2 = Svfg::build(&AnalysisCtx::new(&p2));
         let main2 = &p2.functions[0];
         let load2 = main2.blocks[0].instrs[0].id;
         let lock2 = main2.blocks[0].instrs[1].id;

@@ -392,7 +392,7 @@ impl Pass for VerifierPass {
         "verify"
     }
 
-    fn run(&self, cx: &mut AnalysisCtx<'_>) -> Vec<Diagnostic> {
+    fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic> {
         verify(cx.program)
     }
 }

@@ -12,7 +12,6 @@
 //!    the final sketch with race-candidate seeding and rank-ordered
 //!    watchpoints on vs off.
 
-use gist_analysis::{Mhp, PointsTo};
 use gist_bugbase::{all_bugs, BugSpec};
 use gist_coop::{diagnose_bug, EvalConfig};
 use gist_core::ast::Growth;
@@ -257,8 +256,7 @@ pub fn dataflow_row(bug: &BugSpec) -> Option<DataflowRow> {
 
     // Watchpoint plans over the full alias-aware slice, with and without
     // the dead-store filter.
-    let pts = gist_analysis::PointsTo::compute(&bug.program, slicer.ticfg());
-    let mut dead = gist_analysis::dead_stores(&bug.program, slicer.ticfg(), &pts);
+    let mut dead = gist_analysis::dead_stores(slicer.facts());
     dead.remove(&report.failing_stmt);
     let unpruned = Planner::new(&bug.program, slicer.ticfg())
         .watch_candidates(&alias.ordered)
@@ -450,9 +448,10 @@ pub fn mhp_row(bug: &BugSpec) -> Option<MhpRow> {
         .with_distance_rank(distances.clone())
         .watch_candidates(&sparse.ordered)
         .len();
-    let mhp = Mhp::compute(&bug.program, slicer.ticfg());
-    let pts = PointsTo::compute(&bug.program, slicer.ticfg());
-    let mut never_parallel = mhp.never_parallel_stores(&bug.program, &pts);
+    let facts = slicer.facts();
+    let mut never_parallel = facts
+        .mhp()
+        .never_parallel_stores(&bug.program, facts.points_to());
     never_parallel.remove(&report.failing_stmt);
     let pool_on = Planner::new(&bug.program, slicer.ticfg())
         .with_distance_rank(distances)
@@ -736,8 +735,7 @@ mod tests {
             };
             let slicer = StaticSlicer::new(&bug.program);
             let slice = slicer.compute(report.failing_stmt);
-            let pts = gist_analysis::PointsTo::compute(&bug.program, slicer.ticfg());
-            let mut dead = gist_analysis::dead_stores(&bug.program, slicer.ticfg(), &pts);
+            let mut dead = gist_analysis::dead_stores(slicer.facts());
             dead.remove(&report.failing_stmt);
             let unpruned = Planner::new(&bug.program, slicer.ticfg())
                 .watch_candidates(&slice.ordered)

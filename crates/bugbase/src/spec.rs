@@ -214,12 +214,6 @@ impl BugSpec {
     pub fn program_stmts(&self) -> usize {
         self.program.stmt_count()
     }
-
-    /// Program size in distinct annotated source lines.
-    pub fn program_src_lines(&self) -> usize {
-        let ids: Vec<InstrId> = self.program.all_stmt_ids().collect();
-        self.program.source_loc_count(ids.iter())
-    }
 }
 
 /// All 11 bugs, in Table 1 order.

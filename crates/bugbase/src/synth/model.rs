@@ -121,19 +121,6 @@ impl PatternKind {
         }
     }
 
-    /// The code this injection must contribute to the *confirmed* set
-    /// (the `gist-analyze lint` exit-1 codes). Atomicity candidates and
-    /// deadlock predictions are advisory, so they return `None`.
-    pub fn confirmed_code(self) -> Option<&'static str> {
-        match self {
-            PatternKind::OrderViolation => Some("GA024"),
-            PatternKind::UseAfterFree => Some("GA020"),
-            PatternKind::DoubleFree => Some("GA021"),
-            PatternKind::NullFlow => Some("GA023"),
-            _ => None,
-        }
-    }
-
     /// The AVIO pattern label for atomicity injections.
     pub fn av_label(self) -> Option<&'static str> {
         match self {

@@ -4,8 +4,7 @@
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-use gist_analysis::ConstProp;
-use gist_ir::icfg::{Icfg, Ticfg};
+use gist_analysis::AnalysisCtx;
 use gist_ir::printer::stmt_to_string;
 use gist_ir::{InstrId, Op, Operand, Program};
 use gist_predictors::{top_by_category, Predictor, PredictorStats};
@@ -13,14 +12,13 @@ use gist_sketch::{FailureSketch, SketchStep};
 use gist_tracking::RunTrace;
 use gist_vm::FailureReport;
 
-/// Builds failure sketches for one program.
-pub struct SketchBuilder<'p> {
-    program: &'p Program,
-    /// TICFG for the reaching-path step pruning.
-    ticfg: Ticfg,
-    /// Sparse constant propagation facts, for static value annotations
-    /// when the dynamic trace has no hit value for a step.
-    consts: ConstProp,
+/// Builds failure sketches for one program. It reads the program's TICFG
+/// (for the reaching-path step pruning) and constants (static value
+/// annotations when the dynamic trace has no hit value for a step) from
+/// the [`AnalysisCtx`] it borrows, the one the server's slicer owns.
+pub struct SketchBuilder<'a> {
+    program: &'a Program,
+    facts: &'a AnalysisCtx<'a>,
     /// Sketch title (e.g. `Failure Sketch for pbzip2 bug #1`).
     pub title: String,
     /// Bug classification for the type line (`Concurrency bug` /
@@ -28,16 +26,14 @@ pub struct SketchBuilder<'p> {
     pub bug_class: String,
 }
 
-impl<'p> SketchBuilder<'p> {
-    /// Creates a builder with a default title derived from the program.
-    pub fn new(program: &'p Program) -> Self {
-        let ticfg = Icfg::build_ticfg(program);
-        let consts = ConstProp::compute(program, &ticfg);
+impl<'a> SketchBuilder<'a> {
+    /// Creates a builder over `facts`, with a default title derived from
+    /// the program.
+    pub fn new(facts: &'a AnalysisCtx<'a>) -> Self {
         SketchBuilder {
-            title: format!("Failure Sketch for {}", program.name),
-            program,
-            ticfg,
-            consts,
+            title: format!("Failure Sketch for {}", facts.program.name),
+            program: facts.program,
+            facts,
             bug_class: "Bug".to_owned(),
         }
     }
@@ -265,7 +261,8 @@ impl<'p> SketchBuilder<'p> {
         // channel through which a concurrent statement can still affect
         // the failure) pads the sketch without explaining anything.
         let reach: HashSet<InstrId> = self
-            .ticfg
+            .facts
+            .ticfg()
             .backward_order(report.failing_stmt)
             .into_iter()
             .collect();
@@ -290,7 +287,7 @@ impl<'p> SketchBuilder<'p> {
             Op::Store { value, .. } => *value,
             other => Operand::Var(other.def()?),
         };
-        let v = self.consts.operand_value(func, op)?;
+        let v = self.facts.consts().operand_value(func, op)?;
         Some(format!("{v} (static)"))
     }
 
@@ -408,7 +405,7 @@ entry:
             total_failing: 3,
             total_successful: 5,
         }];
-        let sketch = SketchBuilder::new(&p)
+        let sketch = SketchBuilder::new(&AnalysisCtx::new(&p))
             .with_title("Failure Sketch for mini bug #1")
             .with_class("Concurrency bug")
             .build(&report, &stmts, &rep, &stats, 0.5, None);
@@ -507,7 +504,14 @@ entry:
             executed_tracked: stmts.clone(),
             ..RunTrace::default()
         };
-        let sketch = SketchBuilder::new(&p).build(&report, &stmts, &rep, &[], 0.5, Some(&ideal));
+        let sketch = SketchBuilder::new(&AnalysisCtx::new(&p)).build(
+            &report,
+            &stmts,
+            &rep,
+            &[],
+            0.5,
+            Some(&ideal),
+        );
         let grey: Vec<InstrId> = sketch
             .steps
             .iter()

@@ -227,18 +227,16 @@ impl<'p> GistServer<'p> {
         let mut watch_priority: Vec<InstrId> = Vec::new();
         let mut dead = BTreeSet::new();
         let _span_analyze = gist_obs::span("server.analyze");
+        let facts = self.slicer.facts();
         // The happens-before/MHP relation, when enabled: race-candidate
         // pairs the thread structure orders (a free after the join, two
         // phases separated by a join barrier) are statically-impossible
         // interleavings — they neither seed tracking nor rank watchpoints,
         // so the AsT loop never spends runs testing them.
-        let mhp = self
-            .config
-            .enable_mhp
-            .then(|| gist_analysis::Mhp::compute(self.program, self.slicer.ticfg()));
+        let mhp = self.config.enable_mhp.then(|| facts.mhp());
         if self.config.enable_race_ranking {
-            let mut analysis = gist_analysis::analyze(self.program);
-            if let Some(m) = &mhp {
+            let mut analysis = facts.races().clone();
+            if let Some(m) = mhp {
                 analysis.candidates.retain(|c| {
                     let [a, b] = c.stmts();
                     m.may_happen_in_parallel(a, b)
@@ -266,20 +264,16 @@ impl<'p> GistServer<'p> {
         // Dead-store pruning: stores the memory-liveness dataflow proves
         // unobservable never occupy a debug register. The failing statement
         // is always kept watchable, whatever the analysis says.
-        let pts = (self.config.enable_dead_store_pruning || mhp.is_some())
-            .then(|| gist_analysis::PointsTo::compute(self.program, self.slicer.ticfg()));
         if self.config.enable_dead_store_pruning {
-            let pts = pts.as_ref().expect("computed above");
-            dead = gist_analysis::dead_stores(self.program, self.slicer.ticfg(), pts);
+            dead = gist_analysis::dead_stores(facts);
             dead.remove(&report.failing_stmt);
         }
         // Never-parallel writes: their interleavings cannot matter, so
         // they never occupy a debug register. The failing statement and
         // race-ranked statements always stay watchable.
         let mut never_parallel = BTreeSet::new();
-        if let Some(m) = &mhp {
-            let pts = pts.as_ref().expect("computed above");
-            never_parallel = m.never_parallel_stores(self.program, pts);
+        if let Some(m) = mhp {
+            never_parallel = m.never_parallel_stores(self.program, facts.points_to());
             never_parallel.remove(&report.failing_stmt);
             for s in &watch_priority {
                 never_parallel.remove(s);
@@ -290,16 +284,16 @@ impl<'p> GistServer<'p> {
         // priority ties among watchpoint candidates: fewer def-use steps
         // from the failure means an earlier cooperative watch group.
         let flow_distances = if use_svfg {
-            self.slicer.svfg().backward_value_flow(report.failing_stmt)
+            facts.svfg().backward_value_flow(report.failing_stmt)
         } else {
             Default::default()
         };
-        let planner = Planner::new(self.program, self.slicer.ticfg())
+        let planner = Planner::new(self.program, facts.ticfg())
             .with_watch_priority(watch_priority)
             .with_distance_rank(flow_distances)
             .with_dead_store_filter(dead)
             .with_mhp_filter(never_parallel);
-        let builder = SketchBuilder::new(self.program)
+        let builder = SketchBuilder::new(facts)
             .with_title(&self.config.title)
             .with_class(&self.config.bug_class);
         let signature = report.signature();
@@ -457,7 +451,7 @@ impl<'p> GistServer<'p> {
                 if use_svfg {
                     let tid_of: std::collections::HashMap<InstrId, u32> =
                         sketch.steps.iter().map(|s| (s.stmt, s.tid)).collect();
-                    let svfg = self.slicer.svfg();
+                    let svfg = facts.svfg();
                     for step in &mut sketch.steps {
                         let flow = svfg
                             .edges_in(step.stmt)

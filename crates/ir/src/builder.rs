@@ -118,11 +118,6 @@ impl ProgramBuilder {
         self.program.validate()?;
         Ok(self.program)
     }
-
-    /// Access the program under construction (for tests).
-    pub fn program_mut(&mut self) -> &mut Program {
-        &mut self.program
-    }
 }
 
 /// Builds one function's body. Obtained from [`ProgramBuilder::function`].
@@ -211,11 +206,6 @@ impl<'a> FunctionBuilder<'a> {
             "block {block} is not open (already terminated?)"
         );
         self.current = block;
-    }
-
-    /// The block currently being appended to.
-    pub fn current_block(&self) -> BlockId {
-        self.current
     }
 
     fn emit(&mut self, op: Op) {

@@ -236,11 +236,6 @@ impl DomTree {
     pub fn depth(&self, b: BlockId) -> u32 {
         self.depth.get(b.index()).copied().unwrap_or(0)
     }
-
-    /// True if the node participates in the tree.
-    pub fn is_reachable(&self, b: BlockId) -> bool {
-        self.reachable.get(b.index()).copied().unwrap_or(false)
-    }
 }
 
 #[cfg(test)]

@@ -46,14 +46,6 @@ impl Operand {
             _ => None,
         }
     }
-
-    /// Returns the global if this operand is a global address.
-    pub fn as_global(self) -> Option<GlobalId> {
-        match self {
-            Operand::Global(g) => Some(g),
-            _ => None,
-        }
-    }
 }
 
 /// Binary arithmetic/bitwise operation kinds.

@@ -341,11 +341,6 @@ impl Program {
         self.functions.iter().find(|f| f.name == name)
     }
 
-    /// Looks up a global by name.
-    pub fn global_by_name(&self, name: &str) -> Option<&Global> {
-        self.globals.iter().find(|g| g.name == name)
-    }
-
     /// Returns the function.
     pub fn function(&self, id: FuncId) -> &Function {
         &self.functions[id.index()]

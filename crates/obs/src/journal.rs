@@ -295,10 +295,10 @@ pub fn end_trace(iterations: u64, recurrences: u64) {
 
 /// Flushes the calling thread's buffered events into the global ring
 /// without draining it. Thread-local buffers otherwise flush every
-/// [`FLUSH_EVERY`] events and at thread exit — persistent worker threads
+/// `FLUSH_EVERY` events and at thread exit — persistent worker threads
 /// call this at batch end, and the core server calls it at each AsT
 /// iteration boundary, so streaming consumers ([`drain_since`]) see
-/// events at those checkpoints rather than [`FLUSH_EVERY`] granularity.
+/// events at those checkpoints rather than `FLUSH_EVERY` granularity.
 pub fn flush_local() {
     let _ = LOCAL.try_with(|l| l.borrow_mut().flush());
 }

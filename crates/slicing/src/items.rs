@@ -93,25 +93,6 @@ pub fn stmt_uses(program: &Program, id: InstrId) -> Vec<SliceItem> {
         .collect()
 }
 
-/// The item a statement defines (register writes), if any.
-pub fn stmt_def(program: &Program, id: InstrId) -> Option<SliceItem> {
-    let func = program.stmt_func(id)?;
-    let instr = program.instr(id)?;
-    instr.op.def().map(|v| SliceItem::Reg(func, v))
-}
-
-/// The global a statement writes through its own name, if any.
-pub fn stmt_global_write(program: &Program, id: InstrId) -> Option<GlobalId> {
-    let instr = program.instr(id)?;
-    if !instr.op.is_memory_write() {
-        return None;
-    }
-    match instr.op.access_addr() {
-        Some(Operand::Global(g)) => Some(g),
-        _ => None,
-    }
-}
-
 /// Whether a statement is a *source* per Algorithm 1 (global access,
 /// argument use, call, or memory access). Non-sources (pure arithmetic on
 /// locals) still propagate dataflow but mirror the paper's distinction.

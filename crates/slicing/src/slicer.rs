@@ -2,8 +2,9 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-use gist_analysis::points_to::{Loc, LocSet, MemOrigin, PointsTo};
+use gist_analysis::points_to::{Loc, LocSet};
 use gist_analysis::svfg::{Svfg, SvfgEdgeKind};
+use gist_analysis::AnalysisCtx;
 use gist_ir::icfg::Icfg;
 use gist_ir::{InstrId, Op, Operand, Program, Terminator};
 
@@ -82,34 +83,31 @@ impl Slice {
     }
 }
 
-/// The static slicer. Holds the program-wide analyses so multiple slices
-/// can be computed cheaply (Gist's server reuses them across failures).
+/// The static slicer. Holds the program's whole-program facts in one
+/// [`AnalysisCtx`] so multiple slices can be computed cheaply (Gist's
+/// server reuses them across failures, and reads its race, MHP and
+/// constant facts from the same context).
+///
+/// Construction builds the TICFG, points-to, def/use and control deps.
+/// The remaining facts are built on first use: the thread-shared origins
+/// at the first alias-aware [`StaticSlicer::compute`], and the SVFG at the
+/// first [`StaticSlicer::compute_with_svfg`].
 pub struct StaticSlicer<'p> {
     program: &'p Program,
-    ticfg: Icfg,
+    facts: AnalysisCtx<'p>,
     defuse: DefUse,
     cdeps: ControlDeps,
-    pts: PointsTo,
     /// Abstract cells written by each store/free, for alias-aware data
     /// dependences. Frees are widened to their whole origin.
     write_locs: BTreeMap<InstrId, LocSet>,
-    /// Origins reachable from more than one thread context. Alias-aware
-    /// pulling is restricted to these: same-thread heap flows are covered
-    /// by def-use chains, and pulling every aliasing write in a sequential
-    /// program is exactly the slice blow-up §3.1 warns about.
-    shared_origins: std::collections::BTreeSet<MemOrigin>,
-    /// The sparse value-flow graph: def-use chains with 1-CFA call/return
-    /// binding and path-feasibility pruning. [`StaticSlicer::compute_with_svfg`]
-    /// walks it instead of the flow-insensitive item worklist.
-    svfg: Svfg,
 }
 
 impl<'p> StaticSlicer<'p> {
     /// Builds the slicer's analyses (TICFG, def/use, control deps,
     /// points-to).
     pub fn new(program: &'p Program) -> StaticSlicer<'p> {
-        let ticfg = Icfg::build_ticfg(program);
-        let pts = PointsTo::compute(program, &ticfg);
+        let facts = AnalysisCtx::new(program);
+        let pts = facts.points_to();
         let mut write_locs: BTreeMap<InstrId, LocSet> = BTreeMap::new();
         for f in &program.functions {
             for b in &f.blocks {
@@ -129,24 +127,27 @@ impl<'p> StaticSlicer<'p> {
                 }
             }
         }
-        let shared_origins = gist_analysis::shared_origins_with(program, &ticfg);
-        let svfg = Svfg::build_with(program, &ticfg, &pts);
         StaticSlicer {
             program,
-            ticfg,
+            facts,
             defuse: DefUse::build(program),
             cdeps: ControlDeps::build(program),
-            pts,
             write_locs,
-            shared_origins,
-            svfg,
         }
     }
 
-    /// The sparse value-flow graph (shared with the sketch engine for
-    /// inter-thread provenance annotations).
+    /// The program's whole-program facts (shared with the Gist server,
+    /// the planner and the sketch engine).
+    pub fn facts(&self) -> &AnalysisCtx<'p> {
+        &self.facts
+    }
+
+    /// The sparse value-flow graph: def-use chains with 1-CFA call/return
+    /// binding and path-feasibility pruning, which
+    /// [`StaticSlicer::compute_with_svfg`] walks instead of the
+    /// flow-insensitive item worklist.
     pub fn svfg(&self) -> &Svfg {
-        &self.svfg
+        self.facts.svfg()
     }
 
     /// The abstract cells a slice statement may read (or, for a store,
@@ -158,11 +159,12 @@ impl<'p> StaticSlicer<'p> {
         let Some(instr) = self.program.instr(id) else {
             return LocSet::new();
         };
+        let pts = self.facts.points_to();
         match &instr.op {
             Op::Intrinsic { args, .. } => {
                 let mut locs = LocSet::new();
                 for a in args {
-                    for l in self.pts.operand_origins(func, *a) {
+                    for l in pts.operand_origins(func, *a) {
                         locs.insert(Loc::anywhere(l.origin));
                     }
                 }
@@ -170,14 +172,14 @@ impl<'p> StaticSlicer<'p> {
             }
             op => op
                 .access_addr()
-                .map(|addr| self.pts.operand_origins(func, addr))
+                .map(|addr| pts.operand_origins(func, addr))
                 .unwrap_or_default(),
         }
     }
 
     /// The TICFG (shared with the instrumentation planner).
     pub fn ticfg(&self) -> &Icfg {
-        &self.ticfg
+        self.facts.ticfg()
     }
 
     /// Computes the backward-feasible statement set and distances.
@@ -190,6 +192,7 @@ impl<'p> StaticSlicer<'p> {
     /// `cons`). The TICFG "represents an overapproximation of all the
     /// possible dynamic control flow behaviors" (§3.1).
     fn feasible(&self, criterion: InstrId) -> HashMap<InstrId, u64> {
+        let ticfg = self.ticfg();
         let mut dist: HashMap<InstrId, u64> = HashMap::new();
         // Backward BFS.
         let mut q = VecDeque::new();
@@ -197,7 +200,7 @@ impl<'p> StaticSlicer<'p> {
         q.push_back(criterion);
         while let Some(s) = q.pop_front() {
             let d = dist[&s];
-            for &(p, _) in self.ticfg.preds(s) {
+            for &(p, _) in ticfg.preds(s) {
                 if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(p) {
                     e.insert(d + 1);
                     q.push_back(p);
@@ -219,7 +222,7 @@ impl<'p> StaticSlicer<'p> {
             let mut fq = VecDeque::new();
             fq.push_back((spawn, d0));
             while let Some((s, d)) = fq.pop_front() {
-                for &(n, _) in self.ticfg.succs(s) {
+                for &(n, _) in ticfg.succs(s) {
                     let nd = d + 1;
                     let better = dist.get(&n).map(|&old| nd < old).unwrap_or(true);
                     if better {
@@ -277,6 +280,7 @@ impl<'p> StaticSlicer<'p> {
     /// value-flow hops rather than raw TICFG steps (the re-ranking signal
     /// the instrumentation planner consumes).
     pub fn compute_with_svfg(&self, criterion: InstrId) -> Slice {
+        let svfg = self.svfg();
         let feasible = self.feasible(criterion);
         let mut dist: HashMap<InstrId, u64> = HashMap::new();
         let mut members: HashSet<InstrId> = HashSet::new();
@@ -290,7 +294,7 @@ impl<'p> StaticSlicer<'p> {
             if *e > d {
                 *e = d;
             }
-            for edge in self.svfg.edges_in(s) {
+            for edge in svfg.edges_in(s) {
                 let (next_ctx, ok) = match edge.kind {
                     // Descending into a callee: remember the call site.
                     SvfgEdgeKind::Ret(c) => (Some(c), true),
@@ -335,7 +339,7 @@ impl<'p> StaticSlicer<'p> {
                     continue;
                 }
                 out.insert(br);
-                for edge in self.svfg.edges_in(br) {
+                for edge in self.svfg().edges_in(br) {
                     if edge.kind == SvfgEdgeKind::Direct && slice.contains(edge.def) {
                         out.insert(edge.def);
                     }
@@ -400,10 +404,11 @@ impl<'p> StaticSlicer<'p> {
                 // are already on def-use chains, and pulling them would
                 // inflate sequential slices (the §3.1 blow-up).
                 if alias == AliasMode::PointsTo {
+                    let shared = self.facts.shared_origins();
                     let locs: LocSet = self
                         .access_locs(s)
                         .into_iter()
-                        .filter(|l| self.shared_origins.contains(&l.origin))
+                        .filter(|l| shared.contains(&l.origin))
                         .collect();
                     if !locs.is_empty() {
                         for (&w, wlocs) in &self.write_locs {
@@ -441,7 +446,7 @@ impl<'p> StaticSlicer<'p> {
                 // callees' return statements and returned items.
                 if let Some(instr) = self.program.instr(s) {
                     if let Op::Call { dst: Some(_), .. } = &instr.op {
-                        if let Some(targets) = self.ticfg.call_targets.get(&s) {
+                        if let Some(targets) = self.ticfg().call_targets.get(&s) {
                             for &callee in targets {
                                 for b in &self.program.function(callee).blocks {
                                     if let Terminator::Ret {
@@ -487,7 +492,7 @@ impl<'p> StaticSlicer<'p> {
                         let func = self.program.function(f);
                         if (v.0 as usize) < func.params.len() {
                             let arg_idx = v.0 as usize;
-                            if let Some(callers) = self.ticfg.callers.get(&f) {
+                            if let Some(callers) = self.ticfg().callers.get(&f) {
                                 for &cs in callers {
                                     if !feasible.contains_key(&cs) {
                                         continue;

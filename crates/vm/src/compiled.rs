@@ -7,12 +7,12 @@
 //! thousands of runs of the *same* program. Lowering moves all of that to
 //! compile time, once per program:
 //!
-//! * every function becomes one contiguous `Vec` of [`CInstr`]; block
+//! * every function becomes one contiguous `Vec` of `CInstr`; block
 //!   boundaries disappear and fallthrough is `pc + 1`,
 //! * jump and call targets are resolved to instruction indices
-//!   ([`COp::Jump`]/[`COp::CondBr`] carry `pc` values, calls carry dense
+//!   (`COp::Jump`/`COp::CondBr` carry `pc` values, calls carry dense
 //!   function indices),
-//! * operands are interned into [`Slot`]s: registers become raw slot
+//! * operands are interned into `Slot`s: registers become raw slot
 //!   numbers and globals are folded to their *constant* addresses (the
 //!   globals segment layout is deterministic, mirroring
 //!   [`crate::mem::Memory::new`]),
@@ -197,7 +197,6 @@ pub struct CompiledProgram {
     pub(crate) global_bases: Vec<u64>,
     name: String,
     stmt_count: usize,
-    fingerprint: u64,
 }
 
 /// Computes the deterministic globals layout without materializing memory.
@@ -381,7 +380,6 @@ impl CompiledProgram {
             global_bases,
             name: program.name.clone(),
             stmt_count: program.stmt_count(),
-            fingerprint: program.fingerprint(),
         }
     }
 
@@ -417,11 +415,6 @@ impl CompiledProgram {
         self.name == program.name
             && self.stmt_count == program.stmt_count()
             && self.funcs.len() == program.functions.len()
-    }
-
-    /// The fingerprint of the program this was compiled from.
-    pub fn source_fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 }
 

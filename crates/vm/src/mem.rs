@@ -306,11 +306,6 @@ impl Memory {
             .count()
     }
 
-    /// Total mapped cells (diagnostics).
-    pub fn mapped_cells(&self) -> usize {
-        self.cells.len()
-    }
-
     /// End of globals, used by tests to confirm layout.
     pub fn globals_extent(&self) -> u64 {
         self.globals_end()
