@@ -87,7 +87,7 @@ impl Recorder {
     /// Records one run of `program` under `config`.
     pub fn record(program: &Program, config: VmConfig) -> RecordedRun {
         let mut sched = RecordingScheduler {
-            inner: BoxedScheduler(config.scheduler.build()),
+            inner: config.scheduler.build(),
             picks: Vec::new(),
         };
         let mut log = EventLog::default();
@@ -114,15 +114,6 @@ impl Recorder {
         !sched.diverged
             && log.events == recording.events
             && result.outcome == recording.result.outcome
-    }
-}
-
-/// Adapter: `Box<dyn Scheduler>` as a `Scheduler`.
-struct BoxedScheduler(Box<dyn Scheduler>);
-
-impl Scheduler for BoxedScheduler {
-    fn pick(&mut self, runnable: &[u32], step: u64) -> u32 {
-        self.0.pick(runnable, step)
     }
 }
 

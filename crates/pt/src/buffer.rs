@@ -6,9 +6,9 @@
 //! ToPA STOP): once full, packets are dropped and a single OVF packet marks
 //! the loss.
 
-use bytes::BytesMut;
+use bytes::{BufMut, BytesMut};
 
-use crate::packet::Packet;
+use crate::packet::{tnt_byte, Packet};
 
 /// Default buffer capacity: 2 MB, as in the paper's driver.
 pub const DEFAULT_CAPACITY: usize = 2 * 1024 * 1024;
@@ -44,8 +44,30 @@ impl TraceBuffer {
     /// the buffer is full (an OVF marker is then written exactly once;
     /// space for it is reserved out of the capacity).
     pub fn push(&mut self, p: &Packet) -> bool {
+        if !self.admit(p.encoded_len()) {
+            return false;
+        }
+        p.encode(&mut self.bytes);
+        true
+    }
+
+    /// Appends a short TNT packet carrying `bits` (1..=6 branch outcomes),
+    /// exactly as `push(&Packet::Tnt { bits })` would, without building
+    /// the packet.
+    pub fn push_tnt(&mut self, bits: &[bool]) -> bool {
+        // A short TNT packet encodes to one byte.
+        if !self.admit(1) {
+            return false;
+        }
+        self.bytes.put_u8(tnt_byte(bits));
+        true
+    }
+
+    /// Counts one offered packet of `need` bytes and reports whether it
+    /// fits; a packet that does not fit is dropped, and the first drop
+    /// writes the OVF marker.
+    fn admit(&mut self, need: usize) -> bool {
         self.total_packets += 1;
-        let need = p.encoded_len();
         let reserve = Packet::Ovf.encoded_len();
         if self.overflowed || self.bytes.len() + need + reserve > self.capacity {
             if !self.overflowed {
@@ -55,7 +77,6 @@ impl TraceBuffer {
             self.dropped_packets += 1;
             return false;
         }
-        p.encode(&mut self.bytes);
         true
     }
 
@@ -155,6 +176,29 @@ mod tests {
         assert!(b.is_empty());
         assert!(!b.overflowed());
         assert!(b.push(&Packet::Tip { ip: InstrId(2) }));
+    }
+
+    #[test]
+    fn push_tnt_matches_push_of_a_tnt_packet() {
+        for cap in [4, 18, 19, 20, 64] {
+            let mut a = TraceBuffer::with_capacity(cap);
+            let mut b = TraceBuffer::with_capacity(cap);
+            for i in 0..12usize {
+                let bits: Vec<bool> = (0..1 + i % 6).map(|j| (i + j) % 3 == 0).collect();
+                if i % 5 == 0 {
+                    assert_eq!(a.push(&Packet::Psb), b.push(&Packet::Psb));
+                }
+                assert_eq!(
+                    a.push(&Packet::Tnt { bits: bits.clone() }),
+                    b.push_tnt(&bits)
+                );
+            }
+            assert_eq!(a.as_bytes(), b.as_bytes(), "capacity {cap}");
+            assert_eq!(
+                (a.offered(), a.dropped(), a.overflowed()),
+                (b.offered(), b.dropped(), b.overflowed())
+            );
+        }
     }
 
     #[test]

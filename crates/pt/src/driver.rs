@@ -28,6 +28,7 @@ struct DriverState {
 }
 
 impl DriverState {
+    #[inline]
     fn core_state(&self, core: u32) -> bool {
         self.cores
             .get(core as usize)
@@ -94,6 +95,7 @@ impl PtDriver {
     }
 
     /// True if tracing is enabled on the core.
+    #[inline]
     pub fn is_enabled(&self, core: u32) -> bool {
         self.state.borrow().core_state(core)
     }

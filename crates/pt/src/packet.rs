@@ -70,6 +70,27 @@ mod tag {
 /// Maximum branch bits in a short TNT packet.
 pub const TNT_CAPACITY: usize = 6;
 
+/// The one-byte encoding of a short TNT packet carrying `bits`.
+///
+/// # Panics
+///
+/// Panics if `bits` holds 0 or more than [`TNT_CAPACITY`] bits.
+pub(crate) fn tnt_byte(bits: &[bool]) -> u8 {
+    assert!(
+        !bits.is_empty() && bits.len() <= TNT_CAPACITY,
+        "short TNT holds 1..=6 bits, got {}",
+        bits.len()
+    );
+    // Real short-TNT: bits packed below a trailing stop bit, oldest branch
+    // in the most significant position. We pack into the low 7 bits: stop
+    // bit at position `len`, bits below it, oldest first.
+    let mut payload: u8 = 1; // stop bit
+    for &b in bits {
+        payload = (payload << 1) | b as u8;
+    }
+    tag::TNT | payload
+}
+
 impl Packet {
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
@@ -111,22 +132,7 @@ impl Packet {
                 out.put_u8(tag::PGD);
                 out.put_u32_le(ip.0);
             }
-            Packet::Tnt { bits } => {
-                assert!(
-                    !bits.is_empty() && bits.len() <= TNT_CAPACITY,
-                    "short TNT holds 1..=6 bits, got {}",
-                    bits.len()
-                );
-                // Real short-TNT: bits packed below a trailing stop bit,
-                // oldest branch in the most significant position. We pack
-                // into the low 7 bits: stop bit at position `len`, bits
-                // below it, oldest first.
-                let mut payload: u8 = 1; // stop bit
-                for b in bits {
-                    payload = (payload << 1) | (*b as u8);
-                }
-                out.put_u8(tag::TNT | payload);
-            }
+            Packet::Tnt { bits } => out.put_u8(tnt_byte(bits)),
             Packet::Tip { ip } => {
                 out.put_u8(tag::TIP);
                 out.put_u32_le(ip.0);

@@ -222,33 +222,47 @@ impl<'p> PtTracer<'p> {
     /// Interval between PSB sync packets (real PT: every 4 KB of trace).
     const PSB_INTERVAL: usize = 4096;
 
-    fn push(&mut self, core: u32, p: Packet) {
-        let c = core as usize;
+    /// Emits the periodic PSB on core `c` when one is due, then charges
+    /// `len` bytes of the next packet to the PSB interval.
+    fn sync(&mut self, c: usize, len: usize) {
         if self.since_psb[c] >= Self::PSB_INTERVAL {
             self.buffers[c].push(&Packet::Psb);
             self.since_psb[c] = 0;
         }
-        self.since_psb[c] += p.encoded_len();
+        self.since_psb[c] += len;
+    }
+
+    fn push(&mut self, core: u32, p: Packet) {
+        let c = core as usize;
+        self.sync(c, p.encoded_len());
         self.buffers[c].push(&p);
     }
 
-    fn flush_tnt(&mut self, tid: u32) {
-        let (core, bits) = {
-            let w = &mut self.windows[tid as usize];
-            if w.pending.is_empty() {
-                return;
-            }
-            (w.core, std::mem::take(&mut w.pending))
+    /// Encodes `tid`'s pending TNT bits on `core`'s stream, straight from
+    /// the pending buffer, which keeps its allocation for the next bits.
+    fn emit_pending(&mut self, core: u32, tid: u32) {
+        let Some(w) = self.windows.get_mut(tid as usize) else {
+            return;
         };
-        self.switch_core_to(core, tid);
+        let mut bits = std::mem::take(&mut w.pending);
+        let c = core as usize;
         for chunk in bits.chunks(TNT_CAPACITY) {
-            self.push(
-                core,
-                Packet::Tnt {
-                    bits: chunk.to_vec(),
-                },
-            );
+            // A short TNT packet encodes to one byte.
+            self.sync(c, 1);
+            self.buffers[c].push_tnt(chunk);
         }
+        bits.clear();
+        self.windows[tid as usize].pending = bits;
+    }
+
+    fn flush_tnt(&mut self, tid: u32) {
+        let w = &self.windows[tid as usize];
+        if w.pending.is_empty() {
+            return;
+        }
+        let core = w.core;
+        self.switch_core_to(core, tid);
+        self.emit_pending(core, tid);
     }
 
     /// Makes `core`'s stream attribute packets to `tid`, flushing any other
@@ -259,20 +273,7 @@ impl<'p> PtTracer<'p> {
         }
         if let Some(old) = self.core_tid[core as usize] {
             // Flush the outgoing thread's bits while still attributed.
-            self.core_tid[core as usize] = Some(old);
-            let old_bits = self
-                .windows
-                .get_mut(old as usize)
-                .map(|w| std::mem::take(&mut w.pending))
-                .unwrap_or_default();
-            for chunk in old_bits.chunks(TNT_CAPACITY) {
-                self.push(
-                    core,
-                    Packet::Tnt {
-                        bits: chunk.to_vec(),
-                    },
-                );
-            }
+            self.emit_pending(core, old);
         }
         self.core_tid[core as usize] = Some(tid);
         self.push(core, Packet::Pip { tid });

@@ -1,7 +1,7 @@
 //! The client-side runtime tracker: executes an instrumentation patch
 //! during a production run.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use gist_ir::{InstrId, Program};
 use gist_pt::decoder::DecodedTrace;
@@ -98,8 +98,6 @@ pub struct TrackerRuntime<'p> {
     driver: PtDriver,
     tracer: PtTracer<'p>,
     watch: WatchUnit,
-    /// addr -> arming statement, for discovery bookkeeping.
-    armed_for: HashMap<u64, InstrId>,
     /// Cores with a resume point pending until the `ret` retires, indexed
     /// by core. The VM emits `Return { to }` while executing the `ret`,
     /// before its `Retired` event; applying the resume immediately would
@@ -133,7 +131,6 @@ impl<'p> TrackerRuntime<'p> {
             driver,
             tracer,
             watch: WatchUnit::new(),
-            armed_for: HashMap::new(),
             pending_resume: vec![false; num_cores.max(1) as usize],
             missed_arms: 0,
         }
@@ -162,13 +159,20 @@ impl<'p> TrackerRuntime<'p> {
             branches: decoded.branches.len() as u64,
             bytes: pt_bytes as u64,
         });
-        let executed = decoded.executed();
+        // A per-statement bitmap of the decoded trace: cheaper than
+        // hashing every executed statement into a set.
+        let mut executed = vec![false; self.program.stmt_count()];
+        for &(_, s) in decoded.per_core.iter().flatten() {
+            if let Some(e) = executed.get_mut(s.index()) {
+                *e = true;
+            }
+        }
         let executed_tracked: BTreeSet<InstrId> = self
             .patch
             .tracked
             .iter()
             .copied()
-            .filter(|s| executed.contains(s))
+            .filter(|s| executed.get(s.index()).copied().unwrap_or(false))
             .collect();
         let hits = self.watch.take_hits();
         let discovered: BTreeSet<InstrId> = hits
@@ -221,73 +225,87 @@ impl<'p> TrackerRuntime<'p> {
 
 impl Observer for TrackerRuntime<'_> {
     fn on_event(&mut self, ev: &Event) {
-        // 1. Arm a watchpoint at planned access sites at the PreAccess
-        //    (address computation) step, which executes *before* the
-        //    access — "the inserted hardware watchpoint must be located
-        //    before the access and after the immediate dominator of that
-        //    access" (§3.2.3). Other threads may interleave between the
-        //    arm point and the access, which is exactly how Gist captures
-        //    the remote racing access. Stack addresses are never watched.
-        if let Event::PreAccess {
-            iid,
-            addr,
-            is_stack,
-            ..
-        } = ev
-        {
-            if self.index.stmt[iid.index()] & P_WATCH != 0 && !is_stack {
-                match self.watch.set(*addr, 1, WatchCondition::ReadWrite) {
-                    Ok(_) => {
-                        self.armed_for.insert(*addr, *iid);
-                    }
-                    Err(WatchError::AlreadyWatched) => {}
-                    Err(WatchError::NoFreeSlot) => {
+        match ev {
+            // Arm a watchpoint at planned access sites at the PreAccess
+            // (address computation) step, which executes *before* the
+            // access — "the inserted hardware watchpoint must be located
+            // before the access and after the immediate dominator of that
+            // access" (§3.2.3). Other threads may interleave between the
+            // arm point and the access, which is exactly how Gist captures
+            // the remote racing access. Stack addresses are never watched.
+            Event::PreAccess {
+                iid,
+                addr,
+                is_stack,
+                ..
+            } => {
+                if self.index.stmt[iid.index()] & P_WATCH != 0 && !is_stack {
+                    if let Err(WatchError::NoFreeSlot) =
+                        self.watch.set(*addr, 1, WatchCondition::ReadWrite)
+                    {
                         // Another cooperative run covers this address.
                         self.missed_arms += 1;
                     }
-                    Err(_) => {}
+                }
+                self.tracer.handle(ev);
+            }
+            // Memory accesses feed both the PT hardware and the
+            // debug registers.
+            Event::Mem {
+                seq,
+                tid,
+                core,
+                iid,
+                kind,
+                addr,
+                value,
+                ..
+            } => {
+                self.tracer.handle(ev);
+                self.watch
+                    .check_access(*seq, *tid, *core, *iid, *kind, *addr, *value);
+            }
+            // Control-flow toggles fire after the statement completes, on
+            // the executing thread's core (Intel PT is per-core).
+            Event::Retired { iid, core, .. } => {
+                self.tracer.handle(ev);
+                let bits = self.index.stmt[iid.index()];
+                if bits & P_OFF_AFTER != 0 {
+                    self.driver.trace_off(*core);
+                }
+                if bits & P_ON_AFTER != 0 {
+                    self.driver.trace_on(*core);
+                }
+                // A resume point deferred from the `Return` event takes
+                // effect once the `ret` itself has retired (and any stop on
+                // it has been applied) — control is now at the return
+                // target.
+                if std::mem::take(&mut self.pending_resume[*core as usize]) {
+                    self.driver.trace_on(*core);
                 }
             }
-        }
-        // 2. Feed the hardware.
-        self.tracer.handle(ev);
-        self.watch.on_event(ev);
-        // 3. Control-flow toggles fire after the statement completes, on
-        //    the executing thread's core (Intel PT is per-core).
-        if let Event::Retired { iid, core, .. } = ev {
-            let bits = self.index.stmt[iid.index()];
-            if bits & P_OFF_AFTER != 0 {
-                self.driver.trace_off(*core);
+            // Function-entry start points (tracked statements in callee /
+            // thread-routine entry blocks) fire in the entering thread.
+            Event::Enter { func, core, .. } => {
+                self.tracer.handle(ev);
+                if self.index.on_enter[func.index()] {
+                    self.driver.trace_on(*core);
+                }
             }
-            if bits & P_ON_AFTER != 0 {
-                self.driver.trace_on(*core);
+            // Resume points: returning to the statement after a callsite
+            // whose callee stopped tracing re-enables it. The VM emits
+            // `Return` before the `ret`'s `Retired`, so defer the actual
+            // toggle to the Retired arm; enabling here would be undone by a
+            // `pt_off_after` stop on the `ret` itself.
+            Event::Return { to, core, .. } => {
+                self.tracer.handle(ev);
+                if let Some(to) = to {
+                    if self.index.stmt[to.index()] & P_ON_RETURN_TO != 0 {
+                        self.pending_resume[*core as usize] = true;
+                    }
+                }
             }
-            // A resume point deferred from the `Return` event takes effect
-            // once the `ret` itself has retired (and any stop on it has
-            // been applied) — control is now at the return target.
-            if std::mem::take(&mut self.pending_resume[*core as usize]) {
-                self.driver.trace_on(*core);
-            }
-        }
-        // 4. Function-entry start points (tracked statements in callee /
-        //    thread-routine entry blocks) fire in the entering thread.
-        if let Event::Enter { func, core, .. } = ev {
-            if self.index.on_enter[func.index()] {
-                self.driver.trace_on(*core);
-            }
-        }
-        // 5. Resume points: returning to the statement after a callsite
-        //    whose callee stopped tracing re-enables it. The VM emits
-        //    `Return` before the `ret`'s `Retired`, so defer the actual
-        //    toggle to step 3's Retired handler; enabling here would be
-        //    undone by a `pt_off_after` stop on the `ret` itself.
-        if let Event::Return {
-            to: Some(to), core, ..
-        } = ev
-        {
-            if self.index.stmt[to.index()] & P_ON_RETURN_TO != 0 {
-                self.pending_resume[*core as usize] = true;
-            }
+            _ => self.tracer.handle(ev),
         }
     }
 }

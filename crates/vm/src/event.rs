@@ -172,6 +172,7 @@ pub enum Event {
 
 impl Event {
     /// The global sequence number of the event.
+    #[inline]
     pub fn seq(&self) -> u64 {
         match self {
             Event::Retired { seq, .. }
@@ -188,6 +189,7 @@ impl Event {
     }
 
     /// The thread that produced the event.
+    #[inline]
     pub fn tid(&self) -> u32 {
         match self {
             Event::Retired { tid, .. }
@@ -204,6 +206,7 @@ impl Event {
     }
 
     /// The virtual core that produced the event.
+    #[inline]
     pub fn core(&self) -> u32 {
         match self {
             Event::Retired { core, .. }

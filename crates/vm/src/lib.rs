@@ -55,7 +55,9 @@ pub use compiled::CompiledProgram;
 pub use event::{AccessKind, Event, Observer};
 pub use failure::{FailureKind, FailureReport, StackFrame};
 pub use mem::{MemScratch, Memory};
-pub use sched::{FixedSchedule, RandomScheduler, RoundRobin, Scheduler, SchedulerKind};
+pub use sched::{
+    AnyScheduler, FixedSchedule, RandomScheduler, RoundRobin, Scheduler, SchedulerKind,
+};
 #[cfg(feature = "treewalk")]
 pub use treewalk::TreeWalkVm;
 pub use vm::{Input, RunOutcome, RunResult, Vm, VmConfig, VmScratch};

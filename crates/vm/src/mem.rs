@@ -12,20 +12,27 @@
 //! 0x0000_4000_0000 + t*2^20  stack of thread t
 //! 0x4000_0000_0000 ..        encoded function addresses (never dereferenced)
 //! ```
+//!
+//! Each segment is stored densely: the globals in one `Vec` indexed from
+//! [`GLOBALS_BASE`], the heap in one `Vec` indexed from [`HEAP_BASE`] with
+//! a parallel per-cell owner index into the allocation table (0 marks a
+//! red-zone cell), and each thread's stack in its own `Vec` indexed from
+//! its region base. An access is a subtraction and a bounds check, not a
+//! hash probe. The layout above is the whole contract; the storage behind
+//! it is not observable.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use gist_ir::{Program, Value};
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::failure::FailureKind;
 
-/// A fast multiply-rotate hasher for the address-keyed shadow maps.
+/// A fast multiply-rotate hasher for the VM's address-keyed mutex-owner
+/// map.
 ///
-/// Cell lookups are the single hottest memory operation of a fleet run;
-/// SipHash's per-lookup cost dominates it. Addresses are attacker-free
-/// simulation values, so a non-cryptographic mix is safe. Nothing
-/// iterates these maps in an order-sensitive way (the only scan,
-/// [`Memory::globals_extent`], takes a max), so hash order cannot leak
+/// Addresses are attacker-free simulation values, so a non-cryptographic
+/// mix is safe, and nothing iterates the map, so hash order cannot leak
 /// into the deterministic event stream.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct FxHasher {
@@ -65,11 +72,11 @@ pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 pub(crate) type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
 /// Recycled allocations of a finished run's [`Memory`], handed back to
-/// [`Memory::with_scratch`] so batched fleet runs stop re-growing the cell
-/// map from empty every run.
+/// [`Memory::with_scratch`] so batched fleet runs stop re-growing the
+/// segment vectors from empty every run.
 #[derive(Debug, Default)]
 pub struct MemScratch {
-    cells: FxHashMap<u64, Value>,
+    mem: Memory,
 }
 
 /// Base address of the globals segment.
@@ -90,19 +97,33 @@ enum AllocState {
 
 #[derive(Clone, Debug)]
 struct AllocInfo {
-    size: u64,
+    base: u64,
     state: AllocState,
+}
+
+/// Where an accessible address is stored.
+enum Cell {
+    Global(usize),
+    Heap(usize),
+    Stack(usize, usize),
 }
 
 /// The VM's memory.
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
-    cells: FxHashMap<u64, Value>,
-    /// Heap allocations by base address.
-    allocs: BTreeMap<u64, AllocInfo>,
-    next_heap: u64,
-    /// Per-thread stack bump pointers.
-    stack_tops: FxHashMap<u32, u64>,
+    /// Global cells, indexed by `addr - GLOBALS_BASE`.
+    globals: Vec<Value>,
+    /// Heap cells (live, freed and red zone), indexed by
+    /// `addr - HEAP_BASE`; its length is the bump pointer's offset.
+    heap: Vec<Value>,
+    /// Per heap cell: 1 + the index into `allocs` of the allocation that
+    /// owns it, or 0 for a red-zone cell.
+    owner: Vec<u32>,
+    /// Heap allocations in address order.
+    allocs: Vec<AllocInfo>,
+    /// Stack cells of each thread, indexed by tid, then by offset from the
+    /// thread's region base; a stack's length is its bump pointer.
+    stacks: Vec<Vec<Value>>,
     /// Map from global id to base address.
     global_bases: Vec<u64>,
 }
@@ -115,35 +136,46 @@ impl Memory {
 
     /// Creates memory reusing a previous run's allocations.
     ///
-    /// Behaviorally identical to [`Memory::new`]; the recycled cell map
-    /// keeps its capacity, so a pooled fleet run skips the rehash-growth
-    /// of a cold map.
-    pub fn with_scratch(program: &Program, mut scratch: MemScratch) -> Memory {
-        scratch.cells.clear();
-        let mut m = Memory {
-            cells: scratch.cells,
-            next_heap: HEAP_BASE,
-            ..Memory::default()
-        };
+    /// Behaviorally identical to [`Memory::new`]; the recycled segment
+    /// vectors keep their capacity, so a pooled fleet run skips the
+    /// growth of cold ones.
+    pub fn with_scratch(program: &Program, scratch: MemScratch) -> Memory {
+        let mut m = scratch.mem;
+        m.clear();
         let mut addr = GLOBALS_BASE;
         for g in &program.globals {
             m.global_bases.push(addr);
-            for (i, v) in g.init.iter().enumerate() {
-                m.cells.insert(addr + i as u64, *v);
+            let base = (addr - GLOBALS_BASE) as usize;
+            let (size, init) = (g.size as usize, g.init.len());
+            let end = base + size.max(init);
+            if m.globals.len() < end {
+                m.globals.resize(end, 0);
             }
+            m.globals[base..base + init].copy_from_slice(&g.init);
             // Remaining cells implicitly 0 but must still be mapped.
-            for i in g.init.len()..g.size as usize {
-                m.cells.insert(addr + i as u64, 0);
+            if init < size {
+                m.globals[base + init..base + size].fill(0);
             }
             addr += g.size as u64;
         }
         m
     }
 
+    /// Empties every segment, keeping the capacities.
+    fn clear(&mut self) {
+        self.globals.clear();
+        self.heap.clear();
+        self.owner.clear();
+        self.allocs.clear();
+        for s in &mut self.stacks {
+            s.clear();
+        }
+        self.global_bases.clear();
+    }
+
     /// Tears the memory down to its reusable allocations.
-    pub fn into_scratch(mut self) -> MemScratch {
-        self.cells.clear();
-        MemScratch { cells: self.cells }
+    pub fn into_scratch(self) -> MemScratch {
+        MemScratch { mem: self }
     }
 
     /// The base address of a global.
@@ -156,45 +188,33 @@ impl Memory {
         &self.global_bases
     }
 
-    /// End of the globals segment (exclusive).
-    fn globals_end(&self) -> u64 {
-        self.global_bases
-            .last()
-            .map(|&b| b + 1)
-            .map(|_| {
-                // Recompute precisely: last base + its mapped extent.
-                // Cells map tracks exact mapping, so use max mapped global addr + 1.
-                self.cells
-                    .keys()
-                    .filter(|&&a| a < HEAP_BASE)
-                    .max()
-                    .map(|&a| a + 1)
-                    .unwrap_or(GLOBALS_BASE)
-            })
-            .unwrap_or(GLOBALS_BASE)
-    }
-
     /// True if `addr` lies in some thread's stack region.
     pub fn is_stack_addr(addr: u64) -> bool {
         (STACK_BASE..gist_ir::Program::FUNC_ADDR_BASE as u64).contains(&addr)
     }
 
     /// Allocates `size` heap cells, zero-initialized. Returns the base.
+    ///
+    /// An allocation whose cells would reach the stack segment returns
+    /// NULL (0), as `malloc` does when the heap is exhausted; nothing is
+    /// allocated.
     pub fn heap_alloc(&mut self, size: u64) -> u64 {
         let size = size.max(1);
-        let base = self.next_heap;
-        self.next_heap += size + 1; // one-cell red zone between allocations
-        self.allocs.insert(
-            base,
-            AllocInfo {
-                size,
-                state: AllocState::Live,
-            },
-        );
-        for i in 0..size {
-            self.cells.insert(base + i, 0);
+        let offset = self.heap.len() as u64;
+        if size > (STACK_BASE - HEAP_BASE).saturating_sub(offset) {
+            return 0;
         }
-        base
+        self.allocs.push(AllocInfo {
+            base: HEAP_BASE + offset,
+            state: AllocState::Live,
+        });
+        let id = self.allocs.len() as u32;
+        // The cells, then a one-cell red zone between allocations.
+        let end = (offset + size) as usize;
+        self.heap.resize(end + 1, 0);
+        self.owner.resize(end, id);
+        self.owner.push(0);
+        HEAP_BASE + offset
     }
 
     /// Frees a heap allocation. Fails with `DoubleFree` / `InvalidFree`.
@@ -203,85 +223,114 @@ impl Memory {
             // free(NULL) is a no-op, as in C.
             return Ok(());
         }
-        match self.allocs.get_mut(&addr) {
-            Some(info) if info.state == AllocState::Live => {
-                info.state = AllocState::Freed;
-                Ok(())
-            }
-            Some(_) => Err(FailureKind::DoubleFree { addr }),
-            None => Err(FailureKind::InvalidFree { addr }),
+        let owner = addr
+            .checked_sub(HEAP_BASE)
+            .and_then(|off| self.owner.get(off as usize))
+            .copied()
+            .unwrap_or(0);
+        match owner.checked_sub(1).map(|i| &mut self.allocs[i as usize]) {
+            Some(info) if info.base == addr => match info.state {
+                AllocState::Live => {
+                    info.state = AllocState::Freed;
+                    Ok(())
+                }
+                AllocState::Freed => Err(FailureKind::DoubleFree { addr }),
+            },
+            _ => Err(FailureKind::InvalidFree { addr }),
         }
     }
 
     /// Allocates `size` cells on thread `tid`'s stack.
-    pub fn stack_alloc(&mut self, tid: u32, size: u64) -> u64 {
+    ///
+    /// Fails with `SegFault` at the first address past the thread's region
+    /// when the allocation would cross it (a stack overflow), rather than
+    /// spilling into the next thread's stack.
+    pub fn stack_alloc(&mut self, tid: u32, size: u64) -> Result<u64, FailureKind> {
         let region = STACK_BASE + tid as u64 * STACK_SIZE;
-        let top = self.stack_tops.entry(tid).or_insert(region);
-        let base = *top;
-        *top += size.max(1);
-        for i in 0..size.max(1) {
-            self.cells.insert(base + i, 0);
+        let t = tid as usize;
+        if self.stacks.len() <= t {
+            self.stacks.resize_with(t + 1, Vec::new);
         }
-        base
+        let stack = &mut self.stacks[t];
+        let top = stack.len() as u64;
+        if size.max(1) > STACK_SIZE - top {
+            return Err(FailureKind::SegFault {
+                addr: region + STACK_SIZE,
+            });
+        }
+        stack.resize((top + size.max(1)) as usize, 0);
+        Ok(region + top)
     }
 
-    /// Classifies an address: `Ok(())` if accessible, or the failure that
+    /// Locates an accessible address, or returns the failure that
     /// accessing it raises.
-    fn check(&self, addr: u64) -> Result<(), FailureKind> {
-        if addr == 0 || addr < GLOBALS_BASE {
-            return Err(FailureKind::SegFault { addr });
-        }
-        if addr >= gist_ir::Program::FUNC_ADDR_BASE as u64 {
-            return Err(FailureKind::SegFault { addr });
-        }
-        if (HEAP_BASE..STACK_BASE).contains(&addr) {
-            // Heap: must be inside a live allocation.
-            if let Some((&base, info)) = self.allocs.range(..=addr).next_back() {
-                if addr < base + info.size {
-                    return match info.state {
-                        AllocState::Live => Ok(()),
-                        AllocState::Freed => Err(FailureKind::UseAfterFree { addr }),
-                    };
-                }
-            }
-            return Err(FailureKind::SegFault { addr });
+    #[inline]
+    fn locate(&self, addr: u64) -> Result<Cell, FailureKind> {
+        let fault = FailureKind::SegFault { addr };
+        if addr < GLOBALS_BASE || addr >= gist_ir::Program::FUNC_ADDR_BASE as u64 {
+            return Err(fault);
         }
         if addr < HEAP_BASE {
-            // Globals: must be mapped.
-            if self.cells.contains_key(&addr) {
-                return Ok(());
-            }
-            return Err(FailureKind::SegFault { addr });
+            let i = (addr - GLOBALS_BASE) as usize;
+            return if i < self.globals.len() {
+                Ok(Cell::Global(i))
+            } else {
+                Err(fault)
+            };
         }
-        // Stack: must be mapped (below some thread's bump pointer).
-        if self.cells.contains_key(&addr) {
-            Ok(())
-        } else {
-            Err(FailureKind::SegFault { addr })
+        if addr < STACK_BASE {
+            // Heap: must be inside a live allocation.
+            let i = (addr - HEAP_BASE) as usize;
+            return match self.owner.get(i) {
+                None | Some(0) => Err(fault),
+                Some(&id) => match self.allocs[id as usize - 1].state {
+                    AllocState::Live => Ok(Cell::Heap(i)),
+                    AllocState::Freed => Err(FailureKind::UseAfterFree { addr }),
+                },
+            };
+        }
+        // Stack: must be below its thread's bump pointer.
+        let off = addr - STACK_BASE;
+        let (t, i) = ((off / STACK_SIZE) as usize, (off % STACK_SIZE) as usize);
+        match self.stacks.get(t) {
+            Some(s) if i < s.len() => Ok(Cell::Stack(t, i)),
+            _ => Err(fault),
         }
     }
 
     /// Reads a cell.
+    #[inline]
     pub fn load(&self, addr: u64) -> Result<Value, FailureKind> {
-        self.check(addr)?;
-        Ok(self.cells.get(&addr).copied().unwrap_or(0))
+        Ok(match self.locate(addr)? {
+            Cell::Global(i) => self.globals[i],
+            Cell::Heap(i) => self.heap[i],
+            Cell::Stack(t, i) => self.stacks[t][i],
+        })
     }
 
     /// Writes a cell.
+    #[inline]
     pub fn store(&mut self, addr: u64, value: Value) -> Result<(), FailureKind> {
-        self.check(addr)?;
-        self.cells.insert(addr, value);
+        let cell = match self.locate(addr)? {
+            Cell::Global(i) => &mut self.globals[i],
+            Cell::Heap(i) => &mut self.heap[i],
+            Cell::Stack(t, i) => &mut self.stacks[t][i],
+        };
+        *cell = value;
         Ok(())
     }
 
     /// Materializes a NUL-terminated "string" (one char per cell) on the
-    /// heap, returning its base address. Used for string workload inputs.
+    /// heap, returning its base address (NULL if the heap is exhausted).
+    /// Used for string workload inputs.
     pub fn intern_string(&mut self, chars: &[Value]) -> u64 {
         let base = self.heap_alloc(chars.len() as u64 + 1);
-        for (i, &c) in chars.iter().enumerate() {
-            self.cells.insert(base + i as u64, c);
+        if base != 0 {
+            // The allocation's cells are the heap's last ones before its
+            // red zone, and already zero: the terminator is in place.
+            let start = (base - HEAP_BASE) as usize;
+            self.heap[start..start + chars.len()].copy_from_slice(chars);
         }
-        self.cells.insert(base + chars.len() as u64, 0);
         base
     }
 
@@ -301,14 +350,15 @@ impl Memory {
     /// Number of live heap allocations (for leak diagnostics in tests).
     pub fn live_allocs(&self) -> usize {
         self.allocs
-            .values()
+            .iter()
             .filter(|a| a.state == AllocState::Live)
             .count()
     }
 
-    /// End of globals, used by tests to confirm layout.
+    /// End of globals, used by tests to confirm layout: one past the last
+    /// mapped global cell below the heap.
     pub fn globals_extent(&self) -> u64 {
-        self.globals_end()
+        GLOBALS_BASE + (self.globals.len() as u64).min(HEAP_BASE - GLOBALS_BASE)
     }
 }
 
@@ -392,7 +442,7 @@ mod tests {
     fn stack_addresses_are_classified() {
         let p = prog_with_globals();
         let mut m = Memory::new(&p);
-        let s = m.stack_alloc(3, 8);
+        let s = m.stack_alloc(3, 8).unwrap();
         assert!(Memory::is_stack_addr(s));
         assert!(!Memory::is_stack_addr(HEAP_BASE));
         assert!(!Memory::is_stack_addr(GLOBALS_BASE));
@@ -404,10 +454,37 @@ mod tests {
     fn distinct_threads_get_distinct_stacks() {
         let p = prog_with_globals();
         let mut m = Memory::new(&p);
-        let a = m.stack_alloc(0, 4);
-        let b = m.stack_alloc(1, 4);
+        let a = m.stack_alloc(0, 4).unwrap();
+        let b = m.stack_alloc(1, 4).unwrap();
         assert_ne!(a, b);
         assert!(b - a >= STACK_SIZE || a - b >= STACK_SIZE);
+    }
+
+    #[test]
+    fn stack_overflow_faults_past_the_region() {
+        let p = prog_with_globals();
+        let mut m = Memory::new(&p);
+        let a = m.stack_alloc(0, STACK_SIZE - 1).unwrap();
+        assert_eq!(m.stack_alloc(0, 1), Ok(a + STACK_SIZE - 1), "fills exactly");
+        let end = STACK_BASE + STACK_SIZE;
+        assert_eq!(
+            m.stack_alloc(0, 1),
+            Err(FailureKind::SegFault { addr: end })
+        );
+        // The next thread's region is untouched.
+        assert_eq!(m.load(end), Err(FailureKind::SegFault { addr: end }));
+        assert_eq!(m.stack_alloc(1, 1), Ok(end));
+    }
+
+    #[test]
+    fn heap_allocation_reaching_the_stack_returns_null() {
+        let p = prog_with_globals();
+        let mut m = Memory::new(&p);
+        assert_eq!(m.heap_alloc(STACK_BASE - HEAP_BASE + 1), 0);
+        assert_eq!(m.heap_alloc(u64::MAX), 0);
+        assert_eq!(m.live_allocs(), 0, "a refused allocation allocates nothing");
+        let a = m.heap_alloc(4);
+        assert_eq!(a, HEAP_BASE, "refusals do not move the bump pointer");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! each individual run stays reproducible for tests.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 /// Picks which runnable thread executes the next statement.
 pub trait Scheduler {
@@ -64,9 +64,10 @@ impl Scheduler for RoundRobin {
 #[derive(Clone, Debug)]
 pub struct RandomScheduler {
     rng: StdRng,
-    /// Probability of preempting the current thread at each step; with
-    /// probability `1 - preempt`, the previous thread continues.
-    preempt: f64,
+    /// Keep-or-preempt threshold on a draw's top 53 bits: the previous
+    /// thread continues when `draw >> 11 >= keep_at`, which happens with
+    /// probability `1 - preempt`.
+    keep_at: u64,
     last: Option<u32>,
 }
 
@@ -78,23 +79,52 @@ impl RandomScheduler {
     }
 
     /// Creates a random scheduler with an explicit preemption probability.
+    ///
+    /// A uniform `f64` draw is `(next_u64() >> 11) / 2^53` exactly, so
+    /// `draw >= preempt` holds iff `next_u64() >> 11 >= ceil(preempt * 2^53)`
+    /// (the product is exact: scaling by a power of two). A NaN preempt
+    /// never compares true, so it never keeps the previous thread.
     pub fn with_preempt(seed: u64, preempt: f64) -> Self {
+        let keep_at = if preempt.is_nan() {
+            u64::MAX
+        } else {
+            (preempt.clamp(0.0, 1.0) * (1u64 << 53) as f64).ceil() as u64
+        };
         RandomScheduler {
             rng: StdRng::seed_from_u64(seed),
-            preempt: preempt.clamp(0.0, 1.0),
+            keep_at,
             last: None,
         }
     }
 }
 
+/// `x % n` for a non-zero `n`. Constant divisors for the thread counts
+/// programs actually run let the compiler replace the 64-bit division
+/// with a multiply.
+#[inline]
+fn reduce(x: u64, n: usize) -> usize {
+    (match n {
+        1 => 0,
+        2 => x % 2,
+        3 => x % 3,
+        4 => x % 4,
+        5 => x % 5,
+        6 => x % 6,
+        7 => x % 7,
+        8 => x % 8,
+        _ => x % n as u64,
+    }) as usize
+}
+
 impl Scheduler for RandomScheduler {
+    #[inline]
     fn pick(&mut self, runnable: &[u32], _step: u64) -> u32 {
         if let Some(last) = self.last {
-            if runnable.contains(&last) && self.rng.gen::<f64>() >= self.preempt {
+            if runnable.contains(&last) && (self.rng.next_u64() >> 11) >= self.keep_at {
                 return last;
             }
         }
-        let choice = runnable[self.rng.gen_range(0..runnable.len())];
+        let choice = runnable[reduce(self.rng.next_u64(), runnable.len())];
         self.last = Some(choice);
         choice
     }
@@ -155,13 +185,41 @@ pub enum SchedulerKind {
 
 impl SchedulerKind {
     /// Instantiates the scheduler.
-    pub fn build(&self) -> Box<dyn Scheduler> {
+    pub fn build(&self) -> AnyScheduler {
         match self {
-            SchedulerKind::RoundRobin { quantum } => Box::new(RoundRobin::new(*quantum)),
-            SchedulerKind::Random { seed, preempt } => {
-                Box::new(RandomScheduler::with_preempt(*seed, *preempt))
+            SchedulerKind::RoundRobin { quantum } => {
+                AnyScheduler::RoundRobin(RoundRobin::new(*quantum))
             }
-            SchedulerKind::Fixed { script } => Box::new(FixedSchedule::new(script.clone())),
+            SchedulerKind::Random { seed, preempt } => {
+                AnyScheduler::Random(RandomScheduler::with_preempt(*seed, *preempt))
+            }
+            SchedulerKind::Fixed { script } => {
+                AnyScheduler::Fixed(FixedSchedule::new(script.clone()))
+            }
+        }
+    }
+}
+
+/// A built [`SchedulerKind`], dispatched statically: the VM picks once per
+/// step, so the pick must inline into its loop rather than go through a
+/// vtable.
+#[derive(Clone, Debug)]
+pub enum AnyScheduler {
+    /// A [`RoundRobin`].
+    RoundRobin(RoundRobin),
+    /// A [`RandomScheduler`].
+    Random(RandomScheduler),
+    /// A [`FixedSchedule`].
+    Fixed(FixedSchedule),
+}
+
+impl Scheduler for AnyScheduler {
+    #[inline]
+    fn pick(&mut self, runnable: &[u32], step: u64) -> u32 {
+        match self {
+            AnyScheduler::RoundRobin(s) => s.pick(runnable, step),
+            AnyScheduler::Random(s) => s.pick(runnable, step),
+            AnyScheduler::Fixed(s) => s.pick(runnable, step),
         }
     }
 }
@@ -227,15 +285,87 @@ mod tests {
 
     #[test]
     fn scheduler_kind_builds_equivalent_scheduler() {
-        let kind = SchedulerKind::Random {
-            seed: 11,
-            preempt: 0.5,
-        };
-        let mut a = kind.build();
-        let mut b = RandomScheduler::with_preempt(11, 0.5);
+        let cases: [(SchedulerKind, Box<dyn Scheduler>); 3] = [
+            (
+                SchedulerKind::RoundRobin { quantum: 3 },
+                Box::new(RoundRobin::new(3)),
+            ),
+            (
+                SchedulerKind::Random {
+                    seed: 11,
+                    preempt: 0.5,
+                },
+                Box::new(RandomScheduler::with_preempt(11, 0.5)),
+            ),
+            (
+                SchedulerKind::Fixed {
+                    script: vec![2, 2, 0, 1, 7, 1],
+                },
+                Box::new(FixedSchedule::new(vec![2, 2, 0, 1, 7, 1])),
+            ),
+        ];
         let runnable = vec![0, 1, 2];
-        for i in 0..32 {
-            assert_eq!(a.pick(&runnable, i), b.pick(&runnable, i));
+        for (kind, mut expected) in cases {
+            let mut built = kind.build();
+            for i in 0..32 {
+                assert_eq!(
+                    built.pick(&runnable, i),
+                    expected.pick(&runnable, i),
+                    "{kind:?} pick {i}"
+                );
+            }
+        }
+    }
+
+    /// The pick formula before the integer threshold: a float draw
+    /// against `preempt`, then `gen_range` for the thread index.
+    fn float_formula_pick(
+        rng: &mut StdRng,
+        preempt: f64,
+        last: &mut Option<u32>,
+        runnable: &[u32],
+    ) -> u32 {
+        use rand::Rng;
+        let preempt = preempt.clamp(0.0, 1.0);
+        if let Some(l) = *last {
+            if runnable.contains(&l) && rng.gen::<f64>() >= preempt {
+                return l;
+            }
+        }
+        let choice = runnable[rng.gen_range(0..runnable.len())];
+        *last = Some(choice);
+        choice
+    }
+
+    #[test]
+    fn random_pick_matches_float_formula_draw_for_draw() {
+        for n in 1..=8u32 {
+            let all: Vec<u32> = (0..n).collect();
+            for preempt in [0.0, 0.1, 0.5, 0.55, 0.65, 1.0, f64::NAN] {
+                for seed in [0, 1, 7, 0xdead_beef] {
+                    let mut fast = RandomScheduler::with_preempt(seed, preempt);
+                    let mut rng = fast.rng.clone();
+                    let mut last = None;
+                    for i in 0..10_000u64 {
+                        // Drop one thread now and then, so the keep branch
+                        // also meets a `last` that is not runnable.
+                        let skip = (i % 7 == 3 && n > 1).then_some((i % n as u64) as u32);
+                        let runnable: Vec<u32> =
+                            all.iter().copied().filter(|&t| Some(t) != skip).collect();
+                        let want = float_formula_pick(&mut rng, preempt, &mut last, &runnable);
+                        assert_eq!(
+                            fast.pick(&runnable, i),
+                            want,
+                            "n {n} preempt {preempt} seed {seed} pick {i}"
+                        );
+                        assert_eq!(
+                            fast.rng.clone().next_u64(),
+                            rng.clone().next_u64(),
+                            "n {n} preempt {preempt} seed {seed}: draw count diverged at pick {i}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

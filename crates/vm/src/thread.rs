@@ -41,8 +41,8 @@ pub struct Frame {
     /// Index of the next statement within the block
     /// (`== instrs.len()` means the terminator is next).
     pub index: usize,
-    /// Register file (None = uninitialized; reading one is a VM bug trap).
-    pub vars: Vec<Option<Value>>,
+    /// Register file; a register never written reads as 0.
+    pub vars: Vec<Value>,
     /// Where the return value goes in the caller, if anywhere.
     pub ret_dst: Option<VarId>,
     /// The callsite statement in the caller (for stack traces).
@@ -57,10 +57,8 @@ impl Frame {
     /// Creates a frame for `func` with `nvars` registers, binding `args`
     /// to the first registers.
     pub fn new(func: FuncId, nvars: usize, args: &[Value]) -> Frame {
-        let mut vars = vec![None; nvars];
-        for (i, &a) in args.iter().enumerate() {
-            vars[i] = Some(a);
-        }
+        let mut vars = vec![0; nvars];
+        vars[..args.len()].copy_from_slice(args);
         Frame {
             func,
             pc: 0,
@@ -124,9 +122,7 @@ mod tests {
     #[test]
     fn frame_binds_args_to_leading_vars() {
         let f = Frame::new(FuncId(0), 4, &[10, 20]);
-        assert_eq!(f.vars[0], Some(10));
-        assert_eq!(f.vars[1], Some(20));
-        assert_eq!(f.vars[2], None);
+        assert_eq!(f.vars, vec![10, 20, 0, 0]);
     }
 
     #[test]

@@ -113,14 +113,14 @@ impl<'p> TreeWalkVm<'p> {
     /// scheduler.
     pub fn run(&mut self, observers: &mut [&mut dyn Observer]) -> RunResult {
         let mut scheduler = self.config.scheduler.build();
-        self.run_with(scheduler.as_mut(), observers)
+        self.run_with(&mut scheduler, observers)
     }
 
     /// Runs the program with an externally supplied scheduler (used by the
     /// record/replay baseline, which records every scheduling pick).
-    pub fn run_with(
+    pub fn run_with<S: crate::sched::Scheduler + ?Sized>(
         &mut self,
-        scheduler: &mut dyn crate::sched::Scheduler,
+        scheduler: &mut S,
         observers: &mut [&mut dyn Observer],
     ) -> RunResult {
         let entry = self.program.entry;
@@ -379,12 +379,12 @@ impl<'p> TreeWalkVm<'p> {
         match op {
             Operand::Const(v) => v,
             Operand::Global(g) => self.mem.global_base(g) as Value,
-            Operand::Var(v) => self.threads[tid as usize].top().vars[v.index()].unwrap_or(0),
+            Operand::Var(v) => self.threads[tid as usize].top().vars[v.index()],
         }
     }
 
     fn set_var(&mut self, tid: u32, var: VarId, value: Value) {
-        self.threads[tid as usize].top_mut().vars[var.index()] = Some(value);
+        self.threads[tid as usize].top_mut().vars[var.index()] = value;
     }
 
     fn emit_mem(
@@ -493,9 +493,13 @@ impl<'p> TreeWalkVm<'p> {
             }
             Op::StackAlloc { dst, size } => {
                 let n = self.eval(tid, *size).max(0) as u64;
-                let base = self.mem.stack_alloc(tid, n);
-                self.set_var(tid, *dst, base as Value);
-                Exec::Continue
+                match self.mem.stack_alloc(tid, n) {
+                    Ok(base) => {
+                        self.set_var(tid, *dst, base as Value);
+                        Exec::Continue
+                    }
+                    Err(k) => Exec::Fail(k),
+                }
             }
             Op::Free { addr } => {
                 let a = self.eval(tid, *addr) as u64;

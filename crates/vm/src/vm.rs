@@ -15,7 +15,7 @@ use crate::compiled::{CCallee, COp, CompiledProgram, Slot};
 use crate::event::{AccessKind, Event, Observer};
 use crate::failure::{FailureKind, FailureReport, StackFrame};
 use crate::mem::{FxHashMap, MemScratch, Memory};
-use crate::sched::SchedulerKind;
+use crate::sched::{Scheduler, SchedulerKind};
 use crate::thread::{BlockReason, Frame, Thread, ThreadState};
 
 /// One workload input: scalars are read directly by `input n`; strings are
@@ -110,8 +110,8 @@ pub struct RunResult {
 ///
 /// A fleet worker that tears a VM down to scratch with
 /// [`Vm::into_scratch`] and rebuilds the next run's VM with
-/// [`Vm::with_scratch`] reuses the shadow-memory map's capacity instead of
-/// re-growing it from empty every run. Purely an allocation-reuse
+/// [`Vm::with_scratch`] reuses the memory segments' capacity instead of
+/// re-growing them from empty every run. Purely an allocation-reuse
 /// mechanism: a scratch-built VM is behaviorally identical to a fresh one.
 #[derive(Debug, Default)]
 pub struct VmScratch {
@@ -137,6 +137,9 @@ pub struct Vm<'p> {
     sched_picks: u64,
     preemptions: u64,
     last_picked: Option<u32>,
+    /// Set by every thread-state change (spawn, block, wake, exit): the
+    /// run loop rebuilds its runnable-tid list only when this is set.
+    runnable_stale: bool,
     retired_per_core: Vec<u64>,
     branches: u64,
     indirect_transfers: u64,
@@ -220,6 +223,7 @@ impl<'p> Vm<'p> {
             sched_picks: 0,
             preemptions: 0,
             last_picked: None,
+            runnable_stale: true,
             retired_per_core: vec![0; cores as usize],
             branches: 0,
             indirect_transfers: 0,
@@ -254,14 +258,14 @@ impl<'p> Vm<'p> {
     /// scheduler.
     pub fn run(&mut self, observers: &mut [&mut dyn Observer]) -> RunResult {
         let mut scheduler = self.config.scheduler.build();
-        self.run_with(scheduler.as_mut(), observers)
+        self.run_with(&mut scheduler, observers)
     }
 
     /// Runs the program with an externally supplied scheduler (used by the
     /// record/replay baseline, which records every scheduling pick).
-    pub fn run_with(
+    pub fn run_with<S: Scheduler + ?Sized>(
         &mut self,
-        scheduler: &mut dyn crate::sched::Scheduler,
+        scheduler: &mut S,
         observers: &mut [&mut dyn Observer],
     ) -> RunResult {
         // One Arc clone for the whole run; `comp` and `self` are disjoint
@@ -282,14 +286,18 @@ impl<'p> Vm<'p> {
             );
         }
         let mut runnable: Vec<u32> = Vec::with_capacity(4);
+        self.runnable_stale = true;
         loop {
-            runnable.clear();
-            runnable.extend(
-                self.threads
-                    .iter()
-                    .filter(|t| t.is_runnable())
-                    .map(|t| t.tid),
-            );
+            if self.runnable_stale {
+                self.runnable_stale = false;
+                runnable.clear();
+                runnable.extend(
+                    self.threads
+                        .iter()
+                        .filter(|t| t.is_runnable())
+                        .map(|t| t.tid),
+                );
+            }
             if runnable.is_empty() {
                 let blocked = self
                     .threads
@@ -455,6 +463,7 @@ impl<'p> Vm<'p> {
             Exec::Block(reason) => {
                 // Do not retire the statement; the thread retries it.
                 self.threads[tid as usize].state = ThreadState::Blocked(reason);
+                self.runnable_stale = true;
                 return None;
             }
             Exec::Fail(kind) => {
@@ -485,6 +494,7 @@ impl<'p> Vm<'p> {
             Exec::Exited => {
                 self.retire(tid, core, iid, observers);
                 self.threads[tid as usize].state = ThreadState::Finished;
+                self.runnable_stale = true;
                 let seq = self.next_seq();
                 self.emit(observers, Event::ThreadExit { seq, tid, core });
                 self.wake_joiners(tid);
@@ -512,17 +522,17 @@ impl<'p> Vm<'p> {
     fn val(&self, tid: u32, slot: Slot) -> Value {
         match slot {
             Slot::Const(v) => v,
-            Slot::Var(i) => self.threads[tid as usize].top().vars[i as usize].unwrap_or(0),
+            Slot::Var(i) => self.threads[tid as usize].top().vars[i as usize],
         }
     }
 
     #[inline]
     fn set_slot(&mut self, tid: u32, slot: u32, value: Value) {
-        self.threads[tid as usize].top_mut().vars[slot as usize] = Some(value);
+        self.threads[tid as usize].top_mut().vars[slot as usize] = value;
     }
 
     fn set_var(&mut self, tid: u32, var: VarId, value: Value) {
-        self.threads[tid as usize].top_mut().vars[var.index()] = Some(value);
+        self.threads[tid as usize].top_mut().vars[var.index()] = value;
     }
 
     fn emit_mem(
@@ -632,9 +642,13 @@ impl<'p> Vm<'p> {
             }
             COp::StackAlloc { dst, size } => {
                 let n = self.val(tid, *size).max(0) as u64;
-                let base = self.mem.stack_alloc(tid, n);
-                self.set_slot(tid, *dst, base as Value);
-                Exec::Continue
+                match self.mem.stack_alloc(tid, n) {
+                    Ok(base) => {
+                        self.set_slot(tid, *dst, base as Value);
+                        Exec::Continue
+                    }
+                    Err(k) => Exec::Fail(k),
+                }
             }
             COp::Free { addr } => {
                 let a = self.val(tid, *addr) as u64;
@@ -671,6 +685,7 @@ impl<'p> Vm<'p> {
                     nvars,
                     &[arg],
                 ));
+                self.runnable_stale = true;
                 if let Some(d) = dst {
                     self.set_slot(tid, *d, child as Value);
                 }
@@ -959,11 +974,13 @@ impl<'p> Vm<'p> {
             Ok(f) => f,
             Err(k) => return Exec::Fail(k),
         };
-        let argv: Vec<Value> = args.iter().map(|&a| self.val(tid, a)).collect();
+        let nvars = comp.funcs[target].num_vars;
+        let mut frame = Frame::new(FuncId(target as u32), nvars, &[]);
+        for (var, &a) in frame.vars.iter_mut().zip(args) {
+            *var = self.val(tid, a);
+        }
         // Advance past the call before pushing, so `ret` resumes after it.
         self.threads[tid as usize].top_mut().pc += 1;
-        let nvars = comp.funcs[target].num_vars;
-        let mut frame = Frame::new(FuncId(target as u32), nvars, &argv);
         frame.ret_dst = dst.map(VarId);
         frame.callsite = Some(iid);
         self.threads[tid as usize].frames.push(frame);
@@ -1000,6 +1017,7 @@ impl<'p> Vm<'p> {
         for t in &mut self.threads {
             if t.state == ThreadState::Blocked(BlockReason::Mutex(addr)) {
                 t.state = ThreadState::Runnable;
+                self.runnable_stale = true;
             }
         }
     }
@@ -1008,6 +1026,7 @@ impl<'p> Vm<'p> {
         for t in &mut self.threads {
             if t.state == ThreadState::Blocked(BlockReason::Join(exited)) {
                 t.state = ThreadState::Runnable;
+                self.runnable_stale = true;
             }
         }
     }
@@ -1487,6 +1506,41 @@ entry:
         let r = run_text("fn main() {\nentry:\n  x = const 1\n  print x\n  y = load 0\n  ret\n}\n");
         assert!(r.outcome.failure().is_some());
         assert_eq!(r.output, vec![1]);
+    }
+
+    #[test]
+    fn stack_overflow_faults_instead_of_aliasing_the_next_stack() {
+        // Main's allocation would cross its 1 MiB region into thread 1's;
+        // the worker's store must not land in main's cell.
+        let r = run_text(
+            r#"
+fn worker(arg) {
+entry:
+  s = stackalloc 1
+  store s, 9
+  ret
+}
+fn main() {
+entry:
+  s = stackalloc 1048577
+  top = gep s, 1048576
+  store top, 7
+  t = spawn worker(0)
+  join t
+  v = load top
+  print v
+  ret
+}
+"#,
+        );
+        let report = r.outcome.failure().expect("the overflow must fail");
+        assert_eq!(
+            report.kind,
+            FailureKind::SegFault {
+                addr: crate::mem::STACK_BASE + crate::mem::STACK_SIZE
+            }
+        );
+        assert!(r.output.is_empty());
     }
 
     #[test]

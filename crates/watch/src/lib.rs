@@ -255,6 +255,7 @@ impl WatchUnit {
     }
 
     /// Feeds one memory access through the unit.
+    #[inline]
     // The argument list mirrors the fields of a trap frame; bundling them
     // into a struct would only rename the problem.
     #[allow(clippy::too_many_arguments)]
@@ -269,6 +270,9 @@ impl WatchUnit {
         value: Value,
     ) {
         self.checked += 1;
+        if self.slots.iter().all(Option::is_none) {
+            return;
+        }
         for (slot, w) in self.slots.iter().enumerate() {
             if let Some(w) = w {
                 if w.triggers(addr, kind) {

@@ -10,11 +10,13 @@ use gist_predictors::pattern::{AvPattern, RacePattern, Rw};
 use gist_predictors::{rank, Predictor, PredictorStats, RunObservations};
 use gist_sketch::kendall::kendall_tau_counts;
 use gist_slicing::StaticSlicer;
-use gist_vm::{AccessKind, SchedulerKind, Vm, VmConfig};
+use gist_vm::mem::{GLOBALS_BASE, HEAP_BASE, STACK_BASE, STACK_SIZE};
+use gist_vm::{AccessKind, FailureKind, MemScratch, Memory, SchedulerKind, Vm, VmConfig};
 use gist_watch::{WatchCondition, WatchUnit};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 proptest! {
     /// Kendall tau distance is symmetric, zero on identity, and bounded by
@@ -264,6 +266,237 @@ fn slice_contains_criterion_for_every_statement() {
         assert!(slice.contains(id), "criterion {id} in its own slice");
         assert!(slice.len() <= p.stmt_count());
         assert_eq!(slice.ordered[0], id, "criterion first in backward order");
+    }
+}
+
+/// Map-based reference for `gist_vm::Memory`: the VM's memory semantics
+/// over a `BTreeMap` of cells (a mapped cell never written reads 0), a
+/// heap allocation map by base, and a bump pointer per stack.
+struct RefMemory {
+    cells: BTreeMap<u64, i64>,
+    globals_end: u64,
+    /// Heap allocation base -> (size, live).
+    allocs: BTreeMap<u64, (u64, bool)>,
+    next_heap: u64,
+    /// Tid -> cells allocated on its stack.
+    stack_tops: BTreeMap<u64, u64>,
+}
+
+impl RefMemory {
+    fn new(p: &gist_ir::Program) -> RefMemory {
+        let mut m = RefMemory {
+            cells: BTreeMap::new(),
+            globals_end: GLOBALS_BASE,
+            allocs: BTreeMap::new(),
+            next_heap: HEAP_BASE,
+            stack_tops: BTreeMap::new(),
+        };
+        let mut addr = GLOBALS_BASE;
+        for g in &p.globals {
+            for (i, &v) in g.init.iter().enumerate() {
+                m.cells.insert(addr + i as u64, v);
+            }
+            for i in g.init.len()..g.size as usize {
+                m.cells.insert(addr + i as u64, 0);
+            }
+            let extent = g.init.len().max(g.size as usize) as u64;
+            m.globals_end = m.globals_end.max(addr + extent);
+            addr += g.size as u64;
+        }
+        m
+    }
+
+    fn heap_alloc(&mut self, size: u64) -> u64 {
+        let (base, size) = (self.next_heap, size.max(1));
+        if base.saturating_add(size) > STACK_BASE {
+            return 0;
+        }
+        self.allocs.insert(base, (size, true));
+        self.next_heap = base + size + 1;
+        base
+    }
+
+    fn heap_free(&mut self, addr: u64) -> Result<(), FailureKind> {
+        match self.allocs.get_mut(&addr) {
+            _ if addr == 0 => Ok(()),
+            Some((_, live)) if *live => {
+                *live = false;
+                Ok(())
+            }
+            Some(_) => Err(FailureKind::DoubleFree { addr }),
+            None => Err(FailureKind::InvalidFree { addr }),
+        }
+    }
+
+    fn stack_alloc(&mut self, tid: u32, size: u64) -> Result<u64, FailureKind> {
+        let region = STACK_BASE + tid as u64 * STACK_SIZE;
+        let top = self.stack_tops.entry(tid as u64).or_insert(0);
+        if *top + size.max(1) > STACK_SIZE {
+            return Err(FailureKind::SegFault {
+                addr: region + STACK_SIZE,
+            });
+        }
+        *top += size.max(1);
+        Ok(region + *top - size.max(1))
+    }
+
+    fn check(&self, addr: u64) -> Result<(), FailureKind> {
+        let mapped = if addr < GLOBALS_BASE || addr >= gist_ir::Program::FUNC_ADDR_BASE as u64 {
+            false
+        } else if addr < HEAP_BASE {
+            addr < self.globals_end
+        } else if addr < STACK_BASE {
+            match self.allocs.range(..=addr).next_back() {
+                Some((&base, &(size, live))) if addr < base + size => {
+                    return if live {
+                        Ok(())
+                    } else {
+                        Err(FailureKind::UseAfterFree { addr })
+                    };
+                }
+                _ => false,
+            }
+        } else {
+            let off = addr - STACK_BASE;
+            off % STACK_SIZE
+                < self
+                    .stack_tops
+                    .get(&(off / STACK_SIZE))
+                    .copied()
+                    .unwrap_or(0)
+        };
+        if mapped {
+            Ok(())
+        } else {
+            Err(FailureKind::SegFault { addr })
+        }
+    }
+
+    fn load(&self, addr: u64) -> Result<i64, FailureKind> {
+        self.check(addr)?;
+        Ok(self.cells.get(&addr).copied().unwrap_or(0))
+    }
+
+    fn store(&mut self, addr: u64, value: i64) -> Result<(), FailureKind> {
+        self.check(addr)?;
+        self.cells.insert(addr, value);
+        Ok(())
+    }
+}
+
+/// An address aimed at a segment edge of `model`'s current layout: NULL,
+/// the globals tail, heap cells, red zones and freed cells, one past each
+/// segment, stack tops and region ends, and the function-address range.
+fn edge_addr(rng: &mut StdRng, model: &RefMemory) -> u64 {
+    let near = |rng: &mut StdRng, a: u64| a.wrapping_add(rng.gen_range(0..3u64)).wrapping_sub(1);
+    match rng.gen_range(0..8) {
+        0 => [
+            0,
+            1,
+            GLOBALS_BASE - 1,
+            HEAP_BASE - 1,
+            STACK_BASE - 1,
+            u64::MAX,
+        ][rng.gen_range(0..6usize)],
+        1 => GLOBALS_BASE + rng.gen_range(0..model.globals_end - GLOBALS_BASE + 2),
+        2 | 3 => match model
+            .allocs
+            .keys()
+            .nth(rng.gen_range(0..model.allocs.len().max(1)))
+        {
+            Some(&base) => base + rng.gen_range(0..model.allocs[&base].0 + 2),
+            None => near(rng, HEAP_BASE),
+        },
+        4 => near(rng, model.next_heap),
+        5 | 6 => {
+            let tid = rng.gen_range(0..5u64);
+            let top = model.stack_tops.get(&tid).copied().unwrap_or(0);
+            let region = STACK_BASE + tid * STACK_SIZE;
+            match rng.gen_range(0..3) {
+                0 => region + rng.gen_range(0..top + 1),
+                1 => near(rng, region + top),
+                _ => near(rng, region + STACK_SIZE),
+            }
+        }
+        _ => {
+            let func = gist_ir::Program::FUNC_ADDR_BASE as u64 + rng.gen_range(0..2u64);
+            near(rng, func)
+        }
+    }
+}
+
+proptest! {
+    // 256 cases of two 150-operation rounds each take about 2 s in a
+    // debug build on 2 vCPUs.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The VM's dense memory gives every load, store, allocation and free
+    /// the result and fault kind of the map-based reference model,
+    /// including on a memory rebuilt from a previous run's scratch. The
+    /// tree-walk oracle shares `Memory`, so this is the memory model's
+    /// only independent check.
+    #[test]
+    fn dense_memory_matches_map_reference(seed in 0u64..1_000_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut pb = ProgramBuilder::new("mem");
+        for g in 0..rng.gen_range(0..4) {
+            // The builder, unlike the parser, accepts more initializers
+            // than cells; later globals then overlap the excess.
+            let size = rng.gen_range(0..4u32);
+            let init = (0..rng.gen_range(0..size + 2)).map(|_| rng.gen_range(1..100)).collect();
+            pb.global_array(&format!("g{g}"), size, init);
+        }
+        let mut f = pb.function("main", &[]);
+        f.ret(None);
+        f.finish();
+        let p = pb.finish().unwrap();
+        let mut scratch = MemScratch::default();
+        for _round in 0..2 {
+            let mut mem = Memory::with_scratch(&p, scratch);
+            let mut model = RefMemory::new(&p);
+            for _ in 0..150 {
+                match rng.gen_range(0..10) {
+                    0 | 1 => {
+                        // Mostly small; sometimes past the heap's end,
+                        // which must return NULL without growing anything.
+                        let size = match rng.gen_range(0..10) {
+                            0 => STACK_BASE - HEAP_BASE + rng.gen_range(1..3u64),
+                            1 => [i64::MAX as u64, u64::MAX][rng.gen_range(0..2usize)],
+                            _ => rng.gen_range(0..5u64),
+                        };
+                        prop_assert_eq!(mem.heap_alloc(size), model.heap_alloc(size));
+                    }
+                    2 => {
+                        let addr = edge_addr(&mut rng, &model);
+                        prop_assert_eq!(mem.heap_free(addr), model.heap_free(addr));
+                    }
+                    3 => {
+                        let tid = rng.gen_range(0..4u32);
+                        let top = model.stack_tops.get(&(tid as u64)).copied().unwrap_or(0);
+                        // Mostly small; rarely exactly filling or crossing
+                        // the thread's region.
+                        let size = match rng.gen_range(0..40) {
+                            0 => STACK_SIZE - top,
+                            1 => STACK_SIZE - top + 1,
+                            _ => rng.gen_range(0..4u64),
+                        };
+                        prop_assert_eq!(mem.stack_alloc(tid, size), model.stack_alloc(tid, size));
+                    }
+                    4..=6 => {
+                        let addr = edge_addr(&mut rng, &model);
+                        prop_assert_eq!(mem.load(addr), model.load(addr), "load {:#x}", addr);
+                    }
+                    _ => {
+                        let (addr, v) = (edge_addr(&mut rng, &model), rng.gen_range(-9..100));
+                        prop_assert_eq!(mem.store(addr, v), model.store(addr, v), "store {:#x}", addr);
+                    }
+                }
+            }
+            let live = model.allocs.values().filter(|a| a.1).count();
+            prop_assert_eq!(mem.live_allocs(), live);
+            prop_assert_eq!(mem.globals_extent(), model.globals_end.min(HEAP_BASE));
+            scratch = mem.into_scratch();
+        }
     }
 }
 
