@@ -25,12 +25,19 @@
 //!   stores can never be observed again and therefore never deserve one
 //!   of the four debug registers.
 //!
+//! Facts are statement-indexed: a [`Solution`] keeps one vector of facts
+//! before and one after the statements, indexed by [`InstrId::index`]
+//! (program statement ids are dense). Reaching definitions are
+//! [`StmtSet`] bitsets with a precomputed def mask and one kill mask per
+//! strongly updated cell, so on these programs a fact is usually one
+//! 64-bit word.
+//!
 //! [`ConstProp`] is the sparse variant: MiniC registers are in SSA form
 //! (the verifier's GA003 enforces def-dominates-use), so constantness is
 //! a property of the register, not the program point, and a worklist over
 //! defs converges without per-point fact maps.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use gist_ir::icfg::Ticfg;
 use gist_ir::{BinKind, FuncId, InstrId, Op, Operand, Program, Terminator, Value, VarId};
@@ -76,33 +83,45 @@ pub trait DataflowAnalysis {
 }
 
 /// The fixpoint of a dataflow problem: one fact before and one after each
-/// statement, in *program* order regardless of analysis direction.
+/// statement, in *program* order regardless of analysis direction. Both
+/// tables are vectors indexed by [`InstrId::index`].
 pub struct Solution<F> {
-    before: HashMap<InstrId, F>,
-    after: HashMap<InstrId, F>,
+    before: Vec<F>,
+    after: Vec<F>,
     bottom: F,
 }
 
 impl<F> Solution<F> {
-    /// The fact holding just before `id` executes.
+    /// The fact holding just before `id` executes (bottom for an id
+    /// outside the program).
     pub fn before(&self, id: InstrId) -> &F {
-        self.before.get(&id).unwrap_or(&self.bottom)
+        self.before.get(id.index()).unwrap_or(&self.bottom)
     }
 
-    /// The fact holding just after `id` executes.
+    /// The fact holding just after `id` executes (bottom for an id
+    /// outside the program).
     pub fn after(&self, id: InstrId) -> &F {
-        self.after.get(&id).unwrap_or(&self.bottom)
+        self.after.get(id.index()).unwrap_or(&self.bottom)
     }
 }
 
 /// Runs the worklist solver for `analysis` over the whole TICFG.
+///
+/// Every statement starts queued, in program order (reversed for backward
+/// problems), and every fact starts at bottom. A statement re-queues its
+/// flow-successors only when its output fact changes, so a first visit
+/// whose output is still bottom re-queues nothing. That is sound because
+/// every statement is visited at least once and joining bottom into a
+/// fact must leave it unchanged: bottom is the identity of `join`, as it
+/// is for the set unions of every analysis here.
 pub fn solve<A: DataflowAnalysis>(
     program: &Program,
     ticfg: &Ticfg,
     analysis: &A,
 ) -> Solution<A::Fact> {
     let forward = analysis.direction() == Direction::Forward;
-    let nodes: Vec<InstrId> = program.all_stmt_ids().collect();
+    let bottom = analysis.bottom();
+    let count = program.stmt_count();
     // The program entry's first statement is always a boundary node in
     // forward problems, even if a back edge points at it.
     let entry_stmt = program
@@ -111,17 +130,18 @@ pub fn solve<A: DataflowAnalysis>(
         .and_then(|f| f.blocks.first())
         .map(|b| b.stmt_ids().next().expect("block has a terminator"));
 
-    let mut before: HashMap<InstrId, A::Fact> = HashMap::new();
-    let mut after: HashMap<InstrId, A::Fact> = HashMap::new();
+    let mut before: Vec<A::Fact> = vec![bottom.clone(); count];
+    let mut after: Vec<A::Fact> = vec![bottom.clone(); count];
+    let nodes: Vec<InstrId> = program.all_stmt_ids().collect();
     let mut work: VecDeque<InstrId> = if forward {
-        nodes.iter().copied().collect()
+        nodes.into_iter().collect()
     } else {
-        nodes.iter().rev().copied().collect()
+        nodes.into_iter().rev().collect()
     };
-    let mut queued: BTreeSet<InstrId> = nodes.iter().copied().collect();
+    let mut queued = vec![true; count];
 
     while let Some(n) = work.pop_front() {
-        queued.remove(&n);
+        queued[n.index()] = false;
         // Input fact: join over flow-predecessors' outputs, plus the
         // boundary fact at boundary nodes.
         let flow_preds = if forward {
@@ -139,34 +159,26 @@ pub fn solve<A: DataflowAnalysis>(
         } else {
             analysis.bottom()
         };
-        for &(p, _) in flow_preds {
-            let out = if forward {
-                after.get(&p)
-            } else {
-                before.get(&p)
-            };
-            if let Some(out) = out {
-                analysis.join(&mut input, out);
-            }
-        }
-        let mut output = input.clone();
-        analysis.transfer(program, n, &mut output);
-        let (in_map, out_map) = if forward {
+        let (in_facts, out_facts) = if forward {
             (&mut before, &mut after)
         } else {
             (&mut after, &mut before)
         };
-        in_map.insert(n, input);
-        let changed = out_map.get(&n) != Some(&output);
-        if changed {
-            out_map.insert(n, output);
+        for &(p, _) in flow_preds {
+            analysis.join(&mut input, &out_facts[p.index()]);
+        }
+        let mut output = input.clone();
+        analysis.transfer(program, n, &mut output);
+        in_facts[n.index()] = input;
+        if out_facts[n.index()] != output {
+            out_facts[n.index()] = output;
             let flow_succs = if forward {
                 ticfg.succs(n)
             } else {
                 ticfg.preds(n)
             };
             for &(s, _) in flow_succs {
-                if queued.insert(s) {
+                if !std::mem::replace(&mut queued[s.index()], true) {
                     work.push_back(s);
                 }
             }
@@ -175,7 +187,77 @@ pub fn solve<A: DataflowAnalysis>(
     Solution {
         before,
         after,
-        bottom: analysis.bottom(),
+        bottom,
+    }
+}
+
+/// A dense set of statements: one bit per statement id of a program,
+/// packed into 64-bit words. It is the fact type of [`ReachingDefs`],
+/// where a join is a word-wise OR.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct StmtSet {
+    words: Vec<u64>,
+}
+
+impl StmtSet {
+    /// An empty set with room for the statements `0..stmt_count`.
+    pub fn new(stmt_count: usize) -> Self {
+        StmtSet {
+            words: vec![0; stmt_count.div_ceil(64)],
+        }
+    }
+
+    /// True if `id` is in the set (false for an id beyond its room).
+    pub fn contains(&self, id: InstrId) -> bool {
+        let i = id.index();
+        self.words
+            .get(i / 64)
+            .is_some_and(|w| w & (1 << (i % 64)) != 0)
+    }
+
+    /// Adds `id`, which must lie within the set's room.
+    pub fn insert(&mut self, id: InstrId) {
+        let i = id.index();
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Adds every member of `other`; true if the set grew.
+    pub fn union_with(&mut self, other: &StmtSet) -> bool {
+        let mut changed = false;
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            let next = *w | o;
+            changed |= next != *w;
+            *w = next;
+        }
+        changed
+    }
+
+    /// Removes every member of `other`.
+    pub fn difference_with(&mut self, other: &StmtSet) {
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w &= !o;
+        }
+    }
+
+    /// The members in increasing id order.
+    pub fn iter(&self) -> impl Iterator<Item = InstrId> + '_ {
+        self.words.iter().enumerate().flat_map(|(wi, &w)| {
+            let mut rest = w;
+            std::iter::from_fn(move || {
+                if rest == 0 {
+                    return None;
+                }
+                let bit = rest.trailing_zeros();
+                rest &= rest - 1;
+                Some(InstrId(wi as u32 * 64 + bit))
+            })
+        })
+    }
+}
+
+impl std::fmt::Debug for StmtSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
@@ -239,31 +321,64 @@ pub fn live_variables(program: &Program, ticfg: &Ticfg) -> Solution<VarSet> {
 /// Register defs are never killed — MiniC is SSA, so a register's one def
 /// reaches every use it dominates. Stores are killed strongly when a later
 /// store certainly overwrites the same single concrete cell.
+///
+/// Facts are [`StmtSet`] bitsets. The def set and the kill masks are
+/// precomputed, so a transfer is two word-wise operations and no IR lookup.
 pub struct ReachingDefs {
-    /// Store statements whose points-to target is one concrete cell.
-    strong: BTreeMap<InstrId, Loc>,
+    /// Number of statements in the program: every fact's room.
+    stmt_count: usize,
+    /// Every tracked definition: register defs, stores and frees.
+    defs: StmtSet,
+    /// Per statement: for a strong store, the index into `kills` of the
+    /// one concrete cell it certainly writes.
+    strong: Vec<Option<usize>>,
+    /// Per strong cell: every strong store to that cell.
+    kills: Vec<StmtSet>,
 }
 
 impl ReachingDefs {
-    /// Precomputes the strong-update map from the points-to result.
+    /// Precomputes the def set and the strong-kill masks from the
+    /// points-to result. A store is strong when its address has one
+    /// points-to target with a known offset; stores to an equal [`Loc`]
+    /// share one kill mask.
     pub fn new(program: &Program, pts: &PointsTo) -> Self {
-        let mut strong = BTreeMap::new();
+        let stmt_count = program.stmt_count();
+        let mut defs = StmtSet::new(stmt_count);
+        let mut strong = vec![None; stmt_count];
+        let mut kills: Vec<StmtSet> = Vec::new();
+        let mut cells: BTreeMap<Loc, usize> = BTreeMap::new();
         for f in &program.functions {
             for b in &f.blocks {
                 for instr in &b.instrs {
-                    if let Op::Store { addr, .. } = &instr.op {
-                        let targets = pts.operand_origins(f.id, *addr);
-                        if targets.len() == 1 {
-                            let only = *targets.iter().next().expect("len checked");
-                            if only.offset.is_some() {
-                                strong.insert(instr.id, only);
-                            }
-                        }
+                    if Self::is_def(&instr.op) {
+                        defs.insert(instr.id);
                     }
+                    let Op::Store { addr, .. } = &instr.op else {
+                        continue;
+                    };
+                    let targets = pts.operand_origins(f.id, *addr);
+                    if targets.len() != 1 {
+                        continue;
+                    }
+                    let only = *targets.iter().next().expect("len checked");
+                    if only.offset.is_none() {
+                        continue;
+                    }
+                    let cell = *cells.entry(only).or_insert_with(|| {
+                        kills.push(StmtSet::new(stmt_count));
+                        kills.len() - 1
+                    });
+                    kills[cell].insert(instr.id);
+                    strong[instr.id.index()] = Some(cell);
                 }
             }
         }
-        ReachingDefs { strong }
+        ReachingDefs {
+            stmt_count,
+            defs,
+            strong,
+            kills,
+        }
     }
 
     /// True if `id` is a definition this analysis tracks.
@@ -273,44 +388,39 @@ impl ReachingDefs {
 }
 
 impl DataflowAnalysis for ReachingDefs {
-    type Fact = BTreeSet<InstrId>;
+    type Fact = StmtSet;
 
     fn direction(&self) -> Direction {
         Direction::Forward
     }
 
-    fn bottom(&self) -> BTreeSet<InstrId> {
-        BTreeSet::new()
+    fn bottom(&self) -> StmtSet {
+        StmtSet::new(self.stmt_count)
     }
 
-    fn join(&self, into: &mut BTreeSet<InstrId>, from: &BTreeSet<InstrId>) -> bool {
-        let n = into.len();
-        into.extend(from.iter().copied());
-        into.len() != n
+    fn join(&self, into: &mut StmtSet, from: &StmtSet) -> bool {
+        into.union_with(from)
     }
 
-    fn transfer(&self, program: &Program, id: InstrId, fact: &mut BTreeSet<InstrId>) {
-        let Some(instr) = program.instr(id) else {
-            return;
-        };
-        if let Some(cell) = self.strong.get(&id) {
+    fn transfer(&self, _program: &Program, id: InstrId, fact: &mut StmtSet) {
+        if let Some(&Some(cell)) = self.strong.get(id.index()) {
             // This store certainly hits `cell`: earlier stores that could
             // only have written that same cell are overwritten for sure.
-            fact.retain(|d| *d == id || self.strong.get(d) != Some(cell));
+            // The store itself is a def, so it is set again below.
+            fact.difference_with(&self.kills[cell]);
         }
-        if Self::is_def(&instr.op) {
+        if self.defs.contains(id) {
             fact.insert(id);
         }
     }
 }
 
-/// Solves reaching definitions; `before(failing)` is the def set the
-/// sketch builder prunes against.
-pub fn reaching_definitions(
-    program: &Program,
-    ticfg: &Ticfg,
-    pts: &PointsTo,
-) -> Solution<BTreeSet<InstrId>> {
+/// Solves reaching definitions. [`crate::svfg::Svfg`] keeps a `Direct` or
+/// `Memory` edge only when its def is in `before(use)`; that is the one
+/// consumer (sketch steps are pruned by TICFG reachability, not by this).
+/// For N statements the solution holds 2·N·⌈N/64⌉ words: one word per
+/// fact up to 64 statements, about 25 MB at N = 10,000.
+pub fn reaching_definitions(program: &Program, ticfg: &Ticfg, pts: &PointsTo) -> Solution<StmtSet> {
     solve(program, ticfg, &ReachingDefs::new(program, pts))
 }
 
@@ -730,9 +840,9 @@ mod tests {
         let rd = reaching_definitions(&p, &ticfg, &pts);
         let ids: Vec<InstrId> = p.all_stmt_ids().collect();
         let at_load = rd.before(ids[2]);
-        assert!(at_load.contains(&ids[1]), "second store reaches the load");
+        assert!(at_load.contains(ids[1]), "second store reaches the load");
         assert!(
-            !at_load.contains(&ids[0]),
+            !at_load.contains(ids[0]),
             "first store is strongly killed: {at_load:?}"
         );
     }
@@ -766,8 +876,8 @@ mod tests {
         let store_else = p.functions[main.index()].blocks[2].instrs[0].id;
         let load = p.functions[main.index()].blocks[3].instrs[0].id;
         let at_load = rd.before(load);
-        assert!(at_load.contains(&store_then));
-        assert!(at_load.contains(&store_else));
+        assert!(at_load.contains(store_then));
+        assert!(at_load.contains(store_else));
     }
 
     #[test]

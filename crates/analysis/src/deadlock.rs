@@ -88,7 +88,7 @@ pub fn analyze(cx: &AnalysisCtx<'_>) -> DeadlockAnalysis {
                     continue;
                 };
                 let acquired = pts.operand_origins(f.id, *addr);
-                let Some(held) = stmt_ls.get(&instr.id) else {
+                let Some(Some(held)) = stmt_ls.get(instr.id.index()) else {
                     continue;
                 };
                 for &h in held {

@@ -31,7 +31,11 @@
 //! the graph's call/return/spawn edges. It powers reaching definitions,
 //! register liveness, memory-cell liveness (whose complement is the
 //! dead-store set the watchpoint planner prunes against), and a sparse
-//! constant propagation that fills sketch `value_note`s statically. The
+//! constant propagation that fills sketch `value_note`s statically. Its
+//! facts live in vectors indexed by statement id, and reaching definitions
+//! are bitsets ([`dataflow::StmtSet`]) with precomputed def and kill
+//! masks. The lockset stage and the MHP relation keep their per-statement
+//! tables in statement-indexed vectors as well. The
 //! [`deadlock`] module adds a lock-order-graph detector on top of the
 //! race detector's lockset stage, predicting ABBA inversions before any
 //! run observes them.
@@ -82,7 +86,7 @@ pub mod verify;
 pub use dataflow::{
     dead_stores, live_variables, reaching_definitions, solve, ConstProp, ConstVal,
     DataflowAnalysis, DeadStoreLintPass, Direction, Liveness, MemLiveness, ReachingDefs, Solution,
-    VarSet,
+    StmtSet, VarSet,
 };
 pub use deadlock::{DeadlockAnalysis, DeadlockCycle, DeadlockLintPass, LockOrderEdge};
 pub use diag::{has_errors, render_report, sort_diagnostics, Diagnostic, Severity};

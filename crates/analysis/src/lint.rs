@@ -392,10 +392,8 @@ pub fn atomicity_candidates(cx: &AnalysisCtx<'_>) -> Vec<AvCandidate> {
                 if origins.is_empty() {
                     continue;
                 }
-                let has_lock = stmt_ls
-                    .get(&instr.id)
-                    .map(|ls| !ls.is_empty())
-                    .unwrap_or(false);
+                let has_lock =
+                    matches!(stmt_ls.get(instr.id.index()), Some(Some(ls)) if !ls.is_empty());
                 for &o in &origins {
                     if has_lock {
                         locked.insert(o);

@@ -45,11 +45,12 @@
 //! pair still interleaves.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use gist_ir::icfg::Ticfg;
-use gist_ir::program::StmtPos;
 use gist_ir::{BlockId, FuncId, InstrId, Op, Operand, Program};
 
+use crate::dataflow::StmtSet;
 use crate::pass::AnalysisCtx;
 use crate::points_to::{Loc, MemOrigin, PointsTo};
 use crate::race::Lockset;
@@ -94,44 +95,46 @@ pub struct LockRegion {
 /// Per-function strict block dominance pairs.
 type DomPairs = BTreeMap<FuncId, BTreeSet<(BlockId, BlockId)>>;
 
-/// The solved may-happen-in-parallel relation.
-pub struct Mhp {
-    /// Thread contexts each statement may run under
-    /// (0 = main thread, i+1 = the thread of `spawn_sites[i]`).
-    stmt_ctxs: BTreeMap<InstrId, BTreeSet<usize>>,
+/// The solved may-happen-in-parallel relation over one program.
+pub struct Mhp<'p> {
+    /// The program; its statement index answers position queries.
+    program: &'p Program,
+    /// Per function, the thread contexts that may run it (0 = main
+    /// thread, i+1 = the thread of `spawn_sites[i]`); empty for a function
+    /// no context reaches. Every statement runs under its function's set.
+    func_ctxs: Vec<BTreeSet<usize>>,
     /// Static `spawn` statements, in program order.
     spawn_sites: Vec<InstrId>,
     /// Spawn-site indices that may start several simultaneous threads.
     multi: BTreeSet<usize>,
     /// Per spawn index: statements that must complete before the spawn.
-    pre_spawn: Vec<BTreeSet<InstrId>>,
+    pre_spawn: Vec<StmtSet>,
     /// Per spawn index: statements ordered after the matching join.
-    post_join: Vec<BTreeSet<InstrId>>,
+    post_join: Vec<StmtSet>,
     /// `(i, j)`: thread `i` is joined before thread `j` is spawned.
     ctx_order: BTreeSet<(usize, usize)>,
-    /// Flow-sensitive locksets per statement (for exclusion facts).
-    locksets: BTreeMap<InstrId, Lockset>,
-    /// Statement positions, for dominance queries.
-    positions: BTreeMap<InstrId, StmtPos>,
+    /// Flow-sensitive locksets indexed by statement id (for exclusion
+    /// facts), shared with the analysis context that computed them.
+    locksets: Arc<[Option<Lockset>]>,
     /// Strict block dominance, per function.
     dom_pairs: DomPairs,
     /// Whether the program spawns threads at all.
     has_threads: bool,
 }
 
-impl Mhp {
+impl<'p> Mhp<'p> {
     /// Computes the relation over a program and its TICFG.
-    pub fn compute(program: &Program, ticfg: &Ticfg) -> Mhp {
+    pub fn compute(program: &'p Program, ticfg: &'p Ticfg) -> Mhp<'p> {
         Mhp::build(&AnalysisCtx::with_ticfg(program, ticfg))
     }
 
     /// Computes the relation from `cx`'s TICFG and locksets.
-    pub(crate) fn build(cx: &AnalysisCtx<'_>) -> Mhp {
+    pub(crate) fn build(cx: &AnalysisCtx<'p>) -> Mhp<'p> {
         Builder {
             program: cx.program,
             ticfg: cx.ticfg(),
         }
-        .build(cx.locksets().clone())
+        .build(Arc::clone(cx.locksets()))
     }
 
     /// True when the program has any `spawn` statement.
@@ -179,7 +182,7 @@ impl Mhp {
         if a == b {
             return false;
         }
-        let (Some(ca), Some(cb)) = (self.stmt_ctxs.get(&a), self.stmt_ctxs.get(&b)) else {
+        let (Some(ca), Some(cb)) = (self.ctxs(a), self.ctxs(b)) else {
             return false;
         };
         // Intra-function strict dominance. Valid only when the function
@@ -198,11 +201,11 @@ impl Mhp {
             let ctx = i + 1;
             // Spawn edge: a fully precedes spawn i, b only runs on
             // thread i.
-            if pre.contains(&a) && !cb.is_empty() && cb.iter().all(|&c| c == ctx) {
+            if pre.contains(a) && !cb.is_empty() && cb.iter().all(|&c| c == ctx) {
                 return true;
             }
             // Join edge: a only runs on thread i, b is after its join.
-            if self.post_join[i].contains(&b) && !ca.is_empty() && ca.iter().all(|&c| c == ctx) {
+            if self.post_join[i].contains(b) && !ca.is_empty() && ca.iter().all(|&c| c == ctx) {
                 return true;
             }
         }
@@ -228,7 +231,7 @@ impl Mhp {
     /// pair is returned only for multi-instance spawn contexts, where
     /// two live instances of the same site can race each other.
     pub fn parallel_ctx_pair(&self, a: InstrId, b: InstrId) -> Option<(usize, usize)> {
-        let (ca, cb) = (self.stmt_ctxs.get(&a)?, self.stmt_ctxs.get(&b)?);
+        let (ca, cb) = (self.ctxs(a)?, self.ctxs(b)?);
         let mut best: Option<(usize, usize)> = None;
         for &i in ca {
             for &j in cb {
@@ -246,8 +249,8 @@ impl Mhp {
     /// True when the two statements hold a common lock, so a mutex
     /// serializes (but does not order) the pair.
     pub fn common_lock(&self, a: InstrId, b: InstrId) -> bool {
-        match (self.locksets.get(&a), self.locksets.get(&b)) {
-            (Some(la), Some(lb)) => la.intersection(lb).next().is_some(),
+        match (self.locksets.get(a.index()), self.locksets.get(b.index())) {
+            (Some(Some(la)), Some(Some(lb))) => la.intersection(lb).next().is_some(),
             _ => false,
         }
     }
@@ -307,11 +310,15 @@ impl Mhp {
     pub fn lock_summaries(&self) -> Vec<LockSummary> {
         let mut by_lock: BTreeMap<Loc, BTreeMap<(usize, FuncId), BTreeSet<InstrId>>> =
             BTreeMap::new();
-        for (&s, ls) in &self.locksets {
-            let Some(pos) = self.positions.get(&s) else {
+        for (i, ls) in self.locksets.iter().enumerate() {
+            let Some(ls) = ls else {
                 continue;
             };
-            let Some(ctxs) = self.stmt_ctxs.get(&s) else {
+            let s = InstrId(i as u32);
+            let Some(pos) = self.program.stmt_pos(s) else {
+                continue;
+            };
+            let Some(ctxs) = self.ctxs(s) else {
                 continue;
             };
             for lock in ls.iter() {
@@ -360,7 +367,7 @@ impl Mhp {
     /// both carrying the statement (a routine shared by two concurrent
     /// spawn sites races its own code).
     fn self_parallel(&self, s: InstrId) -> bool {
-        let Some(ctxs) = self.stmt_ctxs.get(&s) else {
+        let Some(ctxs) = self.ctxs(s) else {
             return false;
         };
         ctxs.iter()
@@ -369,7 +376,7 @@ impl Mhp {
 
     /// Context-level parallelism with the spawn/join windows applied.
     fn parallel_contexts(&self, a: InstrId, b: InstrId) -> bool {
-        let (Some(ca), Some(cb)) = (self.stmt_ctxs.get(&a), self.stmt_ctxs.get(&b)) else {
+        let (Some(ca), Some(cb)) = (self.ctxs(a), self.ctxs(b)) else {
             return false;
         };
         ca.iter()
@@ -390,11 +397,11 @@ impl Mhp {
                 // when a is confined to before the spawn or after the
                 // join of that thread.
                 let t = j - 1;
-                !(self.pre_spawn[t].contains(&a) || self.post_join[t].contains(&a))
+                !(self.pre_spawn[t].contains(a) || self.post_join[t].contains(a))
             }
             (i, 0) => {
                 let t = i - 1;
-                !(self.pre_spawn[t].contains(&b) || self.post_join[t].contains(&b))
+                !(self.pre_spawn[t].contains(b) || self.post_join[t].contains(b))
             }
             (i, j) => {
                 let (ti, tj) = (i - 1, j - 1);
@@ -403,9 +410,18 @@ impl Mhp {
         }
     }
 
+    /// The thread contexts `s` may run under; `None` when no context
+    /// reaches its function (or `s` is not a statement).
+    fn ctxs(&self, s: InstrId) -> Option<&BTreeSet<usize>> {
+        let pos = self.program.stmt_pos(s)?;
+        self.func_ctxs
+            .get(pos.func.index())
+            .filter(|ctxs| !ctxs.is_empty())
+    }
+
     /// Strict statement-level dominance within one function.
     fn sdom(&self, a: InstrId, b: InstrId) -> bool {
-        let (Some(pa), Some(pb)) = (self.positions.get(&a), self.positions.get(&b)) else {
+        let (Some(pa), Some(pb)) = (self.program.stmt_pos(a), self.program.stmt_pos(b)) else {
             return false;
         };
         if pa.func != pb.func {
@@ -421,13 +437,13 @@ impl Mhp {
     }
 }
 
-struct Builder<'a> {
-    program: &'a Program,
-    ticfg: &'a Ticfg,
+struct Builder<'p, 't> {
+    program: &'p Program,
+    ticfg: &'t Ticfg,
 }
 
-impl Builder<'_> {
-    fn build(self, locksets: BTreeMap<InstrId, Lockset>) -> Mhp {
+impl<'p> Builder<'p, '_> {
+    fn build(self, locksets: Arc<[Option<Lockset>]>) -> Mhp<'p> {
         let program = self.program;
         let ticfg = self.ticfg;
 
@@ -444,47 +460,31 @@ impl Builder<'_> {
         }
         let has_threads = !spawn_sites.is_empty();
 
-        // Statement positions.
-        let mut positions = BTreeMap::new();
-        for id in program.all_stmt_ids() {
-            if let Some(pos) = program.stmt_pos(id) {
-                positions.insert(id, pos);
-            }
-        }
-
         // Function contexts: main (0) from the entry function, one per
         // spawn site from its routine targets. Call edges only — a
         // spawned routine is the root of its own context.
-        let mut func_ctxs: BTreeMap<FuncId, BTreeSet<usize>> = BTreeMap::new();
-        let mark =
-            |roots: Vec<FuncId>, ctx: usize, func_ctxs: &mut BTreeMap<FuncId, BTreeSet<usize>>| {
-                let mut q: VecDeque<FuncId> = roots.into();
-                while let Some(f) = q.pop_front() {
-                    if !func_ctxs.entry(f).or_default().insert(ctx) {
-                        continue;
-                    }
-                    for b in &program.function(f).blocks {
-                        for i in &b.instrs {
-                            if matches!(i.op, Op::Call { .. }) {
-                                for t in ticfg.call_targets.get(&i.id).into_iter().flatten() {
-                                    q.push_back(*t);
-                                }
+        let mut func_ctxs: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); program.functions.len()];
+        let mark = |roots: Vec<FuncId>, ctx: usize, func_ctxs: &mut Vec<BTreeSet<usize>>| {
+            let mut q: VecDeque<FuncId> = roots.into();
+            while let Some(f) = q.pop_front() {
+                if !func_ctxs[f.index()].insert(ctx) {
+                    continue;
+                }
+                for b in &program.function(f).blocks {
+                    for i in &b.instrs {
+                        if matches!(i.op, Op::Call { .. }) {
+                            for t in ticfg.call_targets.get(&i.id).into_iter().flatten() {
+                                q.push_back(*t);
                             }
                         }
                     }
                 }
-            };
+            }
+        };
         mark(vec![program.entry], 0, &mut func_ctxs);
         for (idx, &s) in spawn_sites.iter().enumerate() {
             let routines = ticfg.call_targets.get(&s).cloned().unwrap_or_default();
             mark(routines, idx + 1, &mut func_ctxs);
-        }
-
-        let mut stmt_ctxs: BTreeMap<InstrId, BTreeSet<usize>> = BTreeMap::new();
-        for (&id, pos) in &positions {
-            if let Some(ctxs) = func_ctxs.get(&pos.func) {
-                stmt_ctxs.insert(id, ctxs.clone());
-            }
         }
 
         // Multi-instance spawn sites: the spawn re-executes (its block
@@ -493,12 +493,12 @@ impl Builder<'_> {
         // context that is itself multi — closed under a fixpoint).
         let mut multi: BTreeSet<usize> = BTreeSet::new();
         for (idx, &s) in spawn_sites.iter().enumerate() {
-            let Some(pos) = positions.get(&s) else {
+            let Some(pos) = program.stmt_pos(s) else {
                 multi.insert(idx);
                 continue;
             };
             let callsites = ticfg.callers.get(&pos.func).map(Vec::len).unwrap_or(0);
-            let ctx_count = func_ctxs.get(&pos.func).map(BTreeSet::len).unwrap_or(0);
+            let ctx_count = func_ctxs[pos.func.index()].len();
             let func_multi = pos.func != program.entry && (callsites != 1 || ctx_count != 1);
             if func_multi || self.block_in_cycle(pos.func, pos.block) {
                 multi.insert(idx);
@@ -510,13 +510,12 @@ impl Builder<'_> {
                 if multi.contains(&idx) {
                     continue;
                 }
-                let Some(pos) = positions.get(&s) else {
+                let Some(pos) = program.stmt_pos(s) else {
                     continue;
                 };
-                let nested_multi = func_ctxs
-                    .get(&pos.func)
-                    .map(|ctxs| ctxs.iter().any(|&c| c > 0 && multi.contains(&(c - 1))))
-                    .unwrap_or(false);
+                let nested_multi = func_ctxs[pos.func.index()]
+                    .iter()
+                    .any(|&c| c > 0 && multi.contains(&(c - 1)));
                 if nested_multi {
                     multi.insert(idx);
                     grew = true;
@@ -541,15 +540,16 @@ impl Builder<'_> {
             }
         }
 
+        let no_stmts = StmtSet::new(program.stmt_count());
         let mut mhp = Mhp {
-            stmt_ctxs,
+            program,
+            func_ctxs,
             spawn_sites: spawn_sites.clone(),
             multi: multi.clone(),
-            pre_spawn: vec![BTreeSet::new(); spawn_sites.len()],
-            post_join: vec![BTreeSet::new(); spawn_sites.len()],
+            pre_spawn: vec![no_stmts.clone(); spawn_sites.len()],
+            post_join: vec![no_stmts; spawn_sites.len()],
             ctx_order: BTreeSet::new(),
             locksets,
-            positions,
             dom_pairs,
             has_threads,
         };
@@ -560,10 +560,10 @@ impl Builder<'_> {
             if multi.contains(&idx) {
                 continue; // no ordering claims for re-executing spawns
             }
-            let pre = self.closed_region(&mhp, s, true, &func_ctxs);
+            let pre = self.closed_region(&mhp, s, true);
             mhp.pre_spawn[idx] = pre;
             if let Some(&join) = joins.get(&idx) {
-                let post = self.closed_region(&mhp, join, false, &func_ctxs);
+                let post = self.closed_region(&mhp, join, false);
                 mhp.post_join[idx] = post;
             }
         }
@@ -642,18 +642,12 @@ impl Builder<'_> {
     /// false`), plus whole bodies of functions whose every callsite lies
     /// inside the region (greatest fixpoint, so a function called both
     /// inside and outside the region is evicted).
-    fn closed_region(
-        &self,
-        mhp: &Mhp,
-        anchor: InstrId,
-        before: bool,
-        func_ctxs: &BTreeMap<FuncId, BTreeSet<usize>>,
-    ) -> BTreeSet<InstrId> {
+    fn closed_region(&self, mhp: &Mhp<'_>, anchor: InstrId, before: bool) -> StmtSet {
         let program = self.program;
+        let mut region = StmtSet::new(program.stmt_count());
         let Some(anchor_func) = program.stmt_func(anchor) else {
-            return BTreeSet::new();
+            return region;
         };
-        let mut region: BTreeSet<InstrId> = BTreeSet::new();
         for b in &program.function(anchor_func).blocks {
             for id in b.stmt_ids() {
                 let ordered = if before {
@@ -675,7 +669,7 @@ impl Builder<'_> {
             .iter()
             .map(|f| f.id)
             .filter(|&fid| fid != anchor_func && fid != program.entry)
-            .filter(|fid| func_ctxs.get(fid).map(|c| c.len() == 1).unwrap_or(false))
+            .filter(|fid| mhp.func_ctxs[fid.index()].len() == 1)
             .collect();
         loop {
             let mut evicted = false;
@@ -694,7 +688,7 @@ impl Builder<'_> {
                         if before && is_spawn {
                             return false;
                         }
-                        region.contains(site)
+                        region.contains(*site)
                             || program
                                 .stmt_func(*site)
                                 .map(|sf| funcs.contains(&sf))
@@ -710,8 +704,8 @@ impl Builder<'_> {
             }
         }
         for fid in funcs {
-            for b in &program.function(fid).blocks {
-                region.extend(b.stmt_ids());
+            for id in program.function(fid).stmt_ids() {
+                region.insert(id);
             }
         }
         region
@@ -743,11 +737,12 @@ mod tests {
     use gist_ir::icfg::Icfg;
     use gist_ir::parser::parse_program;
 
-    fn mhp_of(text: &str) -> (Program, Ticfg, Mhp) {
+    /// A parsed program and its TICFG; tests compute the relation with
+    /// `Mhp::compute(&p, &g)`, which borrows both.
+    fn program_of(text: &str) -> (Program, Ticfg) {
         let p = parse_program("t", text).unwrap();
         let g = Icfg::build_ticfg(&p);
-        let m = Mhp::compute(&p, &g);
-        (p, g, m)
+        (p, g)
     }
 
     const SPAWN_JOIN: &str = r#"
@@ -771,7 +766,8 @@ entry:
 
     #[test]
     fn pre_spawn_store_is_ordered_before_the_worker() {
-        let (p, _, m) = mhp_of(SPAWN_JOIN);
+        let (p, g) = program_of(SPAWN_JOIN);
+        let m = Mhp::compute(&p, &g);
         let worker_store = p.function_by_name("worker").unwrap().blocks[0].instrs[0].id;
         let main_f = p.function_by_name("main").unwrap();
         let main_init = main_f.blocks[0].instrs[0].id;
@@ -794,7 +790,7 @@ entry:
 
     #[test]
     fn sequential_program_has_no_parallel_pairs() {
-        let (p, _, m) = mhp_of(
+        let (p, g) = program_of(
             r#"
 global g = 0
 fn main() {
@@ -806,6 +802,7 @@ entry:
 }
 "#,
         );
+        let m = Mhp::compute(&p, &g);
         assert!(!m.has_threads());
         let ids: Vec<InstrId> = p.all_stmt_ids().collect();
         for &a in &ids {
@@ -817,7 +814,7 @@ entry:
 
     #[test]
     fn two_joined_threads_in_sequence_are_ordered() {
-        let (p, _, m) = mhp_of(
+        let (p, g) = program_of(
             r#"
 global g = 0
 fn w1(arg) {
@@ -840,6 +837,7 @@ entry:
 }
 "#,
         );
+        let m = Mhp::compute(&p, &g);
         let s1 = p.function_by_name("w1").unwrap().blocks[0].instrs[0].id;
         let s2 = p.function_by_name("w2").unwrap().blocks[0].instrs[0].id;
         assert!(m.must_precede(s1, s2), "w1 joined before w2 spawned");
@@ -848,7 +846,7 @@ entry:
 
     #[test]
     fn concurrent_threads_without_order_are_parallel() {
-        let (p, _, m) = mhp_of(
+        let (p, g) = program_of(
             r#"
 global g = 0
 fn w1(arg) {
@@ -871,6 +869,7 @@ entry:
 }
 "#,
         );
+        let m = Mhp::compute(&p, &g);
         let s1 = p.function_by_name("w1").unwrap().blocks[0].instrs[0].id;
         let s2 = p.function_by_name("w2").unwrap().blocks[0].instrs[0].id;
         assert!(m.may_happen_in_parallel(s1, s2));
@@ -879,7 +878,7 @@ entry:
 
     #[test]
     fn spawn_in_loop_is_self_parallel_and_unordered() {
-        let (p, _, m) = mhp_of(
+        let (p, g) = program_of(
             r#"
 global g = 0
 global n = 0
@@ -900,6 +899,7 @@ done:
 }
 "#,
         );
+        let m = Mhp::compute(&p, &g);
         let ws = p.function_by_name("w").unwrap().blocks[0].instrs[0].id;
         assert!(m.may_happen_in_parallel(ws, ws), "loop spawn races itself");
         // No ordering claims at all for the multi spawn.
@@ -910,7 +910,7 @@ done:
 
     #[test]
     fn common_lock_is_excluded_but_still_mhp() {
-        let (p, _, m) = mhp_of(
+        let (p, g) = program_of(
             r#"
 global g = 0
 global lk = 0
@@ -932,6 +932,7 @@ entry:
 }
 "#,
         );
+        let m = Mhp::compute(&p, &g);
         let ws = p.function_by_name("w").unwrap().blocks[0].instrs[1].id;
         let mv = p.function_by_name("main").unwrap().blocks[0].instrs[2].id;
         assert!(
@@ -949,7 +950,8 @@ entry:
 
     #[test]
     fn never_parallel_stores_spares_racing_writes() {
-        let (p, g, m) = mhp_of(SPAWN_JOIN);
+        let (p, g) = program_of(SPAWN_JOIN);
+        let m = Mhp::compute(&p, &g);
         let pts = PointsTo::compute(&p, &g);
         let never = m.never_parallel_stores(&p, &pts);
         let worker_store = p.function_by_name("worker").unwrap().blocks[0].instrs[0].id;
@@ -963,7 +965,7 @@ entry:
 
     #[test]
     fn never_parallel_is_empty_without_threads() {
-        let (p, g, m) = mhp_of(
+        let (p, g) = program_of(
             r#"
 global g = 0
 fn main() {
@@ -975,13 +977,15 @@ entry:
 }
 "#,
         );
+        let m = Mhp::compute(&p, &g);
         let pts = PointsTo::compute(&p, &g);
         assert!(m.never_parallel_stores(&p, &pts).is_empty());
     }
 
     #[test]
     fn order_fact_lattice_is_consistent() {
-        let (p, _, m) = mhp_of(SPAWN_JOIN);
+        let (p, g) = program_of(SPAWN_JOIN);
+        let m = Mhp::compute(&p, &g);
         let main_f = p.function_by_name("main").unwrap();
         let init = main_f.blocks[0].instrs[0].id;
         let worker_store = p.function_by_name("worker").unwrap().blocks[0].instrs[0].id;

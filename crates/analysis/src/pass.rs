@@ -9,11 +9,11 @@
 //! mirroring how the paper's prototype chains LLVM analysis passes on the
 //! Gist server before computing instrumentation plans.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
+use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock};
 
 use gist_ir::icfg::{Icfg, Ticfg};
-use gist_ir::{InstrId, Program};
+use gist_ir::Program;
 
 use crate::dataflow::ConstProp;
 use crate::diag::{sort_diagnostics, Diagnostic};
@@ -30,10 +30,10 @@ pub struct AnalysisCtx<'p> {
     given_ticfg: Option<&'p Ticfg>,
     ticfg: OnceLock<Ticfg>,
     points_to: OnceLock<PointsTo>,
-    locksets: OnceLock<BTreeMap<InstrId, Lockset>>,
+    locksets: OnceLock<Arc<[Option<Lockset>]>>,
     shared_origins: OnceLock<BTreeSet<MemOrigin>>,
     races: OnceLock<RaceAnalysis>,
-    mhp: OnceLock<Mhp>,
+    mhp: OnceLock<Mhp<'p>>,
     consts: OnceLock<ConstProp>,
     svfg: OnceLock<Svfg>,
 }
@@ -77,11 +77,13 @@ impl<'p> AnalysisCtx<'p> {
             .get_or_init(|| PointsTo::compute(self.program, self.ticfg()))
     }
 
-    /// The locks certainly held before each statement. Pre-spawn
-    /// suppression does not touch locksets, so one map serves the race
-    /// detector, MHP, the deadlock detector and the atomicity lint.
-    pub(crate) fn locksets(&self) -> &BTreeMap<InstrId, Lockset> {
-        self.locksets.get_or_init(|| race::locksets(self))
+    /// The locks certainly held before each statement, indexed by
+    /// statement id (`None` where the lockset stage never reached).
+    /// Pre-spawn suppression does not touch locksets, so one table serves
+    /// the race detector, MHP, the deadlock detector and the atomicity
+    /// lint; MHP shares it instead of copying it.
+    pub(crate) fn locksets(&self) -> &Arc<[Option<Lockset>]> {
+        self.locksets.get_or_init(|| race::locksets(self).into())
     }
 
     /// Memory origins accessible from more than one thread context (or
@@ -102,7 +104,7 @@ impl<'p> AnalysisCtx<'p> {
     }
 
     /// The may-happen-in-parallel relation.
-    pub fn mhp(&self) -> &Mhp {
+    pub fn mhp(&self) -> &Mhp<'p> {
         self.mhp.get_or_init(|| Mhp::build(self))
     }
 

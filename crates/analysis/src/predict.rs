@@ -59,7 +59,7 @@ pub struct PredictedSketch {
 
 struct SketchBuilder<'a> {
     program: &'a Program,
-    mhp: &'a Mhp,
+    mhp: &'a Mhp<'a>,
 }
 
 impl SketchBuilder<'_> {

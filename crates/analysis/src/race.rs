@@ -197,16 +197,22 @@ pub(crate) fn candidates(cx: &AnalysisCtx<'_>) -> RaceAnalysis {
     let mut accesses = d.collect_accesses();
     let locksets = cx.locksets();
     for a in &mut accesses {
-        a.lockset = locksets.get(&a.stmt).cloned().unwrap_or_default();
+        a.lockset = locksets
+            .get(a.stmt.index())
+            .cloned()
+            .flatten()
+            .unwrap_or_default();
     }
     let shared = d.shared_origins(&accesses);
     d.pair_up(&accesses, &shared)
 }
 
 /// The flow-sensitive lockset stage alone: the locks certainly held
-/// before each statement. The lock-order deadlock detector
-/// ([`crate::deadlock`]) builds its acquisition graph from it.
-pub(crate) fn locksets(cx: &AnalysisCtx<'_>) -> BTreeMap<InstrId, Lockset> {
+/// before each statement, indexed by statement id. `None` marks a
+/// statement the stage never reached (a function no context enters). The
+/// lock-order deadlock detector ([`crate::deadlock`]) builds its
+/// acquisition graph from it.
+pub(crate) fn locksets(cx: &AnalysisCtx<'_>) -> Vec<Option<Lockset>> {
     Detector::new(cx).locksets()
 }
 
@@ -435,10 +441,10 @@ impl<'a> Detector<'a> {
     }
 
     /// Flow-sensitive, interprocedural lockset analysis: the locks
-    /// certainly held before each statement.
-    fn locksets(&self) -> BTreeMap<InstrId, Lockset> {
+    /// certainly held before each statement, indexed by statement id.
+    fn locksets(&self) -> Vec<Option<Lockset>> {
         let program = self.program;
-        let mut stmt_ls: BTreeMap<InstrId, Lockset> = BTreeMap::new();
+        let mut stmt_ls: Vec<Option<Lockset>> = vec![None; program.stmt_count()];
         // None = not yet observed (top of the "intersection of call sites"
         // lattice). The entry and all spawn routines start lock-free.
         let mut entry_ls: BTreeMap<FuncId, Option<Lockset>> = BTreeMap::new();
@@ -484,7 +490,7 @@ impl<'a> Detector<'a> {
                     };
                     let b = &f.blocks[bi];
                     for instr in &b.instrs {
-                        stmt_ls.insert(instr.id, ls.clone());
+                        stmt_ls[instr.id.index()] = Some(ls.clone());
                         match &instr.op {
                             Op::MutexLock { addr } => {
                                 ls.extend(self.pts.operand_origins(f.id, *addr));
@@ -508,7 +514,7 @@ impl<'a> Detector<'a> {
                             _ => {}
                         }
                     }
-                    stmt_ls.insert(b.term.id(), ls.clone());
+                    stmt_ls[b.term.id().index()] = Some(ls.clone());
                     if matches!(b.term, Terminator::Ret { .. }) {
                         ret_ls.push(ls.difference(&entry_set).copied().collect());
                     }

@@ -32,7 +32,11 @@
 //! * **1** — at least one confirmed finding: any error-severity
 //!   diagnostic, or a confirmed detector warning (GA020/GA021 lifetime,
 //!   GA023 null flow, GA024 order violation).
-//! * **2** — usage, read, or parse failure.
+//! * **2** — usage, read, or parse failure, or a failed write to stdout
+//!   (for example a pipe whose reader exited): the tool stops at the first
+//!   failed write and names it in one line on stderr.
+
+use std::io::{self, Write};
 
 use gist_analysis::{
     default_passes, lint_passes, predicted_sketches, render_prediction, render_report, Diagnostic,
@@ -72,28 +76,43 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let mut confirmed = false;
-    let mut reports: Vec<Json> = Vec::new();
-    let run = |name: &str, program: &Program, reports: &mut Vec<Json>| match mode {
-        Mode::Predict => predict(name, program, json, reports),
-        m => {
-            let passes: fn() -> PassManager = if m == Mode::Lint {
-                lint_passes
-            } else {
-                default_passes
-            };
-            analyze(name, program, passes(), json, reports)
+    let code = match run(mode, json, &args, &mut io::stdout().lock()) {
+        Ok(confirmed) => i32::from(confirmed),
+        Err(e) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            2
         }
     };
+    std::process::exit(code);
+}
+
+/// Analyzes every program `args` names and writes the reports to `out`.
+/// Returns true if any finding is confirmed; exits with status 2 on a
+/// read or parse failure. A failed write ends the run with its error.
+fn run<W: Write>(mode: Mode, json: bool, args: &[String], out: &mut W) -> io::Result<bool> {
+    let mut confirmed = false;
+    let mut reports: Vec<Json> = Vec::new();
+    let analyze_one =
+        |name: &str, program: &Program, reports: &mut Vec<Json>, out: &mut W| match mode {
+            Mode::Predict => predict(name, program, json, reports, out),
+            m => {
+                let passes: fn() -> PassManager = if m == Mode::Lint {
+                    lint_passes
+                } else {
+                    default_passes
+                };
+                analyze(name, program, passes(), json, reports, out)
+            }
+        };
     if args.iter().any(|a| a == "--bugbase") {
         for bug in gist_bugbase::all_bugs() {
             if !json {
-                println!("=== {} ({}) ===", bug.name, bug.display);
+                writeln!(out, "=== {} ({}) ===", bug.name, bug.display)?;
             }
-            confirmed |= run(bug.name, &bug.program, &mut reports);
+            confirmed |= analyze_one(bug.name, &bug.program, &mut reports, out)?;
         }
     } else {
-        for path in &args {
+        for path in args {
             let text = match std::fs::read_to_string(path) {
                 Ok(t) => t,
                 Err(e) => {
@@ -115,15 +134,16 @@ fn main() {
                 }
             };
             if !json {
-                println!("=== {path} ===");
+                writeln!(out, "=== {path} ===")?;
             }
-            confirmed |= run(path, &program, &mut reports);
+            confirmed |= analyze_one(path, &program, &mut reports, out)?;
         }
     }
     if json {
-        println!("{}", Json::Arr(reports).pretty());
+        writeln!(out, "{}", Json::Arr(reports).pretty())?;
     }
-    std::process::exit(if confirmed { 1 } else { 0 });
+    out.flush()?;
+    Ok(confirmed)
 }
 
 /// True when the diagnostic gates exit status 1: an error, or a
@@ -132,30 +152,37 @@ fn is_confirmed(d: &Diagnostic) -> bool {
     d.severity == Severity::Error || CONFIRMED_WARNINGS.contains(&d.code)
 }
 
-/// Runs the pass pipeline over one program. In text mode, prints the
-/// rustc-style report; in JSON mode, appends a per-program object to
-/// `reports`. Returns true if any diagnostic is confirmed.
+/// Runs the pass pipeline over one program. In text mode, writes the
+/// rustc-style report to `out`; in JSON mode, appends a per-program
+/// object to `reports`. Returns true if any diagnostic is confirmed.
 fn analyze(
     name: &str,
     program: &Program,
     pm: PassManager,
     json: bool,
     reports: &mut Vec<Json>,
-) -> bool {
+    out: &mut impl Write,
+) -> io::Result<bool> {
     let diags = pm.run(program);
     if json {
         reports.push(program_json(name, program, &diags));
     } else if diags.is_empty() {
-        println!("ok: no findings ({} passes)", pm.pass_names().len());
+        writeln!(out, "ok: no findings ({} passes)", pm.pass_names().len())?;
     } else {
-        println!("{}", render_report(Some(program), &diags));
+        writeln!(out, "{}", render_report(Some(program), &diags))?;
     }
-    diags.iter().any(is_confirmed)
+    Ok(diags.iter().any(is_confirmed))
 }
 
 /// Emits the static predicted sketches for one program. Predictions
 /// never gate the exit status — they are forecasts, not findings.
-fn predict(name: &str, program: &Program, json: bool, reports: &mut Vec<Json>) -> bool {
+fn predict(
+    name: &str,
+    program: &Program,
+    json: bool,
+    reports: &mut Vec<Json>,
+    out: &mut impl Write,
+) -> io::Result<bool> {
     let sketches = predicted_sketches(program);
     if json {
         reports.push(Json::Obj(vec![
@@ -166,13 +193,13 @@ fn predict(name: &str, program: &Program, json: bool, reports: &mut Vec<Json>) -
             ),
         ]));
     } else if sketches.is_empty() {
-        println!("no predicted sketches (sequential or fully ordered)");
+        writeln!(out, "no predicted sketches (sequential or fully ordered)")?;
     } else {
         for s in &sketches {
-            print!("{}", render_prediction(s));
+            write!(out, "{}", render_prediction(s))?;
         }
     }
-    false
+    Ok(false)
 }
 
 /// Encodes one predicted sketch as a JSON object.

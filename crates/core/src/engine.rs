@@ -16,9 +16,9 @@ use gist_vm::FailureReport;
 /// (for the reaching-path step pruning) and constants (static value
 /// annotations when the dynamic trace has no hit value for a step) from
 /// the [`AnalysisCtx`] it borrows, the one the server's slicer owns.
-pub struct SketchBuilder<'a> {
-    program: &'a Program,
-    facts: &'a AnalysisCtx<'a>,
+pub struct SketchBuilder<'a, 'p> {
+    program: &'p Program,
+    facts: &'a AnalysisCtx<'p>,
     /// Sketch title (e.g. `Failure Sketch for pbzip2 bug #1`).
     pub title: String,
     /// Bug classification for the type line (`Concurrency bug` /
@@ -26,10 +26,10 @@ pub struct SketchBuilder<'a> {
     pub bug_class: String,
 }
 
-impl<'a> SketchBuilder<'a> {
+impl<'a, 'p> SketchBuilder<'a, 'p> {
     /// Creates a builder over `facts`, with a default title derived from
     /// the program.
-    pub fn new(facts: &'a AnalysisCtx<'a>) -> Self {
+    pub fn new(facts: &'a AnalysisCtx<'p>) -> Self {
         SketchBuilder {
             title: format!("Failure Sketch for {}", facts.program.name),
             program: facts.program,

@@ -5,6 +5,9 @@
 //! Determinism is what makes the golden-lint gate and the CI findings
 //! artifact meaningful — a nondeterministically ordered report would churn
 //! on every run.
+//!
+//! The exit-status contract also covers output failures: a stdout that
+//! cannot be written ends the run with status 2, never a panic.
 
 use std::process::Command;
 
@@ -62,5 +65,29 @@ fn json_output_is_byte_identical_and_parses() {
             }
             other => panic!("{args:?}: expected a top-level array, got {other:?}"),
         }
+    }
+}
+
+/// A stdout whose reader is gone ends the run with exit status 2 and one
+/// line on stderr, not a panic. The child's stdout is the write end of a
+/// pipe whose read end is already closed, so every write fails.
+#[test]
+fn closed_stdout_exits_2_without_panicking() {
+    for args in [
+        &["--bugbase"][..],
+        &["lint", "--bugbase"][..],
+        &["predict", "--json", "--bugbase"][..],
+    ] {
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_gist-analyze"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn gist-analyze");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
     }
 }

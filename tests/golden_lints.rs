@@ -5,6 +5,11 @@
 //! under `tests/golden/<bug>.lints`. A detector or SVFG change that alters
 //! any finding fails here with a line diff.
 //!
+//! The synthetic programs of the `analyze` benchmark workload are pinned
+//! too, one line each, in `tests/golden/synth-analyze.txt`: every
+//! diagnostic's code and location, the number of predicted sketches, and
+//! an FNV-1a hash of the rendered lint report plus the predictions.
+//!
 //! To accept intentional changes, regenerate the snapshots:
 //!
 //! ```text
@@ -14,7 +19,11 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use gist_analysis::{lint_passes, render_report, Severity};
+use gist_analysis::{
+    lint_all, lint_passes, predicted_sketches, render_prediction, render_report, Severity,
+};
+use gist_bugbase::synth::{self, PatternKind, SplitMix64, SynthBug};
+use gist_ir::Program;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden")
@@ -51,20 +60,20 @@ fn lint_report(bug: &gist_bugbase::BugSpec) -> String {
     }
 }
 
-fn check_bug(bug: &gist_bugbase::BugSpec, failures: &mut Vec<String>) {
-    let rendered = lint_report(bug);
-    let path = golden_dir().join(format!("{}.lints", bug.name));
+/// Compares `rendered` with the golden file `file`, or rewrites the file
+/// under `UPDATE_GOLDEN`. A mismatch is pushed onto `failures`.
+fn check_golden(what: &str, file: &str, rendered: &str, failures: &mut Vec<String>) {
+    let path = golden_dir().join(file);
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::create_dir_all(golden_dir()).expect("create golden dir");
-        std::fs::write(&path, &rendered).expect("write golden file");
+        std::fs::write(&path, rendered).expect("write golden file");
         return;
     }
     let golden = match std::fs::read_to_string(&path) {
         Ok(s) => s,
         Err(e) => {
             failures.push(format!(
-                "{}: no golden snapshot at {} ({e}); run with UPDATE_GOLDEN=1",
-                bug.name,
+                "{what}: no golden snapshot at {} ({e}); run with UPDATE_GOLDEN=1",
                 path.display()
             ));
             return;
@@ -72,12 +81,16 @@ fn check_bug(bug: &gist_bugbase::BugSpec, failures: &mut Vec<String>) {
     };
     if golden != rendered {
         failures.push(format!(
-            "{}: lint report differs from {} (UPDATE_GOLDEN=1 to accept):\n{}",
-            bug.name,
+            "{what}: output differs from {} (UPDATE_GOLDEN=1 to accept):\n{}",
             path.display(),
-            line_diff(&golden, &rendered)
+            line_diff(&golden, rendered)
         ));
     }
+}
+
+fn check_bug(bug: &gist_bugbase::BugSpec, failures: &mut Vec<String>) {
+    let file = format!("{}.lints", bug.name);
+    check_golden(bug.name, &file, &lint_report(bug), failures);
 }
 
 #[test]
@@ -92,6 +105,74 @@ fn lint_reports_match_golden_snapshots() {
         failures.len(),
         failures.join("\n")
     );
+}
+
+/// The synthetic programs of the `analyze` benchmark workload at seed 1:
+/// 23 rounds of the 9 injected patterns, then 22 clean controls, all
+/// drawn from one `SplitMix64::new(1)` stream.
+fn analyze_workload_programs() -> Vec<SynthBug> {
+    let mut stream = SplitMix64::new(1);
+    let mut bugs = Vec::new();
+    for _ in 0..23 {
+        for pattern in PatternKind::INJECTED {
+            bugs.push(synth::generate_with_pattern(stream.next_u64(), pattern));
+        }
+    }
+    bugs.extend((0..22).map(|_| synth::generate_control(stream.next_u64())));
+    bugs
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One program's golden line: its name, each diagnostic's code and
+/// location, the number of predicted sketches, and an FNV-1a hash of the
+/// rendered lint report plus the rendered predictions.
+fn synth_line(name: &str, program: &Program) -> String {
+    let diags = lint_all(program);
+    let preds = predicted_sketches(program);
+    let mut line = name.to_owned();
+    for d in &diags {
+        let loc = if d.loc.is_unknown() {
+            "<unknown>".to_owned()
+        } else {
+            program.source_map.display(d.loc)
+        };
+        let _ = write!(line, " {}@{loc}", d.code);
+    }
+    let mut rendered = render_report(Some(program), &diags);
+    rendered.extend(preds.iter().map(render_prediction));
+    let _ = writeln!(
+        line,
+        " predicted={} fnv={:016x}",
+        preds.len(),
+        fnv1a(rendered.as_bytes())
+    );
+    line
+}
+
+/// The lint and prediction output of the `analyze` workload's synthetic
+/// programs is pinned line by line in `tests/golden/synth-analyze.txt`.
+#[test]
+fn analyze_workload_synthetic_output_matches_golden() {
+    let bugs = analyze_workload_programs();
+    assert_eq!(bugs.len(), 23 * 9 + 22);
+    let rendered: String = bugs
+        .iter()
+        .map(|b| synth_line(&b.name, &b.program))
+        .collect();
+    let mut failures = Vec::new();
+    check_golden(
+        "synth-analyze",
+        "synth-analyze.txt",
+        &rendered,
+        &mut failures,
+    );
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 /// The detectors never report an error-severity diagnostic on the bugbase
