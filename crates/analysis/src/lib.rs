@@ -102,5 +102,5 @@ pub use pass::{default_passes, AnalysisCtx, Pass, PassManager};
 pub use points_to::{Loc, LocSet, MemOrigin, PointsTo};
 pub use predict::{predicted_sketches, render_prediction, PredictedSketch, PredictedStep};
 pub use race::{analyze, AccessKind, RaceAnalysis, RaceCandidate, RaceEndpoint};
-pub use svfg::{Feasibility, Svfg, SvfgEdge, SvfgEdgeKind};
+pub use svfg::{DefIndex, Feasibility, Svfg, SvfgEdge, SvfgEdgeKind};
 pub use verify::{verify, verify_source, SourceVerification};

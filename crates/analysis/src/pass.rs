@@ -2,12 +2,13 @@
 //! program's whole-program facts.
 //!
 //! An [`AnalysisCtx`] builds each fact — the TICFG, points-to, locksets,
-//! shared origins, race candidates, MHP, constants and the SVFG — on first
-//! use and at most once, so every pass, lint and client reading from one
-//! context shares a single copy. The [`PassManager`] runs a list of passes
-//! over one context and collects their diagnostics into one sorted report,
-//! mirroring how the paper's prototype chains LLVM analysis passes on the
-//! Gist server before computing instrumentation plans.
+//! shared origins, race candidates, MHP, constants, the def index and the
+//! SVFG — on first use and at most once, so every pass, lint and client
+//! reading from one context shares a single copy. The [`PassManager`] runs
+//! a list of passes over one context and collects their diagnostics into
+//! one sorted report, mirroring how the paper's prototype chains LLVM
+//! analysis passes on the Gist server before computing instrumentation
+//! plans.
 
 use std::collections::BTreeSet;
 use std::sync::{Arc, OnceLock};
@@ -20,7 +21,7 @@ use crate::diag::{sort_diagnostics, Diagnostic};
 use crate::mhp::Mhp;
 use crate::points_to::{MemOrigin, PointsTo};
 use crate::race::{self, Lockset, RaceAnalysis};
-use crate::svfg::Svfg;
+use crate::svfg::{DefIndex, Svfg};
 
 /// The whole-program facts of one program, each built on first use.
 pub struct AnalysisCtx<'p> {
@@ -35,6 +36,7 @@ pub struct AnalysisCtx<'p> {
     races: OnceLock<RaceAnalysis>,
     mhp: OnceLock<Mhp<'p>>,
     consts: OnceLock<ConstProp>,
+    defs: OnceLock<DefIndex>,
     svfg: OnceLock<Svfg>,
 }
 
@@ -51,6 +53,7 @@ impl<'p> AnalysisCtx<'p> {
             races: OnceLock::new(),
             mhp: OnceLock::new(),
             consts: OnceLock::new(),
+            defs: OnceLock::new(),
             svfg: OnceLock::new(),
         }
     }
@@ -112,6 +115,13 @@ impl<'p> AnalysisCtx<'p> {
     pub fn consts(&self) -> &ConstProp {
         self.consts
             .get_or_init(|| ConstProp::compute(self.program, self.ticfg()))
+    }
+
+    /// Register defs, global writes and the cells each store or free
+    /// writes.
+    pub fn defs(&self) -> &DefIndex {
+        self.defs
+            .get_or_init(|| DefIndex::build(self.program, self.points_to()))
     }
 
     /// The sparse value-flow graph.
@@ -207,5 +217,11 @@ mod tests {
         cx.points_to();
         assert!(std::ptr::eq(ticfg, cx.ticfg()));
         assert!(cx.svfg.get().is_none(), "nothing asked for the SVFG");
+        // The SVFG build fills the context's def index, and later readers
+        // (the slicer) get that same copy.
+        assert!(cx.defs.get().is_none(), "nothing asked for the def index");
+        cx.svfg();
+        let defs: *const DefIndex = cx.defs.get().expect("the SVFG reads the shared index");
+        assert!(std::ptr::eq(defs, cx.defs()));
     }
 }

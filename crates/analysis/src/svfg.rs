@@ -33,7 +33,8 @@
 //! Because each edge is the corresponding Algorithm 1 pull *plus* extra
 //! filters, a backward SVFG slice is a subset of the legacy TICFG slice
 //! for the same criterion — the property test in `tests/svfg_prop.rs`
-//! pins this, and the `repro -- svfg` ablation measures the shrink.
+//! pins this, and the `SVFG slicing` arm of `repro knobs` measures its
+//! effect on diagnosis.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
@@ -97,12 +98,9 @@ impl Svfg {
             rd: &rd,
             feas: &feasibility,
             shared: cx.shared_origins(),
-            reg_defs: HashMap::new(),
-            global_writes: HashMap::new(),
-            write_locs: BTreeMap::new(),
+            defs: cx.defs(),
             edges: BTreeMap::new(),
         };
-        b.index();
         b.run();
         Svfg {
             edges_in: b.edges,
@@ -118,11 +116,6 @@ impl Svfg {
     /// All use sites that have at least one incoming edge, in id order.
     pub fn use_sites(&self) -> impl Iterator<Item = InstrId> + '_ {
         self.edges_in.keys().copied()
-    }
-
-    /// Total edge count (ablation reporting).
-    pub fn edge_count(&self) -> usize {
-        self.edges_in.values().map(Vec::len).sum()
     }
 
     /// Backward 1-CFA value-flow reachability from `criterion`: every
@@ -162,37 +155,37 @@ impl Svfg {
     }
 }
 
-struct Builder<'a> {
-    program: &'a Program,
-    ticfg: &'a Ticfg,
-    pts: &'a PointsTo,
-    rd: &'a Solution<StmtSet>,
-    feas: &'a Feasibility,
-    shared: &'a BTreeSet<MemOrigin>,
-    reg_defs: HashMap<(FuncId, VarId), Vec<InstrId>>,
-    global_writes: HashMap<GlobalId, Vec<InstrId>>,
+/// The def side of a program's value flows: which statements define each
+/// register, which write each global through its name, and which cells
+/// each store or free writes. The slicer and the SVFG both read the one
+/// copy [`AnalysisCtx::defs`] builds.
+#[derive(Debug, Default)]
+pub struct DefIndex {
+    /// Statements that define each register, in program order.
+    pub reg_defs: HashMap<(FuncId, VarId), Vec<InstrId>>,
+    /// Stores, frees and lock operations addressing each global by name.
+    pub global_writes: HashMap<GlobalId, Vec<InstrId>>,
     /// Cells written by each store/free (frees widened to the origin).
-    write_locs: BTreeMap<InstrId, LocSet>,
-    edges: BTreeMap<InstrId, Vec<SvfgEdge>>,
+    pub write_locs: BTreeMap<InstrId, LocSet>,
 }
 
-impl Builder<'_> {
-    fn index(&mut self) {
-        for f in &self.program.functions {
+impl DefIndex {
+    pub(crate) fn build(program: &Program, pts: &PointsTo) -> DefIndex {
+        let mut ix = DefIndex::default();
+        for f in &program.functions {
             for b in &f.blocks {
                 for i in &b.instrs {
                     if let Some(d) = i.op.def() {
-                        self.reg_defs.entry((f.id, d)).or_default().push(i.id);
+                        ix.reg_defs.entry((f.id, d)).or_default().push(i.id);
                     }
                     if let Some(Operand::Global(g)) = i.op.access_addr() {
                         if i.op.is_memory_write() {
-                            self.global_writes.entry(g).or_default().push(i.id);
+                            ix.global_writes.entry(g).or_default().push(i.id);
                         }
                     }
                     let locs = match &i.op {
-                        Op::Store { addr, .. } => self.pts.operand_origins(f.id, *addr),
-                        Op::Free { addr } => self
-                            .pts
+                        Op::Store { addr, .. } => pts.operand_origins(f.id, *addr),
+                        Op::Free { addr } => pts
                             .operand_origins(f.id, *addr)
                             .into_iter()
                             .map(|l| Loc::anywhere(l.origin))
@@ -200,13 +193,27 @@ impl Builder<'_> {
                         _ => continue,
                     };
                     if !locs.is_empty() {
-                        self.write_locs.insert(i.id, locs);
+                        ix.write_locs.insert(i.id, locs);
                     }
                 }
             }
         }
+        ix
     }
+}
 
+struct Builder<'a> {
+    program: &'a Program,
+    ticfg: &'a Ticfg,
+    pts: &'a PointsTo,
+    rd: &'a Solution<StmtSet>,
+    feas: &'a Feasibility,
+    shared: &'a BTreeSet<MemOrigin>,
+    defs: &'a DefIndex,
+    edges: BTreeMap<InstrId, Vec<SvfgEdge>>,
+}
+
+impl Builder<'_> {
     fn run(&mut self) {
         for fi in 0..self.program.functions.len() {
             let f = &self.program.functions[fi];
@@ -249,8 +256,12 @@ impl Builder<'_> {
     /// `Direct` edges from reaching defs of `v`, plus `Param` edges from
     /// every call site when `v` is a parameter.
     fn register_edges(&mut self, fid: FuncId, s: InstrId, v: VarId, nparams: u32) {
-        let defs: Vec<InstrId> = self.reg_defs.get(&(fid, v)).cloned().unwrap_or_default();
-        for d in defs {
+        let defs = self
+            .defs
+            .reg_defs
+            .get(&(fid, v))
+            .map_or(&[][..], Vec::as_slice);
+        for &d in defs {
             if d != s
                 && self.rd.before(s).contains(d)
                 && self.feas.stmt_live(self.program, d)
@@ -277,13 +288,12 @@ impl Builder<'_> {
     /// (`Memory`: only writes that reach, only along feasible paths).
     fn global_edges(&mut self, s: InstrId, g: GlobalId) {
         let writes = self
+            .defs
             .global_writes
             .get(&g)
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-            .to_vec();
+            .map_or(&[][..], Vec::as_slice);
         let is_shared = self.shared.contains(&MemOrigin::Global(g));
-        for w in writes {
+        for &w in writes {
             if w == s || !self.feas.stmt_live(self.program, w) {
                 continue;
             }
@@ -326,6 +336,7 @@ impl Builder<'_> {
             return;
         }
         let pulls: Vec<InstrId> = self
+            .defs
             .write_locs
             .iter()
             .filter(|(&w, wlocs)| {

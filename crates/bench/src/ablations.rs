@@ -8,12 +8,14 @@
 //!    final sketch for doubling vs linear σ growth.
 //! 4. **F-measure β = 0.5** (§3.3): how often the top-ranked predictor
 //!    changes when β favors recall instead of precision.
-//! 5. **Static race ranking** (`gist-analysis`): failure recurrences to
-//!    the final sketch with race-candidate seeding and rank-ordered
-//!    watchpoints on vs off.
+//!
+//! The knob table (`repro knobs`) measures every `enable_*` toggle of
+//! [`EvalConfig`] the same way: each arm turns one toggle off, and every
+//! arm diagnoses the bugbase and a fixed draw of synthetic bugs.
 
+use gist_bugbase::synth::{self, SplitMix64, SynthBug};
 use gist_bugbase::{all_bugs, BugSpec};
-use gist_coop::{diagnose_bug, EvalConfig};
+use gist_coop::{diagnose_bug, diagnose_synth, BugEvaluation, EvalConfig, SynthEvaluation};
 use gist_core::ast::Growth;
 use gist_predictors::rank;
 use gist_slicing::StaticSlicer;
@@ -177,408 +179,115 @@ pub fn beta_ablation(bug: &BugSpec, runs: u64) -> Option<BetaRow> {
     })
 }
 
-/// Recurrences-to-sketch with and without race ranking for one bug.
+/// A knob table arm: its row label and the edit that turns a toggle off.
+pub type Knob = (&'static str, fn(&mut EvalConfig));
+
+/// One entry per `enable_*` field of [`EvalConfig`].
+pub const KNOBS: [Knob; 7] = [
+    ("race ranking", |c| c.enable_race_ranking = false),
+    ("alias slicing", |c| c.enable_alias_slicing = false),
+    ("SVFG slicing", |c| c.enable_svfg_slicing = false),
+    ("MHP", |c| c.enable_mhp = false),
+    ("dead-store pruning", |c| {
+        c.enable_dead_store_pruning = false
+    }),
+    ("control flow", |c| c.enable_control_flow = false),
+    ("data flow", |c| c.enable_data_flow = false),
+];
+
+/// Synthetic bugs per arm in `repro knobs`.
+pub const KNOB_SYNTH_BUGS: usize = 1000;
+
+/// One arm of the knob table at one `failing_per_iteration` ("fpi").
 #[derive(Clone, Debug)]
-pub struct RankingRow {
-    /// Bug name.
-    pub bug: String,
-    /// Failure recurrences with seeding + watch ordering enabled.
-    pub recurrences_on: usize,
-    /// Failure recurrences with both disabled (slice order only).
-    pub recurrences_off: usize,
-    /// Root cause reached with ranking on.
-    pub found_on: bool,
-    /// Root cause reached with ranking off.
-    pub found_off: bool,
+pub struct KnobRow {
+    /// Failing runs gathered per AsT iteration.
+    pub fpi: usize,
+    /// The toggle turned off, or `"(none)"` for the default arm.
+    pub off: &'static str,
+    /// One evaluation per bugbase bug, in `all_bugs` order.
+    pub bugs: Vec<BugEvaluation>,
+    /// One evaluation per synthetic bug, in draw order, without its
+    /// sketch: `repro knobs` keeps 16,000 of these, and their sketches
+    /// would raise its peak memory from 90 to 118 MB.
+    pub synth: Vec<SynthEvaluation>,
 }
 
-/// Ablation 5: the static race detector's seeding + watch ordering.
-pub fn ranking_ablation() -> Vec<RankingRow> {
-    all_bugs()
-        .iter()
-        .map(|bug| {
-            let run = |enable: bool| {
-                diagnose_bug(
-                    bug,
-                    &EvalConfig {
-                        enable_race_ranking: enable,
-                        ..EvalConfig::default()
-                    },
-                )
+/// The knob table: the default configuration and each [`KNOBS`] toggle
+/// off alone, at fpi 1 and 6, over the 11 bugbase bugs and the first `n`
+/// synthetic bugs drawn from `SplitMix64::new(1)`. Arms run one after
+/// another, in table order.
+pub fn knob_rows(n: usize) -> Vec<KnobRow> {
+    let bugs = all_bugs();
+    let mut draws = SplitMix64::new(1);
+    let synth_bugs: Vec<SynthBug> = (0..n).map(|_| synth::generate(draws.next_u64())).collect();
+    let default_arm: Knob = ("(none)", |_| {});
+    let mut rows = Vec::new();
+    for fpi in [1, 6] {
+        for (off, turn_off) in std::iter::once(default_arm).chain(KNOBS) {
+            let mut cfg = EvalConfig {
+                failing_per_iteration: fpi,
+                ..EvalConfig::default()
             };
-            let on = run(true);
-            let off = run(false);
-            RankingRow {
-                bug: bug.name.to_owned(),
-                recurrences_on: on.recurrences,
-                recurrences_off: off.recurrences,
-                found_on: on.found_root_cause,
-                found_off: off.found_root_cause,
-            }
-        })
-        .collect()
+            turn_off(&mut cfg);
+            rows.push(KnobRow {
+                fpi,
+                off,
+                bugs: bugs.iter().map(|b| diagnose_bug(b, &cfg)).collect(),
+                synth: synth_bugs
+                    .iter()
+                    .map(|b| SynthEvaluation {
+                        sketch: None,
+                        ..diagnose_synth(b, &cfg)
+                    })
+                    .collect(),
+            });
+        }
+    }
+    rows
 }
 
-/// One bug's row of the `--dataflow` ablation: alias-aware slicing ×
-/// dead-store pruning (`gist-analysis` dataflow results in the pipeline).
-#[derive(Clone, Debug)]
-pub struct DataflowRow {
-    /// Bug name.
-    pub bug: String,
-    /// Static slice size without alias analysis (PR-1 behaviour).
-    pub slice_no_alias: usize,
-    /// Static slice size with points-to alias-aware pulling.
-    pub slice_alias: usize,
-    /// Root-cause statements inside the alias-free static slice.
-    pub root_in_slice_no_alias: bool,
-    /// Root-cause statements inside the alias-aware static slice.
-    pub root_in_slice_alias: bool,
-    /// Watchpoint candidates for the full slice (pre-budget pool the
-    /// 4-register groups are drawn from), no dead-store filter.
-    pub watchpoints_unpruned: usize,
-    /// Watchpoint candidates with liveness-based dead stores removed.
-    pub watchpoints_pruned: usize,
-    /// Overall accuracy for (alias, dead-store pruning) =
-    /// (on,on), (on,off), (off,on), (off,off).
-    pub overall: [f64; 4],
-    /// Root cause found, same configuration order.
-    pub found: [bool; 4],
-}
-
-/// Computes one bug's `--dataflow` row.
-pub fn dataflow_row(bug: &BugSpec) -> Option<DataflowRow> {
-    let (_, report) = bug.find_failure(500)?;
-    let slicer = StaticSlicer::new(&bug.program);
-    let no_alias = slicer.compute_without_alias(report.failing_stmt);
-    let alias = slicer.compute(report.failing_stmt);
-    let root = bug.root_cause_stmts();
-    let in_slice = |s: &gist_slicing::Slice| root.iter().all(|&r| s.contains(r));
-
-    // Watchpoint plans over the full alias-aware slice, with and without
-    // the dead-store filter.
-    let mut dead = gist_analysis::dead_stores(slicer.facts());
-    dead.remove(&report.failing_stmt);
-    let unpruned = Planner::new(&bug.program, slicer.ticfg())
-        .watch_candidates(&alias.ordered)
-        .len();
-    let pruned = Planner::new(&bug.program, slicer.ticfg())
-        .with_dead_store_filter(dead)
-        .watch_candidates(&alias.ordered)
-        .len();
-
-    let run = |alias_on: bool, dsp_on: bool| {
-        diagnose_bug(
-            bug,
-            &EvalConfig {
-                enable_alias_slicing: alias_on,
-                enable_dead_store_pruning: dsp_on,
-                ..EvalConfig::default()
-            },
-        )
-    };
-    let evals = [
-        run(true, true),
-        run(true, false),
-        run(false, true),
-        run(false, false),
-    ];
-    Some(DataflowRow {
-        bug: bug.name.to_owned(),
-        slice_no_alias: no_alias.len(),
-        slice_alias: alias.len(),
-        root_in_slice_no_alias: in_slice(&no_alias),
-        root_in_slice_alias: in_slice(&alias),
-        watchpoints_unpruned: unpruned,
-        watchpoints_pruned: pruned,
-        overall: [
-            evals[0].overall,
-            evals[1].overall,
-            evals[2].overall,
-            evals[3].overall,
-        ],
-        found: [
-            evals[0].found_root_cause,
-            evals[1].found_root_cause,
-            evals[2].found_root_cause,
-            evals[3].found_root_cause,
-        ],
-    })
-}
-
-/// The full `--dataflow` ablation across the bugbase.
-pub fn dataflow_ablation() -> Vec<DataflowRow> {
-    all_bugs().iter().filter_map(dataflow_row).collect()
-}
-
-/// One bug's row of the `svfg` ablation: sparse value-flow slicing with
-/// path-feasibility pruning vs the flow-insensitive worklist slicer.
-#[derive(Clone, Debug)]
-pub struct SvfgRow {
-    /// Bug name.
-    pub bug: String,
-    /// Legacy (flow-insensitive, alias-aware) slice size.
-    pub slice_legacy: usize,
-    /// Sparse value-flow slice size (1-CFA + feasibility pruning).
-    pub slice_svfg: usize,
-    /// Root-cause statements inside the sparse slice.
-    pub root_in_slice_svfg: bool,
-    /// Watchpoint candidate pool drawn from the legacy slice.
-    pub watchpoints_legacy: usize,
-    /// Watchpoint candidate pool drawn from the sparse slice.
-    pub watchpoints_svfg: usize,
-    /// Overall accuracy with sparse slicing + value-flow watch ranking.
-    pub overall_on: f64,
-    /// Overall accuracy with the legacy slicer.
-    pub overall_off: f64,
-    /// Root cause found with sparse slicing on / off.
-    pub found: [bool; 2],
-}
-
-/// Computes one bug's `svfg` row.
-pub fn svfg_row(bug: &BugSpec) -> Option<SvfgRow> {
-    let (_, report) = bug.find_failure(500)?;
-    let slicer = StaticSlicer::new(&bug.program);
-    let legacy = slicer.compute(report.failing_stmt);
-    let sparse = slicer.compute_with_svfg(report.failing_stmt);
-    let root = bug.root_cause_stmts();
-    let run = |on: bool| {
-        diagnose_bug(
-            bug,
-            &EvalConfig {
-                enable_svfg_slicing: on,
-                ..EvalConfig::default()
-            },
-        )
-    };
-    let on = run(true);
-    let off = run(false);
-    // The legacy pool is slice-order candidates; the sparse pool adds the
-    // value-flow distance filter the sparse pipeline plans with.
-    let legacy_pool = Planner::new(&bug.program, slicer.ticfg())
-        .watch_candidates(&legacy.ordered)
-        .len();
-    let distances = slicer.svfg().backward_value_flow(report.failing_stmt);
-    let sparse_pool = Planner::new(&bug.program, slicer.ticfg())
-        .with_distance_rank(distances)
-        .watch_candidates(&sparse.ordered)
-        .len();
-    Some(SvfgRow {
-        bug: bug.name.to_owned(),
-        slice_legacy: legacy.len(),
-        slice_svfg: sparse.len(),
-        root_in_slice_svfg: root.iter().all(|&r| sparse.contains(r)),
-        watchpoints_legacy: legacy_pool,
-        watchpoints_svfg: sparse_pool,
-        overall_on: on.overall,
-        overall_off: off.overall,
-        found: [on.found_root_cause, off.found_root_cause],
-    })
-}
-
-/// The full `svfg` ablation across the bugbase.
-pub fn svfg_ablation() -> Vec<SvfgRow> {
-    all_bugs().iter().filter_map(svfg_row).collect()
-}
-
-/// Renders the `svfg` ablation as text.
-pub fn svfg_text() -> String {
-    let rows = svfg_ablation();
-    let mut out = String::new();
-    out.push_str("SVFG ablation — sparse value-flow slicing + feasibility pruning\n\n");
-    out.push_str(&format!(
-        "{:<18} {:>9} {:>9} {:>5} {:>8} {:>8} {:>8} {:>8}\n",
-        "bug", "slice-l", "slice-s", "rc-s", "wp-l", "wp-s", "A(on)", "A(off)"
-    ));
-    for r in &rows {
+/// Renders knob rows as a markdown table.
+pub fn knobs_text(rows: &[KnobRow]) -> String {
+    let mut out = String::from(
+        "Knob table — each EvalConfig toggle off alone (11 bugbase bugs, synthetic bugs from SplitMix64::new(1))\n\n\
+         | fpi | toggle off | bugbase A | found | recurrences | runs | synth recovered | synth A | synth runs |\n\
+         |---|---|---|---|---|---|---|---|---|\n",
+    );
+    for r in rows {
+        let mean = |sum: f64, n: usize| sum / n.max(1) as f64;
+        let synth_runs = r.synth.iter().map(|e| e.total_runs).sum::<usize>();
         out.push_str(&format!(
-            "{:<18} {:>9} {:>9} {:>5} {:>8} {:>8} {:>8.1} {:>8.1}\n",
-            r.bug,
-            r.slice_legacy,
-            r.slice_svfg,
-            if r.root_in_slice_svfg { "yes" } else { "no" },
-            r.watchpoints_legacy,
-            r.watchpoints_svfg,
-            r.overall_on,
-            r.overall_off,
+            "| {} | {} | {:.1}% | {}/{} | {} | {} | {}/{} | {:.1}% | {} |\n",
+            r.fpi,
+            r.off,
+            mean(r.bugs.iter().map(|e| e.overall).sum(), r.bugs.len()),
+            r.bugs.iter().filter(|e| e.found_root_cause).count(),
+            r.bugs.len(),
+            r.bugs.iter().map(|e| e.recurrences).sum::<usize>(),
+            r.bugs.iter().map(|e| e.total_runs).sum::<usize>(),
+            r.synth
+                .iter()
+                .filter(|e| e.manifested && e.recovered)
+                .count(),
+            r.synth.len(),
+            mean(r.synth.iter().map(|e| e.overall).sum(), r.synth.len()),
+            thousands(synth_runs),
         ));
     }
-    let n = rows.len().max(1) as f64;
-    out.push_str(&format!(
-        "\naverage overall: sparse {:.1}%  legacy {:.1}%\n",
-        rows.iter().map(|r| r.overall_on).sum::<f64>() / n,
-        rows.iter().map(|r| r.overall_off).sum::<f64>() / n,
-    ));
-    out.push_str(&format!(
-        "watchpoint pool: {} legacy -> {} with sparse value-flow slicing\n",
-        rows.iter().map(|r| r.watchpoints_legacy).sum::<usize>(),
-        rows.iter().map(|r| r.watchpoints_svfg).sum::<usize>(),
-    ));
     out
 }
 
-/// One bug's row of the `mhp` ablation: happens-before/MHP pruning of
-/// interleaving hypotheses and never-parallel watchpoint candidates vs
-/// the unpruned pipeline.
-#[derive(Clone, Debug)]
-pub struct MhpRow {
-    /// Bug name.
-    pub bug: String,
-    /// Watchpoint candidate pool without MHP pruning.
-    pub pool_off: usize,
-    /// Watchpoint candidate pool with never-parallel stores dropped.
-    pub pool_on: usize,
-    /// AsT iterations to convergence with MHP pruning on / off.
-    pub iterations: [usize; 2],
-    /// Overall accuracy with MHP pruning on / off.
-    pub overall: [f64; 2],
-    /// Root cause found with MHP pruning on / off.
-    pub found: [bool; 2],
-}
-
-/// Computes one bug's `mhp` row.
-pub fn mhp_row(bug: &BugSpec) -> Option<MhpRow> {
-    let (_, report) = bug.find_failure(500)?;
-    let slicer = StaticSlicer::new(&bug.program);
-    let sparse = slicer.compute_with_svfg(report.failing_stmt);
-    let distances = slicer.svfg().backward_value_flow(report.failing_stmt);
-    // Mirror the server's watchpoint pool: sparse slice, value-flow
-    // distance ranking, and (on the MHP side) never-parallel stores
-    // dropped — the failing statement always stays watchable.
-    let pool_off = Planner::new(&bug.program, slicer.ticfg())
-        .with_distance_rank(distances.clone())
-        .watch_candidates(&sparse.ordered)
-        .len();
-    let facts = slicer.facts();
-    let mut never_parallel = facts
-        .mhp()
-        .never_parallel_stores(&bug.program, facts.points_to());
-    never_parallel.remove(&report.failing_stmt);
-    let pool_on = Planner::new(&bug.program, slicer.ticfg())
-        .with_distance_rank(distances)
-        .with_mhp_filter(never_parallel)
-        .watch_candidates(&sparse.ordered)
-        .len();
-    let run = |on: bool| {
-        diagnose_bug(
-            bug,
-            &EvalConfig {
-                enable_mhp: on,
-                ..EvalConfig::default()
-            },
-        )
-    };
-    let on = run(true);
-    let off = run(false);
-    Some(MhpRow {
-        bug: bug.name.to_owned(),
-        pool_off,
-        pool_on,
-        iterations: [on.iterations, off.iterations],
-        overall: [on.overall, off.overall],
-        found: [on.found_root_cause, off.found_root_cause],
-    })
-}
-
-/// The full `mhp` ablation across the bugbase.
-pub fn mhp_ablation() -> Vec<MhpRow> {
-    all_bugs().iter().filter_map(mhp_row).collect()
-}
-
-/// Renders the `mhp` ablation as text.
-pub fn mhp_text() -> String {
-    let rows = mhp_ablation();
+/// `25614` -> `"25,614"`.
+fn thousands(n: usize) -> String {
+    let digits = n.to_string();
     let mut out = String::new();
-    out.push_str("MHP ablation — happens-before pruning of hypotheses and watchpoints\n\n");
-    out.push_str(&format!(
-        "{:<18} {:>8} {:>8} {:>8} {:>9} {:>8} {:>8} {:>6} {:>7}\n",
-        "bug", "pool", "pool-mhp", "iter", "iter-mhp", "A(on)", "A(off)", "found", "found-"
-    ));
-    for r in &rows {
-        out.push_str(&format!(
-            "{:<18} {:>8} {:>8} {:>8} {:>9} {:>8.1} {:>8.1} {:>6} {:>7}\n",
-            r.bug,
-            r.pool_off,
-            r.pool_on,
-            r.iterations[1],
-            r.iterations[0],
-            r.overall[0],
-            r.overall[1],
-            if r.found[0] { "yes" } else { "no" },
-            if r.found[1] { "yes" } else { "no" },
-        ));
+    for (i, c) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+            out.push(',');
+        }
+        out.push(c);
     }
-    let n = rows.len().max(1) as f64;
-    out.push_str(&format!(
-        "\naverage overall: mhp {:.1}%  unpruned {:.1}%\n",
-        rows.iter().map(|r| r.overall[0]).sum::<f64>() / n,
-        rows.iter().map(|r| r.overall[1]).sum::<f64>() / n,
-    ));
-    out.push_str(&format!(
-        "watchpoint pool: {} unpruned -> {} with MHP never-parallel pruning\n",
-        rows.iter().map(|r| r.pool_off).sum::<usize>(),
-        rows.iter().map(|r| r.pool_on).sum::<usize>(),
-    ));
-    out.push_str(&format!(
-        "AsT iterations: {} unpruned -> {} with MHP hypothesis pruning\n",
-        rows.iter().map(|r| r.iterations[1]).sum::<usize>(),
-        rows.iter().map(|r| r.iterations[0]).sum::<usize>(),
-    ));
-    out
-}
-
-/// Renders the `--dataflow` ablation as text.
-pub fn dataflow_text() -> String {
-    let rows = dataflow_ablation();
-    let mut out = String::new();
-    out.push_str("Dataflow ablation — alias-aware slicing x dead-store pruning\n\n");
-    out.push_str(&format!(
-        "{:<18} {:>9} {:>9} {:>5} {:>5} {:>7} {:>7} {:>8} {:>8} {:>8} {:>8}\n",
-        "bug",
-        "slice-na",
-        "slice-a",
-        "rc-na",
-        "rc-a",
-        "wp",
-        "wp-dsp",
-        "A(a,d)",
-        "A(a,-)",
-        "A(-,d)",
-        "A(-,-)"
-    ));
-    for r in &rows {
-        out.push_str(&format!(
-            "{:<18} {:>9} {:>9} {:>5} {:>5} {:>7} {:>7} {:>8.1} {:>8.1} {:>8.1} {:>8.1}\n",
-            r.bug,
-            r.slice_no_alias,
-            r.slice_alias,
-            if r.root_in_slice_no_alias {
-                "yes"
-            } else {
-                "no"
-            },
-            if r.root_in_slice_alias { "yes" } else { "no" },
-            r.watchpoints_unpruned,
-            r.watchpoints_pruned,
-            r.overall[0],
-            r.overall[1],
-            r.overall[2],
-            r.overall[3],
-        ));
-    }
-    let n = rows.len().max(1) as f64;
-    let avg = |i: usize| rows.iter().map(|r| r.overall[i]).sum::<f64>() / n;
-    out.push_str(&format!(
-        "\naverage overall: alias+dsp {:.1}%  alias {:.1}%  dsp {:.1}%  neither {:.1}%\n",
-        avg(0),
-        avg(1),
-        avg(2),
-        avg(3)
-    ));
-    out.push_str(&format!(
-        "planned watchpoints: {} unpruned -> {} with dead-store pruning\n",
-        rows.iter().map(|r| r.watchpoints_unpruned).sum::<usize>(),
-        rows.iter().map(|r| r.watchpoints_pruned).sum::<usize>(),
-    ));
     out
 }
 
@@ -631,7 +340,6 @@ pub fn ablations_text() -> String {
             ));
         }
     }
-    out.push_str(&crate::races::ranking_text());
     out
 }
 
@@ -680,140 +388,146 @@ mod tests {
         assert!(with <= without, "with {with} vs without {without}");
     }
 
-    #[test]
-    fn race_ranking_never_costs_recurrences_overall() {
-        let rows = ranking_ablation();
-        assert_eq!(rows.len(), 11);
-        let on: usize = rows.iter().map(|r| r.recurrences_on).sum();
-        let off: usize = rows.iter().map(|r| r.recurrences_off).sum();
-        assert!(on <= off, "ranking on cost more recurrences: {on} > {off}");
-        // And it never loses a root cause the unranked pipeline found.
-        for r in &rows {
-            assert!(
-                r.found_on || !r.found_off,
-                "{}: ranking lost the root cause",
-                r.bug
-            );
-        }
-    }
-
-    #[test]
-    fn dataflow_alias_recovers_pbzip2_racing_free_statically() {
-        // The ISSUE's acceptance criterion: alias-aware slicing puts the
-        // racing `free`/`store q, 0` into pbzip2's *static* slice (no
-        // race-seeding fallback), and dead-store pruning trims the
-        // watchpoint pool without costing accuracy.
-        let bug = bug_by_name("pbzip2-1").unwrap();
-        let r = dataflow_row(&bug).unwrap();
-        assert!(
-            r.root_in_slice_alias,
-            "alias-aware slice holds the racing writes: {r:?}"
-        );
-        assert!(
-            !r.root_in_slice_no_alias,
-            "the alias-free slice misses them: {r:?}"
-        );
-        assert!(r.found[0], "full configuration reaches the root cause");
-        assert!(
-            r.watchpoints_pruned < r.watchpoints_unpruned,
-            "dead-store pruning frees a watch slot: {r:?}"
-        );
-        assert!(
-            r.overall[0] >= r.overall[1] - 1e-9,
-            "pruning does not cost accuracy: {r:?}"
-        );
-    }
-
+    /// Static pruning never grows the watch pool: the dead-store filter on
+    /// the alias-aware slice, the SVFG slice with value-flow ranking, and
+    /// the MHP filter on top of it. Runs no diagnosis.
     #[test]
     fn dead_store_pruning_shrinks_watch_candidate_pool() {
-        use gist_tracking::Planner;
-        let mut total_unpruned = 0usize;
-        let mut total_pruned = 0usize;
+        // Pool totals over the bugbase: alias-aware slice, + dead-store
+        // filter, SVFG slice, SVFG slice + MHP filter.
+        let mut totals = [0usize; 4];
         for bug in all_bugs() {
-            let Some((_, report)) = bug.find_failure(500) else {
-                continue;
-            };
+            let (_, report) = bug.find_failure(500).expect("every bug manifests");
+            let crit = report.failing_stmt;
             let slicer = StaticSlicer::new(&bug.program);
-            let slice = slicer.compute(report.failing_stmt);
-            let mut dead = gist_analysis::dead_stores(slicer.facts());
-            dead.remove(&report.failing_stmt);
-            let unpruned = Planner::new(&bug.program, slicer.ticfg())
-                .watch_candidates(&slice.ordered)
-                .len();
-            let pruned = Planner::new(&bug.program, slicer.ticfg())
-                .with_dead_store_filter(dead)
-                .watch_candidates(&slice.ordered)
-                .len();
-            assert!(pruned <= unpruned, "{}: {pruned} > {unpruned}", bug.name);
-            total_unpruned += unpruned;
-            total_pruned += pruned;
+            let facts = slicer.facts();
+            let legacy = slicer.compute(crit);
+            let sparse = slicer.compute_with_svfg(crit);
+            let root = bug.root_cause_stmts();
+            let holds_root = |s: &gist_slicing::Slice| root.iter().all(|&r| s.contains(r));
+            assert!(
+                holds_root(&sparse),
+                "{}: SVFG slice lost the root cause",
+                bug.name
+            );
+
+            let mut dead = gist_analysis::dead_stores(facts);
+            dead.remove(&crit);
+            let mut never_parallel = facts
+                .mhp()
+                .never_parallel_stores(&bug.program, facts.points_to());
+            never_parallel.remove(&crit);
+            let distances = facts.svfg().backward_value_flow(crit);
+            let planner = || Planner::new(&bug.program, slicer.ticfg());
+            let pools = [
+                planner().watch_candidates(&legacy.ordered).len(),
+                planner()
+                    .with_dead_store_filter(dead)
+                    .watch_candidates(&legacy.ordered)
+                    .len(),
+                planner()
+                    .with_distance_rank(distances.clone())
+                    .watch_candidates(&sparse.ordered)
+                    .len(),
+                planner()
+                    .with_distance_rank(distances)
+                    .with_mhp_filter(never_parallel)
+                    .watch_candidates(&sparse.ordered)
+                    .len(),
+            ];
+            assert!(
+                pools[1] <= pools[0] && pools[2] <= pools[0] && pools[3] <= pools[2],
+                "{}: a pruner grew the pool: {pools:?}",
+                bug.name
+            );
+            if bug.name == "pbzip2-1" {
+                // Alias-aware slicing reaches the racing `free`/`store q, 0`
+                // statically; the alias-free slice misses them.
+                assert!(
+                    holds_root(&legacy),
+                    "alias-aware slice misses the root cause"
+                );
+                let no_alias = slicer.compute_without_alias(crit);
+                assert!(
+                    !holds_root(&no_alias),
+                    "alias-free slice holds the root cause"
+                );
+                assert!(
+                    pools[1] < pools[0],
+                    "no dead store freed a watch slot: {pools:?}"
+                );
+            }
+            for (total, pool) in totals.iter_mut().zip(pools) {
+                *total += pool;
+            }
         }
-        assert!(
-            total_pruned < total_unpruned,
-            "pruning never fired: {total_pruned} vs {total_unpruned}"
-        );
+        // DESIGN.md and README quote these totals (44 -> 42 dead-store,
+        // 44 -> 35 SVFG, 35 -> 29 MHP); update them together.
+        assert_eq!(totals, [44, 42, 35, 29]);
     }
 
     #[test]
-    fn svfg_slices_are_subsets_and_shrink_the_watch_pool() {
-        let rows = svfg_ablation();
-        assert_eq!(rows.len(), 11);
-        for r in &rows {
+    fn knob_table_turns_each_toggle_off_alone() {
+        let rows = knob_rows(4);
+        let arms = [
+            "(none)",
+            "race ranking",
+            "alias slicing",
+            "SVFG slicing",
+            "MHP",
+            "dead-store pruning",
+            "control flow",
+            "data flow",
+        ];
+        let names: Vec<(usize, &str)> = rows.iter().map(|r| (r.fpi, r.off)).collect();
+        let want: Vec<(usize, &str)> = [1, 6]
+            .into_iter()
+            .flat_map(|fpi| arms.map(|a| (fpi, a)))
+            .collect();
+        assert_eq!(names, want);
+        assert!(rows
+            .iter()
+            .all(|r| r.bugs.len() == 11 && r.synth.len() == 4));
+        for fpi in [1, 6] {
+            let arm = |off: &str| rows.iter().find(|r| (r.fpi, r.off) == (fpi, off)).unwrap();
+            let default = arm("(none)");
+            for e in &default.bugs {
+                assert!(
+                    e.found_root_cause,
+                    "fpi {fpi}: {} missed its root cause",
+                    e.bug
+                );
+            }
+            // MHP pruning never changes root-cause discovery and never
+            // costs a bug accuracy.
+            for (on, off) in default.bugs.iter().zip(&arm("MHP").bugs) {
+                assert_eq!(
+                    on.found_root_cause, off.found_root_cause,
+                    "fpi {fpi}: {}",
+                    on.bug
+                );
+                assert!(
+                    on.overall >= off.overall - 1e-9,
+                    "fpi {fpi}: {}: MHP pruning cost accuracy: {:.1} < {:.1}",
+                    on.bug,
+                    on.overall,
+                    off.overall
+                );
+            }
+            // Dead-store pruning costs pbzip2-1 no accuracy.
+            let pbzip2 = |off: &str| {
+                arm(off)
+                    .bugs
+                    .iter()
+                    .find(|e| e.bug == "pbzip2-1")
+                    .unwrap()
+                    .overall
+            };
             assert!(
-                r.slice_svfg <= r.slice_legacy,
-                "{}: sparse slice grew: {} > {}",
-                r.bug,
-                r.slice_svfg,
-                r.slice_legacy
+                pbzip2("(none)") >= pbzip2("dead-store pruning") - 1e-9,
+                "fpi {fpi}: dead-store pruning cost pbzip2-1 accuracy"
             );
-            assert!(
-                r.root_in_slice_svfg,
-                "{}: pruning lost the root cause",
-                r.bug
-            );
-            assert!(r.found[0], "{}: sparse pipeline lost the root cause", r.bug);
         }
-        let legacy: usize = rows.iter().map(|r| r.watchpoints_legacy).sum();
-        let sparse: usize = rows.iter().map(|r| r.watchpoints_svfg).sum();
-        assert!(
-            sparse < legacy,
-            "sparse slicing never freed a watch slot: {sparse} vs {legacy}"
-        );
-    }
-
-    #[test]
-    fn mhp_pruning_shrinks_the_pool_at_unchanged_accuracy() {
-        let rows = mhp_ablation();
-        assert_eq!(rows.len(), 11);
-        for r in &rows {
-            assert!(
-                r.pool_on <= r.pool_off,
-                "{}: MHP pruning grew the pool: {} > {}",
-                r.bug,
-                r.pool_on,
-                r.pool_off
-            );
-            assert_eq!(
-                r.found[0], r.found[1],
-                "{}: MHP pruning changed root-cause discovery",
-                r.bug
-            );
-            assert!(
-                r.overall[0] >= r.overall[1] - 1e-9,
-                "{}: MHP pruning cost accuracy: {:.1} < {:.1}",
-                r.bug,
-                r.overall[0],
-                r.overall[1]
-            );
-        }
-        let off: usize = rows.iter().map(|r| r.pool_off).sum();
-        let on: usize = rows.iter().map(|r| r.pool_on).sum();
-        let iter_on: usize = rows.iter().map(|r| r.iterations[0]).sum();
-        let iter_off: usize = rows.iter().map(|r| r.iterations[1]).sum();
-        assert!(
-            on < off || (on == off && iter_on < iter_off),
-            "MHP pruning never fired: pool {on} vs {off}, iterations {iter_on} vs {iter_off}"
-        );
     }
 
     #[test]

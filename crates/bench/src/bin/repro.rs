@@ -11,10 +11,9 @@
 //! repro overhead            # §5.3 per-bug overhead breakdown
 //! repro swtrace             # §6 software-only tracing factors
 //! repro ablations           # design-decision ablations (DESIGN.md)
-//! repro dataflow            # alias-aware slicing x dead-store pruning
-//! repro svfg                # sparse value-flow slicing + feasibility pruning
-//! repro mhp                 # happens-before/MHP pruning on vs off
-//! repro races               # static race candidates + ranking ablation
+//! repro knobs               # each EvalConfig toggle off alone, at fpi 1
+//!                           #   and 6, on the bugbase + 1000 synthetic bugs
+//! repro races               # static race candidates per bug
 //! repro sketch <bug-name>   # render a failure sketch (e.g. pbzip2-1)
 //!   ... sketch <bug> --explain   # + provenance chains from the journal
 //! repro bugs                # list bug names
@@ -53,16 +52,8 @@ fn main() {
         "fig13" => fig13(),
         "overhead" => overhead(),
         "ablations" => println!("{}", gist_bench::ablations::ablations_text()),
-        "dataflow" | "--dataflow" => {
-            println!("{}", gist_bench::ablations::dataflow_text());
-        }
-        "svfg" | "--svfg" => {
-            println!("{}", gist_bench::ablations::svfg_text());
-        }
-        "mhp" | "--mhp" => {
-            println!("{}", gist_bench::ablations::mhp_text());
-        }
-        "races" => races(),
+        "knobs" => knobs(),
+        "races" => println!("{}", gist_bench::races::races_text()),
         "swtrace" => swtrace(),
         "bugs" => bugs(),
         "sketch" => {
@@ -101,7 +92,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown command '{other}'");
-            eprintln!("commands: all table1 fig9 fig10 fig11 fig12 fig13 overhead swtrace ablations dataflow svfg mhp races sketch bugs bench");
+            eprintln!("commands: all table1 fig9 fig10 fig11 fig12 fig13 overhead swtrace ablations knobs races sketch bugs bench");
             std::process::exit(2);
         }
     }
@@ -231,9 +222,9 @@ fn swtrace() {
     println!("{}", format::swtrace_text(&experiments::swtrace_rows(10)));
 }
 
-fn races() {
-    println!("{}", gist_bench::races::races_text());
-    println!("{}", gist_bench::races::ranking_text());
+fn knobs() {
+    use gist_bench::ablations::{knob_rows, knobs_text, KNOB_SYNTH_BUGS};
+    println!("{}", knobs_text(&knob_rows(KNOB_SYNTH_BUGS)));
 }
 
 fn bugs() {

@@ -46,7 +46,7 @@ pub fn fig10() -> Vec<Fig10Row> {
                         enable_data_flow: df,
                         // Legacy slicing in every arm: Fig. 10 isolates the
                         // *runtime tracking* techniques, and the sparse
-                        // value-flow slice (its own `svfg` ablation) would
+                        // value-flow slice (its own `repro knobs` arm) would
                         // otherwise statically subsume part of what
                         // data-flow tracking discovers dynamically.
                         enable_svfg_slicing: false,

@@ -1,21 +1,11 @@
-//! The static race detector over the bugbase (`repro races`).
-//!
-//! Two artifacts:
-//!
-//! 1. Per-bug candidate tables: what `gist-analysis` finds *before any run*
-//!    — ranked racing pairs with access kinds and locksets. Sequential bugs
-//!    legitimately print an empty table.
-//! 2. The ranking ablation: failure recurrences to the final sketch with
-//!    race-candidate seeding/watch-ordering on vs off, across all 11 bugs.
-//!    This quantifies the tentpole's payoff: statements the alias-free
-//!    slicer cannot reach (pbzip2's `free`) become trackable, and the
-//!    likeliest racing accesses get watchpoints in the earliest
-//!    cooperative groups.
+//! The static race detector over the bugbase (`repro races`): per-bug
+//! candidate tables of what `gist-analysis` finds *before any run* —
+//! ranked racing pairs with access kinds and locksets. Sequential bugs
+//! legitimately print an empty table. The race-ranking toggle's effect on
+//! diagnosis is one arm of `repro knobs`.
 
 use gist_analysis::{analyze, has_errors, verify, RaceAnalysis};
 use gist_bugbase::all_bugs;
-
-pub use crate::ablations::{ranking_ablation, RankingRow};
 
 /// The race-detector verdict for one bug.
 #[derive(Clone, Debug)]
@@ -58,27 +48,6 @@ pub fn races_text() -> String {
         ));
         out.push_str(&r.table);
     }
-    out
-}
-
-/// Renders the ranking ablation table.
-pub fn ranking_text() -> String {
-    let rows = ranking_ablation();
-    let mut out = String::new();
-    out.push_str("\nRace-ranking ablation — recurrences to final sketch\n\n");
-    out.push_str(&format!(
-        "{:<18} {:>12} {:>13} {:>9} {:>10}\n",
-        "bug", "ranking on", "ranking off", "found", "found(off)"
-    ));
-    for r in &rows {
-        out.push_str(&format!(
-            "{:<18} {:>12} {:>13} {:>9} {:>10}\n",
-            r.bug, r.recurrences_on, r.recurrences_off, r.found_on, r.found_off
-        ));
-    }
-    let on: usize = rows.iter().map(|r| r.recurrences_on).sum();
-    let off: usize = rows.iter().map(|r| r.recurrences_off).sum();
-    out.push_str(&format!("{:<18} {:>12} {:>13}\n", "total", on, off));
     out
 }
 

@@ -1,10 +1,11 @@
 //! Bug specifications: program + workload + ground truth + paper numbers.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use gist_ir::{InstrId, Program};
 use gist_sketch::IdealSketch;
-use gist_vm::{FailureReport, RunOutcome, Vm, VmConfig};
+use gist_vm::{CompiledProgram, FailureReport, RunOutcome, Vm, VmConfig};
 
 /// Sequential vs concurrency bug (the sketch "Type:" line).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -171,9 +172,11 @@ impl BugSpec {
     /// while searching (falling back to the first failure seen if the
     /// preferred flavor never shows).
     pub fn find_failure(&self, max_seeds: u64) -> Option<(u64, FailureReport)> {
+        let compiled = CompiledProgram::shared(&self.program);
         let mut fallback: Option<(u64, FailureReport)> = None;
         for seed in 0..max_seeds {
-            let mut vm = Vm::new(&self.program, self.vm_config(seed));
+            let mut vm =
+                Vm::with_compiled(&self.program, Arc::clone(&compiled), self.vm_config(seed));
             if let RunOutcome::Failed(r) = vm.run(&mut []).outcome {
                 match self.prefer_loc {
                     None => return Some((seed, r)),
@@ -200,9 +203,11 @@ impl BugSpec {
         if n == 0 {
             return 0.0;
         }
+        let compiled = CompiledProgram::shared(&self.program);
         let mut fails = 0u64;
         for seed in 0..n {
-            let mut vm = Vm::new(&self.program, self.vm_config(seed));
+            let mut vm =
+                Vm::with_compiled(&self.program, Arc::clone(&compiled), self.vm_config(seed));
             if matches!(vm.run(&mut []).outcome, RunOutcome::Failed(_)) {
                 fails += 1;
             }

@@ -28,10 +28,11 @@ pub use rng::SplitMix64;
 pub use shrink::shrink;
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use gist_ir::{InstrId, Program};
 use gist_sketch::IdealSketch;
-use gist_vm::{FailureReport, RunOutcome, SchedulerKind, Vm, VmConfig};
+use gist_vm::{CompiledProgram, FailureReport, RunOutcome, SchedulerKind, Vm, VmConfig};
 
 /// The production-workload configuration every synthetic bug runs under
 /// (same scheduler shape as the hand-built concurrency bugs). A plain
@@ -157,9 +158,11 @@ impl SynthBug {
         if n == 0 {
             return 0.0;
         }
+        let compiled = CompiledProgram::shared(&self.program);
         let fails = (0..n)
             .filter(|&seed| {
-                let mut vm = Vm::new(&self.program, synth_config(seed));
+                let mut vm =
+                    Vm::with_compiled(&self.program, Arc::clone(&compiled), synth_config(seed));
                 matches!(vm.run(&mut []).outcome, RunOutcome::Failed(_))
             })
             .count();
@@ -206,9 +209,10 @@ pub fn find_failure_in(
     max_seeds: u64,
 ) -> Option<(u64, FailureReport)> {
     let expected = truth.expected?;
+    let compiled = CompiledProgram::shared(program);
     let mut fallback: Option<(u64, FailureReport)> = None;
     for seed in 0..max_seeds {
-        let mut vm = Vm::new(program, synth_config(seed));
+        let mut vm = Vm::with_compiled(program, Arc::clone(&compiled), synth_config(seed));
         if let RunOutcome::Failed(r) = vm.run(&mut []).outcome {
             if !expected.matches(&r.kind) {
                 continue;

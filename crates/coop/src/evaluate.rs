@@ -9,7 +9,9 @@ use gist_sketch::FailureSketch;
 
 use crate::fleet::{FleetConfig, SimulatedFleet};
 
-/// Evaluation knobs (mirrors the paper's experimental parameters).
+/// Evaluation knobs (mirrors the paper's experimental parameters). Every
+/// `enable_*` toggle is on by default; `repro knobs` turns each off alone
+/// and tabulates its effect.
 #[derive(Clone, Debug)]
 pub struct EvalConfig {
     /// Initial σ (paper default 2; Fig. 12 sweeps this).
@@ -27,20 +29,16 @@ pub struct EvalConfig {
     /// Track data flow (watchpoints) — Fig. 10 ablation.
     pub enable_data_flow: bool,
     /// Seed tracking and order watchpoints from the static race detector
-    /// (`gist-analysis`) — the ranking ablation toggles this off.
+    /// (`gist-analysis`).
     pub enable_race_ranking: bool,
-    /// Alias-aware slicing via points-to — the `--dataflow` ablation
-    /// toggles this off.
+    /// Alias-aware slicing via points-to.
     pub enable_alias_slicing: bool,
-    /// Sparse value-flow (SVFG) slicing with path-feasibility pruning —
-    /// the `svfg` ablation toggles this off to quantify the slice and
-    /// watchpoint-pool shrinkage.
+    /// Sparse value-flow (SVFG) slicing with path-feasibility pruning.
     pub enable_svfg_slicing: bool,
     /// Happens-before/MHP pruning of interleaving hypotheses and the
-    /// watchpoint pool — the `repro mhp` ablation toggles this off.
+    /// watchpoint pool.
     pub enable_mhp: bool,
-    /// Dead-store pruning of watchpoint plans — the `--dataflow` ablation
-    /// toggles this off.
+    /// Dead-store pruning of watchpoint plans.
     pub enable_dead_store_pruning: bool,
     /// Fleet shape.
     pub fleet: FleetConfig,

@@ -10,9 +10,9 @@
 //! * [`fleet::SimulatedFleet`] — N endpoints, each with its own workload
 //!   seed stream; runs execute on the MiniC VM under the shipped
 //!   [`gist_tracking::InstrumentationPatch`]. Batches of runs can execute
-//!   on real OS threads (crossbeam scoped threads + parking_lot locks) —
-//!   per-run determinism is preserved because seeds are assigned before
-//!   dispatch.
+//!   on a persistent pool of OS worker threads fed over `std::sync::mpsc`
+//!   channels — per-run determinism is preserved because seeds are
+//!   assigned before dispatch.
 //! * [`evaluate`] — the per-bug evaluation harness: seeds a diagnosis with
 //!   the first failure report, drives [`gist_core::GistServer`] against
 //!   the fleet until the sketch contains the bug's root cause, and scores

@@ -14,7 +14,8 @@ use crate::client::Fleet;
 use crate::engine::SketchBuilder;
 use crate::refine::Refinement;
 
-/// Server configuration.
+/// Server configuration. Every `enable_*` toggle is on by default;
+/// `repro knobs` measures each by turning it off alone.
 #[derive(Clone, Debug)]
 pub struct GistConfig {
     /// Initial tracked-slice size σ (paper: 2).
@@ -44,22 +45,20 @@ pub struct GistConfig {
     /// Alias-aware slicing: consult the points-to analysis so heap writes
     /// through aliased pointer names enter the static slice directly.
     /// Disabling reverts to syntactic (global-name-only) data dependences,
-    /// leaving discovery to watchpoints and race seeding (the `--dataflow`
-    /// ablation's "alias off" arm).
+    /// leaving discovery to watchpoints and race seeding.
     pub enable_alias_slicing: bool,
     /// Sparse value-flow slicing: walk the SVFG (reaching-def-filtered,
     /// path-feasibility-pruned, 1-CFA context-bound def-use chains)
     /// backward from the criterion instead of the flow-insensitive item
     /// worklist, rank watchpoint candidates by value-flow distance, and
     /// annotate sketch steps with inter-thread value-flow provenance.
-    /// The SVFG slice is a subset of the legacy slice by construction
-    /// (`repro svfg` quantifies the shrinkage). Requires
-    /// `enable_alias_slicing`; ignored when that is off.
+    /// The SVFG slice is a subset of the legacy slice by construction.
+    /// Requires `enable_alias_slicing`; ignored when that is off.
     pub enable_svfg_slicing: bool,
     /// Happens-before/MHP pruning: drop race-candidate interleaving
     /// hypotheses the thread structure proves never-parallel before they
     /// seed the AsT loop, and keep never-parallel writes out of the
-    /// watchpoint pool — the `repro mhp` ablation toggles this off.
+    /// watchpoint pool.
     pub enable_mhp: bool,
     /// Dead-store pruning: exclude stores the memory-liveness dataflow
     /// proves are never read/freed/synchronized on from watchpoint plans,
@@ -159,11 +158,6 @@ pub struct GistServer<'p> {
 impl<'p> GistServer<'p> {
     /// Creates a server for one program.
     pub fn new(program: &'p Program, config: GistConfig) -> Self {
-        // Warm the shared compilation up front: every collection run
-        // executes on the compiled form, and paying the one-time lowering
-        // here keeps it out of the measured `server.collect` span (fleets
-        // built from the same program share the cached Arc).
-        let _ = gist_vm::CompiledProgram::shared(program);
         GistServer {
             program,
             slicer: StaticSlicer::new(program),
@@ -181,9 +175,40 @@ impl<'p> GistServer<'p> {
         &self.config
     }
 
+    /// Checks that `report` comes from this server's program: the program
+    /// name matches, and the failing statement and every stack frame's
+    /// function and statement exist in it.
+    pub fn check_report(&self, report: &FailureReport) -> Result<(), String> {
+        let p = self.program;
+        if report.program != p.name {
+            return Err(format!(
+                "report is for '{}', not '{}'",
+                report.program, p.name
+            ));
+        }
+        let known = |s: InstrId| p.stmt_pos(s).is_some();
+        if !known(report.failing_stmt) {
+            return Err(format!(
+                "no statement {} in '{}'",
+                report.failing_stmt, p.name
+            ));
+        }
+        match report
+            .stack
+            .iter()
+            .find(|f| f.func.index() >= p.functions.len() || !known(f.iid))
+        {
+            Some(f) => Err(format!("no frame {f:?} in '{}'", p.name)),
+            None => Ok(()),
+        }
+    }
+
     /// Diagnoses one failure: runs AsT iterations against the fleet until
     /// `stop` approves the sketch (the paper's developer-in-the-loop),
     /// AsT saturates, or the iteration cap is hit.
+    ///
+    /// A report that fails [`GistServer::check_report`] gets an empty
+    /// result at once: no iteration, no run, no journal event.
     ///
     /// `ideal` (evaluation only) marks statements outside the ideal sketch
     /// grey, as in the paper's Fig. 8.
@@ -194,6 +219,19 @@ impl<'p> GistServer<'p> {
         ideal: Option<&BTreeSet<InstrId>>,
         stop: &mut dyn FnMut(&FailureSketch) -> bool,
     ) -> DiagnosisResult {
+        if self.check_report(report).is_err() {
+            return DiagnosisResult {
+                sketch: FailureSketch::default(),
+                slice: Slice::empty(report.failing_stmt),
+                iterations: 0,
+                recurrences: 0,
+                total_runs: 0,
+                final_sigma: self.config.sigma0,
+                refinement: Refinement::new(),
+                ranked: Vec::new(),
+                cost: CostSummary::default(),
+            };
+        }
         gist_obs::begin_trace(&self.config.title);
         let _span_diagnose = gist_obs::span("server.diagnose");
         gist_obs::counter!("server.diagnoses").inc();

@@ -1,14 +1,13 @@
-//! Slice items and def/use indexing.
+//! Slice items and the uses that link statements to them.
 //!
 //! Algorithm 1 operates on *items*: "an item is an arbitrary program
 //! element; a source is an item that is either a global variable, a
 //! function argument, a call, or a memory access". In MiniC, the dataflow
 //! items are per-function registers and program globals; statements are
-//! linked to the items they define and use.
+//! linked to the items they use here, and to the items they define by
+//! the program's [`gist_analysis::DefIndex`].
 
-use std::collections::HashMap;
-
-use gist_ir::{FuncId, GlobalId, InstrId, Op, Operand, Program, VarId};
+use gist_ir::{FuncId, GlobalId, InstrId, Operand, Program, VarId};
 
 /// A dataflow item tracked by the slicer's work set.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -18,56 +17,6 @@ pub enum SliceItem {
     /// A global variable (tracked syntactically; pointer aliases are the
     /// runtime's job, per §3.1).
     Global(GlobalId),
-}
-
-/// Def/use indexes over a whole program.
-#[derive(Debug, Default)]
-pub struct DefUse {
-    /// Statements that define each register.
-    pub reg_defs: HashMap<(FuncId, VarId), Vec<InstrId>>,
-    /// Statements that write each global (stores, locks/unlocks, frees
-    /// through the global's name).
-    pub global_writes: HashMap<GlobalId, Vec<InstrId>>,
-    /// Statements that read each global.
-    pub global_reads: HashMap<GlobalId, Vec<InstrId>>,
-    /// Call/spawn statements per direct callee.
-    pub callsites: HashMap<FuncId, Vec<InstrId>>,
-}
-
-impl DefUse {
-    /// Builds the indexes.
-    pub fn build(program: &Program) -> DefUse {
-        let mut du = DefUse::default();
-        for f in &program.functions {
-            for b in &f.blocks {
-                for i in &b.instrs {
-                    if let Some(d) = i.op.def() {
-                        du.reg_defs.entry((f.id, d)).or_default().push(i.id);
-                    }
-                    // Global writes/reads via syntactic global addressing.
-                    if let Some(Operand::Global(g)) = i.op.access_addr() {
-                        if i.op.is_memory_write() {
-                            du.global_writes.entry(g).or_default().push(i.id);
-                        } else {
-                            du.global_reads.entry(g).or_default().push(i.id);
-                        }
-                    }
-                    match &i.op {
-                        Op::Call {
-                            callee: gist_ir::Callee::Direct(t),
-                            ..
-                        } => du.callsites.entry(*t).or_default().push(i.id),
-                        Op::ThreadCreate {
-                            routine: gist_ir::Callee::Direct(t),
-                            ..
-                        } => du.callsites.entry(*t).or_default().push(i.id),
-                        _ => {}
-                    }
-                }
-            }
-        }
-        du
-    }
 }
 
 /// The items used (read) by a statement.
@@ -146,18 +95,20 @@ entry:
     #[test]
     fn def_use_indexes_registers_and_globals() {
         let p = prog();
-        let du = DefUse::build(&p);
+        let cx = gist_analysis::AnalysisCtx::new(&p);
+        let defs = cx.defs();
         let main = p.function_by_name("main").unwrap();
         let helper = p.function_by_name("helper").unwrap();
         // main: a, r, v are defined once each.
         let a = main.var_names.iter().position(|n| n == "a").unwrap() as u32;
-        assert_eq!(du.reg_defs[&(main.id, VarId(a))].len(), 1);
-        // helper writes $g; main reads it.
+        assert_eq!(defs.reg_defs[&(main.id, VarId(a))].len(), 1);
+        // helper writes $g; main's load of it is a use, not a write.
         let g = p.globals[0].id;
-        assert_eq!(du.global_writes[&g].len(), 1);
-        assert_eq!(du.global_reads[&g].len(), 1);
+        assert_eq!(defs.global_writes[&g], [helper.blocks[0].instrs[1].id]);
+        let load = main.blocks[0].instrs[2].id;
+        assert!(stmt_uses(&p, load).contains(&SliceItem::Global(g)));
         // helper has one callsite.
-        assert_eq!(du.callsites[&helper.id].len(), 1);
+        assert_eq!(cx.ticfg().callers[&helper.id].len(), 1);
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The backward slicer (Algorithm 1) and the [`Slice`] it produces.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use gist_analysis::points_to::{Loc, LocSet};
-use gist_analysis::svfg::{Svfg, SvfgEdgeKind};
+use gist_analysis::svfg::SvfgEdgeKind;
 use gist_analysis::AnalysisCtx;
 use gist_ir::icfg::Icfg;
 use gist_ir::{InstrId, Op, Operand, Program, Terminator};
 
 use crate::cdep::ControlDeps;
-use crate::items::{stmt_uses, DefUse, SliceItem};
+use crate::items::{stmt_uses, SliceItem};
 
 /// How the slicer resolves heap data dependences.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -18,7 +18,7 @@ enum AliasMode {
     /// feasible stores/frees on may-aliasing cells (the default).
     PointsTo,
     /// No alias analysis at all: only syntactic global links (the PR-1
-    /// behaviour, kept for the `--dataflow` ablation).
+    /// behaviour, kept for the `alias slicing` arm of `repro knobs`).
     None,
     /// Every pointer write may alias every pointer read (the blow-up the
     /// paper's §3.1 warns about, kept for the alias ablation).
@@ -38,6 +38,15 @@ pub struct Slice {
 }
 
 impl Slice {
+    /// The empty slice of a failure report rejected before slicing.
+    pub fn empty(criterion: InstrId) -> Slice {
+        Slice {
+            criterion,
+            ordered: Vec::new(),
+            members: HashSet::new(),
+        }
+    }
+
     /// Builds a slice from an unordered member set plus a distance metric.
     fn new(criterion: InstrId, members: HashSet<InstrId>, dist: &HashMap<InstrId, u64>) -> Slice {
         let mut ordered: Vec<InstrId> = members.iter().copied().collect();
@@ -54,7 +63,7 @@ impl Slice {
         self.ordered.len()
     }
 
-    /// True if the slice is empty (cannot happen for a valid criterion).
+    /// True if the slice is empty (only a rejected report's slice is).
     pub fn is_empty(&self) -> bool {
         self.ordered.is_empty()
     }
@@ -88,51 +97,24 @@ impl Slice {
 /// server reuses them across failures, and reads its race, MHP and
 /// constant facts from the same context).
 ///
-/// Construction builds the TICFG, points-to, def/use and control deps.
-/// The remaining facts are built on first use: the thread-shared origins
-/// at the first alias-aware [`StaticSlicer::compute`], and the SVFG at the
-/// first [`StaticSlicer::compute_with_svfg`].
+/// Construction builds the control deps only. Every other fact is built
+/// on first use: the TICFG, points-to and def index at the first slice,
+/// the thread-shared origins at the first alias-aware
+/// [`StaticSlicer::compute`], and the SVFG at the first
+/// [`StaticSlicer::compute_with_svfg`].
 pub struct StaticSlicer<'p> {
     program: &'p Program,
     facts: AnalysisCtx<'p>,
-    defuse: DefUse,
     cdeps: ControlDeps,
-    /// Abstract cells written by each store/free, for alias-aware data
-    /// dependences. Frees are widened to their whole origin.
-    write_locs: BTreeMap<InstrId, LocSet>,
 }
 
 impl<'p> StaticSlicer<'p> {
-    /// Builds the slicer's analyses (TICFG, def/use, control deps,
-    /// points-to).
+    /// Creates a slicer for `program`.
     pub fn new(program: &'p Program) -> StaticSlicer<'p> {
-        let facts = AnalysisCtx::new(program);
-        let pts = facts.points_to();
-        let mut write_locs: BTreeMap<InstrId, LocSet> = BTreeMap::new();
-        for f in &program.functions {
-            for b in &f.blocks {
-                for instr in &b.instrs {
-                    let locs = match &instr.op {
-                        Op::Store { addr, .. } => pts.operand_origins(f.id, *addr),
-                        Op::Free { addr } => pts
-                            .operand_origins(f.id, *addr)
-                            .into_iter()
-                            .map(|l| Loc::anywhere(l.origin))
-                            .collect(),
-                        _ => continue,
-                    };
-                    if !locs.is_empty() {
-                        write_locs.insert(instr.id, locs);
-                    }
-                }
-            }
-        }
         StaticSlicer {
             program,
-            facts,
-            defuse: DefUse::build(program),
+            facts: AnalysisCtx::new(program),
             cdeps: ControlDeps::build(program),
-            write_locs,
         }
     }
 
@@ -140,14 +122,6 @@ impl<'p> StaticSlicer<'p> {
     /// the planner and the sketch engine).
     pub fn facts(&self) -> &AnalysisCtx<'p> {
         &self.facts
-    }
-
-    /// The sparse value-flow graph: def-use chains with 1-CFA call/return
-    /// binding and path-feasibility pruning, which
-    /// [`StaticSlicer::compute_with_svfg`] walks instead of the
-    /// flow-insensitive item worklist.
-    pub fn svfg(&self) -> &Svfg {
-        self.facts.svfg()
     }
 
     /// The abstract cells a slice statement may read (or, for a store,
@@ -246,8 +220,8 @@ impl<'p> StaticSlicer<'p> {
     }
 
     /// Ablation: the alias-free slice (only syntactic global links). This
-    /// was the default before the points-to integration; `repro dataflow`
-    /// compares it against [`StaticSlicer::compute`].
+    /// was the default before the points-to integration; the `alias
+    /// slicing` arm of `repro knobs` diagnoses with it.
     pub fn compute_without_alias(&self, criterion: InstrId) -> Slice {
         self.compute_inner(criterion, AliasMode::None)
     }
@@ -280,7 +254,7 @@ impl<'p> StaticSlicer<'p> {
     /// value-flow hops rather than raw TICFG steps (the re-ranking signal
     /// the instrumentation planner consumes).
     pub fn compute_with_svfg(&self, criterion: InstrId) -> Slice {
-        let svfg = self.svfg();
+        let svfg = self.facts.svfg();
         let feasible = self.feasible(criterion);
         let mut dist: HashMap<InstrId, u64> = HashMap::new();
         let mut members: HashSet<InstrId> = HashSet::new();
@@ -339,7 +313,7 @@ impl<'p> StaticSlicer<'p> {
                     continue;
                 }
                 out.insert(br);
-                for edge in self.svfg().edges_in(br) {
+                for edge in self.facts.svfg().edges_in(br) {
                     if edge.kind == SvfgEdgeKind::Direct && slice.contains(edge.def) {
                         out.insert(edge.def);
                     }
@@ -411,7 +385,7 @@ impl<'p> StaticSlicer<'p> {
                         .filter(|l| shared.contains(&l.origin))
                         .collect();
                     if !locs.is_empty() {
-                        for (&w, wlocs) in &self.write_locs {
+                        for (&w, wlocs) in &self.facts.defs().write_locs {
                             if w != s
                                 && feasible.contains_key(&w)
                                 && !slice.contains(&w)
@@ -481,7 +455,7 @@ impl<'p> StaticSlicer<'p> {
                 match item {
                     SliceItem::Reg(f, v) => {
                         // Defining statements of the register.
-                        if let Some(defs) = self.defuse.reg_defs.get(&(f, v)) {
+                        if let Some(defs) = self.facts.defs().reg_defs.get(&(f, v)) {
                             for &d in defs {
                                 if feasible.contains_key(&d) && !slice.contains(&d) {
                                     stmt_q.push_back(d);
@@ -532,7 +506,7 @@ impl<'p> StaticSlicer<'p> {
                         }
                     }
                     SliceItem::Global(g) => {
-                        if let Some(writes) = self.defuse.global_writes.get(&g) {
+                        if let Some(writes) = self.facts.defs().global_writes.get(&g) {
                             for &w in writes {
                                 if feasible.contains_key(&w) && !slice.contains(&w) {
                                     stmt_q.push_back(w);

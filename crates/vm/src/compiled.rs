@@ -28,10 +28,13 @@
 //!
 //! [`CompiledProgram::shared`] memoizes compilation in a process-global
 //! cache keyed by [`Program::fingerprint`], so a fleet's worker threads all
-//! execute one read-only compilation through an [`Arc`].
+//! execute one read-only compilation through an [`Arc`]. The cache holds
+//! only weak references: a compilation lives while some VM, fleet or loop
+//! holds it, so a process that diagnoses ever new programs does not keep
+//! every one of them.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 
 use gist_ir::{
     BinKind, Callee, CmpKind, InstrId, IntrinsicKind, Op, Operand, Program, Terminator, Value,
@@ -384,9 +387,11 @@ impl CompiledProgram {
     }
 
     /// Returns the shared compilation of `program` from the process-global
-    /// compile cache, compiling on first use.
+    /// compile cache, compiling when no live compilation exists.
     ///
-    /// The cache is keyed by [`Program::fingerprint`]; a hit is
+    /// The cache is keyed by [`Program::fingerprint`] and holds [`Weak`]
+    /// entries, so it shares a compilation only while some caller still
+    /// holds its `Arc`; dead entries are dropped on insert. A hit is
     /// double-checked against the program's name, statement count, and
     /// function count, so a (vanishingly unlikely) fingerprint collision
     /// degrades to an uncached compile rather than executing wrong code.
@@ -394,19 +399,20 @@ impl CompiledProgram {
     /// process history, which would break the gist-obs determinism
     /// contract.
     pub fn shared(program: &Program) -> Arc<CompiledProgram> {
-        static CACHE: OnceLock<Mutex<HashMap<u64, Arc<CompiledProgram>>>> = OnceLock::new();
+        static CACHE: OnceLock<Mutex<HashMap<u64, Weak<CompiledProgram>>>> = OnceLock::new();
         let fp = program.fingerprint();
         let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
         let mut map = cache.lock().unwrap();
-        if let Some(c) = map.get(&fp) {
+        if let Some(c) = map.get(&fp).and_then(Weak::upgrade) {
             if c.matches(program) {
-                return Arc::clone(c);
+                return c;
             }
             // Fingerprint collision: compile fresh, leave the cache alone.
             return Arc::new(Self::compile(program));
         }
         let compiled = Arc::new(Self::compile(program));
-        map.insert(fp, Arc::clone(&compiled));
+        map.retain(|_, c| c.strong_count() > 0);
+        map.insert(fp, Arc::downgrade(&compiled));
         compiled
     }
 
@@ -448,6 +454,19 @@ exit:
 "#,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn shared_compilation_lives_only_while_held() {
+        let p = parse_program("held-compilation", "fn main() {\nentry:\n  ret\n}\n").unwrap();
+        let first = CompiledProgram::shared(&p);
+        assert!(Arc::ptr_eq(&first, &CompiledProgram::shared(&p)));
+        let weak = Arc::downgrade(&first);
+        drop(first);
+        assert!(
+            weak.upgrade().is_none(),
+            "the cache kept a dropped compilation"
+        );
     }
 
     #[test]

@@ -5,8 +5,12 @@
 //! subset of the program, and the latency must be a handful of failure
 //! recurrences — the paper reports 2–5.
 
-use gist_bugbase::{all_bugs, BugClass};
+use gist_bugbase::{all_bugs, bug_by_name, BugClass};
 use gist_coop::{diagnose_bug, EvalConfig};
+use gist_core::{ClientRunData, GistServer};
+use gist_ir::{FuncId, InstrId};
+use gist_tracking::InstrumentationPatch;
+use gist_vm::{FailureReport, StackFrame};
 
 #[test]
 fn every_bug_diagnoses_to_its_root_cause() {
@@ -96,9 +100,11 @@ fn race_ranking_never_regresses_sketch_accuracy() {
     // trade a few points of sketch completeness for halved latency — but
     // in aggregate accuracy must not regress, no single bug may fall off a
     // cliff, and every bug must stay above the 70% quality bar it already
-    // meets without ranking.
+    // meets without ranking. Ranking must also never cost recurrences in
+    // total, nor leave a root cause to the unranked pipeline alone.
     let mut sum_on = 0.0;
     let mut sum_off = 0.0;
+    let (mut recurrences_on, mut recurrences_off) = (0, 0);
     for bug in all_bugs() {
         let on = diagnose_bug(&bug, &EvalConfig::default());
         let off = diagnose_bug(
@@ -110,6 +116,13 @@ fn race_ranking_never_regresses_sketch_accuracy() {
         );
         sum_on += on.overall;
         sum_off += off.overall;
+        recurrences_on += on.recurrences;
+        recurrences_off += off.recurrences;
+        assert!(
+            on.found_root_cause || !off.found_root_cause,
+            "{}: only the unranked pipeline found the root cause",
+            bug.name
+        );
         assert!(
             on.overall >= off.overall - 10.0,
             "{}: accuracy fell off a cliff with ranking on: {:.1}% vs {:.1}%",
@@ -130,6 +143,10 @@ fn race_ranking_never_regresses_sketch_accuracy() {
         "aggregate accuracy regressed with ranking on: {:.1} vs {:.1}",
         sum_on,
         sum_off
+    );
+    assert!(
+        recurrences_on <= recurrences_off,
+        "ranking cost recurrences: {recurrences_on} > {recurrences_off}"
     );
 }
 
@@ -152,5 +169,46 @@ fn diagnosis_latency_is_a_handful_of_recurrences() {
             bug.name,
             eval.recurrences
         );
+    }
+}
+
+#[test]
+fn reports_from_another_program_are_rejected_without_runs() {
+    let pbzip2 = bug_by_name("pbzip2-1").unwrap();
+    let (_, own) = pbzip2.find_failure(2_000).unwrap();
+    let (_, foreign) = bug_by_name("curl-965")
+        .unwrap()
+        .find_failure(2_000)
+        .unwrap();
+    let frame = |func, iid| {
+        let mut r = own.clone();
+        r.stack.push(StackFrame { func, iid });
+        r
+    };
+    let hostile = [
+        foreign,
+        FailureReport {
+            failing_stmt: InstrId(100_000),
+            ..own.clone()
+        },
+        frame(FuncId(10_000), own.failing_stmt),
+        frame(own.stack[0].func, InstrId(100_000)),
+    ];
+    let server = GistServer::new(
+        &pbzip2.program,
+        EvalConfig::default().gist_config("pbzip2-1".into(), "test".into()),
+    );
+    assert_eq!(server.check_report(&own), Ok(()));
+    for report in &hostile {
+        assert!(server.check_report(report).is_err(), "{report:?}");
+        let mut fleet = |_: &InstrumentationPatch| -> ClientRunData {
+            panic!("a rejected report consumed a production run")
+        };
+        let result = server.diagnose(report, &mut fleet, None, &mut |_| true);
+        assert_eq!(
+            (result.iterations, result.recurrences, result.total_runs),
+            (0, 0, 0)
+        );
+        assert!(result.sketch.is_empty() && result.slice.is_empty());
     }
 }
