@@ -43,8 +43,8 @@ use gist_ir::icfg::Ticfg;
 use gist_ir::{BinKind, FuncId, InstrId, Op, Operand, Program, Terminator, Value, VarId};
 
 use crate::diag::Diagnostic;
-use crate::pass::{AnalysisCtx, Pass};
-use crate::points_to::{Loc, LocSet, PointsTo};
+use crate::pass::{AccessOp, AccessTable, AnalysisCtx, Pass};
+use crate::points_to::{Loc, LocSet};
 
 /// Which way facts flow through the TICFG.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -337,40 +337,31 @@ pub struct ReachingDefs {
 }
 
 impl ReachingDefs {
-    /// Precomputes the def set and the strong-kill masks from the
-    /// points-to result. A store is strong when its address has one
-    /// points-to target with a known offset; stores to an equal [`Loc`]
-    /// share one kill mask.
-    pub fn new(program: &Program, pts: &PointsTo) -> Self {
+    /// Precomputes the def set and the strong-kill masks from `cx`'s
+    /// access table. A store is strong when its address has one points-to
+    /// target with a known offset; stores to an equal [`Loc`] share one
+    /// kill mask.
+    pub fn new(cx: &AnalysisCtx<'_>) -> Self {
+        let (program, accesses) = (cx.program, cx.accesses());
         let stmt_count = program.stmt_count();
         let mut defs = StmtSet::new(stmt_count);
         let mut strong = vec![None; stmt_count];
         let mut kills: Vec<StmtSet> = Vec::new();
         let mut cells: BTreeMap<Loc, usize> = BTreeMap::new();
-        for f in &program.functions {
-            for b in &f.blocks {
-                for instr in &b.instrs {
-                    if Self::is_def(&instr.op) {
-                        defs.insert(instr.id);
-                    }
-                    let Op::Store { addr, .. } = &instr.op else {
-                        continue;
-                    };
-                    let targets = pts.operand_origins(f.id, *addr);
-                    if targets.len() != 1 {
-                        continue;
-                    }
-                    let only = *targets.iter().next().expect("len checked");
-                    if only.offset.is_none() {
-                        continue;
-                    }
-                    let cell = *cells.entry(only).or_insert_with(|| {
-                        kills.push(StmtSet::new(stmt_count));
-                        kills.len() - 1
-                    });
-                    kills[cell].insert(instr.id);
-                    strong[instr.id.index()] = Some(cell);
+        for b in program.functions.iter().flat_map(|f| &f.blocks) {
+            for instr in &b.instrs {
+                if Self::is_def(&instr.op) {
+                    defs.insert(instr.id);
                 }
+                let Some(only) = accesses.get(instr.id).and_then(|a| a.strong_cell()) else {
+                    continue;
+                };
+                let cell = *cells.entry(only).or_insert_with(|| {
+                    kills.push(StmtSet::new(stmt_count));
+                    kills.len() - 1
+                });
+                kills[cell].insert(instr.id);
+                strong[instr.id.index()] = Some(cell);
             }
         }
         ReachingDefs {
@@ -420,21 +411,23 @@ impl DataflowAnalysis for ReachingDefs {
 /// consumer (sketch steps are pruned by TICFG reachability, not by this).
 /// For N statements the solution holds 2·N·⌈N/64⌉ words: one word per
 /// fact up to 64 statements, about 25 MB at N = 10,000.
-pub fn reaching_definitions(program: &Program, ticfg: &Ticfg, pts: &PointsTo) -> Solution<StmtSet> {
-    solve(program, ticfg, &ReachingDefs::new(program, pts))
+pub fn reaching_definitions(cx: &AnalysisCtx<'_>) -> Solution<StmtSet> {
+    solve(cx.program, cx.ticfg(), &ReachingDefs::new(cx))
 }
 
 /// Backward liveness of abstract memory cells: a cell is live at a point
 /// if some path from there may still read it (a `load`, a `free`, a
 /// `lock`/`unlock`, or an intrinsic walking the allocation).
 pub struct MemLiveness<'a> {
-    pts: &'a PointsTo,
+    accesses: &'a AccessTable,
 }
 
 impl<'a> MemLiveness<'a> {
-    /// Builds the problem over a points-to result.
-    pub fn new(pts: &'a PointsTo) -> Self {
-        MemLiveness { pts }
+    /// Builds the problem over `cx`'s access table.
+    pub fn new(cx: &'a AnalysisCtx<'_>) -> Self {
+        MemLiveness {
+            accesses: cx.accesses(),
+        }
     }
 }
 
@@ -455,39 +448,20 @@ impl DataflowAnalysis for MemLiveness<'_> {
         into.len() != n
     }
 
-    fn transfer(&self, program: &Program, id: InstrId, fact: &mut LocSet) {
-        let Some(func) = program.stmt_func(id) else {
+    fn transfer(&self, _program: &Program, id: InstrId, fact: &mut LocSet) {
+        let Some(access) = self.accesses.get(id) else {
             return;
         };
-        let Some(instr) = program.instr(id) else {
-            return;
-        };
-        match &instr.op {
-            Op::Load { addr, .. }
-            | Op::Free { addr }
-            | Op::MutexLock { addr }
-            | Op::MutexUnlock { addr } => {
-                fact.extend(self.pts.operand_origins(func, *addr));
-            }
-            Op::Intrinsic { args, .. } => {
-                // strlen/memcpy/memset walk whole allocations; keep every
-                // cell they may touch live.
-                for a in args {
-                    for loc in self.pts.operand_origins(func, *a) {
-                        fact.insert(Loc::anywhere(loc.origin));
-                    }
+        // A store kills the one cell it certainly writes; every other
+        // access keeps its cells live (an intrinsic's cells are whole
+        // allocations, which strlen/memcpy/memset walk).
+        match access.op {
+            AccessOp::Store => {
+                if let Some(cell) = access.strong_cell() {
+                    fact.remove(&cell);
                 }
             }
-            Op::Store { addr, .. } => {
-                let targets = self.pts.operand_origins(func, *addr);
-                if targets.len() == 1 {
-                    let only = *targets.iter().next().expect("len checked");
-                    if only.offset.is_some() {
-                        fact.remove(&only);
-                    }
-                }
-            }
-            _ => {}
+            _ => fact.extend(access.cells.iter().copied()),
         }
     }
 }
@@ -496,27 +470,20 @@ impl DataflowAnalysis for MemLiveness<'_> {
 /// free, lock, or intrinsic on any TICFG path may touch any cell the
 /// store may write. Watchpoints on these are wasted debug registers.
 pub fn dead_stores(cx: &AnalysisCtx<'_>) -> BTreeSet<InstrId> {
-    let (program, pts) = (cx.program, cx.points_to());
-    let live = solve(program, cx.ticfg(), &MemLiveness::new(pts));
+    let live = solve(cx.program, cx.ticfg(), &MemLiveness::new(cx));
     let mut dead = BTreeSet::new();
-    for f in &program.functions {
-        for b in &f.blocks {
-            for instr in &b.instrs {
-                let Op::Store { addr, .. } = &instr.op else {
-                    continue;
-                };
-                let targets = pts.operand_origins(f.id, *addr);
-                if targets.is_empty() {
-                    continue; // unknown address: keep it watchable
-                }
-                let live_after = live.after(instr.id);
-                if targets
-                    .iter()
-                    .all(|t| !live_after.iter().any(|l| l.overlaps(t)))
-                {
-                    dead.insert(instr.id);
-                }
-            }
+    for (id, access) in cx.accesses().iter() {
+        // A store to an unknown address stays watchable.
+        if access.op != AccessOp::Store || access.cells.is_empty() {
+            continue;
+        }
+        let live_after = live.after(id);
+        if access
+            .cells
+            .iter()
+            .all(|t| !live_after.iter().any(|l| l.overlaps(t)))
+        {
+            dead.insert(id);
         }
     }
     dead
@@ -835,9 +802,7 @@ mod tests {
         f.ret(None);
         f.finish();
         let p = pb.finish().unwrap();
-        let ticfg = Icfg::build_ticfg(&p);
-        let pts = PointsTo::compute(&p, &ticfg);
-        let rd = reaching_definitions(&p, &ticfg, &pts);
+        let rd = reaching_definitions(&AnalysisCtx::new(&p));
         let ids: Vec<InstrId> = p.all_stmt_ids().collect();
         let at_load = rd.before(ids[2]);
         assert!(at_load.contains(ids[1]), "second store reaches the load");
@@ -868,9 +833,7 @@ mod tests {
         f.ret(None);
         f.finish();
         let p = pb.finish().unwrap();
-        let ticfg = Icfg::build_ticfg(&p);
-        let pts = PointsTo::compute(&p, &ticfg);
-        let rd = reaching_definitions(&p, &ticfg, &pts);
+        let rd = reaching_definitions(&AnalysisCtx::new(&p));
         let main = p.entry;
         let store_then = p.functions[main.index()].blocks[1].instrs[0].id;
         let store_else = p.functions[main.index()].blocks[2].instrs[0].id;

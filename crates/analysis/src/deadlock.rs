@@ -18,10 +18,10 @@
 
 use std::collections::BTreeSet;
 
-use gist_ir::{InstrId, Op, Program, SrcLoc};
+use gist_ir::{InstrId, Program, SrcLoc};
 
 use crate::diag::Diagnostic;
-use crate::pass::{AnalysisCtx, Pass};
+use crate::pass::{AccessOp, AnalysisCtx, Pass};
 use crate::points_to::Loc;
 
 /// One acquisition-order edge: `held` was certainly locked when `acquired`
@@ -77,34 +77,29 @@ impl DeadlockAnalysis {
     }
 }
 
-/// Runs the detector over `cx`'s locksets and points-to.
+/// Runs the detector over `cx`'s locksets and access table.
 pub fn analyze(cx: &AnalysisCtx<'_>) -> DeadlockAnalysis {
-    let (program, stmt_ls, pts) = (cx.program, cx.locksets(), cx.points_to());
+    let stmt_ls = cx.locksets();
     let mut edges: Vec<LockOrderEdge> = Vec::new();
-    for f in &program.functions {
-        for b in &f.blocks {
-            for instr in &b.instrs {
-                let Op::MutexLock { addr } = &instr.op else {
-                    continue;
+    for (at, access) in cx.accesses().iter() {
+        if access.op != AccessOp::Lock {
+            continue;
+        }
+        let Some(Some(held)) = stmt_ls.get(at.index()) else {
+            continue;
+        };
+        for &h in held {
+            for &a in &access.cells {
+                if h.overlaps(&a) {
+                    continue; // re-acquisition, not an ordering edge
+                }
+                let e = LockOrderEdge {
+                    held: h,
+                    acquired: a,
+                    at,
                 };
-                let acquired = pts.operand_origins(f.id, *addr);
-                let Some(Some(held)) = stmt_ls.get(instr.id.index()) else {
-                    continue;
-                };
-                for &h in held {
-                    for &a in &acquired {
-                        if h.overlaps(&a) {
-                            continue; // re-acquisition, not an ordering edge
-                        }
-                        let e = LockOrderEdge {
-                            held: h,
-                            acquired: a,
-                            at: instr.id,
-                        };
-                        if !edges.contains(&e) {
-                            edges.push(e);
-                        }
-                    }
+                if !edges.contains(&e) {
+                    edges.push(e);
                 }
             }
         }

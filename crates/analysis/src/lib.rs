@@ -63,11 +63,13 @@
 //! the runtime pipeline reconstructs.
 //!
 //! One [`pass::AnalysisCtx`] owns a program's whole-program facts: the
-//! TICFG, points-to, locksets, shared origins, race candidates, MHP,
-//! constants and the SVFG, each built on first use and at most once.
-//! Every detector and lint above reads its facts from a context instead
-//! of rebuilding them, and so do the slicer, the Gist server and its
-//! sketch engine. Analyses are packaged as [`pass::Pass`]es that a
+//! TICFG, the thread model, points-to, the access table, locksets, shared
+//! origins, race candidates, MHP, constants, the def index and the SVFG,
+//! each built on first use and at most once. Every detector and lint
+//! above reads its facts from a context instead of rebuilding them, and
+//! so do the slicer, the Gist server and its sketch engine: the race
+//! detector and MHP read one thread model, and every consumer reads the
+//! cells a memory access touches from one access table. Analyses are packaged as [`pass::Pass`]es that a
 //! [`pass::PassManager`] runs over one shared context.
 
 pub mod dataflow;

@@ -55,8 +55,8 @@ use gist_ir::{FuncId, InstrId, Op, Operand, Program, SrcLoc};
 use crate::dataflow::ConstVal;
 use crate::diag::Diagnostic;
 use crate::mhp::OrderFact;
-use crate::pass::{AnalysisCtx, Pass, PassManager};
-use crate::points_to::{Loc, MemOrigin, PointsTo};
+use crate::pass::{AccessOp, AnalysisCtx, Pass, PassManager};
+use crate::points_to::MemOrigin;
 use crate::race::AccessKind;
 use crate::svfg::SvfgEdgeKind;
 
@@ -121,34 +121,6 @@ pub(crate) fn where_of(program: &Program, s: InstrId) -> String {
         .unwrap_or_else(|| s.to_string())
 }
 
-/// The abstract cells an instruction may touch (store/load/free/lock/
-/// unlock/intrinsic), with frees widened to the whole origin.
-fn access_locs(program: &Program, pts: &PointsTo, func: FuncId, s: InstrId) -> BTreeSet<Loc> {
-    let Some(instr) = program.instr(s) else {
-        return BTreeSet::new();
-    };
-    match &instr.op {
-        Op::Intrinsic { args, .. } => {
-            let mut locs = BTreeSet::new();
-            for a in args {
-                for l in pts.operand_origins(func, *a) {
-                    locs.insert(Loc::anywhere(l.origin));
-                }
-            }
-            locs
-        }
-        Op::Free { addr } => pts
-            .operand_origins(func, *addr)
-            .into_iter()
-            .map(|l| Loc::anywhere(l.origin))
-            .collect(),
-        op => op
-            .access_addr()
-            .map(|addr| pts.operand_origins(func, addr))
-            .unwrap_or_default(),
-    }
-}
-
 /// Removes literally duplicated note lines, preserving first-seen order.
 /// Distinct SVFG chains that land on the same (finding, statement) pair
 /// render the same note text; one copy carries all the information.
@@ -178,45 +150,31 @@ pub struct LifetimePair {
 /// the latter screened by MHP (a free ordered after the last use — past
 /// the `join`, say — is not a lifetime bug).
 pub fn lifetime_pairs(cx: &AnalysisCtx<'_>) -> Vec<LifetimePair> {
-    let (program, pts, mhp) = (cx.program, cx.points_to(), cx.mhp());
+    let (program, accesses, mhp) = (cx.program, cx.accesses(), cx.mhp());
     let mut found: Vec<LifetimePair> = Vec::new();
     let mut seen: BTreeSet<(InstrId, InstrId)> = BTreeSet::new();
 
     // Same-thread arm: forward walk from each free, stopping at the
     // freed origin's allocation site (a re-executed `alloc` makes the
     // pointer valid again, so flows through it are not lifetime bugs).
-    for f in &program.functions {
-        for b in &f.blocks {
-            for instr in &b.instrs {
-                let Op::Free { addr } = &instr.op else {
+    for (free_id, free) in accesses.iter().filter(|(_, a)| a.op == AccessOp::Free) {
+        for l in &free.cells {
+            let MemOrigin::Heap(alloc_site) = l.origin else {
+                continue; // frees of non-heap memory are GA0xx verifier turf
+            };
+            for reached in forward_reach(cx.ticfg(), free_id, alloc_site) {
+                let touches = accesses.cells(reached).iter().any(|r| r.origin == l.origin);
+                if reached == free_id || !touches {
                     continue;
-                };
-                let free_id = instr.id;
-                for l in pts.operand_origins(f.id, *addr) {
-                    let MemOrigin::Heap(alloc_site) = l.origin else {
-                        continue; // frees of non-heap memory are GA0xx verifier turf
-                    };
-                    for reached in forward_reach(cx.ticfg(), free_id, alloc_site) {
-                        if reached == free_id {
-                            continue;
-                        }
-                        let Some(rfunc) = program.stmt_func(reached) else {
-                            continue;
-                        };
-                        let locs = access_locs(program, pts, rfunc, reached);
-                        if !locs.iter().any(|rl| rl.origin == l.origin) {
-                            continue;
-                        }
-                        if seen.insert((free_id, reached)) {
-                            found.push(LifetimePair {
-                                free: free_id,
-                                used: reached,
-                                origin: l.origin,
-                                alloc_site,
-                                cross_thread: false,
-                            });
-                        }
-                    }
+                }
+                if seen.insert((free_id, reached)) {
+                    found.push(LifetimePair {
+                        free: free_id,
+                        used: reached,
+                        origin: l.origin,
+                        alloc_site,
+                        cross_thread: false,
+                    });
                 }
             }
         }
@@ -369,41 +327,34 @@ pub struct AvCandidate {
 /// locked origin. Remote accesses the MHP relation orders entirely
 /// before or after the local window cannot interleave and are skipped.
 pub fn atomicity_candidates(cx: &AnalysisCtx<'_>) -> Vec<AvCandidate> {
-    let (program, stmt_ls, pts) = (cx.program, cx.locksets(), cx.points_to());
+    let (program, stmt_ls, accesses) = (cx.program, cx.locksets(), cx.accesses());
     let (feas, mhp) = (&cx.svfg().feasibility, cx.mhp());
 
     // Per-origin locking consistency: some access protected, some not.
     let mut locked: BTreeSet<MemOrigin> = BTreeSet::new();
     let mut unlocked: BTreeSet<MemOrigin> = BTreeSet::new();
     let mut data_accesses: Vec<(InstrId, FuncId, AccessKind, BTreeSet<MemOrigin>)> = Vec::new();
-    for f in &program.functions {
-        for b in &f.blocks {
-            for instr in &b.instrs {
-                let kind = match &instr.op {
-                    Op::Load { .. } => AccessKind::Read,
-                    Op::Store { .. } => AccessKind::Write,
-                    Op::Free { .. } => AccessKind::Free,
-                    _ => continue,
-                };
-                let origins: BTreeSet<MemOrigin> = access_locs(program, pts, f.id, instr.id)
-                    .into_iter()
-                    .map(|l| l.origin)
-                    .collect();
-                if origins.is_empty() {
-                    continue;
-                }
-                let has_lock =
-                    matches!(stmt_ls.get(instr.id.index()), Some(Some(ls)) if !ls.is_empty());
-                for &o in &origins {
-                    if has_lock {
-                        locked.insert(o);
-                    } else {
-                        unlocked.insert(o);
-                    }
-                }
-                data_accesses.push((instr.id, f.id, kind, origins));
+    for (stmt, access) in accesses.iter() {
+        let kind = match access.op {
+            AccessOp::Load => AccessKind::Read,
+            AccessOp::Store => AccessKind::Write,
+            AccessOp::Free => AccessKind::Free,
+            _ => continue,
+        };
+        let origins: BTreeSet<MemOrigin> = access.cells.iter().map(|l| l.origin).collect();
+        if origins.is_empty() {
+            continue;
+        }
+        let has_lock = matches!(stmt_ls.get(stmt.index()), Some(Some(ls)) if !ls.is_empty());
+        for &o in &origins {
+            if has_lock {
+                locked.insert(o);
+            } else {
+                unlocked.insert(o);
             }
         }
+        let func = program.stmt_func(stmt).expect("accesses are statements");
+        data_accesses.push((stmt, func, kind, origins));
     }
     let inconsistent: BTreeSet<MemOrigin> = locked.intersection(&unlocked).copied().collect();
 
@@ -712,41 +663,32 @@ pub fn order_violations(cx: &AnalysisCtx<'_>) -> Vec<OrderViolation> {
     if !mhp.has_threads() {
         return Vec::new();
     }
-    let (pts, shared, svfg) = (cx.points_to(), cx.shared_origins(), cx.svfg());
+    let (accesses, shared, svfg) = (cx.accesses(), cx.shared_origins(), cx.svfg());
 
     // All live data accesses on shared origins.
     let mut reads: Vec<(InstrId, MemOrigin)> = Vec::new();
     let mut writes: Vec<(InstrId, MemOrigin)> = Vec::new();
     let mut frees: Vec<(InstrId, MemOrigin)> = Vec::new();
     let mut uses: Vec<(InstrId, MemOrigin)> = Vec::new();
-    for f in &program.functions {
-        for b in &f.blocks {
-            for instr in &b.instrs {
-                if !svfg.feasibility.stmt_live(program, instr.id) {
-                    continue;
+    for (stmt, access) in accesses.iter() {
+        if !svfg.feasibility.stmt_live(program, stmt) {
+            continue;
+        }
+        // A free counts once per origin, whatever offsets it may name.
+        let origins = access.footprint().into_iter().map(|l| l.origin);
+        for o in origins.filter(|o| shared.contains(o)) {
+            match access.op {
+                AccessOp::Load => {
+                    reads.push((stmt, o));
+                    uses.push((stmt, o));
                 }
-                let origins: Vec<MemOrigin> = access_locs(program, pts, f.id, instr.id)
-                    .into_iter()
-                    .map(|l| l.origin)
-                    .filter(|o| shared.contains(o))
-                    .collect();
-                for &o in &origins {
-                    match &instr.op {
-                        Op::Load { .. } => {
-                            reads.push((instr.id, o));
-                            uses.push((instr.id, o));
-                        }
-                        Op::Store { .. } => {
-                            writes.push((instr.id, o));
-                            uses.push((instr.id, o));
-                        }
-                        Op::MutexLock { .. } | Op::MutexUnlock { .. } => {
-                            uses.push((instr.id, o));
-                        }
-                        Op::Free { .. } => frees.push((instr.id, o)),
-                        _ => {}
-                    }
+                AccessOp::Store => {
+                    writes.push((stmt, o));
+                    uses.push((stmt, o));
                 }
+                AccessOp::Lock | AccessOp::Unlock => uses.push((stmt, o)),
+                AccessOp::Free => frees.push((stmt, o)),
+                AccessOp::Intrinsic => {}
             }
         }
     }

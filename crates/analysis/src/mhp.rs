@@ -10,9 +10,10 @@
 //!
 //! # Construction
 //!
-//! Thread contexts mirror the race detector's: the main thread plus one
-//! context per static `spawn` site. Happens-before edges come from
-//! thread structure only — locks order nothing (they only exclude):
+//! Thread contexts come from the analysis context's thread model, which
+//! the race detector reads too: the main thread plus one context per
+//! static `spawn` site. Happens-before edges come from thread structure
+//! only — locks order nothing (they only exclude):
 //!
 //! * **Spawn**: every statement that must complete before a spawn
 //!   executes (strict dominance in the spawning function, plus whole
@@ -25,13 +26,13 @@
 //!   dominates spawn *j*, all of thread *i* precedes all of thread *j*.
 //!
 //! Ordering claims are only made for spawn sites that execute at most
-//! once (`multi` spawn sites — a spawn in a CFG cycle, or in a function
-//! with several callers — get no happens-before edges and are
-//! additionally parallel with themselves). Missing a join or a
-//! dominance fact therefore errs toward *more* parallelism, which is
-//! the sound direction for a may-analysis: the `tests/mhp_sound.rs`
-//! gate replays every bugbase journal and rejects any false
-//! "never parallel" verdict.
+//! once (multi-instance spawn sites — a spawn in a CFG cycle, in a
+//! function that may run more than once, or under such a thread — get no
+//! happens-before edges and are additionally parallel with themselves).
+//! Missing a join or a dominance fact therefore errs toward *more*
+//! parallelism, which is the sound direction for a may-analysis: the
+//! `tests/mhp_sound.rs` gate replays every bugbase journal and rejects
+//! any false "never parallel" verdict.
 //!
 //! # Lattice
 //!
@@ -44,15 +45,15 @@
 //! two: lock exclusion serializes *access*, not *order*, so an excluded
 //! pair still interleaves.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use gist_ir::icfg::Ticfg;
 use gist_ir::{BlockId, FuncId, InstrId, Op, Operand, Program};
 
 use crate::dataflow::StmtSet;
-use crate::pass::AnalysisCtx;
-use crate::points_to::{Loc, MemOrigin, PointsTo};
+use crate::pass::{AccessOp, AnalysisCtx, ThreadModel};
+use crate::points_to::{Loc, MemOrigin};
 use crate::race::Lockset;
 
 /// The per-pair verdict lattice (strongest fact first).
@@ -99,14 +100,9 @@ type DomPairs = BTreeMap<FuncId, BTreeSet<(BlockId, BlockId)>>;
 pub struct Mhp<'p> {
     /// The program; its statement index answers position queries.
     program: &'p Program,
-    /// Per function, the thread contexts that may run it (0 = main
-    /// thread, i+1 = the thread of `spawn_sites[i]`); empty for a function
-    /// no context reaches. Every statement runs under its function's set.
-    func_ctxs: Vec<BTreeSet<usize>>,
-    /// Static `spawn` statements, in program order.
-    spawn_sites: Vec<InstrId>,
-    /// Spawn-site indices that may start several simultaneous threads.
-    multi: BTreeSet<usize>,
+    /// The thread contexts (0 = main thread, i+1 = the thread of spawn
+    /// site i); every statement runs under its function's contexts.
+    threads: Arc<ThreadModel>,
     /// Per spawn index: statements that must complete before the spawn.
     pre_spawn: Vec<StmtSet>,
     /// Per spawn index: statements ordered after the matching join.
@@ -118,8 +114,6 @@ pub struct Mhp<'p> {
     locksets: Arc<[Option<Lockset>]>,
     /// Strict block dominance, per function.
     dom_pairs: DomPairs,
-    /// Whether the program spawns threads at all.
-    has_threads: bool,
 }
 
 impl<'p> Mhp<'p> {
@@ -128,23 +122,23 @@ impl<'p> Mhp<'p> {
         Mhp::build(&AnalysisCtx::with_ticfg(program, ticfg))
     }
 
-    /// Computes the relation from `cx`'s TICFG and locksets.
+    /// Computes the relation from `cx`'s TICFG, thread model and locksets.
     pub(crate) fn build(cx: &AnalysisCtx<'p>) -> Mhp<'p> {
         Builder {
             program: cx.program,
             ticfg: cx.ticfg(),
         }
-        .build(Arc::clone(cx.locksets()))
+        .build(Arc::clone(cx.threads()), Arc::clone(cx.locksets()))
     }
 
     /// True when the program has any `spawn` statement.
     pub fn has_threads(&self) -> bool {
-        self.has_threads
+        !self.threads.spawn_sites().is_empty()
     }
 
     /// The static spawn statements, in program order.
     pub fn spawn_sites(&self) -> &[InstrId] {
-        &self.spawn_sites
+        self.threads.spawn_sites()
     }
 
     /// The strongest static fact about the pair.
@@ -192,8 +186,7 @@ impl<'p> Mhp<'p> {
         // precede the other invocation's `b` — so it gets no claim.
         if ca == cb && ca.len() == 1 {
             let c = *ca.iter().next().expect("nonempty");
-            let single_invocation = c == 0 || !self.multi.contains(&(c - 1));
-            if single_invocation && self.sdom(a, b) {
+            if !self.threads.multi(c) && self.sdom(a, b) {
                 return true;
             }
         }
@@ -258,36 +251,23 @@ impl<'p> Mhp<'p> {
     /// Memory-writing statements (stores and frees) with no may-parallel
     /// access to the same cell on another thread — their interleavings
     /// cannot matter, so the planner can skip watching them for
-    /// cross-thread discovery. Empty for single-threaded programs
-    /// (every store would qualify there, and the data-flow pipeline
-    /// still needs them).
-    pub fn never_parallel_stores(&self, program: &Program, pts: &PointsTo) -> BTreeSet<InstrId> {
-        if !self.has_threads {
+    /// cross-thread discovery. Loads, stores, frees, locks and unlocks
+    /// in `cx`'s access table count as accesses; intrinsics do not.
+    /// Empty for single-threaded programs (every store would qualify
+    /// there, and the data-flow pipeline still needs them).
+    pub fn never_parallel_stores(&self, cx: &AnalysisCtx<'_>) -> BTreeSet<InstrId> {
+        if !self.has_threads() {
             return BTreeSet::new();
         }
-        let mut accesses: Vec<(InstrId, BTreeSet<MemOrigin>, bool)> = Vec::new();
-        for f in &program.functions {
-            for b in &f.blocks {
-                for instr in &b.instrs {
-                    let is_write = matches!(instr.op, Op::Store { .. } | Op::Free { .. });
-                    let addr = match &instr.op {
-                        Op::Free { addr } => *addr,
-                        op => match op.access_addr() {
-                            Some(a) => a,
-                            None => continue,
-                        },
-                    };
-                    let origins: BTreeSet<MemOrigin> = pts
-                        .operand_origins(f.id, addr)
-                        .into_iter()
-                        .map(|l| l.origin)
-                        .collect();
-                    if !origins.is_empty() {
-                        accesses.push((instr.id, origins, is_write));
-                    }
-                }
-            }
-        }
+        let accesses: Vec<(InstrId, BTreeSet<MemOrigin>, bool)> = cx
+            .accesses()
+            .iter()
+            .filter(|(_, a)| a.op != AccessOp::Intrinsic && !a.cells.is_empty())
+            .map(|(s, a)| {
+                let origins = a.cells.iter().map(|l| l.origin).collect();
+                (s, origins, matches!(a.op, AccessOp::Store | AccessOp::Free))
+            })
+            .collect();
         let mut out = BTreeSet::new();
         for (s, origins, is_write) in &accesses {
             if !is_write {
@@ -389,7 +369,7 @@ impl<'p> Mhp<'p> {
         if i == j {
             // Same spawn site: parallel only when several instances may
             // be live at once.
-            return i > 0 && self.multi.contains(&(i - 1));
+            return self.threads.multi(i);
         }
         match (i, j) {
             (0, j) => {
@@ -413,10 +393,8 @@ impl<'p> Mhp<'p> {
     /// The thread contexts `s` may run under; `None` when no context
     /// reaches its function (or `s` is not a statement).
     fn ctxs(&self, s: InstrId) -> Option<&BTreeSet<usize>> {
-        let pos = self.program.stmt_pos(s)?;
-        self.func_ctxs
-            .get(pos.func.index())
-            .filter(|ctxs| !ctxs.is_empty())
+        let ctxs = self.threads.ctxs(self.program.stmt_func(s)?);
+        (!ctxs.is_empty()).then_some(ctxs)
     }
 
     /// Strict statement-level dominance within one function.
@@ -443,88 +421,11 @@ struct Builder<'p, 't> {
 }
 
 impl<'p> Builder<'p, '_> {
-    fn build(self, locksets: Arc<[Option<Lockset>]>) -> Mhp<'p> {
+    fn build(self, threads: Arc<ThreadModel>, locksets: Arc<[Option<Lockset>]>) -> Mhp<'p> {
         let program = self.program;
         let ticfg = self.ticfg;
-
-        // Spawn sites, in program order.
-        let mut spawn_sites: Vec<InstrId> = Vec::new();
-        for f in &program.functions {
-            for b in &f.blocks {
-                for i in &b.instrs {
-                    if matches!(i.op, Op::ThreadCreate { .. }) {
-                        spawn_sites.push(i.id);
-                    }
-                }
-            }
-        }
-        let has_threads = !spawn_sites.is_empty();
-
-        // Function contexts: main (0) from the entry function, one per
-        // spawn site from its routine targets. Call edges only — a
-        // spawned routine is the root of its own context.
-        let mut func_ctxs: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); program.functions.len()];
-        let mark = |roots: Vec<FuncId>, ctx: usize, func_ctxs: &mut Vec<BTreeSet<usize>>| {
-            let mut q: VecDeque<FuncId> = roots.into();
-            while let Some(f) = q.pop_front() {
-                if !func_ctxs[f.index()].insert(ctx) {
-                    continue;
-                }
-                for b in &program.function(f).blocks {
-                    for i in &b.instrs {
-                        if matches!(i.op, Op::Call { .. }) {
-                            for t in ticfg.call_targets.get(&i.id).into_iter().flatten() {
-                                q.push_back(*t);
-                            }
-                        }
-                    }
-                }
-            }
-        };
-        mark(vec![program.entry], 0, &mut func_ctxs);
-        for (idx, &s) in spawn_sites.iter().enumerate() {
-            let routines = ticfg.call_targets.get(&s).cloned().unwrap_or_default();
-            mark(routines, idx + 1, &mut func_ctxs);
-        }
-
-        // Multi-instance spawn sites: the spawn re-executes (its block
-        // is in a CFG cycle) or its containing function may run more
-        // than once (several callsites, several thread contexts, or a
-        // context that is itself multi — closed under a fixpoint).
-        let mut multi: BTreeSet<usize> = BTreeSet::new();
-        for (idx, &s) in spawn_sites.iter().enumerate() {
-            let Some(pos) = program.stmt_pos(s) else {
-                multi.insert(idx);
-                continue;
-            };
-            let callsites = ticfg.callers.get(&pos.func).map(Vec::len).unwrap_or(0);
-            let ctx_count = func_ctxs[pos.func.index()].len();
-            let func_multi = pos.func != program.entry && (callsites != 1 || ctx_count != 1);
-            if func_multi || self.block_in_cycle(pos.func, pos.block) {
-                multi.insert(idx);
-            }
-        }
-        loop {
-            let mut grew = false;
-            for (idx, &s) in spawn_sites.iter().enumerate() {
-                if multi.contains(&idx) {
-                    continue;
-                }
-                let Some(pos) = program.stmt_pos(s) else {
-                    continue;
-                };
-                let nested_multi = func_ctxs[pos.func.index()]
-                    .iter()
-                    .any(|&c| c > 0 && multi.contains(&(c - 1)));
-                if nested_multi {
-                    multi.insert(idx);
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
+        let model = Arc::clone(&threads);
+        let spawn_sites = model.spawn_sites();
 
         // Strict block-dominance pairs per function.
         let mut dom_pairs: DomPairs = BTreeMap::new();
@@ -543,21 +444,18 @@ impl<'p> Builder<'p, '_> {
         let no_stmts = StmtSet::new(program.stmt_count());
         let mut mhp = Mhp {
             program,
-            func_ctxs,
-            spawn_sites: spawn_sites.clone(),
-            multi: multi.clone(),
+            threads,
             pre_spawn: vec![no_stmts.clone(); spawn_sites.len()],
             post_join: vec![no_stmts; spawn_sites.len()],
             ctx_order: BTreeSet::new(),
             locksets,
             dom_pairs,
-            has_threads,
         };
 
         // Pre-spawn and post-join regions for single-instance spawns.
-        let joins = self.match_joins(&spawn_sites, &multi);
+        let joins = self.match_joins(&model);
         for (idx, &s) in spawn_sites.iter().enumerate() {
-            if multi.contains(&idx) {
+            if model.multi(idx + 1) {
                 continue; // no ordering claims for re-executing spawns
             }
             let pre = self.closed_region(&mhp, s, true);
@@ -575,7 +473,7 @@ impl<'p> Builder<'p, '_> {
                 continue;
             };
             for (j, &spawn_j) in spawn_sites.iter().enumerate() {
-                if i == j || multi.contains(&i) || multi.contains(&j) {
+                if i == j || model.multi(i + 1) || model.multi(j + 1) {
                     continue;
                 }
                 if mhp.sdom(join_i, spawn_j) {
@@ -590,15 +488,11 @@ impl<'p> Builder<'p, '_> {
     /// Matches each single-instance spawn to the unique `join` on its
     /// result variable within the spawning function. Ambiguous or
     /// memory-routed thread ids match nothing (sound: fewer HB edges).
-    fn match_joins(
-        &self,
-        spawn_sites: &[InstrId],
-        multi: &BTreeSet<usize>,
-    ) -> BTreeMap<usize, InstrId> {
+    fn match_joins(&self, threads: &ThreadModel) -> BTreeMap<usize, InstrId> {
         let program = self.program;
         let mut out = BTreeMap::new();
-        for (idx, &s) in spawn_sites.iter().enumerate() {
-            if multi.contains(&idx) {
+        for (idx, &s) in threads.spawn_sites().iter().enumerate() {
+            if threads.multi(idx + 1) {
                 continue;
             }
             let Some(Op::ThreadCreate {
@@ -669,7 +563,7 @@ impl<'p> Builder<'p, '_> {
             .iter()
             .map(|f| f.id)
             .filter(|&fid| fid != anchor_func && fid != program.entry)
-            .filter(|fid| mhp.func_ctxs[fid.index()].len() == 1)
+            .filter(|&fid| mhp.threads.ctxs(fid).len() == 1)
             .collect();
         loop {
             let mut evicted = false;
@@ -709,25 +603,6 @@ impl<'p> Builder<'p, '_> {
             }
         }
         region
-    }
-
-    /// Is the block part of a CFG cycle in its function?
-    fn block_in_cycle(&self, func: FuncId, block: BlockId) -> bool {
-        let Some(fi) = self.program.functions.iter().position(|f| f.id == func) else {
-            return true;
-        };
-        let cfg = &self.ticfg.cfgs[fi];
-        let mut seen: BTreeSet<BlockId> = BTreeSet::new();
-        let mut q: VecDeque<BlockId> = cfg.succs[block.index()].iter().copied().collect();
-        while let Some(b) = q.pop_front() {
-            if b == block {
-                return true;
-            }
-            if seen.insert(b) {
-                q.extend(cfg.succs[b.index()].iter().copied());
-            }
-        }
-        false
     }
 }
 
@@ -950,10 +825,9 @@ entry:
 
     #[test]
     fn never_parallel_stores_spares_racing_writes() {
-        let (p, g) = program_of(SPAWN_JOIN);
-        let m = Mhp::compute(&p, &g);
-        let pts = PointsTo::compute(&p, &g);
-        let never = m.never_parallel_stores(&p, &pts);
+        let (p, _) = program_of(SPAWN_JOIN);
+        let cx = AnalysisCtx::new(&p);
+        let never = cx.mhp().never_parallel_stores(&cx);
         let worker_store = p.function_by_name("worker").unwrap().blocks[0].instrs[0].id;
         let main_init = p.function_by_name("main").unwrap().blocks[0].instrs[0].id;
         // The worker's store races the mid-window load: kept.
@@ -965,7 +839,7 @@ entry:
 
     #[test]
     fn never_parallel_is_empty_without_threads() {
-        let (p, g) = program_of(
+        let (p, _) = program_of(
             r#"
 global g = 0
 fn main() {
@@ -977,9 +851,8 @@ entry:
 }
 "#,
         );
-        let m = Mhp::compute(&p, &g);
-        let pts = PointsTo::compute(&p, &g);
-        assert!(m.never_parallel_stores(&p, &pts).is_empty());
+        let cx = AnalysisCtx::new(&p);
+        assert!(cx.mhp().never_parallel_stores(&cx).is_empty());
     }
 
     #[test]

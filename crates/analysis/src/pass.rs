@@ -1,25 +1,29 @@
 //! A small pass framework for static analyses, and the context that owns a
 //! program's whole-program facts.
 //!
-//! An [`AnalysisCtx`] builds each fact — the TICFG, points-to, locksets,
-//! shared origins, race candidates, MHP, constants, the def index and the
-//! SVFG — on first use and at most once, so every pass, lint and client
-//! reading from one context shares a single copy. The [`PassManager`] runs
-//! a list of passes over one context and collects their diagnostics into
-//! one sorted report, mirroring how the paper's prototype chains LLVM
-//! analysis passes on the Gist server before computing instrumentation
-//! plans.
+//! An [`AnalysisCtx`] builds each fact — the TICFG, the thread model,
+//! points-to, the access table, locksets, shared origins, race candidates,
+//! MHP, constants, the def index and the SVFG — on first use and at most
+//! once, so every pass, lint and client reading from one context shares a
+//! single copy. The thread model (spawn sites, the thread contexts that
+//! may run each function, multi-instance spawns) is the one the race
+//! detector and MHP both read; the access table is the one place that
+//! asks points-to which cells a memory access touches. The
+//! [`PassManager`] runs a list of passes over one context and collects
+//! their diagnostics into one sorted report, mirroring how the paper's
+//! prototype chains LLVM analysis passes on the Gist server before
+//! computing instrumentation plans.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, OnceLock};
 
 use gist_ir::icfg::{Icfg, Ticfg};
-use gist_ir::Program;
+use gist_ir::{BlockId, FuncId, InstrId, Op, Operand, Program};
 
 use crate::dataflow::ConstProp;
 use crate::diag::{sort_diagnostics, Diagnostic};
 use crate::mhp::Mhp;
-use crate::points_to::{MemOrigin, PointsTo};
+use crate::points_to::{Loc, LocSet, MemOrigin, PointsTo};
 use crate::race::{self, Lockset, RaceAnalysis};
 use crate::svfg::{DefIndex, Svfg};
 
@@ -30,7 +34,9 @@ pub struct AnalysisCtx<'p> {
     /// A TICFG the caller already built, used instead of building one.
     given_ticfg: Option<&'p Ticfg>,
     ticfg: OnceLock<Ticfg>,
+    threads: OnceLock<Arc<ThreadModel>>,
     points_to: OnceLock<PointsTo>,
+    accesses: OnceLock<AccessTable>,
     locksets: OnceLock<Arc<[Option<Lockset>]>>,
     shared_origins: OnceLock<BTreeSet<MemOrigin>>,
     races: OnceLock<RaceAnalysis>,
@@ -47,7 +53,9 @@ impl<'p> AnalysisCtx<'p> {
             program,
             given_ticfg: None,
             ticfg: OnceLock::new(),
+            threads: OnceLock::new(),
             points_to: OnceLock::new(),
+            accesses: OnceLock::new(),
             locksets: OnceLock::new(),
             shared_origins: OnceLock::new(),
             races: OnceLock::new(),
@@ -74,10 +82,24 @@ impl<'p> AnalysisCtx<'p> {
         }
     }
 
+    /// The thread model: spawn sites, the contexts that may run each
+    /// function, and the multi-instance spawns. Shared with MHP, which
+    /// outlives a context built only to compute it.
+    pub(crate) fn threads(&self) -> &Arc<ThreadModel> {
+        self.threads
+            .get_or_init(|| Arc::new(ThreadModel::build(self.program, self.ticfg())))
+    }
+
     /// The Andersen-style points-to result.
     pub fn points_to(&self) -> &PointsTo {
         self.points_to
             .get_or_init(|| PointsTo::compute(self.program, self.ticfg()))
+    }
+
+    /// Each memory-access statement's op and cells.
+    pub(crate) fn accesses(&self) -> &AccessTable {
+        self.accesses
+            .get_or_init(|| AccessTable::build(self.program, self.points_to()))
     }
 
     /// The locks certainly held before each statement, indexed by
@@ -121,12 +143,245 @@ impl<'p> AnalysisCtx<'p> {
     /// writes.
     pub fn defs(&self) -> &DefIndex {
         self.defs
-            .get_or_init(|| DefIndex::build(self.program, self.points_to()))
+            .get_or_init(|| DefIndex::build(self.program, self.accesses()))
+    }
+
+    /// The shared-cell alias pull of `s`: the stores and frees other than
+    /// `s` whose written cells overlap a thread-shared cell `s` touches,
+    /// in statement-id order. A free's own cells count as touched as they
+    /// are, not widened. The slicer pulls these writes into a slice and
+    /// the SVFG turns them into `Interleaved` edges, each through its own
+    /// filter.
+    pub fn shared_alias_writes(&self, s: InstrId) -> Vec<InstrId> {
+        let shared = self.shared_origins();
+        let cells: Vec<Loc> = self
+            .accesses()
+            .cells(s)
+            .iter()
+            .filter(|l| shared.contains(&l.origin))
+            .copied()
+            .collect();
+        if cells.is_empty() {
+            return Vec::new();
+        }
+        self.defs()
+            .write_locs
+            .iter()
+            .filter(|(&w, wlocs)| {
+                w != s && wlocs.iter().any(|wl| cells.iter().any(|c| wl.overlaps(c)))
+            })
+            .map(|(&w, _)| w)
+            .collect()
     }
 
     /// The sparse value-flow graph.
     pub fn svfg(&self) -> &Svfg {
         self.svfg.get_or_init(|| Svfg::build(self))
+    }
+}
+
+/// A program's thread structure. Context 0 is the main thread and context
+/// `i + 1` the thread started at spawn site `i`; a function runs under
+/// every context that reaches it over call edges (a spawn opens its own
+/// context).
+pub(crate) struct ThreadModel {
+    /// Static `spawn` statements, in program order.
+    spawn_sites: Vec<InstrId>,
+    /// Per function, the contexts that may run it (empty when none does).
+    func_ctxs: Vec<BTreeSet<usize>>,
+    /// Per spawn site, whether it may start several live threads.
+    multi: Vec<bool>,
+}
+
+impl ThreadModel {
+    fn build(program: &Program, ticfg: &Ticfg) -> ThreadModel {
+        let spawn_sites: Vec<InstrId> = program
+            .functions
+            .iter()
+            .flat_map(|f| &f.blocks)
+            .flat_map(|b| &b.instrs)
+            .filter(|i| matches!(i.op, Op::ThreadCreate { .. }))
+            .map(|i| i.id)
+            .collect();
+        let mut func_ctxs = vec![BTreeSet::new(); program.functions.len()];
+        let roots = std::iter::once(vec![program.entry]).chain(
+            spawn_sites
+                .iter()
+                .map(|s| ticfg.call_targets.get(s).cloned().unwrap_or_default()),
+        );
+        for (ctx, roots) in roots.enumerate() {
+            let mut queue: VecDeque<FuncId> = roots.into();
+            while let Some(f) = queue.pop_front() {
+                if !func_ctxs[f.index()].insert(ctx) {
+                    continue;
+                }
+                for i in program.function(f).blocks.iter().flat_map(|b| &b.instrs) {
+                    if matches!(i.op, Op::Call { .. }) {
+                        queue.extend(ticfg.call_targets.get(&i.id).into_iter().flatten());
+                    }
+                }
+            }
+        }
+        // A spawn may start several live threads when it re-executes (its
+        // block is on a CFG cycle), when its function may run more than
+        // once (it is not the entry and has other than one caller or one
+        // context), or when its function runs under such a thread.
+        let pos_of = |s: InstrId| program.stmt_pos(s).expect("spawn sites are statements");
+        let mut multi: Vec<bool> = spawn_sites
+            .iter()
+            .map(|&s| {
+                let pos = pos_of(s);
+                let callers = ticfg.callers.get(&pos.func).map_or(0, Vec::len);
+                let ctxs = func_ctxs[pos.func.index()].len();
+                (pos.func != program.entry && (callers != 1 || ctxs != 1))
+                    || block_in_cycle(ticfg, pos.func, pos.block)
+            })
+            .collect();
+        loop {
+            let mut grew = false;
+            for (i, &s) in spawn_sites.iter().enumerate() {
+                let nested = func_ctxs[pos_of(s).func.index()]
+                    .iter()
+                    .any(|&c| c > 0 && multi[c - 1]);
+                if nested && !multi[i] {
+                    multi[i] = true;
+                    grew = true;
+                }
+            }
+            if !grew {
+                break;
+            }
+        }
+        ThreadModel {
+            spawn_sites,
+            func_ctxs,
+            multi,
+        }
+    }
+
+    /// The static spawn statements, in program order.
+    pub(crate) fn spawn_sites(&self) -> &[InstrId] {
+        &self.spawn_sites
+    }
+
+    /// The contexts that may run `func` (empty when none reaches it).
+    pub(crate) fn ctxs(&self, func: FuncId) -> &BTreeSet<usize> {
+        &self.func_ctxs[func.index()]
+    }
+
+    /// True when `ctx` is a spawned thread whose site may start several
+    /// live threads.
+    pub(crate) fn multi(&self, ctx: usize) -> bool {
+        ctx > 0 && self.multi[ctx - 1]
+    }
+}
+
+/// True if `block` sits on a CFG cycle within its function.
+fn block_in_cycle(ticfg: &Ticfg, func: FuncId, block: BlockId) -> bool {
+    let cfg = &ticfg.cfgs[func.index()];
+    let mut seen = BTreeSet::new();
+    let mut queue: VecDeque<BlockId> = cfg.succs[block.index()].iter().copied().collect();
+    while let Some(b) = queue.pop_front() {
+        if b == block {
+            return true;
+        }
+        if seen.insert(b) {
+            queue.extend(cfg.succs[b.index()].iter().copied());
+        }
+    }
+    false
+}
+
+/// What a memory-access statement does.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum AccessOp {
+    Load,
+    Store,
+    Free,
+    Lock,
+    Unlock,
+    Intrinsic,
+}
+
+/// One memory-access statement of the [`AccessTable`].
+pub(crate) struct Access {
+    pub(crate) op: AccessOp,
+    /// The cells the address may denote; for an intrinsic, every origin
+    /// an argument may point into, at an unknown offset.
+    pub(crate) cells: LocSet,
+}
+
+impl Access {
+    /// The cells the access may clobber or invalidate: its cells, except
+    /// that a free covers its whole origin.
+    pub(crate) fn footprint(&self) -> LocSet {
+        match self.op {
+            AccessOp::Free => self.cells.iter().map(|l| Loc::anywhere(l.origin)).collect(),
+            _ => self.cells.clone(),
+        }
+    }
+
+    /// The one cell a store certainly writes: its only cell, when that
+    /// cell's offset is known.
+    pub(crate) fn strong_cell(&self) -> Option<Loc> {
+        match self.cells.first() {
+            Some(&only) if self.op == AccessOp::Store && self.cells.len() == 1 => {
+                only.offset.map(|_| only)
+            }
+            _ => None,
+        }
+    }
+}
+
+/// Every memory-access statement's op and cells, indexed by statement id.
+pub(crate) struct AccessTable {
+    by_stmt: Vec<Option<Access>>,
+}
+
+impl AccessTable {
+    fn build(program: &Program, pts: &PointsTo) -> AccessTable {
+        let mut by_stmt: Vec<Option<Access>> = (0..program.stmt_count()).map(|_| None).collect();
+        for f in &program.functions {
+            for instr in f.blocks.iter().flat_map(|b| &b.instrs) {
+                let origins = |addr: &Operand| pts.operand_origins(f.id, *addr);
+                let (op, cells) = match &instr.op {
+                    Op::Load { addr, .. } => (AccessOp::Load, origins(addr)),
+                    Op::Store { addr, .. } => (AccessOp::Store, origins(addr)),
+                    Op::Free { addr } => (AccessOp::Free, origins(addr)),
+                    Op::MutexLock { addr } => (AccessOp::Lock, origins(addr)),
+                    Op::MutexUnlock { addr } => (AccessOp::Unlock, origins(addr)),
+                    Op::Intrinsic { args, .. } => (
+                        AccessOp::Intrinsic,
+                        args.iter()
+                            .flat_map(origins)
+                            .map(|l| Loc::anywhere(l.origin))
+                            .collect(),
+                    ),
+                    _ => continue,
+                };
+                by_stmt[instr.id.index()] = Some(Access { op, cells });
+            }
+        }
+        AccessTable { by_stmt }
+    }
+
+    /// The access at `s`, when `s` is a memory-access statement.
+    pub(crate) fn get(&self, s: InstrId) -> Option<&Access> {
+        self.by_stmt.get(s.index())?.as_ref()
+    }
+
+    /// The cells `s` touches (none for a statement that is no access).
+    pub(crate) fn cells(&self, s: InstrId) -> &LocSet {
+        static NONE: LocSet = LocSet::new();
+        self.get(s).map_or(&NONE, |a| &a.cells)
+    }
+
+    /// Every access, in statement-id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (InstrId, &Access)> {
+        self.by_stmt
+            .iter()
+            .enumerate()
+            .filter_map(|(i, a)| Some((InstrId(i as u32), a.as_ref()?)))
     }
 }
 

@@ -2,14 +2,18 @@
 //!
 //! The pipeline (in the Eraser/RELAY tradition, adapted to MiniC):
 //!
-//! 1. **Thread contexts.** Every `spawn` site opens a context; the set of
-//!    functions each context can reach (over call edges) assigns each
-//!    statement the threads that may execute it. Statements in `main` that
-//!    dominate every spawn — initialization code — shed their main-thread
-//!    membership, like Eraser's virgin state.
-//! 2. **Thread escape.** The points-to analysis names the abstract cells
-//!    each access touches; an origin touched from two different contexts
-//!    (or twice from one multiply-spawned context) is shared.
+//! 1. **Thread contexts.** The analysis context's thread model, which MHP
+//!    reads too, assigns each statement the threads that may execute it:
+//!    the main thread plus one context per `spawn` site, each running the
+//!    functions it reaches over call edges. A spawn that may start several
+//!    live threads (in a loop, in a function that may run more than once,
+//!    or under such a thread) marks its context multi-instance. Statements
+//!    in `main` that dominate every spawn — initialization code — shed
+//!    their main-thread membership, like Eraser's virgin state.
+//! 2. **Thread escape.** The access table names, from points-to, the
+//!    abstract cells each access touches; an origin touched from two
+//!    different contexts (or twice from one multiply-spawned context) is
+//!    shared.
 //! 3. **Locksets.** A flow-sensitive, interprocedural analysis computes
 //!    the set of mutexes certainly held before every access: `lock` adds
 //!    the mutex's abstract cells, `unlock` removes them, control-flow
@@ -30,11 +34,11 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use gist_ir::icfg::Ticfg;
-use gist_ir::{BlockId, FuncId, InstrId, Op, Program, SrcLoc, Terminator};
+use gist_ir::{FuncId, InstrId, Op, Program, SrcLoc, Terminator};
 
 use crate::diag::Diagnostic;
-use crate::pass::{AnalysisCtx, Pass};
-use crate::points_to::{Loc, MemOrigin, PointsTo};
+use crate::pass::{AccessOp, AccessTable, AnalysisCtx, Pass, ThreadModel};
+use crate::points_to::{Loc, MemOrigin};
 
 /// A set of abstract mutex cells held at a program point.
 pub type Lockset = BTreeSet<Loc>;
@@ -43,15 +47,6 @@ pub type Lockset = BTreeSet<Loc>;
 /// "locks certainly held"). Exposed for property testing.
 pub fn lockset_intersect(a: &Lockset, b: &Lockset) -> Lockset {
     a.intersection(b).copied().collect()
-}
-
-/// The thread that may execute a statement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum ThreadCtx {
-    /// The main thread.
-    Main,
-    /// A thread created at the given `spawn` site.
-    Spawned(InstrId),
 }
 
 /// How a statement touches memory.
@@ -229,7 +224,8 @@ struct AccessRec {
     stmt: InstrId,
     kind: AccessKind,
     locs: BTreeSet<Loc>,
-    ctxs: BTreeSet<ThreadCtx>,
+    /// The thread-model contexts that may run the access.
+    ctxs: BTreeSet<usize>,
     /// Locks certainly held at the access (filled in before pairing).
     lockset: Lockset,
 }
@@ -237,13 +233,8 @@ struct AccessRec {
 struct Detector<'a> {
     program: &'a Program,
     ticfg: &'a Ticfg,
-    pts: &'a PointsTo,
-    /// All spawn sites with their containing function.
-    spawn_sites: Vec<(InstrId, FuncId)>,
-    /// Spawn sites that may execute more than once (loops).
-    multi_spawns: BTreeSet<InstrId>,
-    /// Which contexts may execute each function.
-    func_ctxs: BTreeMap<FuncId, BTreeSet<ThreadCtx>>,
+    threads: &'a ThreadModel,
+    accesses: &'a AccessTable,
     /// Functions only ever called before the first spawn (init code).
     pre_spawn_funcs: BTreeSet<FuncId>,
     /// Whether pre-spawn suppression applies (all spawns are in `main`).
@@ -251,107 +242,16 @@ struct Detector<'a> {
 }
 
 impl<'a> Detector<'a> {
-    /// A detector over `cx`'s TICFG and points-to, with its thread
-    /// contexts found.
+    /// A detector over `cx`'s TICFG, thread model and access table.
     fn new(cx: &'a AnalysisCtx<'_>) -> Self {
-        let mut d = Detector {
+        Detector {
             program: cx.program,
             ticfg: cx.ticfg(),
-            pts: cx.points_to(),
-            spawn_sites: Vec::new(),
-            multi_spawns: BTreeSet::new(),
-            func_ctxs: BTreeMap::new(),
+            threads: cx.threads(),
+            accesses: cx.accesses(),
             pre_spawn_funcs: BTreeSet::new(),
             suppression: false,
-        };
-        d.find_contexts();
-        d
-    }
-
-    /// Functions reachable from `roots` over plain call edges (spawn edges
-    /// open their own context, so they are excluded here).
-    fn call_reach(&self, roots: impl IntoIterator<Item = FuncId>) -> BTreeSet<FuncId> {
-        let mut seen: BTreeSet<FuncId> = roots.into_iter().collect();
-        let mut queue: VecDeque<FuncId> = seen.iter().copied().collect();
-        while let Some(f) = queue.pop_front() {
-            let func = self.program.function(f);
-            for b in &func.blocks {
-                for instr in &b.instrs {
-                    if !matches!(instr.op, Op::Call { .. }) {
-                        continue;
-                    }
-                    for &t in self
-                        .ticfg
-                        .call_targets
-                        .get(&instr.id)
-                        .map_or(&[][..], Vec::as_slice)
-                    {
-                        if seen.insert(t) {
-                            queue.push_back(t);
-                        }
-                    }
-                }
-            }
         }
-        seen
-    }
-
-    fn find_contexts(&mut self) {
-        for f in &self.program.functions {
-            for b in &f.blocks {
-                for instr in &b.instrs {
-                    if matches!(instr.op, Op::ThreadCreate { .. }) {
-                        self.spawn_sites.push((instr.id, f.id));
-                        if self.block_in_cycle(f.id, b.id) {
-                            self.multi_spawns.insert(instr.id);
-                        }
-                    }
-                }
-            }
-        }
-        let add_ctx = |funcs: BTreeSet<FuncId>,
-                       ctx: ThreadCtx,
-                       map: &mut BTreeMap<FuncId, BTreeSet<ThreadCtx>>| {
-            for f in funcs {
-                map.entry(f).or_default().insert(ctx);
-            }
-        };
-        let mut map = BTreeMap::new();
-        add_ctx(
-            self.call_reach([self.program.entry]),
-            ThreadCtx::Main,
-            &mut map,
-        );
-        for &(site, _) in &self.spawn_sites {
-            let routines: Vec<FuncId> = self
-                .ticfg
-                .call_targets
-                .get(&site)
-                .cloned()
-                .unwrap_or_default();
-            add_ctx(
-                self.call_reach(routines),
-                ThreadCtx::Spawned(site),
-                &mut map,
-            );
-        }
-        self.func_ctxs = map;
-    }
-
-    /// True if `block` sits on a CFG cycle within its function.
-    fn block_in_cycle(&self, func: FuncId, block: BlockId) -> bool {
-        let cfg = &self.ticfg.cfgs[func.index()];
-        let mut seen = BTreeSet::new();
-        let mut queue: VecDeque<BlockId> = cfg.succs[block.index()].iter().copied().collect();
-        while let Some(b) = queue.pop_front() {
-            if b == block {
-                return true;
-            }
-            if seen.insert(b) {
-                queue.extend(cfg.succs[b.index()].iter().copied());
-            }
-        }
-        false
     }
 
     /// Computes the pre-spawn (initialization) region of the main thread:
@@ -359,27 +259,27 @@ impl<'a> Detector<'a> {
     /// called only from there. Bails out (suppresses nothing) when spawns
     /// happen outside `main`.
     fn find_pre_spawn_region(&mut self) {
-        if self.spawn_sites.is_empty() {
+        let (program, threads) = (self.program, self.threads);
+        if threads.spawn_sites().is_empty() {
             return;
         }
-        let entry = self.program.entry;
-        self.suppression = self.spawn_sites.iter().all(|&(_, f)| f == entry);
+        let entry = program.entry;
+        self.suppression = threads
+            .spawn_sites()
+            .iter()
+            .all(|&s| program.stmt_func(s) == Some(entry));
         if !self.suppression {
             return;
         }
         // Functions reachable from any spawned context can run concurrently
-        // no matter where they're called from.
-        let mut spawn_reach: BTreeSet<FuncId> = BTreeSet::new();
-        for (f, ctxs) in &self.func_ctxs {
-            if ctxs.iter().any(|c| matches!(c, ThreadCtx::Spawned(_))) {
-                spawn_reach.insert(*f);
-            }
-        }
-        let main_reach = self.call_reach([entry]);
-        let mut pre: BTreeSet<FuncId> = main_reach
+        // no matter where they're called from: only main-thread-only ones
+        // can be init code.
+        let in_main = |f: FuncId| threads.ctxs(f).contains(&0);
+        let mut pre: BTreeSet<FuncId> = program
+            .functions
             .iter()
-            .copied()
-            .filter(|f| *f != entry && !spawn_reach.contains(f))
+            .map(|f| f.id)
+            .filter(|&f| f != entry && threads.ctxs(f).iter().eq(&[0]))
             .collect();
         // Greatest fixpoint: a function stays "pre-spawn" only while every
         // main-thread call site into it is itself pre-spawn.
@@ -391,7 +291,7 @@ impl<'a> Detector<'a> {
                     .iter()
                     .all(|&site| match self.program.stmt_func(site) {
                         Some(g) if g == entry => self.stmt_is_pre_spawn(site),
-                        Some(g) => !main_reach.contains(&g) || pre.contains(&g),
+                        Some(g) => !in_main(g) || pre.contains(&g),
                         None => true,
                     });
                 if !all_pre {
@@ -416,7 +316,7 @@ impl<'a> Detector<'a> {
         };
         debug_assert_eq!(pos.func, entry);
         let dom = &self.ticfg.doms[entry.index()];
-        self.spawn_sites.iter().all(|&(site, _)| {
+        self.threads.spawn_sites().iter().all(|&site| {
             let Some(spos) = self.program.stmt_pos(site) else {
                 return false;
             };
@@ -449,11 +349,11 @@ impl<'a> Detector<'a> {
         // lattice). The entry and all spawn routines start lock-free.
         let mut entry_ls: BTreeMap<FuncId, Option<Lockset>> = BTreeMap::new();
         entry_ls.insert(program.entry, Some(Lockset::new()));
-        for &(site, _) in &self.spawn_sites {
+        for site in self.threads.spawn_sites() {
             for &t in self
                 .ticfg
                 .call_targets
-                .get(&site)
+                .get(site)
                 .map_or(&[][..], Vec::as_slice)
             {
                 entry_ls.insert(t, Some(Lockset::new()));
@@ -492,12 +392,12 @@ impl<'a> Detector<'a> {
                     for instr in &b.instrs {
                         stmt_ls[instr.id.index()] = Some(ls.clone());
                         match &instr.op {
-                            Op::MutexLock { addr } => {
-                                ls.extend(self.pts.operand_origins(f.id, *addr));
+                            Op::MutexLock { .. } => {
+                                ls.extend(self.accesses.cells(instr.id));
                             }
-                            Op::MutexUnlock { addr } => {
-                                for loc in self.pts.operand_origins(f.id, *addr) {
-                                    ls.remove(&loc);
+                            Op::MutexUnlock { .. } => {
+                                for loc in self.accesses.cells(instr.id) {
+                                    ls.remove(loc);
                                 }
                             }
                             Op::Call { .. } => {
@@ -561,56 +461,45 @@ impl<'a> Detector<'a> {
     }
 
     /// Every memory access on a known cell, with the contexts that may
-    /// run it and an empty lockset.
+    /// run it and an empty lockset. A free's cells cover its whole origin.
     fn collect_accesses(&self) -> Vec<AccessRec> {
         let mut out = Vec::new();
-        for f in &self.program.functions {
-            let Some(ctxs) = self.func_ctxs.get(&f.id) else {
-                continue;
+        for (stmt, access) in self.accesses.iter() {
+            let kind = match access.op {
+                AccessOp::Load => AccessKind::Read,
+                AccessOp::Store => AccessKind::Write,
+                AccessOp::Free => AccessKind::Free,
+                AccessOp::Lock | AccessOp::Unlock => AccessKind::Sync,
+                AccessOp::Intrinsic => continue,
             };
-            for b in &f.blocks {
-                for instr in &b.instrs {
-                    let kind = match &instr.op {
-                        Op::Load { .. } => AccessKind::Read,
-                        Op::Store { .. } => AccessKind::Write,
-                        Op::Free { .. } => AccessKind::Free,
-                        Op::MutexLock { .. } | Op::MutexUnlock { .. } => AccessKind::Sync,
-                        _ => continue,
-                    };
-                    let Some(addr) = instr.op.access_addr() else {
-                        continue;
-                    };
-                    let mut locs = self.pts.operand_origins(f.id, addr);
-                    if kind == AccessKind::Free {
-                        // A free invalidates the whole origin.
-                        locs = locs.into_iter().map(|l| Loc::anywhere(l.origin)).collect();
-                    }
-                    if locs.is_empty() {
-                        continue;
-                    }
-                    let mut my_ctxs = ctxs.clone();
-                    if self.suppressed_in_main(instr.id, f.id) {
-                        my_ctxs.remove(&ThreadCtx::Main);
-                    }
-                    if my_ctxs.is_empty() {
-                        continue;
-                    }
-                    out.push(AccessRec {
-                        stmt: instr.id,
-                        kind,
-                        locs,
-                        ctxs: my_ctxs,
-                        lockset: Lockset::new(),
-                    });
-                }
+            if access.cells.is_empty() {
+                continue;
             }
+            let func = self
+                .program
+                .stmt_func(stmt)
+                .expect("accesses are statements");
+            let mut ctxs = self.threads.ctxs(func).clone();
+            if self.suppressed_in_main(stmt, func) {
+                ctxs.remove(&0);
+            }
+            if ctxs.is_empty() {
+                continue;
+            }
+            out.push(AccessRec {
+                stmt,
+                kind,
+                locs: access.footprint(),
+                ctxs,
+                lockset: Lockset::new(),
+            });
         }
         out
     }
 
     /// Origins reachable from at least two different-able thread contexts.
     fn shared_origins(&self, accesses: &[AccessRec]) -> BTreeSet<MemOrigin> {
-        let mut origin_ctxs: BTreeMap<MemOrigin, BTreeSet<ThreadCtx>> = BTreeMap::new();
+        let mut origin_ctxs: BTreeMap<MemOrigin, BTreeSet<usize>> = BTreeMap::new();
         for a in accesses {
             for loc in &a.locs {
                 origin_ctxs
@@ -621,12 +510,7 @@ impl<'a> Detector<'a> {
         }
         origin_ctxs
             .into_iter()
-            .filter(|(_, ctxs)| {
-                ctxs.len() >= 2
-                    || ctxs.iter().any(
-                        |c| matches!(c, ThreadCtx::Spawned(s) if self.multi_spawns.contains(s)),
-                    )
-            })
+            .filter(|(_, ctxs)| ctxs.len() >= 2 || ctxs.iter().any(|&c| self.threads.multi(c)))
             .map(|(o, _)| o)
             .collect()
     }
@@ -730,11 +614,9 @@ impl<'a> Detector<'a> {
 
     /// Two context sets can race if they contain different contexts, or
     /// share only a context whose spawn site runs more than once.
-    fn ctx_pair_ok(&self, a: &BTreeSet<ThreadCtx>, b: &BTreeSet<ThreadCtx>) -> bool {
+    fn ctx_pair_ok(&self, a: &BTreeSet<usize>, b: &BTreeSet<usize>) -> bool {
         if a.len() == 1 && b.len() == 1 && a == b {
-            return a
-                .iter()
-                .any(|c| matches!(c, ThreadCtx::Spawned(s) if self.multi_spawns.contains(s)));
+            return a.iter().any(|&c| self.threads.multi(c));
         }
         !a.is_empty() && !b.is_empty()
     }
@@ -982,6 +864,53 @@ mod tests {
             "use-after-free on the heap cell should rank first: {top:?}"
         );
         assert!(top.first.kind == AccessKind::Free || top.second.kind == AccessKind::Free);
+    }
+
+    /// `main` calls `start` twice and `start` spawns `worker`, so two
+    /// workers may run at once: the spawn site is multi-instance (MHP's
+    /// rule, which the thread model gives the race detector too), and the
+    /// worker's load and store of `counter` race each other.
+    #[test]
+    fn helper_called_twice_spawns_racing_workers() {
+        let p = gist_ir::parser::parse_program(
+            "t",
+            r#"
+global counter = 0
+fn worker(arg) {
+entry:
+  v = load $counter
+  w = add v, 1
+  store $counter, w
+  ret
+}
+fn start(x) {
+entry:
+  t = spawn worker(x)
+  ret
+}
+fn main() {
+entry:
+  call start(1)
+  call start(2)
+  ret
+}
+"#,
+        )
+        .unwrap();
+        let cx = AnalysisCtx::new(&p);
+        let worker = &p.function_by_name("worker").unwrap().blocks[0];
+        let (load, store) = (worker.instrs[0].id, worker.instrs[2].id);
+        let counter = MemOrigin::Global(p.globals[0].id);
+        assert!(cx.mhp().may_happen_in_parallel(load, store));
+        assert!(cx.shared_origins().contains(&counter));
+        assert!(
+            cx.races()
+                .candidates
+                .iter()
+                .any(|c| c.origin == counter && c.stmts() == [load, store]),
+            "{:?}",
+            cx.races().candidates
+        );
     }
 
     #[test]

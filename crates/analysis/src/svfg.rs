@@ -16,10 +16,11 @@
 //! * [`SvfgEdgeKind::Memory`] — store/free → same-thread memory access
 //!   through a syntactic global name, again filtered by reaching defs;
 //! * [`SvfgEdgeKind::Interleaved`] — cross-thread flow on a shared
-//!   origin. These deliberately mirror the slicer's alias pull verbatim:
-//!   a write in another thread has no forward TICFG path to the reader,
-//!   so reaching-definitions cannot vouch for it and the flow must stay
-//!   over-approximate;
+//!   origin. These are the slicer's alias pull
+//!   ([`AnalysisCtx::shared_alias_writes`]), filtered only by
+//!   feasibility: a write in another thread has no forward TICFG path to
+//!   the reader, so reaching-definitions cannot vouch for it and the flow
+//!   must stay over-approximate;
 //! * [`SvfgEdgeKind::Param`]/[`SvfgEdgeKind::Ret`] — call/return bindings
 //!   labelled with their call site, giving the backward walk one level of
 //!   context sensitivity (1-CFA): entering a callee through the return
@@ -44,8 +45,8 @@ use gist_ir::{
 };
 
 use crate::dataflow::{reaching_definitions, ConstProp, ConstVal, Solution, StmtSet};
-use crate::pass::AnalysisCtx;
-use crate::points_to::{Loc, LocSet, MemOrigin, PointsTo};
+use crate::pass::{AccessOp, AccessTable, AnalysisCtx};
+use crate::points_to::{LocSet, MemOrigin};
 
 /// How a value reaches a use site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -84,17 +85,17 @@ pub struct Svfg {
 }
 
 impl Svfg {
-    /// Builds the graph from `cx`'s points-to, constants and shared
+    /// Builds the graph from `cx`'s access table, constants and shared
     /// origins: reaching defs and the feasibility pruner, then one pass
     /// over all statements.
     pub(crate) fn build(cx: &AnalysisCtx<'_>) -> Svfg {
-        let (program, ticfg, pts) = (cx.program, cx.ticfg(), cx.points_to());
-        let rd = reaching_definitions(program, ticfg, pts);
+        let (program, ticfg) = (cx.program, cx.ticfg());
+        let rd = reaching_definitions(cx);
         let feasibility = Feasibility::compute(program, cx.consts());
         let mut b = Builder {
+            cx,
             program,
             ticfg,
-            pts,
             rd: &rd,
             feas: &feasibility,
             shared: cx.shared_origins(),
@@ -170,7 +171,7 @@ pub struct DefIndex {
 }
 
 impl DefIndex {
-    pub(crate) fn build(program: &Program, pts: &PointsTo) -> DefIndex {
+    pub(crate) fn build(program: &Program, accesses: &AccessTable) -> DefIndex {
         let mut ix = DefIndex::default();
         for f in &program.functions {
             for b in &f.blocks {
@@ -183,29 +184,22 @@ impl DefIndex {
                             ix.global_writes.entry(g).or_default().push(i.id);
                         }
                     }
-                    let locs = match &i.op {
-                        Op::Store { addr, .. } => pts.operand_origins(f.id, *addr),
-                        Op::Free { addr } => pts
-                            .operand_origins(f.id, *addr)
-                            .into_iter()
-                            .map(|l| Loc::anywhere(l.origin))
-                            .collect(),
-                        _ => continue,
-                    };
-                    if !locs.is_empty() {
-                        ix.write_locs.insert(i.id, locs);
-                    }
                 }
+            }
+        }
+        for (s, a) in accesses.iter() {
+            if matches!(a.op, AccessOp::Store | AccessOp::Free) && !a.cells.is_empty() {
+                ix.write_locs.insert(s, a.footprint());
             }
         }
         ix
     }
 }
 
-struct Builder<'a> {
+struct Builder<'a, 'p> {
+    cx: &'a AnalysisCtx<'p>,
     program: &'a Program,
     ticfg: &'a Ticfg,
-    pts: &'a PointsTo,
     rd: &'a Solution<StmtSet>,
     feas: &'a Feasibility,
     shared: &'a BTreeSet<MemOrigin>,
@@ -213,7 +207,7 @@ struct Builder<'a> {
     edges: BTreeMap<InstrId, Vec<SvfgEdge>>,
 }
 
-impl Builder<'_> {
+impl Builder<'_, '_> {
     fn run(&mut self) {
         for fi in 0..self.program.functions.len() {
             let f = &self.program.functions[fi];
@@ -238,7 +232,7 @@ impl Builder<'_> {
                     }
                 }
                 if is_instr {
-                    self.alias_edges(fid, s);
+                    self.alias_edges(s);
                     self.return_edges(s);
                 }
             }
@@ -307,44 +301,10 @@ impl Builder<'_> {
         }
     }
 
-    /// The slicer's alias pull, verbatim: an access on a thread-shared
-    /// cell flows from every store/free on an overlapping cell.
-    fn alias_edges(&mut self, fid: FuncId, s: InstrId) {
-        let Some(instr) = self.program.instr(s) else {
-            return;
-        };
-        let locs: LocSet = match &instr.op {
-            Op::Intrinsic { args, .. } => {
-                let mut locs = LocSet::new();
-                for a in args {
-                    for l in self.pts.operand_origins(fid, *a) {
-                        locs.insert(Loc::anywhere(l.origin));
-                    }
-                }
-                locs
-            }
-            op => op
-                .access_addr()
-                .map(|addr| self.pts.operand_origins(fid, addr))
-                .unwrap_or_default(),
-        };
-        let locs: LocSet = locs
-            .into_iter()
-            .filter(|l| self.shared.contains(&l.origin))
-            .collect();
-        if locs.is_empty() {
-            return;
-        }
-        let pulls: Vec<InstrId> = self
-            .defs
-            .write_locs
-            .iter()
-            .filter(|(&w, wlocs)| {
-                w != s && wlocs.iter().any(|wl| locs.iter().any(|rl| wl.overlaps(rl)))
-            })
-            .map(|(&w, _)| w)
-            .collect();
-        for w in pulls {
+    /// `Interleaved` edges from the shared-cell alias pull, the writes
+    /// the slicer pulls too, kept where the write is live.
+    fn alias_edges(&mut self, s: InstrId) {
+        for w in self.cx.shared_alias_writes(s) {
             if self.feas.stmt_live(self.program, w) {
                 self.push(s, w, SvfgEdgeKind::Interleaved);
             }

@@ -413,9 +413,7 @@ mod tests {
 
             let mut dead = gist_analysis::dead_stores(facts);
             dead.remove(&crit);
-            let mut never_parallel = facts
-                .mhp()
-                .never_parallel_stores(&bug.program, facts.points_to());
+            let mut never_parallel = facts.mhp().never_parallel_stores(facts);
             never_parallel.remove(&crit);
             let distances = facts.svfg().backward_value_flow(crit);
             let planner = || Planner::new(&bug.program, slicer.ticfg());

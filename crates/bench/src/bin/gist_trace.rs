@@ -30,9 +30,11 @@
 //! exactly once).
 //!
 //! Exit status: 0 ok, 1 lookup failure (unknown trace/step/kind produced
-//! nothing, or a follow missed events), 2 usage or parse error.
+//! nothing, or a follow missed events), 2 usage or parse error or a failed
+//! write to stdout.
 
 use gist_bench::trace_tool::{chrome_json, Journal, LiveTail};
+use gist_bench::{out, outln};
 
 fn usage() -> ! {
     eprintln!(
@@ -77,7 +79,7 @@ fn print_or_fail(result: Result<Vec<String>, String>) {
     match result {
         Ok(lines) => {
             for l in lines {
-                println!("{l}");
+                outln!("{l}");
             }
         }
         Err(e) => {
@@ -175,7 +177,7 @@ fn follow(bug_name: &str) -> ! {
     let mut tail = LiveTail::new();
     let print_new = |tail: &mut LiveTail| {
         for e in tail.poll() {
-            println!("{}", Journal::event_line(&e));
+            outln!("{}", Journal::event_line(&e));
         }
     };
     loop {
@@ -208,7 +210,7 @@ fn main() {
     match cmd {
         "summary" => {
             let path = args.get(1).map_or(DEFAULT_JOURNAL, String::as_str);
-            print!("{}", load(path).summary_text());
+            out!("{}", load(path).summary_text());
         }
         "grep" => {
             let Some(kind) = args.get(1) else { usage() };
@@ -218,7 +220,7 @@ fn main() {
                 eprintln!("no `{kind}` events in {path}");
                 std::process::exit(1);
             }
-            print!("{out}");
+            out!("{out}");
         }
         "explain" => {
             let (Some(bug), Some(step)) = (args.get(1), args.get(2)) else {
@@ -269,7 +271,7 @@ fn main() {
                     }
                     eprintln!("wrote {p} ({} bytes)", text.len());
                 }
-                None => print!("{text}"),
+                None => out!("{text}"),
             }
         }
         _ => usage(),

@@ -30,12 +30,14 @@
 //! `table1`, `fig9`, `all`, and `bench` exit non-zero when any bug's sketch
 //! accuracy falls below the floors recorded in
 //! `gist_bench::expectations::EXPECTATIONS`; `bench` also exits non-zero
-//! when the journal ring overwrote events.
+//! when the journal ring overwrote events. A failed write to stdout (a
+//! pipe whose reader exited, say) exits 2 with one line on stderr.
 
 use gist_bench::bench_report;
 use gist_bench::expectations;
 use gist_bench::experiments;
 use gist_bench::format;
+use gist_bench::outln;
 use gist_coop::BugEvaluation;
 
 fn main() {
@@ -51,9 +53,9 @@ fn main() {
         "fig12" => fig12(),
         "fig13" => fig13(),
         "overhead" => overhead(),
-        "ablations" => println!("{}", gist_bench::ablations::ablations_text()),
+        "ablations" => outln!("{}", gist_bench::ablations::ablations_text()),
         "knobs" => knobs(),
-        "races" => println!("{}", gist_bench::races::races_text()),
+        "races" => outln!("{}", gist_bench::races::races_text()),
         "swtrace" => swtrace(),
         "bugs" => bugs(),
         "sketch" => {
@@ -65,7 +67,7 @@ fn main() {
                 experiments::sketch_for(name)
             };
             match rendered {
-                Some(s) => println!("{s}"),
+                Some(s) => outln!("{s}"),
                 None => {
                     eprintln!("unknown bug '{name}'; try `repro bugs`");
                     std::process::exit(1);
@@ -74,8 +76,8 @@ fn main() {
         }
         "all" => {
             let evals = experiments::table1();
-            println!("{}", format::table1_text(&evals));
-            println!("{}", format::fig9_text(&evals));
+            outln!("{}", format::table1_text(&evals));
+            outln!("{}", format::fig9_text(&evals));
             fig10();
             fig11();
             fig12();
@@ -83,9 +85,9 @@ fn main() {
             overhead();
             swtrace();
             for name in ["pbzip2-1", "curl-965", "apache-21287"] {
-                println!("\n=== sketch {name} ===\n");
+                outln!("\n=== sketch {name} ===\n");
                 if let Some(s) = experiments::sketch_for(name) {
-                    println!("{s}");
+                    outln!("{s}");
                 }
             }
             gate_accuracy(&evals);
@@ -113,13 +115,13 @@ fn gate_accuracy(evals: &[BugEvaluation]) {
 
 fn table1() {
     let evals = experiments::table1();
-    println!("{}", format::table1_text(&evals));
+    outln!("{}", format::table1_text(&evals));
     gate_accuracy(&evals);
 }
 
 fn fig9() {
     let evals = experiments::table1();
-    println!("{}", format::fig9_text(&evals));
+    outln!("{}", format::fig9_text(&evals));
     gate_accuracy(&evals);
 }
 
@@ -142,7 +144,7 @@ fn bench(out: Option<&str>) {
         eprintln!("cannot write {binary_path}: {e}");
         std::process::exit(1);
     }
-    println!(
+    outln!(
         "wrote {path} ({} bugs) + {binary_path} ({} bytes)",
         evals.len(),
         report.journal_binary.len()
@@ -183,8 +185,8 @@ fn synth_bench(args: &[String]) {
         eprintln!("cannot write {path}: {e}");
         std::process::exit(1);
     }
-    println!("{}", report.table_text());
-    println!("wrote {path} ({n} synthetic bugs)");
+    outln!("{}", report.table_text());
+    outln!("wrote {path} ({n} synthetic bugs)");
     let violations = expectations::check_synth(&report);
     if !violations.is_empty() {
         eprintln!("synthetic bugbase regression against recorded expectations:");
@@ -196,42 +198,46 @@ fn synth_bench(args: &[String]) {
 }
 
 fn fig10() {
-    println!("{}", format::fig10_text(&experiments::fig10()));
+    outln!("{}", format::fig10_text(&experiments::fig10()));
 }
 
 fn fig11() {
-    println!("{}", format::fig11_text(&experiments::fig11(25)));
+    outln!("{}", format::fig11_text(&experiments::fig11(25)));
 }
 
 fn fig12() {
-    println!("{}", format::fig12_text(&experiments::fig12()));
+    outln!("{}", format::fig12_text(&experiments::fig12()));
 }
 
 fn fig13() {
-    println!("{}", format::fig13_text(&experiments::fig13(15)));
+    outln!("{}", format::fig13_text(&experiments::fig13(15)));
 }
 
 fn overhead() {
-    println!(
+    outln!(
         "{}",
         format::overhead_text(&experiments::overhead_sigma2(30))
     );
 }
 
 fn swtrace() {
-    println!("{}", format::swtrace_text(&experiments::swtrace_rows(10)));
+    outln!("{}", format::swtrace_text(&experiments::swtrace_rows(10)));
 }
 
 fn knobs() {
     use gist_bench::ablations::{knob_rows, knobs_text, KNOB_SYNTH_BUGS};
-    println!("{}", knobs_text(&knob_rows(KNOB_SYNTH_BUGS)));
+    outln!("{}", knobs_text(&knob_rows(KNOB_SYNTH_BUGS)));
 }
 
 fn bugs() {
     for bug in gist_bugbase::all_bugs() {
-        println!(
+        outln!(
             "{:<18} {} {} (bug {}) — {:?}",
-            bug.name, bug.software, bug.version, bug.bug_id, bug.class
+            bug.name,
+            bug.software,
+            bug.version,
+            bug.bug_id,
+            bug.class
         );
     }
 }

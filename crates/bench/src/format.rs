@@ -1,10 +1,24 @@
 //! Plain-text rendering of experiment results, in the layout of the
 //! paper's tables and figures.
 
+use std::io::Write;
+
 use gist_bugbase::all_bugs;
 use gist_coop::BugEvaluation;
 
 use crate::experiments::{Fig10Row, Fig11Row, Fig12Row, Fig13Row, OverheadRow};
+
+/// Writes `args` to stdout for the `out!` and `outln!` macros. A stdout
+/// that cannot be written (a pipe whose reader exited, say) ends the
+/// process with status 2 and one line on stderr, where `print!` would
+/// panic.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout.write_fmt(args).and_then(|()| stdout.flush()) {
+        eprintln!("error: cannot write to stdout: {e}");
+        std::process::exit(2);
+    }
+}
 
 /// Renders Table 1 with paper-reported values side by side.
 pub fn table1_text(evals: &[BugEvaluation]) -> String {

@@ -22,6 +22,23 @@ pub mod races;
 pub mod synth_report;
 pub mod trace_tool;
 
+/// `print!` for the command-line tools: exits with status 2 instead of
+/// panicking when stdout cannot be written.
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::format::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` counterpart of [`out!`].
+#[macro_export]
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::format::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 pub use experiments::{
     fig10, fig11, fig12, fig13, overhead_sigma2, sketch_for, swtrace_rows, table1, Fig10Row,
     Fig11Row, Fig12Row, Fig13Row, OverheadRow,

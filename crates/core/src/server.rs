@@ -311,7 +311,7 @@ impl<'p> GistServer<'p> {
         // race-ranked statements always stay watchable.
         let mut never_parallel = BTreeSet::new();
         if let Some(m) = mhp {
-            never_parallel = m.never_parallel_stores(self.program, facts.points_to());
+            never_parallel = m.never_parallel_stores(facts);
             never_parallel.remove(&report.failing_stmt);
             for s in &watch_priority {
                 never_parallel.remove(s);

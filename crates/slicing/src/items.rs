@@ -1,11 +1,9 @@
 //! Slice items and the uses that link statements to them.
 //!
 //! Algorithm 1 operates on *items*: "an item is an arbitrary program
-//! element; a source is an item that is either a global variable, a
-//! function argument, a call, or a memory access". In MiniC, the dataflow
-//! items are per-function registers and program globals; statements are
-//! linked to the items they use here, and to the items they define by
-//! the program's [`gist_analysis::DefIndex`].
+//! element". In MiniC, the dataflow items are per-function registers and
+//! program globals; statements are linked to the items they use here, and
+//! to the items they define by the program's [`gist_analysis::DefIndex`].
 
 use gist_ir::{FuncId, GlobalId, InstrId, Operand, Program, VarId};
 
@@ -40,27 +38,6 @@ pub fn stmt_uses(program: &Program, id: InstrId) -> Vec<SliceItem> {
             Operand::Const(_) => None,
         })
         .collect()
-}
-
-/// Whether a statement is a *source* per Algorithm 1 (global access,
-/// argument use, call, or memory access). Non-sources (pure arithmetic on
-/// locals) still propagate dataflow but mirror the paper's distinction.
-pub fn is_source(program: &Program, id: InstrId) -> bool {
-    if let Some(i) = program.instr(id) {
-        if i.op.is_memory_access() || i.op.is_call_like() {
-            return true;
-        }
-        let func = program.function(program.stmt_func(id).expect("indexed"));
-        let nparams = func.params.len() as u32;
-        // Uses a global address or an argument register?
-        i.op.uses().iter().any(|o| match o {
-            Operand::Global(_) => true,
-            Operand::Var(v) => v.0 < nparams,
-            Operand::Const(_) => false,
-        })
-    } else {
-        false
-    }
 }
 
 #[cfg(test)]
@@ -119,20 +96,5 @@ entry:
         let uses = stmt_uses(&p, store);
         assert!(uses.contains(&SliceItem::Global(p.globals[0].id)));
         assert_eq!(uses.len(), 2, "global + y");
-    }
-
-    #[test]
-    fn source_classification() {
-        let p = prog();
-        let helper = p.function_by_name("helper").unwrap();
-        let add = helper.blocks[0].instrs[0].id; // uses argument x
-        let store = helper.blocks[0].instrs[1].id; // memory access
-        assert!(is_source(&p, add), "argument use is a source");
-        assert!(is_source(&p, store), "memory access is a source");
-        let main = p.function_by_name("main").unwrap();
-        let konst = main.blocks[0].instrs[0].id;
-        assert!(!is_source(&p, konst), "const is not a source");
-        let call = main.blocks[0].instrs[1].id;
-        assert!(is_source(&p, call), "call is a source");
     }
 }

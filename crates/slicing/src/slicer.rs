@@ -2,7 +2,6 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 
-use gist_analysis::points_to::{Loc, LocSet};
 use gist_analysis::svfg::SvfgEdgeKind;
 use gist_analysis::AnalysisCtx;
 use gist_ir::icfg::Icfg;
@@ -98,8 +97,8 @@ impl Slice {
 /// constant facts from the same context).
 ///
 /// Construction builds the control deps only. Every other fact is built
-/// on first use: the TICFG, points-to and def index at the first slice,
-/// the thread-shared origins at the first alias-aware
+/// on first use: the TICFG, points-to, the access table and the def index
+/// at the first slice, the thread-shared origins at the first alias-aware
 /// [`StaticSlicer::compute`], and the SVFG at the first
 /// [`StaticSlicer::compute_with_svfg`].
 pub struct StaticSlicer<'p> {
@@ -122,33 +121,6 @@ impl<'p> StaticSlicer<'p> {
     /// the planner and the sketch engine).
     pub fn facts(&self) -> &AnalysisCtx<'p> {
         &self.facts
-    }
-
-    /// The abstract cells a slice statement may read (or, for a store,
-    /// overwrite): the alias-aware counterpart of `stmt_uses`.
-    fn access_locs(&self, id: InstrId) -> LocSet {
-        let Some(func) = self.program.stmt_func(id) else {
-            return LocSet::new();
-        };
-        let Some(instr) = self.program.instr(id) else {
-            return LocSet::new();
-        };
-        let pts = self.facts.points_to();
-        match &instr.op {
-            Op::Intrinsic { args, .. } => {
-                let mut locs = LocSet::new();
-                for a in args {
-                    for l in pts.operand_origins(func, *a) {
-                        locs.insert(Loc::anywhere(l.origin));
-                    }
-                }
-                locs
-            }
-            op => op
-                .access_addr()
-                .map(|addr| pts.operand_origins(func, addr))
-                .unwrap_or_default(),
-        }
     }
 
     /// The TICFG (shared with the instrumentation planner).
@@ -378,21 +350,9 @@ impl<'p> StaticSlicer<'p> {
                 // are already on def-use chains, and pulling them would
                 // inflate sequential slices (the §3.1 blow-up).
                 if alias == AliasMode::PointsTo {
-                    let shared = self.facts.shared_origins();
-                    let locs: LocSet = self
-                        .access_locs(s)
-                        .into_iter()
-                        .filter(|l| shared.contains(&l.origin))
-                        .collect();
-                    if !locs.is_empty() {
-                        for (&w, wlocs) in &self.facts.defs().write_locs {
-                            if w != s
-                                && feasible.contains_key(&w)
-                                && !slice.contains(&w)
-                                && wlocs.iter().any(|wl| locs.iter().any(|rl| wl.overlaps(rl)))
-                            {
-                                stmt_q.push_back(w);
-                            }
+                    for w in self.facts.shared_alias_writes(s) {
+                        if feasible.contains_key(&w) && !slice.contains(&w) {
+                            stmt_q.push_back(w);
                         }
                     }
                 }

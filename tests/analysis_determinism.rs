@@ -7,7 +7,8 @@
 //! on every run.
 //!
 //! The exit-status contract also covers output failures: a stdout that
-//! cannot be written ends the run with status 2, never a panic.
+//! cannot be written ends the run with status 2, never a panic, in
+//! `gist-analyze`, `repro` and `gist-trace`.
 
 use std::process::Command;
 
@@ -69,22 +70,32 @@ fn json_output_is_byte_identical_and_parses() {
 }
 
 /// A stdout whose reader is gone ends the run with exit status 2 and one
-/// line on stderr, not a panic. The child's stdout is the write end of a
-/// pipe whose read end is already closed, so every write fails.
+/// line on stderr, not a panic, in `gist-analyze`, `repro` and
+/// `gist-trace` alike. The child's stdout is the write end of a pipe whose
+/// read end is already closed, so every write fails.
 #[test]
 fn closed_stdout_exits_2_without_panicking() {
-    for args in [
-        &["--bugbase"][..],
-        &["lint", "--bugbase"][..],
-        &["predict", "--json", "--bugbase"][..],
+    let journal = concat!(env!("CARGO_MANIFEST_DIR"), "/../../JOURNAL_gist.bin");
+    for (bin, args) in [
+        (env!("CARGO_BIN_EXE_gist-analyze"), &["--bugbase"][..]),
+        (
+            env!("CARGO_BIN_EXE_gist-analyze"),
+            &["lint", "--bugbase"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_gist-analyze"),
+            &["predict", "--json", "--bugbase"][..],
+        ),
+        (env!("CARGO_BIN_EXE_repro"), &["races"][..]),
+        (env!("CARGO_BIN_EXE_gist-trace"), &["summary", journal][..]),
     ] {
         let (reader, writer) = std::io::pipe().expect("create a pipe");
         drop(reader);
-        let out = Command::new(env!("CARGO_BIN_EXE_gist-analyze"))
+        let out = Command::new(bin)
             .args(args)
             .stdout(writer)
             .output()
-            .expect("spawn gist-analyze");
+            .expect("spawn the tool");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");

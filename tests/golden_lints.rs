@@ -10,6 +10,13 @@
 //! diagnostic's code and location, the number of predicted sketches, and
 //! an FNV-1a hash of the rendered lint report plus the predictions.
 //!
+//! The race detector and the default pass pipeline are pinned the same
+//! way: `tests/golden/races.txt` holds what `repro races` and
+//! `gist-analyze --bugbase` print, and `tests/golden/synth-races.txt`
+//! holds one line per `analyze` workload program with the default
+//! pipeline's codes and locations and an FNV-1a hash of its report, the
+//! race table, the dead stores and the never-parallel stores.
+//!
 //! To accept intentional changes, regenerate the snapshots:
 //!
 //! ```text
@@ -20,7 +27,8 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use gist_analysis::{
-    lint_all, lint_passes, predicted_sketches, render_prediction, render_report, Severity,
+    analyze, dead_stores, default_passes, lint_all, lint_passes, predicted_sketches,
+    render_prediction, render_report, AnalysisCtx, Diagnostic, Severity,
 };
 use gist_bugbase::synth::{self, PatternKind, SplitMix64, SynthBug};
 use gist_ir::Program;
@@ -129,14 +137,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-/// One program's golden line: its name, each diagnostic's code and
-/// location, the number of predicted sketches, and an FNV-1a hash of the
-/// rendered lint report plus the rendered predictions.
-fn synth_line(name: &str, program: &Program) -> String {
-    let diags = lint_all(program);
-    let preds = predicted_sketches(program);
-    let mut line = name.to_owned();
-    for d in &diags {
+/// Appends each diagnostic's ` code@location` to `line`.
+fn push_diag_locs(line: &mut String, program: &Program, diags: &[Diagnostic]) {
+    for d in diags {
         let loc = if d.loc.is_unknown() {
             "<unknown>".to_owned()
         } else {
@@ -144,6 +147,16 @@ fn synth_line(name: &str, program: &Program) -> String {
         };
         let _ = write!(line, " {}@{loc}", d.code);
     }
+}
+
+/// One program's golden line: its name, each diagnostic's code and
+/// location, the number of predicted sketches, and an FNV-1a hash of the
+/// rendered lint report plus the rendered predictions.
+fn synth_line(name: &str, program: &Program) -> String {
+    let diags = lint_all(program);
+    let preds = predicted_sketches(program);
+    let mut line = name.to_owned();
+    push_diag_locs(&mut line, program, &diags);
     let mut rendered = render_report(Some(program), &diags);
     rendered.extend(preds.iter().map(render_prediction));
     let _ = writeln!(
@@ -172,6 +185,62 @@ fn analyze_workload_synthetic_output_matches_golden() {
         &rendered,
         &mut failures,
     );
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// The default pipeline's report for one program, as `gist-analyze`
+/// prints it under the program's header.
+fn default_report(program: &Program, diags: &[Diagnostic]) -> String {
+    if diags.is_empty() {
+        let passes = default_passes().pass_names().len();
+        format!("ok: no findings ({passes} passes)\n")
+    } else {
+        format!("{}\n", render_report(Some(program), diags))
+    }
+}
+
+/// One program's race golden line: its name, each default-pipeline
+/// diagnostic's code and location, and an FNV-1a hash of the default
+/// report, the race table, the dead stores and the never-parallel stores.
+fn synth_race_line(name: &str, program: &Program) -> String {
+    let diags = default_passes().run(program);
+    let cx = AnalysisCtx::new(program);
+    let mut line = name.to_owned();
+    push_diag_locs(&mut line, program, &diags);
+    let mut rendered = default_report(program, &diags);
+    rendered.push_str(&analyze(program).render_table(program));
+    let _ = writeln!(rendered, "dead stores {:?}", dead_stores(&cx));
+    let never_parallel = cx.mhp().never_parallel_stores(&cx);
+    let _ = writeln!(rendered, "never-parallel stores {never_parallel:?}");
+    let _ = writeln!(line, " fnv={:016x}", fnv1a(rendered.as_bytes()));
+    line
+}
+
+/// The ranked race candidates (`repro races`) and the default pipeline's
+/// report (`gist-analyze --bugbase`) over the bugbase are pinned in
+/// `tests/golden/races.txt`, and the same facts over the `analyze`
+/// workload's synthetic programs line by line in
+/// `tests/golden/synth-races.txt`.
+#[test]
+fn race_tables_and_default_pipeline_match_golden() {
+    let mut bugbase = format!("{}\n", gist_bench::races::races_text());
+    for bug in &gist_bugbase::all_bugs() {
+        let diags = default_passes().run(&bug.program);
+        let _ = write!(
+            bugbase,
+            "=== {} ({}) ===\n{}",
+            bug.name,
+            bug.display,
+            default_report(&bug.program, &diags)
+        );
+    }
+    let synthetic: String = analyze_workload_programs()
+        .iter()
+        .map(|b| synth_race_line(&b.name, &b.program))
+        .collect();
+    let mut failures = Vec::new();
+    check_golden("races", "races.txt", &bugbase, &mut failures);
+    check_golden("synth-races", "synth-races.txt", &synthetic, &mut failures);
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 

@@ -727,14 +727,12 @@ proptest! {
 /// solutions must agree.
 #[test]
 fn used_registers_are_live_with_reaching_defs_in_all_bugbase_programs() {
-    use gist_analysis::{live_variables, reaching_definitions, PointsTo};
-    use gist_ir::icfg::Icfg;
+    use gist_analysis::{live_variables, reaching_definitions, AnalysisCtx};
     for bug in gist_bugbase::all_bugs() {
         let p = &bug.program;
-        let ticfg = Icfg::build_ticfg(p);
-        let pts = PointsTo::compute(p, &ticfg);
-        let live = live_variables(p, &ticfg);
-        let reach = reaching_definitions(p, &ticfg, &pts);
+        let cx = AnalysisCtx::new(p);
+        let live = live_variables(p, cx.ticfg());
+        let reach = reaching_definitions(&cx);
         let mut use_sites = 0usize;
         for id in p.all_stmt_ids() {
             let Some(f) = p.stmt_func(id) else { continue };

@@ -40,7 +40,7 @@ fn intra_thread_edges_agree_with_reaching_defs() {
     for bug in gist_bugbase::all_bugs() {
         let program = &bug.program;
         let cx = AnalysisCtx::new(program);
-        let rd = reaching_definitions(program, cx.ticfg(), cx.points_to());
+        let rd = reaching_definitions(&cx);
         let svfg = cx.svfg();
         for use_site in svfg.use_sites() {
             for edge in svfg.edges_in(use_site) {
@@ -136,7 +136,7 @@ fn bitset_reaching_defs_match_a_set_based_reference() {
     assert_eq!(programs.len(), 251);
     for (name, program) in &programs {
         let cx = AnalysisCtx::new(program);
-        let rd = reaching_definitions(program, cx.ticfg(), cx.points_to());
+        let rd = reaching_definitions(&cx);
         let (before, after) = reference_reaching_defs(program, cx.ticfg(), cx.points_to());
         for s in program.all_stmt_ids() {
             let got_before: BTreeSet<InstrId> = rd.before(s).iter().collect();
