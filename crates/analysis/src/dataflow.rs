@@ -666,10 +666,10 @@ impl ConstProp {
 /// The dead-store analysis packaged as a lint [`Pass`]: stores whose cell
 /// is never observed again are reported as `GA012` warnings.
 #[derive(Default)]
-pub struct DeadStoreLintPass {
-    /// Cap on reported stores (default 5).
-    pub limit: Option<usize>,
-}
+pub struct DeadStoreLintPass;
+
+/// Dead stores [`DeadStoreLintPass`] reports at most.
+const LINT_LIMIT: usize = 5;
 
 impl Pass for DeadStoreLintPass {
     fn name(&self) -> &'static str {
@@ -678,10 +678,9 @@ impl Pass for DeadStoreLintPass {
 
     fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic> {
         let program = cx.program;
-        let limit = self.limit.unwrap_or(5);
         dead_stores(cx)
             .iter()
-            .take(limit)
+            .take(LINT_LIMIT)
             .map(|&id| {
                 let loc = program.stmt_loc(id).unwrap_or(gist_ir::SrcLoc::UNKNOWN);
                 Diagnostic::warning(

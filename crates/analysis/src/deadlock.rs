@@ -161,10 +161,10 @@ fn find_cycles(edges: &[LockOrderEdge]) -> Vec<DeadlockCycle> {
 /// The deadlock detector packaged as a lint [`Pass`]: each lock-order
 /// cycle is reported as a `GA011` warning.
 #[derive(Default)]
-pub struct DeadlockLintPass {
-    /// Cap on reported cycles (default 5).
-    pub limit: Option<usize>,
-}
+pub struct DeadlockLintPass;
+
+/// Lock-order cycles [`DeadlockLintPass`] reports at most.
+const LINT_LIMIT: usize = 5;
 
 impl Pass for DeadlockLintPass {
     fn name(&self) -> &'static str {
@@ -173,11 +173,10 @@ impl Pass for DeadlockLintPass {
 
     fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic> {
         let program = cx.program;
-        let limit = self.limit.unwrap_or(5);
         analyze(cx)
             .cycles
             .iter()
-            .take(limit)
+            .take(LINT_LIMIT)
             .map(|c| {
                 let site = c.sites.first().copied();
                 let loc = site
@@ -245,7 +244,7 @@ mod tests {
         let c = &d.cycles[0];
         assert_eq!(c.locks.len(), 2, "two-lock ABBA cycle: {c:?}");
         // The lint reports it.
-        let pm = crate::pass::PassManager::new().with_pass(DeadlockLintPass::default());
+        let pm = crate::pass::PassManager::new().with_pass(DeadlockLintPass);
         let diags = pm.run(&p);
         assert!(diags.iter().any(|d| d.code == "GA011"), "{diags:?}");
     }

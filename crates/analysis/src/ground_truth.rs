@@ -16,14 +16,12 @@ use gist_ir::Program;
 use crate::deadlock::DeadlockLintPass;
 use crate::diag::Diagnostic;
 use crate::lint::lint_passes;
-use crate::predict::{predicted_sketches, PredictedSketch};
+use crate::predict::PredictedSketch;
 
 /// Runs the full lint battery (value-flow lints plus the deadlock pass)
 /// and returns the diagnostics.
 pub fn lint_all(program: &Program) -> Vec<Diagnostic> {
-    lint_passes()
-        .with_pass(DeadlockLintPass::default())
-        .run(program)
+    lint_passes().with_pass(DeadlockLintPass).run(program)
 }
 
 /// The distinct diagnostic codes reported for `program`, with counts.
@@ -103,12 +101,6 @@ pub fn prediction_covers(
                 p.steps.iter().any(|s| s.loc == site)
             })
     })
-}
-
-/// Convenience: predictions for `program` (same entry point the
-/// `gist-analyze predict` subcommand uses).
-pub fn predictions(program: &Program) -> Vec<PredictedSketch> {
-    predicted_sketches(program)
 }
 
 #[cfg(test)]

@@ -94,7 +94,6 @@ pub use deadlock::{DeadlockAnalysis, DeadlockCycle, DeadlockLintPass, LockOrderE
 pub use diag::{has_errors, render_report, sort_diagnostics, Diagnostic, Severity};
 pub use ground_truth::{
     code_histogram, diag_references_line, findings_on_lines, lint_all, prediction_covers,
-    predictions,
 };
 pub use lint::{
     lint_passes, AtomicityLintPass, AvPattern, NullFlowLintPass, OrderLintPass, UafLintPass,

@@ -110,6 +110,9 @@ impl AvPattern {
     }
 }
 
+/// Findings each lint pass of this module reports at most.
+const LIMIT: usize = 8;
+
 pub(crate) fn loc_of(program: &Program, s: InstrId) -> SrcLoc {
     program.stmt_loc(s).unwrap_or(SrcLoc::UNKNOWN)
 }
@@ -145,11 +148,12 @@ pub struct LifetimePair {
     pub cross_thread: bool,
 }
 
-/// Computes the lifetime pairs the `GA020`/`GA021` diagnostics report:
-/// the same-thread forward-reach arm plus the cross-thread race arm,
-/// the latter screened by MHP (a free ordered after the last use — past
-/// the `join`, say — is not a lifetime bug).
-pub fn lifetime_pairs(cx: &AnalysisCtx<'_>) -> Vec<LifetimePair> {
+/// Computes the lifetime pairs the `GA020`/`GA021` diagnostics report
+/// (read them through [`AnalysisCtx::lifetime_pairs`]): the same-thread
+/// forward-reach arm plus the cross-thread race arm, the latter screened
+/// by MHP (a free ordered after the last use — past the `join`, say — is
+/// not a lifetime bug).
+pub(crate) fn lifetime_pairs(cx: &AnalysisCtx<'_>) -> Vec<LifetimePair> {
     let (program, accesses, mhp) = (cx.program, cx.accesses(), cx.mhp());
     let mut found: Vec<LifetimePair> = Vec::new();
     let mut seen: BTreeSet<(InstrId, InstrId)> = BTreeSet::new();
@@ -221,10 +225,7 @@ pub fn lifetime_pairs(cx: &AnalysisCtx<'_>) -> Vec<LifetimePair> {
 
 /// `GA020` use-after-free / `GA021` double-free along value flows.
 #[derive(Default)]
-pub struct UafLintPass {
-    /// Cap on reported findings (default 8).
-    pub limit: Option<usize>,
-}
+pub struct UafLintPass;
 
 /// Builds the GA020/GA021 diagnostic for a free→use pair.
 fn lifetime_finding(program: &Program, p: &LifetimePair) -> Diagnostic {
@@ -299,11 +300,10 @@ impl Pass for UafLintPass {
     }
 
     fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic> {
-        let limit = self.limit.unwrap_or(8);
-        lifetime_pairs(cx)
-            .into_iter()
-            .take(limit)
-            .map(|p| dedup_notes(lifetime_finding(cx.program, &p)))
+        cx.lifetime_pairs()
+            .iter()
+            .take(LIMIT)
+            .map(|p| dedup_notes(lifetime_finding(cx.program, p)))
             .collect()
     }
 }
@@ -425,10 +425,7 @@ pub fn atomicity_candidates(cx: &AnalysisCtx<'_>) -> Vec<AvCandidate> {
 /// `GA022` atomicity-violation candidates on inconsistently-locked
 /// shared cells, ranked by interleaving pattern.
 #[derive(Default)]
-pub struct AtomicityLintPass {
-    /// Cap on reported findings (default 8).
-    pub limit: Option<usize>,
-}
+pub struct AtomicityLintPass;
 
 impl Pass for AtomicityLintPass {
     fn name(&self) -> &'static str {
@@ -437,10 +434,9 @@ impl Pass for AtomicityLintPass {
 
     fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic> {
         let program = cx.program;
-        let limit = self.limit.unwrap_or(8);
         atomicity_candidates(cx)
             .into_iter()
-            .take(limit)
+            .take(LIMIT)
             .map(|c| {
                 let cell = c.origin.display(program);
                 let d = Diagnostic::warning(
@@ -592,10 +588,7 @@ pub fn null_flows(cx: &AnalysisCtx<'_>) -> Vec<NullFlow> {
 
 /// `GA023` null-value flow into a dereference (Casper-style provenance).
 #[derive(Default)]
-pub struct NullFlowLintPass {
-    /// Cap on reported findings (default 8).
-    pub limit: Option<usize>,
-}
+pub struct NullFlowLintPass;
 
 impl Pass for NullFlowLintPass {
     fn name(&self) -> &'static str {
@@ -604,10 +597,9 @@ impl Pass for NullFlowLintPass {
 
     fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic> {
         let program = cx.program;
-        let limit = self.limit.unwrap_or(8);
         null_flows(cx)
             .into_iter()
-            .take(limit)
+            .take(LIMIT)
             .map(|n| {
                 let d = Diagnostic::warning(
                     "GA023",
@@ -693,8 +685,9 @@ pub fn order_violations(cx: &AnalysisCtx<'_>) -> Vec<OrderViolation> {
         }
     }
 
-    let reported: BTreeSet<(InstrId, InstrId)> = lifetime_pairs(cx)
-        .into_iter()
+    let reported: BTreeSet<(InstrId, InstrId)> = cx
+        .lifetime_pairs()
+        .iter()
         .flat_map(|p| [(p.free, p.used), (p.used, p.free)])
         .collect();
 
@@ -777,10 +770,7 @@ pub fn order_violations(cx: &AnalysisCtx<'_>) -> Vec<OrderViolation> {
 /// `GA024` cross-thread order violations (use-before-init and
 /// free-before-last-use with no happens-before edge).
 #[derive(Default)]
-pub struct OrderLintPass {
-    /// Cap on reported findings (default 8).
-    pub limit: Option<usize>,
-}
+pub struct OrderLintPass;
 
 impl Pass for OrderLintPass {
     fn name(&self) -> &'static str {
@@ -789,10 +779,9 @@ impl Pass for OrderLintPass {
 
     fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic> {
         let program = cx.program;
-        let limit = self.limit.unwrap_or(8);
         order_violations(cx)
             .into_iter()
-            .take(limit)
+            .take(LIMIT)
             .map(|v| {
                 let cell = v.origin.display(program);
                 let d = match v.kind {
@@ -842,10 +831,10 @@ impl Pass for OrderLintPass {
 pub fn lint_passes() -> PassManager {
     PassManager::new()
         .with_pass(crate::verify::VerifierPass)
-        .with_pass(UafLintPass::default())
-        .with_pass(AtomicityLintPass::default())
-        .with_pass(NullFlowLintPass::default())
-        .with_pass(OrderLintPass::default())
+        .with_pass(UafLintPass)
+        .with_pass(AtomicityLintPass)
+        .with_pass(NullFlowLintPass)
+        .with_pass(OrderLintPass)
 }
 
 #[cfg(test)]

@@ -3,16 +3,16 @@
 //!
 //! An [`AnalysisCtx`] builds each fact — the TICFG, the thread model,
 //! points-to, the access table, locksets, shared origins, race candidates,
-//! MHP, constants, the def index and the SVFG — on first use and at most
-//! once, so every pass, lint and client reading from one context shares a
-//! single copy. The thread model (spawn sites, the thread contexts that
-//! may run each function, multi-instance spawns) is the one the race
-//! detector and MHP both read; the access table is the one place that
-//! asks points-to which cells a memory access touches. The
-//! [`PassManager`] runs a list of passes over one context and collects
-//! their diagnostics into one sorted report, mirroring how the paper's
-//! prototype chains LLVM analysis passes on the Gist server before
-//! computing instrumentation plans.
+//! MHP, constants, the def index, the SVFG and the lifetime pairs — on
+//! first use and at most once, so every pass, lint and client reading
+//! from one context shares a single copy. The thread model (spawn sites,
+//! the thread contexts that may run each function, multi-instance
+//! spawns) is the one the race detector and MHP both read; the access
+//! table is the one place that asks points-to which cells a memory
+//! access touches. The [`PassManager`] runs a list of passes over one
+//! context and collects their diagnostics into one sorted report,
+//! mirroring how the paper's prototype chains LLVM analysis passes on the
+//! Gist server before computing instrumentation plans.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, OnceLock};
@@ -22,6 +22,7 @@ use gist_ir::{BlockId, FuncId, InstrId, Op, Operand, Program};
 
 use crate::dataflow::ConstProp;
 use crate::diag::{sort_diagnostics, Diagnostic};
+use crate::lint::{self, LifetimePair};
 use crate::mhp::Mhp;
 use crate::points_to::{Loc, LocSet, MemOrigin, PointsTo};
 use crate::race::{self, Lockset, RaceAnalysis};
@@ -44,6 +45,7 @@ pub struct AnalysisCtx<'p> {
     consts: OnceLock<ConstProp>,
     defs: OnceLock<DefIndex>,
     svfg: OnceLock<Svfg>,
+    lifetime_pairs: OnceLock<Vec<LifetimePair>>,
 }
 
 impl<'p> AnalysisCtx<'p> {
@@ -63,6 +65,7 @@ impl<'p> AnalysisCtx<'p> {
             consts: OnceLock::new(),
             defs: OnceLock::new(),
             svfg: OnceLock::new(),
+            lifetime_pairs: OnceLock::new(),
         }
     }
 
@@ -177,6 +180,14 @@ impl<'p> AnalysisCtx<'p> {
     /// The sparse value-flow graph.
     pub fn svfg(&self) -> &Svfg {
         self.svfg.get_or_init(|| Svfg::build(self))
+    }
+
+    /// The free→use pairs behind the `GA020`/`GA021` findings, in report
+    /// order. The lifetime and order lints and the predicted sketches all
+    /// read this one copy.
+    pub fn lifetime_pairs(&self) -> &[LifetimePair] {
+        self.lifetime_pairs
+            .get_or_init(|| lint::lifetime_pairs(self))
     }
 }
 
@@ -433,9 +444,9 @@ impl PassManager {
 pub fn default_passes() -> PassManager {
     PassManager::new()
         .with_pass(crate::verify::VerifierPass)
-        .with_pass(crate::race::RaceLintPass::default())
-        .with_pass(crate::deadlock::DeadlockLintPass::default())
-        .with_pass(crate::dataflow::DeadStoreLintPass::default())
+        .with_pass(crate::race::RaceLintPass)
+        .with_pass(crate::deadlock::DeadlockLintPass)
+        .with_pass(crate::dataflow::DeadStoreLintPass)
 }
 
 #[cfg(test)]

@@ -20,8 +20,7 @@
 use gist_ir::{InstrId, Program};
 
 use crate::lint::{
-    atomicity_candidates, kind_at, lifetime_pairs, null_flows, order_violations, where_of,
-    OrderViolationKind,
+    atomicity_candidates, kind_at, null_flows, order_violations, where_of, OrderViolationKind,
 };
 use crate::mhp::Mhp;
 use crate::pass::AnalysisCtx;
@@ -178,7 +177,7 @@ pub fn predicted_sketches(program: &Program) -> Vec<PredictedSketch> {
     }
 
     // GA020/GA021 cross-thread lifetime pairs: free first, use second.
-    for p in lifetime_pairs(&cx) {
+    for p in cx.lifetime_pairs() {
         if !p.cross_thread {
             continue;
         }

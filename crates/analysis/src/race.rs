@@ -676,10 +676,10 @@ fn score_pair(origin: MemOrigin, same_concrete_cell: bool, a: &AccessRec, b: &Ac
 /// The race detector packaged as a lint [`Pass`]: the top candidates are
 /// reported as `GA010` warnings.
 #[derive(Default)]
-pub struct RaceLintPass {
-    /// Cap on reported candidates (default 5).
-    pub limit: Option<usize>,
-}
+pub struct RaceLintPass;
+
+/// Race candidates [`RaceLintPass`] reports at most.
+const LINT_LIMIT: usize = 5;
 
 impl Pass for RaceLintPass {
     fn name(&self) -> &'static str {
@@ -688,11 +688,10 @@ impl Pass for RaceLintPass {
 
     fn run(&self, cx: &AnalysisCtx<'_>) -> Vec<Diagnostic> {
         let program = cx.program;
-        let limit = self.limit.unwrap_or(5);
         cx.races()
             .candidates
             .iter()
-            .take(limit)
+            .take(LINT_LIMIT)
             .map(|c| {
                 let loc = program.stmt_loc(c.first.stmt).unwrap_or(SrcLoc::UNKNOWN);
                 Diagnostic::warning(

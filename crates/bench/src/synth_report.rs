@@ -11,6 +11,7 @@
 //! headline rate against [`crate::expectations::SYNTH_RECOVERY_FLOOR`].
 
 use gist_analysis::ground_truth as gt;
+use gist_analysis::predicted_sketches;
 use gist_bugbase::synth::{self, PatternKind, SplitMix64, SynthBug, SYNTH_FILE};
 use gist_coop::{diagnose_synth, EvalConfig, SynthEvaluation};
 use gist_obs::json::Json;
@@ -46,7 +47,7 @@ pub fn static_check(bug: &SynthBug) -> StaticCheck {
         }
     };
     let predict_ok = predicted_code(truth.pattern).map(|code| {
-        let preds = gt::predictions(&bug.program);
+        let preds = predicted_sketches(&bug.program);
         preds.iter().any(|p| p.code == code)
     });
     StaticCheck {
@@ -281,7 +282,7 @@ const CONTROL_RUNS: u64 = 20;
 fn control_is_clean(bug: &SynthBug) -> bool {
     use gist_vm::{RunOutcome, Vm};
     let diags = gt::lint_all(&bug.program);
-    if !diags.is_empty() || !gt::predictions(&bug.program).is_empty() {
+    if !diags.is_empty() || !predicted_sketches(&bug.program).is_empty() {
         return false;
     }
     (0..CONTROL_RUNS).all(|s| {

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use gist_core::{ClientRunData, Fleet};
 use gist_ir::Program;
-use gist_obs::HistogramSnapshot;
+use gist_obs::{Histogram, HistogramSnapshot};
 use gist_tracking::{InstrumentationPatch, TrackerRuntime};
 use gist_vm::{CompiledProgram, RunOutcome, Vm, VmConfig, VmScratch};
 
@@ -72,55 +72,6 @@ fn machine_workers() -> usize {
         .saturating_sub(1)
 }
 
-/// A fixed log₂ histogram with the same bucket layout as
-/// [`gist_obs::Histogram`], but plain (non-atomic) and fleet-local:
-/// contention statistics are scheduling-dependent, so they must never
-/// enter the global metric registry (whose counter/histogram snapshots
-/// are part of the determinism contract).
-#[derive(Clone, Debug)]
-struct LocalHist {
-    buckets: [u64; gist_obs::NUM_BUCKETS],
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Default for LocalHist {
-    fn default() -> Self {
-        LocalHist {
-            buckets: [0; gist_obs::NUM_BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
-    }
-}
-
-impl LocalHist {
-    fn record(&mut self, v: u64) {
-        self.buckets[gist_obs::bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum += v;
-        self.max = self.max.max(v);
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        let buckets = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(|(i, &n)| (gist_obs::bucket_floor(i), n))
-            .collect();
-        HistogramSnapshot {
-            count: self.count,
-            sum: self.sum,
-            max: self.max,
-            buckets,
-        }
-    }
-}
-
 /// Cumulative per-executor contention statistics (executor 0 is the
 /// dispatching thread). Harvested via [`SimulatedFleet::contention_stats`].
 #[derive(Clone, Debug, Default)]
@@ -138,8 +89,11 @@ pub struct WorkerStats {
     /// Always 0, like [`WorkerStats::shard_hits`].
     pub shard_misses: u64,
     /// Per-batch microseconds spent waiting for the next chunk, polling
-    /// first and then parked (see `recv_polling`).
-    wait_hist: LocalHist,
+    /// first and then parked (see `recv_polling`). An owned histogram,
+    /// never registered: contention is scheduling-dependent, so it must
+    /// stay out of the global registry, whose snapshots are part of the
+    /// determinism contract.
+    wait_hist: Histogram,
 }
 
 impl WorkerStats {

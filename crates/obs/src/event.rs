@@ -11,28 +11,98 @@
 //! Kind strings follow the metric naming scheme, `<layer>.<noun>`:
 //! `trace.start`, `slice.computed`, `ast.promoted`, `run.finish`,
 //! `watch.hit`, `pt.decoded`, `sketch.step`, `span.begin`, …
+//!
+//! # The event schema
+//!
+//! Each kind is declared once, in the `event_schema!` invocation below:
+//! its variant name, its wire tag, its kind string and its documented
+//! fields. The field order is both the wire order and the JSON member
+//! order. The schema expands to the [`EventKind`] enum,
+//! [`EventKind::kind_str`], [`EventKind::data_value`] and the frame-body
+//! encode and decode that [`crate::wire`] calls, each field going through
+//! the wire module's field codec. A new kind is one more entry with the
+//! next unused tag (tags are never reused: a reader skips a tag it does
+//! not know).
 
 use crate::json::Json;
+use crate::wire::{Body, Field};
 
-/// The typed payload of one flight-recorder event.
-#[derive(Clone, Debug, PartialEq)]
-pub enum EventKind {
+/// Expands the event schema: each entry is `Variant = tag, "kind.string"
+/// { field: Type, … }`, doc comments included.
+macro_rules! event_schema {
+    ($(
+        $(#[$attr:meta])*
+        $variant:ident = $tag:literal, $kind:literal {
+            $( $(#[$field_attr:meta])* $field:ident: $ty:ty ),* $(,)?
+        }
+    ),* $(,)?) => {
+        /// The typed payload of one flight-recorder event.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum EventKind {
+            $(
+                $(#[$attr])*
+                $variant { $( $(#[$field_attr])* $field: $ty ),* },
+            )*
+        }
+
+        impl EventKind {
+            /// The stable kind string (`<layer>.<noun>`) used in the
+            /// journal and by `gist-trace grep`.
+            pub fn kind_str(&self) -> &'static str {
+                match self {
+                    $( EventKind::$variant { .. } => $kind, )*
+                }
+            }
+
+            /// The payload as a JSON object (members in schema order, so
+            /// the rendered journal is byte-stable).
+            pub fn data_value(&self) -> Json {
+                match self {
+                    $( EventKind::$variant { $($field),* } => Json::Obj(vec![
+                        $( (stringify!($field).into(), $field.json()), )*
+                    ]), )*
+                }
+            }
+
+            /// Appends the wire tag and the fields in schema order.
+            pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $( EventKind::$variant { $($field),* } => {
+                        out.push($tag);
+                        $( $field.put(out); )*
+                    } )*
+                }
+            }
+
+            /// Decodes the fields of tag `tag`; `None` for a tag this
+            /// reader does not know (skipped per the versioning rules).
+            pub(crate) fn decode(tag: u8, body: &mut Body) -> Result<Option<EventKind>, String> {
+                Ok(Some(match tag {
+                    $( $tag => EventKind::$variant { $( $field: Field::get(body)? ),* }, )*
+                    _ => return Ok(None),
+                }))
+            }
+        }
+    };
+}
+
+event_schema! {
     /// A diagnosis began; `label` is the sketch title (one trace id per
     /// diagnosis, all events until [`crate::journal::end_trace`] nest
     /// under it).
-    TraceStarted {
+    TraceStarted = 0, "trace.start" {
         /// Human-readable diagnosis label (the sketch title).
         label: String,
     },
     /// The diagnosis finished.
-    TraceFinished {
+    TraceFinished = 1, "trace.finish" {
         /// AsT iterations performed.
         iterations: u64,
         /// Failure recurrences consumed.
         recurrences: u64,
     },
     /// The static slice backing the diagnosis was computed.
-    SliceComputed {
+    SliceComputed = 2, "slice.computed" {
         /// Slice criterion (the failing statement's `InstrId`).
         criterion: u32,
         /// Slice size in IR statements.
@@ -41,7 +111,7 @@ pub enum EventKind {
         alias: bool,
     },
     /// An AsT iteration began.
-    IterationStarted {
+    IterationStarted = 3, "ast.iteration" {
         /// 1-based iteration number.
         iteration: u64,
         /// Current σ (tracked-portion size).
@@ -51,7 +121,7 @@ pub enum EventKind {
         tracked: u64,
     },
     /// A statement joined the tracked set beyond the σ-portion.
-    StmtPromoted {
+    StmtPromoted = 4, "ast.promoted" {
         /// The promoted statement.
         iid: u32,
         /// Why: `"race-seed"` (static race detector) or
@@ -65,7 +135,7 @@ pub enum EventKind {
     },
     /// A tracked statement was demoted (refinement proved it never
     /// executes in failing runs).
-    StmtDemoted {
+    StmtDemoted = 5, "ast.demoted" {
         /// The demoted statement.
         iid: u32,
         /// Why the statement left tracking.
@@ -74,14 +144,14 @@ pub enum EventKind {
         sigma: u64,
     },
     /// A fleet production run was dispatched.
-    RunStarted {
+    RunStarted = 6, "run.start" {
         /// Monotonic run id.
         run: u64,
         /// Workload seed.
         seed: u64,
     },
     /// A fleet production run completed.
-    RunFinished {
+    RunFinished = 7, "run.finish" {
         /// Monotonic run id.
         run: u64,
         /// Whether the run failed.
@@ -92,7 +162,7 @@ pub enum EventKind {
         hits: u64,
     },
     /// The planner produced an instrumentation patch.
-    PatchPlanned {
+    PatchPlanned = 8, "tracking.plan" {
         /// Tracked statements in the patch.
         tracked: u64,
         /// Watchpoint access sites in this cooperative group.
@@ -103,7 +173,7 @@ pub enum EventKind {
         bytes: u64,
     },
     /// A hardware watchpoint was armed.
-    WatchArmed {
+    WatchArmed = 9, "watch.armed" {
         /// Watched address.
         addr: u64,
         /// Debug-register slot used.
@@ -111,7 +181,7 @@ pub enum EventKind {
     },
     /// A watchpoint hit was attributed to a run (hit attribution happens
     /// when the tracker packages the run's trace).
-    WatchHit {
+    WatchHit = 10, "watch.hit" {
         /// The accessing statement.
         iid: u32,
         /// Accessed address.
@@ -127,7 +197,7 @@ pub enum EventKind {
         discovered: bool,
     },
     /// One per-core PT buffer segment was decoded.
-    PtSegmentDecoded {
+    PtSegmentDecoded = 11, "pt.segment" {
         /// Core (trace buffer) id.
         core: u32,
         /// Segment index within the decode (= core index today).
@@ -138,7 +208,7 @@ pub enum EventKind {
         stmts: u64,
     },
     /// A whole run's PT trace finished decoding.
-    TraceDecoded {
+    TraceDecoded = 12, "pt.decoded" {
         /// Total statements decoded.
         stmts: u64,
         /// Branch outcomes recovered.
@@ -147,7 +217,7 @@ pub enum EventKind {
         bytes: u64,
     },
     /// A failure predictor placed in the per-iteration ranking.
-    PredictorRanked {
+    PredictorRanked = 13, "predictor.ranked" {
         /// Predictor category (`order` / `branch` / `value`).
         category: String,
         /// 1-based rank within the iteration.
@@ -160,7 +230,7 @@ pub enum EventKind {
     /// A sketch step was emitted, with its provenance chain: the event
     /// seq-nos (hit → decode → promotion → slice criterion) that explain
     /// why the step is in the sketch.
-    SketchStepEmitted {
+    SketchStepEmitted = 14, "sketch.step" {
         /// 1-based step number within the sketch.
         step: u64,
         /// The step's statement.
@@ -171,185 +241,15 @@ pub enum EventKind {
     /// A span timer opened (`/`-joined path). Journal counterpart of the
     /// wall-clock span; carries no time — the Chrome export synthesizes
     /// timestamps from seq order.
-    SpanBegin {
+    SpanBegin = 15, "span.begin" {
         /// Full `/`-joined span path.
         path: String,
     },
     /// A span timer closed.
-    SpanEnd {
+    SpanEnd = 16, "span.end" {
         /// Full `/`-joined span path.
         path: String,
     },
-}
-
-impl EventKind {
-    /// The stable kind string (`<layer>.<noun>`) used in the journal and
-    /// by `gist-trace grep`.
-    pub fn kind_str(&self) -> &'static str {
-        match self {
-            EventKind::TraceStarted { .. } => "trace.start",
-            EventKind::TraceFinished { .. } => "trace.finish",
-            EventKind::SliceComputed { .. } => "slice.computed",
-            EventKind::IterationStarted { .. } => "ast.iteration",
-            EventKind::StmtPromoted { .. } => "ast.promoted",
-            EventKind::StmtDemoted { .. } => "ast.demoted",
-            EventKind::RunStarted { .. } => "run.start",
-            EventKind::RunFinished { .. } => "run.finish",
-            EventKind::PatchPlanned { .. } => "tracking.plan",
-            EventKind::WatchArmed { .. } => "watch.armed",
-            EventKind::WatchHit { .. } => "watch.hit",
-            EventKind::PtSegmentDecoded { .. } => "pt.segment",
-            EventKind::TraceDecoded { .. } => "pt.decoded",
-            EventKind::PredictorRanked { .. } => "predictor.ranked",
-            EventKind::SketchStepEmitted { .. } => "sketch.step",
-            EventKind::SpanBegin { .. } => "span.begin",
-            EventKind::SpanEnd { .. } => "span.end",
-        }
-    }
-
-    /// The payload as a JSON object (member order fixed per kind, so the
-    /// rendered journal is byte-stable).
-    pub fn data_value(&self) -> Json {
-        let u = Json::U64;
-        match self {
-            EventKind::TraceStarted { label } => {
-                Json::Obj(vec![("label".into(), Json::Str(label.clone()))])
-            }
-            EventKind::TraceFinished {
-                iterations,
-                recurrences,
-            } => Json::Obj(vec![
-                ("iterations".into(), u(*iterations)),
-                ("recurrences".into(), u(*recurrences)),
-            ]),
-            EventKind::SliceComputed {
-                criterion,
-                len,
-                alias,
-            } => Json::Obj(vec![
-                ("criterion".into(), u(u64::from(*criterion))),
-                ("len".into(), u(*len)),
-                ("alias".into(), Json::Bool(*alias)),
-            ]),
-            EventKind::IterationStarted {
-                iteration,
-                sigma,
-                tracked,
-            } => Json::Obj(vec![
-                ("iteration".into(), u(*iteration)),
-                ("sigma".into(), u(*sigma)),
-                ("tracked".into(), u(*tracked)),
-            ]),
-            EventKind::StmtPromoted {
-                iid,
-                reason,
-                via,
-                sigma,
-            } => Json::Obj(vec![
-                ("iid".into(), u(u64::from(*iid))),
-                ("reason".into(), Json::Str((*reason).to_owned())),
-                ("via".into(), u(*via)),
-                ("sigma".into(), u(*sigma)),
-            ]),
-            EventKind::StmtDemoted { iid, reason, sigma } => Json::Obj(vec![
-                ("iid".into(), u(u64::from(*iid))),
-                ("reason".into(), Json::Str((*reason).to_owned())),
-                ("sigma".into(), u(*sigma)),
-            ]),
-            EventKind::RunStarted { run, seed } => {
-                Json::Obj(vec![("run".into(), u(*run)), ("seed".into(), u(*seed))])
-            }
-            EventKind::RunFinished {
-                run,
-                failing,
-                retired,
-                hits,
-            } => Json::Obj(vec![
-                ("run".into(), u(*run)),
-                ("failing".into(), Json::Bool(*failing)),
-                ("retired".into(), u(*retired)),
-                ("hits".into(), u(*hits)),
-            ]),
-            EventKind::PatchPlanned {
-                tracked,
-                watch,
-                group,
-                bytes,
-            } => Json::Obj(vec![
-                ("tracked".into(), u(*tracked)),
-                ("watch".into(), u(*watch)),
-                ("group".into(), u(*group)),
-                ("bytes".into(), u(*bytes)),
-            ]),
-            EventKind::WatchArmed { addr, slot } => {
-                Json::Obj(vec![("addr".into(), u(*addr)), ("slot".into(), u(*slot))])
-            }
-            EventKind::WatchHit {
-                iid,
-                addr,
-                value,
-                hit_seq,
-                hit_tid,
-                discovered,
-            } => Json::Obj(vec![
-                ("iid".into(), u(u64::from(*iid))),
-                ("addr".into(), u(*addr)),
-                ("value".into(), Json::I64(*value)),
-                ("hit_seq".into(), u(*hit_seq)),
-                ("hit_tid".into(), u(u64::from(*hit_tid))),
-                ("discovered".into(), Json::Bool(*discovered)),
-            ]),
-            EventKind::PtSegmentDecoded {
-                core,
-                segment,
-                bytes,
-                stmts,
-            } => Json::Obj(vec![
-                ("core".into(), u(u64::from(*core))),
-                ("segment".into(), u(*segment)),
-                ("bytes".into(), u(*bytes)),
-                ("stmts".into(), u(*stmts)),
-            ]),
-            EventKind::TraceDecoded {
-                stmts,
-                branches,
-                bytes,
-            } => Json::Obj(vec![
-                ("stmts".into(), u(*stmts)),
-                ("branches".into(), u(*branches)),
-                ("bytes".into(), u(*bytes)),
-            ]),
-            EventKind::PredictorRanked {
-                category,
-                rank,
-                f_milli,
-                iid,
-            } => Json::Obj(vec![
-                ("category".into(), Json::Str(category.clone())),
-                ("rank".into(), u(*rank)),
-                ("f_milli".into(), u(*f_milli)),
-                ("iid".into(), u(u64::from(*iid))),
-            ]),
-            EventKind::SketchStepEmitted {
-                step,
-                iid,
-                provenance,
-            } => Json::Obj(vec![
-                ("step".into(), u(*step)),
-                ("iid".into(), u(u64::from(*iid))),
-                (
-                    "provenance".into(),
-                    Json::Arr(provenance.iter().map(|&s| u(s)).collect()),
-                ),
-            ]),
-            EventKind::SpanBegin { path } => {
-                Json::Obj(vec![("path".into(), Json::Str(path.clone()))])
-            }
-            EventKind::SpanEnd { path } => {
-                Json::Obj(vec![("path".into(), Json::Str(path.clone()))])
-            }
-        }
-    }
 }
 
 /// One recorded event: a typed payload plus the journal bookkeeping.

@@ -43,6 +43,19 @@ impl Default for Histogram {
     }
 }
 
+/// A copy of the current contents, read like [`Histogram::snapshot`].
+impl Clone for Histogram {
+    fn clone(&self) -> Self {
+        let copy = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Relaxed));
+        Histogram {
+            buckets: std::array::from_fn(|i| copy(&self.buckets[i])),
+            count: copy(&self.count),
+            sum: copy(&self.sum),
+            max: copy(&self.max),
+        }
+    }
+}
+
 impl Histogram {
     /// Creates an empty histogram, usable in `static` items.
     pub const fn new() -> Self {

@@ -24,15 +24,18 @@
 //! seq      varint           0 for the meta frame
 //! trace    varint
 //! tid      varint
-//! tag      1 byte           EventKind discriminant (0–16) or 255 = meta
-//! fields…                   tag-specific, in declaration order
+//! tag      1 byte           the event kind's tag, or 255 = meta
+//! fields…                   the kind's fields, in schema order
 //! ```
 //!
-//! Field encodings: `u64` → LEB128 varint; `i64` → zigzag varint; `bool` →
-//! one byte (0/1); `str` → varint length + UTF-8 bytes; `Vec<u64>` →
-//! varint count + varints. The meta frame body is `events_overwritten,
-//! oldest_seq` (both varint) and records the ring's overwrite accounting
-//! at drain time.
+//! A kind's tag and field order come from its one entry in the event
+//! schema ([`mod@crate::event`]); a new kind is one entry there with the next
+//! unused tag. Every field goes through one codec (the `Field` trait):
+//! `u64` → LEB128 varint; `u32` → varint, out of range is an error; `i64`
+//! → zigzag varint; `bool` → one byte, 0 or 1; string → varint length +
+//! UTF-8 bytes; list → varint count + elements. The meta frame body is
+//! `events_overwritten, oldest_seq` (both varint) and records the ring's
+//! overwrite accounting at drain time.
 //!
 //! # Versioning rules
 //!
@@ -41,11 +44,12 @@
 //! * New event kinds append new tags. Readers **skip frames with unknown
 //!   tags** (the length prefix makes every frame skippable), so old
 //!   readers tolerate journals from newer writers of the same version.
-//! * Encoding is canonical (minimal-length varints, fields in declaration
+//! * Encoding is canonical (minimal-length varints, fields in schema
 //!   order), so equal event sequences produce byte-identical journals —
 //!   the same-seed determinism contract extends to the binary format.
 
 use crate::event::{EventKind, EventRecord};
+use crate::json::Json;
 
 /// File magic: the first four bytes of every binary journal.
 pub const MAGIC: [u8; 4] = *b"GSTJ";
@@ -120,322 +124,151 @@ fn put_str(s: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// The wire tag of an event kind (its declaration-order discriminant).
-pub fn kind_tag(kind: &EventKind) -> u8 {
-    match kind {
-        EventKind::TraceStarted { .. } => 0,
-        EventKind::TraceFinished { .. } => 1,
-        EventKind::SliceComputed { .. } => 2,
-        EventKind::IterationStarted { .. } => 3,
-        EventKind::StmtPromoted { .. } => 4,
-        EventKind::StmtDemoted { .. } => 5,
-        EventKind::RunStarted { .. } => 6,
-        EventKind::RunFinished { .. } => 7,
-        EventKind::PatchPlanned { .. } => 8,
-        EventKind::WatchArmed { .. } => 9,
-        EventKind::WatchHit { .. } => 10,
-        EventKind::PtSegmentDecoded { .. } => 11,
-        EventKind::TraceDecoded { .. } => 12,
-        EventKind::PredictorRanked { .. } => 13,
-        EventKind::SketchStepEmitted { .. } => 14,
-        EventKind::SpanBegin { .. } => 15,
-        EventKind::SpanEnd { .. } => 16,
-    }
-}
-
-fn encode_kind(kind: &EventKind, out: &mut Vec<u8>) {
-    out.push(kind_tag(kind));
-    match kind {
-        EventKind::TraceStarted { label } => put_str(label, out),
-        EventKind::TraceFinished {
-            iterations,
-            recurrences,
-        } => {
-            put_varint(*iterations, out);
-            put_varint(*recurrences, out);
-        }
-        EventKind::SliceComputed {
-            criterion,
-            len,
-            alias,
-        } => {
-            put_varint(u64::from(*criterion), out);
-            put_varint(*len, out);
-            out.push(u8::from(*alias));
-        }
-        EventKind::IterationStarted {
-            iteration,
-            sigma,
-            tracked,
-        } => {
-            put_varint(*iteration, out);
-            put_varint(*sigma, out);
-            put_varint(*tracked, out);
-        }
-        EventKind::StmtPromoted {
-            iid,
-            reason,
-            via,
-            sigma,
-        } => {
-            put_varint(u64::from(*iid), out);
-            put_str(reason, out);
-            put_varint(*via, out);
-            put_varint(*sigma, out);
-        }
-        EventKind::StmtDemoted { iid, reason, sigma } => {
-            put_varint(u64::from(*iid), out);
-            put_str(reason, out);
-            put_varint(*sigma, out);
-        }
-        EventKind::RunStarted { run, seed } => {
-            put_varint(*run, out);
-            put_varint(*seed, out);
-        }
-        EventKind::RunFinished {
-            run,
-            failing,
-            retired,
-            hits,
-        } => {
-            put_varint(*run, out);
-            out.push(u8::from(*failing));
-            put_varint(*retired, out);
-            put_varint(*hits, out);
-        }
-        EventKind::PatchPlanned {
-            tracked,
-            watch,
-            group,
-            bytes,
-        } => {
-            put_varint(*tracked, out);
-            put_varint(*watch, out);
-            put_varint(*group, out);
-            put_varint(*bytes, out);
-        }
-        EventKind::WatchArmed { addr, slot } => {
-            put_varint(*addr, out);
-            put_varint(*slot, out);
-        }
-        EventKind::WatchHit {
-            iid,
-            addr,
-            value,
-            hit_seq,
-            hit_tid,
-            discovered,
-        } => {
-            put_varint(u64::from(*iid), out);
-            put_varint(*addr, out);
-            put_varint(zigzag(*value), out);
-            put_varint(*hit_seq, out);
-            put_varint(u64::from(*hit_tid), out);
-            out.push(u8::from(*discovered));
-        }
-        EventKind::PtSegmentDecoded {
-            core,
-            segment,
-            bytes,
-            stmts,
-        } => {
-            put_varint(u64::from(*core), out);
-            put_varint(*segment, out);
-            put_varint(*bytes, out);
-            put_varint(*stmts, out);
-        }
-        EventKind::TraceDecoded {
-            stmts,
-            branches,
-            bytes,
-        } => {
-            put_varint(*stmts, out);
-            put_varint(*branches, out);
-            put_varint(*bytes, out);
-        }
-        EventKind::PredictorRanked {
-            category,
-            rank,
-            f_milli,
-            iid,
-        } => {
-            put_str(category, out);
-            put_varint(*rank, out);
-            put_varint(*f_milli, out);
-            put_varint(u64::from(*iid), out);
-        }
-        EventKind::SketchStepEmitted {
-            step,
-            iid,
-            provenance,
-        } => {
-            put_varint(*step, out);
-            put_varint(u64::from(*iid), out);
-            put_varint(provenance.len() as u64, out);
-            for &p in provenance {
-                put_varint(p, out);
-            }
-        }
-        EventKind::SpanBegin { path } => put_str(path, out),
-        EventKind::SpanEnd { path } => put_str(path, out),
-    }
-}
-
 /// A cursor over one frame body; every read errors on truncation.
-struct Body<'a> {
+pub(crate) struct Body<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl Body<'_> {
-    fn u64(&mut self) -> Result<u64, String> {
-        get_varint(self.buf, &mut self.pos)
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        u32::try_from(self.u64()?).map_err(|_| "u32 field out of range".to_owned())
-    }
-
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(unzigzag(self.u64()?))
-    }
-
-    fn boolean(&mut self) -> Result<bool, String> {
+    /// The next byte.
+    fn byte(&mut self) -> Result<u8, String> {
         let b = *self
             .buf
             .get(self.pos)
             .ok_or_else(|| "frame body truncated".to_owned())?;
         self.pos += 1;
-        match b {
+        Ok(b)
+    }
+}
+
+/// The codec of one event field type: its wire encoding, its checked
+/// decoding and its JSON rendering. The event schema
+/// ([`mod@crate::event`]) runs every field through it.
+pub(crate) trait Field: Sized {
+    /// Appends the encoded value.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Reads one value, or an error for truncated or out-of-range bytes.
+    fn get(b: &mut Body) -> Result<Self, String>;
+    /// The value as a JSON journal member.
+    fn json(&self) -> Json;
+}
+
+impl Field for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(*self, out);
+    }
+    fn get(b: &mut Body) -> Result<Self, String> {
+        get_varint(b.buf, &mut b.pos)
+    }
+    fn json(&self) -> Json {
+        Json::U64(*self)
+    }
+}
+
+impl Field for u32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(u64::from(*self), out);
+    }
+    fn get(b: &mut Body) -> Result<Self, String> {
+        u32::try_from(u64::get(b)?).map_err(|_| "u32 field out of range".to_owned())
+    }
+    fn json(&self) -> Json {
+        Json::U64(u64::from(*self))
+    }
+}
+
+impl Field for i64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(zigzag(*self), out);
+    }
+    fn get(b: &mut Body) -> Result<Self, String> {
+        Ok(unzigzag(u64::get(b)?))
+    }
+    fn json(&self) -> Json {
+        Json::I64(*self)
+    }
+}
+
+impl Field for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+    fn get(b: &mut Body) -> Result<Self, String> {
+        match b.byte()? {
             0 => Ok(false),
             1 => Ok(true),
             other => Err(format!("bad bool byte {other}")),
         }
     }
+    fn json(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
 
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.u64()?;
+impl Field for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(self, out);
+    }
+    fn get(b: &mut Body) -> Result<Self, String> {
+        let len = u64::get(b)?;
         let end = usize::try_from(len)
             .ok()
-            .and_then(|len| self.pos.checked_add(len))
+            .and_then(|len| b.pos.checked_add(len))
             .ok_or_else(|| "string field length overflows".to_owned())?;
-        let bytes = self
+        let bytes = b
             .buf
-            .get(self.pos..end)
+            .get(b.pos..end)
             .ok_or_else(|| "string field truncated".to_owned())?;
-        self.pos = end;
+        b.pos = end;
         String::from_utf8(bytes.to_vec()).map_err(|_| "string field is not UTF-8".to_owned())
     }
+    fn json(&self) -> Json {
+        Json::Str(self.clone())
+    }
 }
 
-/// Statically-known promotion/demotion reasons: decoding re-interns onto
-/// these so round-tripped records compare equal to the originals. Reasons
-/// outside the table (possible only for journals from other writers) leak
-/// one allocation each, which is acceptable for an offline decoder.
-const KNOWN_REASONS: [&str; 3] = ["race-seed", "watch-discovery", "never-executed"];
+/// A promotion or demotion reason, encoded as a string. Decoding
+/// re-interns onto the reasons the pipeline records, so round-tripped
+/// records compare equal to the originals; any other reason (only a
+/// journal from another writer has one) leaks one allocation, which an
+/// offline decoder can afford.
+impl Field for &'static str {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_str(self, out);
+    }
+    fn get(b: &mut Body) -> Result<Self, String> {
+        let s = String::get(b)?;
+        Ok(["race-seed", "watch-discovery", "never-executed"]
+            .into_iter()
+            .find(|known| *known == s)
+            .unwrap_or_else(|| Box::leak(s.into_boxed_str())))
+    }
+    fn json(&self) -> Json {
+        Json::Str((*self).to_owned())
+    }
+}
 
-fn intern_reason(s: String) -> &'static str {
-    for known in KNOWN_REASONS {
-        if known == s {
-            return known;
+/// A list of seq-nos: varint count, then the varints.
+impl Field for Vec<u64> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_varint(self.len() as u64, out);
+        for v in self {
+            v.put(out);
         }
     }
-    Box::leak(s.into_boxed_str())
-}
-
-/// Decodes the fields of tag `tag`; `None` for a tag this reader does not
-/// know (skipped per the versioning rules).
-fn decode_kind(tag: u8, b: &mut Body) -> Result<Option<EventKind>, String> {
-    Ok(Some(match tag {
-        0 => EventKind::TraceStarted { label: b.str()? },
-        1 => EventKind::TraceFinished {
-            iterations: b.u64()?,
-            recurrences: b.u64()?,
-        },
-        2 => EventKind::SliceComputed {
-            criterion: b.u32()?,
-            len: b.u64()?,
-            alias: b.boolean()?,
-        },
-        3 => EventKind::IterationStarted {
-            iteration: b.u64()?,
-            sigma: b.u64()?,
-            tracked: b.u64()?,
-        },
-        4 => EventKind::StmtPromoted {
-            iid: b.u32()?,
-            reason: intern_reason(b.str()?),
-            via: b.u64()?,
-            sigma: b.u64()?,
-        },
-        5 => EventKind::StmtDemoted {
-            iid: b.u32()?,
-            reason: intern_reason(b.str()?),
-            sigma: b.u64()?,
-        },
-        6 => EventKind::RunStarted {
-            run: b.u64()?,
-            seed: b.u64()?,
-        },
-        7 => EventKind::RunFinished {
-            run: b.u64()?,
-            failing: b.boolean()?,
-            retired: b.u64()?,
-            hits: b.u64()?,
-        },
-        8 => EventKind::PatchPlanned {
-            tracked: b.u64()?,
-            watch: b.u64()?,
-            group: b.u64()?,
-            bytes: b.u64()?,
-        },
-        9 => EventKind::WatchArmed {
-            addr: b.u64()?,
-            slot: b.u64()?,
-        },
-        10 => EventKind::WatchHit {
-            iid: b.u32()?,
-            addr: b.u64()?,
-            value: b.i64()?,
-            hit_seq: b.u64()?,
-            hit_tid: b.u32()?,
-            discovered: b.boolean()?,
-        },
-        11 => EventKind::PtSegmentDecoded {
-            core: b.u32()?,
-            segment: b.u64()?,
-            bytes: b.u64()?,
-            stmts: b.u64()?,
-        },
-        12 => EventKind::TraceDecoded {
-            stmts: b.u64()?,
-            branches: b.u64()?,
-            bytes: b.u64()?,
-        },
-        13 => EventKind::PredictorRanked {
-            category: b.str()?,
-            rank: b.u64()?,
-            f_milli: b.u64()?,
-            iid: b.u32()?,
-        },
-        14 => {
-            let step = b.u64()?;
-            let iid = b.u32()?;
-            let n = b.u64()? as usize;
-            let mut provenance = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                provenance.push(b.u64()?);
-            }
-            EventKind::SketchStepEmitted {
-                step,
-                iid,
-                provenance,
-            }
+    fn get(b: &mut Body) -> Result<Self, String> {
+        let n = u64::get(b)?;
+        // The count is untrusted: reserve no more than a sane list needs.
+        let mut v = Vec::with_capacity((n as usize).min(1024));
+        for _ in 0..n {
+            v.push(u64::get(b)?);
         }
-        15 => EventKind::SpanBegin { path: b.str()? },
-        16 => EventKind::SpanEnd { path: b.str()? },
-        _ => return Ok(None),
-    }))
+        Ok(v)
+    }
+    fn json(&self) -> Json {
+        Json::Arr(self.iter().map(Field::json).collect())
+    }
 }
 
 /// Encodes one record as a complete length-prefixed frame.
@@ -451,7 +284,7 @@ pub(crate) fn encode_event_into(rec: &EventRecord, body: &mut Vec<u8>, out: &mut
     put_varint(rec.seq, body);
     put_varint(rec.trace, body);
     put_varint(u64::from(rec.tid), body);
-    encode_kind(&rec.kind, body);
+    rec.kind.encode(body);
     put_varint(body.len() as u64, out);
     out.extend_from_slice(body);
 }
@@ -495,21 +328,17 @@ fn read_frame(buf: &[u8], pos: &mut usize) -> Result<Frame, String> {
     })?;
     *pos = end;
     let mut b = Body { buf: body, pos: 0 };
-    let seq = b.u64()?;
-    let trace = b.u64()?;
-    let tid = u32::try_from(b.u64()?).map_err(|_| "tid out of range".to_owned())?;
-    let tag = *b
-        .buf
-        .get(b.pos)
-        .ok_or_else(|| "frame body truncated".to_owned())?;
-    b.pos += 1;
+    let seq = u64::get(&mut b)?;
+    let trace = u64::get(&mut b)?;
+    let tid = u32::try_from(u64::get(&mut b)?).map_err(|_| "tid out of range".to_owned())?;
+    let tag = b.byte()?;
     if tag == META_TAG {
         return Ok(Frame::Meta(JournalStats {
-            events_overwritten: b.u64()?,
-            oldest_seq: b.u64()?,
+            events_overwritten: u64::get(&mut b)?,
+            oldest_seq: u64::get(&mut b)?,
         }));
     }
-    Ok(match decode_kind(tag, &mut b)? {
+    Ok(match EventKind::decode(tag, &mut b)? {
         Some(kind) => Frame::Event(EventRecord {
             seq,
             trace,

@@ -315,6 +315,30 @@ fn oversized_string_length_is_an_error() {
     assert!(err.contains("string field length overflows"), "{err}");
 }
 
+/// A field whose bytes decode but break the field's type is an error,
+/// not a silently wrapped or replaced value. Each body is seq 1, trace 0,
+/// tid 0, then the tag and its fields.
+#[test]
+fn field_level_decode_errors() {
+    let mut u32_of_2_pow_32 = vec![1, 0, 0, 10]; // watch.hit
+    put_varint(1 << 32, &mut u32_of_2_pow_32); // iid
+    u32_of_2_pow_32.extend_from_slice(&[0, 0, 0, 0, 0]); // addr … discovered
+    let cases: [(&str, Vec<u8>, &str); 3] = [
+        ("u32 of 2^32", u32_of_2_pow_32, "out of range"),
+        // slice.computed: criterion 0, len 0, alias byte 2.
+        ("bool byte 2", vec![1, 0, 0, 2, 0, 0, 2], "bool"),
+        // trace.start: a one-byte label 0xff.
+        ("invalid UTF-8", vec![1, 0, 0, 0, 1, 0xff], "UTF-8"),
+    ];
+    for (name, body, want) in cases {
+        let mut frame = Vec::new();
+        put_varint(body.len() as u64, &mut frame);
+        frame.extend_from_slice(&body);
+        let err = parse_binary(&journal_with_frame(&frame)).expect_err(name);
+        assert!(err.contains(want), "{name}: {err}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

@@ -701,10 +701,10 @@ proptest! {
             default_passes().run(&p);
             predicted_sketches(&p);
             let mut separate = alone(VerifierPass, &p);
-            separate.extend(alone(UafLintPass::default(), &p));
-            separate.extend(alone(AtomicityLintPass::default(), &p));
-            separate.extend(alone(NullFlowLintPass::default(), &p));
-            separate.extend(alone(OrderLintPass::default(), &p));
+            separate.extend(alone(UafLintPass, &p));
+            separate.extend(alone(AtomicityLintPass, &p));
+            separate.extend(alone(NullFlowLintPass, &p));
+            separate.extend(alone(OrderLintPass, &p));
             sort_diagnostics(&mut separate);
             prop_assert_eq!(lint_passes().run(&p), separate);
         }

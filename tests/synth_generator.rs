@@ -18,6 +18,7 @@
 use std::collections::BTreeSet;
 
 use gist_analysis::ground_truth as gt;
+use gist_analysis::predicted_sketches;
 use gist_bugbase::synth::{
     self, generate, generate_control, generate_with_pattern, GroundTruth, Model, PatternKind,
     SynthBug, SYNTH_FILE,
@@ -197,7 +198,7 @@ fn controls_diagnose_clean_statically_and_dynamically() {
             diags.iter().map(|d| d.code).collect::<Vec<_>>()
         );
         assert!(
-            gt::predictions(&bug.program).is_empty(),
+            predicted_sketches(&bug.program).is_empty(),
             "{}: control has predicted sketches",
             bug.name
         );

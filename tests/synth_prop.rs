@@ -13,6 +13,7 @@
 use std::path::PathBuf;
 
 use gist_analysis::ground_truth as gt;
+use gist_analysis::predicted_sketches;
 use gist_bugbase::synth::{self, generate, PatternKind, SynthBug};
 use gist_coop::{diagnose_synth, EvalConfig};
 use proptest::prelude::*;
@@ -85,7 +86,7 @@ fn static_miss(bug: &SynthBug) -> Option<String> {
     }
     let predicted = gist_bench::synth_report::predicted_code(bug.truth.pattern);
     if let Some(pcode) = predicted {
-        if !gt::predictions(&bug.program)
+        if !predicted_sketches(&bug.program)
             .iter()
             .any(|p| p.code == pcode)
         {
