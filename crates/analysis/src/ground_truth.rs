@@ -16,7 +16,6 @@ use gist_ir::Program;
 use crate::deadlock::DeadlockLintPass;
 use crate::diag::Diagnostic;
 use crate::lint::lint_passes;
-use crate::predict::PredictedSketch;
 
 /// Runs the full lint battery (value-flow lints plus the deadlock pass)
 /// and returns the diagnostics.
@@ -83,24 +82,6 @@ pub fn findings_on_lines<'d>(
         .iter()
         .filter(|d| d.code == code && diag_references_line(program, d, file, lines))
         .collect()
-}
-
-/// True if some predicted sketch with `code` steps through at least one
-/// of `lines` of `file` (predicted failure sketches render their step
-/// locations as `file:line` strings).
-pub fn prediction_covers(
-    predictions: &[PredictedSketch],
-    code: &str,
-    file: &str,
-    lines: &[u32],
-) -> bool {
-    predictions.iter().any(|p| {
-        p.code == code
-            && lines.iter().any(|&l| {
-                let site = format!("{file}:{l}");
-                p.steps.iter().any(|s| s.loc == site)
-            })
-    })
 }
 
 #[cfg(test)]

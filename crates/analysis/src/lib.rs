@@ -92,9 +92,7 @@ pub use dataflow::{
 };
 pub use deadlock::{DeadlockAnalysis, DeadlockCycle, DeadlockLintPass, LockOrderEdge};
 pub use diag::{has_errors, render_report, sort_diagnostics, Diagnostic, Severity};
-pub use ground_truth::{
-    code_histogram, diag_references_line, findings_on_lines, lint_all, prediction_covers,
-};
+pub use ground_truth::{code_histogram, diag_references_line, findings_on_lines, lint_all};
 pub use lint::{
     lint_passes, AtomicityLintPass, AvPattern, NullFlowLintPass, OrderLintPass, UafLintPass,
 };

@@ -20,11 +20,11 @@
 //! repro bench               # full-bugbase deterministic report
 //!                           #   -> BENCH_gist.json
 //!                           #   + flight recorder -> JOURNAL_gist.bin
-//! repro bench --synthetic N --seed S
+//! repro bench --synthetic N --seed S [--out PATH]
 //!                           # N seeded synthetic bugs through the full
-//!                           # AsT loop -> BENCH_gist.json + accuracy
-//!                           # table on stdout; exits 1 below the
-//!                           # recorded recovery floor
+//!                           # AsT loop -> SYNTH_bench.json (or PATH) +
+//!                           # accuracy table on stdout; exits 1 below
+//!                           # the recorded recovery floor
 //! ```
 //!
 //! `table1`, `fig9`, `all`, and `bench` exit non-zero when any bug's sketch
@@ -158,8 +158,9 @@ fn bench(out: Option<&str>) {
 }
 
 /// `bench --synthetic N [--seed S] [--out PATH]`: the synthetic-bugbase
-/// accuracy run. Deterministic for fixed `(N, S)`; exits 1 when recovery
-/// falls below the recorded floor.
+/// accuracy run, written to `SYNTH_bench.json` unless `--out` names a
+/// path (never to the committed `BENCH_gist.json`). Deterministic for
+/// fixed `(N, S)`; exits 1 when recovery falls below the recorded floor.
 fn synth_bench(args: &[String]) {
     let flag_value = |flag: &str| -> Option<&String> {
         args.iter()
@@ -179,7 +180,7 @@ fn synth_bench(args: &[String]) {
     let seed = parse_u64("--seed", 1);
     let path = flag_value("--out")
         .map(String::as_str)
-        .unwrap_or("BENCH_gist.json");
+        .unwrap_or("SYNTH_bench.json");
     let report = gist_bench::synth_report::run_synth(n, seed);
     if let Err(e) = std::fs::write(path, report.to_json()) {
         eprintln!("cannot write {path}: {e}");

@@ -295,16 +295,12 @@ fn control_is_clean(bug: &SynthBug) -> bool {
 /// `seed` stream) through the full pipeline, plus `n/10 + 1` negative
 /// controls. Returns the deterministic report.
 pub fn run_synth(n: u64, seed: u64) -> SynthReport {
-    run_synth_with(n, seed, &EvalConfig::default())
-}
-
-/// [`run_synth`] with explicit evaluation knobs (ablation hooks).
-pub fn run_synth_with(n: u64, seed: u64, cfg: &EvalConfig) -> SynthReport {
+    let cfg = EvalConfig::default();
     let mut stream = SplitMix64::new(seed);
     let mut rows = Vec::with_capacity(n as usize);
     for _ in 0..n {
         let bug = synth::generate(stream.next_u64());
-        let eval = diagnose_synth(&bug, cfg);
+        let eval = diagnose_synth(&bug, &cfg);
         let stat = static_check(&bug);
         rows.push(SynthRow { eval, stat });
     }

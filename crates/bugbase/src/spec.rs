@@ -172,7 +172,7 @@ impl BugSpec {
     /// while searching (falling back to the first failure seen if the
     /// preferred flavor never shows).
     pub fn find_failure(&self, max_seeds: u64) -> Option<(u64, FailureReport)> {
-        let compiled = CompiledProgram::shared(&self.program);
+        let compiled = Arc::new(CompiledProgram::compile(&self.program));
         let mut fallback: Option<(u64, FailureReport)> = None;
         for seed in 0..max_seeds {
             let mut vm =
@@ -203,7 +203,7 @@ impl BugSpec {
         if n == 0 {
             return 0.0;
         }
-        let compiled = CompiledProgram::shared(&self.program);
+        let compiled = Arc::new(CompiledProgram::compile(&self.program));
         let mut fails = 0u64;
         for seed in 0..n {
             let mut vm =

@@ -158,7 +158,7 @@ impl SynthBug {
         if n == 0 {
             return 0.0;
         }
-        let compiled = CompiledProgram::shared(&self.program);
+        let compiled = Arc::new(CompiledProgram::compile(&self.program));
         let fails = (0..n)
             .filter(|&seed| {
                 let mut vm =
@@ -209,7 +209,7 @@ pub fn find_failure_in(
     max_seeds: u64,
 ) -> Option<(u64, FailureReport)> {
     let expected = truth.expected?;
-    let compiled = CompiledProgram::shared(program);
+    let compiled = Arc::new(CompiledProgram::compile(program));
     let mut fallback: Option<(u64, FailureReport)> = None;
     for seed in 0..max_seeds {
         let mut vm = Vm::with_compiled(program, Arc::clone(&compiled), synth_config(seed));

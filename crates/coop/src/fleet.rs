@@ -120,8 +120,8 @@ pub struct FleetStats {
 /// Read-only state every pool executor runs against.
 struct PoolEnv {
     /// Owned clone of the fleet's program: worker threads are `'static`,
-    /// so they cannot borrow the caller's `&Program`. `CompiledProgram`
-    /// is interned by fingerprint, so the clone shares the compilation.
+    /// so they cannot borrow the caller's `&Program`. The compilation is
+    /// not cloned: every executor shares the fleet's one `Arc`.
     program: Arc<Program>,
     compiled: Arc<CompiledProgram>,
     make_config: fn(u64) -> VmConfig,
@@ -330,7 +330,7 @@ impl<'p> SimulatedFleet<'p> {
             program,
             make_config,
             config,
-            compiled: CompiledProgram::shared(program),
+            compiled: Arc::new(CompiledProgram::compile(program)),
             main_scratch: VmScratch::default(),
             main_stats: WorkerStats::default(),
             pool: None,

@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 
-use crate::instr::{BinKind, Callee, CmpKind, Instr, IntrinsicKind, Op, Operand, Terminator};
+use crate::instr::{BinKind, Callee, CmpKind, Instr, Op, Operand, Terminator};
 use crate::program::{BasicBlock, Function, Global, Program, ValidationError};
 use crate::srcmap::SrcLoc;
 use crate::types::{BlockId, FuncId, GlobalId, InstrId, Value, VarId};
@@ -372,22 +372,6 @@ impl<'a> FunctionBuilder<'a> {
         self.emit(Op::Print {
             args: args.to_vec(),
         });
-    }
-
-    /// `dst? = <intrinsic>(args...)`
-    pub fn intrinsic(
-        &mut self,
-        dst: Option<&str>,
-        kind: IntrinsicKind,
-        args: &[Operand],
-    ) -> Option<VarId> {
-        let dst = dst.map(|d| self.var(d));
-        self.emit(Op::Intrinsic {
-            dst,
-            kind,
-            args: args.to_vec(),
-        });
-        dst
     }
 
     /// `dst = input n` — reads the n-th workload input.

@@ -47,8 +47,6 @@ pub struct Icfg {
     pub cfgs: Vec<Cfg>,
     /// Per-function dominator trees.
     pub doms: Vec<DomTree>,
-    /// Per-function postdominator trees.
-    pub pdoms: Vec<DomTree>,
     /// Whether thread edges were added (i.e. this is a TICFG).
     pub with_thread_edges: bool,
     /// For each callsite statement, the possible callee functions.
@@ -78,13 +76,11 @@ impl Icfg {
             preds: vec![Vec::new(); n],
             cfgs: program.functions.iter().map(Cfg::build).collect(),
             doms: Vec::new(),
-            pdoms: Vec::new(),
             with_thread_edges: thread_edges,
             call_targets: HashMap::new(),
             callers: HashMap::new(),
         };
         g.doms = g.cfgs.iter().map(DomTree::dominators).collect();
-        g.pdoms = g.cfgs.iter().map(DomTree::postdominators).collect();
 
         // Functions whose address is ever taken: conservative indirect
         // call target set, in the spirit of the paper's data structure

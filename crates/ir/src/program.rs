@@ -123,8 +123,6 @@ pub struct Program {
     stmt_index: Vec<StmtPos>,
     /// Total number of statements (instrs + terminators).
     stmt_count: u32,
-    /// Structural fingerprint, recomputed by [`Program::finalize`].
-    fingerprint: u64,
 }
 
 /// Errors found by [`Program::validate`].
@@ -219,7 +217,6 @@ impl Program {
             source_map: SourceMap::new(),
             stmt_index: Vec::new(),
             stmt_count: 0,
-            fingerprint: 0,
         }
     }
 
@@ -256,42 +253,6 @@ impl Program {
             }
         }
         self.stmt_count = next;
-        self.fingerprint = self.compute_fingerprint();
-    }
-
-    /// A structural fingerprint of the finalized program, stable for the
-    /// process lifetime and across clones.
-    ///
-    /// Keys the shared compile cache (`gist-vm`), its only user. Covers
-    /// every instruction, terminator, global, and the entry point via
-    /// their debug rendering, so any structural edit (after re-`finalize`)
-    /// changes the value with overwhelming probability.
-    ///
-    /// Computed once by [`Program::finalize`] and returned from a stored
-    /// field here, so a compile-cache lookup per VM costs no rehash.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
-    }
-
-    fn compute_fingerprint(&self) -> u64 {
-        use std::fmt::Write as _;
-        use std::hash::{Hash, Hasher};
-
-        struct HashWriter<H>(H);
-        impl<H: Hasher> std::fmt::Write for HashWriter<H> {
-            fn write_str(&mut self, s: &str) -> fmt::Result {
-                self.0.write(s.as_bytes());
-                Ok(())
-            }
-        }
-
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.name.hash(&mut h);
-        self.entry.hash(&mut h);
-        self.stmt_count.hash(&mut h);
-        let mut w = HashWriter(h);
-        let _ = write!(w, "{:?}{:?}", self.functions, self.globals);
-        w.0.finish()
     }
 
     /// Total number of statements (instructions plus terminators).

@@ -9,8 +9,8 @@
 
 use std::collections::HashMap;
 
-use gist_ir::cfg::Cfg;
 use gist_ir::dom::DomTree;
+use gist_ir::icfg::Ticfg;
 use gist_ir::{BlockId, FuncId, InstrId, Program};
 
 /// Control-dependence lookup for a whole program.
@@ -21,12 +21,12 @@ pub struct ControlDeps {
 }
 
 impl ControlDeps {
-    /// Computes control dependences for every function.
-    pub fn build(program: &Program) -> ControlDeps {
+    /// Computes control dependences for every function of `program`,
+    /// over the per-function CFGs of its TICFG.
+    pub fn build(program: &Program, ticfg: &Ticfg) -> ControlDeps {
         let mut out = ControlDeps::default();
-        for f in &program.functions {
-            let cfg = Cfg::build(f);
-            let pdom = DomTree::postdominators(&cfg);
+        for (f, cfg) in program.functions.iter().zip(&ticfg.cfgs) {
+            let pdom = DomTree::postdominators(cfg);
             let mut map: HashMap<BlockId, Vec<InstrId>> = HashMap::new();
             for b in &f.blocks {
                 let succs = b.term.successors();
@@ -80,6 +80,7 @@ impl ControlDeps {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gist_ir::icfg::Icfg;
     use gist_ir::parser::parse_program;
 
     #[test]
@@ -100,7 +101,7 @@ exit:
 "#,
         )
         .unwrap();
-        let cd = ControlDeps::build(&p);
+        let cd = ControlDeps::build(&p, &Icfg::build_ticfg(&p));
         let main = &p.functions[0];
         let branch = main.blocks[0].term.id();
         let x_stmt = main
@@ -143,7 +144,7 @@ exit:
 "#,
         )
         .unwrap();
-        let cd = ControlDeps::build(&p);
+        let cd = ControlDeps::build(&p, &Icfg::build_ticfg(&p));
         let main = &p.functions[0];
         let head = main.blocks.iter().find(|b| b.label == "head").unwrap();
         let body = main.blocks.iter().find(|b| b.label == "body").unwrap();
@@ -176,7 +177,7 @@ exit:
 "#,
         )
         .unwrap();
-        let cd = ControlDeps::build(&p);
+        let cd = ControlDeps::build(&p, &Icfg::build_ticfg(&p));
         let main = &p.functions[0];
         let inner_x = main
             .blocks

@@ -1,6 +1,7 @@
 //! The backward slicer (Algorithm 1) and the [`Slice`] it produces.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::OnceLock;
 
 use gist_analysis::svfg::SvfgEdgeKind;
 use gist_analysis::AnalysisCtx;
@@ -96,15 +97,15 @@ impl Slice {
 /// server reuses them across failures, and reads its race, MHP and
 /// constant facts from the same context).
 ///
-/// Construction builds the control deps only. Every other fact is built
-/// on first use: the TICFG, points-to, the access table and the def index
-/// at the first slice, the thread-shared origins at the first alias-aware
-/// [`StaticSlicer::compute`], and the SVFG at the first
+/// Construction builds nothing. Every fact is built on first use: the
+/// TICFG, the control deps over its CFGs, points-to, the access table and
+/// the def index at the first slice, the thread-shared origins at the
+/// first alias-aware [`StaticSlicer::compute`], and the SVFG at the first
 /// [`StaticSlicer::compute_with_svfg`].
 pub struct StaticSlicer<'p> {
     program: &'p Program,
     facts: AnalysisCtx<'p>,
-    cdeps: ControlDeps,
+    cdeps: OnceLock<ControlDeps>,
 }
 
 impl<'p> StaticSlicer<'p> {
@@ -113,8 +114,15 @@ impl<'p> StaticSlicer<'p> {
         StaticSlicer {
             program,
             facts: AnalysisCtx::new(program),
-            cdeps: ControlDeps::build(program),
+            cdeps: OnceLock::new(),
         }
+    }
+
+    /// The branches that decide whether `stmt` executes.
+    fn controlling_branches(&self, stmt: InstrId) -> Vec<InstrId> {
+        self.cdeps
+            .get_or_init(|| ControlDeps::build(self.program, self.ticfg()))
+            .controlling_branches(self.program, stmt)
     }
 
     /// The program's whole-program facts (shared with the Gist server,
@@ -256,7 +264,7 @@ impl<'p> StaticSlicer<'p> {
                     q.push_back((edge.def, next_ctx, d + 1));
                 }
             }
-            for br in self.cdeps.controlling_branches(self.program, s) {
+            for br in self.controlling_branches(s) {
                 if feasible.contains_key(&br) && seen.insert((br, ctx)) {
                     q.push_back((br, ctx, d + 1));
                 }
@@ -280,7 +288,7 @@ impl<'p> StaticSlicer<'p> {
     ) -> std::collections::BTreeSet<InstrId> {
         let mut out = std::collections::BTreeSet::new();
         for s in stmts {
-            for br in self.cdeps.controlling_branches(self.program, s) {
+            for br in self.controlling_branches(s) {
                 if !slice.contains(br) {
                     continue;
                 }
@@ -404,7 +412,7 @@ impl<'p> StaticSlicer<'p> {
                     }
                 }
                 // Control dependences: the branches deciding s.
-                for br in self.cdeps.controlling_branches(self.program, s) {
+                for br in self.controlling_branches(s) {
                     if feasible.contains_key(&br) && !slice.contains(&br) {
                         stmt_q.push_back(br);
                     }

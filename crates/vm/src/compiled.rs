@@ -26,15 +26,12 @@
 //! VM emits is bit-identical to the tree-walk interpreter's — verified by
 //! the compiled-vs-treewalk differential test over the full bugbase.
 //!
-//! [`CompiledProgram::shared`] memoizes compilation in a process-global
-//! cache keyed by [`Program::fingerprint`], so a fleet's worker threads all
-//! execute one read-only compilation through an [`Arc`]. The cache holds
-//! only weak references: a compilation lives while some VM, fleet or loop
-//! holds it, so a process that diagnoses ever new programs does not keep
-//! every one of them.
+//! A caller that runs one program many times (a fleet, a failure search)
+//! compiles it once with [`CompiledProgram::compile`] and hands each VM a
+//! clone of one `Arc`, so its worker threads all execute one read-only
+//! compilation; [`crate::Vm::new`] compiles afresh for a one-off run.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::Arc;
 
 use gist_ir::{
     BinKind, Callee, CmpKind, InstrId, IntrinsicKind, Op, Operand, Program, Terminator, Value,
@@ -386,36 +383,6 @@ impl CompiledProgram {
         }
     }
 
-    /// Returns the shared compilation of `program` from the process-global
-    /// compile cache, compiling when no live compilation exists.
-    ///
-    /// The cache is keyed by [`Program::fingerprint`] and holds [`Weak`]
-    /// entries, so it shares a compilation only while some caller still
-    /// holds its `Arc`; dead entries are dropped on insert. A hit is
-    /// double-checked against the program's name, statement count, and
-    /// function count, so a (vanishingly unlikely) fingerprint collision
-    /// degrades to an uncached compile rather than executing wrong code.
-    /// The cache deliberately records no metrics: hit patterns depend on
-    /// process history, which would break the gist-obs determinism
-    /// contract.
-    pub fn shared(program: &Program) -> Arc<CompiledProgram> {
-        static CACHE: OnceLock<Mutex<HashMap<u64, Weak<CompiledProgram>>>> = OnceLock::new();
-        let fp = program.fingerprint();
-        let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-        let mut map = cache.lock().unwrap();
-        if let Some(c) = map.get(&fp).and_then(Weak::upgrade) {
-            if c.matches(program) {
-                return c;
-            }
-            // Fingerprint collision: compile fresh, leave the cache alone.
-            return Arc::new(Self::compile(program));
-        }
-        let compiled = Arc::new(Self::compile(program));
-        map.retain(|_, c| c.strong_count() > 0);
-        map.insert(fp, Arc::downgrade(&compiled));
-        compiled
-    }
-
     /// True if this compilation structurally corresponds to `program`.
     pub fn matches(&self, program: &Program) -> bool {
         self.name == program.name
@@ -454,19 +421,6 @@ exit:
 "#,
         )
         .unwrap()
-    }
-
-    #[test]
-    fn shared_compilation_lives_only_while_held() {
-        let p = parse_program("held-compilation", "fn main() {\nentry:\n  ret\n}\n").unwrap();
-        let first = CompiledProgram::shared(&p);
-        assert!(Arc::ptr_eq(&first, &CompiledProgram::shared(&p)));
-        let weak = Arc::downgrade(&first);
-        drop(first);
-        assert!(
-            weak.upgrade().is_none(),
-            "the cache kept a dropped compilation"
-        );
     }
 
     #[test]
@@ -519,15 +473,6 @@ exit:
                 _ => {}
             }
         }
-    }
-
-    #[test]
-    fn shared_returns_one_compilation_per_program() {
-        let p = sample();
-        let a = CompiledProgram::shared(&p);
-        let b = CompiledProgram::shared(&p);
-        assert!(Arc::ptr_eq(&a, &b), "same fingerprint must share");
-        assert!(a.matches(&p));
     }
 
     #[test]

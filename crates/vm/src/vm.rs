@@ -161,16 +161,16 @@ enum Exec {
 }
 
 impl<'p> Vm<'p> {
-    /// Creates a VM for one run of `program`, compiling it on first use
-    /// (subsequent VMs for the same program share the cached compilation).
+    /// Creates a VM for one run of `program`, compiling it first. A caller
+    /// that runs one program many times compiles it once and uses
+    /// [`Vm::with_compiled`] instead.
     pub fn new(program: &'p Program, config: VmConfig) -> Vm<'p> {
-        Vm::with_compiled(program, CompiledProgram::shared(program), config)
+        Vm::with_compiled(program, Arc::new(CompiledProgram::compile(program)), config)
     }
 
     /// Creates a VM executing an already-lowered `program`. The caller is
-    /// responsible for `compiled` being the compilation of `program` —
-    /// typically via [`CompiledProgram::shared`], which a fleet calls once
-    /// and then clones the `Arc` per worker.
+    /// responsible for `compiled` being [`CompiledProgram::compile`] of
+    /// `program`; a fleet compiles once and clones the `Arc` per worker.
     pub fn with_compiled(
         program: &'p Program,
         compiled: Arc<CompiledProgram>,
@@ -1560,7 +1560,7 @@ entry:
 }
 "#;
         let p = parse_program("t", text).unwrap();
-        let compiled = CompiledProgram::shared(&p);
+        let compiled = Arc::new(CompiledProgram::compile(&p));
         let mut scratch = VmScratch::default();
         for _ in 0..3 {
             let mut vm = Vm::with_scratch(&p, Arc::clone(&compiled), VmConfig::default(), scratch);

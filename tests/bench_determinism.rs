@@ -2,9 +2,13 @@
 //! report and its binary journal must be byte-identical across same-seed
 //! runs, and the journal must be complete (no ring overwrites).
 //!
-//! One `#[test]` in its own integration binary: the bench resets and reads
-//! the process-global metrics registry, so it cannot share a process with
-//! other metric-producing tests.
+//! One in-process `#[test]` in its own integration binary: the bench
+//! resets and reads the process-global metrics registry, so it cannot
+//! share a process with other metric-producing tests. The other test runs
+//! the `repro` binary as a child process and shares no state with it.
+
+use std::path::Path;
+use std::process::Command;
 
 use gist_bench::bench_report;
 use gist_obs::json::Json;
@@ -46,4 +50,27 @@ fn deterministic_section_is_byte_identical_across_runs() {
     };
     let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(keys, ["schema", "deterministic"]);
+}
+
+/// The synthetic bench writes its own report; run without `--out` from
+/// the repository root, it must leave the committed golden alone.
+#[test]
+fn synthetic_bench_never_writes_the_committed_report() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("synthetic-bench-default-out");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["bench", "--synthetic", "1", "--seed", "1"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn repro");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(!dir.join("BENCH_gist.json").exists());
+    let report = std::fs::read_to_string(dir.join("SYNTH_bench.json")).expect("SYNTH_bench.json");
+    assert!(report.contains("gist-bench-synth/v1"), "{report}");
 }
