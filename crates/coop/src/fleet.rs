@@ -11,6 +11,11 @@
 //! run allocates its own trace buffers and decodes its trace cold, so
 //! executors share nothing mutable.
 //!
+//! [`SimulatedFleet`] prepares a patch (its dense index and the tracer's
+//! call/ret table) once, when `next_run` first sees it, and every batch
+//! carries that immutable [`PreparedPatch`] by `Arc` to the runs that
+//! execute it.
+//!
 //! Both blocking receives of a batch — a worker's wait for its next chunk
 //! and the dispatcher's wait for a worker's result — go through
 //! `recv_polling`: poll the channel for a few of the executor's own
@@ -29,7 +34,7 @@ use std::time::{Duration, Instant};
 use gist_core::{ClientRunData, Fleet};
 use gist_ir::Program;
 use gist_obs::{Histogram, HistogramSnapshot};
-use gist_tracking::{InstrumentationPatch, TrackerRuntime};
+use gist_tracking::{InstrumentationPatch, PreparedPatch, TrackerRuntime};
 use gist_vm::{CompiledProgram, RunOutcome, Vm, VmConfig, VmScratch};
 
 /// Fleet configuration.
@@ -132,7 +137,7 @@ struct PoolEnv {
 struct Batch {
     /// `(run id, workload seed)`, in run-id order.
     descriptors: Vec<(u64, u64)>,
-    patch: InstrumentationPatch,
+    patch: Arc<PreparedPatch>,
     /// Span parent for worker spans (typically `server.collect`).
     parent: gist_obs::SpanHandle,
 }
@@ -260,14 +265,14 @@ fn execute_one(
     make_config: fn(u64) -> VmConfig,
     num_cores: u32,
     scratch: &mut VmScratch,
-    patch: &InstrumentationPatch,
+    patch: &Arc<PreparedPatch>,
     run_id: u64,
     seed: u64,
 ) -> ClientRunData {
     gist_obs::event!(RunStarted { run: run_id, seed });
     let mut cfg = make_config(seed);
     cfg.num_cores = num_cores;
-    let mut tracker = TrackerRuntime::new(program, patch.clone(), num_cores);
+    let mut tracker = TrackerRuntime::with_prepared(program, Arc::clone(patch), num_cores);
     let mut vm = Vm::with_scratch(program, Arc::clone(compiled), cfg, std::mem::take(scratch));
     let result = vm.run(&mut [&mut tracker]);
     let data = ClientRunData {
@@ -306,8 +311,9 @@ pub struct SimulatedFleet<'p> {
     next_run: u64,
     /// Prefetched runs for the currently shipped patch.
     buffer: VecDeque<ClientRunData>,
-    /// The patch the buffer was produced under.
-    buffered_patch: Option<InstrumentationPatch>,
+    /// The currently shipped patch, prepared once when `next_run` first
+    /// sees it; the buffer holds runs under it only.
+    shipped: Option<Arc<PreparedPatch>>,
     /// Server's advisory prefetch ceiling (see
     /// [`Fleet::hint_runs_remaining`]).
     hint_remaining: Option<u64>,
@@ -336,7 +342,7 @@ impl<'p> SimulatedFleet<'p> {
             pool: None,
             next_run: 0,
             buffer: VecDeque::new(),
-            buffered_patch: None,
+            shipped: None,
             hint_remaining: None,
             runs: 0,
             failing_runs: 0,
@@ -412,7 +418,7 @@ impl<'p> SimulatedFleet<'p> {
 
     /// Executes `descriptors` on the pool (dispatching thread included)
     /// and appends the results to the buffer in run-id order.
-    fn run_batch(&mut self, patch: &InstrumentationPatch, descriptors: Vec<(u64, u64)>) {
+    fn run_batch(&mut self, patch: Arc<PreparedPatch>, descriptors: Vec<(u64, u64)>) {
         self.ensure_pool();
         let pool = self.pool.as_mut().expect("pool just ensured");
         let runs = descriptors.len();
@@ -425,7 +431,7 @@ impl<'p> SimulatedFleet<'p> {
         let chunk_of = |k: usize| k * runs / executors..(k + 1) * runs / executors;
         let batch = Arc::new(Batch {
             descriptors,
-            patch: patch.clone(),
+            patch,
             parent: gist_obs::current_span_handle(),
         });
         for (k, w) in workers.iter().enumerate() {
@@ -458,7 +464,7 @@ impl<'p> SimulatedFleet<'p> {
 
     /// Fills the buffer with a batch of runs for `patch`, in parallel when
     /// `config.batch > 1`.
-    fn refill(&mut self, patch: &InstrumentationPatch) {
+    fn refill(&mut self, patch: Arc<PreparedPatch>) {
         // The server's remaining-runs hint caps the prefetch so a batch
         // never executes runs that would only be discarded at the next
         // patch change.
@@ -492,7 +498,7 @@ impl<'p> SimulatedFleet<'p> {
                 self.make_config,
                 self.config.num_cores,
                 &mut self.main_scratch,
-                patch,
+                &patch,
                 id,
                 seed,
             );
@@ -501,22 +507,23 @@ impl<'p> SimulatedFleet<'p> {
         } else {
             self.run_batch(patch, descriptors);
         }
-        self.buffered_patch = Some(patch.clone());
     }
 }
 
 impl Fleet for SimulatedFleet<'_> {
     fn next_run(&mut self, patch: &InstrumentationPatch) -> ClientRunData {
-        if self.buffered_patch.as_ref() != Some(patch) {
+        if self.shipped.as_ref().map(|p| p.patch()) != Some(patch) {
             // Patch changed (new AsT iteration / watch group): discard any
             // prefetched runs; those executions simply never report back.
-            // Discard counts also depend on batch shape -> histogram.
+            // Discard counts also depend on batch shape -> histogram. The
+            // new patch is prepared here, once, for all of its runs.
             gist_obs::histogram!("fleet.runs_discarded").record(self.buffer.len() as u64);
             self.buffer.clear();
-            self.buffered_patch = None;
+            self.shipped = Some(Arc::new(PreparedPatch::new(self.program, patch.clone())));
         }
         if self.buffer.is_empty() {
-            self.refill(patch);
+            let shipped = self.shipped.as_ref().expect("prepared above");
+            self.refill(Arc::clone(shipped));
         }
         let run = self.buffer.pop_front().expect("refill produced runs");
         self.runs += 1;
@@ -610,6 +617,80 @@ mod tests {
                 "{}: batch=8 must match sequential runs exactly",
                 bug.name
             );
+        }
+    }
+
+    /// The first `n` distinct patches a default-config diagnosis of `bug`
+    /// ships (its first three AsT iterations), in shipping order.
+    fn first_shipped_patches(bug: &gist_bugbase::BugSpec, n: usize) -> Vec<InstrumentationPatch> {
+        let (_, report) = bug.find_failure(2_000).expect("bug manifests");
+        let config = crate::EvalConfig::default().gist_config(String::new(), String::new());
+        let server = gist_core::GistServer::new(&bug.program, config);
+        let mut fleet = SimulatedFleet::for_bug(bug, FleetConfig::default());
+        let mut patches: Vec<InstrumentationPatch> = Vec::new();
+        let mut recording = |patch: &InstrumentationPatch| {
+            if patches.len() < n && !patches.contains(patch) {
+                patches.push(patch.clone());
+            }
+            Fleet::next_run(&mut fleet, patch)
+        };
+        let mut iterations = 0;
+        server.diagnose(&report, &mut recording, None, &mut |_| {
+            iterations += 1;
+            iterations == 3
+        });
+        patches
+    }
+
+    /// A run's observable result with the journal seq-nos of its trace
+    /// zeroed: runs recorded at different journal positions compare equal
+    /// exactly when they behaved the same.
+    fn run_without_seqs(
+        outcome: Option<gist_vm::FailureReport>,
+        mut trace: gist_tracking::RunTrace,
+        retired: u64,
+    ) -> String {
+        trace.hit_events.iter_mut().for_each(|e| *e = 0);
+        trace.decode_event = 0;
+        format!("{outcome:?} {retired} {trace:?}")
+    }
+
+    /// The fleet shares one prepared patch with every run that carries it,
+    /// while the benchmark's replays prepare a patch per run through
+    /// `TrackerRuntime::new`. For every bug, its first shipped patches and
+    /// 8 seeds, both paths give the same run (outcome, retired count and
+    /// every `RunTrace` field but journal seq-nos), at batch 1 and pooled
+    /// with forced workers.
+    #[test]
+    fn shared_prepared_patch_runs_match_standalone_runs() {
+        const SEEDS: u64 = 8;
+        for bug in gist_bugbase::all_bugs() {
+            let patches = first_shipped_patches(&bug, 3);
+            assert!(!patches.is_empty(), "{}: a patch ships", bug.name);
+            for patch in &patches {
+                for (batch, workers) in [(1, 0), (4, 2)] {
+                    let mut fleet = SimulatedFleet::for_bug(&bug, forced(8, batch, workers));
+                    for run_id in 0..SEEDS {
+                        let run = Fleet::next_run(&mut fleet, patch);
+                        assert_eq!(run.run_id, run_id);
+                        let mut cfg = (bug.make_config)(fleet.seed_of(run_id));
+                        cfg.num_cores = fleet.config.num_cores;
+                        let mut tracker =
+                            TrackerRuntime::new(&bug.program, patch.clone(), cfg.num_cores);
+                        let result = Vm::new(&bug.program, cfg).run(&mut [&mut tracker]);
+                        let outcome = match result.outcome {
+                            RunOutcome::Failed(r) => Some(r),
+                            RunOutcome::Finished => None,
+                        };
+                        assert_eq!(
+                            run_without_seqs(run.outcome, run.trace, run.retired),
+                            run_without_seqs(outcome, tracker.finish(), result.steps),
+                            "{}: run {run_id} at batch {batch} differs from TrackerRuntime::new",
+                            bug.name
+                        );
+                    }
+                }
+            }
         }
     }
 

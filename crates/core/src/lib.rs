@@ -34,4 +34,4 @@ pub use client::{ClientRunData, Fleet};
 pub use engine::SketchBuilder;
 pub use eval::{diagnose_until, CoverageTarget};
 pub use refine::Refinement;
-pub use server::{DiagnosisResult, GistConfig, GistServer};
+pub use server::{DiagnosisResult, GistConfig, GistServer, TrackingPlan};

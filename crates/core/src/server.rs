@@ -6,7 +6,7 @@ use gist_ir::{InstrId, Program};
 use gist_predictors::{rank, Access, PredictorStats, RunObservations};
 use gist_sketch::FailureSketch;
 use gist_slicing::{Slice, StaticSlicer};
-use gist_tracking::{Planner, RunTrace};
+use gist_tracking::{InstrumentationPatch, Planner, RunTrace};
 use gist_vm::{AccessKind, FailureReport};
 
 use crate::ast::{AstController, Growth, DEFAULT_SIGMA};
@@ -125,6 +125,26 @@ impl CostSummary {
     }
 }
 
+/// What the static analyses give the AsT loop of one diagnosis (see
+/// [`GistServer::analyze`]).
+pub struct TrackingPlan<'p> {
+    /// Race-candidate endpoints outside the slice; they join every
+    /// iteration's tracked set (fallback seeding).
+    pub race_seed: Vec<InstrId>,
+    /// Plans each iteration's watch-group patches.
+    pub planner: Planner<'p>,
+}
+
+/// One watch group's patch within an AsT iteration, with what every run
+/// carrying it adds to the [`CostSummary`].
+struct ShippedPatch {
+    patch: InstrumentationPatch,
+    /// Serialized size.
+    bytes: u64,
+    /// Instrumentation points.
+    points: u64,
+}
+
 /// The outcome of diagnosing one failure.
 #[derive(Clone, Debug)]
 pub struct DiagnosisResult {
@@ -203,57 +223,29 @@ impl<'p> GistServer<'p> {
         }
     }
 
-    /// Diagnoses one failure: runs AsT iterations against the fleet until
-    /// `stop` approves the sketch (the paper's developer-in-the-loop),
-    /// AsT saturates, or the iteration cap is hit.
-    ///
-    /// A report that fails [`GistServer::check_report`] gets an empty
-    /// result at once: no iteration, no run, no journal event.
-    ///
-    /// `ideal` (evaluation only) marks statements outside the ideal sketch
-    /// grey, as in the paper's Fig. 8.
-    pub fn diagnose(
-        &self,
-        report: &FailureReport,
-        fleet: &mut dyn Fleet,
-        ideal: Option<&BTreeSet<InstrId>>,
-        stop: &mut dyn FnMut(&FailureSketch) -> bool,
-    ) -> DiagnosisResult {
-        if self.check_report(report).is_err() {
-            return DiagnosisResult {
-                sketch: FailureSketch::default(),
-                slice: Slice::empty(report.failing_stmt),
-                iterations: 0,
-                recurrences: 0,
-                total_runs: 0,
-                final_sigma: self.config.sigma0,
-                refinement: Refinement::new(),
-                ranked: Vec::new(),
-                cost: CostSummary::default(),
-            };
+    /// True when the SVFG slicer runs (it needs alias-aware slicing).
+    fn uses_svfg(&self) -> bool {
+        self.config.enable_svfg_slicing && self.config.enable_alias_slicing
+    }
+
+    /// The static backward slice from `report`'s failing statement (§3.1),
+    /// with the slicer the configuration selects.
+    fn slice(&self, report: &FailureReport) -> Slice {
+        let _span = gist_obs::span("server.slice");
+        if self.uses_svfg() {
+            self.slicer.compute_with_svfg(report.failing_stmt)
+        } else if self.config.enable_alias_slicing {
+            self.slicer.compute(report.failing_stmt)
+        } else {
+            self.slicer.compute_without_alias(report.failing_stmt)
         }
-        gist_obs::begin_trace(&self.config.title);
-        let _span_diagnose = gist_obs::span("server.diagnose");
-        gist_obs::counter!("server.diagnoses").inc();
-        let use_svfg = self.config.enable_svfg_slicing && self.config.enable_alias_slicing;
-        let slice = {
-            let _span = gist_obs::span("server.slice");
-            if use_svfg {
-                self.slicer.compute_with_svfg(report.failing_stmt)
-            } else if self.config.enable_alias_slicing {
-                self.slicer.compute(report.failing_stmt)
-            } else {
-                self.slicer.compute_without_alias(report.failing_stmt)
-            }
-        };
-        // The slice criterion is the root of every provenance chain: any
-        // statement in the sketch is there because of this computation, a
-        // promotion decision that cites it, or runtime evidence.
-        let slice_event = gist_obs::event!(SliceComputed {
-            criterion: report.failing_stmt.0,
-            len: slice.len() as u64,
-            alias: self.config.enable_alias_slicing,
-        });
+    }
+
+    /// The static analyses behind tracking a failure of `report` whose
+    /// slice is `slice`: the race candidates that seed every tracked set,
+    /// and the planner each AsT iteration plans its watch groups' patches
+    /// with (§3.2).
+    pub fn analyze(&self, report: &FailureReport, slice: &Slice) -> TrackingPlan<'_> {
         // Static race analysis (fallback seeding): candidates whose pair
         // touches the slice contribute their *other* endpoint to the
         // tracked set. With alias-aware slicing on, most racing writes are
@@ -321,7 +313,7 @@ impl<'p> GistServer<'p> {
         // Value-flow distances (SVFG hops to the failing value) break
         // priority ties among watchpoint candidates: fewer def-use steps
         // from the failure means an earlier cooperative watch group.
-        let flow_distances = if use_svfg {
+        let flow_distances = if self.uses_svfg() {
             facts.svfg().backward_value_flow(report.failing_stmt)
         } else {
             Default::default()
@@ -330,7 +322,58 @@ impl<'p> GistServer<'p> {
             .with_watch_priority(watch_priority)
             .with_distance_rank(flow_distances)
             .with_dead_store_filter(dead)
-            .with_mhp_filter(never_parallel);
+            .with_mhp_filter(never_parallel)
+            .with_tracking(
+                self.config.enable_control_flow,
+                self.config.enable_data_flow,
+            );
+        TrackingPlan { race_seed, planner }
+    }
+
+    /// Diagnoses one failure: runs AsT iterations against the fleet until
+    /// `stop` approves the sketch (the paper's developer-in-the-loop),
+    /// AsT saturates, or the iteration cap is hit.
+    ///
+    /// A report that fails [`GistServer::check_report`] gets an empty
+    /// result at once: no iteration, no run, no journal event.
+    ///
+    /// `ideal` (evaluation only) marks statements outside the ideal sketch
+    /// grey, as in the paper's Fig. 8.
+    pub fn diagnose(
+        &self,
+        report: &FailureReport,
+        fleet: &mut dyn Fleet,
+        ideal: Option<&BTreeSet<InstrId>>,
+        stop: &mut dyn FnMut(&FailureSketch) -> bool,
+    ) -> DiagnosisResult {
+        if self.check_report(report).is_err() {
+            return DiagnosisResult {
+                sketch: FailureSketch::default(),
+                slice: Slice::empty(report.failing_stmt),
+                iterations: 0,
+                recurrences: 0,
+                total_runs: 0,
+                final_sigma: self.config.sigma0,
+                refinement: Refinement::new(),
+                ranked: Vec::new(),
+                cost: CostSummary::default(),
+            };
+        }
+        gist_obs::begin_trace(&self.config.title);
+        let _span_diagnose = gist_obs::span("server.diagnose");
+        gist_obs::counter!("server.diagnoses").inc();
+        let use_svfg = self.uses_svfg();
+        let slice = self.slice(report);
+        // The slice criterion is the root of every provenance chain: any
+        // statement in the sketch is there because of this computation, a
+        // promotion decision that cites it, or runtime evidence.
+        let slice_event = gist_obs::event!(SliceComputed {
+            criterion: report.failing_stmt.0,
+            len: slice.len() as u64,
+            alias: self.config.enable_alias_slicing,
+        });
+        let TrackingPlan { race_seed, planner } = self.analyze(report, &slice);
+        let facts = self.slicer.facts();
         let builder = SketchBuilder::new(facts)
             .with_title(&self.config.title)
             .with_class(&self.config.bug_class);
@@ -387,6 +430,10 @@ impl<'p> GistServer<'p> {
                 tracked: tracked.len() as u64,
             });
             let groups = planner.watch_groups(&tracked);
+            // One patch per watch group, planned the first time a run of
+            // the group needs it and shipped to every later one (§4: Gist
+            // builds a patch once and ships it to the endpoints).
+            let mut shipped: Vec<Option<ShippedPatch>> = (0..groups).map(|_| None).collect();
             let mut iter_obs: Vec<RunObservations> = Vec::new();
             let mut failing_this_iter = 0usize;
             let mut runs_this_iter = 0usize;
@@ -396,28 +443,24 @@ impl<'p> GistServer<'p> {
                 && runs_this_iter < self.config.max_runs_per_iteration
             {
                 let group = runs_this_iter % groups;
-                let mut patch = planner.plan(&tracked, group);
-                if !self.config.enable_control_flow {
-                    patch.pt_on_after.clear();
-                    patch.pt_off_after.clear();
-                    patch.pt_on_return_to.clear();
-                    patch.pt_on_enter.clear();
-                    patch.pt_on_at_start = false;
-                }
-                if !self.config.enable_data_flow {
-                    patch.watch_accesses.clear();
-                }
-                let shipped = patch.shipped_size() as u64;
-                cost.instrumentation_points += patch.instrumentation_points() as u64;
-                cost.patch_bytes += shipped;
-                gist_obs::histogram!("tracking.patch_bytes").record(shipped);
-                gist_obs::histogram!("tracking.patch_points")
-                    .record(patch.instrumentation_points() as u64);
+                let ship = shipped[group].get_or_insert_with(|| {
+                    let patch = planner.plan(&tracked, group);
+                    ShippedPatch {
+                        bytes: patch.shipped_size() as u64,
+                        points: patch.instrumentation_points() as u64,
+                        patch,
+                    }
+                });
+                // Every run that carries the patch pays for it.
+                cost.instrumentation_points += ship.points;
+                cost.patch_bytes += ship.bytes;
+                gist_obs::histogram!("tracking.patch_bytes").record(ship.bytes);
+                gist_obs::histogram!("tracking.patch_points").record(ship.points);
 
                 fleet.hint_runs_remaining(
                     (self.config.max_runs_per_iteration - runs_this_iter) as u64,
                 );
-                let run = fleet.next_run(&patch);
+                let run = fleet.next_run(&ship.patch);
                 runs_this_iter += 1;
                 let failing = run.matches_failure(signature);
                 // First-discovery promotions: a watchpoint hit at an
@@ -444,7 +487,7 @@ impl<'p> GistServer<'p> {
                         + run.trace.hits.len();
                     if representative.is_none() || score >= representative_score {
                         representative_score = score;
-                        representative = Some(run.trace.clone());
+                        representative = Some(run.trace);
                     }
                 }
             }

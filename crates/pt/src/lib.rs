@@ -34,4 +34,4 @@ pub use buffer::TraceBuffer;
 pub use decoder::{decode, DecodeError, DecodedTrace};
 pub use driver::PtDriver;
 pub use packet::Packet;
-pub use tracer::{PtConfig, PtTracer};
+pub use tracer::{CallRetTable, PtConfig, PtTracer};

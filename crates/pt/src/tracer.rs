@@ -16,6 +16,8 @@
 //!   PSB/PIP/TIP.PGE on open and a flush + TIP.PGD on close, which is how
 //!   Gist's instrumentation brackets slice statements (§3.2.2).
 
+use std::sync::Arc;
+
 use gist_ir::{InstrId, Op, Program, Terminator};
 use gist_vm::{Event, Observer};
 
@@ -59,24 +61,32 @@ const FLAG_CALL: u8 = 1;
 /// Per-statement classification bit: the statement is a `ret` terminator.
 const FLAG_RET: u8 = 2;
 
-/// Builds the dense per-statement call/ret flag table, so the per-event
-/// hot path never walks the IR (`Program::instr` / `Program::terminator`
-/// resolve block positions on every lookup).
-fn stmt_flags(program: &Program) -> Vec<u8> {
-    let mut flags = vec![0u8; program.stmt_count()];
-    for f in &program.functions {
-        for b in &f.blocks {
-            for i in &b.instrs {
-                if matches!(i.op, Op::Call { .. }) {
-                    flags[i.id.index()] = FLAG_CALL;
+/// The tracer's dense per-statement call/ret classification, indexed by
+/// `InstrId`, so the per-event hot path never walks the IR
+/// (`Program::instr` / `Program::terminator` resolve block positions on
+/// every lookup). It depends only on the program: build it once and clone
+/// it (a reference-count bump) into every tracer of that program.
+#[derive(Clone, Debug)]
+pub struct CallRetTable(Arc<[u8]>);
+
+impl CallRetTable {
+    /// Classifies every statement of `program`.
+    pub fn new(program: &Program) -> Self {
+        let mut flags = vec![0u8; program.stmt_count()];
+        for f in &program.functions {
+            for b in &f.blocks {
+                for i in &b.instrs {
+                    if matches!(i.op, Op::Call { .. }) {
+                        flags[i.id.index()] = FLAG_CALL;
+                    }
+                }
+                if matches!(b.term, Terminator::Ret { .. }) {
+                    flags[b.term.id().index()] = FLAG_RET;
                 }
             }
-            if matches!(b.term, Terminator::Ret { .. }) {
-                flags[b.term.id().index()] = FLAG_RET;
-            }
         }
+        CallRetTable(flags.into())
     }
-    flags
 }
 
 /// The PT tracer. Attach as a VM [`Observer`]; control via [`PtDriver`].
@@ -96,8 +106,8 @@ pub struct PtTracer<'p> {
     /// Capacity for core buffers allocated after construction (the VM may
     /// schedule onto more cores than `PtConfig.num_cores` anticipated).
     buffer_capacity: usize,
-    /// Call/ret classification per statement, indexed by `InstrId`.
-    flags: Vec<u8>,
+    /// Call/ret classification per statement.
+    flags: CallRetTable,
     /// Total branch events observed while tracing was enabled.
     traced_branches: u64,
     /// Total statements retired while tracing was enabled.
@@ -109,6 +119,23 @@ pub struct PtTracer<'p> {
 impl<'p> PtTracer<'p> {
     /// Creates a tracer for `program`, controlled by `driver`.
     pub fn new(program: &'p Program, driver: PtDriver, config: PtConfig) -> Self {
+        Self::with_call_ret(program, driver, config, CallRetTable::new(program))
+    }
+
+    /// Creates a tracer over a prebuilt [`CallRetTable`] of `program`, so
+    /// a caller running many traced runs of one program classifies its
+    /// statements once.
+    pub fn with_call_ret(
+        program: &'p Program,
+        driver: PtDriver,
+        config: PtConfig,
+        flags: CallRetTable,
+    ) -> Self {
+        debug_assert_eq!(
+            flags.0.len(),
+            program.stmt_count(),
+            "table of another program"
+        );
         let n = config.num_cores.max(1) as usize;
         PtTracer {
             driver,
@@ -119,7 +146,7 @@ impl<'p> PtTracer<'p> {
             since_psb: vec![usize::MAX; n],
             windows: Vec::new(),
             buffer_capacity: config.buffer_capacity,
-            flags: stmt_flags(program),
+            flags,
             program,
             traced_branches: 0,
             traced_retired: 0,
@@ -338,7 +365,7 @@ impl<'p> PtTracer<'p> {
                 // leaves the function and the decoder would need a TIP that
                 // was decided before the window existed. The caller-side
                 // resume statement opens the window instead.
-                let flags = self.flags[iid.index()];
+                let flags = self.flags.0[iid.index()];
                 if !self.window_active(*tid) && flags & FLAG_RET != 0 {
                     return;
                 }

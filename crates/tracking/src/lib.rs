@@ -29,4 +29,4 @@ pub mod runtime;
 
 pub use patch::InstrumentationPatch;
 pub use plan::Planner;
-pub use runtime::{RunTrace, TrackerRuntime};
+pub use runtime::{PreparedPatch, RunTrace, TrackerRuntime};

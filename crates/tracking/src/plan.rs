@@ -1,4 +1,11 @@
 //! The instrumentation planner (paper §3.2.2 Fig. 4 and §3.2.3).
+//!
+//! A patch depends only on the tracked slice portion, the watch group and
+//! the planner's inputs (including which of control and data flow are
+//! tracked), so the server plans each (AsT iteration, watch group) patch
+//! once and ships it to every run of that group. [`Planner::plan`]
+//! journals one `tracking.plan` event per patch it builds, describing
+//! exactly the patch that ships.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -18,6 +25,8 @@ pub struct Planner<'p> {
     dead_stores: BTreeSet<InstrId>,
     never_parallel: BTreeSet<InstrId>,
     value_flow_distance: HashMap<InstrId, u64>,
+    control_flow: bool,
+    data_flow: bool,
 }
 
 impl<'p> Planner<'p> {
@@ -30,6 +39,8 @@ impl<'p> Planner<'p> {
             dead_stores: BTreeSet::new(),
             never_parallel: BTreeSet::new(),
             value_flow_distance: HashMap::new(),
+            control_flow: true,
+            data_flow: true,
         }
     }
 
@@ -75,6 +86,16 @@ impl<'p> Planner<'p> {
         self
     }
 
+    /// Selects what the planned patches track (both by default): with
+    /// `control_flow` off they carry no PT start, stop or resume point;
+    /// with `data_flow` off they arm no watchpoint, so there are no watch
+    /// candidates and a single watch group (the ablations of Fig. 10).
+    pub fn with_tracking(mut self, control_flow: bool, data_flow: bool) -> Planner<'p> {
+        self.control_flow = control_flow;
+        self.data_flow = data_flow;
+        self
+    }
+
     /// Orders watchpoint insertion by an external ranking (e.g. the static
     /// race detector's candidate order): statements earlier in `priority`
     /// land in earlier cooperative watch groups, so the likeliest racing
@@ -88,8 +109,12 @@ impl<'p> Planner<'p> {
 
     /// The watchpoint-eligible access statements among `tracked`: memory
     /// accesses whose address is not statically stack-derived (Gist does
-    /// not track stack variables, §3.2.3).
+    /// not track stack variables, §3.2.3). None when data flow is not
+    /// tracked.
     pub fn watch_candidates(&self, tracked: &[InstrId]) -> Vec<InstrId> {
+        if !self.data_flow {
+            return Vec::new();
+        }
         let mut out: Vec<InstrId> = tracked
             .iter()
             .copied()
@@ -259,7 +284,9 @@ impl<'p> Planner<'p> {
             tracked: tracked.iter().copied().collect(),
             ..InstrumentationPatch::default()
         };
-        self.plan_control_flow(tracked, &mut patch, use_sdom);
+        if self.control_flow {
+            self.plan_control_flow(tracked, &mut patch, use_sdom);
+        }
         self.plan_data_flow(tracked, watch_group, &mut patch);
         patch
     }

@@ -1,11 +1,19 @@
 //! The client-side runtime tracker: executes an instrumentation patch
 //! during a production run.
+//!
+//! A patch is prepared once ([`PreparedPatch`]: the patch, its dense
+//! per-statement index and the PT tracer's call/ret table) and shared by
+//! `Arc` with every run that carries it, as Gist ships one patch to every
+//! endpoint of a watch group (§4). [`TrackerRuntime::new`] prepares a
+//! patch for a single run; [`TrackerRuntime::with_prepared`] takes a shared
+//! one, and the two give the same run trace.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use gist_ir::{InstrId, Program};
 use gist_pt::decoder::DecodedTrace;
-use gist_pt::{PtConfig, PtDriver, PtTracer};
+use gist_pt::{CallRetTable, PtConfig, PtDriver, PtTracer};
 use gist_vm::{Event, Observer};
 use gist_watch::{WatchCondition, WatchError, WatchHit, WatchUnit};
 
@@ -59,18 +67,26 @@ const P_ON_AFTER: u8 = 4;
 /// Per-statement patch bit: resume tracing when a `ret` returns here.
 const P_ON_RETURN_TO: u8 = 8;
 
-/// Dense patch lookups, built once per run so the per-event hot path
-/// never probes a `BTreeSet` (`on_event` runs for every retired statement
-/// and memory access of the production run).
-struct PatchIndex {
+/// A patch prepared for execution: the patch plus the dense lookups every
+/// run under it consults, so the per-event hot path never probes a
+/// `BTreeSet` (`on_event` runs for every retired statement and memory
+/// access of the production run) and never walks the IR. Immutable once
+/// built: prepare a shipped patch once and share it by `Arc` with every
+/// run that carries it.
+#[derive(Debug)]
+pub struct PreparedPatch {
+    patch: InstrumentationPatch,
     /// OR of `P_*` bits per statement, indexed by `InstrId`.
     stmt: Vec<u8>,
     /// Functions with a start point at their entry, indexed by `FuncId`.
     on_enter: Vec<bool>,
+    /// The PT tracer's call/ret table of the program.
+    call_ret: CallRetTable,
 }
 
-impl PatchIndex {
-    fn new(program: &Program, patch: &InstrumentationPatch) -> Self {
+impl PreparedPatch {
+    /// Indexes `patch` over `program`'s statements and functions.
+    pub fn new(program: &Program, patch: InstrumentationPatch) -> Self {
         let mut stmt = vec![0u8; program.stmt_count()];
         let mut mark = |set: &BTreeSet<InstrId>, bit: u8| {
             for s in set {
@@ -85,7 +101,17 @@ impl PatchIndex {
         for f in &patch.pt_on_enter {
             on_enter[f.index()] = true;
         }
-        PatchIndex { stmt, on_enter }
+        PreparedPatch {
+            patch,
+            stmt,
+            on_enter,
+            call_ret: CallRetTable::new(program),
+        }
+    }
+
+    /// The patch itself.
+    pub fn patch(&self) -> &InstrumentationPatch {
+        &self.patch
     }
 }
 
@@ -93,8 +119,7 @@ impl PatchIndex {
 /// [`TrackerRuntime::finish`] afterwards to decode and collect the trace.
 pub struct TrackerRuntime<'p> {
     program: &'p Program,
-    patch: InstrumentationPatch,
-    index: PatchIndex,
+    prepared: Arc<PreparedPatch>,
     driver: PtDriver,
     tracer: PtTracer<'p>,
     watch: WatchUnit,
@@ -107,27 +132,44 @@ pub struct TrackerRuntime<'p> {
 }
 
 impl<'p> TrackerRuntime<'p> {
-    /// Creates a tracker for one run under the given patch.
+    /// Creates a tracker for one run under the given patch, preparing the
+    /// patch for this run alone. Runs that share a patch should prepare it
+    /// once and use [`TrackerRuntime::with_prepared`]; both give the same
+    /// run trace.
     pub fn new(program: &'p Program, patch: InstrumentationPatch, num_cores: u32) -> Self {
+        let prepared = Arc::new(PreparedPatch::new(program, patch));
+        Self::with_prepared(program, prepared, num_cores)
+    }
+
+    /// Creates a tracker for one run under a patch prepared for `program`.
+    pub fn with_prepared(
+        program: &'p Program,
+        prepared: Arc<PreparedPatch>,
+        num_cores: u32,
+    ) -> Self {
+        debug_assert_eq!(
+            prepared.stmt.len(),
+            program.stmt_count(),
+            "patch of another program"
+        );
         let driver = PtDriver::new();
-        if patch.pt_on_at_start {
+        if prepared.patch.pt_on_at_start {
             // A tracked statement sits in the program entry's first block
             // (or this is a full-trace plan): tracing starts enabled.
             driver.set_default(true);
         }
-        let tracer = PtTracer::new(
+        let tracer = PtTracer::with_call_ret(
             program,
             driver.clone(),
             PtConfig {
                 num_cores,
                 ..PtConfig::default()
             },
+            prepared.call_ret.clone(),
         );
-        let index = PatchIndex::new(program, &patch);
         TrackerRuntime {
             program,
-            patch,
-            index,
+            prepared,
             driver,
             tracer,
             watch: WatchUnit::new(),
@@ -167,9 +209,8 @@ impl<'p> TrackerRuntime<'p> {
                 *e = true;
             }
         }
-        let executed_tracked: BTreeSet<InstrId> = self
-            .patch
-            .tracked
+        let tracked = &self.prepared.patch.tracked;
+        let executed_tracked: BTreeSet<InstrId> = tracked
             .iter()
             .copied()
             .filter(|s| executed.get(s.index()).copied().unwrap_or(false))
@@ -178,7 +219,7 @@ impl<'p> TrackerRuntime<'p> {
         let discovered: BTreeSet<InstrId> = hits
             .iter()
             .map(|h| h.iid)
-            .filter(|s| !self.patch.tracked.contains(s))
+            .filter(|s| !tracked.contains(s))
             .collect();
         // One journal event per hit, in the same (total) order as `hits`;
         // `hit_events[i]` is the provenance anchor for `hits[i]`.
@@ -191,14 +232,14 @@ impl<'p> TrackerRuntime<'p> {
                     value: h.value,
                     hit_seq: h.seq,
                     hit_tid: h.tid,
-                    discovered: !self.patch.tracked.contains(&h.iid),
+                    discovered: !tracked.contains(&h.iid),
                 })
             })
             .collect();
         let branches: Vec<(u32, InstrId, bool)> = decoded
             .branches
             .iter()
-            .filter(|(_, s, _)| self.patch.tracked.contains(s))
+            .filter(|(_, s, _)| tracked.contains(s))
             .map(|&(t, s, k)| (t, s, k))
             .collect();
         gist_obs::counter!("tracking.runs_traced").inc();
@@ -239,7 +280,7 @@ impl Observer for TrackerRuntime<'_> {
                 is_stack,
                 ..
             } => {
-                if self.index.stmt[iid.index()] & P_WATCH != 0 && !is_stack {
+                if self.prepared.stmt[iid.index()] & P_WATCH != 0 && !is_stack {
                     if let Err(WatchError::NoFreeSlot) =
                         self.watch.set(*addr, 1, WatchCondition::ReadWrite)
                     {
@@ -269,7 +310,7 @@ impl Observer for TrackerRuntime<'_> {
             // the executing thread's core (Intel PT is per-core).
             Event::Retired { iid, core, .. } => {
                 self.tracer.handle(ev);
-                let bits = self.index.stmt[iid.index()];
+                let bits = self.prepared.stmt[iid.index()];
                 if bits & P_OFF_AFTER != 0 {
                     self.driver.trace_off(*core);
                 }
@@ -288,7 +329,7 @@ impl Observer for TrackerRuntime<'_> {
             // thread-routine entry blocks) fire in the entering thread.
             Event::Enter { func, core, .. } => {
                 self.tracer.handle(ev);
-                if self.index.on_enter[func.index()] {
+                if self.prepared.on_enter[func.index()] {
                     self.driver.trace_on(*core);
                 }
             }
@@ -300,7 +341,7 @@ impl Observer for TrackerRuntime<'_> {
             Event::Return { to, core, .. } => {
                 self.tracer.handle(ev);
                 if let Some(to) = to {
-                    if self.index.stmt[to.index()] & P_ON_RETURN_TO != 0 {
+                    if self.prepared.stmt[to.index()] & P_ON_RETURN_TO != 0 {
                         self.pending_resume[*core as usize] = true;
                     }
                 }

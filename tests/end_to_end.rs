@@ -5,10 +5,14 @@
 //! subset of the program, and the latency must be a handful of failure
 //! recurrences — the paper reports 2–5.
 
+use std::cell::Cell;
+use std::collections::BTreeSet;
+
 use gist_bugbase::{all_bugs, bug_by_name, BugClass};
-use gist_coop::{diagnose_bug, EvalConfig};
-use gist_core::{ClientRunData, GistServer};
+use gist_coop::{diagnose_bug, EvalConfig, SimulatedFleet};
+use gist_core::{AstController, ClientRunData, Fleet, GistServer, TrackingPlan};
 use gist_ir::{FuncId, InstrId};
+use gist_tracking::plan::WATCH_BUDGET;
 use gist_tracking::InstrumentationPatch;
 use gist_vm::{FailureReport, StackFrame};
 
@@ -169,6 +173,101 @@ fn diagnosis_latency_is_a_handful_of_recurrences() {
             bug.name,
             eval.recurrences
         );
+    }
+}
+
+/// §3.2.3's cooperative partition, which planning one patch per (AsT
+/// iteration, watch group) relies on. For the tracked set of every AsT
+/// iteration of every bugbase diagnosis (run to saturation, a superset of
+/// the default stop rule's iterations), rebuilt in the server's order
+/// (σ-prefix, race seeds, then discovered statements by id): the
+/// `watch_accesses` of groups `0..watch_groups(tracked)` are pairwise
+/// disjoint, each holds at most `WATCH_BUDGET` sites, their union is
+/// `watch_candidates(tracked)`, group `g + groups` plans the same patch
+/// as group `g`, and every patch the fleet received is one of these plans.
+#[test]
+fn watch_groups_partition_the_candidates_of_every_tracked_set() {
+    let cfg = EvalConfig::default();
+    for bug in all_bugs() {
+        let (_, report) = bug.find_failure(2_000).unwrap();
+        let server = GistServer::new(
+            &bug.program,
+            cfg.gist_config(bug.name.into(), "test".into()),
+        );
+        let mut fleet = SimulatedFleet::for_bug(&bug, cfg.fleet.clone());
+        // (iteration, patch) for each distinct patch of each iteration.
+        let mut shipped: Vec<(usize, InstrumentationPatch)> = Vec::new();
+        let iteration = Cell::new(0);
+        let mut recording = |patch: &InstrumentationPatch| {
+            let seen = shipped
+                .iter()
+                .any(|(i, p)| *i == iteration.get() && p == patch);
+            if !seen {
+                shipped.push((iteration.get(), patch.clone()));
+            }
+            fleet.next_run(patch)
+        };
+        let result = server.diagnose(&report, &mut recording, None, &mut |_| {
+            iteration.set(iteration.get() + 1);
+            false
+        });
+        let TrackingPlan { race_seed, planner } = server.analyze(&report, &result.slice);
+        let mut ast = AstController::with_sigma(result.slice.clone(), cfg.sigma0, cfg.growth);
+        for i in 0..result.iterations {
+            let patches: Vec<&InstrumentationPatch> = shipped
+                .iter()
+                .filter(|(at, _)| *at == i)
+                .map(|(_, p)| p)
+                .collect();
+            let tracked_set = &patches[0].tracked;
+            let mut tracked: Vec<InstrId> = ast.tracked_portion().to_vec();
+            for &s in race_seed.iter().chain(tracked_set) {
+                if !tracked.contains(&s) {
+                    tracked.push(s);
+                }
+            }
+            assert_eq!(
+                tracked.iter().copied().collect::<BTreeSet<_>>(),
+                *tracked_set,
+                "{} iteration {i}: the rebuilt tracked set is the shipped one",
+                bug.name
+            );
+            let groups = planner.watch_groups(&tracked);
+            let plans: Vec<InstrumentationPatch> =
+                (0..groups).map(|g| planner.plan(&tracked, g)).collect();
+            let mut union = BTreeSet::new();
+            for (g, plan) in plans.iter().enumerate() {
+                assert!(
+                    plan.watch_accesses.len() <= WATCH_BUDGET,
+                    "{} iteration {i}: group {g} over budget",
+                    bug.name
+                );
+                assert!(
+                    plan.watch_accesses.is_disjoint(&union),
+                    "{} iteration {i}: group {g} overlaps an earlier group",
+                    bug.name
+                );
+                union.extend(&plan.watch_accesses);
+                assert_eq!(
+                    planner.plan(&tracked, g + groups),
+                    *plan,
+                    "{} iteration {i}: group {} wraps to group {g}",
+                    bug.name,
+                    g + groups
+                );
+            }
+            let candidates: BTreeSet<InstrId> =
+                planner.watch_candidates(&tracked).into_iter().collect();
+            assert_eq!(union, candidates, "{} iteration {i}", bug.name);
+            for patch in patches {
+                assert!(
+                    plans.contains(patch),
+                    "{} iteration {i}: shipped a patch of no watch group",
+                    bug.name
+                );
+            }
+            ast.advance();
+        }
     }
 }
 
