@@ -68,7 +68,8 @@ mod tests {
         let mut vm = Vm::new(&bug.program, cfg);
         vm.run(&mut [&mut sw, &mut hw]);
         hw.finish();
-        let decoded = decoder::decode(&bug.program, &hw.take_traces()).unwrap();
+        let traces = hw.take_traces();
+        let decoded = decoder::decode(hw.code_map(), &traces).unwrap();
         // Hardware-decoded branch outcomes equal software-captured ones,
         // modulo ordering across cores (compare per thread).
         let mut tids: Vec<u32> = sw.branch_log.iter().map(|&(t, _, _)| t).collect();

@@ -1,13 +1,15 @@
 //! Experiment drivers, one per table/figure.
 
+use std::sync::Arc;
+
 use gist_baselines::{CostModel, Recorder, SoftwareTracer};
 use gist_bugbase::{all_bugs, bug_by_name, BugSpec};
 use gist_coop::{diagnose_bug, BugEvaluation, EvalConfig};
 use gist_core::server::CostSummary;
 use gist_pt::{PtConfig, PtDriver, PtTracer};
 use gist_slicing::StaticSlicer;
-use gist_tracking::{Planner, TrackerRuntime};
-use gist_vm::Vm;
+use gist_tracking::{Planner, PreparedPatch, TrackerRuntime};
+use gist_vm::{CompiledProgram, Vm};
 
 use crate::trace_tool::{kind_line, Journal};
 
@@ -101,19 +103,28 @@ pub fn fig11(runs_per_point: u64) -> Vec<Fig11Row> {
 }
 
 /// Runs `n` production runs of `bug` tracking the first `size` slice
-/// statements, returning the aggregate cost.
+/// statements, returning the aggregate cost. As the server does, it
+/// compiles the program once and prepares each watch group's patch once;
+/// run `i` carries group `i % groups`.
 fn tracked_cost(bug: &BugSpec, size: usize, n: u64) -> Option<CostSummary> {
     let (_, report) = bug.find_failure(500)?;
     let slicer = StaticSlicer::new(&bug.program);
     let slice = slicer.compute(report.failing_stmt);
     let planner = Planner::new(&bug.program, slicer.ticfg());
     let tracked = slice.prefix(size);
-    let groups = planner.watch_groups(tracked);
+    let patches: Vec<Arc<PreparedPatch>> = (0..planner.watch_groups(tracked))
+        .map(|g| Arc::new(PreparedPatch::new(&bug.program, planner.plan(tracked, g))))
+        .collect();
+    let compiled = Arc::new(CompiledProgram::compile(&bug.program));
     let mut cost = CostSummary::default();
     for i in 0..n {
-        let patch = planner.plan(tracked, (i as usize) % groups);
-        let mut tracker = TrackerRuntime::new(&bug.program, patch, 4);
-        let mut vm = Vm::new(&bug.program, bug.vm_config(10_000 + i));
+        let patch = Arc::clone(&patches[(i as usize) % patches.len()]);
+        let mut tracker = TrackerRuntime::with_prepared(&bug.program, patch, 4);
+        let mut vm = Vm::with_compiled(
+            &bug.program,
+            Arc::clone(&compiled),
+            bug.vm_config(10_000 + i),
+        );
         let result = vm.run(&mut [&mut tracker]);
         let trace = tracker.finish();
         cost.pt_bytes += trace.pt_bytes as u64;

@@ -1,21 +1,25 @@
-//! The PT decoder: packets + static CFG → executed statement sequence.
+//! The PT decoder: packets + the program's code map → executed statement
+//! sequence.
 //!
 //! A real PT decoder walks the program binary alongside the packet stream:
 //! straight-line code and direct branches are followed from the binary
 //! alone; each conditional branch consumes one TNT bit; each indirect
 //! transfer consumes a TIP packet; compressed RETs pop the decoder's own
-//! call stack. This module does exactly that over MiniC programs.
+//! call stack. This module does exactly that over MiniC programs, reading
+//! successors from the dense [`CodeMap`] and packets in place from the
+//! trace bytes.
 //!
 //! The output of decoding is what Gist's refinement step consumes: the set
 //! (and per-core sequence) of statements that *actually executed* during
 //! the traced windows (paper §3.2.2: "control flow traces identify
 //! statements that get executed during production runs").
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use gist_ir::{Callee, InstrId, Op, Program, Terminator};
+use gist_ir::InstrId;
 
-use crate::packet::Packet;
+use crate::code_map::{CodeMap, Exit};
+use crate::packet::{tnt_bits, PacketReader, Parsed};
 
 /// A decode failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -39,6 +43,10 @@ impl std::fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+fn desync(what: String) -> DecodeError {
+    DecodeError::Desync { what }
+}
 
 /// The decoded control flow of one run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -75,13 +83,9 @@ impl DecodedTrace {
     }
 }
 
-/// What a walker needs next.
-enum Need {
-    /// A TNT bit (walker is at a conditional branch).
-    Tnt,
-    /// A TIP packet (indirect call, or ret with empty decoder stack).
-    Tip,
-}
+/// Most statements one walk may emit before the decoder gives up on
+/// reaching the statement a packet needs.
+const WALK_LIMIT: usize = 10_000_000;
 
 /// Per-thread walker state.
 #[derive(Debug, Default)]
@@ -95,92 +99,178 @@ struct Walker {
     last_emitted: Option<InstrId>,
 }
 
-/// Decodes one core's byte stream, emitting statements into `core_seq`
-/// and branches into `out`.
-fn decode_core(
-    program: &Program,
-    bytes: &[u8],
+impl Walker {
+    /// The statement after one whose exit is `exit` when no packet decides
+    /// it, pushing or popping the return-site stack at calls and rets;
+    /// `None` at a statement that needs a packet, or has no successor.
+    fn follow(&mut self, exit: Exit) -> Option<InstrId> {
+        match exit {
+            Exit::Next(next) => Some(next),
+            Exit::Call { entry, ret_site } => {
+                self.stack.push(ret_site);
+                Some(entry)
+            }
+            Exit::Ret => self.stack.pop(),
+            Exit::IndirectCall { .. } | Exit::CondBr { .. } | Exit::End => None,
+        }
+    }
+
+    /// Advances the walker, emitting statements into `seq`, to the next
+    /// statement that needs a packet: a conditional branch, an indirect
+    /// call, or a `ret` with an empty stack. Returns that statement (also
+    /// emitted) and its exit; the caller moves the walker past it. On an
+    /// error the decode ends, so the walker's position is left stale.
+    fn walk_to_decision(
+        &mut self,
+        code: &CodeMap,
+        tid: u32,
+        seq: &mut Vec<(u32, InstrId)>,
+    ) -> Result<(InstrId, Exit), DecodeError> {
+        let mut pos = self
+            .pos
+            .ok_or_else(|| desync(format!("packet for tid {tid} with no open window")))?;
+        let mut guard = 0usize;
+        loop {
+            guard += 1;
+            if guard > WALK_LIMIT {
+                return Err(desync("walker did not reach a decision point".into()));
+            }
+            let exit = code.exit(pos);
+            match self.follow(exit) {
+                Some(next) => {
+                    seq.push((tid, pos));
+                    pos = next;
+                }
+                None if exit == Exit::End => {
+                    return Err(desync(format!("walker fell off the program at {pos}")));
+                }
+                None => {
+                    seq.push((tid, pos));
+                    self.last_emitted = Some(pos);
+                    return Ok((pos, exit));
+                }
+            }
+        }
+    }
+
+    /// Advances the walker, emitting statements, until `ip` is emitted.
+    /// The caller then closes the window.
+    fn walk_until_ip(
+        &mut self,
+        code: &CodeMap,
+        tid: u32,
+        seq: &mut Vec<(u32, InstrId)>,
+        ip: InstrId,
+    ) -> Result<(), DecodeError> {
+        // The window may close immediately after a consumed decision point;
+        // the PGD/FUP ip then names the statement the walker just emitted.
+        if self.last_emitted == Some(ip) {
+            return Ok(());
+        }
+        // Window already closed (e.g. FUP then PGD): nothing to do.
+        let Some(mut pos) = self.pos else {
+            return Ok(());
+        };
+        let mut guard = 0usize;
+        loop {
+            seq.push((tid, pos));
+            if pos == ip {
+                self.last_emitted = Some(ip);
+                return Ok(());
+            }
+            guard += 1;
+            if guard > WALK_LIMIT {
+                return Err(desync(format!("never reached PGD/FUP ip {ip}")));
+            }
+            pos = self.follow(code.exit(pos)).ok_or_else(|| {
+                desync(format!(
+                    "hit decision point {pos} before PGD/FUP target {ip}"
+                ))
+            })?;
+        }
+    }
+}
+
+/// The walker of the thread `current` names, or the error for a packet
+/// of kind `what` that arrived before any PIP.
+fn current_walker<'w>(
+    walkers: &'w mut [(u32, Walker)],
+    current: Option<usize>,
+    what: &str,
+) -> Result<(u32, &'w mut Walker), DecodeError> {
+    let slot = current.ok_or_else(|| desync(format!("{what} before any PIP")))?;
+    let (tid, w) = &mut walkers[slot];
+    Ok((*tid, w))
+}
+
+/// Walks one core's packets, emitting statements into `seq` and branches
+/// into `out`.
+fn walk_core(
+    code: &CodeMap,
+    packets: &mut PacketReader<'_>,
     out: &mut DecodedTrace,
-    core_seq: &mut Vec<(u32, InstrId)>,
+    seq: &mut Vec<(u32, InstrId)>,
 ) -> Result<(), DecodeError> {
-    let packets = Packet::decode_all(bytes).map_err(DecodeError::BadBytes)?;
-    gist_obs::counter!("pt.packets_decoded").add(packets.len() as u64);
-    // Walkers are per (core, tid); threads never migrate cores.
-    let mut walkers: HashMap<u32, Walker> = HashMap::new();
-    let mut current: Option<u32> = None;
-    for p in &packets {
-        match p {
-            Packet::Psb => {}
-            Packet::Ovf => {
+    // Walkers are per (core, tid); threads never migrate cores. A core
+    // interleaves a handful of threads, so a list beats a map, and its
+    // slots are never indexed by a tid read from the trace.
+    let mut walkers: Vec<(u32, Walker)> = Vec::new();
+    let mut current: Option<usize> = None;
+    for p in packets {
+        match p.map_err(DecodeError::BadBytes)? {
+            Parsed::Psb => {}
+            Parsed::Ovf => {
                 out.overflowed = true;
                 // All walker state on this core is unreliable now.
-                for (_, w) in walkers.iter_mut() {
+                for (_, w) in &mut walkers {
                     w.pos = None;
                 }
             }
-            Packet::Pip { tid } => current = Some(*tid),
-            Packet::Pge { ip } => {
-                let tid = current.ok_or_else(|| DecodeError::Desync {
-                    what: "PGE before any PIP".into(),
-                })?;
-                let w = walkers.entry(tid).or_default();
-                w.pos = Some(*ip);
+            Parsed::Pip { tid } => {
+                let slot = match walkers.iter().position(|&(t, _)| t == tid) {
+                    Some(slot) => slot,
+                    None => {
+                        walkers.push((tid, Walker::default()));
+                        walkers.len() - 1
+                    }
+                };
+                current = Some(slot);
+            }
+            Parsed::Pge { ip } => {
+                let (_, w) = current_walker(&mut walkers, current, "PGE")?;
+                w.pos = Some(ip);
                 w.stack.clear();
             }
-            Packet::Tnt { bits } => {
-                let tid = current.ok_or_else(|| DecodeError::Desync {
-                    what: "TNT before any PIP".into(),
-                })?;
-                for &taken in bits {
-                    let condbr = walk_to_need(program, &mut walkers, tid, core_seq, Need::Tnt)?;
-                    out.branches.push((tid, condbr, taken));
-                    let w = walkers.get_mut(&tid).expect("walker exists");
-                    let target = match program.terminator(condbr) {
-                        Some(Terminator::CondBr {
-                            then_bb, else_bb, ..
-                        }) => {
-                            let pos = program.stmt_pos(condbr).expect("known stmt");
-                            let f = program.function(pos.func);
-                            let bb = if taken { *then_bb } else { *else_bb };
-                            first_stmt_of_block(program, f.id, bb)
-                        }
-                        _ => {
-                            return Err(DecodeError::Desync {
-                                what: format!("TNT bit but walker not at condbr ({condbr})"),
-                            })
-                        }
+            Parsed::Tnt { payload } => {
+                let (tid, w) = current_walker(&mut walkers, current, "TNT")?;
+                for taken_bit in tnt_bits(payload) {
+                    let (at, exit) = w.walk_to_decision(code, tid, seq)?;
+                    let Exit::CondBr { taken, not_taken } = exit else {
+                        return Err(desync(format!(
+                            "expected condbr, found TIP consumer at {at}"
+                        )));
                     };
-                    w.pos = Some(target);
+                    out.branches.push((tid, at, taken_bit));
+                    w.pos = Some(if taken_bit { taken } else { not_taken });
                 }
             }
-            Packet::Tip { ip } => {
-                let tid = current.ok_or_else(|| DecodeError::Desync {
-                    what: "TIP before any PIP".into(),
-                })?;
-                let at = walk_to_need(program, &mut walkers, tid, core_seq, Need::Tip)?;
-                let w = walkers.get_mut(&tid).expect("walker exists");
-                // An indirect call pushes its return site before jumping.
-                if let Some(instr) = program.instr(at) {
-                    if matches!(
-                        instr.op,
-                        Op::Call {
-                            callee: Callee::Indirect(_),
-                            ..
-                        }
-                    ) {
-                        if let Some(after) = stmt_after(program, at) {
-                            w.stack.push(after);
-                        }
+            Parsed::Tip { ip } => {
+                let (tid, w) = current_walker(&mut walkers, current, "TIP")?;
+                match w.walk_to_decision(code, tid, seq)? {
+                    (at, Exit::CondBr { .. }) => {
+                        return Err(desync(format!(
+                            "expected TIP consumer, found condbr at {at}"
+                        )));
                     }
+                    // An indirect call pushes its return site before jumping.
+                    (_, Exit::IndirectCall { ret_site }) => w.stack.push(ret_site),
+                    _ => {}
                 }
-                w.pos = Some(*ip);
+                w.pos = Some(ip);
             }
-            Packet::Pgd { ip } | Packet::Fup { ip } => {
-                let tid = current.ok_or_else(|| DecodeError::Desync {
-                    what: "PGD/FUP before any PIP".into(),
-                })?;
-                walk_until_ip(program, &mut walkers, tid, core_seq, *ip)?;
-                let w = walkers.get_mut(&tid).expect("walker exists");
+            Parsed::Pgd { ip } | Parsed::Fup { ip } => {
+                let (tid, w) = current_walker(&mut walkers, current, "PGD/FUP")?;
+                w.walk_until_ip(code, tid, seq, ip)?;
                 w.pos = None;
             }
         }
@@ -188,16 +278,47 @@ fn decode_core(
     Ok(())
 }
 
-/// Decodes all cores' streams of one run.
-pub fn decode(program: &Program, core_bytes: &[Vec<u8>]) -> Result<DecodedTrace, DecodeError> {
+/// Decodes one core's byte stream, emitting statements into `core_seq`
+/// and branches into `out`.
+fn decode_core(
+    code: &CodeMap,
+    bytes: &[u8],
+    out: &mut DecodedTrace,
+    core_seq: &mut Vec<(u32, InstrId)>,
+) -> Result<(), DecodeError> {
+    let mut packets = PacketReader::new(bytes);
+    let walked = walk_core(code, &mut packets, out, core_seq);
+    match walked {
+        Err(DecodeError::BadBytes(_)) => return walked,
+        // A stream is malformed if any of its bytes are, wherever the
+        // walk stopped.
+        Err(DecodeError::Desync { .. }) => {
+            for p in packets.by_ref() {
+                p.map_err(DecodeError::BadBytes)?;
+            }
+        }
+        Ok(()) => {}
+    }
+    gist_obs::counter!("pt.packets_decoded").add(packets.read);
+    walked
+}
+
+/// Decodes all cores' streams of one run over the traced program's code
+/// map.
+pub fn decode(code: &CodeMap, core_bytes: &[Vec<u8>]) -> Result<DecodedTrace, DecodeError> {
     let _span = gist_obs::span("pt.decode");
     gist_obs::counter!("pt.decodes").inc();
     gist_obs::counter!("pt.bytes_decoded")
         .add(core_bytes.iter().map(|b| b.len() as u64).sum::<u64>());
-    let mut out = DecodedTrace::default();
+    let mut out = DecodedTrace {
+        per_core: Vec::with_capacity(core_bytes.len()),
+        ..DecodedTrace::default()
+    };
     for (core, bytes) in core_bytes.iter().enumerate() {
-        let mut seq = Vec::new();
-        decode_core(program, bytes, &mut out, &mut seq)?;
+        // About one statement per trace byte: sized once, a core's
+        // sequence rarely grows.
+        let mut seq = Vec::with_capacity(2 * bytes.len());
+        decode_core(code, bytes, &mut out, &mut seq)?;
         // One journal event per core buffer, recorded once the core's
         // stream has decoded.
         gist_obs::event!(PtSegmentDecoded {
@@ -213,203 +334,13 @@ pub fn decode(program: &Program, core_bytes: &[Vec<u8>]) -> Result<DecodedTrace,
     Ok(out)
 }
 
-/// Advances `tid`'s walker, emitting statements, until it reaches a
-/// statement that needs the given packet kind. Returns that statement
-/// (also emitted).
-fn walk_to_need(
-    program: &Program,
-    walkers: &mut HashMap<u32, Walker>,
-    tid: u32,
-    seq: &mut Vec<(u32, InstrId)>,
-    need: Need,
-) -> Result<InstrId, DecodeError> {
-    let w = walkers.entry(tid).or_default();
-    let mut guard = 0usize;
-    loop {
-        let pos = w.pos.ok_or_else(|| DecodeError::Desync {
-            what: format!("packet for tid {tid} with no open window"),
-        })?;
-        guard += 1;
-        if guard > 10_000_000 {
-            return Err(DecodeError::Desync {
-                what: "walker did not reach a decision point".into(),
-            });
-        }
-        match classify(program, pos, &mut w.stack) {
-            Step::Plain(next) => {
-                seq.push((tid, pos));
-                w.last_emitted = Some(pos);
-                w.pos = Some(next);
-            }
-            Step::End => {
-                return Err(DecodeError::Desync {
-                    what: format!("walker fell off the program at {pos}"),
-                });
-            }
-            Step::NeedTnt => {
-                seq.push((tid, pos));
-                w.last_emitted = Some(pos);
-                return match need {
-                    Need::Tnt => Ok(pos),
-                    Need::Tip => Err(DecodeError::Desync {
-                        what: format!("expected TIP consumer, found condbr at {pos}"),
-                    }),
-                };
-            }
-            Step::NeedTip => {
-                seq.push((tid, pos));
-                w.last_emitted = Some(pos);
-                return match need {
-                    Need::Tip => Ok(pos),
-                    Need::Tnt => Err(DecodeError::Desync {
-                        what: format!("expected condbr, found TIP consumer at {pos}"),
-                    }),
-                };
-            }
-        }
-    }
-}
-
-/// Advances the walker, emitting statements, until `ip` is emitted.
-fn walk_until_ip(
-    program: &Program,
-    walkers: &mut HashMap<u32, Walker>,
-    tid: u32,
-    seq: &mut Vec<(u32, InstrId)>,
-    ip: InstrId,
-) -> Result<(), DecodeError> {
-    let w = walkers.entry(tid).or_default();
-    // The window may close immediately after a consumed decision point; the
-    // PGD/FUP ip then names the statement the walker just emitted.
-    if w.last_emitted == Some(ip) {
-        return Ok(());
-    }
-    let mut guard = 0usize;
-    loop {
-        let pos = match w.pos {
-            Some(p) => p,
-            // Window already closed (e.g. FUP then PGD): nothing to do.
-            None => return Ok(()),
-        };
-        seq.push((tid, pos));
-        w.last_emitted = Some(pos);
-        if pos == ip {
-            return Ok(());
-        }
-        guard += 1;
-        if guard > 10_000_000 {
-            return Err(DecodeError::Desync {
-                what: format!("never reached PGD/FUP ip {ip}"),
-            });
-        }
-        match classify(program, pos, &mut w.stack) {
-            Step::Plain(next) => w.pos = Some(next),
-            Step::End | Step::NeedTnt | Step::NeedTip => {
-                return Err(DecodeError::Desync {
-                    what: format!("hit decision point {pos} before PGD/FUP target {ip}"),
-                });
-            }
-        }
-    }
-}
-
-/// How the walker leaves statement `pos`. May pop `stack` for rets and
-/// push it for direct calls.
-enum Step {
-    /// Deterministic successor.
-    Plain(InstrId),
-    /// Conditional branch: needs a TNT bit.
-    NeedTnt,
-    /// Indirect transfer: needs a TIP packet.
-    NeedTip,
-    /// No successor (thread exit via ret with empty stack handled as
-    /// NeedTip in real PT; End is for unreachable).
-    End,
-}
-
-fn classify(program: &Program, pos: InstrId, stack: &mut Vec<InstrId>) -> Step {
-    if let Some(instr) = program.instr(pos) {
-        match &instr.op {
-            Op::Call {
-                callee: Callee::Direct(f),
-                ..
-            } => {
-                if let Some(after) = stmt_after(program, pos) {
-                    stack.push(after);
-                }
-                Step::Plain(entry_stmt(program, *f))
-            }
-            Op::Call {
-                callee: Callee::Indirect(_),
-                ..
-            } => Step::NeedTip,
-            _ => match stmt_after(program, pos) {
-                Some(next) => Step::Plain(next),
-                None => Step::End,
-            },
-        }
-    } else if let Some(term) = program.terminator(pos) {
-        match term {
-            Terminator::Br { target, .. } => {
-                let p = program.stmt_pos(pos).expect("known stmt");
-                Step::Plain(first_stmt_of_block(program, p.func, *target))
-            }
-            Terminator::CondBr { .. } => Step::NeedTnt,
-            Terminator::Ret { .. } => match stack.pop() {
-                Some(site) => Step::Plain(site),
-                None => Step::NeedTip,
-            },
-            Terminator::Unreachable { .. } => Step::End,
-        }
-    } else {
-        Step::End
-    }
-}
-
-/// The first statement of a function's entry block.
-fn entry_stmt(program: &Program, f: gist_ir::FuncId) -> InstrId {
-    let func = program.function(f);
-    let b = func.block(func.entry());
-    b.instrs
-        .first()
-        .map(|i| i.id)
-        .unwrap_or_else(|| b.term.id())
-}
-
-/// The first statement of a block.
-fn first_stmt_of_block(program: &Program, f: gist_ir::FuncId, b: gist_ir::BlockId) -> InstrId {
-    let block = program.function(f).block(b);
-    block
-        .instrs
-        .first()
-        .map(|i| i.id)
-        .unwrap_or_else(|| block.term.id())
-}
-
-/// The statement after `pos` within its block (terminator if last).
-fn stmt_after(program: &Program, pos: InstrId) -> Option<InstrId> {
-    let p = program.stmt_pos(pos)?;
-    let block = program.function(p.func).block(p.block);
-    if p.index < block.instrs.len() {
-        Some(
-            block
-                .instrs
-                .get(p.index + 1)
-                .map(|i| i.id)
-                .unwrap_or_else(|| block.term.id()),
-        )
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::PtDriver;
-    use crate::tracer::{PtConfig, PtTracer};
+    use crate::tracer::{EnableAt, PtConfig, PtTracer};
     use gist_ir::parser::parse_program;
-    use gist_vm::{Event, Observer, SchedulerKind, Vm, VmConfig};
+    use gist_vm::{Event, SchedulerKind, Vm, VmConfig};
 
     /// Runs with full tracing and checks the decoded statement stream for
     /// each thread matches exactly the statements the VM retired.
@@ -428,7 +359,7 @@ mod tests {
         vm.run(&mut [&mut truth, &mut tracer]);
         tracer.finish();
         let traces = tracer.take_traces();
-        let decoded = decode(&p, &traces).expect("decode");
+        let decoded = decode(tracer.code_map(), &traces).expect("decode");
         assert!(!decoded.overflowed);
         // Per-thread retired sequences from ground truth.
         let mut tids: Vec<u32> = truth
@@ -663,29 +594,16 @@ entry:
         let p = parse_program("t", text).unwrap();
         let main = p.function_by_name("main").unwrap();
         let c_iid = main.blocks[0].instrs[2].id;
-        let driver = PtDriver::new();
-        struct At {
-            driver: PtDriver,
-            at: InstrId,
-        }
-        impl Observer for At {
-            fn on_event(&mut self, ev: &Event) {
-                if let Event::Retired { iid, .. } = ev {
-                    if *iid == self.at {
-                        self.driver.set_default(true);
-                    }
-                }
-            }
-        }
-        let mut en = At {
-            driver: driver.clone(),
+        let mut en = EnableAt {
+            tracer: PtTracer::new(&p, PtDriver::new(), PtConfig::default()),
             at: c_iid,
         };
-        let mut tracer = PtTracer::new(&p, driver, PtConfig::default());
         let mut vm = Vm::new(&p, VmConfig::default());
-        vm.run(&mut [&mut en, &mut tracer]);
+        vm.run(&mut [&mut en]);
+        let tracer = &mut en.tracer;
         tracer.finish();
-        let decoded = decode(&p, &tracer.take_traces()).unwrap();
+        let traces = tracer.take_traces();
+        let decoded = decode(tracer.code_map(), &traces).unwrap();
         let executed = decoded.executed();
         let a_iid = main.blocks[0].instrs[0].id;
         let d_iid = main.blocks[0].instrs[3].id;
@@ -694,8 +612,8 @@ entry:
             executed.contains(&d_iid),
             "post-enable stmt must be present"
         );
-        // The enabler observer runs before the tracer sees c's Retired
-        // event, so the window opens exactly at c.
+        // Tracing turns on before the tracer sees c's Retired event, so
+        // the window opens exactly at c.
         assert!(executed.contains(&c_iid));
     }
 
@@ -729,7 +647,8 @@ exit:
         vm.run(&mut [&mut tracer]);
         tracer.finish();
         assert!(tracer.buffers()[0].overflowed());
-        let decoded = decode(&p, &tracer.take_traces()).unwrap();
+        let traces = tracer.take_traces();
+        let decoded = decode(tracer.code_map(), &traces).unwrap();
         assert!(decoded.overflowed);
         // Some prefix decoded.
         assert!(!decoded.per_core[0].is_empty());

@@ -9,14 +9,14 @@
 //! matters because Gist's start/stop points execute concurrently in
 //! different threads.
 //!
-//! [`PtDriver`] is a cheaply cloneable handle; it also counts control
-//! transitions so overhead models can charge per-ioctl cost.
+//! The tracer owns its [`PtDriver`] ([`crate::PtTracer::driver_mut`]),
+//! so reading the enable state on the per-event path is a plain field
+//! access; the driver also counts control transitions so overhead models
+//! can charge per-ioctl cost.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-#[derive(Debug, Default)]
-struct DriverState {
+/// The simulated PT kernel driver's per-core enable state.
+#[derive(Clone, Debug, Default)]
+pub struct PtDriver {
     /// Enable state for cores without an explicit override.
     default_on: bool,
     /// Per-core overrides, indexed by core id (`None` = use the default).
@@ -25,31 +25,6 @@ struct DriverState {
     cores: Vec<Option<bool>>,
     /// Number of state-changing control operations ("ioctls issued").
     transitions: u64,
-}
-
-impl DriverState {
-    #[inline]
-    fn core_state(&self, core: u32) -> bool {
-        self.cores
-            .get(core as usize)
-            .copied()
-            .flatten()
-            .unwrap_or(self.default_on)
-    }
-
-    fn set_core(&mut self, core: u32, on: bool) {
-        let idx = core as usize;
-        if self.cores.len() <= idx {
-            self.cores.resize(idx + 1, None);
-        }
-        self.cores[idx] = Some(on);
-    }
-}
-
-/// A handle to the simulated PT kernel driver.
-#[derive(Clone, Debug, Default)]
-pub struct PtDriver {
-    state: Rc<RefCell<DriverState>>,
 }
 
 impl PtDriver {
@@ -61,48 +36,56 @@ impl PtDriver {
     /// Creates a driver with tracing enabled on every core (full-trace
     /// mode, used for the Fig. 13 comparison).
     pub fn always_on() -> Self {
-        let d = Self::new();
+        let mut d = Self::new();
         d.set_default(true);
         d
     }
 
     /// Sets the default state for all cores (clears per-core overrides).
-    pub fn set_default(&self, on: bool) {
-        let mut s = self.state.borrow_mut();
-        if s.default_on != on || s.cores.iter().any(Option::is_some) {
-            s.transitions += 1;
+    pub fn set_default(&mut self, on: bool) {
+        if self.default_on != on || self.cores.iter().any(Option::is_some) {
+            self.transitions += 1;
         }
-        s.default_on = on;
-        s.cores.clear();
+        self.default_on = on;
+        self.cores.clear();
     }
 
     /// Enables tracing on one core (no-op if already on).
-    pub fn trace_on(&self, core: u32) {
-        let mut s = self.state.borrow_mut();
-        if !s.core_state(core) {
-            s.set_core(core, true);
-            s.transitions += 1;
+    pub fn trace_on(&mut self, core: u32) {
+        if !self.is_enabled(core) {
+            self.set_core(core, true);
         }
     }
 
     /// Disables tracing on one core (no-op if already off).
-    pub fn trace_off(&self, core: u32) {
-        let mut s = self.state.borrow_mut();
-        if s.core_state(core) {
-            s.set_core(core, false);
-            s.transitions += 1;
+    pub fn trace_off(&mut self, core: u32) {
+        if self.is_enabled(core) {
+            self.set_core(core, false);
         }
+    }
+
+    fn set_core(&mut self, core: u32, on: bool) {
+        let idx = core as usize;
+        if self.cores.len() <= idx {
+            self.cores.resize(idx + 1, None);
+        }
+        self.cores[idx] = Some(on);
+        self.transitions += 1;
     }
 
     /// True if tracing is enabled on the core.
     #[inline]
     pub fn is_enabled(&self, core: u32) -> bool {
-        self.state.borrow().core_state(core)
+        self.cores
+            .get(core as usize)
+            .copied()
+            .flatten()
+            .unwrap_or(self.default_on)
     }
 
     /// Number of state-changing control operations so far.
     pub fn transitions(&self) -> u64 {
-        self.state.borrow().transitions
+        self.transitions
     }
 }
 
@@ -112,7 +95,7 @@ mod tests {
 
     #[test]
     fn starts_disabled_and_toggles_per_core() {
-        let d = PtDriver::new();
+        let mut d = PtDriver::new();
         assert!(!d.is_enabled(0));
         d.trace_on(0);
         assert!(d.is_enabled(0));
@@ -124,21 +107,11 @@ mod tests {
 
     #[test]
     fn redundant_toggles_do_not_count() {
-        let d = PtDriver::new();
+        let mut d = PtDriver::new();
         d.trace_on(2);
         d.trace_on(2);
         d.trace_on(2);
         assert_eq!(d.transitions(), 1);
-    }
-
-    #[test]
-    fn clones_share_state() {
-        let d = PtDriver::new();
-        let d2 = d.clone();
-        d.trace_on(3);
-        assert!(d2.is_enabled(3));
-        d2.trace_off(3);
-        assert!(!d.is_enabled(3));
     }
 
     #[test]
@@ -150,7 +123,7 @@ mod tests {
 
     #[test]
     fn default_with_overrides() {
-        let d = PtDriver::new();
+        let mut d = PtDriver::new();
         d.set_default(true);
         d.trace_off(1);
         assert!(d.is_enabled(0));

@@ -14,24 +14,28 @@
 //! * [`tracer::PtTracer`] — the hardware side: consumes VM events and
 //!   emits packets; honors RET compression via per-thread call depth, and
 //!   emits PIP on context switches so traces stay decodable per core,
-//! * [`driver::PtDriver`] — the ioctl-like control interface Gist's
-//!   instrumentation calls to start/stop tracing (§4),
+//! * [`driver::PtDriver`] — the ioctl-like per-core control state Gist's
+//!   instrumentation sets to start/stop tracing (§4), owned by the tracer,
+//! * [`code_map::CodeMap`] — the program's per-statement successors, the
+//!   one table both the tracer and the decoder read,
 //! * [`decoder`] — reconstructs the executed statement sequence per core
-//!   from packets plus the program's static CFG, exactly the way a PT
-//!   decoder walks the binary.
+//!   from packets plus the code map, exactly the way a PT decoder walks
+//!   the binary.
 //!
 //! PT traces are control flow only, and only *partially ordered* across
 //! cores (§6) — both properties are preserved here, which is why Gist needs
 //! the watchpoint unit (gist-watch) for data values and cross-core order.
 
 pub mod buffer;
+pub mod code_map;
 pub mod decoder;
 pub mod driver;
 pub mod packet;
 pub mod tracer;
 
 pub use buffer::TraceBuffer;
+pub use code_map::CodeMap;
 pub use decoder::{decode, DecodeError, DecodedTrace};
 pub use driver::PtDriver;
 pub use packet::Packet;
-pub use tracer::{CallRetTable, PtConfig, PtTracer};
+pub use tracer::{PtConfig, PtTracer};

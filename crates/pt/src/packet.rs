@@ -7,7 +7,7 @@
 //! byte carrying up to 6 branch bits, TIP-class packets carry a compressed
 //! IP (here: a 4-byte statement id), PIP carries the context (here: tid).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 use gist_ir::InstrId;
 
 /// One trace packet.
@@ -148,103 +148,137 @@ impl Packet {
         }
     }
 
-    /// Decodes one packet from the front of `buf`.
-    ///
-    /// Returns `None` at a clean end of stream; errors on malformed bytes.
-    pub fn decode(buf: &mut Bytes) -> Result<Option<Packet>, String> {
-        if buf.is_empty() {
-            return Ok(None);
-        }
-        let t = buf[0];
-        if t & 0x80 != 0 {
-            // TNT packet.
-            buf.advance(1);
-            let payload = t & 0x7f;
-            if payload == 0 {
-                return Err("TNT packet without stop bit".to_owned());
-            }
-            // Highest set bit is the stop bit; bits below, oldest first.
-            let stop = 7 - payload.leading_zeros() as usize; // position of stop bit
-            let mut bits = Vec::with_capacity(stop);
-            for i in (0..stop).rev() {
-                bits.push(payload & (1 << i) != 0);
-            }
-            if bits.is_empty() {
-                return Err("empty TNT packet".to_owned());
-            }
-            return Ok(Some(Packet::Tnt { bits }));
-        }
-        match t {
-            tag::PSB => {
-                if buf.len() < 16 {
-                    return Err("truncated PSB".to_owned());
-                }
-                buf.advance(16);
-                Ok(Some(Packet::Psb))
-            }
-            tag::PIP => {
-                if buf.len() < 8 {
-                    return Err("truncated PIP".to_owned());
-                }
-                buf.advance(4);
-                let tid = buf.get_u32_le();
-                Ok(Some(Packet::Pip { tid }))
-            }
-            tag::PGE => {
-                if buf.len() < 5 {
-                    return Err("truncated PGE".to_owned());
-                }
-                buf.advance(1);
-                Ok(Some(Packet::Pge {
-                    ip: InstrId(buf.get_u32_le()),
-                }))
-            }
-            tag::PGD => {
-                if buf.len() < 5 {
-                    return Err("truncated PGD".to_owned());
-                }
-                buf.advance(1);
-                Ok(Some(Packet::Pgd {
-                    ip: InstrId(buf.get_u32_le()),
-                }))
-            }
-            tag::TIP => {
-                if buf.len() < 5 {
-                    return Err("truncated TIP".to_owned());
-                }
-                buf.advance(1);
-                Ok(Some(Packet::Tip {
-                    ip: InstrId(buf.get_u32_le()),
-                }))
-            }
-            tag::FUP => {
-                if buf.len() < 5 {
-                    return Err("truncated FUP".to_owned());
-                }
-                buf.advance(1);
-                Ok(Some(Packet::Fup {
-                    ip: InstrId(buf.get_u32_le()),
-                }))
-            }
-            tag::OVF => {
-                if buf.len() < 2 {
-                    return Err("truncated OVF".to_owned());
-                }
-                buf.advance(2);
-                Ok(Some(Packet::Ovf))
-            }
-            other => Err(format!("unknown packet tag {other:#04x}")),
+    /// Decodes a whole byte stream into packets.
+    pub fn decode_all(bytes: &[u8]) -> Result<Vec<Packet>, String> {
+        PacketReader::new(bytes)
+            .map(|p| {
+                p.map(|p| match p {
+                    Parsed::Psb => Packet::Psb,
+                    Parsed::Pip { tid } => Packet::Pip { tid },
+                    Parsed::Pge { ip } => Packet::Pge { ip },
+                    Parsed::Pgd { ip } => Packet::Pgd { ip },
+                    Parsed::Tnt { payload } => Packet::Tnt {
+                        bits: tnt_bits(payload).collect(),
+                    },
+                    Parsed::Tip { ip } => Packet::Tip { ip },
+                    Parsed::Fup { ip } => Packet::Fup { ip },
+                    Parsed::Ovf => Packet::Ovf,
+                })
+            })
+            .collect()
+    }
+}
+
+/// A packet as the decoder reads it: a [`Packet`] whose TNT bits stay in
+/// their payload byte, so reading a stream allocates nothing.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Parsed {
+    Psb,
+    Pip {
+        tid: u32,
+    },
+    Pge {
+        ip: InstrId,
+    },
+    Pgd {
+        ip: InstrId,
+    },
+    /// Branch bits below a stop bit, oldest first; holds 1 to 6 bits.
+    Tnt {
+        payload: u8,
+    },
+    Tip {
+        ip: InstrId,
+    },
+    Fup {
+        ip: InstrId,
+    },
+    Ovf,
+}
+
+/// The branch outcomes of a TNT payload that [`PacketReader`] accepted,
+/// oldest first.
+pub(crate) fn tnt_bits(payload: u8) -> impl Iterator<Item = bool> {
+    // The highest set bit is the stop bit.
+    let stop = u8::BITS - 1 - payload.leading_zeros();
+    (0..stop).rev().map(move |i| payload & (1 << i) != 0)
+}
+
+/// Reads packets in place from the front of a byte stream. A malformed
+/// packet is an error that ends the stream.
+pub(crate) struct PacketReader<'a> {
+    rest: &'a [u8],
+    /// Packets read so far.
+    pub(crate) read: u64,
+}
+
+impl<'a> PacketReader<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        PacketReader {
+            rest: bytes,
+            read: 0,
         }
     }
 
-    /// Decodes a whole byte stream into packets.
-    pub fn decode_all(bytes: &[u8]) -> Result<Vec<Packet>, String> {
-        let mut buf = Bytes::copy_from_slice(bytes);
-        let mut out = Vec::new();
-        while let Some(p) = Packet::decode(&mut buf)? {
-            out.push(p);
+    fn parse(&mut self, tag: u8) -> Result<Parsed, String> {
+        if tag & 0x80 != 0 {
+            let payload = tag & 0x7f;
+            if payload == 0 {
+                return Err("TNT packet without stop bit".to_owned());
+            }
+            if payload == 1 {
+                return Err("empty TNT packet".to_owned());
+            }
+            self.rest = &self.rest[1..];
+            return Ok(Parsed::Tnt { payload });
         }
-        Ok(out)
+        let (len, name) = match tag {
+            tag::PSB => (16, "PSB"),
+            tag::PIP => (8, "PIP"),
+            tag::PGE => (5, "PGE"),
+            tag::PGD => (5, "PGD"),
+            tag::TIP => (5, "TIP"),
+            tag::FUP => (5, "FUP"),
+            tag::OVF => (2, "OVF"),
+            other => return Err(format!("unknown packet tag {other:#04x}")),
+        };
+        let Some((packet, rest)) = self.rest.split_at_checked(len) else {
+            return Err(format!("truncated {name}"));
+        };
+        self.rest = rest;
+        let word =
+            |at: usize| u32::from_le_bytes(packet[at..at + 4].try_into().expect("a 4-byte field"));
+        Ok(match tag {
+            tag::PSB => Parsed::Psb,
+            tag::PIP => Parsed::Pip { tid: word(4) },
+            tag::PGE => Parsed::Pge {
+                ip: InstrId(word(1)),
+            },
+            tag::PGD => Parsed::Pgd {
+                ip: InstrId(word(1)),
+            },
+            tag::TIP => Parsed::Tip {
+                ip: InstrId(word(1)),
+            },
+            tag::FUP => Parsed::Fup {
+                ip: InstrId(word(1)),
+            },
+            _ => Parsed::Ovf,
+        })
+    }
+}
+
+impl Iterator for PacketReader<'_> {
+    type Item = Result<Parsed, String>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let &tag = self.rest.first()?;
+        let parsed = self.parse(tag);
+        match parsed {
+            Ok(_) => self.read += 1,
+            Err(_) => self.rest = &[],
+        }
+        Some(parsed)
     }
 }
 
@@ -256,10 +290,7 @@ mod tests {
         let mut buf = BytesMut::new();
         p.encode(&mut buf);
         assert_eq!(buf.len(), p.encoded_len(), "size model matches encoding");
-        let mut bytes = buf.freeze();
-        let q = Packet::decode(&mut bytes).unwrap().unwrap();
-        assert_eq!(p, q);
-        assert!(bytes.is_empty());
+        assert_eq!(Packet::decode_all(&buf), Ok(vec![p]));
     }
 
     #[test]

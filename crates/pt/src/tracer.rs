@@ -12,16 +12,15 @@
 //! * **RET compression**: a `ret` whose matching call was traced in the
 //!   same window produces no packet; the decoder pops its call stack. Rets
 //!   that cross a window boundary need an explicit TIP.
-//! * Tracing windows open/close via the [`PtDriver`] — emitting
+//! * Tracing windows open/close via the tracer's [`PtDriver`] — emitting
 //!   PSB/PIP/TIP.PGE on open and a flush + TIP.PGD on close, which is how
 //!   Gist's instrumentation brackets slice statements (§3.2.2).
 
-use std::sync::Arc;
-
-use gist_ir::{InstrId, Op, Program, Terminator};
+use gist_ir::{InstrId, Program};
 use gist_vm::{Event, Observer};
 
 use crate::buffer::TraceBuffer;
+use crate::code_map::{CodeMap, Exit};
 use crate::driver::PtDriver;
 use crate::packet::{Packet, TNT_CAPACITY};
 
@@ -48,51 +47,20 @@ struct TidWindow {
     active: bool,
     /// Call depth since the window opened (for RET compression).
     depth: u64,
-    /// Pending TNT bits, oldest first.
-    pending: Vec<bool>,
+    /// Pending TNT bits, oldest first: the first `pending_len` entries.
+    /// They are flushed when a short TNT packet's worth has gathered.
+    pending: [bool; TNT_CAPACITY],
+    pending_len: usize,
     /// Last statement retired in this window.
     last_ip: Option<InstrId>,
     /// Core this thread is pinned to (learned from events).
     core: u32,
 }
 
-/// Per-statement classification bit: the statement is a `call`.
-const FLAG_CALL: u8 = 1;
-/// Per-statement classification bit: the statement is a `ret` terminator.
-const FLAG_RET: u8 = 2;
-
-/// The tracer's dense per-statement call/ret classification, indexed by
-/// `InstrId`, so the per-event hot path never walks the IR
-/// (`Program::instr` / `Program::terminator` resolve block positions on
-/// every lookup). It depends only on the program: build it once and clone
-/// it (a reference-count bump) into every tracer of that program.
-#[derive(Clone, Debug)]
-pub struct CallRetTable(Arc<[u8]>);
-
-impl CallRetTable {
-    /// Classifies every statement of `program`.
-    pub fn new(program: &Program) -> Self {
-        let mut flags = vec![0u8; program.stmt_count()];
-        for f in &program.functions {
-            for b in &f.blocks {
-                for i in &b.instrs {
-                    if matches!(i.op, Op::Call { .. }) {
-                        flags[i.id.index()] = FLAG_CALL;
-                    }
-                }
-                if matches!(b.term, Terminator::Ret { .. }) {
-                    flags[b.term.id().index()] = FLAG_RET;
-                }
-            }
-        }
-        CallRetTable(flags.into())
-    }
-}
-
-/// The PT tracer. Attach as a VM [`Observer`]; control via [`PtDriver`].
-pub struct PtTracer<'p> {
-    #[allow(dead_code)]
-    program: &'p Program,
+/// The PT tracer. Attach as a VM [`Observer`]; control it through its
+/// [`PtDriver`] ([`PtTracer::driver_mut`]).
+#[derive(Debug)]
+pub struct PtTracer {
     driver: PtDriver,
     buffers: Vec<TraceBuffer>,
     /// Which thread's packets a core's stream is currently attributed to.
@@ -106,8 +74,8 @@ pub struct PtTracer<'p> {
     /// Capacity for core buffers allocated after construction (the VM may
     /// schedule onto more cores than `PtConfig.num_cores` anticipated).
     buffer_capacity: usize,
-    /// Call/ret classification per statement.
-    flags: CallRetTable,
+    /// The program's code map (which statements are calls and rets).
+    code: CodeMap,
     /// Total branch events observed while tracing was enabled.
     traced_branches: u64,
     /// Total statements retired while tracing was enabled.
@@ -116,26 +84,15 @@ pub struct PtTracer<'p> {
     metrics_flushed: bool,
 }
 
-impl<'p> PtTracer<'p> {
-    /// Creates a tracer for `program`, controlled by `driver`.
-    pub fn new(program: &'p Program, driver: PtDriver, config: PtConfig) -> Self {
-        Self::with_call_ret(program, driver, config, CallRetTable::new(program))
+impl PtTracer {
+    /// Creates a tracer for `program`, starting from `driver`'s state.
+    pub fn new(program: &Program, driver: PtDriver, config: PtConfig) -> Self {
+        Self::with_code_map(CodeMap::new(program), driver, config)
     }
 
-    /// Creates a tracer over a prebuilt [`CallRetTable`] of `program`, so
-    /// a caller running many traced runs of one program classifies its
-    /// statements once.
-    pub fn with_call_ret(
-        program: &'p Program,
-        driver: PtDriver,
-        config: PtConfig,
-        flags: CallRetTable,
-    ) -> Self {
-        debug_assert_eq!(
-            flags.0.len(),
-            program.stmt_count(),
-            "table of another program"
-        );
+    /// Creates a tracer over a prebuilt [`CodeMap`] of the traced program,
+    /// so a caller running many traced runs of one program maps it once.
+    pub fn with_code_map(code: CodeMap, driver: PtDriver, config: PtConfig) -> Self {
         let n = config.num_cores.max(1) as usize;
         PtTracer {
             driver,
@@ -146,8 +103,7 @@ impl<'p> PtTracer<'p> {
             since_psb: vec![usize::MAX; n],
             windows: Vec::new(),
             buffer_capacity: config.buffer_capacity,
-            flags,
-            program,
+            code,
             traced_branches: 0,
             traced_retired: 0,
             metrics_flushed: false,
@@ -158,6 +114,33 @@ impl<'p> PtTracer<'p> {
     #[inline]
     fn window_active(&self, tid: u32) -> bool {
         self.windows.get(tid as usize).is_some_and(|w| w.active)
+    }
+
+    /// True when [`PtTracer::handle`] would change nothing for an event of
+    /// `tid` on `core`: tracing is off on the core, the thread has no open
+    /// window to close, and the core already has a buffer. A caller may
+    /// skip such events.
+    #[inline]
+    pub fn idle(&self, core: u32, tid: u32) -> bool {
+        !self.driver.is_enabled(core)
+            && !self.window_active(tid)
+            && (core as usize) < self.buffers.len()
+    }
+
+    /// The tracing control interface.
+    pub fn driver(&self) -> &PtDriver {
+        &self.driver
+    }
+
+    /// The tracing control interface, to turn tracing on and off between
+    /// events.
+    pub fn driver_mut(&mut self) -> &mut PtDriver {
+        &mut self.driver
+    }
+
+    /// The code map of the traced program, which [`crate::decode`] walks.
+    pub fn code_map(&self) -> &CodeMap {
+        &self.code
     }
 
     /// Grows the per-core state when the VM schedules onto a core the
@@ -265,26 +248,26 @@ impl<'p> PtTracer<'p> {
         self.buffers[c].push(&p);
     }
 
-    /// Encodes `tid`'s pending TNT bits on `core`'s stream, straight from
-    /// the pending buffer, which keeps its allocation for the next bits.
+    /// Encodes `tid`'s pending TNT bits, if any, as one short TNT packet
+    /// on `core`'s stream.
     fn emit_pending(&mut self, core: u32, tid: u32) {
         let Some(w) = self.windows.get_mut(tid as usize) else {
             return;
         };
-        let mut bits = std::mem::take(&mut w.pending);
-        let c = core as usize;
-        for chunk in bits.chunks(TNT_CAPACITY) {
-            // A short TNT packet encodes to one byte.
-            self.sync(c, 1);
-            self.buffers[c].push_tnt(chunk);
+        let n = std::mem::take(&mut w.pending_len);
+        if n == 0 {
+            return;
         }
-        bits.clear();
-        self.windows[tid as usize].pending = bits;
+        let bits = w.pending;
+        let c = core as usize;
+        // A short TNT packet encodes to one byte.
+        self.sync(c, 1);
+        self.buffers[c].push_tnt(&bits[..n]);
     }
 
     fn flush_tnt(&mut self, tid: u32) {
         let w = &self.windows[tid as usize];
-        if w.pending.is_empty() {
+        if w.pending_len == 0 {
             return;
         }
         let core = w.core;
@@ -320,7 +303,7 @@ impl<'p> PtTracer<'p> {
             let w = &mut self.windows[tid as usize];
             w.active = true;
             w.depth = 0;
-            w.pending.clear();
+            w.pending_len = 0;
             w.last_ip = Some(ip);
         } else {
             self.switch_core_to(core, tid);
@@ -365,15 +348,15 @@ impl<'p> PtTracer<'p> {
                 // leaves the function and the decoder would need a TIP that
                 // was decided before the window existed. The caller-side
                 // resume statement opens the window instead.
-                let flags = self.flags.0[iid.index()];
-                if !self.window_active(*tid) && flags & FLAG_RET != 0 {
+                let exit = self.code.exit(*iid);
+                if !self.window_active(*tid) && exit == Exit::Ret {
                     return;
                 }
                 self.ensure_window(*tid, *core, *iid);
                 self.traced_retired += 1;
                 let w = &mut self.windows[*tid as usize];
                 w.last_ip = Some(*iid);
-                if flags & FLAG_CALL != 0 {
+                if matches!(exit, Exit::Call { .. } | Exit::IndirectCall { .. }) {
                     w.depth += 1;
                 }
             }
@@ -388,8 +371,9 @@ impl<'p> PtTracer<'p> {
                 self.traced_branches += 1;
                 let flush = {
                     let w = &mut self.windows[*tid as usize];
-                    w.pending.push(*taken);
-                    w.pending.len() >= TNT_CAPACITY
+                    w.pending[w.pending_len] = *taken;
+                    w.pending_len += 1;
+                    w.pending_len == TNT_CAPACITY
                 };
                 if flush {
                     self.flush_tnt(*tid);
@@ -461,9 +445,27 @@ impl<'p> PtTracer<'p> {
     }
 }
 
-impl Observer for PtTracer<'_> {
+impl Observer for PtTracer {
     fn on_event(&mut self, ev: &Event) {
         self.handle(ev);
+    }
+}
+
+/// A tracer that turns tracing on for every core when statement `at`
+/// retires, before it sees that statement's event (tests).
+#[cfg(test)]
+pub(crate) struct EnableAt {
+    pub(crate) tracer: PtTracer,
+    pub(crate) at: InstrId,
+}
+
+#[cfg(test)]
+impl Observer for EnableAt {
+    fn on_event(&mut self, ev: &Event) {
+        if matches!(ev, Event::Retired { iid, .. } if *iid == self.at) {
+            self.tracer.driver_mut().set_default(true);
+        }
+        self.tracer.handle(ev);
     }
 }
 
@@ -601,31 +603,15 @@ entry:
 }
 "#;
         let p = parse_program("calls", text).unwrap();
-        let driver = PtDriver::new();
-        // Custom observer that enables tracing when leaf's add retires.
-        struct Enabler {
-            driver: PtDriver,
-            at: gist_ir::InstrId,
-        }
-        impl Observer for Enabler {
-            fn on_event(&mut self, ev: &Event) {
-                if let Event::Retired { iid, .. } = ev {
-                    if *iid == self.at {
-                        self.driver.set_default(true);
-                    }
-                }
-            }
-        }
         let leaf = p.function_by_name("leaf").unwrap();
         let add_iid = leaf.blocks[0].instrs[0].id;
-        let mut enabler = Enabler {
-            driver: driver.clone(),
+        let mut enabler = EnableAt {
+            tracer: PtTracer::new(&p, PtDriver::new(), PtConfig::default()),
             at: add_iid,
         };
-        let mut tracer = PtTracer::new(&p, driver, PtConfig::default());
         let mut vm = Vm::new(&p, VmConfig::default());
-        // Enabler runs before tracer for each event.
-        vm.run(&mut [&mut enabler, &mut tracer]);
+        vm.run(&mut [&mut enabler]);
+        let tracer = &mut enabler.tracer;
         tracer.finish();
         let pkts = Packet::decode_all(tracer.buffers()[0].as_bytes()).unwrap();
         assert!(

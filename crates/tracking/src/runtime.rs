@@ -2,18 +2,22 @@
 //! during a production run.
 //!
 //! A patch is prepared once ([`PreparedPatch`]: the patch, its dense
-//! per-statement index and the PT tracer's call/ret table) and shared by
+//! per-statement index and the program's PT code map) and shared by
 //! `Arc` with every run that carries it, as Gist ships one patch to every
 //! endpoint of a watch group (§4). [`TrackerRuntime::new`] prepares a
 //! patch for a single run; [`TrackerRuntime::with_prepared`] takes a shared
 //! one, and the two give the same run trace.
+//!
+//! A run pays for PT only where it traces: an event on a core with tracing
+//! off, from a thread with no open trace window, does not reach the
+//! tracer ([`PtTracer::idle`]).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use gist_ir::{InstrId, Program};
 use gist_pt::decoder::DecodedTrace;
-use gist_pt::{CallRetTable, PtConfig, PtDriver, PtTracer};
+use gist_pt::{CodeMap, PtConfig, PtDriver, PtTracer};
 use gist_vm::{Event, Observer};
 use gist_watch::{WatchCondition, WatchError, WatchHit, WatchUnit};
 
@@ -66,11 +70,13 @@ const P_OFF_AFTER: u8 = 2;
 const P_ON_AFTER: u8 = 4;
 /// Per-statement patch bit: resume tracing when a `ret` returns here.
 const P_ON_RETURN_TO: u8 = 8;
+/// Per-statement patch bit: the statement is tracked.
+const P_TRACKED: u8 = 16;
 
 /// A patch prepared for execution: the patch plus the dense lookups every
-/// run under it consults, so the per-event hot path never probes a
-/// `BTreeSet` (`on_event` runs for every retired statement and memory
-/// access of the production run) and never walks the IR. Immutable once
+/// run under it consults, so neither the per-event hot path (`on_event`
+/// runs for every retired statement and memory access of the production
+/// run) nor `finish` probes a `BTreeSet` or walks the IR. Immutable once
 /// built: prepare a shipped patch once and share it by `Arc` with every
 /// run that carries it.
 #[derive(Debug)]
@@ -80,8 +86,8 @@ pub struct PreparedPatch {
     stmt: Vec<u8>,
     /// Functions with a start point at their entry, indexed by `FuncId`.
     on_enter: Vec<bool>,
-    /// The PT tracer's call/ret table of the program.
-    call_ret: CallRetTable,
+    /// The program's code map, which the tracer and the decoder read.
+    code: CodeMap,
 }
 
 impl PreparedPatch {
@@ -97,6 +103,7 @@ impl PreparedPatch {
         mark(&patch.pt_off_after, P_OFF_AFTER);
         mark(&patch.pt_on_after, P_ON_AFTER);
         mark(&patch.pt_on_return_to, P_ON_RETURN_TO);
+        mark(&patch.tracked, P_TRACKED);
         let mut on_enter = vec![false; program.functions.len()];
         for f in &patch.pt_on_enter {
             on_enter[f.index()] = true;
@@ -105,7 +112,7 @@ impl PreparedPatch {
             patch,
             stmt,
             on_enter,
-            call_ret: CallRetTable::new(program),
+            code: CodeMap::new(program),
         }
     }
 
@@ -113,15 +120,20 @@ impl PreparedPatch {
     pub fn patch(&self) -> &InstrumentationPatch {
         &self.patch
     }
+
+    /// True if `stmt` is one of the patch's tracked statements.
+    fn tracks(&self, stmt: InstrId) -> bool {
+        self.stmt
+            .get(stmt.index())
+            .is_some_and(|bits| bits & P_TRACKED != 0)
+    }
 }
 
 /// The runtime tracker. Attach to a VM run as an [`Observer`]; call
 /// [`TrackerRuntime::finish`] afterwards to decode and collect the trace.
-pub struct TrackerRuntime<'p> {
-    program: &'p Program,
+pub struct TrackerRuntime {
     prepared: Arc<PreparedPatch>,
-    driver: PtDriver,
-    tracer: PtTracer<'p>,
+    tracer: PtTracer,
     watch: WatchUnit,
     /// Cores with a resume point pending until the `ret` retires, indexed
     /// by core. The VM emits `Return { to }` while executing the `ret`,
@@ -131,56 +143,44 @@ pub struct TrackerRuntime<'p> {
     missed_arms: u64,
 }
 
-impl<'p> TrackerRuntime<'p> {
+impl TrackerRuntime {
     /// Creates a tracker for one run under the given patch, preparing the
     /// patch for this run alone. Runs that share a patch should prepare it
     /// once and use [`TrackerRuntime::with_prepared`]; both give the same
     /// run trace.
-    pub fn new(program: &'p Program, patch: InstrumentationPatch, num_cores: u32) -> Self {
+    pub fn new(program: &Program, patch: InstrumentationPatch, num_cores: u32) -> Self {
         let prepared = Arc::new(PreparedPatch::new(program, patch));
         Self::with_prepared(program, prepared, num_cores)
     }
 
     /// Creates a tracker for one run under a patch prepared for `program`.
-    pub fn with_prepared(
-        program: &'p Program,
-        prepared: Arc<PreparedPatch>,
-        num_cores: u32,
-    ) -> Self {
+    pub fn with_prepared(program: &Program, prepared: Arc<PreparedPatch>, num_cores: u32) -> Self {
         debug_assert_eq!(
             prepared.stmt.len(),
             program.stmt_count(),
             "patch of another program"
         );
-        let driver = PtDriver::new();
+        let mut driver = PtDriver::new();
         if prepared.patch.pt_on_at_start {
             // A tracked statement sits in the program entry's first block
             // (or this is a full-trace plan): tracing starts enabled.
             driver.set_default(true);
         }
-        let tracer = PtTracer::with_call_ret(
-            program,
-            driver.clone(),
+        let tracer = PtTracer::with_code_map(
+            prepared.code.clone(),
+            driver,
             PtConfig {
                 num_cores,
                 ..PtConfig::default()
             },
-            prepared.call_ret.clone(),
         );
         TrackerRuntime {
-            program,
             prepared,
-            driver,
             tracer,
             watch: WatchUnit::new(),
             pending_resume: vec![false; num_cores.max(1) as usize],
             missed_arms: 0,
         }
-    }
-
-    /// Access to the driver (tests and ablations).
-    pub fn driver(&self) -> &PtDriver {
-        &self.driver
     }
 
     /// Decodes the PT trace and packages the run's results.
@@ -189,7 +189,8 @@ impl<'p> TrackerRuntime<'p> {
         let pt_bytes = self.tracer.total_bytes();
         let traced_retired = self.tracer.traced_retired();
         let traces = self.tracer.take_traces();
-        let decoded = gist_pt::decode(self.program, &traces).unwrap_or_else(|e| {
+        let prepared = &*self.prepared;
+        let decoded = gist_pt::decode(&prepared.code, &traces).unwrap_or_else(|e| {
             // An undecodable trace yields an empty one; refinement then
             // simply learns nothing from this run. Surface in tests via
             // debug assertions.
@@ -203,23 +204,24 @@ impl<'p> TrackerRuntime<'p> {
         });
         // A per-statement bitmap of the decoded trace: cheaper than
         // hashing every executed statement into a set.
-        let mut executed = vec![false; self.program.stmt_count()];
+        let mut executed = vec![false; prepared.stmt.len()];
         for &(_, s) in decoded.per_core.iter().flatten() {
             if let Some(e) = executed.get_mut(s.index()) {
                 *e = true;
             }
         }
-        let tracked = &self.prepared.patch.tracked;
-        let executed_tracked: BTreeSet<InstrId> = tracked
+        let executed_tracked: BTreeSet<InstrId> = prepared
+            .patch
+            .tracked
             .iter()
             .copied()
-            .filter(|s| executed.get(s.index()).copied().unwrap_or(false))
+            .filter(|s| executed[s.index()])
             .collect();
         let hits = self.watch.take_hits();
         let discovered: BTreeSet<InstrId> = hits
             .iter()
             .map(|h| h.iid)
-            .filter(|s| !tracked.contains(s))
+            .filter(|&s| !prepared.tracks(s))
             .collect();
         // One journal event per hit, in the same (total) order as `hits`;
         // `hit_events[i]` is the provenance anchor for `hits[i]`.
@@ -232,14 +234,14 @@ impl<'p> TrackerRuntime<'p> {
                     value: h.value,
                     hit_seq: h.seq,
                     hit_tid: h.tid,
-                    discovered: !tracked.contains(&h.iid),
+                    discovered: !prepared.tracks(h.iid),
                 })
             })
             .collect();
         let branches: Vec<(u32, InstrId, bool)> = decoded
             .branches
             .iter()
-            .filter(|(_, s, _)| tracked.contains(s))
+            .filter(|&&(_, s, _)| prepared.tracks(s))
             .map(|&(t, s, k)| (t, s, k))
             .collect();
         gist_obs::counter!("tracking.runs_traced").inc();
@@ -255,7 +257,7 @@ impl<'p> TrackerRuntime<'p> {
             discovered,
             branches,
             pt_bytes,
-            pt_transitions: self.driver.transitions(),
+            pt_transitions: self.tracer.driver().transitions(),
             traced_retired,
             watch_traps: self.watch.traps(),
             ptrace_ops: self.watch.ptrace_ops(),
@@ -264,8 +266,13 @@ impl<'p> TrackerRuntime<'p> {
     }
 }
 
-impl Observer for TrackerRuntime<'_> {
+impl Observer for TrackerRuntime {
     fn on_event(&mut self, ev: &Event) {
+        // The PT hardware sees each event before the patch acts on it. Most
+        // events run where tracing is off and stop at this check.
+        if !self.tracer.idle(ev.core(), ev.tid()) {
+            self.tracer.handle(ev);
+        }
         match ev {
             // Arm a watchpoint at planned access sites at the PreAccess
             // (address computation) step, which executes *before* the
@@ -277,21 +284,17 @@ impl Observer for TrackerRuntime<'_> {
             Event::PreAccess {
                 iid,
                 addr,
-                is_stack,
+                is_stack: false,
                 ..
-            } => {
-                if self.prepared.stmt[iid.index()] & P_WATCH != 0 && !is_stack {
-                    if let Err(WatchError::NoFreeSlot) =
-                        self.watch.set(*addr, 1, WatchCondition::ReadWrite)
-                    {
-                        // Another cooperative run covers this address.
-                        self.missed_arms += 1;
-                    }
+            } if self.prepared.stmt[iid.index()] & P_WATCH != 0 => {
+                if let Err(WatchError::NoFreeSlot) =
+                    self.watch.set(*addr, 1, WatchCondition::ReadWrite)
+                {
+                    // Another cooperative run covers this address.
+                    self.missed_arms += 1;
                 }
-                self.tracer.handle(ev);
             }
-            // Memory accesses feed both the PT hardware and the
-            // debug registers.
+            // Memory accesses feed the debug registers.
             Event::Mem {
                 seq,
                 tid,
@@ -302,51 +305,44 @@ impl Observer for TrackerRuntime<'_> {
                 value,
                 ..
             } => {
-                self.tracer.handle(ev);
                 self.watch
                     .check_access(*seq, *tid, *core, *iid, *kind, *addr, *value);
             }
             // Control-flow toggles fire after the statement completes, on
             // the executing thread's core (Intel PT is per-core).
             Event::Retired { iid, core, .. } => {
-                self.tracer.handle(ev);
                 let bits = self.prepared.stmt[iid.index()];
+                let driver = self.tracer.driver_mut();
                 if bits & P_OFF_AFTER != 0 {
-                    self.driver.trace_off(*core);
+                    driver.trace_off(*core);
                 }
                 if bits & P_ON_AFTER != 0 {
-                    self.driver.trace_on(*core);
+                    driver.trace_on(*core);
                 }
                 // A resume point deferred from the `Return` event takes
                 // effect once the `ret` itself has retired (and any stop on
                 // it has been applied) — control is now at the return
                 // target.
                 if std::mem::take(&mut self.pending_resume[*core as usize]) {
-                    self.driver.trace_on(*core);
+                    driver.trace_on(*core);
                 }
             }
             // Function-entry start points (tracked statements in callee /
             // thread-routine entry blocks) fire in the entering thread.
-            Event::Enter { func, core, .. } => {
-                self.tracer.handle(ev);
-                if self.prepared.on_enter[func.index()] {
-                    self.driver.trace_on(*core);
-                }
+            Event::Enter { func, core, .. } if self.prepared.on_enter[func.index()] => {
+                self.tracer.driver_mut().trace_on(*core);
             }
             // Resume points: returning to the statement after a callsite
             // whose callee stopped tracing re-enables it. The VM emits
             // `Return` before the `ret`'s `Retired`, so defer the actual
             // toggle to the Retired arm; enabling here would be undone by a
             // `pt_off_after` stop on the `ret` itself.
-            Event::Return { to, core, .. } => {
-                self.tracer.handle(ev);
-                if let Some(to) = to {
-                    if self.prepared.stmt[to.index()] & P_ON_RETURN_TO != 0 {
-                        self.pending_resume[*core as usize] = true;
-                    }
-                }
+            Event::Return {
+                to: Some(to), core, ..
+            } if self.prepared.stmt[to.index()] & P_ON_RETURN_TO != 0 => {
+                self.pending_resume[*core as usize] = true;
             }
-            _ => self.tracer.handle(ev),
+            _ => {}
         }
     }
 }
