@@ -344,12 +344,17 @@ impl PtTracer {
         }
         match ev {
             Event::Retired { tid, core, iid, .. } => {
-                // Never *open* a window at a `ret`: the flow immediately
-                // leaves the function and the decoder would need a TIP that
-                // was decided before the window existed. The caller-side
-                // resume statement opens the window instead.
+                // Never *open* a window at a `ret` or an indirect call: the
+                // flow has already left the statement, and the decoder
+                // would need a TIP that was decided before the window
+                // existed. (A callee-entry start point enables tracing at
+                // the `Enter` event, between the call's transfer and its
+                // retirement.) The next statement, at the caller's resume
+                // point or the callee's entry, opens the window instead.
                 let exit = self.code.exit(*iid);
-                if !self.window_active(*tid) && exit == Exit::Ret {
+                if !self.window_active(*tid)
+                    && matches!(exit, Exit::Ret | Exit::IndirectCall { .. })
+                {
                     return;
                 }
                 self.ensure_window(*tid, *core, *iid);
@@ -512,6 +517,63 @@ exit:
         assert!(matches!(pkts[0], Packet::Psb));
         assert!(pkts.iter().any(|p| matches!(p, Packet::Pge { .. })));
         assert!(pkts.iter().any(|p| matches!(p, Packet::Pgd { .. })));
+    }
+
+    /// Turns tracing on at `func`'s `Enter` event, after the tracer has
+    /// seen it, as a callee-entry start point of the tracking runtime does.
+    struct EnableOnEnter {
+        tracer: PtTracer,
+        func: gist_ir::FuncId,
+    }
+
+    impl Observer for EnableOnEnter {
+        fn on_event(&mut self, ev: &Event) {
+            self.tracer.handle(ev);
+            if matches!(ev, Event::Enter { func, .. } if *func == self.func) {
+                self.tracer.driver_mut().set_default(true);
+            }
+        }
+    }
+
+    #[test]
+    fn tracing_enabled_at_an_indirect_callee_entry_opens_there() {
+        // The indirect call's TIP goes by while tracing is off; its
+        // retirement follows the callee's `Enter`, when tracing is on. A
+        // window opened at the call would need that TIP to decode.
+        let p = parse_program(
+            "icall",
+            r#"
+fn inc(x) {
+entry:
+  y = add x, 1
+  ret y
+}
+fn main() {
+entry:
+  f = funcaddr inc
+  r = icall f(1)
+  print r
+  ret
+}
+"#,
+        )
+        .unwrap();
+        let inc = p.function_by_name("inc").unwrap();
+        let main = p.function_by_name("main").unwrap();
+        let mut obs = EnableOnEnter {
+            tracer: PtTracer::new(&p, PtDriver::new(), PtConfig::default()),
+            func: inc.id,
+        };
+        Vm::new(&p, VmConfig::default()).run(&mut [&mut obs]);
+        obs.tracer.finish();
+        let traces = obs.tracer.take_traces();
+        let decoded = crate::decode(obs.tracer.code_map(), &traces).expect("decodes");
+        let want: Vec<(u32, InstrId)> = inc
+            .stmt_ids()
+            .chain(main.stmt_ids().skip(2))
+            .map(|s| (0, s))
+            .collect();
+        assert_eq!(decoded.per_core[0], want);
     }
 
     #[test]

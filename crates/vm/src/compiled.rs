@@ -1,5 +1,5 @@
-//! The precompiled execution engine: one-time lowering of MiniC IR into a
-//! flat, dense instruction stream.
+//! The precompiled execution engine: one-time lowering of MiniC IR into
+//! one flat, dense code array.
 //!
 //! The tree-walking interpreter re-resolved `function -> block -> instr`
 //! through three indexed lookups and cloned the [`Op`] on every step —
@@ -7,24 +7,23 @@
 //! thousands of runs of the *same* program. Lowering moves all of that to
 //! compile time, once per program:
 //!
-//! * every function becomes one contiguous `Vec` of `CInstr`; block
-//!   boundaries disappear and fallthrough is `pc + 1`,
-//! * jump and call targets are resolved to instruction indices
-//!   (`COp::Jump`/`COp::CondBr` carry `pc` values, calls carry dense
-//!   function indices),
+//! * the whole program becomes one `Vec` of `CInstr`, function after
+//!   function; block boundaries disappear and fallthrough is `pc + 1`,
+//! * jump targets are resolved to indices into that array
+//!   (`COp::Jump`/`COp::CondBr` carry `pc` values), and calls carry dense
+//!   function indices, whose entry `pc` and register count
+//!   `CompiledFunction` holds,
 //! * operands are interned into `Slot`s: registers become raw slot
 //!   numbers and globals are folded to their *constant* addresses (the
 //!   globals segment layout is deterministic, mirroring
 //!   [`crate::mem::Memory::new`]),
-//! * the two-phase memory-access protocol is precomputed: each compiled
-//!   instruction carries its address slot and access kind so the
-//!   [`crate::Vm`] arm point costs one table read instead of an `Op` match,
-//! * per-function frame layout (register count) and the entry statement id
-//!   (the PT `IndirectTransfer` target) are precomputed.
+//! * each function's entry statement id (the PT `IndirectTransfer`
+//!   target) is precomputed.
 //!
 //! Compiled slots keep their original [`InstrId`], so the event stream the
 //! VM emits is bit-identical to the tree-walk interpreter's — verified by
-//! the compiled-vs-treewalk differential test over the full bugbase.
+//! the compiled-vs-treewalk differential test over the bugbase and
+//! generated programs.
 //!
 //! A caller that runs one program many times (a fleet, a failure search)
 //! compiles it once with [`CompiledProgram::compile`] and hands each VM a
@@ -37,7 +36,6 @@ use gist_ir::{
     BinKind, Callee, CmpKind, InstrId, IntrinsicKind, Op, Operand, Program, Terminator, Value,
 };
 
-use crate::event::AccessKind;
 use crate::mem::GLOBALS_BASE;
 
 /// An interned operand: either a constant (immediates and resolved global
@@ -60,7 +58,7 @@ pub(crate) enum CCallee {
 }
 
 /// A lowered operation. Mirrors [`Op`]/[`Terminator`] with all names
-/// resolved; terminators are ordinary entries in the instruction stream.
+/// resolved; terminators are ordinary entries in the code array.
 #[derive(Clone, Debug)]
 pub(crate) enum COp {
     Const {
@@ -161,25 +159,22 @@ pub(crate) enum COp {
     Unreachable,
 }
 
-/// One slot of the flat instruction stream.
+/// One slot of the code array.
 #[derive(Clone, Debug)]
 pub(crate) struct CInstr {
     /// The original statement id (events must carry it unchanged).
     pub(crate) iid: InstrId,
-    /// Precomputed two-phase access info: the address slot and access
-    /// kind, for ops that touch memory (`load`/`store`/`free`/`lock`/
-    /// `unlock`).
-    pub(crate) pre: Option<(Slot, AccessKind)>,
     /// The operation.
     pub(crate) op: COp,
 }
 
-/// One lowered function.
+/// One lowered function's frame layout and place in the code array.
 #[derive(Debug)]
 pub(crate) struct CompiledFunction {
-    /// Flat instruction stream: blocks in order, each block's instructions
-    /// followed by its terminator.
-    pub(crate) code: Vec<CInstr>,
+    /// Index of the function's first instruction in
+    /// [`CompiledProgram::code`]; its blocks follow in order, each block's
+    /// instructions followed by its terminator.
+    pub(crate) entry: u32,
     /// Register-file size (frame layout).
     pub(crate) num_vars: usize,
     /// First statement of the entry block — the PT-visible target of an
@@ -191,6 +186,9 @@ pub(crate) struct CompiledFunction {
 /// worker threads with [`Arc`].
 #[derive(Debug)]
 pub struct CompiledProgram {
+    /// Every function's instructions, one function after another; jump
+    /// targets index this array.
+    pub(crate) code: Vec<CInstr>,
     pub(crate) funcs: Vec<CompiledFunction>,
     /// Base address of each global (must equal the layout
     /// [`crate::mem::Memory::new`] produces).
@@ -229,26 +227,20 @@ impl CompiledProgram {
             }
         };
         let mut funcs = Vec::with_capacity(program.functions.len());
+        let mut code = Vec::with_capacity(program.stmt_count());
+        let mut block_starts = Vec::new();
         for f in &program.functions {
-            // Pass 1: instruction index of each block start.
-            let mut block_starts = Vec::with_capacity(f.blocks.len());
-            let mut pc = 0u32;
+            // Pass 1: code-array index of each block start.
+            let entry = code.len() as u32;
+            block_starts.clear();
+            let mut pc = entry;
             for b in &f.blocks {
                 block_starts.push(pc);
                 pc += b.instrs.len() as u32 + 1; // + terminator
             }
             // Pass 2: lower.
-            let mut code = Vec::with_capacity(pc as usize);
             for b in &f.blocks {
                 for instr in &b.instrs {
-                    let pre = instr.op.access_addr().map(|addr_op| {
-                        let kind = if instr.op.is_memory_write() {
-                            AccessKind::Write
-                        } else {
-                            AccessKind::Read
-                        };
-                        (lower_operand(addr_op), kind)
-                    });
                     let op = match &instr.op {
                         Op::Const { dst, value } => COp::Const {
                             dst: dst.index() as u32,
@@ -331,11 +323,7 @@ impl CompiledProgram {
                         },
                         Op::Nop => COp::Nop,
                     };
-                    code.push(CInstr {
-                        iid: instr.id,
-                        pre,
-                        op,
-                    });
+                    code.push(CInstr { iid: instr.id, op });
                 }
                 let op = match &b.term {
                     Terminator::Br { target, .. } => COp::Jump {
@@ -358,7 +346,6 @@ impl CompiledProgram {
                 };
                 code.push(CInstr {
                     iid: b.term.id(),
-                    pre: None,
                     op,
                 });
             }
@@ -370,12 +357,13 @@ impl CompiledProgram {
                     .unwrap_or_else(|| eb.term.id())
             };
             funcs.push(CompiledFunction {
-                code,
+                entry,
                 num_vars: f.num_vars(),
                 entry_stmt,
             });
         }
         CompiledProgram {
+            code,
             funcs,
             global_bases,
             name: program.name.clone(),
@@ -427,10 +415,11 @@ exit:
     fn lowering_keeps_statement_ids_in_block_order() {
         let p = sample();
         let c = CompiledProgram::compile(&p);
+        let want: Vec<InstrId> = p.functions.iter().flat_map(|f| f.stmt_ids()).collect();
+        let got: Vec<InstrId> = c.code.iter().map(|ci| ci.iid).collect();
+        assert_eq!(want, got);
         for (f, cf) in p.functions.iter().zip(&c.funcs) {
-            let want: Vec<InstrId> = f.stmt_ids().collect();
-            let got: Vec<InstrId> = cf.code.iter().map(|ci| ci.iid).collect();
-            assert_eq!(want, got, "{}", f.name);
+            assert_eq!(c.code[cf.entry as usize].iid, f.stmt_ids().next().unwrap());
             assert_eq!(cf.num_vars, f.num_vars());
         }
     }
@@ -445,7 +434,7 @@ exit:
         }
         // The `load $g` lowered to a constant-address slot.
         let main = &c.funcs[p.entry.index()];
-        match &main.code[0].op {
+        match &c.code[main.entry as usize].op {
             COp::Load {
                 addr: Slot::Const(a),
                 ..
@@ -460,9 +449,8 @@ exit:
     fn branch_targets_are_pc_indices() {
         let p = sample();
         let c = CompiledProgram::compile(&p);
-        let main = &c.funcs[p.entry.index()];
-        let n = main.code.len() as u32;
-        for ci in &main.code {
+        let n = c.code.len() as u32;
+        for ci in &c.code {
             match ci.op {
                 COp::Jump { to } => assert!(to < n),
                 COp::CondBr {
@@ -477,15 +465,32 @@ exit:
 
     #[test]
     fn pre_access_info_matches_op_classification() {
+        // The VM steps exactly these ops in two phases (arm, then access),
+        // each on the address operand the IR names as its access address.
+        fn two_phase_addr(op: &COp) -> Option<Slot> {
+            match op {
+                COp::Load { addr, .. }
+                | COp::Store { addr, .. }
+                | COp::Free { addr }
+                | COp::MutexLock { addr }
+                | COp::MutexUnlock { addr } => Some(*addr),
+                _ => None,
+            }
+        }
         let p = sample();
         let c = CompiledProgram::compile(&p);
-        for (f, cf) in p.functions.iter().zip(&c.funcs) {
+        for f in &p.functions {
             for b in &f.blocks {
                 for instr in &b.instrs {
-                    let pos = cf.code.iter().position(|ci| ci.iid == instr.id).unwrap();
+                    let pos = c.code.iter().position(|ci| ci.iid == instr.id).unwrap();
+                    let want = instr.op.access_addr().map(|a| match a {
+                        Operand::Const(v) => Slot::Const(v),
+                        Operand::Var(v) => Slot::Var(v.index() as u32),
+                        Operand::Global(g) => Slot::Const(c.global_bases[g.index()] as Value),
+                    });
                     assert_eq!(
-                        cf.code[pos].pre.is_some(),
-                        instr.op.access_addr().is_some(),
+                        format!("{:?}", two_phase_addr(&c.code[pos].op)),
+                        format!("{want:?}"),
                         "{:?}",
                         instr.op
                     );

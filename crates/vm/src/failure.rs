@@ -68,19 +68,20 @@ impl FailureKind {
         }
     }
 
-    /// The per-kind metrics counter name (`vm.failures.*` namespace).
-    pub fn metric_name(&self) -> &'static str {
+    /// The per-kind failure counter (`vm.failures.*` namespace), interned
+    /// at its call site, so counting a failed run takes no registry lock.
+    pub fn counter(&self) -> &'static gist_obs::Counter {
         match self {
-            FailureKind::SegFault { .. } => "vm.failures.segfault",
-            FailureKind::UseAfterFree { .. } => "vm.failures.use_after_free",
-            FailureKind::DoubleFree { .. } => "vm.failures.double_free",
-            FailureKind::InvalidFree { .. } => "vm.failures.invalid_free",
-            FailureKind::AssertFail { .. } => "vm.failures.assert_fail",
-            FailureKind::DivByZero => "vm.failures.div_by_zero",
-            FailureKind::Deadlock => "vm.failures.deadlock",
-            FailureKind::Hang => "vm.failures.hang",
-            FailureKind::UnreachableExecuted => "vm.failures.unreachable",
-            FailureKind::UnlockNotHeld { .. } => "vm.failures.unlock_not_held",
+            FailureKind::SegFault { .. } => gist_obs::counter!("vm.failures.segfault"),
+            FailureKind::UseAfterFree { .. } => gist_obs::counter!("vm.failures.use_after_free"),
+            FailureKind::DoubleFree { .. } => gist_obs::counter!("vm.failures.double_free"),
+            FailureKind::InvalidFree { .. } => gist_obs::counter!("vm.failures.invalid_free"),
+            FailureKind::AssertFail { .. } => gist_obs::counter!("vm.failures.assert_fail"),
+            FailureKind::DivByZero => gist_obs::counter!("vm.failures.div_by_zero"),
+            FailureKind::Deadlock => gist_obs::counter!("vm.failures.deadlock"),
+            FailureKind::Hang => gist_obs::counter!("vm.failures.hang"),
+            FailureKind::UnreachableExecuted => gist_obs::counter!("vm.failures.unreachable"),
+            FailureKind::UnlockNotHeld { .. } => gist_obs::counter!("vm.failures.unlock_not_held"),
         }
     }
 }

@@ -1,6 +1,6 @@
-//! Threads and call frames.
+//! Threads and call frames of the compiled engine.
 
-use gist_ir::{BlockId, FuncId, InstrId, Value, VarId};
+use gist_ir::{FuncId, InstrId, Value};
 
 /// Why a thread cannot currently run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -23,28 +23,17 @@ pub enum ThreadState {
 }
 
 /// One activation record.
-///
-/// The frame carries *two* program counters: `pc` indexes the function's
-/// flat compiled instruction stream (the engine [`crate::Vm`] dispatches
-/// over), while `block`/`index` address the IR tree (used by the legacy
-/// tree-walk engine kept for differential testing). Each engine maintains
-/// only its own counter.
 #[derive(Clone, Debug)]
 pub struct Frame {
     /// The function.
     pub func: FuncId,
-    /// Index of the next instruction in the compiled stream
+    /// Index of the next instruction in the program's code array
     /// (see `gist_vm::compiled`).
-    pub pc: usize,
-    /// Current block.
-    pub block: BlockId,
-    /// Index of the next statement within the block
-    /// (`== instrs.len()` means the terminator is next).
-    pub index: usize,
+    pub pc: u32,
     /// Register file; a register never written reads as 0.
     pub vars: Vec<Value>,
-    /// Where the return value goes in the caller, if anywhere.
-    pub ret_dst: Option<VarId>,
+    /// The caller's register that receives the return value, if any.
+    pub ret_dst: Option<u32>,
     /// The callsite statement in the caller (for stack traces).
     pub callsite: Option<InstrId>,
     /// True once the address-computation step of the upcoming memory
@@ -54,16 +43,14 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Creates a frame for `func` with `nvars` registers, binding `args`
-    /// to the first registers.
-    pub fn new(func: FuncId, nvars: usize, args: &[Value]) -> Frame {
+    /// Creates a frame for `func`, entered at `pc`, with `nvars`
+    /// registers, binding `args` to the first registers.
+    pub fn new(func: FuncId, pc: u32, nvars: usize, args: &[Value]) -> Frame {
         let mut vars = vec![0; nvars];
         vars[..args.len()].copy_from_slice(args);
         Frame {
             func,
-            pc: 0,
-            block: BlockId(0),
-            index: 0,
+            pc,
             vars,
             ret_dst: None,
             callsite: None,
@@ -72,41 +59,32 @@ impl Frame {
     }
 }
 
-/// A VM thread.
+/// A VM thread. The running frame is held inline; the suspended callers
+/// wait in a stack beside it.
 #[derive(Clone, Debug)]
 pub struct Thread {
     /// Thread id (0 = main).
     pub tid: u32,
     /// Virtual core the thread is pinned to.
     pub core: u32,
-    /// Call stack; last frame is innermost.
-    pub frames: Vec<Frame>,
+    /// The running (innermost) frame.
+    pub top: Frame,
+    /// Suspended callers, outermost first.
+    pub callers: Vec<Frame>,
     /// Scheduling state.
     pub state: ThreadState,
-    /// Mutex cells currently held by this thread.
-    pub held_mutexes: Vec<u64>,
 }
 
 impl Thread {
-    /// Creates a thread whose outermost frame runs `func(args)`.
-    pub fn new(tid: u32, core: u32, func: FuncId, nvars: usize, args: &[Value]) -> Thread {
+    /// Creates a thread whose outermost frame runs `func(args)` from `pc`.
+    pub fn new(tid: u32, core: u32, func: FuncId, pc: u32, nvars: usize, args: &[Value]) -> Thread {
         Thread {
             tid,
             core,
-            frames: vec![Frame::new(func, nvars, args)],
+            top: Frame::new(func, pc, nvars, args),
+            callers: Vec::new(),
             state: ThreadState::Runnable,
-            held_mutexes: Vec::new(),
         }
-    }
-
-    /// The innermost frame.
-    pub fn top(&self) -> &Frame {
-        self.frames.last().expect("live thread has a frame")
-    }
-
-    /// The innermost frame, mutably.
-    pub fn top_mut(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("live thread has a frame")
     }
 
     /// True if the thread can be scheduled.
@@ -121,23 +99,22 @@ mod tests {
 
     #[test]
     fn frame_binds_args_to_leading_vars() {
-        let f = Frame::new(FuncId(0), 4, &[10, 20]);
+        let f = Frame::new(FuncId(0), 0, 4, &[10, 20]);
         assert_eq!(f.vars, vec![10, 20, 0, 0]);
     }
 
     #[test]
     fn thread_starts_runnable_with_one_frame() {
-        let t = Thread::new(1, 0, FuncId(2), 3, &[5]);
+        let t = Thread::new(1, 0, FuncId(2), 7, 3, &[5]);
         assert!(t.is_runnable());
-        assert_eq!(t.frames.len(), 1);
-        assert_eq!(t.top().func, FuncId(2));
-        assert_eq!(t.top().block, BlockId(0));
-        assert_eq!(t.top().index, 0);
+        assert!(t.callers.is_empty());
+        assert_eq!(t.top.func, FuncId(2));
+        assert_eq!(t.top.pc, 7);
     }
 
     #[test]
     fn blocked_thread_is_not_runnable() {
-        let mut t = Thread::new(1, 0, FuncId(0), 0, &[]);
+        let mut t = Thread::new(1, 0, FuncId(0), 0, 0, &[]);
         t.state = ThreadState::Blocked(BlockReason::Mutex(0x10));
         assert!(!t.is_runnable());
         t.state = ThreadState::Finished;

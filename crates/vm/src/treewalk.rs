@@ -13,13 +13,83 @@
 //! Keep the execution semantics here frozen. If the event protocol must
 //! change, change both engines and let the differential test arbitrate.
 
-use gist_ir::{BinKind, Callee, FuncId, InstrId, Op, Operand, Program, Terminator, Value, VarId};
+use gist_ir::{
+    BinKind, BlockId, Callee, FuncId, InstrId, Op, Operand, Program, Terminator, Value, VarId,
+};
 
 use crate::event::{AccessKind, Event, Observer};
 use crate::failure::{FailureKind, FailureReport, StackFrame};
 use crate::mem::Memory;
-use crate::thread::{BlockReason, Frame, Thread, ThreadState};
+use crate::thread::{BlockReason, ThreadState};
 use crate::vm::{Input, RunOutcome, RunResult, VmConfig};
+
+/// One activation record, addressed by block and statement index.
+#[derive(Clone, Debug)]
+struct Frame {
+    func: FuncId,
+    block: BlockId,
+    /// Index of the next statement within the block
+    /// (`== instrs.len()` means the terminator is next).
+    index: usize,
+    /// Register file; a register never written reads as 0.
+    vars: Vec<Value>,
+    /// Where the return value goes in the caller, if anywhere.
+    ret_dst: Option<VarId>,
+    /// The callsite statement in the caller (for stack traces).
+    callsite: Option<InstrId>,
+    /// True once the address-computation step of the upcoming memory
+    /// access has executed.
+    pre_access_done: bool,
+}
+
+impl Frame {
+    fn new(func: FuncId, nvars: usize, args: &[Value]) -> Frame {
+        let mut vars = vec![0; nvars];
+        vars[..args.len()].copy_from_slice(args);
+        Frame {
+            func,
+            block: BlockId(0),
+            index: 0,
+            vars,
+            ret_dst: None,
+            callsite: None,
+            pre_access_done: false,
+        }
+    }
+}
+
+/// A thread of the tree-walk engine.
+#[derive(Clone, Debug)]
+struct Thread {
+    tid: u32,
+    core: u32,
+    /// Call stack; last frame is innermost.
+    frames: Vec<Frame>,
+    state: ThreadState,
+}
+
+impl Thread {
+    fn new(tid: u32, core: u32, func: FuncId, nvars: usize, args: &[Value]) -> Thread {
+        Thread {
+            tid,
+            core,
+            frames: vec![Frame::new(func, nvars, args)],
+            state: ThreadState::Runnable,
+        }
+    }
+
+    fn top(&self) -> &Frame {
+        self.frames.last().expect("live thread has a frame")
+    }
+
+    fn top_mut(&mut self) -> &mut Frame {
+        self.frames.last_mut().expect("live thread has a frame")
+    }
+
+    fn is_runnable(&self) -> bool {
+        self.state == ThreadState::Runnable
+    }
+}
 
 /// The legacy tree-walking interpreter.
 pub struct TreeWalkVm<'p> {
@@ -211,9 +281,7 @@ impl<'p> TreeWalkVm<'p> {
         gist_obs::counter!("vm.mem_accesses").add(self.mem_accesses);
         gist_obs::counter!("vm.threads_spawned").add(self.threads.len() as u64);
         match &outcome {
-            RunOutcome::Failed(report) => {
-                gist_obs::counter_by_name(report.kind.metric_name()).inc()
-            }
+            RunOutcome::Failed(report) => report.kind.counter().inc(),
             RunOutcome::Finished => gist_obs::counter!("vm.runs_finished").inc(),
         }
         RunResult {
@@ -586,7 +654,6 @@ impl<'p> TreeWalkVm<'p> {
                     }
                     None => {
                         self.mutex_owners.insert(a, tid);
-                        self.threads[tid as usize].held_mutexes.push(a);
                         if let Err(k) = self.mem.store(a, 1) {
                             return Exec::Fail(k);
                         }
@@ -603,7 +670,6 @@ impl<'p> TreeWalkVm<'p> {
                 match self.mutex_owners.get(&a) {
                     Some(&owner) if owner == tid => {
                         self.mutex_owners.remove(&a);
-                        self.threads[tid as usize].held_mutexes.retain(|&m| m != a);
                         if let Err(k) = self.mem.store(a, 0) {
                             return Exec::Fail(k);
                         }

@@ -3,13 +3,17 @@
 //! Execution dispatches over a [`CompiledProgram`] — a flat, dense lowering
 //! of the IR produced once per program (see [`crate::compiled`]) — rather
 //! than re-walking the `function -> block -> instr` tree on every step.
+//! Each thread ([`crate::thread::Thread`]) holds its running frame inline,
+//! so a step reaches its instruction and operands in a few loads. The
+//! common ops run inline in one `match` (`Vm::step_thread`); the rest run
+//! out of line.
 //! The observable behavior (event stream, failure reports, counters) is
 //! identical to the legacy tree-walk engine, which is retained under the
 //! `treewalk` feature as a differential-testing oracle.
 
 use std::sync::Arc;
 
-use gist_ir::{BinKind, FuncId, InstrId, Program, Value, VarId};
+use gist_ir::{BinKind, FuncId, InstrId, Program, Value};
 
 use crate::compiled::{CCallee, COp, CompiledProgram, Slot};
 use crate::event::{AccessKind, Event, Observer};
@@ -121,8 +125,8 @@ pub struct VmScratch {
 /// The MiniC virtual machine.
 pub struct Vm<'p> {
     program: &'p Program,
-    /// The flat lowered instruction streams the engine dispatches over;
-    /// shared read-only across all VMs running the same program.
+    /// The lowered program the engine dispatches over; shared read-only
+    /// across all VMs running the same program.
     compiled: Arc<CompiledProgram>,
     config: VmConfig,
     mem: Memory,
@@ -146,19 +150,22 @@ pub struct Vm<'p> {
     mem_accesses: u64,
 }
 
-/// Signal raised by one statement's execution.
-enum Exec {
-    /// Statement completed; advance past it.
-    Continue,
-    /// Control already transferred (branch, call, ret); don't advance.
-    Jumped,
+/// What an out-of-line op did to its thread. It fits in two registers:
+/// a failure, the one large outcome, is boxed.
+enum Flow {
+    /// The statement completed, and the op moved the pc; retire it.
+    Retire,
+    /// Only the address step of a two-phase access ran (see [`arms`]).
+    Armed,
     /// The thread must block and retry this statement when woken.
     Block(BlockReason),
     /// The run fails here.
-    Fail(FailureKind),
+    Fail(Box<FailureKind>),
     /// The thread exited.
     Exited,
 }
+
+const _: () = assert!(std::mem::size_of::<Flow>() <= 16);
 
 impl<'p> Vm<'p> {
     /// Creates a VM for one run of `program`, compiling it first. A caller
@@ -206,8 +213,8 @@ impl<'p> Vm<'p> {
             })
             .collect();
         let entry = program.entry;
-        let nvars = compiled.funcs[entry.index()].num_vars;
-        let threads = vec![Thread::new(0, 0, entry, nvars, &[])];
+        let f = &compiled.funcs[entry.index()];
+        let threads = vec![Thread::new(0, 0, entry, f.entry, f.num_vars, &[])];
         let cores = config.num_cores.max(1);
         Vm {
             program,
@@ -248,12 +255,6 @@ impl<'p> Vm<'p> {
         self.seq
     }
 
-    fn emit(&mut self, observers: &mut [&mut dyn Observer], ev: Event) {
-        for o in observers.iter_mut() {
-            o.on_event(&ev);
-        }
-    }
-
     /// Runs the program to completion or failure using the configured
     /// scheduler.
     pub fn run(&mut self, observers: &mut [&mut dyn Observer]) -> RunResult {
@@ -273,18 +274,16 @@ impl<'p> Vm<'p> {
         // VM state without per-step refcount traffic.
         let comp = Arc::clone(&self.compiled);
         let entry = self.program.entry;
-        {
-            let seq = self.next_seq();
-            self.emit(
-                observers,
-                Event::Enter {
-                    seq,
-                    tid: 0,
-                    core: 0,
-                    func: entry,
-                },
-            );
-        }
+        let seq = self.next_seq();
+        emit(
+            observers,
+            Event::Enter {
+                seq,
+                tid: 0,
+                core: 0,
+                func: entry,
+            },
+        );
         let mut runnable: Vec<u32> = Vec::with_capacity(4);
         self.runnable_stale = true;
         loop {
@@ -309,35 +308,10 @@ impl<'p> Vm<'p> {
                 };
                 // Deadlock at the first blocked thread's current statement.
                 let t = blocked.tid;
-                let iid = self.current_stmt(t);
-                let report = self.report(t, iid, FailureKind::Deadlock);
-                let (core, seq) = (self.threads[t as usize].core, self.next_seq());
-                self.emit(
-                    observers,
-                    Event::Failure {
-                        seq,
-                        tid: t,
-                        core,
-                        iid,
-                    },
-                );
-                return self.result(RunOutcome::Failed(report));
+                return self.stop(t, FailureKind::Deadlock, observers);
             }
             if self.steps >= self.config.max_steps {
-                let t = runnable[0];
-                let iid = self.current_stmt(t);
-                let report = self.report(t, iid, FailureKind::Hang);
-                let (core, seq) = (self.threads[t as usize].core, self.next_seq());
-                self.emit(
-                    observers,
-                    Event::Failure {
-                        seq,
-                        tid: t,
-                        core,
-                        iid,
-                    },
-                );
-                return self.result(RunOutcome::Failed(report));
+                return self.stop(runnable[0], FailureKind::Hang, observers);
             }
             let tid = scheduler.pick(&runnable, self.steps);
             debug_assert!(runnable.contains(&tid));
@@ -354,6 +328,29 @@ impl<'p> Vm<'p> {
         }
     }
 
+    /// Ends the run with a failure of thread `tid` at its current
+    /// statement that no statement raised (deadlock, hang).
+    fn stop(
+        &mut self,
+        tid: u32,
+        kind: FailureKind,
+        observers: &mut [&mut dyn Observer],
+    ) -> RunResult {
+        let iid = self.current_stmt(tid);
+        let report = self.report(tid, iid, kind);
+        let (core, seq) = (self.threads[tid as usize].core, self.next_seq());
+        emit(
+            observers,
+            Event::Failure {
+                seq,
+                tid,
+                core,
+                iid,
+            },
+        );
+        self.result(RunOutcome::Failed(report))
+    }
+
     fn result(&self, outcome: RunOutcome) -> RunResult {
         // Metrics are flushed in bulk here, once per run, so the per-step
         // hot path carries no atomic traffic.
@@ -365,9 +362,7 @@ impl<'p> Vm<'p> {
         gist_obs::counter!("vm.mem_accesses").add(self.mem_accesses);
         gist_obs::counter!("vm.threads_spawned").add(self.threads.len() as u64);
         match &outcome {
-            RunOutcome::Failed(report) => {
-                gist_obs::counter_by_name(report.kind.metric_name()).inc()
-            }
+            RunOutcome::Failed(report) => report.kind.counter().inc(),
             RunOutcome::Finished => gist_obs::counter!("vm.runs_finished").inc(),
         }
         RunResult {
@@ -386,24 +381,24 @@ impl<'p> Vm<'p> {
 
     /// The statement the thread will execute next.
     fn current_stmt(&self, tid: u32) -> InstrId {
-        let frame = self.threads[tid as usize].top();
-        self.compiled.funcs[frame.func.index()].code[frame.pc].iid
+        self.compiled.code[self.threads[tid as usize].top.pc as usize].iid
     }
 
     fn report(&self, tid: u32, iid: InstrId, kind: FailureKind) -> FailureReport {
         let t = &self.threads[tid as usize];
-        let mut stack = Vec::new();
         // Innermost first: current statement, then callsites outward.
-        for (i, f) in t.frames.iter().enumerate().rev() {
-            let frame_iid = if i == t.frames.len() - 1 {
-                iid
-            } else {
-                t.frames[i + 1].callsite.unwrap_or(iid)
-            };
+        let mut stack = Vec::with_capacity(t.callers.len() + 1);
+        stack.push(StackFrame {
+            func: t.top.func,
+            iid,
+        });
+        let mut callsite = t.top.callsite;
+        for f in t.callers.iter().rev() {
             stack.push(StackFrame {
                 func: f.func,
-                iid: frame_iid,
+                iid: callsite.unwrap_or(iid),
             });
+            callsite = f.callsite;
         }
         FailureReport {
             program: self.program.name.clone(),
@@ -415,99 +410,171 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Executes one statement of thread `tid`. Returns `Some(outcome)` if
-    /// the run ended.
+    /// Executes one step of thread `tid`: a statement, or the address step
+    /// of a two-phase access. Returns `Some(outcome)` if the run ended.
+    ///
+    /// The ops that make up almost every step (bin, cmp, condbr, br, load,
+    /// store) run here, in one `match` over the running frame's registers;
+    /// the rest run out of line in [`Vm::step_cold`].
+    #[inline]
     fn step_thread(
         &mut self,
         comp: &CompiledProgram,
         tid: u32,
         observers: &mut [&mut dyn Observer],
     ) -> Option<RunOutcome> {
-        let frame = self.threads[tid as usize].top();
-        let core = self.threads[tid as usize].core;
-        let ci = &comp.funcs[frame.func.index()].code[frame.pc];
+        let t = &mut self.threads[tid as usize];
+        let core = t.core;
+        let ci = &comp.code[t.top.pc as usize];
         let iid = ci.iid;
-
-        // Two-phase memory accesses: the first scheduling step of an
-        // access computes its address and emits PreAccess (the watchpoint
-        // arm point); the access itself executes on a later step, so other
-        // threads may interleave in between — as on real hardware. The
-        // address slot and kind were precomputed at lowering time.
-        if !frame.pre_access_done {
-            if let Some((addr_slot, kind)) = ci.pre {
-                let addr = self.val(tid, addr_slot) as u64;
-                self.threads[tid as usize].top_mut().pre_access_done = true;
-                if addr != 0 {
-                    let seq = self.next_seq();
-                    self.emit(
-                        observers,
-                        Event::PreAccess {
-                            seq,
-                            tid,
-                            core,
-                            iid,
-                            kind,
-                            addr,
-                            is_stack: Memory::is_stack_addr(addr),
-                        },
-                    );
-                    return None;
-                }
-                // NULL address: the access will fault; no arm point.
+        let regs = &mut t.top.vars[..];
+        match ci.op {
+            COp::Bin { dst, kind, a, b } => {
+                let (a, b) = (slot(regs, a), slot(regs, b));
+                let r = match kind {
+                    BinKind::Add => a.wrapping_add(b),
+                    BinKind::Sub => a.wrapping_sub(b),
+                    BinKind::Mul => a.wrapping_mul(b),
+                    BinKind::Div | BinKind::Rem if b == 0 => {
+                        return self.fail(tid, core, iid, FailureKind::DivByZero, observers);
+                    }
+                    BinKind::Div => a.wrapping_div(b),
+                    BinKind::Rem => a.wrapping_rem(b),
+                    BinKind::And => a & b,
+                    BinKind::Or => a | b,
+                    BinKind::Xor => a ^ b,
+                    BinKind::Shl => a.wrapping_shl(b as u32 & 63),
+                    BinKind::Shr => a.wrapping_shr(b as u32 & 63),
+                };
+                regs[dst as usize] = r;
+                t.top.pc += 1;
             }
-        }
-
-        let exec = self.exec_op(comp, tid, iid, &ci.op, observers);
-
-        match exec {
-            Exec::Block(reason) => {
-                // Do not retire the statement; the thread retries it.
-                self.threads[tid as usize].state = ThreadState::Blocked(reason);
-                self.runnable_stale = true;
-                return None;
+            COp::Cmp { dst, kind, a, b } => {
+                regs[dst as usize] = kind.eval(slot(regs, a), slot(regs, b));
+                t.top.pc += 1;
             }
-            Exec::Fail(kind) => {
-                self.retire(tid, core, iid, observers);
-                let report = self.report(tid, iid, kind);
+            COp::Jump { to } => t.top.pc = to,
+            COp::CondBr {
+                cond,
+                then_to,
+                else_to,
+            } => {
+                let taken = slot(regs, cond) != 0;
+                t.top.pc = if taken { then_to } else { else_to };
+                self.branches += 1;
                 let seq = self.next_seq();
-                self.emit(
+                emit(
                     observers,
-                    Event::Failure {
+                    Event::Branch {
                         seq,
                         tid,
                         core,
                         iid,
+                        taken,
                     },
                 );
-                return Some(RunOutcome::Failed(report));
             }
-            Exec::Continue => {
+            COp::Load { dst, addr } => {
+                let a = slot(regs, addr) as u64;
+                if arms(&mut t.top.pre_access_done, a) {
+                    self.arm(tid, core, iid, AccessKind::Read, a, observers);
+                    return None;
+                }
+                let v = match self.mem.load(a) {
+                    Ok(v) => v,
+                    Err(k) => return self.fail(tid, core, iid, k, observers),
+                };
+                regs[dst as usize] = v;
+                t.top.pc += 1;
+                t.top.pre_access_done = false;
+                self.emit_mem(observers, tid, core, iid, AccessKind::Read, a, v);
+            }
+            COp::Store { addr, value } => {
+                let (a, v) = (slot(regs, addr) as u64, slot(regs, value));
+                if arms(&mut t.top.pre_access_done, a) {
+                    self.arm(tid, core, iid, AccessKind::Write, a, observers);
+                    return None;
+                }
+                if let Err(k) = self.mem.store(a, v) {
+                    return self.fail(tid, core, iid, k, observers);
+                }
+                t.top.pc += 1;
+                t.top.pre_access_done = false;
+                self.emit_mem(observers, tid, core, iid, AccessKind::Write, a, v);
+            }
+            _ => return self.step_cold(comp, tid, core, iid, &ci.op, observers),
+        }
+        self.retire(tid, core, iid, observers);
+        None
+    }
+
+    /// Steps the rarer ops, out of line so that [`Vm::step_thread`] stays
+    /// small enough to inline into the run loop.
+    #[inline(never)]
+    fn step_cold(
+        &mut self,
+        comp: &CompiledProgram,
+        tid: u32,
+        core: u32,
+        iid: InstrId,
+        op: &COp,
+        observers: &mut [&mut dyn Observer],
+    ) -> Option<RunOutcome> {
+        match self.exec_cold(comp, tid, core, iid, op, observers) {
+            Flow::Retire => {
+                self.threads[tid as usize].top.pre_access_done = false;
                 self.retire(tid, core, iid, observers);
-                let f = self.threads[tid as usize].top_mut();
-                f.pc += 1;
-                f.pre_access_done = false;
             }
-            Exec::Jumped => {
-                self.retire(tid, core, iid, observers);
-                self.threads[tid as usize].top_mut().pre_access_done = false;
+            Flow::Armed => {}
+            Flow::Block(reason) => {
+                // Do not retire the statement; the thread retries it.
+                self.threads[tid as usize].state = ThreadState::Blocked(reason);
+                self.runnable_stale = true;
             }
-            Exec::Exited => {
+            Flow::Fail(kind) => return self.fail(tid, core, iid, *kind, observers),
+            Flow::Exited => {
                 self.retire(tid, core, iid, observers);
                 self.threads[tid as usize].state = ThreadState::Finished;
                 self.runnable_stale = true;
                 let seq = self.next_seq();
-                self.emit(observers, Event::ThreadExit { seq, tid, core });
+                emit(observers, Event::ThreadExit { seq, tid, core });
                 self.wake_joiners(tid);
             }
         }
         None
     }
 
+    /// Retires the failing statement and ends the run with its report.
+    #[cold]
+    #[inline(never)]
+    fn fail(
+        &mut self,
+        tid: u32,
+        core: u32,
+        iid: InstrId,
+        kind: FailureKind,
+        observers: &mut [&mut dyn Observer],
+    ) -> Option<RunOutcome> {
+        self.retire(tid, core, iid, observers);
+        let report = self.report(tid, iid, kind);
+        let seq = self.next_seq();
+        emit(
+            observers,
+            Event::Failure {
+                seq,
+                tid,
+                core,
+                iid,
+            },
+        );
+        Some(RunOutcome::Failed(report))
+    }
+
     fn retire(&mut self, tid: u32, core: u32, iid: InstrId, observers: &mut [&mut dyn Observer]) {
         self.steps += 1;
         self.retired_per_core[core as usize] += 1;
         let seq = self.next_seq();
-        self.emit(
+        emit(
             observers,
             Event::Retired {
                 seq,
@@ -518,36 +585,55 @@ impl<'p> Vm<'p> {
         );
     }
 
-    #[inline]
-    fn val(&self, tid: u32, slot: Slot) -> Value {
-        match slot {
-            Slot::Const(v) => v,
-            Slot::Var(i) => self.threads[tid as usize].top().vars[i as usize],
-        }
+    /// Emits the arm point of a two-phase access (see [`arms`]).
+    fn arm(
+        &mut self,
+        tid: u32,
+        core: u32,
+        iid: InstrId,
+        kind: AccessKind,
+        addr: u64,
+        observers: &mut [&mut dyn Observer],
+    ) {
+        let seq = self.next_seq();
+        emit(
+            observers,
+            Event::PreAccess {
+                seq,
+                tid,
+                core,
+                iid,
+                kind,
+                addr,
+                is_stack: Memory::is_stack_addr(addr),
+            },
+        );
     }
 
-    #[inline]
-    fn set_slot(&mut self, tid: u32, slot: u32, value: Value) {
-        self.threads[tid as usize].top_mut().vars[slot as usize] = value;
+    /// Reads an operand of thread `tid`'s running frame.
+    fn val(&self, tid: u32, s: Slot) -> Value {
+        slot(&self.threads[tid as usize].top.vars, s)
     }
 
-    fn set_var(&mut self, tid: u32, var: VarId, value: Value) {
-        self.threads[tid as usize].top_mut().vars[var.index()] = value;
+    /// Writes a register of thread `tid`'s running frame.
+    fn set_slot(&mut self, tid: u32, dst: u32, value: Value) {
+        self.threads[tid as usize].top.vars[dst as usize] = value;
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn emit_mem(
         &mut self,
         observers: &mut [&mut dyn Observer],
         tid: u32,
+        core: u32,
         iid: InstrId,
         kind: AccessKind,
         addr: u64,
         value: Value,
     ) {
         self.mem_accesses += 1;
-        let core = self.threads[tid as usize].core;
         let seq = self.next_seq();
-        self.emit(
+        emit(
             observers,
             Event::Mem {
                 seq,
@@ -562,221 +648,155 @@ impl<'p> Vm<'p> {
         );
     }
 
-    fn exec_op(
+    /// Executes one of the ops [`Vm::step_thread`] does not step inline.
+    fn exec_cold(
         &mut self,
         comp: &CompiledProgram,
         tid: u32,
+        core: u32,
         iid: InstrId,
         op: &COp,
         observers: &mut [&mut dyn Observer],
-    ) -> Exec {
+    ) -> Flow {
+        let fail = |kind| Flow::Fail(Box::new(kind));
         match op {
-            COp::Const { dst, value } => {
+            COp::Const { dst, value } | COp::FuncAddr { dst, value } => {
                 self.set_slot(tid, *dst, *value);
-                Exec::Continue
-            }
-            COp::Bin { dst, kind, a, b } => {
-                let (a, b) = (self.val(tid, *a), self.val(tid, *b));
-                let r = match kind {
-                    BinKind::Add => a.wrapping_add(b),
-                    BinKind::Sub => a.wrapping_sub(b),
-                    BinKind::Mul => a.wrapping_mul(b),
-                    BinKind::Div => {
-                        if b == 0 {
-                            return Exec::Fail(FailureKind::DivByZero);
-                        }
-                        a.wrapping_div(b)
-                    }
-                    BinKind::Rem => {
-                        if b == 0 {
-                            return Exec::Fail(FailureKind::DivByZero);
-                        }
-                        a.wrapping_rem(b)
-                    }
-                    BinKind::And => a & b,
-                    BinKind::Or => a | b,
-                    BinKind::Xor => a ^ b,
-                    BinKind::Shl => a.wrapping_shl(b as u32 & 63),
-                    BinKind::Shr => a.wrapping_shr(b as u32 & 63),
-                };
-                self.set_slot(tid, *dst, r);
-                Exec::Continue
-            }
-            COp::Cmp { dst, kind, a, b } => {
-                let r = kind.eval(self.val(tid, *a), self.val(tid, *b));
-                self.set_slot(tid, *dst, r);
-                Exec::Continue
-            }
-            COp::Load { dst, addr } => {
-                let a = self.val(tid, *addr) as u64;
-                match self.mem.load(a) {
-                    Ok(v) => {
-                        self.emit_mem(observers, tid, iid, AccessKind::Read, a, v);
-                        self.set_slot(tid, *dst, v);
-                        Exec::Continue
-                    }
-                    Err(k) => Exec::Fail(k),
-                }
-            }
-            COp::Store { addr, value } => {
-                let a = self.val(tid, *addr) as u64;
-                let v = self.val(tid, *value);
-                match self.mem.store(a, v) {
-                    Ok(()) => {
-                        self.emit_mem(observers, tid, iid, AccessKind::Write, a, v);
-                        Exec::Continue
-                    }
-                    Err(k) => Exec::Fail(k),
-                }
             }
             COp::Gep { dst, base, offset } => {
                 let r = self.val(tid, *base).wrapping_add(self.val(tid, *offset));
                 self.set_slot(tid, *dst, r);
-                Exec::Continue
             }
             COp::Alloc { dst, size } => {
                 let n = self.val(tid, *size).max(0) as u64;
                 let base = self.mem.heap_alloc(n);
                 self.set_slot(tid, *dst, base as Value);
-                Exec::Continue
             }
             COp::StackAlloc { dst, size } => {
                 let n = self.val(tid, *size).max(0) as u64;
                 match self.mem.stack_alloc(tid, n) {
-                    Ok(base) => {
-                        self.set_slot(tid, *dst, base as Value);
-                        Exec::Continue
-                    }
-                    Err(k) => Exec::Fail(k),
+                    Ok(base) => self.set_slot(tid, *dst, base as Value),
+                    Err(k) => return fail(k),
                 }
             }
             COp::Free { addr } => {
                 let a = self.val(tid, *addr) as u64;
-                match self.mem.heap_free(a) {
-                    Ok(()) => {
-                        if a != 0 {
-                            self.emit_mem(observers, tid, iid, AccessKind::Write, a, 0);
-                        }
-                        Exec::Continue
-                    }
-                    Err(k) => Exec::Fail(k),
+                if arms(&mut self.threads[tid as usize].top.pre_access_done, a) {
+                    self.arm(tid, core, iid, AccessKind::Write, a, observers);
+                    return Flow::Armed;
+                }
+                if let Err(k) = self.mem.heap_free(a) {
+                    return fail(k);
+                }
+                if a != 0 {
+                    self.emit_mem(observers, tid, core, iid, AccessKind::Write, a, 0);
                 }
             }
             COp::Call { dst, callee, args } => {
-                self.do_call(comp, tid, iid, *dst, *callee, args, observers)
-            }
-            COp::FuncAddr { dst, value } => {
-                self.set_slot(tid, *dst, *value);
-                Exec::Continue
+                return self.call(comp, tid, core, iid, *dst, *callee, args, observers)
             }
             COp::ThreadCreate { dst, routine, arg } => {
                 let target = match self.resolve_callee(comp, tid, *routine) {
                     Ok(f) => f,
-                    Err(k) => return Exec::Fail(k),
+                    Err(k) => return fail(k),
                 };
                 let arg = self.val(tid, *arg);
                 let child = self.threads.len() as u32;
-                let core = child % self.config.num_cores.max(1);
-                let nvars = comp.funcs[target].num_vars;
+                let child_core = child % self.config.num_cores.max(1);
+                let f = &comp.funcs[target];
                 self.threads.push(Thread::new(
                     child,
-                    core,
+                    child_core,
                     FuncId(target as u32),
-                    nvars,
+                    f.entry,
+                    f.num_vars,
                     &[arg],
                 ));
                 self.runnable_stale = true;
                 if let Some(d) = dst {
                     self.set_slot(tid, *d, child as Value);
                 }
-                let parent_core = self.threads[tid as usize].core;
                 let seq = self.next_seq();
-                self.emit(
+                emit(
                     observers,
                     Event::Spawn {
                         seq,
                         tid,
-                        core: parent_core,
+                        core,
                         child,
                     },
                 );
                 let seq = self.next_seq();
-                self.emit(
+                emit(
                     observers,
                     Event::Enter {
                         seq,
                         tid: child,
-                        core,
+                        core: child_core,
                         func: FuncId(target as u32),
                     },
                 );
-                Exec::Continue
             }
             COp::ThreadJoin { tid: target } => {
                 let target = self.val(tid, *target);
-                if target < 0 || target as usize >= self.threads.len() {
-                    // Joining an invalid tid: treat as a no-op, like joining
-                    // an already-detached pthread id.
-                    return Exec::Continue;
-                }
-                let target = target as u32;
-                if self.threads[target as usize].state == ThreadState::Finished {
-                    Exec::Continue
-                } else {
-                    Exec::Block(BlockReason::Join(target))
+                // Joining an invalid tid is a no-op, like joining an
+                // already-detached pthread id.
+                if let Some(t) = usize::try_from(target)
+                    .ok()
+                    .and_then(|t| self.threads.get(t))
+                {
+                    if t.state != ThreadState::Finished {
+                        return Flow::Block(BlockReason::Join(target as u32));
+                    }
                 }
             }
             COp::MutexLock { addr } => {
                 let a = self.val(tid, *addr) as u64;
+                if arms(&mut self.threads[tid as usize].top.pre_access_done, a) {
+                    self.arm(tid, core, iid, AccessKind::Write, a, observers);
+                    return Flow::Armed;
+                }
                 // Validate the mutex cell is accessible (NULL / freed mutex
                 // is the pbzip2 #1 crash).
                 if let Err(k) = self.mem.load(a) {
-                    return Exec::Fail(k);
+                    return fail(k);
                 }
-                match self.mutex_owners.get(&a) {
-                    Some(&owner) if owner != tid => Exec::Block(BlockReason::Mutex(a)),
-                    Some(_) => {
-                        // Recursive lock: deadlock with self. Model as block
-                        // (will be reported as deadlock if nothing wakes it).
-                        Exec::Block(BlockReason::Mutex(a))
-                    }
-                    None => {
-                        self.mutex_owners.insert(a, tid);
-                        self.threads[tid as usize].held_mutexes.push(a);
-                        if let Err(k) = self.mem.store(a, 1) {
-                            return Exec::Fail(k);
-                        }
-                        self.emit_mem(observers, tid, iid, AccessKind::Write, a, 1);
-                        Exec::Continue
-                    }
+                if self.mutex_owners.contains_key(&a) {
+                    // Held by another thread, or by this one: a recursive
+                    // lock deadlocks with itself (reported as a deadlock if
+                    // nothing wakes it).
+                    return Flow::Block(BlockReason::Mutex(a));
                 }
+                self.mutex_owners.insert(a, tid);
+                if let Err(k) = self.mem.store(a, 1) {
+                    return fail(k);
+                }
+                self.emit_mem(observers, tid, core, iid, AccessKind::Write, a, 1);
             }
             COp::MutexUnlock { addr } => {
                 let a = self.val(tid, *addr) as u64;
+                if arms(&mut self.threads[tid as usize].top.pre_access_done, a) {
+                    self.arm(tid, core, iid, AccessKind::Write, a, observers);
+                    return Flow::Armed;
+                }
                 if let Err(k) = self.mem.load(a) {
-                    return Exec::Fail(k);
+                    return fail(k);
                 }
-                match self.mutex_owners.get(&a) {
-                    Some(&owner) if owner == tid => {
-                        self.mutex_owners.remove(&a);
-                        self.threads[tid as usize].held_mutexes.retain(|&m| m != a);
-                        if let Err(k) = self.mem.store(a, 0) {
-                            return Exec::Fail(k);
-                        }
-                        self.emit_mem(observers, tid, iid, AccessKind::Write, a, 0);
-                        self.wake_mutex_waiters(a);
-                        Exec::Continue
-                    }
-                    _ => Exec::Fail(FailureKind::UnlockNotHeld { addr: a }),
+                if self.mutex_owners.get(&a) != Some(&tid) {
+                    return fail(FailureKind::UnlockNotHeld { addr: a });
                 }
+                self.mutex_owners.remove(&a);
+                if let Err(k) = self.mem.store(a, 0) {
+                    return fail(k);
+                }
+                self.emit_mem(observers, tid, core, iid, AccessKind::Write, a, 0);
+                self.wake_mutex_waiters(a);
             }
             COp::Assert { cond, msg } => {
                 if self.val(tid, *cond) == 0 {
-                    Exec::Fail(FailureKind::AssertFail {
+                    return fail(FailureKind::AssertFail {
                         msg: msg.as_ref().to_string(),
-                    })
-                } else {
-                    Exec::Continue
+                    });
                 }
             }
             COp::Print { args } => {
@@ -784,159 +804,97 @@ impl<'p> Vm<'p> {
                     let v = self.val(tid, a);
                     self.output.push(v);
                 }
-                Exec::Continue
             }
             COp::Intrinsic { dst, kind, args } => {
-                self.exec_intrinsic(tid, iid, *dst, *kind, args, observers)
+                if let Err(k) = self.intrinsic(tid, core, iid, *dst, *kind, args, observers) {
+                    return fail(k);
+                }
             }
             COp::ReadInput { dst, index } => {
                 let v = self.input_values.get(*index).copied().unwrap_or(0);
                 self.set_slot(tid, *dst, v);
-                Exec::Continue
             }
-            COp::Nop => Exec::Continue,
-            COp::Jump { to } => {
-                self.threads[tid as usize].top_mut().pc = *to as usize;
-                Exec::Jumped
-            }
-            COp::CondBr {
-                cond,
-                then_to,
-                else_to,
-            } => {
-                let taken = self.val(tid, *cond) != 0;
-                self.branches += 1;
-                let core = self.threads[tid as usize].core;
-                let seq = self.next_seq();
-                self.emit(
-                    observers,
-                    Event::Branch {
-                        seq,
-                        tid,
-                        core,
-                        iid,
-                        taken,
-                    },
-                );
-                let f = self.threads[tid as usize].top_mut();
-                f.pc = if taken { *then_to } else { *else_to } as usize;
-                Exec::Jumped
-            }
-            COp::Ret { value } => {
-                let rv = value.map(|v| self.val(tid, v));
-                let frame = self.threads[tid as usize]
-                    .frames
-                    .pop()
-                    .expect("ret needs a frame");
-                let core = self.threads[tid as usize].core;
-                if self.threads[tid as usize].frames.is_empty() {
-                    let seq = self.next_seq();
-                    self.emit(
-                        observers,
-                        Event::Return {
-                            seq,
-                            tid,
-                            core,
-                            iid,
-                            to: None,
-                        },
-                    );
-                    return Exec::Exited;
-                }
-                if let (Some(dst), Some(v)) = (frame.ret_dst, rv) {
-                    self.set_var(tid, dst, v);
-                }
-                let to = Some(self.current_stmt(tid));
-                let seq = self.next_seq();
-                self.emit(
-                    observers,
-                    Event::Return {
-                        seq,
-                        tid,
-                        core,
-                        iid,
-                        to,
-                    },
-                );
-                Exec::Jumped
-            }
-            COp::Unreachable => Exec::Fail(FailureKind::UnreachableExecuted),
+            COp::Nop => {}
+            COp::Ret { value } => return self.ret(tid, core, iid, *value, observers),
+            COp::Unreachable => return fail(FailureKind::UnreachableExecuted),
+            COp::Bin { .. }
+            | COp::Cmp { .. }
+            | COp::Load { .. }
+            | COp::Store { .. }
+            | COp::Jump { .. }
+            | COp::CondBr { .. } => unreachable!("stepped inline by Vm::step_thread"),
         }
+        self.threads[tid as usize].top.pc += 1;
+        Flow::Retire
     }
 
-    fn exec_intrinsic(
+    #[allow(clippy::too_many_arguments)]
+    fn intrinsic(
         &mut self,
         tid: u32,
+        core: u32,
         iid: InstrId,
         dst: Option<u32>,
         kind: gist_ir::IntrinsicKind,
         args: &[Slot],
         observers: &mut [&mut dyn Observer],
-    ) -> Exec {
+    ) -> Result<(), FailureKind> {
         use gist_ir::IntrinsicKind as I;
-        match kind {
+        let arg = |vm: &Self, i: usize| args.get(i).map(|&a| vm.val(tid, a)).unwrap_or(0);
+        let r = match kind {
             I::Strlen => {
-                let p = args.first().map(|&a| self.val(tid, a)).unwrap_or(0) as u64;
+                let p = arg(self, 0) as u64;
                 let mut len = 0u64;
                 loop {
-                    match self.mem.load(p + len) {
-                        Ok(0) => break,
-                        Ok(v) => {
+                    match self.mem.load(p + len)? {
+                        0 => break,
+                        v => {
                             if len == 0 {
-                                self.emit_mem(observers, tid, iid, AccessKind::Read, p, v);
+                                self.emit_mem(observers, tid, core, iid, AccessKind::Read, p, v);
                             }
                             len += 1;
                         }
-                        Err(k) => return Exec::Fail(k),
                     }
                     if len > 1 << 20 {
-                        return Exec::Fail(FailureKind::Hang);
+                        return Err(FailureKind::Hang);
                     }
                 }
-                if let Some(d) = dst {
-                    self.set_slot(tid, d, len as Value);
-                }
-                Exec::Continue
+                len as Value
             }
             I::Memset => {
-                let p = args.first().map(|&a| self.val(tid, a)).unwrap_or(0) as u64;
-                let v = args.get(1).map(|&a| self.val(tid, a)).unwrap_or(0);
-                let n = args.get(2).map(|&a| self.val(tid, a)).unwrap_or(0).max(0) as u64;
+                let (p, v, n) = (
+                    arg(self, 0) as u64,
+                    arg(self, 1),
+                    arg(self, 2).max(0) as u64,
+                );
                 for i in 0..n {
-                    if let Err(k) = self.mem.store(p + i, v) {
-                        return Exec::Fail(k);
-                    }
+                    self.mem.store(p + i, v)?;
                 }
                 if n > 0 {
-                    self.emit_mem(observers, tid, iid, AccessKind::Write, p, v);
+                    self.emit_mem(observers, tid, core, iid, AccessKind::Write, p, v);
                 }
-                if let Some(d) = dst {
-                    self.set_slot(tid, d, p as Value);
-                }
-                Exec::Continue
+                p as Value
             }
             I::Memcpy => {
-                let d = args.first().map(|&a| self.val(tid, a)).unwrap_or(0) as u64;
-                let s = args.get(1).map(|&a| self.val(tid, a)).unwrap_or(0) as u64;
-                let n = args.get(2).map(|&a| self.val(tid, a)).unwrap_or(0).max(0) as u64;
+                let (d, s, n) = (
+                    arg(self, 0) as u64,
+                    arg(self, 1) as u64,
+                    arg(self, 2).max(0) as u64,
+                );
                 for i in 0..n {
-                    let v = match self.mem.load(s + i) {
-                        Ok(v) => v,
-                        Err(k) => return Exec::Fail(k),
-                    };
-                    if let Err(k) = self.mem.store(d + i, v) {
-                        return Exec::Fail(k);
-                    }
+                    let v = self.mem.load(s + i)?;
+                    self.mem.store(d + i, v)?;
                 }
                 if n > 0 {
-                    self.emit_mem(observers, tid, iid, AccessKind::Write, d, 0);
+                    self.emit_mem(observers, tid, core, iid, AccessKind::Write, d, 0);
                 }
-                if let Some(dv) = dst {
-                    self.set_slot(tid, dv, d as Value);
-                }
-                Exec::Continue
+                d as Value
             }
+        };
+        if let Some(d) = dst {
+            self.set_slot(tid, d, r);
         }
+        Ok(())
     }
 
     /// Resolves a call target to a dense function index.
@@ -959,49 +917,52 @@ impl<'p> Vm<'p> {
         }
     }
 
+    /// Enters `callee` with fresh registers, the arguments in the first
+    /// ones, and suspends the caller after the call.
     #[allow(clippy::too_many_arguments)]
-    fn do_call(
+    fn call(
         &mut self,
         comp: &CompiledProgram,
         tid: u32,
+        core: u32,
         iid: InstrId,
         dst: Option<u32>,
         callee: CCallee,
         args: &[Slot],
         observers: &mut [&mut dyn Observer],
-    ) -> Exec {
+    ) -> Flow {
         let target = match self.resolve_callee(comp, tid, callee) {
             Ok(f) => f,
-            Err(k) => return Exec::Fail(k),
+            Err(k) => return Flow::Fail(Box::new(k)),
         };
-        let nvars = comp.funcs[target].num_vars;
-        let mut frame = Frame::new(FuncId(target as u32), nvars, &[]);
+        let f = &comp.funcs[target];
+        let t = &mut self.threads[tid as usize];
+        let mut frame = Frame::new(FuncId(target as u32), f.entry, f.num_vars, &[]);
         for (var, &a) in frame.vars.iter_mut().zip(args) {
-            *var = self.val(tid, a);
+            *var = slot(&t.top.vars, a);
         }
-        // Advance past the call before pushing, so `ret` resumes after it.
-        self.threads[tid as usize].top_mut().pc += 1;
-        frame.ret_dst = dst.map(VarId);
+        frame.ret_dst = dst;
         frame.callsite = Some(iid);
-        self.threads[tid as usize].frames.push(frame);
-        let core = self.threads[tid as usize].core;
+        // Advance past the call before suspending, so `ret` resumes after it.
+        t.top.pc += 1;
+        let caller = std::mem::replace(&mut t.top, frame);
+        t.callers.push(caller);
         if matches!(callee, CCallee::Indirect(_)) {
             self.indirect_transfers += 1;
-            let entry_stmt = comp.funcs[target].entry_stmt;
             let seq = self.next_seq();
-            self.emit(
+            emit(
                 observers,
                 Event::IndirectTransfer {
                     seq,
                     tid,
                     core,
                     iid,
-                    target: entry_stmt,
+                    target: f.entry_stmt,
                 },
             );
         }
         let seq = self.next_seq();
-        self.emit(
+        emit(
             observers,
             Event::Enter {
                 seq,
@@ -1010,7 +971,52 @@ impl<'p> Vm<'p> {
                 func: FuncId(target as u32),
             },
         );
-        Exec::Jumped
+        Flow::Retire
+    }
+
+    /// Leaves the running frame: resumes the caller and writes the return
+    /// value; the outermost `ret` exits the thread.
+    fn ret(
+        &mut self,
+        tid: u32,
+        core: u32,
+        iid: InstrId,
+        value: Option<Slot>,
+        observers: &mut [&mut dyn Observer],
+    ) -> Flow {
+        let rv = value.map(|v| self.val(tid, v));
+        let t = &mut self.threads[tid as usize];
+        let Some(caller) = t.callers.pop() else {
+            let seq = self.next_seq();
+            emit(
+                observers,
+                Event::Return {
+                    seq,
+                    tid,
+                    core,
+                    iid,
+                    to: None,
+                },
+            );
+            return Flow::Exited;
+        };
+        let callee = std::mem::replace(&mut t.top, caller);
+        if let (Some(dst), Some(v)) = (callee.ret_dst, rv) {
+            t.top.vars[dst as usize] = v;
+        }
+        let to = Some(self.current_stmt(tid));
+        let seq = self.next_seq();
+        emit(
+            observers,
+            Event::Return {
+                seq,
+                tid,
+                core,
+                iid,
+                to,
+            },
+        );
+        Flow::Retire
     }
 
     fn wake_mutex_waiters(&mut self, addr: u64) {
@@ -1030,6 +1036,34 @@ impl<'p> Vm<'p> {
             }
         }
     }
+}
+
+fn emit(observers: &mut [&mut dyn Observer], ev: Event) {
+    for o in observers.iter_mut() {
+        o.on_event(&ev);
+    }
+}
+
+/// Reads an operand against a frame's registers.
+#[inline(always)]
+fn slot(regs: &[Value], s: Slot) -> Value {
+    match s {
+        Slot::Const(v) => v,
+        Slot::Var(i) => regs[i as usize],
+    }
+}
+
+/// True on the first step of a two-phase access to a non-NULL address.
+///
+/// The first scheduling step of a memory access computes its address and
+/// emits `PreAccess` (the watchpoint arm point, see [`Vm::arm`]); the
+/// access itself executes on a later step, so other threads may interleave
+/// in between — as on real hardware. The first step marks the running
+/// frame either way; a NULL address gets no arm point, and the access runs
+/// at once and faults.
+#[inline(always)]
+fn arms(pre_access_done: &mut bool, addr: u64) -> bool {
+    !std::mem::replace(pre_access_done, true) && addr != 0
 }
 
 #[cfg(test)]
@@ -1473,6 +1507,141 @@ entry:
         assert_eq!(rep.stack.len(), 3);
         // Innermost frame is inner's load.
         assert_eq!(rep.stack[0].iid, rep.failing_stmt);
+    }
+
+    #[test]
+    fn callee_registers_start_zeroed_where_a_deeper_call_left_values() {
+        // `mid` and `deep` (one and two frames down) write registers 1-3,
+        // and then `probe` gets a frame at mid's depth; its never-written
+        // registers 2-4 must still read 0, whether frames take fresh
+        // memory, reuse a returned frame's, or share one register stack.
+        let r = run_text(
+            r#"
+fn deep(x) {
+entry:
+  y = add x, 100
+  z = mul y, 3
+  ret z
+}
+fn mid(x) {
+entry:
+  p = add x, 1
+  q = add x, 2
+  r = call deep(x)
+  ret r
+}
+fn probe(x) {
+entry:
+  c = cmp ne x, 0
+  condbr c, set, done
+set:
+  u = const 55
+  v = const 56
+  w = const 57
+  br done
+done:
+  print u, v, w
+  ret
+}
+fn main() {
+entry:
+  a = call mid(7)
+  print a
+  call probe(0)
+  ret
+}
+"#,
+        );
+        assert_eq!(r.outcome, RunOutcome::Finished);
+        assert_eq!(r.output, vec![321, 0, 0, 0]);
+    }
+
+    /// `down(n)` recurses n deep and returns n + (n-1) + ... + 1; `base`
+    /// is the base case's body before its `ret 0`.
+    fn recursion(depth: Value, base: &str) -> (Program, RunResult) {
+        let text = format!(
+            r#"
+fn down(n) {{
+entry:
+  c = cmp le n, 0
+  condbr c, base, step
+base:
+{base}
+  ret 0
+step:
+  m = sub n, 1
+  r = call down(m)
+  s = add r, n
+  ret s
+}}
+fn main() {{
+entry:
+  d = input 0
+  v = call down(d)
+  print v
+  ret
+}}
+"#
+        );
+        let p = parse_program("t", &text).unwrap();
+        let cfg = VmConfig {
+            inputs: vec![Input::Scalar(depth)],
+            ..VmConfig::default()
+        };
+        let r = Vm::new(&p, cfg).run(&mut []);
+        (p, r)
+    }
+
+    #[test]
+    fn deep_recursion_returns_the_right_value() {
+        let (_, r) = recursion(300, "");
+        assert_eq!(r.outcome, RunOutcome::Finished);
+        assert_eq!(r.output, vec![300 * 301 / 2]);
+    }
+
+    #[test]
+    fn failure_at_the_bottom_of_deep_recursion_reports_every_frame() {
+        // The base case loads from address n = 0: a segfault 301 frames
+        // down (300 recursive calls below main's).
+        let (p, r) = recursion(300, "  v = load n");
+        let rep = r.outcome.failure().expect("the NULL load must fail");
+        assert!(matches!(rep.kind, FailureKind::SegFault { addr: 0 }));
+        let func = |name: &str| p.function_by_name(name).unwrap();
+        let call_in = |name: &str| {
+            func(name)
+                .blocks
+                .iter()
+                .flat_map(|b| &b.instrs)
+                .find(|i| matches!(i.op, gist_ir::Op::Call { .. }))
+                .unwrap()
+                .id
+        };
+        let (down, main) = (func("down").id, func("main").id);
+        assert_eq!(rep.stack.len(), 302);
+        // Innermost first: the failing load, then each caller at its call.
+        assert_eq!(
+            rep.stack[0],
+            StackFrame {
+                func: down,
+                iid: rep.failing_stmt
+            }
+        );
+        for f in &rep.stack[1..301] {
+            assert_eq!(
+                *f,
+                StackFrame {
+                    func: down,
+                    iid: call_in("down")
+                }
+            );
+        }
+        assert_eq!(
+            rep.stack[301],
+            StackFrame {
+                func: main,
+                iid: call_in("main")
+            }
+        );
     }
 
     #[test]
