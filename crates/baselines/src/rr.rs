@@ -23,8 +23,8 @@ struct RecordingScheduler<S> {
 }
 
 impl<S: Scheduler> Scheduler for RecordingScheduler<S> {
-    fn pick(&mut self, runnable: &[u32], step: u64) -> u32 {
-        let p = self.inner.pick(runnable, step);
+    fn pick(&mut self, runnable: &[u32]) -> u32 {
+        let p = self.inner.pick(runnable);
         self.picks.push(p);
         p
     }
@@ -39,7 +39,7 @@ struct ReplayScheduler {
 }
 
 impl Scheduler for ReplayScheduler {
-    fn pick(&mut self, runnable: &[u32], _step: u64) -> u32 {
+    fn pick(&mut self, runnable: &[u32]) -> u32 {
         if let Some(&want) = self.picks.get(self.pos) {
             self.pos += 1;
             if runnable.contains(&want) {

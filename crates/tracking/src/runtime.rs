@@ -16,8 +16,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use gist_ir::{InstrId, Program};
-use gist_pt::decoder::DecodedTrace;
-use gist_pt::{CodeMap, PtConfig, PtDriver, PtTracer};
+use gist_pt::{CodeMap, DecodeError, DecodedTrace, PtConfig, PtDriver, PtTracer};
 use gist_vm::{Event, Observer};
 use gist_watch::{WatchCondition, WatchError, WatchHit, WatchUnit};
 
@@ -190,7 +189,7 @@ impl TrackerRuntime {
         let traced_retired = self.tracer.traced_retired();
         let traces = self.tracer.take_traces();
         let prepared = &*self.prepared;
-        let decoded = gist_pt::decode(&prepared.code, &traces).unwrap_or_else(|e| {
+        let decoded = decode(&prepared.code, &traces).unwrap_or_else(|e| {
             // An undecodable trace yields an empty one; refinement then
             // simply learns nothing from this run. Surface in tests via
             // debug assertions.
@@ -345,6 +344,18 @@ impl Observer for TrackerRuntime {
             _ => {}
         }
     }
+}
+
+/// Decodes one run's PT streams, counting an undecodable run in
+/// `tracking.undecodable_runs`: release builds have no other sign of one.
+/// The counter registers at its first increment, so it is in no metrics
+/// snapshot while every run decodes.
+fn decode(code: &CodeMap, traces: &[Vec<u8>]) -> Result<DecodedTrace, DecodeError> {
+    let decoded = gist_pt::decode(code, traces);
+    if decoded.is_err() {
+        gist_obs::counter!("tracking.undecodable_runs").inc();
+    }
+    decoded
 }
 
 #[cfg(test)]
@@ -532,5 +543,54 @@ entry:
         vm.run(&mut [&mut tracker]);
         let trace = tracker.finish();
         assert_eq!(trace.watch_traps, 0, "stack addresses are never watched");
+    }
+
+    #[test]
+    fn undecodable_run_is_counted() {
+        use gist_pt::{Packet, TraceBuffer};
+        // `hostile-tid-max` of the hostile corpus in `tests/pt_roundtrip.rs`:
+        // a window opened at `inc`'s first statement by a tid no dense
+        // table could hold, whose walk meets `ret y` (a decision point)
+        // before the window's end at `main`'s first statement.
+        let p = parse_program(
+            "prop",
+            r#"
+fn inc(x) {
+entry:
+  y = add x, 1
+  ret y
+}
+fn main() {
+entry:
+  n = const 3
+  f = funcaddr inc
+  br head
+head:
+  c = cmp gt n, 0
+  condbr c, body, exit
+body:
+  n = sub n, 1
+  m = icall f(n)
+  br head
+exit:
+  print n
+  ret
+}
+"#,
+        )
+        .unwrap();
+        let mut stream = TraceBuffer::new();
+        for packet in [
+            Packet::Psb,
+            Packet::Pip { tid: u32::MAX },
+            Packet::Pge { ip: InstrId(0) },
+            Packet::Pgd { ip: InstrId(2) },
+        ] {
+            stream.push(&packet);
+        }
+        let undecodable = gist_obs::counter_by_name("tracking.undecodable_runs");
+        let before = undecodable.get();
+        assert!(decode(&CodeMap::new(&p), &[stream.take()]).is_err());
+        assert_eq!(undecodable.get(), before + 1);
     }
 }

@@ -13,8 +13,7 @@ use rand::{RngCore, SeedableRng};
 /// Picks which runnable thread executes the next statement.
 pub trait Scheduler {
     /// Chooses one entry of `runnable` (non-empty, sorted by tid).
-    /// `step` is the global step count, for quantum-based policies.
-    fn pick(&mut self, runnable: &[u32], step: u64) -> u32;
+    fn pick(&mut self, runnable: &[u32]) -> u32;
 }
 
 /// Round-robin with a fixed quantum of statements.
@@ -38,7 +37,7 @@ impl RoundRobin {
 }
 
 impl Scheduler for RoundRobin {
-    fn pick(&mut self, runnable: &[u32], _step: u64) -> u32 {
+    fn pick(&mut self, runnable: &[u32]) -> u32 {
         if let Some(cur) = self.current {
             if self.used < self.quantum && runnable.contains(&cur) {
                 self.used += 1;
@@ -118,7 +117,22 @@ fn reduce(x: u64, n: usize) -> usize {
 
 impl Scheduler for RandomScheduler {
     #[inline]
-    fn pick(&mut self, runnable: &[u32], _step: u64) -> u32 {
+    fn pick(&mut self, runnable: &[u32]) -> u32 {
+        if let [only] = *runnable {
+            // A forced pick: both outcomes of the keep draw pick `only`,
+            // so consume the draws the general path below would without
+            // branching on their values. The keep draw is a coin flip at
+            // the preemption rates the bugbase runs, and a branch on it
+            // is mispredicted about half the time.
+            if self.last == Some(only) {
+                let keep = (self.rng.next_u64() >> 11) >= self.keep_at;
+                self.rng.advance(u64::from(!keep));
+            } else {
+                self.rng.advance(1);
+                self.last = Some(only);
+            }
+            return only;
+        }
         if let Some(last) = self.last {
             if runnable.contains(&last) && (self.rng.next_u64() >> 11) >= self.keep_at {
                 return last;
@@ -148,7 +162,7 @@ impl FixedSchedule {
 }
 
 impl Scheduler for FixedSchedule {
-    fn pick(&mut self, runnable: &[u32], _step: u64) -> u32 {
+    fn pick(&mut self, runnable: &[u32]) -> u32 {
         while self.pos < self.script.len() {
             let want = self.script[self.pos];
             self.pos += 1;
@@ -215,11 +229,11 @@ pub enum AnyScheduler {
 
 impl Scheduler for AnyScheduler {
     #[inline]
-    fn pick(&mut self, runnable: &[u32], step: u64) -> u32 {
+    fn pick(&mut self, runnable: &[u32]) -> u32 {
         match self {
-            AnyScheduler::RoundRobin(s) => s.pick(runnable, step),
-            AnyScheduler::Random(s) => s.pick(runnable, step),
-            AnyScheduler::Fixed(s) => s.pick(runnable, step),
+            AnyScheduler::RoundRobin(s) => s.pick(runnable),
+            AnyScheduler::Random(s) => s.pick(runnable),
+            AnyScheduler::Fixed(s) => s.pick(runnable),
         }
     }
 }
@@ -232,16 +246,16 @@ mod tests {
     fn round_robin_rotates_after_quantum() {
         let mut rr = RoundRobin::new(2);
         let runnable = vec![0, 1, 2];
-        let picks: Vec<u32> = (0..8).map(|s| rr.pick(&runnable, s)).collect();
+        let picks: Vec<u32> = (0..8).map(|_| rr.pick(&runnable)).collect();
         assert_eq!(picks, vec![0, 0, 1, 1, 2, 2, 0, 0]);
     }
 
     #[test]
     fn round_robin_skips_non_runnable() {
         let mut rr = RoundRobin::new(1);
-        assert_eq!(rr.pick(&[0, 1], 0), 0);
+        assert_eq!(rr.pick(&[0, 1]), 0);
         // Thread 1 no longer runnable: wraps back to 0.
-        assert_eq!(rr.pick(&[0], 1), 0);
+        assert_eq!(rr.pick(&[0]), 0);
     }
 
     #[test]
@@ -249,7 +263,7 @@ mod tests {
         let runnable = vec![0, 1, 2, 3];
         let picks = |seed| {
             let mut s = RandomScheduler::new(seed);
-            (0..64).map(|i| s.pick(&runnable, i)).collect::<Vec<_>>()
+            (0..64).map(|_| s.pick(&runnable)).collect::<Vec<_>>()
         };
         assert_eq!(picks(7), picks(7));
         assert_ne!(picks(7), picks(8), "different seeds should differ");
@@ -258,8 +272,8 @@ mod tests {
     #[test]
     fn random_respects_runnable_set() {
         let mut s = RandomScheduler::new(3);
-        for i in 0..100 {
-            let pick = s.pick(&[2, 5], i);
+        for _ in 0..100 {
+            let pick = s.pick(&[2, 5]);
             assert!(pick == 2 || pick == 5);
         }
     }
@@ -268,19 +282,19 @@ mod tests {
     fn fixed_schedule_replays_script() {
         let mut s = FixedSchedule::new(vec![1, 1, 0, 1]);
         let runnable = vec![0, 1];
-        assert_eq!(s.pick(&runnable, 0), 1);
-        assert_eq!(s.pick(&runnable, 1), 1);
-        assert_eq!(s.pick(&runnable, 2), 0);
-        assert_eq!(s.pick(&runnable, 3), 1);
+        assert_eq!(s.pick(&runnable), 1);
+        assert_eq!(s.pick(&runnable), 1);
+        assert_eq!(s.pick(&runnable), 0);
+        assert_eq!(s.pick(&runnable), 1);
         // Script exhausted: lowest runnable.
-        assert_eq!(s.pick(&runnable, 4), 0);
+        assert_eq!(s.pick(&runnable), 0);
     }
 
     #[test]
     fn fixed_schedule_skips_blocked_entries() {
         let mut s = FixedSchedule::new(vec![3, 1]);
         // 3 is not runnable; falls through to 1.
-        assert_eq!(s.pick(&[0, 1], 0), 1);
+        assert_eq!(s.pick(&[0, 1]), 1);
     }
 
     #[test]
@@ -309,8 +323,8 @@ mod tests {
             let mut built = kind.build();
             for i in 0..32 {
                 assert_eq!(
-                    built.pick(&runnable, i),
-                    expected.pick(&runnable, i),
+                    built.pick(&runnable),
+                    expected.pick(&runnable),
                     "{kind:?} pick {i}"
                 );
             }
@@ -354,7 +368,7 @@ mod tests {
                             all.iter().copied().filter(|&t| Some(t) != skip).collect();
                         let want = float_formula_pick(&mut rng, preempt, &mut last, &runnable);
                         assert_eq!(
-                            fast.pick(&runnable, i),
+                            fast.pick(&runnable),
                             want,
                             "n {n} preempt {preempt} seed {seed} pick {i}"
                         );

@@ -255,7 +255,7 @@ impl<'p> TreeWalkVm<'p> {
                 );
                 return self.result(RunOutcome::Failed(report));
             }
-            let tid = scheduler.pick(&runnable, self.steps);
+            let tid = scheduler.pick(&runnable);
             debug_assert!(runnable.contains(&tid));
             self.sched_picks += 1;
             if let Some(prev) = self.last_picked {

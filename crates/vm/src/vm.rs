@@ -313,7 +313,7 @@ impl<'p> Vm<'p> {
             if self.steps >= self.config.max_steps {
                 return self.stop(runnable[0], FailureKind::Hang, observers);
             }
-            let tid = scheduler.pick(&runnable, self.steps);
+            let tid = scheduler.pick(&runnable);
             debug_assert!(runnable.contains(&tid));
             self.sched_picks += 1;
             if let Some(prev) = self.last_picked {

@@ -14,6 +14,12 @@
 //!   every binary operator and comparison, the three intrinsics, memory in
 //!   every segment, loops, direct, indirect and recursive calls, and one to
 //!   three threads.
+//!
+//! Both engines pick threads with the same `RandomScheduler`, so their
+//! agreement cannot show a defect in the pick. Under a random schedule,
+//! the compiled engine therefore also runs with a test-local scheduler
+//! that computes each pick from the float formula, and must give the same
+//! run result and event stream.
 
 use std::fmt::Write as _;
 
@@ -23,7 +29,7 @@ use gist_ir::{BinKind, CmpKind, InstrId, Program};
 use gist_slicing::StaticSlicer;
 use gist_tracking::{InstrumentationPatch, Planner, RunTrace, TrackerRuntime};
 use gist_vm::event::EventLog;
-use gist_vm::{Input, RunResult, SchedulerKind, TreeWalkVm, Vm, VmConfig};
+use gist_vm::{Input, RunResult, Scheduler, SchedulerKind, TreeWalkVm, Vm, VmConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,8 +60,52 @@ fn run_treewalk(program: &Program, patch: &InstrumentationPatch, cfg: VmConfig) 
     (result, log, tracker.finish())
 }
 
+/// The random scheduler's pick before its integer threshold, draw for
+/// draw: a float draw against `preempt` keeps the last thread, else
+/// `gen_range` picks one. A copy of `float_formula_pick` in the unit
+/// tests of `crates/vm/src/sched.rs`.
+struct FloatFormulaScheduler {
+    rng: StdRng,
+    preempt: f64,
+    last: Option<u32>,
+}
+
+impl Scheduler for FloatFormulaScheduler {
+    fn pick(&mut self, runnable: &[u32]) -> u32 {
+        if let Some(l) = self.last {
+            if runnable.contains(&l) && self.rng.gen::<f64>() >= self.preempt {
+                return l;
+            }
+        }
+        let choice = runnable[self.rng.gen_range(0..runnable.len())];
+        self.last = Some(choice);
+        choice
+    }
+}
+
+/// Asserts that two runs give the same result and event stream.
+fn assert_runs_equal(a: (&RunResult, &EventLog), b: (&RunResult, &EventLog), what: &str) {
+    // RunResult and RunTrace hold floats/maps-free plain data; Debug
+    // rendering is a total, field-exhaustive comparison that keeps this
+    // test independent of PartialEq coverage.
+    assert_eq!(
+        format!("{:?}", a.0),
+        format!("{:?}", b.0),
+        "{what}: run results diverge"
+    );
+    assert_eq!(
+        a.1.events.len(),
+        b.1.events.len(),
+        "{what}: event counts diverge"
+    );
+    for (i, (ea, eb)) in a.1.events.iter().zip(b.1.events.iter()).enumerate() {
+        assert_eq!(ea, eb, "{what}: event {i} diverges");
+    }
+}
+
 /// Runs both engines and asserts they agree; `what` names the run in
-/// failure messages.
+/// failure messages. Under a random schedule, the compiled engine must
+/// also agree with itself run under [`FloatFormulaScheduler`].
 fn assert_engines_agree(
     program: &Program,
     patch: &InstrumentationPatch,
@@ -64,27 +114,26 @@ fn assert_engines_agree(
 ) {
     let (res_c, log_c, trace_c) = run_compiled(program, patch, cfg.clone());
     let (res_t, log_t, trace_t) = run_treewalk(program, patch, cfg.clone());
-    // RunResult and RunTrace hold floats/maps-free plain data; Debug
-    // rendering is a total, field-exhaustive comparison that keeps this
-    // test independent of PartialEq coverage.
-    assert_eq!(
-        format!("{res_c:?}"),
-        format!("{res_t:?}"),
-        "{what}: run results diverge"
-    );
-    assert_eq!(
-        log_c.events.len(),
-        log_t.events.len(),
-        "{what}: event counts diverge"
-    );
-    for (i, (ec, et)) in log_c.events.iter().zip(log_t.events.iter()).enumerate() {
-        assert_eq!(ec, et, "{what}: event {i} diverges");
-    }
+    assert_runs_equal((&res_c, &log_c), (&res_t, &log_t), what);
     assert_eq!(
         format!("{:?}", without_journal_seqs(trace_c)),
         format!("{:?}", without_journal_seqs(trace_t)),
         "{what}: tracker traces diverge"
     );
+    if let SchedulerKind::Random { seed, preempt } = cfg.scheduler {
+        let mut sched = FloatFormulaScheduler {
+            rng: StdRng::seed_from_u64(seed),
+            preempt: preempt.clamp(0.0, 1.0),
+            last: None,
+        };
+        let mut log = EventLog::default();
+        let res = Vm::new(program, cfg.clone()).run_with(&mut sched, &mut [&mut log]);
+        assert_runs_equal(
+            (&res_c, &log_c),
+            (&res, &log),
+            &format!("{what} (float-formula picks)"),
+        );
+    }
 }
 
 /// The trace with its journal sequence numbers zeroed: they number
