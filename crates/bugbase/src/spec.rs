@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use gist_ir::{InstrId, Program};
 use gist_sketch::IdealSketch;
-use gist_vm::{CompiledProgram, FailureReport, RunOutcome, Vm, VmConfig};
+use gist_vm::{CompiledProgram, FailureReport, RunOutcome, Vm, VmConfig, VmScratch};
 
 /// Sequential vs concurrency bug (the sketch "Type:" line).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -172,12 +172,10 @@ impl BugSpec {
     /// while searching (falling back to the first failure seen if the
     /// preferred flavor never shows).
     pub fn find_failure(&self, max_seeds: u64) -> Option<(u64, FailureReport)> {
-        let compiled = Arc::new(CompiledProgram::compile(&self.program));
+        let mut runs = bare_runs(&self.program, self.make_config);
         let mut fallback: Option<(u64, FailureReport)> = None;
         for seed in 0..max_seeds {
-            let mut vm =
-                Vm::with_compiled(&self.program, Arc::clone(&compiled), self.vm_config(seed));
-            if let RunOutcome::Failed(r) = vm.run(&mut []).outcome {
+            if let RunOutcome::Failed(r) = runs(seed) {
                 match self.prefer_loc {
                     None => return Some((seed, r)),
                     Some((f, l)) => {
@@ -203,21 +201,38 @@ impl BugSpec {
         if n == 0 {
             return 0.0;
         }
-        let compiled = Arc::new(CompiledProgram::compile(&self.program));
-        let mut fails = 0u64;
-        for seed in 0..n {
-            let mut vm =
-                Vm::with_compiled(&self.program, Arc::clone(&compiled), self.vm_config(seed));
-            if matches!(vm.run(&mut []).outcome, RunOutcome::Failed(_)) {
-                fails += 1;
-            }
-        }
+        let mut runs = bare_runs(&self.program, self.make_config);
+        let fails = (0..n)
+            .filter(|&seed| matches!(runs(seed), RunOutcome::Failed(_)))
+            .count();
         fails as f64 / n as f64
     }
 
     /// Program size in IR statements (our miniature's "LLVM instructions").
     pub fn program_stmts(&self) -> usize {
         self.program.stmt_count()
+    }
+}
+
+/// Runs `program` without observers, one seed per call under
+/// `config(seed)`: compiled once, and on one recycled [`VmScratch`], as a
+/// failure search runs seed after seed.
+pub(crate) fn bare_runs(
+    program: &Program,
+    config: fn(u64) -> VmConfig,
+) -> impl FnMut(u64) -> RunOutcome + '_ {
+    let compiled = Arc::new(CompiledProgram::compile(program));
+    let mut scratch = VmScratch::default();
+    move |seed| {
+        let mut vm = Vm::with_scratch(
+            program,
+            Arc::clone(&compiled),
+            config(seed),
+            std::mem::take(&mut scratch),
+        );
+        let outcome = vm.run(&mut []).outcome;
+        scratch = vm.into_scratch();
+        outcome
     }
 }
 

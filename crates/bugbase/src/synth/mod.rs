@@ -28,11 +28,12 @@ pub use rng::SplitMix64;
 pub use shrink::shrink;
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use gist_ir::{InstrId, Program};
 use gist_sketch::IdealSketch;
-use gist_vm::{CompiledProgram, FailureReport, RunOutcome, SchedulerKind, Vm, VmConfig};
+use gist_vm::{FailureReport, RunOutcome, SchedulerKind, VmConfig};
+
+use crate::spec::bare_runs;
 
 /// The production-workload configuration every synthetic bug runs under
 /// (same scheduler shape as the hand-built concurrency bugs). A plain
@@ -158,13 +159,9 @@ impl SynthBug {
         if n == 0 {
             return 0.0;
         }
-        let compiled = Arc::new(CompiledProgram::compile(&self.program));
+        let mut runs = bare_runs(&self.program, synth_config);
         let fails = (0..n)
-            .filter(|&seed| {
-                let mut vm =
-                    Vm::with_compiled(&self.program, Arc::clone(&compiled), synth_config(seed));
-                matches!(vm.run(&mut []).outcome, RunOutcome::Failed(_))
-            })
+            .filter(|&seed| matches!(runs(seed), RunOutcome::Failed(_)))
             .count();
         fails as f64 / n as f64
     }
@@ -209,11 +206,10 @@ pub fn find_failure_in(
     max_seeds: u64,
 ) -> Option<(u64, FailureReport)> {
     let expected = truth.expected?;
-    let compiled = Arc::new(CompiledProgram::compile(program));
+    let mut runs = bare_runs(program, synth_config);
     let mut fallback: Option<(u64, FailureReport)> = None;
     for seed in 0..max_seeds {
-        let mut vm = Vm::with_compiled(program, Arc::clone(&compiled), synth_config(seed));
-        if let RunOutcome::Failed(r) = vm.run(&mut []).outcome {
+        if let RunOutcome::Failed(r) = runs(seed) {
             if !expected.matches(&r.kind) {
                 continue;
             }

@@ -7,12 +7,19 @@
 //! workers over channels, and the dispatching thread runs chunk 0 itself
 //! before collecting the workers' results in executor order — so output is
 //! in run-id order by construction, with no result slots, lock or sort.
-//! The only state an executor keeps across runs is its VM scratch; every
-//! run allocates its own trace buffers and decodes its trace cold, so
-//! executors share nothing mutable.
 //!
-//! [`SimulatedFleet`] prepares a patch (its dense index and the tracer's
-//! call/ret table) once, when `next_run` first sees it, and every batch
+//! Each executor is one endpoint, and like Gist's endpoints it stays up
+//! between runs (§4): it keeps its VM scratch (memory segments, thread
+//! table, register files) and its tracker (PT buffers, trace windows and
+//! driver, debug registers) from run to run, and
+//! [`TrackerRuntime::reset`] readies the tracker for the next run's patch.
+//! Both keep allocations, not state: every table is emptied, every
+//! register file zeroed and every buffer cleared before a run uses them,
+//! so a run's result cannot depend on which executor ran it or on what
+//! that executor ran before. Executors share nothing mutable.
+//!
+//! [`SimulatedFleet`] prepares a patch (its dense index and the program's
+//! PT code map) once, when `next_run` first sees it, and every batch
 //! carries that immutable [`PreparedPatch`] by `Arc` to the runs that
 //! execute it.
 //!
@@ -207,6 +214,7 @@ fn recv_polling<T>(rx: &Receiver<T>, poll: Duration) -> Option<T> {
 /// dispatcher observes as a failed receive.
 fn worker_loop(env: Arc<PoolEnv>, jobs: Receiver<Chunk>, results: Sender<ChunkDone>) {
     let mut scratch = VmScratch::default();
+    let mut tracker = None;
     // No chunk has run yet, so there is no chunk time to poll for.
     let mut poll = Duration::ZERO;
     loop {
@@ -215,7 +223,7 @@ fn worker_loop(env: Arc<PoolEnv>, jobs: Receiver<Chunk>, results: Sender<ChunkDo
             return;
         };
         let started = Instant::now();
-        let mut done = run_chunk(&env, &chunk, &mut scratch);
+        let mut done = run_chunk(&env, &chunk, &mut scratch, &mut tracker);
         poll = started.elapsed() * POLL_CHUNKS;
         done.waited_us = started.duration_since(wait_start).as_micros() as u64;
         if results.send(done).is_err() {
@@ -227,7 +235,12 @@ fn worker_loop(env: Arc<PoolEnv>, jobs: Receiver<Chunk>, results: Sender<ChunkDo
 /// Executes one chunk. Shared by pool workers and the dispatching thread
 /// (executor 0). On return, all of this executor's journal events are in
 /// the global sink.
-fn run_chunk(env: &PoolEnv, chunk: &Chunk, scratch: &mut VmScratch) -> ChunkDone {
+fn run_chunk(
+    env: &PoolEnv,
+    chunk: &Chunk,
+    scratch: &mut VmScratch,
+    tracker: &mut Option<TrackerRuntime>,
+) -> ChunkDone {
     let batch = &chunk.batch;
     let runs = {
         // One worker span per batch, not per run: the span registry is
@@ -242,6 +255,7 @@ fn run_chunk(env: &PoolEnv, chunk: &Chunk, scratch: &mut VmScratch) -> ChunkDone
                     env.make_config,
                     env.num_cores,
                     scratch,
+                    tracker,
                     &batch.patch,
                     id,
                     seed,
@@ -257,7 +271,8 @@ fn run_chunk(env: &PoolEnv, chunk: &Chunk, scratch: &mut VmScratch) -> ChunkDone
     ChunkDone { runs, waited_us: 0 }
 }
 
-/// Executes one run on the executor's recycled VM scratch.
+/// Executes one run on the executor's recycled VM scratch and tracker
+/// (built at the executor's first run, reset for each later one).
 #[allow(clippy::too_many_arguments)]
 fn execute_one(
     program: &Program,
@@ -265,6 +280,7 @@ fn execute_one(
     make_config: fn(u64) -> VmConfig,
     num_cores: u32,
     scratch: &mut VmScratch,
+    tracker: &mut Option<TrackerRuntime>,
     patch: &Arc<PreparedPatch>,
     run_id: u64,
     seed: u64,
@@ -272,9 +288,14 @@ fn execute_one(
     gist_obs::event!(RunStarted { run: run_id, seed });
     let mut cfg = make_config(seed);
     cfg.num_cores = num_cores;
-    let mut tracker = TrackerRuntime::with_prepared(program, Arc::clone(patch), num_cores);
+    if let Some(tracker) = tracker {
+        tracker.reset(Arc::clone(patch));
+    }
+    let tracker = tracker.get_or_insert_with(|| {
+        TrackerRuntime::with_prepared(program, Arc::clone(patch), num_cores)
+    });
     let mut vm = Vm::with_scratch(program, Arc::clone(compiled), cfg, std::mem::take(scratch));
-    let result = vm.run(&mut [&mut tracker]);
+    let result = vm.run(&mut [tracker]);
     let data = ClientRunData {
         run_id,
         outcome: match result.outcome {
@@ -301,9 +322,10 @@ pub struct SimulatedFleet<'p> {
     make_config: fn(u64) -> VmConfig,
     config: FleetConfig,
     compiled: Arc<CompiledProgram>,
-    /// Executor-0 VM scratch (the dispatching thread), used by both the
-    /// sequential path and pooled batches.
+    /// Executor-0 VM scratch and tracker (the dispatching thread's), used
+    /// by both the sequential path and pooled batches.
     main_scratch: VmScratch,
+    main_tracker: Option<TrackerRuntime>,
     main_stats: WorkerStats,
     /// Lazily created on the first batched refill.
     pool: Option<FleetPool>,
@@ -338,6 +360,7 @@ impl<'p> SimulatedFleet<'p> {
             config,
             compiled: Arc::new(CompiledProgram::compile(program)),
             main_scratch: VmScratch::default(),
+            main_tracker: None,
             main_stats: WorkerStats::default(),
             pool: None,
             next_run: 0,
@@ -448,7 +471,12 @@ impl<'p> SimulatedFleet<'p> {
             range: chunk_of(0),
         };
         let started = Instant::now();
-        let done = run_chunk(&pool.env, &own, &mut self.main_scratch);
+        let done = run_chunk(
+            &pool.env,
+            &own,
+            &mut self.main_scratch,
+            &mut self.main_tracker,
+        );
         // Every worker's chunk is about as large as this one.
         let poll = started.elapsed() * POLL_CHUNKS;
         self.main_stats.absorb_chunk(&done);
@@ -498,6 +526,7 @@ impl<'p> SimulatedFleet<'p> {
                 self.make_config,
                 self.config.num_cores,
                 &mut self.main_scratch,
+                &mut self.main_tracker,
                 &patch,
                 id,
                 seed,

@@ -120,9 +120,27 @@ impl TraceBuffer {
     /// returned `Vec` is the buffer's backing allocation.
     pub fn take(&mut self) -> Vec<u8> {
         let out = self.bytes.split().into_vec();
+        self.reset_counts();
+        out
+    }
+
+    /// Empties the buffer and resets its state, keeping its allocation:
+    /// the driver's buffer stays allocated between runs (§4).
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.reset_counts();
+    }
+
+    fn reset_counts(&mut self) {
         self.overflowed = false;
         self.dropped_packets = 0;
-        out
+        self.total_packets = 0;
+    }
+}
+
+impl AsRef<[u8]> for TraceBuffer {
+    fn as_ref(&self) -> &[u8] {
+        &self.bytes
     }
 }
 
@@ -175,7 +193,25 @@ mod tests {
         assert!(!bytes.is_empty());
         assert!(b.is_empty());
         assert!(!b.overflowed());
+        assert_eq!((b.offered(), b.dropped()), (0, 0));
         assert!(b.push(&Packet::Tip { ip: InstrId(2) }));
+    }
+
+    #[test]
+    fn clear_resets_buffer_like_a_new_one() {
+        let mut b = TraceBuffer::with_capacity(20);
+        b.push(&Packet::Psb);
+        b.push(&Packet::Tip { ip: InstrId(1) }); // overflow
+        b.clear();
+        assert!(b.is_empty());
+        assert!(!b.overflowed());
+        assert_eq!((b.offered(), b.dropped()), (0, 0));
+        let mut fresh = TraceBuffer::with_capacity(20);
+        for p in [Packet::Psb, Packet::Tip { ip: InstrId(2) }] {
+            assert_eq!(b.push(&p), fresh.push(&p));
+        }
+        assert_eq!(b.as_bytes(), fresh.as_bytes());
+        assert_eq!(b.as_ref(), fresh.as_bytes());
     }
 
     #[test]

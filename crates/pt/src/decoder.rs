@@ -304,17 +304,26 @@ fn decode_core(
 }
 
 /// Decodes all cores' streams of one run over the traced program's code
-/// map.
-pub fn decode(code: &CodeMap, core_bytes: &[Vec<u8>]) -> Result<DecodedTrace, DecodeError> {
+/// map: taken byte vectors, or a tracer's [`crate::TraceBuffer`]s read in
+/// place.
+pub fn decode<B: AsRef<[u8]>>(
+    code: &CodeMap,
+    core_bytes: &[B],
+) -> Result<DecodedTrace, DecodeError> {
     let _span = gist_obs::span("pt.decode");
     gist_obs::counter!("pt.decodes").inc();
-    gist_obs::counter!("pt.bytes_decoded")
-        .add(core_bytes.iter().map(|b| b.len() as u64).sum::<u64>());
+    gist_obs::counter!("pt.bytes_decoded").add(
+        core_bytes
+            .iter()
+            .map(|b| b.as_ref().len() as u64)
+            .sum::<u64>(),
+    );
     let mut out = DecodedTrace {
         per_core: Vec::with_capacity(core_bytes.len()),
         ..DecodedTrace::default()
     };
     for (core, bytes) in core_bytes.iter().enumerate() {
+        let bytes = bytes.as_ref();
         // About one statement per trace byte: sized once, a core's
         // sequence rarely grows.
         let mut seq = Vec::with_capacity(2 * bytes.len());

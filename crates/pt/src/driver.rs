@@ -41,6 +41,15 @@ impl PtDriver {
         d
     }
 
+    /// Returns the driver to the state [`PtDriver::new`] builds: tracing
+    /// off on every core and no transitions counted, keeping the override
+    /// table's allocation.
+    pub fn reset(&mut self) {
+        self.default_on = false;
+        self.cores.clear();
+        self.transitions = 0;
+    }
+
     /// Sets the default state for all cores (clears per-core overrides).
     pub fn set_default(&mut self, on: bool) {
         if self.default_on != on || self.cores.iter().any(Option::is_some) {
@@ -119,6 +128,15 @@ mod tests {
         let d = PtDriver::always_on();
         assert!(d.is_enabled(0));
         assert!(d.is_enabled(7));
+    }
+
+    #[test]
+    fn reset_restores_a_new_driver() {
+        let mut d = PtDriver::always_on();
+        d.trace_off(3);
+        d.reset();
+        assert!(!d.is_enabled(0) && !d.is_enabled(3));
+        assert_eq!(d.transitions(), 0);
     }
 
     #[test]

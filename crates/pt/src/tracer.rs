@@ -71,6 +71,9 @@ pub struct PtTracer {
     /// Per-thread trace windows, indexed by tid (dense: the scheduler
     /// numbers tids from 0, and `handle` runs once per VM event).
     windows: Vec<TidWindow>,
+    /// The configured core count (`PtConfig.num_cores`): the number of
+    /// buffers a new or reset tracer has.
+    cores: usize,
     /// Capacity for core buffers allocated after construction (the VM may
     /// schedule onto more cores than `PtConfig.num_cores` anticipated).
     buffer_capacity: usize,
@@ -102,12 +105,35 @@ impl PtTracer {
             core_tid: vec![None; n],
             since_psb: vec![usize::MAX; n],
             windows: Vec::new(),
+            cores: n,
             buffer_capacity: config.buffer_capacity,
             code,
             traced_branches: 0,
             traced_retired: 0,
             metrics_flushed: false,
         }
+    }
+
+    /// Returns the tracer to the state [`PtTracer::with_code_map`] builds
+    /// over `code` with a new [`PtDriver`], keeping its allocations: each
+    /// configured core's buffer is emptied in place, and the buffers of
+    /// cores the last run added are dropped. Trace windows close
+    /// unflushed, and the counters restart. The paper's driver allocates
+    /// its buffers once (§4); a fleet executor resets its tracer between
+    /// runs.
+    pub fn reset(&mut self, code: CodeMap) {
+        self.driver.reset();
+        self.buffers.truncate(self.cores);
+        self.buffers.iter_mut().for_each(TraceBuffer::clear);
+        self.core_tid.truncate(self.cores);
+        self.core_tid.fill(None);
+        self.since_psb.truncate(self.cores);
+        self.since_psb.fill(usize::MAX);
+        self.windows.clear();
+        self.code = code;
+        self.traced_branches = 0;
+        self.traced_retired = 0;
+        self.metrics_flushed = false;
     }
 
     /// True if `tid` currently has an open trace window.
@@ -203,14 +229,7 @@ impl PtTracer {
 
     /// Closes all open windows (call at end of run before decoding).
     pub fn finish(&mut self) {
-        let tids: Vec<u32> = self
-            .windows
-            .iter()
-            .enumerate()
-            .filter(|(_, w)| w.active)
-            .map(|(t, _)| t as u32)
-            .collect();
-        for tid in tids {
+        for tid in 0..self.windows.len() as u32 {
             self.close_window(tid);
         }
         // Metrics are flushed from buffer aggregates once per run, not per

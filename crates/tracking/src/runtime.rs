@@ -11,12 +11,18 @@
 //! A run pays for PT only where it traces: an event on a core with tracing
 //! off, from a thread with no open trace window, does not reach the
 //! tracer ([`PtTracer::idle`]).
+//!
+//! An endpoint stays up between runs, so a tracker is reusable:
+//! [`TrackerRuntime::reset`] readies it for the next run under that run's
+//! patch. It keeps the PT buffers, trace windows, debug registers and
+//! per-statement bitmap of its previous runs, emptied in place, and a
+//! reset tracker gives the same run trace as a new one.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use gist_ir::{InstrId, Program};
-use gist_pt::{CodeMap, DecodeError, DecodedTrace, PtConfig, PtDriver, PtTracer};
+use gist_pt::{CodeMap, DecodeError, DecodedTrace, PtConfig, PtDriver, PtTracer, TraceBuffer};
 use gist_vm::{Event, Observer};
 use gist_watch::{WatchCondition, WatchError, WatchHit, WatchUnit};
 
@@ -129,17 +135,21 @@ impl PreparedPatch {
 }
 
 /// The runtime tracker. Attach to a VM run as an [`Observer`]; call
-/// [`TrackerRuntime::finish`] afterwards to decode and collect the trace.
+/// [`TrackerRuntime::finish`] afterwards to decode and collect the trace,
+/// and [`TrackerRuntime::reset`] before running it again.
 pub struct TrackerRuntime {
     prepared: Arc<PreparedPatch>,
     tracer: PtTracer,
     watch: WatchUnit,
     /// Cores with a resume point pending until the `ret` retires, indexed
-    /// by core. The VM emits `Return { to }` while executing the `ret`,
-    /// before its `Retired` event; applying the resume immediately would
-    /// let a `pt_off_after` on the `ret` itself clobber it.
+    /// by core and grown on first sight of a core. The VM emits
+    /// `Return { to }` while executing the `ret`, before its `Retired`
+    /// event; applying the resume immediately would let a `pt_off_after`
+    /// on the `ret` itself clobber it.
     pending_resume: Vec<bool>,
     missed_arms: u64,
+    /// Per statement: executed in the decoded trace (built by `finish`).
+    executed: Vec<bool>,
 }
 
 impl TrackerRuntime {
@@ -159,37 +169,58 @@ impl TrackerRuntime {
             program.stmt_count(),
             "patch of another program"
         );
-        let mut driver = PtDriver::new();
-        if prepared.patch.pt_on_at_start {
-            // A tracked statement sits in the program entry's first block
-            // (or this is a full-trace plan): tracing starts enabled.
-            driver.set_default(true);
-        }
         let tracer = PtTracer::with_code_map(
             prepared.code.clone(),
-            driver,
+            PtDriver::new(),
             PtConfig {
                 num_cores,
                 ..PtConfig::default()
             },
         );
-        TrackerRuntime {
+        let mut tracker = TrackerRuntime {
             prepared,
             tracer,
             watch: WatchUnit::new(),
             pending_resume: vec![false; num_cores.max(1) as usize],
             missed_arms: 0,
+            executed: Vec::new(),
+        };
+        tracker.start();
+        tracker
+    }
+
+    /// Readies the tracker for its next run, under `prepared`, from any
+    /// state: a finished run or one cut short. It then gives the same run
+    /// trace as [`TrackerRuntime::with_prepared`] with the core count it
+    /// was built for; the PT tracer, the debug registers and the
+    /// per-core state are emptied in place rather than rebuilt.
+    pub fn reset(&mut self, prepared: Arc<PreparedPatch>) {
+        self.tracer.reset(prepared.code.clone());
+        self.watch.reset();
+        self.pending_resume.fill(false);
+        self.missed_arms = 0;
+        self.prepared = prepared;
+        self.start();
+    }
+
+    /// Applies the patch's run-start state to the PT driver.
+    fn start(&mut self) {
+        if self.prepared.patch.pt_on_at_start {
+            // A tracked statement sits in the program entry's first block
+            // (or this is a full-trace plan): tracing starts enabled.
+            self.tracer.driver_mut().set_default(true);
         }
     }
 
-    /// Decodes the PT trace and packages the run's results.
-    pub fn finish(mut self) -> RunTrace {
+    /// Decodes the PT trace in place and packages the run's results. The
+    /// tracker stays whole; [`TrackerRuntime::reset`] readies it for
+    /// another run.
+    pub fn finish(&mut self) -> RunTrace {
         self.tracer.finish();
         let pt_bytes = self.tracer.total_bytes();
         let traced_retired = self.tracer.traced_retired();
-        let traces = self.tracer.take_traces();
         let prepared = &*self.prepared;
-        let decoded = decode(&prepared.code, &traces).unwrap_or_else(|e| {
+        let decoded = decode(&prepared.code, self.tracer.buffers()).unwrap_or_else(|e| {
             // An undecodable trace yields an empty one; refinement then
             // simply learns nothing from this run. Surface in tests via
             // debug assertions.
@@ -203,7 +234,9 @@ impl TrackerRuntime {
         });
         // A per-statement bitmap of the decoded trace: cheaper than
         // hashing every executed statement into a set.
-        let mut executed = vec![false; prepared.stmt.len()];
+        let executed = &mut self.executed;
+        executed.clear();
+        executed.resize(prepared.stmt.len(), false);
         for &(_, s) in decoded.per_core.iter().flatten() {
             if let Some(e) = executed.get_mut(s.index()) {
                 *e = true;
@@ -322,7 +355,11 @@ impl Observer for TrackerRuntime {
                 // effect once the `ret` itself has retired (and any stop on
                 // it has been applied) — control is now at the return
                 // target.
-                if std::mem::take(&mut self.pending_resume[*core as usize]) {
+                if self
+                    .pending_resume
+                    .get_mut(*core as usize)
+                    .is_some_and(std::mem::take)
+                {
                     driver.trace_on(*core);
                 }
             }
@@ -339,7 +376,11 @@ impl Observer for TrackerRuntime {
             Event::Return {
                 to: Some(to), core, ..
             } if self.prepared.stmt[to.index()] & P_ON_RETURN_TO != 0 => {
-                self.pending_resume[*core as usize] = true;
+                let core = *core as usize;
+                if self.pending_resume.len() <= core {
+                    self.pending_resume.resize(core + 1, false);
+                }
+                self.pending_resume[core] = true;
             }
             _ => {}
         }
@@ -350,7 +391,7 @@ impl Observer for TrackerRuntime {
 /// `tracking.undecodable_runs`: release builds have no other sign of one.
 /// The counter registers at its first increment, so it is in no metrics
 /// snapshot while every run decodes.
-fn decode(code: &CodeMap, traces: &[Vec<u8>]) -> Result<DecodedTrace, DecodeError> {
+fn decode(code: &CodeMap, traces: &[TraceBuffer]) -> Result<DecodedTrace, DecodeError> {
     let decoded = gist_pt::decode(code, traces);
     if decoded.is_err() {
         gist_obs::counter!("tracking.undecodable_runs").inc();
@@ -545,9 +586,132 @@ entry:
         assert_eq!(trace.watch_traps, 0, "stack addresses are never watched");
     }
 
+    /// What a run trace says about the run itself: its executed and
+    /// discovered statements, hits and branches, without the per-core
+    /// layout of the decoded trace or journal seq-nos.
+    fn observed(trace: &RunTrace) -> impl PartialEq + std::fmt::Debug {
+        (
+            trace
+                .decoded
+                .executed()
+                .into_iter()
+                .collect::<BTreeSet<_>>(),
+            trace.executed_tracked.clone(),
+            trace.discovered.clone(),
+            trace.hits.clone(),
+            trace.branches.clone(),
+        )
+    }
+
+    /// A worker on core 1 calls `leaf`, which stops tracing; the resume
+    /// point after the call restarts it, and the worker's store arms a
+    /// watchpoint that it and both threads' later loads hit.
+    const RESUME_ON_CORE_1: &str = r#"
+global g = 0
+fn leaf(x) {
+entry:
+  y = add x, 1
+  ret y
+}
+fn worker(a) {
+entry:
+  r = call leaf(a)
+  store $g, r
+  v = load $g
+  c = cmp gt v, 0
+  condbr c, yes, no
+yes:
+  ret
+no:
+  ret
+}
+fn main() {
+entry:
+  t = spawn worker(1)
+  join t
+  w = load $g
+  print w
+  ret
+}
+"#;
+
+    /// A tracker built for fewer cores than the VM schedules onto grows
+    /// its per-core state instead of indexing out of bounds, and sees the
+    /// run as a tracker built for the VM's cores does.
+    #[test]
+    fn tracker_grows_when_vm_uses_more_cores_than_it_was_built_for() {
+        let p = parse_program("resume", RESUME_ON_CORE_1).unwrap();
+        let (leaf, worker) = (
+            p.function_by_name("leaf").unwrap(),
+            p.function_by_name("worker").unwrap(),
+        );
+        let w = &worker.blocks[0];
+        let (store, load, condbr) = (w.instrs[1].id, w.instrs[2].id, w.term.id());
+        let patch = InstrumentationPatch {
+            pt_on_enter: [worker.id].into(),
+            pt_off_after: [leaf.blocks[0].instrs[0].id].into(),
+            pt_on_return_to: [store].into(),
+            watch_accesses: [store].into(),
+            tracked: [store, load, condbr].into(),
+            ..InstrumentationPatch::default()
+        };
+        let trace_with = |tracker_cores: u32| {
+            let mut tracker = TrackerRuntime::new(&p, patch.clone(), tracker_cores);
+            let cfg = VmConfig {
+                num_cores: 4,
+                ..VmConfig::default()
+            };
+            let r = Vm::new(&p, cfg).run(&mut [&mut tracker]);
+            assert_eq!(r.outcome, RunOutcome::Finished);
+            tracker.finish()
+        };
+        let (narrow, wide) = (trace_with(1), trace_with(4));
+        assert_eq!(wide.executed_tracked, patch.tracked, "the resume traced");
+        assert_eq!(wide.hits.len(), 3, "the store and both loads hit");
+        assert_eq!(wide.branches, vec![(1, condbr, true)]);
+        assert_eq!(observed(&narrow), observed(&wide));
+    }
+
+    /// A tracker reset after a run cut short (trace windows open, slots
+    /// armed, tracing on) traces the next run as a new tracker does.
+    #[test]
+    fn reset_tracker_matches_a_new_one() {
+        let p = parse_program("pbzip2-mini", PBZIP_MINI).unwrap();
+        let ticfg = Icfg::build_ticfg(&p);
+        let planner = Planner::new(&p, &ticfg);
+        let full = Arc::new(PreparedPatch::new(&p, planner.plan_full_trace()));
+        let all: Vec<InstrId> = p.all_stmt_ids().collect();
+        let partial = Arc::new(PreparedPatch::new(&p, planner.plan(&all[..4], 0)));
+        let mut reused = TrackerRuntime::with_prepared(&p, Arc::clone(&full), 2);
+        for seed in 0..6 {
+            let cfg = VmConfig {
+                scheduler: SchedulerKind::Random { seed, preempt: 0.6 },
+                ..VmConfig::default()
+            };
+            let mut log = gist_vm::event::EventLog::default();
+            Vm::new(&p, cfg.clone()).run(&mut [&mut log]);
+            // Cut the previous patch's run short halfway.
+            for ev in &log.events[..log.events.len() / 2] {
+                reused.on_event(ev);
+            }
+            let patch = if seed % 2 == 0 { &partial } else { &full };
+            reused.reset(Arc::clone(patch));
+            let mut fresh = TrackerRuntime::with_prepared(&p, Arc::clone(patch), 2);
+            Vm::new(&p, cfg.clone()).run(&mut [&mut reused]);
+            Vm::new(&p, cfg).run(&mut [&mut fresh]);
+            let (mut a, mut b) = (reused.finish(), fresh.finish());
+            for t in [&mut a, &mut b] {
+                t.hit_events.clear();
+                t.decode_event = 0;
+            }
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "seed {seed}");
+            reused.reset(Arc::clone(&full));
+        }
+    }
+
     #[test]
     fn undecodable_run_is_counted() {
-        use gist_pt::{Packet, TraceBuffer};
+        use gist_pt::Packet;
         // `hostile-tid-max` of the hostile corpus in `tests/pt_roundtrip.rs`:
         // a window opened at `inc`'s first statement by a tid no dense
         // table could hold, whose walk meets `ret y` (a decision point)
@@ -590,7 +754,7 @@ exit:
         }
         let undecodable = gist_obs::counter_by_name("tracking.undecodable_runs");
         let before = undecodable.get();
-        assert!(decode(&CodeMap::new(&p), &[stream.take()]).is_err());
+        assert!(decode(&CodeMap::new(&p), &[stream]).is_err());
         assert_eq!(undecodable.get(), before + 1);
     }
 }

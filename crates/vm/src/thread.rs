@@ -43,11 +43,9 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Creates a frame for `func`, entered at `pc`, with `nvars`
-    /// registers, binding `args` to the first registers.
-    pub fn new(func: FuncId, pc: u32, nvars: usize, args: &[Value]) -> Frame {
-        let mut vars = vec![0; nvars];
-        vars[..args.len()].copy_from_slice(args);
+    /// Creates a frame for `func`, entered at `pc`, over the register file
+    /// `vars`, whose arguments the caller has bound.
+    pub fn new(func: FuncId, pc: u32, vars: Vec<Value>) -> Frame {
         Frame {
             func,
             pc,
@@ -57,6 +55,18 @@ impl Frame {
             pre_access_done: false,
         }
     }
+}
+
+/// Draws a register file of `nvars` registers from the free list `free`,
+/// or allocates one when the list is empty; zeroes it and binds `args` to
+/// its first registers. A frame's file goes back on the list when the
+/// frame returns (see `crate::vm::VmScratch`).
+pub(crate) fn draw_regs(free: &mut Vec<Vec<Value>>, nvars: usize, args: &[Value]) -> Vec<Value> {
+    let mut vars = free.pop().unwrap_or_default();
+    vars.clear();
+    vars.resize(nvars, 0);
+    vars[..args.len()].copy_from_slice(args);
+    vars
 }
 
 /// A VM thread. The running frame is held inline; the suspended callers
@@ -76,12 +86,13 @@ pub struct Thread {
 }
 
 impl Thread {
-    /// Creates a thread whose outermost frame runs `func(args)` from `pc`.
-    pub fn new(tid: u32, core: u32, func: FuncId, pc: u32, nvars: usize, args: &[Value]) -> Thread {
+    /// Creates a thread whose outermost frame runs `func` from `pc` over
+    /// the register file `vars`, its argument already bound.
+    pub fn new(tid: u32, core: u32, func: FuncId, pc: u32, vars: Vec<Value>) -> Thread {
         Thread {
             tid,
             core,
-            top: Frame::new(func, pc, nvars, args),
+            top: Frame::new(func, pc, vars),
             callers: Vec::new(),
             state: ThreadState::Runnable,
         }
@@ -99,13 +110,17 @@ mod tests {
 
     #[test]
     fn frame_binds_args_to_leading_vars() {
-        let f = Frame::new(FuncId(0), 0, 4, &[10, 20]);
+        // A recycled file that held a deeper frame's registers.
+        let mut free = vec![vec![7; 6]];
+        let f = Frame::new(FuncId(0), 0, draw_regs(&mut free, 4, &[10, 20]));
         assert_eq!(f.vars, vec![10, 20, 0, 0]);
+        assert!(free.is_empty());
+        assert_eq!(draw_regs(&mut free, 2, &[]), vec![0, 0]);
     }
 
     #[test]
     fn thread_starts_runnable_with_one_frame() {
-        let t = Thread::new(1, 0, FuncId(2), 7, 3, &[5]);
+        let t = Thread::new(1, 0, FuncId(2), 7, vec![5, 0, 0]);
         assert!(t.is_runnable());
         assert!(t.callers.is_empty());
         assert_eq!(t.top.func, FuncId(2));
@@ -114,7 +129,7 @@ mod tests {
 
     #[test]
     fn blocked_thread_is_not_runnable() {
-        let mut t = Thread::new(1, 0, FuncId(0), 0, 0, &[]);
+        let mut t = Thread::new(1, 0, FuncId(0), 0, Vec::new());
         t.state = ThreadState::Blocked(BlockReason::Mutex(0x10));
         assert!(!t.is_runnable());
         t.state = ThreadState::Finished;

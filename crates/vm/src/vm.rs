@@ -20,7 +20,7 @@ use crate::event::{AccessKind, Event, Observer};
 use crate::failure::{FailureKind, FailureReport, StackFrame};
 use crate::mem::{FxHashMap, MemScratch, Memory};
 use crate::sched::{Scheduler, SchedulerKind};
-use crate::thread::{BlockReason, Frame, Thread, ThreadState};
+use crate::thread::{draw_regs, BlockReason, Frame, Thread, ThreadState};
 
 /// One workload input: scalars are read directly by `input n`; strings are
 /// materialized on the heap and `input n` yields their base pointer.
@@ -110,16 +110,26 @@ pub struct RunResult {
     pub preemptions: u64,
 }
 
-/// Recycled allocations of a finished [`Vm`], for pooled batch execution.
+/// Recycled allocations of a finished [`Vm`], kept by whoever runs one
+/// program after another (a fleet executor, a failure search).
 ///
-/// A fleet worker that tears a VM down to scratch with
-/// [`Vm::into_scratch`] and rebuilds the next run's VM with
-/// [`Vm::with_scratch`] reuses the memory segments' capacity instead of
-/// re-growing them from empty every run. Purely an allocation-reuse
-/// mechanism: a scratch-built VM is behaviorally identical to a fresh one.
+/// [`Vm::into_scratch`] tears a VM down to its memory segments, its thread
+/// table, runnable list, mutex-owner map and input values, all emptied,
+/// and every register file its frames held, on a free list. The next
+/// run's VM, built with [`Vm::with_scratch`], reuses their capacity
+/// instead of growing them from empty: spawns and calls draw register
+/// files from the free list, zeroed, and `ret` puts a callee's back.
+/// Purely an allocation-reuse mechanism: nothing of a previous run
+/// survives the emptying and zeroing, so a scratch-built VM is
+/// behaviorally identical to a fresh one.
 #[derive(Debug, Default)]
 pub struct VmScratch {
     mem: MemScratch,
+    threads: Vec<Thread>,
+    runnable: Vec<u32>,
+    mutex_owners: FxHashMap<u64, u32>,
+    input_values: Vec<Value>,
+    regs: Vec<Vec<Value>>,
 }
 
 /// The MiniC virtual machine.
@@ -131,6 +141,10 @@ pub struct Vm<'p> {
     config: VmConfig,
     mem: Memory,
     threads: Vec<Thread>,
+    /// Tids of the runnable threads, rebuilt when `runnable_stale` is set.
+    runnable: Vec<u32>,
+    /// Register files of returned frames, drawn again by calls and spawns.
+    free_regs: Vec<Vec<Value>>,
     /// Mutex cell address -> owner tid.
     mutex_owners: FxHashMap<u64, u32>,
     /// Materialized input values (after string interning).
@@ -198,23 +212,28 @@ impl<'p> Vm<'p> {
             compiled.matches(program),
             "compiled program does not correspond to the IR it runs"
         );
-        let mut mem = Memory::with_scratch(program, scratch.mem);
+        let VmScratch {
+            mem,
+            mut threads,
+            runnable,
+            mutex_owners,
+            mut input_values,
+            regs: mut free_regs,
+        } = scratch;
+        let mut mem = Memory::with_scratch(program, mem);
         debug_assert_eq!(
             mem.global_bases(),
             &compiled.global_bases[..],
             "compile-time global layout must mirror Memory::new"
         );
-        let input_values = config
-            .inputs
-            .iter()
-            .map(|i| match i {
-                Input::Scalar(v) => *v,
-                Input::Str(chars) => mem.intern_string(chars) as Value,
-            })
-            .collect();
+        input_values.extend(config.inputs.iter().map(|i| match i {
+            Input::Scalar(v) => *v,
+            Input::Str(chars) => mem.intern_string(chars) as Value,
+        }));
         let entry = program.entry;
         let f = &compiled.funcs[entry.index()];
-        let threads = vec![Thread::new(0, 0, entry, f.entry, f.num_vars, &[])];
+        let vars = draw_regs(&mut free_regs, f.num_vars, &[]);
+        threads.push(Thread::new(0, 0, entry, f.entry, vars));
         let cores = config.num_cores.max(1);
         Vm {
             program,
@@ -222,7 +241,9 @@ impl<'p> Vm<'p> {
             config,
             mem,
             threads,
-            mutex_owners: FxHashMap::default(),
+            runnable,
+            free_regs,
+            mutex_owners,
             input_values,
             output: Vec::new(),
             seq: 0,
@@ -238,10 +259,23 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Tears the VM down to its reusable allocations.
-    pub fn into_scratch(self) -> VmScratch {
+    /// Tears the VM down to its reusable allocations (see [`VmScratch`]):
+    /// every table emptied, every frame's register file on the free list.
+    pub fn into_scratch(mut self) -> VmScratch {
+        for t in self.threads.drain(..) {
+            self.free_regs.push(t.top.vars);
+            self.free_regs.extend(t.callers.into_iter().map(|f| f.vars));
+        }
+        self.runnable.clear();
+        self.mutex_owners.clear();
+        self.input_values.clear();
         VmScratch {
             mem: self.mem.into_scratch(),
+            threads: self.threads,
+            runnable: self.runnable,
+            mutex_owners: self.mutex_owners,
+            input_values: self.input_values,
+            regs: self.free_regs,
         }
     }
 
@@ -269,6 +303,22 @@ impl<'p> Vm<'p> {
         scheduler: &mut S,
         observers: &mut [&mut dyn Observer],
     ) -> RunResult {
+        // The run loop keeps the runnable list in a local; it goes back to
+        // the VM, for the scratch, when the run ends.
+        let mut runnable = std::mem::take(&mut self.runnable);
+        let result = self.run_loop(scheduler, observers, &mut runnable);
+        self.runnable = runnable;
+        result
+    }
+
+    /// The scheduling loop of [`Vm::run_with`].
+    #[inline]
+    fn run_loop<S: Scheduler + ?Sized>(
+        &mut self,
+        scheduler: &mut S,
+        observers: &mut [&mut dyn Observer],
+        runnable: &mut Vec<u32>,
+    ) -> RunResult {
         // One Arc clone for the whole run; `comp` and `self` are disjoint
         // borrows, so the dispatch loop reads compiled code while mutating
         // VM state without per-step refcount traffic.
@@ -284,7 +334,6 @@ impl<'p> Vm<'p> {
                 func: entry,
             },
         );
-        let mut runnable: Vec<u32> = Vec::with_capacity(4);
         self.runnable_stale = true;
         loop {
             if self.runnable_stale {
@@ -313,7 +362,7 @@ impl<'p> Vm<'p> {
             if self.steps >= self.config.max_steps {
                 return self.stop(runnable[0], FailureKind::Hang, observers);
             }
-            let tid = scheduler.pick(&runnable);
+            let tid = scheduler.pick(runnable);
             debug_assert!(runnable.contains(&tid));
             self.sched_picks += 1;
             if let Some(prev) = self.last_picked {
@@ -351,7 +400,7 @@ impl<'p> Vm<'p> {
         self.result(RunOutcome::Failed(report))
     }
 
-    fn result(&self, outcome: RunOutcome) -> RunResult {
+    fn result(&mut self, outcome: RunOutcome) -> RunResult {
         // Metrics are flushed in bulk here, once per run, so the per-step
         // hot path carries no atomic traffic.
         gist_obs::counter!("vm.runs").inc();
@@ -367,9 +416,9 @@ impl<'p> Vm<'p> {
         }
         RunResult {
             outcome,
-            output: self.output.clone(),
+            output: std::mem::take(&mut self.output),
             steps: self.steps,
-            retired_per_core: self.retired_per_core.clone(),
+            retired_per_core: std::mem::take(&mut self.retired_per_core),
             branches: self.branches,
             indirect_transfers: self.indirect_transfers,
             mem_accesses: self.mem_accesses,
@@ -704,13 +753,13 @@ impl<'p> Vm<'p> {
                 let child = self.threads.len() as u32;
                 let child_core = child % self.config.num_cores.max(1);
                 let f = &comp.funcs[target];
+                let vars = draw_regs(&mut self.free_regs, f.num_vars, &[arg]);
                 self.threads.push(Thread::new(
                     child,
                     child_core,
                     FuncId(target as u32),
                     f.entry,
-                    f.num_vars,
-                    &[arg],
+                    vars,
                 ));
                 self.runnable_stale = true;
                 if let Some(d) = dst {
@@ -917,8 +966,8 @@ impl<'p> Vm<'p> {
         }
     }
 
-    /// Enters `callee` with fresh registers, the arguments in the first
-    /// ones, and suspends the caller after the call.
+    /// Enters `callee` with zeroed registers drawn from the free list, the
+    /// arguments in the first ones, and suspends the caller after the call.
     #[allow(clippy::too_many_arguments)]
     fn call(
         &mut self,
@@ -937,7 +986,8 @@ impl<'p> Vm<'p> {
         };
         let f = &comp.funcs[target];
         let t = &mut self.threads[tid as usize];
-        let mut frame = Frame::new(FuncId(target as u32), f.entry, f.num_vars, &[]);
+        let vars = draw_regs(&mut self.free_regs, f.num_vars, &[]);
+        let mut frame = Frame::new(FuncId(target as u32), f.entry, vars);
         for (var, &a) in frame.vars.iter_mut().zip(args) {
             *var = slot(&t.top.vars, a);
         }
@@ -1004,6 +1054,7 @@ impl<'p> Vm<'p> {
         if let (Some(dst), Some(v)) = (callee.ret_dst, rv) {
             t.top.vars[dst as usize] = v;
         }
+        self.free_regs.push(callee.vars);
         let to = Some(self.current_stmt(tid));
         let seq = self.next_seq();
         emit(

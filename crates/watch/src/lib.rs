@@ -210,6 +210,18 @@ impl WatchUnit {
         }
     }
 
+    /// Returns the unit to the state [`WatchUnit::new`] builds: every slot
+    /// free, and the hit log and counters empty. Unlike
+    /// [`WatchUnit::clear_all`], it models a new run on the same hardware,
+    /// so it counts no register writes.
+    pub fn reset(&mut self) {
+        self.slots = [None; NUM_SLOTS];
+        self.hits.clear();
+        self.ptrace_ops = 0;
+        self.traps = 0;
+        self.checked = 0;
+    }
+
     /// True if some slot's base address is exactly `addr` (active-set check).
     pub fn is_watched(&self, addr: u64) -> bool {
         self.slots.iter().flatten().any(|w| w.addr == addr)
@@ -361,6 +373,17 @@ mod tests {
         assert!(!u.clear_addr(0x99));
         u.clear_all();
         assert_eq!(u.free_slots(), NUM_SLOTS);
+    }
+
+    #[test]
+    fn reset_restores_a_new_unit() {
+        let mut u = WatchUnit::new();
+        u.set(0x10, 1, WatchCondition::ReadWrite).unwrap();
+        u.check_access(1, 0, 0, InstrId(0), AccessKind::Read, 0x10, 5);
+        u.reset();
+        assert_eq!(u.free_slots(), NUM_SLOTS);
+        assert!(u.hits().is_empty());
+        assert_eq!((u.ptrace_ops(), u.traps(), u.checked()), (0, 0, 0));
     }
 
     #[test]

@@ -20,16 +20,29 @@
 //! the compiled engine therefore also runs with a test-local scheduler
 //! that computes each pick from the float formula, and must give the same
 //! run result and event stream.
+//!
+//! A fleet executor keeps its VM scratch and its tracker from run to run.
+//! Each test carries one `VmScratch` through all of its cases, and one
+//! tracker per core count, which is reset for each case after it has
+//! seen half of a run (trace windows open, watchpoints armed, a resume
+//! pending). Every such recycled run must equal the fresh compiled run
+//! in run result, event stream and tracker view.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use gist_bugbase::all_bugs;
 use gist_ir::parser::parse_program;
 use gist_ir::{BinKind, CmpKind, InstrId, Program};
 use gist_slicing::StaticSlicer;
-use gist_tracking::{InstrumentationPatch, Planner, RunTrace, TrackerRuntime};
+use gist_tracking::{InstrumentationPatch, Planner, PreparedPatch, RunTrace, TrackerRuntime};
 use gist_vm::event::EventLog;
-use gist_vm::{Input, RunResult, Scheduler, SchedulerKind, TreeWalkVm, Vm, VmConfig};
+use gist_vm::{
+    CompiledProgram, Event, Input, Observer, RunResult, Scheduler, SchedulerKind, TreeWalkVm, Vm,
+    VmConfig, VmScratch,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,6 +70,60 @@ fn run_treewalk(program: &Program, patch: &InstrumentationPatch, cfg: VmConfig) 
     let mut log = EventLog::default();
     let mut tracker = TrackerRuntime::new(program, patch.clone(), cfg.num_cores);
     let result = TreeWalkVm::new(program, cfg).run(&mut [&mut log, &mut tracker]);
+    (result, log, tracker.finish())
+}
+
+/// What a fleet executor carries from run to run: one VM scratch, and one
+/// tracker per core count (a tracker is built for a core count).
+#[derive(Default)]
+struct Recycled {
+    scratch: VmScratch,
+    trackers: BTreeMap<u32, TrackerRuntime>,
+}
+
+thread_local! {
+    /// The generated-program cases' recycled state: proptest runs every
+    /// case on the test's thread.
+    static RECYCLED: RefCell<Recycled> = RefCell::default();
+}
+
+/// Where a run of `patch` is cut short: just after the first `ret` whose
+/// return site resumes tracing, whose resume is then pending; else
+/// halfway.
+fn cut_point(events: &[Event], patch: &InstrumentationPatch) -> usize {
+    events
+        .iter()
+        .position(|e| {
+            matches!(e, Event::Return { to: Some(to), .. } if patch.pt_on_return_to.contains(to))
+        })
+        .map_or(events.len() / 2, |i| i + 1)
+}
+
+/// Runs the compiled engine on `recycled`'s VM scratch and its tracker for
+/// `cfg.num_cores`. The tracker first sees `events` (a run of this program
+/// under `patch`) up to their [`cut_point`], and is reset from there.
+fn run_recycled(
+    program: &Program,
+    patch: &InstrumentationPatch,
+    cfg: VmConfig,
+    events: &[Event],
+    recycled: &mut Recycled,
+) -> EngineRun {
+    let prepared = Arc::new(PreparedPatch::new(program, patch.clone()));
+    let tracker = recycled.trackers.entry(cfg.num_cores).or_insert_with(|| {
+        TrackerRuntime::with_prepared(program, Arc::clone(&prepared), cfg.num_cores)
+    });
+    tracker.reset(Arc::clone(&prepared));
+    for ev in &events[..cut_point(events, patch)] {
+        tracker.on_event(ev);
+    }
+    tracker.reset(prepared);
+    let compiled = Arc::new(CompiledProgram::compile(program));
+    let scratch = std::mem::take(&mut recycled.scratch);
+    let mut vm = Vm::with_scratch(program, compiled, cfg, scratch);
+    let mut log = EventLog::default();
+    let result = vm.run(&mut [&mut log, tracker]);
+    recycled.scratch = vm.into_scratch();
     (result, log, tracker.finish())
 }
 
@@ -104,21 +171,33 @@ fn assert_runs_equal(a: (&RunResult, &EventLog), b: (&RunResult, &EventLog), wha
 }
 
 /// Runs both engines and asserts they agree; `what` names the run in
-/// failure messages. Under a random schedule, the compiled engine must
-/// also agree with itself run under [`FloatFormulaScheduler`].
+/// failure messages. The compiled engine must also agree with itself run
+/// on `recycled` state, and, under a random schedule, run under
+/// [`FloatFormulaScheduler`].
 fn assert_engines_agree(
     program: &Program,
     patch: &InstrumentationPatch,
     cfg: &VmConfig,
     what: &str,
+    recycled: &mut Recycled,
 ) {
     let (res_c, log_c, trace_c) = run_compiled(program, patch, cfg.clone());
     let (res_t, log_t, trace_t) = run_treewalk(program, patch, cfg.clone());
     assert_runs_equal((&res_c, &log_c), (&res_t, &log_t), what);
+    let trace_c = format!("{:?}", without_journal_seqs(trace_c));
     assert_eq!(
-        format!("{:?}", without_journal_seqs(trace_c)),
+        trace_c,
         format!("{:?}", without_journal_seqs(trace_t)),
         "{what}: tracker traces diverge"
+    );
+    let (res_r, log_r, trace_r) =
+        run_recycled(program, patch, cfg.clone(), &log_c.events, recycled);
+    let recycled_what = format!("{what} (recycled)");
+    assert_runs_equal((&res_c, &log_c), (&res_r, &log_r), &recycled_what);
+    assert_eq!(
+        trace_c,
+        format!("{:?}", without_journal_seqs(trace_r)),
+        "{recycled_what}: tracker traces diverge"
     );
     if let SchedulerKind::Random { seed, preempt } = cfg.scheduler {
         let mut sched = FloatFormulaScheduler {
@@ -146,6 +225,7 @@ fn without_journal_seqs(mut trace: RunTrace) -> RunTrace {
 
 #[test]
 fn engines_agree_on_every_bug() {
+    let mut recycled = Recycled::default();
     for bug in all_bugs() {
         let patch = planned_patch(&bug);
         let (failing_seed, _) = bug.find_failure(2_000).expect("bug manifests");
@@ -155,7 +235,8 @@ fn engines_agree_on_every_bug() {
         seeds.dedup();
         for seed in seeds {
             let what = format!("{} seed {seed}", bug.name);
-            assert_engines_agree(&bug.program, &patch, &bug.vm_config(seed), &what);
+            let cfg = bug.vm_config(seed);
+            assert_engines_agree(&bug.program, &patch, &cfg, &what, &mut recycled);
         }
     }
 }
@@ -613,6 +694,7 @@ proptest! {
             max_steps: 20_000,
             num_cores: rng.gen_range(1..=4),
         };
-        assert_engines_agree(&program, &patch, &cfg, &format!("seed {seed}\n{text}"));
+        let what = format!("seed {seed}\n{text}");
+        RECYCLED.with(|r| assert_engines_agree(&program, &patch, &cfg, &what, &mut r.borrow_mut()));
     }
 }
