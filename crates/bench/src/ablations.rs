@@ -526,6 +526,24 @@ mod tests {
                 "fpi {fpi}: dead-store pruning cost pbzip2-1 accuracy"
             );
         }
+        // The whole table, byte for byte, pins every toggle-off path of the
+        // diagnosis loop. To accept a change:
+        // UPDATE_GOLDEN=1 cargo test -p gist-bench --lib knob_table
+        let golden =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/knobs-4.txt");
+        let text = knobs_text(&rows);
+        if std::env::var_os("UPDATE_GOLDEN").is_some() {
+            std::fs::write(&golden, &text).expect("write the knob golden");
+        } else {
+            let want = std::fs::read_to_string(&golden)
+                .unwrap_or_else(|e| panic!("{}: {e}; run with UPDATE_GOLDEN=1", golden.display()));
+            assert_eq!(
+                text,
+                want,
+                "knob table differs from {} (UPDATE_GOLDEN=1 to accept)",
+                golden.display()
+            );
+        }
     }
 
     #[test]

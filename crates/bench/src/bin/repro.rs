@@ -17,9 +17,10 @@
 //! repro sketch <bug-name>   # render a failure sketch (e.g. pbzip2-1)
 //!   ... sketch <bug> --explain   # + provenance chains from the journal
 //! repro bugs                # list bug names
-//! repro bench               # full-bugbase deterministic report
-//!                           #   -> BENCH_gist.json
+//! repro bench [--out PATH]  # full-bugbase deterministic report
+//!                           #   -> BENCH_gist.json (or PATH)
 //!                           #   + flight recorder -> JOURNAL_gist.bin
+//!                           #   (or PATH.journal.bin)
 //! repro bench --synthetic N --seed S [--out PATH]
 //!                           # N seeded synthetic bugs through the full
 //!                           # AsT loop -> SYNTH_bench.json (or PATH) +
@@ -47,7 +48,7 @@ fn main() {
         "table1" => table1(),
         "fig9" => fig9(),
         "bench" if args.iter().any(|a| a == "--synthetic") => synth_bench(&args[1..]),
-        "bench" => bench(args.get(1).map(String::as_str)),
+        "bench" => bench(&args[1..]),
         "fig10" => fig10(),
         "fig11" => fig11(),
         "fig12" => fig12(),
@@ -125,8 +126,18 @@ fn fig9() {
     gate_accuracy(&evals);
 }
 
-fn bench(out: Option<&str>) {
-    let path = out.unwrap_or("BENCH_gist.json");
+/// `bench [--out PATH]`: the full-bugbase report, written to
+/// `BENCH_gist.json` unless `--out` names a path; exits 2 on any other
+/// argument.
+fn bench(args: &[String]) {
+    let path = match args {
+        [] => "BENCH_gist.json",
+        [flag, path] if flag == "--out" => path.as_str(),
+        _ => {
+            eprintln!("usage: repro bench [--out PATH]");
+            std::process::exit(2);
+        }
+    };
     let (report, evals) = bench_report::run(None);
     if let Err(e) = std::fs::write(path, report.to_json()) {
         eprintln!("cannot write {path}: {e}");

@@ -126,13 +126,7 @@ fn tracked_cost(bug: &BugSpec, size: usize, n: u64) -> Option<CostSummary> {
             bug.vm_config(10_000 + i),
         );
         let result = vm.run(&mut [&mut tracker]);
-        let trace = tracker.finish();
-        cost.pt_bytes += trace.pt_bytes as u64;
-        cost.pt_transitions += trace.pt_transitions;
-        cost.traced_retired += trace.traced_retired;
-        cost.watch_traps += trace.watch_traps;
-        cost.ptrace_ops += trace.ptrace_ops;
-        cost.total_retired += result.steps;
+        cost.absorb(&tracker.finish(), result.steps);
     }
     Some(cost)
 }

@@ -54,6 +54,11 @@ impl AstController {
         &self.slice
     }
 
+    /// Gives up the slice being tracked.
+    pub(crate) fn into_slice(self) -> Slice {
+        self.slice
+    }
+
     /// Current σ.
     pub fn sigma(&self) -> usize {
         self.sigma

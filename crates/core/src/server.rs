@@ -1,9 +1,11 @@
 //! Gist's server side: the diagnosis loop of Fig. 2.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
+use gist_analysis::{AnalysisCtx, Mhp, SvfgEdgeKind};
 use gist_ir::{InstrId, Program};
-use gist_predictors::{rank, Access, PredictorStats, RunObservations};
+use gist_obs::SpanGuard;
+use gist_predictors::{Access, PredictorStats, RunObservations};
 use gist_sketch::FailureSketch;
 use gist_slicing::{Slice, StaticSlicer};
 use gist_tracking::{InstrumentationPatch, Planner, RunTrace};
@@ -115,7 +117,8 @@ pub struct CostSummary {
 }
 
 impl CostSummary {
-    fn absorb(&mut self, trace: &RunTrace, retired: u64) {
+    /// Adds one run's tracking costs and the `retired` statements it ran.
+    pub fn absorb(&mut self, trace: &RunTrace, retired: u64) {
         self.pt_bytes += trace.pt_bytes as u64;
         self.pt_transitions += trace.pt_transitions;
         self.traced_retired += trace.traced_retired;
@@ -185,16 +188,6 @@ impl<'p> GistServer<'p> {
         }
     }
 
-    /// The static slicer (exposed for evaluation harnesses).
-    pub fn slicer(&self) -> &StaticSlicer<'p> {
-        &self.slicer
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &GistConfig {
-        &self.config
-    }
-
     /// Checks that `report` comes from this server's program: the program
     /// name matches, and the failing statement and every stack frame's
     /// function and statement exist in it.
@@ -246,15 +239,6 @@ impl<'p> GistServer<'p> {
     /// and the planner each AsT iteration plans its watch groups' patches
     /// with (§3.2).
     pub fn analyze(&self, report: &FailureReport, slice: &Slice) -> TrackingPlan<'_> {
-        // Static race analysis (fallback seeding): candidates whose pair
-        // touches the slice contribute their *other* endpoint to the
-        // tracked set. With alias-aware slicing on, most racing writes are
-        // already in the slice and the seed set is empty or tiny; the
-        // fallback still catches pairs the points-to analysis widens past
-        // usefulness. The full rank order prioritizes watchpoint insertion
-        // either way.
-        let mut race_seed: Vec<InstrId> = Vec::new();
-        let mut watch_priority: Vec<InstrId> = Vec::new();
         let mut dead = BTreeSet::new();
         let _span_analyze = gist_obs::span("server.analyze");
         let facts = self.slicer.facts();
@@ -264,33 +248,7 @@ impl<'p> GistServer<'p> {
         // interleavings — they neither seed tracking nor rank watchpoints,
         // so the AsT loop never spends runs testing them.
         let mhp = self.config.enable_mhp.then(|| facts.mhp());
-        if self.config.enable_race_ranking {
-            let mut analysis = facts.races().clone();
-            if let Some(m) = mhp {
-                analysis.candidates.retain(|c| {
-                    let [a, b] = c.stmts();
-                    m.may_happen_in_parallel(a, b)
-                });
-            }
-            watch_priority = analysis.ranked_stmts();
-            // Only high-confidence candidates seed: anything scoring more
-            // than 2 below the best is a long-shot pair whose extra endpoint
-            // would dilute sketch relevance rather than sharpen it.
-            let best = analysis.candidates.first().map_or(0, |c| c.score);
-            for c in &analysis.candidates {
-                if c.score + 2 < best {
-                    break;
-                }
-                let [a, b] = c.stmts();
-                if slice.contains(a) || slice.contains(b) {
-                    for s in [a, b] {
-                        if !slice.contains(s) && !race_seed.contains(&s) {
-                            race_seed.push(s);
-                        }
-                    }
-                }
-            }
-        }
+        let (race_seed, watch_priority) = self.race_seed(mhp, slice);
         // Dead-store pruning: stores the memory-liveness dataflow proves
         // unobservable never occupy a debug register. The failing statement
         // is always kept watchable, whatever the analysis says.
@@ -330,6 +288,46 @@ impl<'p> GistServer<'p> {
         TrackingPlan { race_seed, planner }
     }
 
+    /// Static race analysis (fallback seeding), when enabled: the race seed
+    /// and the full rank order that prioritizes watchpoint insertion, over
+    /// the candidates `mhp` (if given) does not prove ordered. A candidate
+    /// whose pair touches `slice` seeds its *other* endpoint. With
+    /// alias-aware slicing on, most racing writes are already in the slice
+    /// and the seed is empty or tiny; the fallback still catches pairs the
+    /// points-to analysis widens past usefulness.
+    fn race_seed(&self, mhp: Option<&Mhp>, slice: &Slice) -> (Vec<InstrId>, Vec<InstrId>) {
+        if !self.config.enable_race_ranking {
+            return (Vec::new(), Vec::new());
+        }
+        let mut analysis = self.slicer.facts().races().clone();
+        if let Some(m) = mhp {
+            analysis.candidates.retain(|c| {
+                let [a, b] = c.stmts();
+                m.may_happen_in_parallel(a, b)
+            });
+        }
+        let watch_priority = analysis.ranked_stmts();
+        // Only high-confidence candidates seed: anything scoring more
+        // than 2 below the best is a long-shot pair whose extra endpoint
+        // would dilute sketch relevance rather than sharpen it.
+        let best = analysis.candidates.first().map_or(0, |c| c.score);
+        let mut race_seed: Vec<InstrId> = Vec::new();
+        for c in &analysis.candidates {
+            if c.score + 2 < best {
+                break;
+            }
+            let [a, b] = c.stmts();
+            if slice.contains(a) || slice.contains(b) {
+                for s in [a, b] {
+                    if !slice.contains(s) && !race_seed.contains(&s) {
+                        race_seed.push(s);
+                    }
+                }
+            }
+        }
+        (race_seed, watch_priority)
+    }
+
     /// Diagnoses one failure: runs AsT iterations against the fleet until
     /// `stop` approves the sketch (the paper's developer-in-the-loop),
     /// AsT saturates, or the iteration cap is hit.
@@ -360,272 +358,330 @@ impl<'p> GistServer<'p> {
             };
         }
         gist_obs::begin_trace(&self.config.title);
-        let _span_diagnose = gist_obs::span("server.diagnose");
+        let span = gist_obs::span("server.diagnose");
         gist_obs::counter!("server.diagnoses").inc();
-        let use_svfg = self.uses_svfg();
-        let slice = self.slice(report);
+        let mut d = Diagnosis::start(self, report);
+        loop {
+            let tracked = d.begin_iteration();
+            let observed = d.collect(&tracked, fleet);
+            d.rank(&observed);
+            d.sketch(&tracked, ideal);
+            // Iteration boundary: push this iteration's events into the
+            // global ring so streaming consumers (`gist-trace follow`,
+            // `journal::drain_since` cursors) tail the diagnosis live
+            // instead of waiting for the final drain.
+            gist_obs::journal::flush_local();
+            let capped = d.ast.iteration() + 1 >= self.config.max_iterations;
+            if stop(&d.sketch) || d.ast.saturated() || capped {
+                break;
+            }
+            d.ast.advance();
+        }
+        d.finish(span)
+    }
+}
+
+/// One diagnosis in progress: what the AsT loop carries from one step of
+/// Fig. 2 to the next. [`GistServer::diagnose`] runs the steps in order.
+struct Diagnosis<'s, 'p> {
+    server: &'s GistServer<'p>,
+    report: &'s FailureReport,
+    /// The `SliceComputed` event every provenance chain ends at.
+    slice_event: u64,
+    race_seed: Vec<InstrId>,
+    planner: Planner<'s>,
+    builder: SketchBuilder<'s, 'p>,
+    /// Journal anchor of the event that promoted each non-slice
+    /// statement into tracking (race seed or watchpoint discovery);
+    /// sketch steps cite it in their provenance chains.
+    origin: HashMap<InstrId, u64>,
+    /// σ, the iteration count and the one copy of the slice.
+    ast: AstController,
+    /// Also counts the failing and successful runs.
+    refinement: Refinement,
+    cost: CostSummary,
+    /// The representative failing run used for sketch layout: the one
+    /// observing the most statements (thread attribution and
+    /// cross-thread anchors are richest there).
+    representative: Option<RunTrace>,
+    sketch: FailureSketch,
+    ranked: Vec<PredictorStats>,
+}
+
+impl<'s, 'p> Diagnosis<'s, 'p> {
+    /// Step 1 (§3.1): the slice, the static analyses, the race-seed promotions.
+    fn start(server: &'s GistServer<'p>, report: &'s FailureReport) -> Self {
+        let config = &server.config;
+        let slice = server.slice(report);
         // The slice criterion is the root of every provenance chain: any
         // statement in the sketch is there because of this computation, a
         // promotion decision that cites it, or runtime evidence.
         let slice_event = gist_obs::event!(SliceComputed {
             criterion: report.failing_stmt.0,
             len: slice.len() as u64,
-            alias: self.config.enable_alias_slicing,
+            alias: config.enable_alias_slicing,
         });
-        let TrackingPlan { race_seed, planner } = self.analyze(report, &slice);
-        let facts = self.slicer.facts();
-        let builder = SketchBuilder::new(facts)
-            .with_title(&self.config.title)
-            .with_class(&self.config.bug_class);
-        let signature = report.signature();
-
-        // Journal anchor of the event that promoted each non-slice
-        // statement into tracking (race seed or watchpoint discovery);
-        // sketch steps cite it in their provenance chains.
-        let mut origin: std::collections::HashMap<InstrId, u64> = std::collections::HashMap::new();
+        let TrackingPlan { race_seed, planner } = server.analyze(report, &slice);
+        let mut origin = HashMap::new();
         for &s in &race_seed {
             let ev = gist_obs::event!(StmtPromoted {
                 iid: s.0,
                 reason: "race-seed",
                 via: slice_event,
-                sigma: self.config.sigma0 as u64,
+                sigma: config.sigma0 as u64,
             });
             origin.insert(s, ev);
         }
-        let mut ast =
-            AstController::with_sigma(slice.clone(), self.config.sigma0, self.config.growth);
-        let mut refinement = Refinement::new();
-        let mut cost = CostSummary::default();
-        let mut recurrences = 0usize;
-        let mut total_runs = 0usize;
-        // The representative failing run used for sketch layout: keep the
-        // one observing the most statements (thread attribution and
-        // cross-thread anchors are richest there).
-        let mut representative: Option<RunTrace> = None;
-        let mut representative_score = 0usize;
-        let mut sketch = FailureSketch::default();
-        let mut ranked: Vec<PredictorStats>;
-        let mut iterations = 0usize;
-
-        loop {
-            iterations += 1;
-            gist_obs::counter!("server.iterations").inc();
-            // Refinement's additive half (§3): statements the watchpoints
-            // discovered join the tracked slice, so later iterations trace
-            // them with PT and arm watchpoints at them directly — this is
-            // how a root cause that static slicing missed (no alias
-            // analysis) becomes fully observable.
-            let mut tracked: Vec<InstrId> = ast.tracked_portion().to_vec();
-            // Race-candidate seeding joins from the very first iteration;
-            // watchpoint discoveries (below) accumulate across iterations.
-            for &s in race_seed.iter().chain(&refinement.discovered) {
-                if !tracked.contains(&s) {
-                    tracked.push(s);
-                }
-            }
-            gist_obs::histogram!("server.tracked_size").record(tracked.len() as u64);
-            gist_obs::event!(IterationStarted {
-                iteration: iterations as u64,
-                sigma: ast.sigma() as u64,
-                tracked: tracked.len() as u64,
-            });
-            let groups = planner.watch_groups(&tracked);
-            // One patch per watch group, planned the first time a run of
-            // the group needs it and shipped to every later one (§4: Gist
-            // builds a patch once and ships it to the endpoints).
-            let mut shipped: Vec<Option<ShippedPatch>> = (0..groups).map(|_| None).collect();
-            let mut iter_obs: Vec<RunObservations> = Vec::new();
-            let mut failing_this_iter = 0usize;
-            let mut runs_this_iter = 0usize;
-
-            let span_collect = gist_obs::span("server.collect");
-            while failing_this_iter < self.config.failing_runs_per_iteration
-                && runs_this_iter < self.config.max_runs_per_iteration
-            {
-                let group = runs_this_iter % groups;
-                let ship = shipped[group].get_or_insert_with(|| {
-                    let patch = planner.plan(&tracked, group);
-                    ShippedPatch {
-                        bytes: patch.shipped_size() as u64,
-                        points: patch.instrumentation_points() as u64,
-                        patch,
-                    }
-                });
-                // Every run that carries the patch pays for it.
-                cost.instrumentation_points += ship.points;
-                cost.patch_bytes += ship.bytes;
-                gist_obs::histogram!("tracking.patch_bytes").record(ship.bytes);
-                gist_obs::histogram!("tracking.patch_points").record(ship.points);
-
-                fleet.hint_runs_remaining(
-                    (self.config.max_runs_per_iteration - runs_this_iter) as u64,
-                );
-                let run = fleet.next_run(&ship.patch);
-                runs_this_iter += 1;
-                let failing = run.matches_failure(signature);
-                // First-discovery promotions: a watchpoint hit at an
-                // untracked statement is the evidence that adds it to the
-                // tracked set next iteration (§3.2.3's alias-gap closing).
-                for (hit, &hit_event) in run.trace.hits.iter().zip(&run.trace.hit_events) {
-                    if run.trace.discovered.contains(&hit.iid) && !origin.contains_key(&hit.iid) {
-                        let ev = gist_obs::event!(StmtPromoted {
-                            iid: hit.iid.0,
-                            reason: "watch-discovery",
-                            via: hit_event,
-                            sigma: ast.sigma() as u64,
-                        });
-                        origin.insert(hit.iid, ev);
-                    }
-                }
-                refinement.absorb(&run.trace, failing);
-                cost.absorb(&run.trace, run.retired);
-                iter_obs.push(observations(&run.trace, failing));
-                if failing {
-                    failing_this_iter += 1;
-                    let score = run.trace.executed_tracked.len()
-                        + run.trace.discovered.len()
-                        + run.trace.hits.len();
-                    if representative.is_none() || score >= representative_score {
-                        representative_score = score;
-                        representative = Some(run.trace);
-                    }
-                }
-            }
-            drop(span_collect);
-            recurrences += failing_this_iter;
-            total_runs += runs_this_iter;
-            gist_obs::counter!("server.recurrences").add(failing_this_iter as u64);
-            gist_obs::counter!("server.runs_consumed").add(runs_this_iter as u64);
-
-            let span_rank = gist_obs::span("server.rank");
-            ranked = rank(&iter_obs, self.config.beta);
-            drop(span_rank);
-            for (i, stats) in ranked.iter().take(3).enumerate() {
-                gist_obs::event!(PredictorRanked {
-                    category: stats.predictor.category().to_owned(),
-                    rank: i as u64 + 1,
-                    f_milli: (stats.f_measure(self.config.beta) * 1000.0).round() as u64,
-                    iid: predictor_stmt(&stats.predictor).0,
-                });
-            }
-            let mut stmts = if self.config.enable_control_flow {
-                refinement.sketch_stmts()
-            } else {
-                // Static-only mode: no execution filter available.
-                let mut s: BTreeSet<InstrId> = tracked.iter().copied().collect();
-                s.extend(&refinement.discovered);
-                s
-            };
-            if use_svfg && self.config.enable_data_flow {
-                // Control-context backfill: value-flow-ranked watchpoints
-                // can converge before σ grows past the branch that steers
-                // execution into the failure; the sketch must still show it.
-                stmts.extend(self.slicer.control_context([report.failing_stmt], &slice));
-            }
-            if let Some(rep) = &representative {
-                let _span_sketch = gist_obs::span("server.sketch");
-                sketch = builder.build(report, &stmts, rep, &ranked, self.config.beta, ideal);
-                // Inter-thread value-flow provenance: a step that observes
-                // a value an *interleaved* SVFG edge says another thread's
-                // sketch step may have written gets a flow note naming the
-                // writer (the Fig. 1 arrow, derived statically).
-                if use_svfg {
-                    let tid_of: std::collections::HashMap<InstrId, u32> =
-                        sketch.steps.iter().map(|s| (s.stmt, s.tid)).collect();
-                    let svfg = facts.svfg();
-                    for step in &mut sketch.steps {
-                        let flow = svfg
-                            .edges_in(step.stmt)
-                            .iter()
-                            .filter(|e| {
-                                e.kind == gist_analysis::SvfgEdgeKind::Interleaved
-                                    && tid_of.get(&e.def).is_some_and(|&t| t != step.tid)
-                            })
-                            .min_by_key(|e| e.def);
-                        if let Some(e) = flow {
-                            let writer_tid = tid_of[&e.def];
-                            let at = self
-                                .program
-                                .stmt_loc(e.def)
-                                .map(|l| self.program.source_map.display(l))
-                                .unwrap_or_else(|| e.def.to_string());
-                            step.flow_note =
-                                Some(format!("value may flow from T{writer_tid} write at {at}"));
-                        }
-                    }
-                }
-                // Attach provenance: the most specific runtime evidence
-                // first (latest watchpoint hit at this statement in the
-                // representative run), then that run's PT decode, then the
-                // decision that promoted the statement into tracking, and
-                // finally the slice criterion everything descends from.
-                for step in &mut sketch.steps {
-                    let mut chain: Vec<u64> = Vec::new();
-                    if let Some(pos) = rep.hits.iter().rposition(|h| h.iid == step.stmt) {
-                        if let Some(&ev) = rep.hit_events.get(pos) {
-                            chain.push(ev);
-                        }
-                    }
-                    chain.push(rep.decode_event);
-                    if let Some(&ev) = origin.get(&step.stmt) {
-                        chain.push(ev);
-                    }
-                    chain.push(slice_event);
-                    chain.retain(|&s| s != 0);
-                    let mut seen = BTreeSet::new();
-                    chain.retain(|&s| seen.insert(s));
-                    step.provenance = chain;
-                    gist_obs::event!(SketchStepEmitted {
-                        step: step.step as u64,
-                        iid: step.stmt.0,
-                        provenance: step.provenance.clone(),
-                    });
-                }
-            }
-
-            // Iteration boundary: push this iteration's events into the
-            // global ring so streaming consumers (`gist-trace follow`,
-            // `journal::drain_since` cursors) tail the diagnosis live
-            // instead of waiting for the final drain.
-            gist_obs::journal::flush_local();
-
-            let done = stop(&sketch) || ast.saturated() || iterations >= self.config.max_iterations;
-            if done {
-                break;
-            }
-            ast.advance();
+        Diagnosis {
+            server,
+            report,
+            slice_event,
+            race_seed,
+            planner,
+            builder: SketchBuilder::new(server.slicer.facts())
+                .with_title(&config.title)
+                .with_class(&config.bug_class),
+            origin,
+            ast: AstController::with_sigma(slice, config.sigma0, config.growth),
+            refinement: Refinement::new(),
+            cost: CostSummary::default(),
+            representative: None,
+            sketch: FailureSketch::default(),
+            ranked: Vec::new(),
         }
+    }
 
+    /// Step 2 (§3.2.1): the iteration's tracked set, journaled.
+    fn begin_iteration(&self) -> Vec<InstrId> {
+        gist_obs::counter!("server.iterations").inc();
+        // Refinement's additive half (§3): statements the watchpoints
+        // discovered join the tracked slice, so later iterations trace
+        // them with PT and arm watchpoints at them directly — this is
+        // how a root cause that static slicing missed (no alias
+        // analysis) becomes fully observable.
+        let mut tracked: Vec<InstrId> = self.ast.tracked_portion().to_vec();
+        // Race-candidate seeding joins from the very first iteration;
+        // watchpoint discoveries (below) accumulate across iterations.
+        for &s in self.race_seed.iter().chain(&self.refinement.discovered) {
+            if !tracked.contains(&s) {
+                tracked.push(s);
+            }
+        }
+        gist_obs::histogram!("server.tracked_size").record(tracked.len() as u64);
+        gist_obs::event!(IterationStarted {
+            iteration: self.ast.iteration() as u64 + 1,
+            sigma: self.ast.sigma() as u64,
+            tracked: tracked.len() as u64,
+        });
+        tracked
+    }
+
+    /// Step 3 (§3.2.2–3.2.3): runs the fleet under the watch groups' patches
+    /// and folds each run in; returns the runs' observations.
+    fn collect(&mut self, tracked: &[InstrId], fleet: &mut dyn Fleet) -> Vec<RunObservations> {
+        let config = &self.server.config;
+        let signature = self.report.signature();
+        let groups = self.planner.watch_groups(tracked);
+        // One patch per watch group, planned the first time a run of
+        // the group needs it and shipped to every later one (§4: Gist
+        // builds a patch once and ships it to the endpoints).
+        let mut shipped: Vec<Option<ShippedPatch>> = (0..groups).map(|_| None).collect();
+        let mut observed: Vec<RunObservations> = Vec::new();
+        let mut failing_runs = 0usize;
+        let mut runs = 0usize;
+
+        let span_collect = gist_obs::span("server.collect");
+        while failing_runs < config.failing_runs_per_iteration
+            && runs < config.max_runs_per_iteration
+        {
+            let group = runs % groups;
+            let ship = shipped[group].get_or_insert_with(|| {
+                let patch = self.planner.plan(tracked, group);
+                ShippedPatch {
+                    bytes: patch.shipped_size() as u64,
+                    points: patch.instrumentation_points() as u64,
+                    patch,
+                }
+            });
+            // Every run that carries the patch pays for it.
+            self.cost.instrumentation_points += ship.points;
+            self.cost.patch_bytes += ship.bytes;
+            gist_obs::histogram!("tracking.patch_bytes").record(ship.bytes);
+            gist_obs::histogram!("tracking.patch_points").record(ship.points);
+
+            fleet.hint_runs_remaining((config.max_runs_per_iteration - runs) as u64);
+            let run = fleet.next_run(&ship.patch);
+            runs += 1;
+            let failing = run.matches_failure(signature);
+            // First-discovery promotions: a watchpoint hit at an
+            // untracked statement is the evidence that adds it to the
+            // tracked set next iteration (§3.2.3's alias-gap closing).
+            for (hit, &hit_event) in run.trace.hits.iter().zip(&run.trace.hit_events) {
+                if run.trace.discovered.contains(&hit.iid) && !self.origin.contains_key(&hit.iid) {
+                    let ev = gist_obs::event!(StmtPromoted {
+                        iid: hit.iid.0,
+                        reason: "watch-discovery",
+                        via: hit_event,
+                        sigma: self.ast.sigma() as u64,
+                    });
+                    self.origin.insert(hit.iid, ev);
+                }
+            }
+            self.refinement.absorb(&run.trace, failing);
+            self.cost.absorb(&run.trace, run.retired);
+            observed.push(observations(&run.trace, failing));
+            if failing {
+                failing_runs += 1;
+                let observes =
+                    |t: &RunTrace| t.executed_tracked.len() + t.discovered.len() + t.hits.len();
+                let rep = self.representative.as_ref();
+                if rep.is_none_or(|rep| observes(&run.trace) >= observes(rep)) {
+                    self.representative = Some(run.trace);
+                }
+            }
+        }
+        drop(span_collect);
+        gist_obs::counter!("server.recurrences").add(failing_runs as u64);
+        gist_obs::counter!("server.runs_consumed").add(runs as u64);
+        observed
+    }
+
+    /// Step 4 (§3.3): ranks the iteration's predictors, journals the top 3.
+    fn rank(&mut self, observed: &[RunObservations]) {
+        let beta = self.server.config.beta;
+        let span_rank = gist_obs::span("server.rank");
+        self.ranked = gist_predictors::rank(observed, beta);
+        drop(span_rank);
+        for (i, stats) in self.ranked.iter().take(3).enumerate() {
+            gist_obs::event!(PredictorRanked {
+                category: stats.predictor.category().to_owned(),
+                rank: i as u64 + 1,
+                f_milli: (stats.f_measure(beta) * 1000.0).round() as u64,
+                iid: predictor_stmt(&stats.predictor).0,
+            });
+        }
+    }
+
+    /// Step 5 (§3.4): the sketch and its steps' provenance, once a run has
+    /// failed.
+    fn sketch(&mut self, tracked: &[InstrId], ideal: Option<&BTreeSet<InstrId>>) {
+        let server = self.server;
+        let config = &server.config;
+        let mut stmts = if config.enable_control_flow {
+            self.refinement.sketch_stmts()
+        } else {
+            // Static-only mode: no execution filter available.
+            let mut s: BTreeSet<InstrId> = tracked.iter().copied().collect();
+            s.extend(&self.refinement.discovered);
+            s
+        };
+        if server.uses_svfg() && config.enable_data_flow {
+            // Control-context backfill: value-flow-ranked watchpoints
+            // can converge before σ grows past the branch that steers
+            // execution into the failure; the sketch must still show it.
+            let failing = [self.report.failing_stmt];
+            stmts.extend(server.slicer.control_context(failing, self.ast.slice()));
+        }
+        let Some(rep) = &self.representative else {
+            return;
+        };
+        let _span_sketch = gist_obs::span("server.sketch");
+        self.sketch =
+            self.builder
+                .build(self.report, &stmts, rep, &self.ranked, config.beta, ideal);
+        if server.uses_svfg() {
+            add_flow_notes(server.slicer.facts(), &mut self.sketch);
+        }
+        // Attach provenance: the most specific runtime evidence first
+        // (latest watchpoint hit at this statement in the representative
+        // run), then that run's PT decode, then the decision that promoted
+        // the statement into tracking, and finally the slice criterion
+        // everything descends from.
+        for step in &mut self.sketch.steps {
+            let mut chain: Vec<u64> = Vec::new();
+            if let Some(pos) = rep.hits.iter().rposition(|h| h.iid == step.stmt) {
+                if let Some(&ev) = rep.hit_events.get(pos) {
+                    chain.push(ev);
+                }
+            }
+            chain.push(rep.decode_event);
+            if let Some(&ev) = self.origin.get(&step.stmt) {
+                chain.push(ev);
+            }
+            chain.push(self.slice_event);
+            chain.retain(|&s| s != 0);
+            let mut seen = BTreeSet::new();
+            chain.retain(|&s| seen.insert(s));
+            step.provenance = chain;
+            gist_obs::event!(SketchStepEmitted {
+                step: step.step as u64,
+                iid: step.stmt.0,
+                provenance: step.provenance.clone(),
+            });
+        }
+    }
+
+    /// Step 6: demotions, the end of the trace, the result.
+    fn finish(self, span: SpanGuard) -> DiagnosisResult {
         // AsT refinement tallies: promotions are statements the watchpoints
         // discovered and added to tracking; demotions are tracked statements
         // refinement proved never execute in failing runs.
-        gist_obs::counter!("server.ast_promotions").add(refinement.discovered.len() as u64);
-        let tracked_set: BTreeSet<InstrId> = ast.tracked_portion().iter().copied().collect();
-        let demoted = refinement.removable(&tracked_set);
+        gist_obs::counter!("server.ast_promotions").add(self.refinement.discovered.len() as u64);
+        let tracked_set: BTreeSet<InstrId> = self.ast.tracked_portion().iter().copied().collect();
+        let demoted = self.refinement.removable(&tracked_set);
         gist_obs::counter!("server.ast_demotions").add(demoted.len() as u64);
         for &s in &demoted {
             gist_obs::event!(StmtDemoted {
                 iid: s.0,
                 reason: "never-executed",
-                sigma: ast.sigma() as u64,
+                sigma: self.ast.sigma() as u64,
             });
         }
-        drop(_span_diagnose);
+        drop(span);
+        let iterations = self.ast.iteration() + 1;
+        let recurrences = self.refinement.failing_runs;
         gist_obs::end_trace(iterations as u64, recurrences as u64);
         // Final checkpoint: make the trace.finish (and the post-loop
         // demotion events) visible to live cursors immediately.
         gist_obs::journal::flush_local();
 
         DiagnosisResult {
-            sketch,
-            slice,
+            sketch: self.sketch,
             iterations,
             recurrences,
-            total_runs,
-            final_sigma: ast.sigma(),
-            refinement,
-            ranked,
-            cost,
+            total_runs: recurrences + self.refinement.successful_runs,
+            final_sigma: self.ast.sigma(),
+            slice: self.ast.into_slice(),
+            refinement: self.refinement,
+            ranked: self.ranked,
+            cost: self.cost,
+        }
+    }
+}
+
+/// Inter-thread value-flow provenance: a step that observes a value an
+/// *interleaved* SVFG edge says another thread's sketch step may have
+/// written gets a flow note naming the writer (the Fig. 1 arrow, derived
+/// statically).
+fn add_flow_notes(facts: &AnalysisCtx, sketch: &mut FailureSketch) {
+    let (program, svfg) = (facts.program, facts.svfg());
+    let tid_of: HashMap<InstrId, u32> = sketch.steps.iter().map(|s| (s.stmt, s.tid)).collect();
+    for step in &mut sketch.steps {
+        let flow = svfg
+            .edges_in(step.stmt)
+            .iter()
+            .filter(|e| {
+                e.kind == SvfgEdgeKind::Interleaved
+                    && tid_of.get(&e.def).is_some_and(|&t| t != step.tid)
+            })
+            .min_by_key(|e| e.def);
+        if let Some(e) = flow {
+            let writer_tid = tid_of[&e.def];
+            let at = program
+                .stmt_loc(e.def)
+                .map(|l| program.source_map.display(l))
+                .unwrap_or_else(|| e.def.to_string());
+            step.flow_note = Some(format!("value may flow from T{writer_tid} write at {at}"));
         }
     }
 }

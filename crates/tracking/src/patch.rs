@@ -137,18 +137,6 @@ impl InstrumentationPatch {
             Err("trailing bytes after patch".to_owned())
         }
     }
-
-    /// Merges another patch into this one (cooperative runs may stack
-    /// multiple slice portions).
-    pub fn merge(&mut self, other: &InstrumentationPatch) {
-        self.pt_on_after.extend(&other.pt_on_after);
-        self.pt_off_after.extend(&other.pt_off_after);
-        self.pt_on_return_to.extend(&other.pt_on_return_to);
-        self.pt_on_enter.extend(&other.pt_on_enter);
-        self.pt_on_at_start |= other.pt_on_at_start;
-        self.watch_accesses.extend(&other.watch_accesses);
-        self.tracked.extend(&other.tracked);
-    }
 }
 
 #[cfg(test)]
@@ -184,17 +172,5 @@ mod tests {
         p.watch_accesses.insert(InstrId(3));
         let bytes = p.to_bytes();
         assert!(InstrumentationPatch::from_bytes(&bytes[..bytes.len() - 2]).is_err());
-    }
-
-    #[test]
-    fn merge_unions_everything() {
-        let mut a = InstrumentationPatch::default();
-        a.pt_on_after.insert(InstrId(1));
-        let mut b = InstrumentationPatch::default();
-        b.pt_on_after.insert(InstrId(2));
-        b.pt_on_at_start = true;
-        a.merge(&b);
-        assert_eq!(a.pt_on_after.len(), 2);
-        assert!(a.pt_on_at_start);
     }
 }

@@ -74,3 +74,28 @@ fn synthetic_bench_never_writes_the_committed_report() {
     let report = std::fs::read_to_string(dir.join("SYNTH_bench.json")).expect("SYNTH_bench.json");
     assert!(report.contains("gist-bench-synth/v1"), "{report}");
 }
+
+/// `bench` takes only `--out PATH`: an unknown argument is a usage error
+/// before any diagnosis runs, not a path to write the report to.
+#[test]
+fn bench_rejects_an_unknown_argument_and_writes_nothing() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("bench-unknown-argument");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["bench", "--bogus"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn repro");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let written: Vec<_> = std::fs::read_dir(&dir)
+        .expect("read scratch dir")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    assert!(written.is_empty(), "repro bench --bogus wrote {written:?}");
+}
