@@ -21,18 +21,21 @@
 //!                           #   -> BENCH_gist.json (or PATH)
 //!                           #   + flight recorder -> JOURNAL_gist.bin
 //!                           #   (or PATH.journal.bin)
-//! repro bench --synthetic N --seed S [--out PATH]
+//! repro bench --synthetic N [--seed S] [--out PATH]
 //!                           # N seeded synthetic bugs through the full
 //!                           # AsT loop -> SYNTH_bench.json (or PATH) +
 //!                           # accuracy table on stdout; exits 1 below
 //!                           # the recorded recovery floor
 //! ```
 //!
-//! `table1`, `fig9`, `all`, and `bench` exit non-zero when any bug's sketch
-//! accuracy falls below the floors recorded in
-//! `gist_bench::expectations::EXPECTATIONS`; `bench` also exits non-zero
-//! when the journal ring overwrote events. A failed write to stdout (a
-//! pipe whose reader exited, say) exits 2 with one line on stderr.
+//! Each command takes exactly the arguments shown; anything else (an
+//! unknown command, flag or extra argument, a flag without its value)
+//! exits 2 with a usage line, before any work. `table1`, `fig9`, `all`,
+//! and `bench` exit non-zero when any bug's sketch accuracy falls below
+//! the floors recorded in `gist_bench::expectations::EXPECTATIONS`;
+//! `bench` also exits non-zero when the journal ring overwrote events. A
+//! failed write to stdout (a pipe whose reader exited, say) exits 2 with
+//! one line on stderr.
 
 use gist_bench::bench_report;
 use gist_bench::expectations;
@@ -43,62 +46,76 @@ use gist_coop::BugEvaluation;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
-    match cmd {
-        "table1" => table1(),
-        "fig9" => fig9(),
-        "bench" if args.iter().any(|a| a == "--synthetic") => synth_bench(&args[1..]),
-        "bench" => bench(&args[1..]),
-        "fig10" => fig10(),
-        "fig11" => fig11(),
-        "fig12" => fig12(),
-        "fig13" => fig13(),
-        "overhead" => overhead(),
-        "ablations" => outln!("{}", gist_bench::ablations::ablations_text()),
-        "knobs" => knobs(),
-        "races" => outln!("{}", gist_bench::races::races_text()),
-        "swtrace" => swtrace(),
-        "bugs" => bugs(),
-        "sketch" => {
-            let name = args.get(1).map(String::as_str).unwrap_or("pbzip2-1");
-            let explain = args.iter().any(|a| a == "--explain");
-            let rendered = if explain {
-                experiments::sketch_for_explained(name)
-            } else {
-                experiments::sketch_for(name)
-            };
-            match rendered {
-                Some(s) => outln!("{s}"),
-                None => {
-                    eprintln!("unknown bug '{name}'; try `repro bugs`");
-                    std::process::exit(1);
-                }
-            }
-        }
-        "all" => {
-            let evals = experiments::table1();
-            outln!("{}", format::table1_text(&evals));
-            outln!("{}", format::fig9_text(&evals));
-            fig10();
-            fig11();
-            fig12();
-            fig13();
-            overhead();
-            swtrace();
-            for name in ["pbzip2-1", "curl-965", "apache-21287"] {
-                outln!("\n=== sketch {name} ===\n");
-                if let Some(s) = experiments::sketch_for(name) {
-                    outln!("{s}");
-                }
-            }
-            gate_accuracy(&evals);
-        }
-        other => {
-            eprintln!("unknown command '{other}'");
-            eprintln!("commands: all table1 fig9 fig10 fig11 fig12 fig13 overhead swtrace ablations knobs races sketch bugs bench");
-            std::process::exit(2);
+    let (cmd, rest) = match args.split_first() {
+        Some((cmd, rest)) => (cmd.as_str(), rest),
+        None => ("all", &[][..]),
+    };
+    match (cmd, rest) {
+        ("all", []) => all(),
+        ("table1", []) => table1(),
+        ("fig9", []) => fig9(),
+        ("bench", _) if rest.iter().any(|a| a == "--synthetic") => synth_bench(rest),
+        ("bench", _) => bench(rest),
+        ("fig10", []) => fig10(),
+        ("fig11", []) => fig11(),
+        ("fig12", []) => fig12(),
+        ("fig13", []) => fig13(),
+        ("overhead", []) => overhead(),
+        ("ablations", []) => outln!("{}", gist_bench::ablations::ablations_text()),
+        ("knobs", []) => knobs(),
+        ("races", []) => outln!("{}", gist_bench::races::races_text()),
+        ("swtrace", []) => swtrace(),
+        ("bugs", []) => bugs(),
+        ("sketch", [name]) => sketch(name, false),
+        ("sketch", [name, flag]) if flag == "--explain" => sketch(name, true),
+        ("sketch", _) => usage("repro sketch <bug-name> [--explain]"),
+        _ => {
+            eprintln!("unknown command or arguments: {}", args.join(" "));
+            usage("repro [all|table1|fig9|fig10|fig11|fig12|fig13|overhead|swtrace|ablations|knobs|races|bugs|sketch <bug-name> [--explain]|bench ...]");
         }
     }
+}
+
+fn all() {
+    let evals = experiments::table1();
+    outln!("{}", format::table1_text(&evals));
+    outln!("{}", format::fig9_text(&evals));
+    fig10();
+    fig11();
+    fig12();
+    fig13();
+    overhead();
+    swtrace();
+    for name in ["pbzip2-1", "curl-965", "apache-21287"] {
+        outln!("\n=== sketch {name} ===\n");
+        if let Some(s) = experiments::sketch_for(name) {
+            outln!("{s}");
+        }
+    }
+    gate_accuracy(&evals);
+}
+
+/// Renders `name`'s failure sketch, with its provenance chains when
+/// `explain`; exits 1 on an unknown bug.
+fn sketch(name: &str, explain: bool) {
+    let rendered = if explain {
+        experiments::sketch_for_explained(name)
+    } else {
+        experiments::sketch_for(name)
+    };
+    match rendered {
+        Some(s) => outln!("{s}"),
+        None => {
+            eprintln!("unknown bug '{name}'; try `repro bugs`");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Exits 2 with `usage: {line}` on stderr.
+fn usage(line: &str) -> ! {
+    eprintln!("usage: {line}");
+    std::process::exit(2);
 }
 
 /// Exits non-zero, naming each failing bug, when accuracy falls below the
@@ -133,10 +150,7 @@ fn bench(args: &[String]) {
     let path = match args {
         [] => "BENCH_gist.json",
         [flag, path] if flag == "--out" => path.as_str(),
-        _ => {
-            eprintln!("usage: repro bench [--out PATH]");
-            std::process::exit(2);
-        }
+        _ => usage("repro bench [--out PATH]"),
     };
     let (report, evals) = bench_report::run(None);
     if let Err(e) = std::fs::write(path, report.to_json()) {
@@ -170,28 +184,34 @@ fn bench(args: &[String]) {
 
 /// `bench --synthetic N [--seed S] [--out PATH]`: the synthetic-bugbase
 /// accuracy run, written to `SYNTH_bench.json` unless `--out` names a
-/// path (never to the committed `BENCH_gist.json`). Deterministic for
-/// fixed `(N, S)`; exits 1 when recovery falls below the recorded floor.
+/// path (never to the committed `BENCH_gist.json`). The flags come in any
+/// order, each at most once and each with its value; the seed defaults
+/// to 1. Deterministic for fixed `(N, S)`; exits 1 when recovery falls
+/// below the recorded floor.
 fn synth_bench(args: &[String]) {
-    let flag_value = |flag: &str| -> Option<&String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-    };
-    let parse_u64 = |flag: &str, default: u64| -> u64 {
-        match flag_value(flag) {
-            None => default,
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} wants an unsigned integer, got '{v}'");
-                std::process::exit(2);
-            }),
+    const USAGE: &str = "repro bench --synthetic N [--seed S] [--out PATH]";
+    let (mut n, mut seed, mut path) = (None, None, None);
+    for pair in args.chunks(2) {
+        let [flag, value] = pair else { usage(USAGE) };
+        let slot = match flag.as_str() {
+            "--synthetic" => &mut n,
+            "--seed" => &mut seed,
+            "--out" => &mut path,
+            _ => usage(USAGE),
+        };
+        if slot.replace(value.as_str()).is_some() {
+            usage(USAGE);
         }
+    }
+    let parse_u64 = |flag: &str, v: &str| -> u64 {
+        v.parse().unwrap_or_else(|_| {
+            eprintln!("{flag} wants an unsigned integer, got '{v}'");
+            std::process::exit(2);
+        })
     };
-    let n = parse_u64("--synthetic", 200);
-    let seed = parse_u64("--seed", 1);
-    let path = flag_value("--out")
-        .map(String::as_str)
-        .unwrap_or("SYNTH_bench.json");
+    let n = parse_u64("--synthetic", n.unwrap_or_else(|| usage(USAGE)));
+    let seed = seed.map_or(1, |s| parse_u64("--seed", s));
+    let path = path.unwrap_or("SYNTH_bench.json");
     let report = gist_bench::synth_report::run_synth(n, seed);
     if let Err(e) = std::fs::write(path, report.to_json()) {
         eprintln!("cannot write {path}: {e}");

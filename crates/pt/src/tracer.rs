@@ -71,6 +71,9 @@ pub struct PtTracer {
     /// Per-thread trace windows, indexed by tid (dense: the scheduler
     /// numbers tids from 0, and `handle` runs once per VM event).
     windows: Vec<TidWindow>,
+    /// Open trace windows per core, so that [`PtTracer::idle_core`] is
+    /// O(1). Grown with the buffers.
+    open: Vec<u32>,
     /// The configured core count (`PtConfig.num_cores`): the number of
     /// buffers a new or reset tracer has.
     cores: usize,
@@ -105,6 +108,7 @@ impl PtTracer {
             core_tid: vec![None; n],
             since_psb: vec![usize::MAX; n],
             windows: Vec::new(),
+            open: vec![0; n],
             cores: n,
             buffer_capacity: config.buffer_capacity,
             code,
@@ -130,6 +134,8 @@ impl PtTracer {
         self.since_psb.truncate(self.cores);
         self.since_psb.fill(usize::MAX);
         self.windows.clear();
+        self.open.truncate(self.cores);
+        self.open.fill(0);
         self.code = code;
         self.traced_branches = 0;
         self.traced_retired = 0;
@@ -151,6 +157,17 @@ impl PtTracer {
         !self.driver.is_enabled(core)
             && !self.window_active(tid)
             && (core as usize) < self.buffers.len()
+    }
+
+    /// True when [`PtTracer::handle`] would change nothing for an event of
+    /// any thread on `core`: tracing is off on the core, no window is open
+    /// on it, and the core already has a buffer. A window is open on the
+    /// core its thread's events come from, and the VM pins each thread to
+    /// one core, so this implies [`PtTracer::idle`] for every thread the
+    /// VM runs there.
+    #[inline]
+    pub fn idle_core(&self, core: u32) -> bool {
+        !self.driver.is_enabled(core) && self.open.get(core as usize) == Some(&0)
     }
 
     /// The tracing control interface.
@@ -181,6 +198,7 @@ impl PtTracer {
                 .resize_with(idx + 1, || TraceBuffer::with_capacity(cap));
             self.core_tid.resize(idx + 1, None);
             self.since_psb.resize(idx + 1, usize::MAX);
+            self.open.resize(idx + 1, 0);
         }
     }
 
@@ -310,12 +328,17 @@ impl PtTracer {
 
     /// Ensures `tid` has an open window; opens one starting at `ip` if not.
     fn ensure_window(&mut self, tid: u32, core: u32, ip: InstrId) {
-        let needs_open = {
+        let (active, was_on) = {
             let w = self.window_mut(tid);
-            w.core = core;
-            !w.active
+            (w.active, std::mem::replace(&mut w.core, core))
         };
-        if needs_open {
+        if active && was_on != core {
+            // A thread that changed cores takes its open window along.
+            self.open[was_on as usize] -= 1;
+            self.open[core as usize] += 1;
+        }
+        if !active {
+            self.open[core as usize] += 1;
             self.core_tid[core as usize] = None; // force a PIP
             self.switch_core_to(core, tid);
             self.push(core, Packet::Pge { ip });
@@ -342,6 +365,7 @@ impl PtTracer {
         if let Some(ip) = last_ip {
             self.push(core, Packet::Pgd { ip });
         }
+        self.open[core as usize] -= 1;
         let w = &mut self.windows[tid as usize];
         w.active = false;
         w.depth = 0;
@@ -455,6 +479,7 @@ impl PtTracer {
                     let core = self.windows[*tid as usize].core;
                     self.switch_core_to(core, *tid);
                     self.push(core, Packet::Fup { ip: *iid });
+                    self.open[core as usize] -= 1;
                     let w = &mut self.windows[*tid as usize];
                     w.active = false;
                 }

@@ -8,9 +8,16 @@
 //! patch for a single run; [`TrackerRuntime::with_prepared`] takes a shared
 //! one, and the two give the same run trace.
 //!
-//! A run pays for PT only where it traces: an event on a core with tracing
-//! off, from a thread with no open trace window, does not reach the
-//! tracer ([`PtTracer::idle`]).
+//! A run pays for tracking only where the hardware would raise events.
+//! The tracker's [`DeliveryFilter`] tells the VM which events it needs:
+//! any event on a *hot* core (PT enabled, a trace window open, a resume
+//! pending, or no PT buffer yet), a `Retired` at a PT stop or start
+//! point, a `PreAccess` at a watch arm point, and a `Mem` inside an armed
+//! debug register. The VM builds no other `Retired`, `Branch`,
+//! `IndirectTransfer`, `PreAccess` or `Mem` event for it, and these are
+//! exactly the ones on which [`TrackerRuntime`] would do nothing. Of the
+//! events that arrive, one from a thread with tracing off and no open
+//! window still does not reach the tracer ([`PtTracer::idle`]).
 //!
 //! An endpoint stays up between runs, so a tracker is reusable:
 //! [`TrackerRuntime::reset`] readies it for the next run under that run's
@@ -23,7 +30,7 @@ use std::sync::Arc;
 
 use gist_ir::{InstrId, Program};
 use gist_pt::{CodeMap, DecodeError, DecodedTrace, PtConfig, PtDriver, PtTracer, TraceBuffer};
-use gist_vm::{Event, Observer};
+use gist_vm::{DeliveryFilter, Event, Observer};
 use gist_watch::{WatchCondition, WatchError, WatchHit, WatchUnit};
 
 use crate::patch::InstrumentationPatch;
@@ -78,6 +85,9 @@ const P_ON_RETURN_TO: u8 = 8;
 /// Per-statement patch bit: the statement is tracked.
 const P_TRACKED: u8 = 16;
 
+// Each armed debug register is one range of the delivery filter.
+const _: () = assert!(gist_watch::NUM_SLOTS <= gist_vm::LiveFilter::RANGES);
+
 /// A patch prepared for execution: the patch plus the dense lookups every
 /// run under it consults, so neither the per-event hot path (`on_event`
 /// runs for every retired statement and memory access of the production
@@ -87,8 +97,9 @@ const P_TRACKED: u8 = 16;
 #[derive(Debug)]
 pub struct PreparedPatch {
     patch: InstrumentationPatch,
-    /// OR of `P_*` bits per statement, indexed by `InstrId`.
-    stmt: Vec<u8>,
+    /// OR of `P_*` bits per statement, indexed by `InstrId`; shared with
+    /// the delivery filter of every run under the patch.
+    stmt: Arc<[u8]>,
     /// Functions with a start point at their entry, indexed by `FuncId`.
     on_enter: Vec<bool>,
     /// The program's code map, which the tracer and the decoder read.
@@ -115,7 +126,7 @@ impl PreparedPatch {
         }
         PreparedPatch {
             patch,
-            stmt,
+            stmt: stmt.into(),
             on_enter,
             code: CodeMap::new(program),
         }
@@ -150,6 +161,11 @@ pub struct TrackerRuntime {
     missed_arms: u64,
     /// Per statement: executed in the decoded trace (built by `finish`).
     executed: Vec<bool>,
+    /// What the VM delivers to this tracker. Its per-statement bits are
+    /// the patch's, and its live part follows the tracer's per-core state,
+    /// the pending resumes and the armed debug registers: `on_event`
+    /// updates it where they change.
+    filter: DeliveryFilter,
 }
 
 impl TrackerRuntime {
@@ -177,6 +193,12 @@ impl TrackerRuntime {
                 ..PtConfig::default()
             },
         );
+        let filter = DeliveryFilter::new(
+            Arc::clone(&prepared.stmt),
+            P_OFF_AFTER | P_ON_AFTER,
+            P_WATCH,
+            Arc::default(),
+        );
         let mut tracker = TrackerRuntime {
             prepared,
             tracer,
@@ -184,6 +206,7 @@ impl TrackerRuntime {
             pending_resume: vec![false; num_cores.max(1) as usize],
             missed_arms: 0,
             executed: Vec::new(),
+            filter,
         };
         tracker.start();
         tracker
@@ -193,23 +216,39 @@ impl TrackerRuntime {
     /// state: a finished run or one cut short. It then gives the same run
     /// trace as [`TrackerRuntime::with_prepared`] with the core count it
     /// was built for; the PT tracer, the debug registers and the
-    /// per-core state are emptied in place rather than rebuilt.
+    /// per-core state and the delivery filter are emptied in place rather
+    /// than rebuilt.
     pub fn reset(&mut self, prepared: Arc<PreparedPatch>) {
         self.tracer.reset(prepared.code.clone());
         self.watch.reset();
         self.pending_resume.fill(false);
         self.missed_arms = 0;
+        self.filter.reset(Arc::clone(&prepared.stmt));
         self.prepared = prepared;
         self.start();
     }
 
-    /// Applies the patch's run-start state to the PT driver.
+    /// Applies the patch's run-start state to the PT driver, and marks
+    /// which cores start hot.
     fn start(&mut self) {
         if self.prepared.patch.pt_on_at_start {
             // A tracked statement sits in the program entry's first block
             // (or this is a full-trace plan): tracing starts enabled.
             self.tracer.driver_mut().set_default(true);
         }
+        for core in 0..self.tracer.buffers().len() as u32 {
+            self.refresh(core);
+        }
+    }
+
+    /// Recomputes whether `core` is hot: unless the tracer is idle there
+    /// and no resume is pending on it, the VM delivers every event of the
+    /// core.
+    fn refresh(&self, core: u32) {
+        let pending = self.pending_resume.get(core as usize) == Some(&true);
+        self.filter
+            .live()
+            .set_hot(core, pending || !self.tracer.idle_core(core));
     }
 
     /// Decodes the PT trace in place and packages the run's results. The
@@ -300,9 +339,12 @@ impl TrackerRuntime {
 
 impl Observer for TrackerRuntime {
     fn on_event(&mut self, ev: &Event) {
-        // The PT hardware sees each event before the patch acts on it. Most
-        // events run where tracing is off and stop at this check.
-        if !self.tracer.idle(ev.core(), ev.tid()) {
+        // The PT hardware sees each event before the patch acts on it. An
+        // event of a thread with tracing off and no open window stops at
+        // this check.
+        let core = ev.core();
+        let mut changed = !self.tracer.idle(core, ev.tid());
+        if changed {
             self.tracer.handle(ev);
         }
         match ev {
@@ -319,11 +361,11 @@ impl Observer for TrackerRuntime {
                 is_stack: false,
                 ..
             } if self.prepared.stmt[iid.index()] & P_WATCH != 0 => {
-                if let Err(WatchError::NoFreeSlot) =
-                    self.watch.set(*addr, 1, WatchCondition::ReadWrite)
-                {
+                match self.watch.set(*addr, 1, WatchCondition::ReadWrite) {
+                    Ok(slot) => self.filter.live().arm(slot, *addr..*addr + 1),
                     // Another cooperative run covers this address.
-                    self.missed_arms += 1;
+                    Err(WatchError::NoFreeSlot) => self.missed_arms += 1,
+                    Err(_) => {}
                 }
             }
             // Memory accesses feed the debug registers.
@@ -342,48 +384,58 @@ impl Observer for TrackerRuntime {
             }
             // Control-flow toggles fire after the statement completes, on
             // the executing thread's core (Intel PT is per-core).
-            Event::Retired { iid, core, .. } => {
+            Event::Retired { iid, .. } => {
                 let bits = self.prepared.stmt[iid.index()];
                 let driver = self.tracer.driver_mut();
                 if bits & P_OFF_AFTER != 0 {
-                    driver.trace_off(*core);
+                    driver.trace_off(core);
                 }
                 if bits & P_ON_AFTER != 0 {
-                    driver.trace_on(*core);
+                    driver.trace_on(core);
                 }
                 // A resume point deferred from the `Return` event takes
                 // effect once the `ret` itself has retired (and any stop on
                 // it has been applied) — control is now at the return
                 // target.
-                if self
+                let resume = self
                     .pending_resume
-                    .get_mut(*core as usize)
-                    .is_some_and(std::mem::take)
-                {
-                    driver.trace_on(*core);
+                    .get_mut(core as usize)
+                    .is_some_and(std::mem::take);
+                if resume {
+                    driver.trace_on(core);
                 }
+                changed |= resume || bits & (P_OFF_AFTER | P_ON_AFTER) != 0;
             }
             // Function-entry start points (tracked statements in callee /
             // thread-routine entry blocks) fire in the entering thread.
-            Event::Enter { func, core, .. } if self.prepared.on_enter[func.index()] => {
-                self.tracer.driver_mut().trace_on(*core);
+            Event::Enter { func, .. } if self.prepared.on_enter[func.index()] => {
+                self.tracer.driver_mut().trace_on(core);
+                changed = true;
             }
             // Resume points: returning to the statement after a callsite
             // whose callee stopped tracing re-enables it. The VM emits
             // `Return` before the `ret`'s `Retired`, so defer the actual
             // toggle to the Retired arm; enabling here would be undone by a
             // `pt_off_after` stop on the `ret` itself.
-            Event::Return {
-                to: Some(to), core, ..
-            } if self.prepared.stmt[to.index()] & P_ON_RETURN_TO != 0 => {
-                let core = *core as usize;
-                if self.pending_resume.len() <= core {
-                    self.pending_resume.resize(core + 1, false);
+            Event::Return { to: Some(to), .. }
+                if self.prepared.stmt[to.index()] & P_ON_RETURN_TO != 0 =>
+            {
+                let c = core as usize;
+                if self.pending_resume.len() <= c {
+                    self.pending_resume.resize(c + 1, false);
                 }
-                self.pending_resume[core] = true;
+                self.pending_resume[c] = true;
+                changed = true;
             }
             _ => {}
         }
+        if changed {
+            self.refresh(core);
+        }
+    }
+
+    fn filter(&self) -> Option<&DeliveryFilter> {
+        Some(&self.filter)
     }
 }
 
@@ -670,6 +722,61 @@ entry:
         assert_eq!(wide.hits.len(), 3, "the store and both loads hit");
         assert_eq!(wide.branches, vec![(1, condbr, true)]);
         assert_eq!(observed(&narrow), observed(&wide));
+    }
+
+    /// Counts the events the VM delivers to a tracker under its filter.
+    struct Counted<'a>(&'a mut TrackerRuntime, usize);
+
+    impl Observer for Counted<'_> {
+        fn on_event(&mut self, ev: &Event) {
+            self.1 += 1;
+            self.0.on_event(ev);
+        }
+
+        fn filter(&self) -> Option<&DeliveryFilter> {
+            self.0.filter()
+        }
+    }
+
+    /// The VM holds back the events the tracker would ignore, and the
+    /// tracker sees the run as one fed every event does: main's load after
+    /// the join, on a core where tracing never runs, still hits the
+    /// worker's armed watchpoint.
+    #[test]
+    fn filter_holds_back_only_what_the_tracker_ignores() {
+        let p = parse_program("resume", RESUME_ON_CORE_1).unwrap();
+        let (leaf, worker) = (
+            p.function_by_name("leaf").unwrap(),
+            p.function_by_name("worker").unwrap(),
+        );
+        let w = &worker.blocks[0];
+        let store = w.instrs[1].id;
+        let patch = InstrumentationPatch {
+            pt_on_enter: [worker.id].into(),
+            pt_off_after: [leaf.blocks[0].instrs[0].id].into(),
+            pt_on_return_to: [store].into(),
+            watch_accesses: [store].into(),
+            tracked: [store, w.instrs[2].id, w.term.id()].into(),
+            ..InstrumentationPatch::default()
+        };
+        let mut log = gist_vm::event::EventLog::default();
+        Vm::new(&p, VmConfig::default()).run(&mut [&mut log]);
+        let mut fed = TrackerRuntime::new(&p, patch.clone(), 4);
+        for ev in &log.events {
+            fed.on_event(ev);
+        }
+        let mut filtered = TrackerRuntime::new(&p, patch, 4);
+        let mut counted = Counted(&mut filtered, 0);
+        Vm::new(&p, VmConfig::default()).run(&mut [&mut counted]);
+        assert!(
+            counted.1 < log.events.len(),
+            "{} of {} events delivered",
+            counted.1,
+            log.events.len()
+        );
+        let (a, b) = (filtered.finish(), fed.finish());
+        assert_eq!(a.hits.len(), 3, "the store and both loads hit");
+        assert_eq!(observed(&a), observed(&b));
     }
 
     /// A tracker reset after a run cut short (trace windows open, slots

@@ -12,6 +12,10 @@
 //!   *per core* (§6), a property the PT simulator must honor,
 //! * `tid` — the executing thread.
 
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
+
 use gist_ir::{FuncId, InstrId, Value};
 
 /// Read/write classification of a memory access.
@@ -227,10 +231,178 @@ impl Event {
 ///
 /// Gist's client runtime, the Intel PT simulator, the watchpoint unit, and
 /// the record/replay baseline all implement this trait; they are attached
-/// to a [`crate::Vm`] run and see every event in global order.
+/// to a [`crate::Vm`] run and see its events in global order: every event,
+/// unless the observer has a [`DeliveryFilter`].
 pub trait Observer {
-    /// Called for every event, in increasing `seq` order.
+    /// Called for every delivered event, in increasing `seq` order.
     fn on_event(&mut self, ev: &Event);
+
+    /// The observer's delivery filter, which the VM reads at the start of
+    /// each run. `None`, the default, delivers every event.
+    fn filter(&self) -> Option<&DeliveryFilter> {
+        None
+    }
+}
+
+/// Which events of a run an observer needs, decided the way the hardware
+/// under Gist's client decides which ones reach software (§3.2.2–3.2.3):
+/// Intel PT emits packets only on cores where it is enabled, and the debug
+/// registers trap only on accesses they cover.
+///
+/// Before the compiled VM builds a `Retired`, `Branch`, `IndirectTransfer`,
+/// `PreAccess` or `Mem` event for a filtered observer, it checks the
+/// filter. On a *hot* core (see [`LiveFilter`]) each of them is delivered.
+/// Elsewhere a `Retired` is delivered only at a statement whose bits meet
+/// `retired_at`, a `PreAccess` only at one whose bits meet
+/// `pre_access_at`, a `Mem` only inside an armed range, and a `Branch` or
+/// `IndirectTransfer` never. Every other kind is always delivered. A
+/// skipped event still takes its `seq`, so the numbering is the one an
+/// unfiltered observer sees.
+///
+/// An observer's filter must skip only events on which it would do
+/// nothing. The tree-walk oracle ignores filters and delivers every event.
+#[derive(Clone, Debug)]
+pub struct DeliveryFilter {
+    /// Per-statement bits, indexed by `InstrId`.
+    stmts: Arc<[u8]>,
+    /// Bits of `stmts` at which a `Retired` is delivered on any core.
+    retired_at: u8,
+    /// Bits of `stmts` at which a `PreAccess` is delivered on any core.
+    pre_access_at: u8,
+    /// The part the observer changes during a run.
+    live: Arc<LiveFilter>,
+}
+
+impl DeliveryFilter {
+    /// A filter over per-statement bits `stmts` and the observer's `live`
+    /// state; see [`DeliveryFilter`] for what the masks select.
+    pub fn new(stmts: Arc<[u8]>, retired_at: u8, pre_access_at: u8, live: Arc<LiveFilter>) -> Self {
+        DeliveryFilter {
+            stmts,
+            retired_at,
+            pre_access_at,
+            live,
+        }
+    }
+
+    /// The part the observer changes during a run.
+    pub fn live(&self) -> &LiveFilter {
+        &self.live
+    }
+
+    /// Readies the filter for a run over statement bits `stmts`, in place:
+    /// the masks stay, and the live part returns to [`LiveFilter::new`].
+    pub fn reset(&mut self, stmts: Arc<[u8]>) {
+        self.stmts = stmts;
+        self.live.reset();
+    }
+
+    /// True if statement `iid`'s bits meet `mask`; a statement beyond the
+    /// bits is delivered.
+    #[inline]
+    fn at(&self, iid: InstrId, mask: u8) -> bool {
+        self.stmts.get(iid.index()).is_none_or(|b| b & mask != 0)
+    }
+
+    /// True if a `Retired` of `iid` on `core` is delivered.
+    #[inline]
+    pub(crate) fn retired(&self, core: u32, iid: InstrId) -> bool {
+        self.live.hot(core) || self.at(iid, self.retired_at)
+    }
+
+    /// True if a `Branch` or `IndirectTransfer` on `core` is delivered.
+    #[inline]
+    pub(crate) fn control(&self, core: u32) -> bool {
+        self.live.hot(core)
+    }
+
+    /// True if a `PreAccess` of `iid` on `core` is delivered.
+    #[inline]
+    pub(crate) fn pre_access(&self, core: u32, iid: InstrId) -> bool {
+        self.live.hot(core) || self.at(iid, self.pre_access_at)
+    }
+
+    /// True if a `Mem` access to `addr` on `core` is delivered.
+    #[inline]
+    pub(crate) fn mem(&self, core: u32, addr: u64) -> bool {
+        self.live.hot(core) || self.live.covers(addr)
+    }
+}
+
+/// The part of a [`DeliveryFilter`] that its observer changes during a
+/// run: which cores are hot, and up to [`LiveFilter::RANGES`] armed
+/// address ranges. The observer writes it while handling an event and the
+/// VM reads it before building the next one, on the same thread; the
+/// fields are relaxed atomics only so that an observer holding one stays
+/// `Send`.
+#[derive(Debug)]
+pub struct LiveFilter {
+    /// Bit `c` set: core `c` is hot. Cores from 64 up are always hot.
+    hot: AtomicU64,
+    /// Armed ranges as `[start, length]`; an empty slot has length 0.
+    ranges: [[AtomicU64; 2]; LiveFilter::RANGES],
+}
+
+impl Default for LiveFilter {
+    fn default() -> Self {
+        LiveFilter::new()
+    }
+}
+
+impl LiveFilter {
+    /// Number of address ranges (x86 has four debug registers).
+    pub const RANGES: usize = 4;
+
+    /// Every core hot, no range armed: delivers every event.
+    pub fn new() -> Self {
+        LiveFilter {
+            hot: AtomicU64::new(u64::MAX),
+            ranges: Default::default(),
+        }
+    }
+
+    /// Returns to the state [`LiveFilter::new`] builds.
+    fn reset(&self) {
+        self.hot.store(u64::MAX, Relaxed);
+        for [start, len] in &self.ranges {
+            start.store(0, Relaxed);
+            len.store(0, Relaxed);
+        }
+    }
+
+    /// Marks `core` hot or not. Cores from 64 up stay hot.
+    pub fn set_hot(&self, core: u32, hot: bool) {
+        if core < 64 {
+            let bit = 1u64 << core;
+            let mask = self.hot.load(Relaxed);
+            self.hot
+                .store(if hot { mask | bit } else { mask & !bit }, Relaxed);
+        }
+    }
+
+    /// Arms range `slot` (below [`LiveFilter::RANGES`]) over `addrs`.
+    pub fn arm(&self, slot: usize, addrs: std::ops::Range<u64>) {
+        let [start, len] = &self.ranges[slot];
+        start.store(addrs.start, Relaxed);
+        len.store(addrs.end.saturating_sub(addrs.start), Relaxed);
+    }
+
+    /// True if `core` is hot.
+    #[inline]
+    pub(crate) fn hot(&self, core: u32) -> bool {
+        self.hot
+            .load(Relaxed)
+            .checked_shr(core)
+            .is_none_or(|m| m & 1 != 0)
+    }
+
+    /// True if an armed range covers `addr`.
+    #[inline]
+    pub(crate) fn covers(&self, addr: u64) -> bool {
+        self.ranges
+            .iter()
+            .any(|[start, len]| addr.wrapping_sub(start.load(Relaxed)) < len.load(Relaxed))
+    }
 }
 
 /// A trivial observer that stores all events (used in tests and by the

@@ -14,7 +14,9 @@
 //! * an **event stream** ([`event::Event`]) carrying retired statements,
 //!   branch outcomes (consumed by the Intel PT simulator), and memory
 //!   accesses with values (consumed by the watchpoint unit), each stamped
-//!   with a global sequence number and a virtual core,
+//!   with a global sequence number and a virtual core, and delivered to an
+//!   observer only where its hardware would raise it
+//!   ([`event::DeliveryFilter`]),
 //! * **failure reports** ([`failure::FailureReport`]) with stack traces and
 //!   failure signatures, matching the paper's "coredump, stack trace" input
 //!   to Gist (§3) and its failure-matching footnote (same program counter +
@@ -52,7 +54,7 @@ pub mod treewalk;
 pub mod vm;
 
 pub use compiled::CompiledProgram;
-pub use event::{AccessKind, Event, Observer};
+pub use event::{AccessKind, DeliveryFilter, Event, LiveFilter, Observer};
 pub use failure::{FailureKind, FailureReport, StackFrame};
 pub use mem::{MemScratch, Memory};
 pub use sched::{

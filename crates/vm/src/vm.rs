@@ -9,14 +9,17 @@
 //! out of line.
 //! The observable behavior (event stream, failure reports, counters) is
 //! identical to the legacy tree-walk engine, which is retained under the
-//! `treewalk` feature as a differential-testing oracle.
+//! `treewalk` feature as a differential-testing oracle. Unlike the oracle,
+//! this engine honours observers' [`DeliveryFilter`]s: it builds a
+//! filtered kind of event only for the observers whose filter lets it
+//! through.
 
 use std::sync::Arc;
 
 use gist_ir::{BinKind, FuncId, InstrId, Program, Value};
 
 use crate::compiled::{CCallee, COp, CompiledProgram, Slot};
-use crate::event::{AccessKind, Event, Observer};
+use crate::event::{AccessKind, DeliveryFilter, Event, Observer};
 use crate::failure::{FailureKind, FailureReport, StackFrame};
 use crate::mem::{FxHashMap, MemScratch, Memory};
 use crate::sched::{Scheduler, SchedulerKind};
@@ -114,8 +117,9 @@ pub struct RunResult {
 /// program after another (a fleet executor, a failure search).
 ///
 /// [`Vm::into_scratch`] tears a VM down to its memory segments, its thread
-/// table, runnable list, mutex-owner map and input values, all emptied,
-/// and every register file its frames held, on a free list. The next
+/// table, runnable list, mutex-owner map, input values and observer
+/// filter list, all emptied, and every register file its frames held, on
+/// a free list. The next
 /// run's VM, built with [`Vm::with_scratch`], reuses their capacity
 /// instead of growing them from empty: spawns and calls draw register
 /// files from the free list, zeroed, and `ret` puts a callee's back.
@@ -130,6 +134,7 @@ pub struct VmScratch {
     mutex_owners: FxHashMap<u64, u32>,
     input_values: Vec<Value>,
     regs: Vec<Vec<Value>>,
+    filters: Vec<Option<DeliveryFilter>>,
 }
 
 /// The MiniC virtual machine.
@@ -149,6 +154,9 @@ pub struct Vm<'p> {
     mutex_owners: FxHashMap<u64, u32>,
     /// Materialized input values (after string interning).
     input_values: Vec<Value>,
+    /// Each observer's delivery filter, in observer order, for the run
+    /// in progress; empty between runs.
+    filters: Vec<Option<DeliveryFilter>>,
     output: Vec<Value>,
     seq: u64,
     steps: u64,
@@ -219,6 +227,7 @@ impl<'p> Vm<'p> {
             mutex_owners,
             mut input_values,
             regs: mut free_regs,
+            filters,
         } = scratch;
         let mut mem = Memory::with_scratch(program, mem);
         debug_assert_eq!(
@@ -245,6 +254,7 @@ impl<'p> Vm<'p> {
             free_regs,
             mutex_owners,
             input_values,
+            filters,
             output: Vec::new(),
             seq: 0,
             steps: 0,
@@ -276,6 +286,7 @@ impl<'p> Vm<'p> {
             mutex_owners: self.mutex_owners,
             input_values: self.input_values,
             regs: self.free_regs,
+            filters: self.filters,
         }
     }
 
@@ -306,7 +317,10 @@ impl<'p> Vm<'p> {
         // The run loop keeps the runnable list in a local; it goes back to
         // the VM, for the scratch, when the run ends.
         let mut runnable = std::mem::take(&mut self.runnable);
+        self.filters
+            .extend(observers.iter().map(|o| o.filter().cloned()));
         let result = self.run_loop(scheduler, observers, &mut runnable);
+        self.filters.clear();
         self.runnable = runnable;
         result
     }
@@ -512,9 +526,11 @@ impl<'p> Vm<'p> {
                 t.top.pc = if taken { then_to } else { else_to };
                 self.branches += 1;
                 let seq = self.next_seq();
-                emit(
+                deliver(
                     observers,
-                    Event::Branch {
+                    &self.filters,
+                    move |f| f.control(core),
+                    move || Event::Branch {
                         seq,
                         tid,
                         core,
@@ -619,13 +635,18 @@ impl<'p> Vm<'p> {
         Some(RunOutcome::Failed(report))
     }
 
+    // Every step retires; left to itself the compiler calls this out of
+    // line now that it carries the filter check.
+    #[inline(always)]
     fn retire(&mut self, tid: u32, core: u32, iid: InstrId, observers: &mut [&mut dyn Observer]) {
         self.steps += 1;
         self.retired_per_core[core as usize] += 1;
         let seq = self.next_seq();
-        emit(
+        deliver(
             observers,
-            Event::Retired {
+            &self.filters,
+            move |f| f.retired(core, iid),
+            move || Event::Retired {
                 seq,
                 tid,
                 core,
@@ -645,9 +666,11 @@ impl<'p> Vm<'p> {
         observers: &mut [&mut dyn Observer],
     ) {
         let seq = self.next_seq();
-        emit(
+        deliver(
             observers,
-            Event::PreAccess {
+            &self.filters,
+            move |f| f.pre_access(core, iid),
+            move || Event::PreAccess {
                 seq,
                 tid,
                 core,
@@ -682,9 +705,11 @@ impl<'p> Vm<'p> {
     ) {
         self.mem_accesses += 1;
         let seq = self.next_seq();
-        emit(
+        deliver(
             observers,
-            Event::Mem {
+            &self.filters,
+            move |f| f.mem(core, addr),
+            move || Event::Mem {
                 seq,
                 tid,
                 core,
@@ -1000,9 +1025,11 @@ impl<'p> Vm<'p> {
         if matches!(callee, CCallee::Indirect(_)) {
             self.indirect_transfers += 1;
             let seq = self.next_seq();
-            emit(
+            deliver(
                 observers,
-                Event::IndirectTransfer {
+                &self.filters,
+                move |filter| filter.control(core),
+                move || Event::IndirectTransfer {
                     seq,
                     tid,
                     core,
@@ -1089,9 +1116,48 @@ impl<'p> Vm<'p> {
     }
 }
 
+/// Delivers an event of a kind no filter holds back.
 fn emit(observers: &mut [&mut dyn Observer], ev: Event) {
     for o in observers.iter_mut() {
         o.on_event(&ev);
+    }
+}
+
+/// Delivers an event of a filtered kind to each observer that has no
+/// filter or whose filter `pass`es it. The event is built only for an
+/// observer that takes it; its `seq` is taken either way. A lone
+/// observer, as in a tracked run, is checked inline; two or more out of
+/// line.
+#[inline(always)]
+fn deliver(
+    observers: &mut [&mut dyn Observer],
+    filters: &[Option<DeliveryFilter>],
+    pass: impl Fn(&DeliveryFilter) -> bool,
+    build: impl Fn() -> Event,
+) {
+    match observers {
+        [] => {}
+        [only] => {
+            if filters.first().and_then(Option::as_ref).is_none_or(pass) {
+                only.on_event(&build());
+            }
+        }
+        _ => deliver_each(observers, filters, pass, build),
+    }
+}
+
+/// [`deliver`] to two or more observers.
+#[inline(never)]
+fn deliver_each(
+    observers: &mut [&mut dyn Observer],
+    filters: &[Option<DeliveryFilter>],
+    pass: impl Fn(&DeliveryFilter) -> bool,
+    build: impl Fn() -> Event,
+) {
+    for (o, f) in observers.iter_mut().zip(filters) {
+        if f.as_ref().is_none_or(&pass) {
+            o.on_event(&build());
+        }
     }
 }
 

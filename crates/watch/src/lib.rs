@@ -127,8 +127,6 @@ pub struct WatchUnit {
     ptrace_ops: u64,
     /// Traps delivered.
     traps: u64,
-    /// Accesses that were checked but did not trap.
-    checked: u64,
 }
 
 impl WatchUnit {
@@ -219,7 +217,6 @@ impl WatchUnit {
         self.hits.clear();
         self.ptrace_ops = 0;
         self.traps = 0;
-        self.checked = 0;
     }
 
     /// True if some slot's base address is exactly `addr` (active-set check).
@@ -261,11 +258,6 @@ impl WatchUnit {
         self.ptrace_ops
     }
 
-    /// Memory accesses checked (hit or miss).
-    pub fn checked(&self) -> u64 {
-        self.checked
-    }
-
     /// Feeds one memory access through the unit.
     #[inline]
     // The argument list mirrors the fields of a trap frame; bundling them
@@ -281,7 +273,6 @@ impl WatchUnit {
         addr: u64,
         value: Value,
     ) {
-        self.checked += 1;
         if self.slots.iter().all(Option::is_none) {
             return;
         }
@@ -383,7 +374,7 @@ mod tests {
         u.reset();
         assert_eq!(u.free_slots(), NUM_SLOTS);
         assert!(u.hits().is_empty());
-        assert_eq!((u.ptrace_ops(), u.traps(), u.checked()), (0, 0, 0));
+        assert_eq!((u.ptrace_ops(), u.traps()), (0, 0));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //!
 //! One in-process `#[test]` in its own integration binary: the bench
 //! resets and reads the process-global metrics registry, so it cannot
-//! share a process with other metric-producing tests. The other test runs
-//! the `repro` binary as a child process and shares no state with it.
+//! share a process with other metric-producing tests. The other tests run
+//! the `repro` binary as a child process and share no state with it.
 
 use std::path::Path;
 use std::process::Command;
@@ -98,4 +98,40 @@ fn bench_rejects_an_unknown_argument_and_writes_nothing() {
         .map(|e| e.expect("dir entry").file_name())
         .collect();
     assert!(written.is_empty(), "repro bench --bogus wrote {written:?}");
+}
+
+/// Every command takes exactly its documented arguments: an unknown flag,
+/// a flag without its value, a repeated flag or an extra argument is a
+/// usage error before any work, and writes nothing.
+#[test]
+fn commands_reject_arguments_they_do_not_document_and_write_nothing() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("undocumented-arguments");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for args in [
+        &["bench", "--synthetic", "1", "--seed", "1", "--bogus"][..],
+        &["bench", "--synthetic", "1", "--seed"],
+        &["bench", "--synthetic", "1", "--out"],
+        &["bench", "--synthetic", "1", "--seed", "1", "--seed", "2"],
+        &["bench", "--synthetic"],
+        &["table1", "extra"],
+        &["knobs", "--out", "x"],
+        &["sketch"],
+        &["sketch", "pbzip2-1", "--bogus"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}: {stderr}");
+        assert!(stderr.contains("usage: repro "), "repro {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "repro {args:?} printed output");
+        let written: Vec<_> = std::fs::read_dir(&dir)
+            .expect("read scratch dir")
+            .map(|e| e.expect("dir entry").file_name())
+            .collect();
+        assert!(written.is_empty(), "repro {args:?} wrote {written:?}");
+    }
 }

@@ -15,6 +15,14 @@
 //!   every segment, loops, direct, indirect and recursive calls, and one to
 //!   three threads.
 //!
+//! The compiled engine honours a tracker's delivery filter: it builds no
+//! event the tracker would ignore. The tree-walk oracle delivers every
+//! event, so it is the unfiltered reference: a compiled run with the
+//! tracker as its only observer, where the filter decides what is built
+//! at all, must give the oracle's tracker view. (With the event log
+//! alongside, every event is built, and the filter decides only what the
+//! tracker gets.)
+//!
 //! Both engines pick threads with the same `RandomScheduler`, so their
 //! agreement cannot show a defect in the pick. Under a random schedule,
 //! the compiled engine therefore also runs with a test-local scheduler
@@ -25,8 +33,9 @@
 //! Each test carries one `VmScratch` through all of its cases, and one
 //! tracker per core count, which is reset for each case after it has
 //! seen half of a run (trace windows open, watchpoints armed, a resume
-//! pending). Every such recycled run must equal the fresh compiled run
-//! in run result, event stream and tracker view.
+//! pending). Every such recycled run, whose tracker is filtered too, must
+//! equal the fresh compiled run in run result, event stream and tracker
+//! view.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -64,6 +73,17 @@ fn run_compiled(program: &Program, patch: &InstrumentationPatch, cfg: VmConfig) 
     let mut tracker = TrackerRuntime::new(program, patch.clone(), cfg.num_cores);
     let result = Vm::new(program, cfg).run(&mut [&mut log, &mut tracker]);
     (result, log, tracker.finish())
+}
+
+/// A compiled run with the tracker as its only observer.
+fn run_tracker_alone(
+    program: &Program,
+    patch: &InstrumentationPatch,
+    cfg: VmConfig,
+) -> (RunResult, RunTrace) {
+    let mut tracker = TrackerRuntime::new(program, patch.clone(), cfg.num_cores);
+    let result = Vm::new(program, cfg).run(&mut [&mut tracker]);
+    (result, tracker.finish())
 }
 
 fn run_treewalk(program: &Program, patch: &InstrumentationPatch, cfg: VmConfig) -> EngineRun {
@@ -172,8 +192,8 @@ fn assert_runs_equal(a: (&RunResult, &EventLog), b: (&RunResult, &EventLog), wha
 
 /// Runs both engines and asserts they agree; `what` names the run in
 /// failure messages. The compiled engine must also agree with itself run
-/// on `recycled` state, and, under a random schedule, run under
-/// [`FloatFormulaScheduler`].
+/// with the tracker alone, run on `recycled` state, and, under a random
+/// schedule, run under [`FloatFormulaScheduler`].
 fn assert_engines_agree(
     program: &Program,
     patch: &InstrumentationPatch,
@@ -185,10 +205,18 @@ fn assert_engines_agree(
     let (res_t, log_t, trace_t) = run_treewalk(program, patch, cfg.clone());
     assert_runs_equal((&res_c, &log_c), (&res_t, &log_t), what);
     let trace_c = format!("{:?}", without_journal_seqs(trace_c));
+    let trace_t = format!("{:?}", without_journal_seqs(trace_t));
+    assert_eq!(trace_c, trace_t, "{what}: tracker traces diverge");
+    let (res_a, trace_a) = run_tracker_alone(program, patch, cfg.clone());
     assert_eq!(
-        trace_c,
-        format!("{:?}", without_journal_seqs(trace_t)),
-        "{what}: tracker traces diverge"
+        format!("{res_a:?}"),
+        format!("{res_c:?}"),
+        "{what} (tracker alone): run results diverge"
+    );
+    assert_eq!(
+        format!("{:?}", without_journal_seqs(trace_a)),
+        trace_t,
+        "{what} (tracker alone): the filtered trace differs from the oracle's"
     );
     let (res_r, log_r, trace_r) =
         run_recycled(program, patch, cfg.clone(), &log_c.events, recycled);

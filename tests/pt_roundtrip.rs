@@ -5,6 +5,8 @@
 //! must reproduce each thread's retired-statement sequence exactly. For
 //! arbitrary packet streams and raw bytes, the decoder must fail cleanly
 //! rather than panic, and decode the same bytes the same way every time.
+//! A tracker whose events the VM filters must trace a run as one that
+//! gets every event.
 
 use std::sync::OnceLock;
 
@@ -13,13 +15,14 @@ use gist_bugbase::all_bugs;
 use gist_coop::{EvalConfig, SimulatedFleet};
 use gist_core::{Fleet, GistServer};
 use gist_ir::builder::ProgramBuilder;
+use gist_ir::icfg::Icfg;
 use gist_ir::parser::parse_program;
 use gist_ir::{Callee, CmpKind, InstrId, Program};
 use gist_pt::packet::TNT_CAPACITY;
 use gist_pt::{decoder, CodeMap, Packet, PtConfig, PtDriver, PtTracer};
-use gist_tracking::{InstrumentationPatch, TrackerRuntime};
+use gist_tracking::{InstrumentationPatch, Planner, TrackerRuntime};
 use gist_vm::event::EventLog;
-use gist_vm::{Event, Observer, SchedulerKind, Vm, VmConfig};
+use gist_vm::{DeliveryFilter, Event, Observer, SchedulerKind, Vm, VmConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -366,6 +369,91 @@ proptest! {
         };
         Vm::new(&program, cfg).run(&mut [&mut check]);
         prop_assert!(check.idle_events > 0, "no event was idle");
+    }
+}
+
+/// Hands a run's events to a tracker and counts them. With `filtered` it
+/// passes the VM the tracker's delivery filter; without it the VM
+/// delivers every event.
+struct Delivery<'a> {
+    tracker: &'a mut TrackerRuntime,
+    filtered: bool,
+    delivered: u64,
+}
+
+impl Observer for Delivery<'_> {
+    fn on_event(&mut self, ev: &Event) {
+        self.delivered += 1;
+        self.tracker.on_event(ev);
+    }
+
+    fn filter(&self) -> Option<&DeliveryFilter> {
+        if self.filtered {
+            self.tracker.filter()
+        } else {
+            None
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The delivery filter skips only events on which the tracker does
+    /// nothing: under random patches and full-trace plans, with a tracker
+    /// built for as many cores as the VM uses or fewer, filtered and
+    /// unfiltered delivery give the same run result and run trace.
+    #[test]
+    fn filtered_delivery_gives_the_unfiltered_trace(
+        program_seed in 0u64..5_000,
+        sched_seed in 0u64..1_000,
+        patch_seed in 0u64..u64::MAX,
+        plan_kind in 0u32..4,
+        vm_cores in 1u32..=4,
+        fewer_cores in 0u32..4,
+    ) {
+        let program = random_program(program_seed);
+        let ticfg = Icfg::build_ticfg(&program);
+        let planner = Planner::new(&program, &ticfg);
+        // One case in four runs a full-trace plan.
+        let patch = if plan_kind == 0 {
+            planner.plan_full_trace()
+        } else {
+            let stmts: Vec<InstrId> = program.all_stmt_ids().collect();
+            let mut rng = SplitMix64(patch_seed);
+            let tracked: Vec<InstrId> = (0..1 + rng.below(8))
+                .map(|_| stmts[rng.below(stmts.len() as u64) as usize])
+                .collect();
+            planner.plan(&tracked, rng.below(2) as usize)
+        };
+        let tracker_cores = vm_cores.saturating_sub(fewer_cores).max(1);
+        let cfg = VmConfig {
+            scheduler: SchedulerKind::Random {
+                seed: sched_seed,
+                preempt: 0.5,
+            },
+            max_steps: 50_000,
+            num_cores: vm_cores,
+            ..VmConfig::default()
+        };
+        let run = |filtered: bool| {
+            let mut tracker = TrackerRuntime::new(&program, patch.clone(), tracker_cores);
+            let mut delivery = Delivery {
+                tracker: &mut tracker,
+                filtered,
+                delivered: 0,
+            };
+            let result = Vm::new(&program, cfg.clone()).run(&mut [&mut delivery]);
+            let delivered = delivery.delivered;
+            let mut trace = tracker.finish();
+            trace.hit_events.iter_mut().for_each(|s| *s = 0);
+            trace.decode_event = 0;
+            (format!("{result:?}"), format!("{trace:?}"), delivered)
+        };
+        let (filtered, unfiltered) = (run(true), run(false));
+        prop_assert_eq!(&filtered.0, &unfiltered.0, "run results differ");
+        prop_assert_eq!(&filtered.1, &unfiltered.1, "run traces differ");
+        prop_assert!(filtered.2 <= unfiltered.2);
     }
 }
 
